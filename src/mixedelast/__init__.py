@@ -8,12 +8,11 @@ from .dynamics import (CN, RADAU2, RADAU2_NAME, ButcherTableau, SemidiscreteStat
                        reconstruct_displacement_third_order)
 from .errors import (AssemblyError, ConfigError, GeometryError, MixedElastError,
                      SingularSystemError)
-from .mesh import (DIRICHLET, NEUMANN, Mesh, build_uniform_square_mesh,
-                   mesh_diameter, refine)
+from .mesh import Mesh, build_uniform_square_mesh, mesh_diameter, refine
 from .quadrature import QuadratureRule, edge_rule, triangle_rule
 from .spaces import (DiscreteSpaces, ReferenceElement, build_spaces,
                      canonical_interpolation, l2_project_rotation,
-                     l2_project_velocity, piola_map_stress)
+                     l2_project_velocity)
 from .statics import (InitialData, StaticSolution, build_initial_data,
                       elliptic_projection, infsup_constant, solve_elastostatics)
 from .verification import (ConvergenceTable, MmsCase, builtin_case,

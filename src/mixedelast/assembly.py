@@ -20,7 +20,7 @@ import scipy.sparse as sps
 
 from . import polynomials as poly
 from .errors import AssemblyError, MixedElastError
-from .mesh import DIRICHLET, Mesh
+from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
 from .spaces import DiscreteSpaces, _rotate_minus90
 
@@ -286,28 +286,25 @@ def assemble_body_load(spaces: DiscreteSpaces, f: Callable, t: float,
 
 def assemble_dirichlet_load(spaces: DiscreteSpaces, g: Callable, t: float,
                             degree: int | None = None) -> np.ndarray:
-    """Stress-space boundary load with entries int_Gamma_D g . (phi_i nu) ds."""
+    """Stress-space boundary load with entries int_Gamma g . (phi_i nu) ds.
+
+    Every boundary edge carries the velocity data: traction conditions are
+    essential in this formulation and are not supported.
+    """
     if degree is None:
         degree = 2 * spaces.k + 4
     mesh = spaces.mesh
-    out = np.zeros(spaces.dim_stress)
-    dir_edges = np.array(
-        [e for e, tag in zip(mesh.boundary_edges, mesh.boundary_tags) if tag == DIRICHLET],
-        dtype=int,
-    )
-    if len(dir_edges) == 0:
-        return out
-
+    edges = mesh.boundary_edges
     inc = mesh.edge_triangles()
-    tris = inc[dir_edges, 0]
+    tris = inc[edges, 0]
     # local edge index and outward-normal sign of each boundary edge
-    loc = np.argmax(mesh.triangle_edges[tris] == dir_edges[:, None], axis=1)
+    loc = np.argmax(mesh.triangle_edges[tris] == edges[:, None], axis=1)
     sign = mesh.edge_signs[tris, loc]
 
     rule = edge_rule(degree)
     tq, wq = rule.points, rule.weights
-    a = mesh.vertices[mesh.edges[dir_edges, 0]]
-    b = mesh.vertices[mesh.edges[dir_edges, 1]]
+    a = mesh.vertices[mesh.edges[edges, 0]]
+    b = mesh.vertices[mesh.edges[edges, 1]]
     tang = b - a
     length = np.linalg.norm(tang, axis=1)
     nu = sign[:, None] * _rotate_minus90(tang / length[:, None])
@@ -326,13 +323,8 @@ def assemble_dirichlet_load(spaces: DiscreteSpaces, g: Callable, t: float,
     # entry for stress dof (r, b): int_e g_r (v_b . nu) ds
     contrib = np.einsum("e,q,req,ebq->reb", length, wq, gv, vdotnu)
     gmap = spaces.row_dof_map[tris]  # (nbe, nd)
+    out = np.zeros(spaces.dim_stress)
     for r in range(2):
         np.add.at(out, r * spaces.n_row_global + gmap, contrib[r])
     return out
 
-
-def export_matrix(mat: sps.spmatrix, stream) -> None:
-    """Write a sparse matrix in coordinate text form: row col value per line."""
-    coo = mat.tocoo()
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        stream.write(f"{i} {j} {v:.17g}\n")

@@ -84,11 +84,6 @@ class RunConfig:
         return cfg
 
 
-def emit_config(config: RunConfig) -> str:
-    """Serialize a config as the flat JSON object accepted by --config."""
-    return json.dumps(asdict(config), sort_keys=True)
-
-
 _FIELD_NAMES = {f.name for f in fields(RunConfig)}
 
 

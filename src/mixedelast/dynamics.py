@@ -13,11 +13,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 
 from .assembly import BlockSystem
 from .errors import MixedElastError, SingularSystemError
-from .statics import InitialData
+from .statics import InitialData, checked_solve, factorize
 
 
 @dataclass(frozen=True)
@@ -87,24 +86,39 @@ def _system_blocks(system: BlockSystem):
     return cache["EG"]
 
 
-def _factorize(system: BlockSystem, scheme: str, dt: float):
+def _step_matrix(E, G, scheme: str, dt: float) -> sps.csc_matrix:
+    """The matrix a step of the scheme solves with: E - dt/2 G for
+    Crank-Nicolson, the 2N x 2N stage matrix I (x) E - dt A (x) G for RadauIIA."""
+    if scheme == CN:
+        return (E - (dt / 2.0) * G).tocsc()
+    a = RADAU2.A
+    return sps.bmat(
+        [[E - dt * a[0, 0] * G, -dt * a[0, 1] * G],
+         [-dt * a[1, 0] * G, E - dt * a[1, 1] * G]],
+        format="csc",
+    )
+
+
+class _StepLU:
+    """LU of a scheme's step matrix; its first solve is residual-checked."""
+
+    def __init__(self, E, G, scheme: str, dt: float):
+        self._unchecked = _step_matrix(E, G, scheme, dt)
+        self._lu = factorize(self._unchecked, "step")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self._unchecked is None:
+            return self._lu.solve(rhs)
+        x = checked_solve(self._lu, self._unchecked, rhs, "step")
+        self._unchecked = None
+        return x
+
+
+def _factorize(system: BlockSystem, scheme: str, dt: float) -> _StepLU:
     cache = system._cache.setdefault("factors", {})
     key = (scheme, dt)
     if key not in cache:
-        E, G = _system_blocks(system)
-        try:
-            if scheme == CN:
-                cache[key] = spla.splu((E - (dt / 2.0) * G).tocsc())
-            else:
-                a = RADAU2.A
-                S = sps.bmat(
-                    [[E - dt * a[0, 0] * G, -dt * a[0, 1] * G],
-                     [-dt * a[1, 0] * G, E - dt * a[1, 1] * G]],
-                    format="csc",
-                )
-                cache[key] = spla.splu(S)
-        except RuntimeError as exc:
-            raise SingularSystemError(f"step factorization failed: {exc}") from exc
+        cache[key] = _StepLU(*_system_blocks(system), scheme, dt)
     return cache[key]
 
 
@@ -116,10 +130,6 @@ def _load_vector(system: BlockSystem, t: float) -> np.ndarray:
     return F
 
 
-def _pack(state: SemidiscreteState) -> np.ndarray:
-    return np.concatenate([state.alpha, state.beta, state.gamma])
-
-
 def _unpack(system: BlockSystem, y: np.ndarray):
     nM, nV, _ = system.dims
     return y[:nM], y[nM:nM + nV], y[nM + nV:]
@@ -128,7 +138,7 @@ def _unpack(system: BlockSystem, y: np.ndarray):
 def cn_kernel(E, G, y: np.ndarray, dt: float, f_mid: np.ndarray, lu=None) -> np.ndarray:
     """One Crank-Nicolson update (E - dt/2 G) y1 = (E + dt/2 G) y + dt f_mid."""
     if lu is None:
-        lu = spla.splu((E - (dt / 2.0) * G).tocsc())
+        lu = _StepLU(E, G, CN, dt)
     rhs = E @ y + (dt / 2.0) * (G @ y) + dt * f_mid
     return lu.solve(rhs)
 
@@ -136,14 +146,9 @@ def cn_kernel(E, G, y: np.ndarray, dt: float, f_mid: np.ndarray, lu=None) -> np.
 def radau2_kernel(E, G, y: np.ndarray, dt: float, f1: np.ndarray, f2: np.ndarray,
                   lu=None):
     """One 2-stage RadauIIA update; returns (y1, first stage derivative K1)."""
-    a, b = RADAU2.A, RADAU2.b
     if lu is None:
-        S = sps.bmat(
-            [[E - dt * a[0, 0] * G, -dt * a[0, 1] * G],
-             [-dt * a[1, 0] * G, E - dt * a[1, 1] * G]],
-            format="csc",
-        )
-        lu = spla.splu(S)
+        lu = _StepLU(E, G, RADAU2_NAME, dt)
+    b = RADAU2.b
     gy = G @ y
     rhs = np.concatenate([gy + f1, gy + f2])
     kk = lu.solve(rhs)
@@ -152,47 +157,45 @@ def radau2_kernel(E, G, y: np.ndarray, dt: float, f1: np.ndarray, f2: np.ndarray
     return y + dt * (b[0] * k1 + b[1] * k2), k1
 
 
+def _advance(system: BlockSystem, state: SemidiscreteState, scheme: str, dt: float):
+    """The part of a step both schemes share: solve with the cached LU and
+    check the result.  Returns the new (alpha, beta, gamma) and the RadauIIA
+    first stage derivative K1 (None for Crank-Nicolson)."""
+    if dt <= 0:
+        raise MixedElastError("dt must be positive")
+    E, G = _system_blocks(system)
+    lu = _factorize(system, scheme, dt)
+    y = np.concatenate([state.alpha, state.beta, state.gamma])
+    if scheme == CN:
+        y1, k1 = cn_kernel(E, G, y, dt, _load_vector(system, state.t + dt / 2.0), lu=lu), None
+    else:
+        f1, f2 = (_load_vector(system, state.t + c * dt) for c in RADAU2.c)
+        y1, k1 = radau2_kernel(E, G, y, dt, f1, f2, lu=lu)
+    if not np.all(np.isfinite(y1)):
+        label = "Crank-Nicolson" if scheme == CN else "RadauIIA"
+        raise SingularSystemError(f"{label} step produced non-finite values")
+    return _unpack(system, y1), k1
+
+
 def cn_step(system: BlockSystem, state: SemidiscreteState, dt: float) -> SemidiscreteState:
     """Advance one Crank-Nicolson step with midpoint load evaluation.
 
     The displacement is updated by the trapezoidal rule in the velocity.
     The factorization of E - dt/2 G is cached on the system per (scheme, dt).
     """
-    if dt <= 0:
-        raise MixedElastError("dt must be positive")
-    E, G = _system_blocks(system)
-    lu = _factorize(system, CN, dt)
-    y = _pack(state)
-    y1 = cn_kernel(E, G, y, dt, _load_vector(system, state.t + dt / 2.0), lu=lu)
-    if not np.all(np.isfinite(y1)):
-        raise SingularSystemError("Crank-Nicolson step produced non-finite values")
-    alpha, beta, gamma = _unpack(system, y1)
+    (alpha, beta, gamma), _ = _advance(system, state, CN, dt)
     u = state.u + (dt / 2.0) * (state.beta + beta)
     return SemidiscreteState(t=state.t + dt, alpha=alpha, beta=beta, gamma=gamma, u=u)
 
 
-def radau2_step(system: BlockSystem, state: SemidiscreteState, dt: float,
-                load: Callable[[float], np.ndarray] | None = None):
+def radau2_step(system: BlockSystem, state: SemidiscreteState, dt: float):
     """Advance one 2-stage RadauIIA step.
 
     Returns (new state, stage velocity derivative at t + dt/3).  The
     displacement is updated with the third-order reconstruction
     u1 = u + dt v + dt^2/2 vdot(t + dt/3).
     """
-    if dt <= 0:
-        raise MixedElastError("dt must be positive")
-    E, G = _system_blocks(system)
-    lu = _factorize(system, RADAU2_NAME, dt)
-    if load is None:
-        f1 = _load_vector(system, state.t + RADAU2.c[0] * dt)
-        f2 = _load_vector(system, state.t + RADAU2.c[1] * dt)
-    else:
-        f1, f2 = load(state.t + RADAU2.c[0] * dt), load(state.t + RADAU2.c[1] * dt)
-    y = _pack(state)
-    y1, k1 = radau2_kernel(E, G, y, dt, f1, f2, lu=lu)
-    if not np.all(np.isfinite(y1)):
-        raise SingularSystemError("RadauIIA step produced non-finite values")
-    alpha, beta, gamma = _unpack(system, y1)
+    (alpha, beta, gamma), k1 = _advance(system, state, RADAU2_NAME, dt)
     _, k1_beta, _ = _unpack(system, k1)
     u = reconstruct_displacement_third_order(state.u, state.beta, k1_beta, dt)
     new = SemidiscreteState(t=state.t + dt, alpha=alpha, beta=beta, gamma=gamma, u=u)

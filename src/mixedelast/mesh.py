@@ -3,20 +3,16 @@
 Meshes are immutable after construction.  Edges carry a global orientation
 (lower vertex index -> higher vertex index); per-triangle incidence signs
 record whether the counterclockwise traversal of a triangle agrees with that
-orientation.  Boundary edges are tagged for the Dirichlet / Neumann split,
-with everything Dirichlet by default.
+orientation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GeometryError
-
-DIRICHLET = "dirichlet"
-NEUMANN = "neumann"
 
 
 def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -36,7 +32,6 @@ class Mesh:
         edge_signs: (T, 3) incidence signs, +1 when the local traversal
             agrees with the global low-to-high orientation.
         boundary_edges: indices of edges lying on the domain boundary.
-        boundary_tags: tag per boundary edge, aligned with boundary_edges.
     """
 
     vertices: np.ndarray
@@ -45,7 +40,6 @@ class Mesh:
     triangle_edges: np.ndarray
     edge_signs: np.ndarray
     boundary_edges: np.ndarray
-    boundary_tags: tuple = field(default=())
 
     @property
     def num_vertices(self) -> int:
@@ -69,23 +63,18 @@ class Mesh:
 
     def edge_triangles(self) -> np.ndarray:
         """(E, 2) incident triangle indices, -1 in column 1 for boundary edges."""
+        edges = self.triangle_edges.ravel()
+        # a stable sort keeps each edge's incidences in triangle order, so the
+        # lower triangle index goes to column 0
+        order = np.argsort(edges, kind="stable")
+        column = np.zeros(len(edges), dtype=int)
+        column[order[1:]] = edges[order[1:]] == edges[order[:-1]]
         inc = -np.ones((self.num_edges, 2), dtype=int)
-        for t in range(self.num_triangles):
-            for e in self.triangle_edges[t]:
-                inc[e, 0 if inc[e, 0] < 0 else 1] = t
+        inc[edges, column] = np.arange(len(edges)) // 3
         return inc
 
-    def dump(self, stream) -> None:
-        """Plain-text dump: count header, coordinate rows, connectivity rows."""
-        stream.write(f"{self.num_vertices} {self.num_edges} {self.num_triangles}\n")
-        for x, y in self.vertices:
-            stream.write(f"{x:.17g} {y:.17g}\n")
-        for a, b, c in self.triangles:
-            stream.write(f"{a} {b} {c}\n")
 
-
-def _connect(vertices: np.ndarray, triangles: np.ndarray,
-             boundary_tag_of_edge) -> Mesh:
+def _connect(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     """Derive edges, incidence and boundary data from a vertex/triangle list."""
     areas = 0.5 * _cross2(
         vertices[triangles[:, 1]] - vertices[triangles[:, 0]],
@@ -115,16 +104,13 @@ def _connect(vertices: np.ndarray, triangles: np.ndarray,
     edge_count = edge_count[: len(edges)]
     if np.any(edge_count > 2):
         raise GeometryError("non-manifold edge found")
-    boundary = np.flatnonzero(edge_count == 1)
-    tags = tuple(boundary_tag_of_edge(edges[e]) for e in boundary)
     return Mesh(
         vertices=vertices,
         triangles=triangles,
         edges=edges,
         triangle_edges=tri_edges,
         edge_signs=signs,
-        boundary_edges=boundary,
-        boundary_tags=tags,
+        boundary_edges=np.flatnonzero(edge_count == 1),
     )
 
 
@@ -132,8 +118,7 @@ def build_uniform_square_mesh(n: int, diagonal: str = "lower_left_to_upper_right
     """Uniform n x n triangulation of the unit square.
 
     Each grid cell is split along its lower-left to upper-right diagonal,
-    giving (n+1)^2 vertices, 2 n^2 triangles, and h = sqrt(2)/n.  All
-    boundary edges are tagged Dirichlet.
+    giving (n+1)^2 vertices, 2 n^2 triangles, and h = sqrt(2)/n.
     """
     if n < 1:
         raise GeometryError(f"subdivision count must be >= 1, got {n}")
@@ -154,14 +139,13 @@ def build_uniform_square_mesh(n: int, diagonal: str = "lower_left_to_upper_right
             tris.append((a, b, c))
             tris.append((a, c, d))
     triangles = np.array(tris, dtype=int)
-    return _connect(vertices, triangles, lambda edge: DIRICHLET)
+    return _connect(vertices, triangles)
 
 
 def refine(mesh: Mesh) -> Mesh:
     """Regular 1 -> 4 refinement through edge midpoints.
 
-    Children of a counterclockwise parent are counterclockwise; boundary
-    tags are inherited from the parent edge containing each child edge.
+    Children of a counterclockwise parent are counterclockwise.
     """
     nv = mesh.num_vertices
     mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
@@ -174,22 +158,7 @@ def refine(mesh: Mesh) -> Mesh:
         m20 = nv + mesh.triangle_edges[t, 2]
         tris.extend([(v0, m01, m20), (m01, v1, m12), (m20, m12, v2), (m01, m12, m20)])
     triangles = np.array(tris, dtype=int)
-
-    parent_tag = {}
-    for e, tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        a, b = mesh.edges[e]
-        mid = nv + e
-        parent_tag[(min(a, mid), max(a, mid))] = tag
-        parent_tag[(min(b, mid), max(b, mid))] = tag
-
-    def tag_of(edge):
-        key = (int(edge[0]), int(edge[1]))
-        try:
-            return parent_tag[key]
-        except KeyError:
-            raise GeometryError(f"boundary edge {key} has no parent boundary edge")
-
-    return _connect(vertices, triangles, tag_of)
+    return _connect(vertices, triangles)
 
 
 def mesh_diameter(mesh: Mesh) -> float:

@@ -19,10 +19,6 @@ def monomial_exponents(degree: int) -> np.ndarray:
     return np.array(exps, dtype=int)
 
 
-def monomial_count(degree: int) -> int:
-    return (degree + 1) * (degree + 2) // 2
-
-
 def eval_monomials(exps: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Values of each monomial at the given points, shape (n_mono,) + x.shape."""
     x = np.asarray(x, dtype=float)

@@ -26,9 +26,6 @@ from .quadrature import QuadratureRule, edge_rule, triangle_rule
 
 SUPPORTED_DEGREES = (1, 2, 3)
 
-_REF_VERTS = np.array([[(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]])
-_REF_SIGNS = np.array([[1, 1, -1]])
-
 
 def _rotate_minus90(v: np.ndarray) -> np.ndarray:
     """Right-hand normal (t_y, -t_x) of tangent vectors in the last axis."""
@@ -54,27 +51,83 @@ def _triangle_geometry(verts: np.ndarray):
     return centers, scales, det, grad_lam
 
 
-def _edge_frames(verts: np.ndarray, signs: np.ndarray, loc: int):
-    """Globally oriented start/end points, unit normal and length of local edge."""
-    a = verts[:, loc]
-    b = verts[:, (loc + 1) % 3]
-    flip = signs[:, loc] < 0
-    start = np.where(flip[:, None], b, a)
-    end = np.where(flip[:, None], a, b)
-    length = np.linalg.norm(end - start, axis=1)
-    normal = _rotate_minus90((end - start) / length[:, None])
-    return start, end, normal, length
+def _unit_normals(start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    tang = end - start
+    return _rotate_minus90(tang / np.linalg.norm(tang, axis=-1)[..., None])
+
+
+def _edge_frames(verts: np.ndarray, signs: np.ndarray):
+    """Globally oriented start/end points and unit normals of the local edges,
+    each of shape (3, T, 2)."""
+    a = verts.transpose(1, 0, 2)
+    b = np.roll(a, -1, axis=0)
+    flip = (signs.T < 0)[..., None]
+    start = np.where(flip, b, a)
+    end = np.where(flip, a, b)
+    return start, end, _unit_normals(start, end)
 
 
 def stress_row_dof_count(k: int) -> int:
     return (k + 1) * (k + 2)
 
 
-def _interior_index_sets(k: int, exps: np.ndarray):
+def _stress_functionals(k: int, degree: int, edges, verts: np.ndarray,
+                        sample: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the stress-row DOF functionals of degree k to sampled vector fields.
+
+    ``edges`` is (start, end, unit normal) of globally oriented edges, arrays
+    of shape S + (2,); ``verts`` (T, 3, 2) are the triangles of the interior
+    functionals.  ``sample(pts)`` returns the x and y components of J vector
+    fields at points of shape P + (2,) as an array (2, J) + P.  The edges are
+    sampled once, and the interiors once if k >= 2.
+
+    Returns the edge moments, shape (J,) + S + (k+1,): mean-normalized
+    moments of the normal trace against orthonormal Legendre polynomials in
+    the global edge parameter; and the interior moments, shape
+    (J, T, k^2 - 1): against scaled gradients of nonconstant P_{k-1}, then
+    against curls of bubble-times-P_{k-2}, with gradients taken in centered,
+    scaled local coordinates.
+    """
+    start, end, normal = edges
+    erule = edge_rule(degree)
+    tq, wq = erule.points, erule.weights
+    leg = poly.eval_edge_polynomials(poly.edge_legendre_basis(k), tq)  # (k+1, nqe)
+    fx, fy = sample(start[..., None, :] + tq[:, None] * (end - start)[..., None, :])
+    mom_x = np.einsum("q,iq,j...q->j...i", wq, leg, fx)
+    mom_y = np.einsum("q,iq,j...q->j...i", wq, leg, fy)
+    edge = normal[..., 0, None] * mom_x + normal[..., 1, None] * mom_y
+    if k < 2:
+        return edge, np.zeros((len(fx), len(verts), 0))
+
+    trule = triangle_rule(degree)
+    bary, wt = trule.points, trule.weights
+    centers, scales, _, grad_lam = _triangle_geometry(verts)
+    X = np.einsum("ql,tld->tqd", bary, verts)
+    xi = (X - centers[:, None, :]) / scales[:, None, None]
+    exps = poly.monomial_exponents(k)
+    mv = poly.eval_monomials(exps, xi[..., 0], xi[..., 1])  # (nm, T, nq)
+    dxm, dym = poly.monomial_derivative_matrices(exps)
+    dmx = np.einsum("ij,itq->jtq", dxm, mv)  # d/dxi_x of monomial j
+    dmy = np.einsum("ij,itq->jtq", dym, mv)
     degs = exps.sum(axis=1)
     grad_ix = np.flatnonzero((degs >= 1) & (degs <= k - 1))
     curl_ix = np.flatnonzero(degs <= k - 2)
-    return grad_ix, curl_ix
+    fx, fy = sample(X)
+
+    grad = 2.0 * (np.einsum("q,ptq,jtq->jtp", wt, dmx[grad_ix], fx)
+                  + np.einsum("q,ptq,jtq->jtp", wt, dmy[grad_ix], fy))
+
+    lam = bary.T  # (3, nq), triangle independent
+    bub = lam[0] * lam[1] * lam[2]
+    partials = np.stack([lam[1] * lam[2], lam[0] * lam[2], lam[0] * lam[1]])
+    grad_bub = np.einsum("t,tid,iq->tqd", scales, grad_lam, partials)
+    curl = np.empty((len(fx), len(verts), len(curl_ix)))
+    for p, j_mono in enumerate(curl_ix):
+        dwx = grad_bub[..., 0] * mv[j_mono] + bub[None, :] * dmx[j_mono]
+        dwy = grad_bub[..., 1] * mv[j_mono] + bub[None, :] * dmy[j_mono]
+        curl[:, :, p] = 2.0 * (np.einsum("q,tq,jtq->jt", wt, dwy, fx)
+                               - np.einsum("q,tq,jtq->jt", wt, dwx, fy))
+    return edge, np.concatenate([grad, curl], axis=2)
 
 
 def _stress_dof_matrices(k: int, verts: np.ndarray, signs: np.ndarray,
@@ -83,73 +136,34 @@ def _stress_dof_matrices(k: int, verts: np.ndarray, signs: np.ndarray,
 
     Vector monomials are (m, 0) for the first n_mono columns and (0, m) for
     the rest, with m the monomials of degree <= k in centered, scaled local
-    coordinates.  Functionals: per local edge, mean-normalized moments of the
-    normal trace against orthonormal Legendre polynomials in the global edge
-    parameter; then interior moments against scaled gradients of P_{k-1} and
-    against curls of bubble-times-P_{k-2}.
+    coordinates.  Rows are the functionals of ``_stress_functionals``: the
+    edge moments of local edges 0, 1, 2, then the interior moments.
     """
     if degree is None:
         degree = 2 * k + 2
     exps = poly.monomial_exponents(k)
-    nm = len(exps)
-    nd = stress_row_dof_count(k)
-    nt = len(verts)
-    centers, scales, det, grad_lam = _triangle_geometry(verts)
-    D = np.zeros((nt, nd, nd))
+    centers, scales, _, _ = _triangle_geometry(verts)
 
-    erule = edge_rule(degree)
-    tq, wq = erule.points, erule.weights
-    leg = poly.eval_edge_polynomials(poly.edge_legendre_basis(k), tq)  # (k+1, nqe)
-    for loc in range(3):
-        start, end, normal, _ = _edge_frames(verts, signs, loc)
-        pts = start[:, None, :] + tq[None, :, None] * (end - start)[:, None, :]
+    def vector_monomials(pts):
         xi = (pts - centers[:, None, :]) / scales[:, None, None]
-        mv = poly.eval_monomials(exps, xi[..., 0], xi[..., 1])  # (nm, nt, nqe)
-        mom = np.einsum("q,iq,jtq->tij", wq, leg, mv)  # (nt, k+1, nm)
-        rows = slice(loc * (k + 1), (loc + 1) * (k + 1))
-        D[:, rows, :nm] = normal[:, 0, None, None] * mom
-        D[:, rows, nm:] = normal[:, 1, None, None] * mom
+        mv = poly.eval_monomials(exps, xi[..., 0], xi[..., 1])
+        zero = np.zeros_like(mv)
+        return np.stack([np.concatenate([mv, zero]), np.concatenate([zero, mv])])
 
-    if k >= 2:
-        trule = triangle_rule(degree)
-        bary, wt = trule.points, trule.weights
-        X = np.einsum("ql,tld->tqd", bary, verts)
-        xi = (X - centers[:, None, :]) / scales[:, None, None]
-        mv = poly.eval_monomials(exps, xi[..., 0], xi[..., 1])  # (nm, nt, nq)
-        dxm, dym = poly.monomial_derivative_matrices(exps)
-        dmx = np.einsum("ij,itq->jtq", dxm, mv)  # d/dxi_x of monomial j
-        dmy = np.einsum("ij,itq->jtq", dym, mv)
-        grad_ix, curl_ix = _interior_index_sets(k, exps)
-        row0 = 3 * (k + 1)
-
-        # moments against scaled gradients of P_{k-1} \ constants
-        gx = dmx[grad_ix]  # (np, nt, nq)
-        gy = dmy[grad_ix]
-        D[:, row0:row0 + len(grad_ix), :nm] = 2.0 * np.einsum(
-            "q,ptq,jtq->tpj", wt, gx, mv)
-        D[:, row0:row0 + len(grad_ix), nm:] = 2.0 * np.einsum(
-            "q,ptq,jtq->tpj", wt, gy, mv)
-
-        # moments against curl(bubble * P_{k-2}), gradients in scaled coords
-        lam = bary.T  # (3, nq), triangle independent
-        bub = lam[0] * lam[1] * lam[2]
-        partials = np.stack([lam[1] * lam[2], lam[0] * lam[2], lam[0] * lam[1]])
-        grad_bub = np.einsum("t,tid,iq->tqd", scales, grad_lam, partials)
-        row0 += len(grad_ix)
-        for p, j_mono in enumerate(curl_ix):
-            dwx = grad_bub[..., 0] * mv[j_mono] + bub[None, :] * dmx[j_mono]
-            dwy = grad_bub[..., 1] * mv[j_mono] + bub[None, :] * dmy[j_mono]
-            D[:, row0 + p, :nm] = 2.0 * np.einsum("q,tq,jtq->tj", wt, dwy, mv)
-            D[:, row0 + p, nm:] = -2.0 * np.einsum("q,tq,jtq->tj", wt, dwx, mv)
-    return D
+    edge, interior = _stress_functionals(k, degree, _edge_frames(verts, signs), verts,
+                                         vector_monomials)
+    nt, nj = len(verts), len(edge)
+    edge_rows = edge.transpose(2, 1, 3, 0).reshape(nt, 3 * (k + 1), nj)
+    return np.concatenate([edge_rows, interior.transpose(1, 2, 0)], axis=1)
 
 
 class ReferenceElement:
-    """Bases of degree k on the reference triangle, for tests and diagnostics.
+    """Degree-k data shared by all triangles: the stress monomials, the DOF
+    counts, and the velocity and rotation basis.
 
-    The stress row basis is dual to the DOF functionals; the velocity and
-    rotation bases are orthonormal P_{k-1} against the doubled reference
-    measure, so their Gram matrix on a physical triangle is area * identity.
+    The velocity and rotation bases are orthonormal P_{k-1} against the
+    doubled reference measure, so their Gram matrix on a physical triangle is
+    area * identity.
     """
 
     def __init__(self, k: int):
@@ -158,8 +172,6 @@ class ReferenceElement:
         self.k = k
         self.stress_exps = poly.monomial_exponents(k)
         self.scalar_exps, self.scalar_coef = poly.orthonormal_scalar_basis(k - 1)
-        dof = _stress_dof_matrices(k, _REF_VERTS, _REF_SIGNS)[0]
-        self.stress_coef = np.linalg.inv(dof).T  # (n_dof, 2 * n_mono)
 
     @property
     def n_row_dofs(self) -> int:
@@ -177,24 +189,9 @@ class ReferenceElement:
     def n_scalar(self) -> int:
         return self.k * (self.k + 1) // 2
 
-    def stress_row_values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Row basis values on the reference triangle, shape (n_dof, 2, npts)."""
-        nm = len(self.stress_exps)
-        centers, scales, _, _ = _triangle_geometry(_REF_VERTS)
-        xi = (np.asarray(x) - centers[0, 0]) / scales[0]
-        eta = (np.asarray(y) - centers[0, 1]) / scales[0]
-        mv = poly.eval_monomials(self.stress_exps, xi, eta)
-        vx = np.tensordot(self.stress_coef[:, :nm], mv, axes=(1, 0))
-        vy = np.tensordot(self.stress_coef[:, nm:], mv, axes=(1, 0))
-        return np.stack([vx, vy], axis=1)
-
     def scalar_values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         mv = poly.eval_monomials(self.scalar_exps, np.asarray(x), np.asarray(y))
         return np.tensordot(self.scalar_coef, mv, axes=(1, 0))
-
-    def dof_matrix(self, degree: int) -> np.ndarray:
-        """Reference DOF matrix recomputed at the given quadrature degree."""
-        return _stress_dof_matrices(self.k, _REF_VERTS, _REF_SIGNS, degree)[0]
 
 
 @dataclass
@@ -365,49 +362,6 @@ def build_spaces(mesh: Mesh, k: int) -> DiscreteSpaces:
     )
 
 
-# -- Piola map -------------------------------------------------------------
-
-
-class PiolaMappedField:
-    """Contravariant push-forward of a reference matrix field to a triangle.
-
-    Each row of the reference field is mapped as an H(div) vector field:
-    sigma(F(xhat)) = sigmahat(xhat) B^T / det(B) for the affine map
-    F(xhat) = B xhat + b.  Row-wise divergence transforms as
-    div sigma (F(xhat)) = div sigmahat (xhat) / det(B).
-    """
-
-    def __init__(self, reference_field: Callable, triangle: np.ndarray):
-        triangle = np.asarray(triangle, dtype=float)
-        B = np.column_stack([triangle[1] - triangle[0], triangle[2] - triangle[0]])
-        det = float(np.linalg.det(B))
-        scale = max(np.abs(B).max(), 1.0)
-        if abs(det) <= 1e-14 * scale**2:
-            raise GeometryError("degenerate triangle in Piola map")
-        self.reference_field = reference_field
-        self.origin = triangle[0]
-        self.B = B
-        self.det = det
-
-    def map_points(self, xhat: np.ndarray, yhat: np.ndarray) -> np.ndarray:
-        pts = np.stack(np.broadcast_arrays(xhat, yhat), axis=-1)
-        return pts @ self.B.T + self.origin
-
-    def __call__(self, xhat: np.ndarray, yhat: np.ndarray) -> np.ndarray:
-        ref = np.asarray(self.reference_field(xhat, yhat))
-        return np.einsum("rk...,ck->rc...", ref, self.B) / self.det
-
-
-def piola_map_stress(reference_field: Callable, triangle: np.ndarray) -> PiolaMappedField:
-    """Contravariant (row-wise Piola) map of a reference matrix field.
-
-    ``reference_field(xhat, yhat)`` must return values of shape
-    (2, 2) + broadcast shape.  The result evaluates the physical field at the
-    image points F(xhat, yhat) of the affine map onto ``triangle``.
-    """
-    return PiolaMappedField(reference_field, triangle)
-
-
 # -- canonical interpolation and local projections -------------------------
 
 
@@ -419,57 +373,16 @@ def canonical_interpolation(spaces: DiscreteSpaces, sigma: Callable,
     each closed triangle.  The interpolant commutes with the divergence:
     div of the result is the V_h projection of div sigma.
     """
-    mesh, k = spaces.mesh, spaces.k
-    alpha = np.zeros(spaces.dim_stress)
-    rows = alpha.reshape(2, spaces.n_row_global)
-
-    erule = edge_rule(degree)
-    tq, wq = erule.points, erule.weights
-    leg = poly.eval_edge_polynomials(poly.edge_legendre_basis(k), tq)
+    mesh = spaces.mesh
     a = mesh.vertices[mesh.edges[:, 0]]
     b = mesh.vertices[mesh.edges[:, 1]]
-    tang = b - a
-    length = np.linalg.norm(tang, axis=1)
-    normal = _rotate_minus90(tang / length[:, None])
-    pts = a[:, None, :] + tq[None, :, None] * tang[:, None, :]
-    vals = np.asarray(sigma(pts[..., 0], pts[..., 1]), dtype=float)  # (2,2,E,nqe)
-    vn = np.einsum("rdeq,ed->req", vals, normal)
-    moments = np.einsum("q,iq,req->rei", wq, leg, vn)  # (2, E, k+1)
-    for r in range(2):
-        rows[r, : (k + 1) * mesh.num_edges] = moments[r].ravel()
 
-    if k >= 2:
-        trule = triangle_rule(degree)
-        wt = trule.weights
-        X = spaces.physical_points(trule)
-        vals = np.asarray(sigma(X[..., 0], X[..., 1]), dtype=float)  # (2,2,T,nq)
-        exps = spaces.ref.stress_exps
-        xi = spaces._xi(X)
-        mv = poly.eval_monomials(exps, xi[..., 0], xi[..., 1])
-        dxm, dym = poly.monomial_derivative_matrices(exps)
-        dmx = np.einsum("ij,itq->jtq", dxm, mv)
-        dmy = np.einsum("ij,itq->jtq", dym, mv)
-        grad_ix, curl_ix = _interior_index_sets(k, exps)
+    def rows_of_sigma(pts):
+        return np.swapaxes(np.asarray(sigma(pts[..., 0], pts[..., 1]), dtype=float), 0, 1)
 
-        grad_mom = 2.0 * (np.einsum("q,ptq,rtq->rtp", wt, dmx[grad_ix], vals[:, 0])
-                          + np.einsum("q,ptq,rtq->rtp", wt, dmy[grad_ix], vals[:, 1]))
-
-        _, _, _, grad_lam = _triangle_geometry(spaces.tri_verts)
-        lam = trule.points.T
-        bub = lam[0] * lam[1] * lam[2]
-        partials = np.stack([lam[1] * lam[2], lam[0] * lam[2], lam[0] * lam[1]])
-        grad_bub = np.einsum("t,tid,iq->tqd", spaces.scales, grad_lam, partials)
-        curl_mom = np.empty((2, mesh.num_triangles, len(curl_ix)))
-        for p, j_mono in enumerate(curl_ix):
-            dwx = grad_bub[..., 0] * mv[j_mono] + bub[None, :] * dmx[j_mono]
-            dwy = grad_bub[..., 1] * mv[j_mono] + bub[None, :] * dmy[j_mono]
-            curl_mom[:, :, p] = 2.0 * (np.einsum("q,tq,rtq->rt", wt, dwy, vals[:, 0])
-                                       - np.einsum("q,tq,rtq->rt", wt, dwx, vals[:, 1]))
-
-        interior = np.concatenate([grad_mom, curl_mom], axis=2)
-        for r in range(2):
-            rows[r, (k + 1) * mesh.num_edges:] = interior[r].ravel()
-    return alpha
+    edge, interior = _stress_functionals(spaces.k, degree, (a, b, _unit_normals(a, b)),
+                                         spaces.tri_verts, rows_of_sigma)
+    return np.concatenate([edge.reshape(2, -1), interior.reshape(2, -1)], axis=1).ravel()
 
 
 def l2_project_velocity(spaces: DiscreteSpaces, v: Callable,

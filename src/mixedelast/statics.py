@@ -34,7 +34,31 @@ class InitialData:
     u0: np.ndarray
 
 
-def _saddle_factorization(system: BlockSystem, key: str, top_left: sps.spmatrix):
+def factorize(S: sps.spmatrix, what: str):
+    """Sparse LU of S; a singular S raises SingularSystemError."""
+    try:
+        return spla.splu(S)
+    except RuntimeError as exc:
+        raise SingularSystemError(f"{what} factorization failed: {exc}") from exc
+
+
+def checked_solve(lu, S: sps.spmatrix, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solve with the LU of S and check the residual ||S x - rhs||.
+
+    The residual must stay within 1e-10 max(||rhs||, ||x||, 1); a non-finite
+    or inaccurate solution raises SingularSystemError.
+    """
+    x = lu.solve(rhs)
+    if not np.all(np.isfinite(x)):
+        raise SingularSystemError(f"{what} solve produced non-finite values")
+    scale = max(np.linalg.norm(rhs), np.linalg.norm(x), 1.0)
+    res = np.linalg.norm(S @ x - rhs)
+    if res > 1e-10 * scale:
+        raise SingularSystemError(f"{what} solve residual {res:.3e} exceeds tolerance")
+    return x
+
+
+def _solve_saddle(system: BlockSystem, key: str, top_left, rhs_sigma, rhs_v, rhs_r):
     cache = system._cache
     if key not in cache:
         S = sps.bmat(
@@ -43,24 +67,9 @@ def _saddle_factorization(system: BlockSystem, key: str, top_left: sps.spmatrix)
              [system.Cmat, None, None]],
             format="csc",
         )
-        try:
-            cache[key] = (spla.splu(S), S)
-        except RuntimeError as exc:
-            raise SingularSystemError(f"saddle factorization failed: {exc}") from exc
-    return cache[key]
-
-
-def _solve_saddle(system: BlockSystem, key: str, top_left, rhs_sigma, rhs_v, rhs_r,
-                  residual_tol: float = 1e-10):
-    lu, S = _saddle_factorization(system, key, top_left)
-    rhs = np.concatenate([rhs_sigma, rhs_v, rhs_r])
-    x = lu.solve(rhs)
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError("saddle solve produced non-finite values")
-    scale = max(np.linalg.norm(rhs), np.linalg.norm(x), 1.0)
-    res = np.linalg.norm(S @ x - rhs)
-    if res > residual_tol * scale:
-        raise SingularSystemError(f"saddle solve residual {res:.3e} exceeds tolerance")
+        cache[key] = (factorize(S, "saddle"), S)
+    lu, S = cache[key]
+    x = checked_solve(lu, S, np.concatenate([rhs_sigma, rhs_v, rhs_r]), "saddle")
     nM, nV, _ = system.dims
     return x[:nM], x[nM:nM + nV], x[nM + nV:]
 

@@ -55,8 +55,11 @@ class MmsCase:
         return None if self.homogeneous else self.v
 
 
-def _lambdify_vector(exprs, args):
-    fns = [sp.lambdify(args, e, modules="numpy") for e in exprs]
+def _lambdify(exprs, args):
+    """Vectorized callable of a scalar or an (n,) or (n, m) nested list of
+    expressions: (t, x, y) -> exprs' shape + the broadcast shape of x."""
+    exprs = np.array(exprs, dtype=object)
+    fns = [sp.lambdify(args, e, modules="numpy") for e in exprs.flat]
 
     def call(t, x, y):
         x = np.asarray(x, dtype=float)
@@ -64,32 +67,7 @@ def _lambdify_vector(exprs, args):
         out = np.empty((len(fns),) + x.shape)
         for i, fn in enumerate(fns):
             out[i] = np.broadcast_to(fn(t, x, y), x.shape)
-        return out
-
-    return call
-
-
-def _lambdify_matrix(exprs, args):
-    fns = [[sp.lambdify(args, e, modules="numpy") for e in row] for row in exprs]
-
-    def call(t, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.empty((2, 2) + x.shape)
-        for i in range(2):
-            for j in range(2):
-                out[i, j] = np.broadcast_to(fns[i][j](t, x, y), x.shape)
-        return out
-
-    return call
-
-
-def _lambdify_scalar(expr, args):
-    fn = sp.lambdify(args, expr, modules="numpy")
-
-    def call(t, x, y):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(fn(t, x, np.asarray(y, dtype=float)), x.shape).copy()
+        return out.reshape(exprs.shape + x.shape)
 
     return call
 
@@ -118,12 +96,12 @@ def case_from_displacement(name: str, u_exprs, material: MaterialModel,
     return MmsCase(
         name=name,
         material=material,
-        u=_lambdify_vector(list(u), args),
-        v=_lambdify_vector(list(v), args),
-        sigma=_lambdify_matrix([[sigma[0, 0], sigma[0, 1]], [sigma[1, 0], sigma[1, 1]]], args),
-        rotation=_lambdify_scalar(rot, args),
-        f=_lambdify_vector(list(f), args),
-        div_sigma=_lambdify_vector(list(div_sigma), args),
+        u=_lambdify(list(u), args),
+        v=_lambdify(list(v), args),
+        sigma=_lambdify(sigma.tolist(), args),
+        rotation=_lambdify(rot, args),
+        f=_lambdify(list(f), args),
+        div_sigma=_lambdify(list(div_sigma), args),
         homogeneous=homogeneous,
         T0=T0,
         alpha=alpha,
@@ -274,6 +252,16 @@ def _resolve_dt(dt_rule, n: int) -> float:
     return float(dt_rule)
 
 
+def _build_case(case: MmsCase, k: int, n: int):
+    """Spaces, assembled system and discrete initial data of a case on the
+    uniform n x n mesh."""
+    mesh = build_uniform_square_mesh(n)
+    spaces = build_spaces(mesh, k)
+    system = assemble(mesh, spaces, case.material, body_force=case.f,
+                      dirichlet_velocity=case.g)
+    return spaces, system, build_initial_data(case, system, spaces)
+
+
 def run_case(case: MmsCase, k: int, scheme: str, n: int, dt_rule=None,
              degree: int | None = None, linf_in_time: bool = False):
     """Integrate one case on one mesh and measure errors.
@@ -283,11 +271,7 @@ def run_case(case: MmsCase, k: int, scheme: str, n: int, dt_rule=None,
     L-infinity-in-time norms).  Returns (errors dict, trajectory summary,
     spaces).
     """
-    mesh = build_uniform_square_mesh(n)
-    spaces = build_spaces(mesh, k)
-    system = assemble(mesh, spaces, case.material, body_force=case.f,
-                      dirichlet_velocity=case.g)
-    initial = build_initial_data(case, system, spaces)
+    spaces, system, initial = _build_case(case, k, n)
     dt = _resolve_dt(dt_rule, n)
 
     def errors_at(st):
@@ -350,11 +334,7 @@ def error_decomposition_diagnostic(case: MmsCase, k: int, n: int, t: float):
     velocity against P_h, the rotation against P'_h.  Returns
     {field: (projection_error, approximation_error)}.
     """
-    mesh = build_uniform_square_mesh(n)
-    spaces = build_spaces(mesh, k)
-    system = assemble(mesh, spaces, case.material, body_force=case.f,
-                      dirichlet_velocity=case.g)
-    initial = build_initial_data(case, system, spaces)
+    spaces, system, initial = _build_case(case, k, n)
     dt = 1.0 / n
     n_steps = round(t / dt)
     if abs(n_steps * dt - t) > 1e-12:

@@ -132,9 +132,7 @@ def dense_dirichlet_load(spaces, g, t_time, degree=None):
     leg = eval_edge_polynomials(edge_legendre_basis(k), rule.points)
     inc = mesh.edge_triangles()
     out = np.zeros(spaces.dim_stress)
-    for e, tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        if tag != "dirichlet":
-            continue
+    for e in mesh.boundary_edges:
         t = inc[e, 0]
         loc = list(mesh.triangle_edges[t]).index(e)
         sign = mesh.edge_signs[t, loc]

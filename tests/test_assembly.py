@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from mixedelast import (AssemblyError, MaterialModel, MixedElastError, assemble,
                         assemble_body_load, assemble_dirichlet_load,
                         assemble_stress_mass, builtin_case,
                         isotropic_compliance_apply, isotropic_stiffness_apply)
-from mixedelast.assembly import export_matrix
 
 from _oracles import (dense_assemble, dense_body_load, dense_dirichlet_load,
                       dense_system_blocks)
@@ -197,42 +194,8 @@ def test_dirichlet_load_oracle(spaces_cache):
     assert np.abs(production - oracle).max() <= 1e-12
 
 
-def test_dirichlet_load_skips_neumann_edges(mesh_cache):
-    import dataclasses
-    from mixedelast import NEUMANN, build_spaces
-
-    mesh = mesh_cache(2)
-    # tag the y = 0 boundary edges Neumann, keep the rest Dirichlet
-    mids = 0.5 * (mesh.vertices[mesh.edges[mesh.boundary_edges, 0]]
-                  + mesh.vertices[mesh.edges[mesh.boundary_edges, 1]])
-    tags = tuple(NEUMANN if abs(y) < 1e-12 else "dirichlet" for _, y in mids)
-    mixed = dataclasses.replace(mesh, boundary_tags=tags)
-    spaces = build_spaces(mixed, 1)
-
-    g = lambda t, x, y: np.stack([np.ones(np.shape(x)), np.zeros(np.shape(x))])
-    load = assemble_dirichlet_load(spaces, g, 0.0)
-    # edge dofs on the y = 0 edges carry no boundary load
-    k = spaces.k
-    for e, tag in zip(mixed.boundary_edges, tags):
-        dofs = [r * spaces.n_row_global + e * (k + 1) + i
-                for r in range(2) for i in range(k + 1)]
-        if tag == NEUMANN:
-            assert np.abs(load[dofs]).max() <= 1e-14
-    assert np.abs(load).max() > 0.1
-
-
 def test_stress_mass_spd(mesh_cache, spaces_cache):
     mass = assemble_stress_mass(spaces_cache(1, 1))
     dense = mass.toarray()
     assert np.abs(dense - dense.T).max() <= 1e-13
     assert np.linalg.eigvalsh(dense).min() > 0.0
-
-
-def test_export_matrix_format(mesh_cache, spaces_cache, unit_material):
-    system = assemble(mesh_cache(1), spaces_cache(1, 1), unit_material)
-    buf = io.StringIO()
-    export_matrix(system.Cmat, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert len(lines) == system.Cmat.nnz
-    i, j, v = lines[0].split()
-    int(i), int(j), float(v)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mixedelast.cli import emit_config, main, parse_config
+from mixedelast.cli import main, parse_config
 from mixedelast.errors import ConfigError
 
 
@@ -46,15 +46,6 @@ def test_config_file_with_flag_override(tmp_path):
     path.write_text(json.dumps({"case": "eg2", "alpha": 2.2, "n": 4}))
     cfg = parse_config(["run", "--config", str(path), "--alpha", "3.2"])
     assert cfg.case == "eg2" and cfg.alpha == 3.2 and cfg.n == 4
-
-
-def test_config_round_trip(tmp_path):
-    cfg = parse_config(["converge", "--case", "eg2", "--alpha", "2.2",
-                        "--n-list", "2,4", "--mu", "2.0"])
-    path = tmp_path / "rt.json"
-    path.write_text(emit_config(cfg))
-    again = parse_config(["converge", "--config", str(path)])
-    assert again == cfg
 
 
 def test_mesh_info(capsys):

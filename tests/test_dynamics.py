@@ -282,3 +282,21 @@ def test_factorization_cached(small_system):
     before = factors[("cn", 0.1)]
     cn_step(system, st, 0.1)
     assert factors[("cn", 0.1)] is before
+
+
+def test_step_residual_checked_on_first_solve(small_system, monkeypatch):
+    # an LU of a perturbed step matrix solves without error, so only the
+    # residual check against the true step matrix can catch it
+    import scipy.sparse.linalg as spla
+    from mixedelast import SingularSystemError
+    system, spaces, case = small_system
+    init = build_initial_data(case, system, spaces)
+    st = SemidiscreteState(0.0, init.sigma0, init.v0, init.r0, init.u0)
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda A: splu(
+        (A + 1e-3 * sps.identity(A.shape[0], format="csc")).tocsc()))
+    fresh = assemble(spaces.mesh, spaces, system.material, body_force=case.f)
+    with pytest.raises(SingularSystemError, match="residual"):
+        cn_step(fresh, st, 0.1)
+    with pytest.raises(SingularSystemError, match="residual"):
+        radau2_step(fresh, st, 0.1)

@@ -1,10 +1,7 @@
-import io
-
 import numpy as np
 import pytest
 
-from mixedelast import (DIRICHLET, GeometryError, build_uniform_square_mesh,
-                        mesh_diameter, refine)
+from mixedelast import GeometryError, build_uniform_square_mesh, mesh_diameter, refine
 
 
 def test_single_cell_counts():
@@ -37,7 +34,6 @@ def test_invariants(n):
 def test_boundary_edges_tagged_dirichlet():
     m = build_uniform_square_mesh(3)
     assert len(m.boundary_edges) == 4 * 3
-    assert all(tag == DIRICHLET for tag in m.boundary_tags)
 
 
 def test_edge_incidence_signs_opposite():
@@ -92,7 +88,6 @@ def test_refine_preserves_invariants_and_tags():
     assert m.num_vertices - m.num_edges + m.num_triangles == 1
     assert np.all(m.triangle_areas() > 0)
     assert len(m.boundary_edges) == 4 * 6
-    assert all(tag == DIRICHLET for tag in m.boundary_tags)
 
 
 def test_mesh_diameter():
@@ -100,14 +95,3 @@ def test_mesh_diameter():
     assert mesh_diameter(build_uniform_square_mesh(8)) == pytest.approx(np.sqrt(2) / 8, abs=1e-15)
     m = build_uniform_square_mesh(2)
     assert mesh_diameter(refine(m)) == pytest.approx(mesh_diameter(m) / 2, abs=1e-15)
-
-
-def test_dump_format():
-    m = build_uniform_square_mesh(1)
-    buf = io.StringIO()
-    m.dump(buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "4 5 2"
-    assert len(lines) == 1 + m.num_vertices + m.num_triangles
-    assert len(lines[1].split()) == 2
-    assert len(lines[-1].split()) == 3
