@@ -194,6 +194,10 @@ def _cmd_energy_audit(cfg: RunConfig) -> int:
     spaces = build_spaces(mesh, cfg.k)
     system = assemble(mesh, spaces, case.material)  # zero loads
     v0 = l2_project_velocity(spaces, lambda x, y: case.v(0.0, x, y), degree=12)
+    if not np.any(v0):
+        # sigma0 = 0, so the energy (M v0, v0)/2 that drift is measured against is 0
+        raise ConfigError(f"case {cfg.case} has zero initial energy (v(0) = 0); "
+                          "the energy audit needs a nonzero initial velocity")
     initial = InitialData(
         sigma0=np.zeros(spaces.dim_stress), v0=v0,
         r0=np.zeros(spaces.dim_rotation), u0=np.zeros(spaces.dim_velocity),

@@ -4,6 +4,11 @@ Crank-Nicolson (energy conserving for f = 0) and the 2-stage RadauIIA
 method (third order, stiffly accurate, algebraically stable), plus the
 third-order displacement reconstruction that consumes the RadauIIA
 first-stage velocity derivative.
+
+Each step solves with one sparse LU of a shifted matrix E - dt c G.  For
+RadauIIA, c is a complex eigenvalue of the tableau matrix A: diagonalising A
+over C decouples the real 2N x 2N stage system into one complex N x N system
+and its complex conjugate (Hairer-Wanner, Solving ODEs II, IV.8).
 """
 
 from __future__ import annotations
@@ -39,6 +44,25 @@ RADAU2 = ButcherTableau(
     A=np.array([[5.0 / 12.0, -1.0 / 12.0], [3.0 / 4.0, 1.0 / 4.0]]),
     b=np.array([3.0 / 4.0, 1.0 / 4.0]),
 )
+
+
+def _complex_eigenpair(A: np.ndarray):
+    """For a real 2 x 2 matrix with a complex eigenvalue pair: the eigenvalue
+    lam with positive imaginary part, V = [v, conj(v)] and V^-1, so that
+    A = V diag(lam, conj(lam)) V^-1.
+
+    Closed form on purpose: an np.linalg call here would initialise LAPACK at
+    import, which adds 1-2 MB of resident memory to runs that never use it.
+    """
+    half_trace = 0.5 * (A[0, 0] + A[1, 1])
+    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    lam = complex(half_trace, np.sqrt(det - half_trace ** 2))
+    p, q = A[0, 1], lam - A[0, 0]  # v = (p, q) solves (A - lam I) v = 0
+    V = np.array([[p, p], [q, q.conjugate()]])
+    return lam, V, np.array([[q.conjugate(), -p], [-q, p]]) / (p * (q.conjugate() - q))
+
+
+_RADAU_LAMBDA, _RADAU_V, _RADAU_VINV = _complex_eigenpair(RADAU2.A)
 
 CN = "cn"
 RADAU2_NAME = "radau2"
@@ -87,16 +111,11 @@ def _system_blocks(system: BlockSystem):
 
 
 def _step_matrix(E, G, scheme: str, dt: float) -> sps.csc_matrix:
-    """The matrix a step of the scheme solves with: E - dt/2 G for
-    Crank-Nicolson, the 2N x 2N stage matrix I (x) E - dt A (x) G for RadauIIA."""
-    if scheme == CN:
-        return (E - (dt / 2.0) * G).tocsc()
-    a = RADAU2.A
-    return sps.bmat(
-        [[E - dt * a[0, 0] * G, -dt * a[0, 1] * G],
-         [-dt * a[1, 0] * G, E - dt * a[1, 1] * G]],
-        format="csc",
-    )
+    """The N x N matrix E - dt c G a step of the scheme solves with: c = 1/2
+    for Crank-Nicolson, and for RadauIIA the complex eigenvalue of RADAU2.A
+    with positive imaginary part, 1/3 + i sqrt(2)/6."""
+    c = 0.5 if scheme == CN else _RADAU_LAMBDA
+    return (E - (dt * c) * G).tocsc()
 
 
 class _StepLU:
@@ -145,15 +164,19 @@ def cn_kernel(E, G, y: np.ndarray, dt: float, f_mid: np.ndarray, lu=None) -> np.
 
 def radau2_kernel(E, G, y: np.ndarray, dt: float, f1: np.ndarray, f2: np.ndarray,
                   lu=None):
-    """One 2-stage RadauIIA update; returns (y1, first stage derivative K1)."""
+    """One 2-stage RadauIIA update; returns (y1, first stage derivative K1).
+
+    The stage equations (I (x) E - dt A (x) G) K = R, R_i = G y + f_i, are
+    solved in the eigenbasis A = V diag(lam, conj(lam)) V^-1: one complex solve
+    z = (E - dt lam G)^-1 ((V^-1)_00 R_1 + (V^-1)_01 R_2) gives the real
+    stages K_i = 2 Re(V_i0 z).
+    """
     if lu is None:
         lu = _StepLU(E, G, RADAU2_NAME, dt)
     b = RADAU2.b
     gy = G @ y
-    rhs = np.concatenate([gy + f1, gy + f2])
-    kk = lu.solve(rhs)
-    n = len(y)
-    k1, k2 = kk[:n], kk[n:]
+    z = lu.solve(_RADAU_VINV[0, 0] * (gy + f1) + _RADAU_VINV[0, 1] * (gy + f2))
+    k1, k2 = (2.0 * (_RADAU_V[i, 0] * z).real for i in (0, 1))
     return y + dt * (b[0] * k1 + b[1] * k2), k1
 
 

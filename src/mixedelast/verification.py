@@ -247,7 +247,7 @@ class ConvergenceTable:
 
 
 def _resolve_dt(dt_rule, n: int) -> float:
-    if dt_rule in (None, "dt=1/n", "dt_eq_h"):
+    if dt_rule is None:
         return 1.0 / n
     return float(dt_rule)
 

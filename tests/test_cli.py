@@ -84,6 +84,13 @@ def test_energy_audit(capsys):
     assert "energy drift" in out
 
 
+def test_energy_audit_rejects_zero_initial_energy(capsys):
+    # eg2 starts at rest with sigma0 = 0, so there is no energy to measure drift against
+    assert main(["energy-audit", "--case", "eg2", "--alpha", "2.2", "--n", "2",
+                 "--steps", "2"]) == 2
+    assert "zero initial energy" in capsys.readouterr().err
+
+
 def test_locking_command(tmp_path, capsys):
     out = tmp_path / "lock.csv"
     assert main(["locking", "--n", "2", "--k", "1",

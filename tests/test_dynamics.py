@@ -188,13 +188,7 @@ def test_trace_moment_conserved():
     assert np.abs(vals - vals[0]).max() <= 1e-10 * scale
 
 
-def test_cn_step_matches_dense(small_system):
-    system, spaces, case = small_system
-    init = build_initial_data(case, system, spaces)
-    st = SemidiscreteState(0.0, init.sigma0, init.v0, init.r0, init.u0)
-    st1 = cn_step(system, st, 0.1)
-
-    y0 = np.concatenate([init.sigma0, init.v0, init.r0])
+def _load_fn(system):
     nM, nV, nK = system.dims
 
     def loads(t):
@@ -203,7 +197,22 @@ def test_cn_step_matches_dense(small_system):
         F[nM:nM + nV] = system.load(t)
         return F
 
-    dense = dense_cn_trajectory(system, y0, 0.1, 1, loads)[-1]
+    return loads
+
+
+@pytest.mark.parametrize("scheme", ["cn", "radau2"])
+def test_step_matches_dense(small_system, scheme):
+    # the body load varies in time, so the two RadauIIA stage loads differ
+    system, spaces, case = small_system
+    init = build_initial_data(case, system, spaces)
+    st = SemidiscreteState(0.0, init.sigma0, init.v0, init.r0, init.u0)
+    y0 = np.concatenate([init.sigma0, init.v0, init.r0])
+    if scheme == "cn":
+        st1 = cn_step(system, st, 0.1)
+        dense = dense_cn_trajectory(system, y0, 0.1, 1, _load_fn(system))[-1]
+    else:
+        st1, _ = radau2_step(system, st, 0.1)
+        dense = dense_radau_trajectory(system, y0, 0.1, 1, _load_fn(system))[-1]
     got = np.concatenate([st1.alpha, st1.beta, st1.gamma])
     assert np.abs(got - dense).max() <= 1e-10
 
@@ -212,13 +221,7 @@ def test_full_trajectories_match_dense(small_system):
     system, spaces, case = small_system
     init = build_initial_data(case, system, spaces)
     y0 = np.concatenate([init.sigma0, init.v0, init.r0])
-    nM, nV, nK = system.dims
-
-    def loads(t):
-        F = np.zeros(nM + nV + nK)
-        F[:nM] = system.dirichlet_load(t)
-        F[nM:nM + nV] = system.load(t)
-        return F
+    loads = _load_fn(system)
 
     traj = integrate(system, init, "cn", 0.125, 1.0)
     dense = dense_cn_trajectory(system, y0, 0.125, 8, loads)[-1]
@@ -272,16 +275,21 @@ def test_singular_step_detected(small_system):
         cn_step(broken, st, 0.1)
 
 
-def test_factorization_cached(small_system):
+@pytest.mark.parametrize("scheme", ["cn", "radau2"])
+def test_factorization_cached(small_system, scheme):
     system, spaces, case = small_system
     init = build_initial_data(case, system, spaces)
     st = SemidiscreteState(0.0, init.sigma0, init.v0, init.r0, init.u0)
-    cn_step(system, st, 0.1)
+    step = cn_step if scheme == "cn" else radau2_step
+    step(system, st, 0.1)
     factors = system._cache["factors"]
-    assert ("cn", 0.1) in factors
-    before = factors[("cn", 0.1)]
-    cn_step(system, st, 0.1)
-    assert factors[("cn", 0.1)] is before
+    assert (scheme, 0.1) in factors
+    before = factors[(scheme, 0.1)]
+    step(system, st, 0.1)
+    assert factors[(scheme, 0.1)] is before
+    # RadauIIA factors one complex N x N matrix, not the real 2N x 2N stage matrix
+    n = sum(system.dims)
+    assert before._lu.shape == (n, n)
 
 
 def test_step_residual_checked_on_first_solve(small_system, monkeypatch):
