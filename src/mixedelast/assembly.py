@@ -284,15 +284,13 @@ def assemble_body_load(spaces: DiscreteSpaces, f: Callable, t: float,
     return coeffs.ravel()
 
 
-def assemble_dirichlet_load(spaces: DiscreteSpaces, g: Callable, t: float,
-                            degree: int | None = None) -> np.ndarray:
-    """Stress-space boundary load with entries int_Gamma g . (phi_i nu) ds.
-
-    Every boundary edge carries the velocity data: traction conditions are
-    essential in this formulation and are not supported.
-    """
-    if degree is None:
-        degree = 2 * spaces.k + 4
+def _dirichlet_operator(spaces: DiscreteSpaces, degree: int):
+    """Boundary quadrature points (nbe, nqe, 2) and the sparse operator that
+    maps g sampled there, flattened from (2, nbe, nqe), to the stress-space
+    boundary load; cached on the spaces per degree."""
+    key = ("dirichlet", degree)
+    if key in spaces._cache:
+        return spaces._cache[key]
     mesh = spaces.mesh
     edges = mesh.boundary_edges
     inc = mesh.edge_triangles()
@@ -310,8 +308,6 @@ def assemble_dirichlet_load(spaces: DiscreteSpaces, g: Callable, t: float,
     nu = sign[:, None] * _rotate_minus90(tang / length[:, None])
     pts = a[:, None, :] + tq[None, :, None] * tang[:, None, :]
 
-    gv = np.asarray(g(t, pts[..., 0], pts[..., 1]), dtype=float)  # (2, nbe, nqe)
-
     nm = len(spaces.ref.stress_exps)
     xi = (pts - spaces.centers[tris, None, :]) / spaces.scales[tris, None, None]
     mv = poly.eval_monomials(spaces.ref.stress_exps, xi[..., 0], xi[..., 1])
@@ -320,11 +316,30 @@ def assemble_dirichlet_load(spaces: DiscreteSpaces, g: Callable, t: float,
     vy = np.einsum("ebm,meq->ebq", coef[:, :, nm:], mv)
     vdotnu = vx * nu[:, None, None, 0] + vy * nu[:, None, None, 1]
 
-    # entry for stress dof (r, b): int_e g_r (v_b . nu) ds
-    contrib = np.einsum("e,q,req,ebq->reb", length, wq, gv, vdotnu)
-    gmap = spaces.row_dof_map[tris]  # (nbe, nd)
-    out = np.zeros(spaces.dim_stress)
-    for r in range(2):
-        np.add.at(out, r * spaces.n_row_global + gmap, contrib[r])
-    return out
+    # entry for stress dof (r, b) and sample (r, e, q): length_e w_q (v_b . nu)(q)
+    weights = length[:, None, None] * wq[None, None, :] * vdotnu  # (nbe, nd, nqe)
+    nbe, nd, nqe = weights.shape
+    rows = np.broadcast_to(spaces.row_dof_map[tris][:, :, None], weights.shape)
+    cols = np.broadcast_to((np.arange(nbe)[:, None] * nqe + np.arange(nqe))[:, None, :],
+                           weights.shape)
+    shape = (spaces.dim_stress, 2 * nbe * nqe)
+    op = _coo(weights, rows, cols, shape)
+    op = op + _coo(weights, rows + spaces.n_row_global, cols + nbe * nqe, shape)
+    spaces._cache[key] = (pts, op)
+    return pts, op
 
+
+def assemble_dirichlet_load(spaces: DiscreteSpaces, g: Callable, t: float,
+                            degree: int | None = None) -> np.ndarray:
+    """Stress-space boundary load with entries int_Gamma g . (phi_i nu) ds.
+
+    Every boundary edge carries the velocity data: traction conditions are
+    essential in this formulation and are not supported.  The boundary
+    geometry and basis traces are built once per spaces and degree; a call
+    samples g and applies one sparse operator.
+    """
+    if degree is None:
+        degree = 2 * spaces.k + 4
+    pts, op = _dirichlet_operator(spaces, degree)
+    gv = np.asarray(g(t, pts[..., 0], pts[..., 1]), dtype=float)  # (2, nbe, nqe)
+    return op @ gv.ravel()

@@ -5,10 +5,13 @@ method (third order, stiffly accurate, algebraically stable), plus the
 third-order displacement reconstruction that consumes the RadauIIA
 first-stage velocity derivative.
 
-Each step solves with one sparse LU of a shifted matrix E - dt c G.  For
-RadauIIA, c is a complex eigenvalue of the tableau matrix A: diagonalising A
-over C decouples the real 2N x 2N stage system into one complex N x N system
-and its complex conjugate (Hairer-Wanner, Solving ODEs II, IV.8).
+Each step solves with a shifted matrix S = E - dt c G.  For RadauIIA, c is a
+complex eigenvalue of the tableau matrix A: diagonalising A over C decouples
+the real 2N x 2N stage system into one complex N x N system and its complex
+conjugate (Hairer-Wanner, Solving ODEs II, IV.8).  The velocity block of S is
+the velocity mass M, which is block diagonal because the velocity space is
+discontinuous; M^-1 is applied exactly, so only the Schur complement of S on
+the stress and rotation unknowns is factored by a sparse LU.
 """
 
 from __future__ import annotations
@@ -110,25 +113,72 @@ def _system_blocks(system: BlockSystem):
     return cache["EG"]
 
 
-def _step_matrix(E, G, scheme: str, dt: float) -> sps.csc_matrix:
+def _velocity_inverse(system: BlockSystem) -> sps.csr_matrix:
+    """Exact inverse of the velocity mass M, cached on the system.
+
+    M has one m x m block per triangle and velocity component (a spatial
+    density makes the blocks full); all blocks are inverted by one batched
+    np.linalg.inv.
+    """
+    cache = system._cache
+    if "Minv" not in cache:
+        m = system.spaces.n_scalar
+        M = system.Mmat.tocoo()
+        nb = M.shape[0] // m
+        blocks = np.zeros((nb, m, m))
+        blocks[M.row // m, M.row % m, M.col % m] = M.data
+        cache["Minv"] = sps.bsr_matrix(
+            (np.linalg.inv(blocks), np.arange(nb), np.arange(nb + 1)), shape=M.shape
+        ).tocsr()
+    return cache["Minv"]
+
+
+def _step_matrix(E, G, scheme: str, dt: float) -> sps.csr_matrix:
     """The N x N matrix E - dt c G a step of the scheme solves with: c = 1/2
     for Crank-Nicolson, and for RadauIIA the complex eigenvalue of RADAU2.A
-    with positive imaginary part, 1/3 + i sqrt(2)/6."""
+    with positive imaginary part, 1/3 + i sqrt(2)/6.  Its velocity block is
+    M, since G has none; _StepLU eliminates it."""
     c = 0.5 if scheme == CN else _RADAU_LAMBDA
-    return (E - (dt * c) * G).tocsc()
+    return E - (dt * c) * G
 
 
 class _StepLU:
-    """LU of a scheme's step matrix; its first solve is residual-checked."""
+    """Solver of a scheme's step matrix S = E - dt c G that eliminates the
+    velocity unknowns ``vel`` with ``Minv`` = S_vv^-1 = M^-1 (G has no
+    velocity-velocity block) and factors only the Schur complement
+    S_r = S_rr - S_rv M^-1 S_vr, here [[A + (dt c)^2 B^T M^-1 B, C^T], [C, 0]].
+    solve() takes and returns full vectors: x_r = S_r^-1 (b_r - S_rv M^-1 b_v),
+    x_v = M^-1 (b_v - S_vr x_r).  The first solve is residual-checked against
+    the full S, which is then released.  Without ``vel``, S_r = S.
+    """
 
-    def __init__(self, E, G, scheme: str, dt: float):
-        self._unchecked = _step_matrix(E, G, scheme, dt)
-        self._lu = factorize(self._unchecked, "step")
+    def __init__(self, E, G, scheme: str, dt: float, vel: slice = slice(0, 0),
+                 Minv: sps.spmatrix = sps.csr_matrix((0, 0))):
+        S = _step_matrix(E, G, scheme, dt)
+        keep = np.ones(S.shape[0], dtype=bool)
+        keep[vel] = False
+        r = np.flatnonzero(keep)
+        rows_r = S[r]
+        self._S_rv, self._S_vr = rows_r[:, vel], S[vel][:, r]
+        S_r = (rows_r[:, r] - self._S_rv @ (Minv @ self._S_vr)).tocsc()
+        del rows_r  # no full-size temporary outlives the factorization's input
+        self._r, self._v, self._Minv = r, vel, Minv
+        self._lu = factorize(S_r, "step")
+        self._unchecked = S
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        r, v = self._r, self._v
+        rhs_v = rhs[v]
+        x_r = self._lu.solve(rhs[r] - self._S_rv @ (self._Minv @ rhs_v))
+        x = np.empty(rhs.shape, dtype=x_r.dtype)
+        x[r] = x_r
+        x[v] = self._Minv @ (rhs_v - self._S_vr @ x_r)
+        return x
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self._unchecked is None:
-            return self._lu.solve(rhs)
-        x = checked_solve(self._lu, self._unchecked, rhs, "step")
+            return self._solve(rhs)
+        x = checked_solve(self._solve, self._unchecked, rhs, "step")
         self._unchecked = None
         return x
 
@@ -137,7 +187,9 @@ def _factorize(system: BlockSystem, scheme: str, dt: float) -> _StepLU:
     cache = system._cache.setdefault("factors", {})
     key = (scheme, dt)
     if key not in cache:
-        cache[key] = _StepLU(*_system_blocks(system), scheme, dt)
+        nM, nV, _ = system.dims
+        cache[key] = _StepLU(*_system_blocks(system), scheme, dt,
+                             slice(nM, nM + nV), _velocity_inverse(system))
     return cache[key]
 
 
@@ -204,7 +256,7 @@ def cn_step(system: BlockSystem, state: SemidiscreteState, dt: float) -> Semidis
     """Advance one Crank-Nicolson step with midpoint load evaluation.
 
     The displacement is updated by the trapezoidal rule in the velocity.
-    The factorization of E - dt/2 G is cached on the system per (scheme, dt).
+    The solver of E - dt/2 G is cached on the system per (scheme, dt).
     """
     (alpha, beta, gamma), _ = _advance(system, state, CN, dt)
     u = state.u + (dt / 2.0) * (state.beta + beta)

@@ -42,13 +42,13 @@ def factorize(S: sps.spmatrix, what: str):
         raise SingularSystemError(f"{what} factorization failed: {exc}") from exc
 
 
-def checked_solve(lu, S: sps.spmatrix, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Solve with the LU of S and check the residual ||S x - rhs||.
+def checked_solve(solve, S: sps.spmatrix, rhs: np.ndarray, what: str) -> np.ndarray:
+    """x = solve(rhs) for a solver of S, with the residual ||S x - rhs|| checked.
 
     The residual must stay within 1e-10 max(||rhs||, ||x||, 1); a non-finite
     or inaccurate solution raises SingularSystemError.
     """
-    x = lu.solve(rhs)
+    x = solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(f"{what} solve produced non-finite values")
     scale = max(np.linalg.norm(rhs), np.linalg.norm(x), 1.0)
@@ -58,18 +58,17 @@ def checked_solve(lu, S: sps.spmatrix, rhs: np.ndarray, what: str) -> np.ndarray
     return x
 
 
-def _solve_saddle(system: BlockSystem, key: str, top_left, rhs_sigma, rhs_v, rhs_r):
-    cache = system._cache
-    if key not in cache:
-        S = sps.bmat(
-            [[top_left, system.Bmat.T, system.Cmat.T],
-             [system.Bmat, None, None],
-             [system.Cmat, None, None]],
-            format="csc",
-        )
-        cache[key] = (factorize(S, "saddle"), S)
-    lu, S = cache[key]
-    x = checked_solve(lu, S, np.concatenate([rhs_sigma, rhs_v, rhs_r]), "saddle")
+def _solve_saddle(system: BlockSystem, top_left, rhs_sigma, rhs_v, rhs_r):
+    """One checked solve of the saddle system; its LU is dropped on return,
+    since no caller solves with the same matrix twice."""
+    S = sps.bmat(
+        [[top_left, system.Bmat.T, system.Cmat.T],
+         [system.Bmat, None, None],
+         [system.Cmat, None, None]],
+        format="csc",
+    )
+    lu = factorize(S, "saddle")
+    x = checked_solve(lu.solve, S, np.concatenate([rhs_sigma, rhs_v, rhs_r]), "saddle")
     nM, nV, _ = system.dims
     return x[:nM], x[nM:nM + nV], x[nM + nV:]
 
@@ -81,7 +80,7 @@ def solve_elastostatics(system: BlockSystem, rhs_sigma: np.ndarray,
     Block rows: (A s, tau) + (div tau, u) + (r, tau) = rhs_sigma;
     (div s, w) = rhs_v; (s, q) = rhs_r.
     """
-    sig, u, r = _solve_saddle(system, "static", system.Amat, rhs_sigma, rhs_v, rhs_r)
+    sig, u, r = _solve_saddle(system, system.Amat, rhs_sigma, rhs_v, rhs_r)
     return StaticSolution(sigma=sig, u=u, r=r)
 
 
@@ -117,7 +116,7 @@ def elliptic_projection(system: BlockSystem, sigma: Callable, div_sigma: Callabl
     skew = vals[0, 1] - vals[1, 0]
     rhs_r = np.einsum("tq,iq,tq->ti", W, psi, skew).ravel()
 
-    sig, _, _ = _solve_saddle(system, "projection", mass, rhs_sigma, rhs_v, rhs_r)
+    sig, _, _ = _solve_saddle(system, mass, rhs_sigma, rhs_v, rhs_r)
     return sig
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from mixedelast import (AssemblyError, MaterialModel, MixedElastError, assemble,
                         assemble_body_load, assemble_dirichlet_load,
-                        assemble_stress_mass, builtin_case,
+                        assemble_stress_mass, build_spaces, builtin_case,
                         isotropic_compliance_apply, isotropic_stiffness_apply)
 
 from _oracles import (dense_assemble, dense_body_load, dense_dirichlet_load,
@@ -192,6 +192,17 @@ def test_dirichlet_load_oracle(spaces_cache):
     production = assemble_dirichlet_load(spaces, case.v, 0.0, degree=10)
     oracle = dense_dirichlet_load(spaces, case.v, 0.0)
     assert np.abs(production - oracle).max() <= 1e-12
+
+
+def test_dirichlet_load_cached_operator_matches_oracle(mesh_cache):
+    # the first call builds the boundary operator, the second reuses it
+    spaces = build_spaces(mesh_cache(2), 2)
+    case = builtin_case("eg2", alpha=2.7)
+    for t in (0.0, 0.6):
+        production = assemble_dirichlet_load(spaces, case.v, t, degree=10)
+        oracle = dense_dirichlet_load(spaces, case.v, t)
+        assert np.abs(production - oracle).max() <= 1e-12
+    assert [key for key in spaces._cache if key[0] == "dirichlet"] == [("dirichlet", 10)]
 
 
 def test_stress_mass_spd(mesh_cache, spaces_cache):

@@ -287,9 +287,36 @@ def test_factorization_cached(small_system, scheme):
     before = factors[(scheme, 0.1)]
     step(system, st, 0.1)
     assert factors[(scheme, 0.1)] is before
-    # RadauIIA factors one complex N x N matrix, not the real 2N x 2N stage matrix
-    n = sum(system.dims)
-    assert before._lu.shape == (n, n)
+    # the LU holds the (sigma, gamma) Schur complement only: the velocity block
+    # is eliminated, and RadauIIA needs no real 2N x 2N stage matrix
+    nM, _, nK = system.dims
+    assert before._lu.shape == (nM + nK, nM + nK)
+
+
+@pytest.mark.parametrize("scheme", ["cn", "radau2"])
+def test_step_matches_dense_variable_density(scheme):
+    # rho = 1 + x makes each m x m velocity mass block full (m = 3 at k = 2),
+    # so the eliminated velocity needs the exact block inverse of M
+    import mixedelast as me
+    case = builtin_case("eg1")
+    material = me.MaterialModel(mu=1.0, lambda_=1.0, rho=lambda x, y: 1.0 + x,
+                                rho0=1.0, rho1=2.0)
+    mesh = me.build_uniform_square_mesh(1)
+    spaces = me.build_spaces(mesh, 2)
+    system = assemble(mesh, spaces, material, body_force=case.f)
+    rng = np.random.default_rng(3)
+    nM, nV, nK = system.dims
+    y0 = rng.standard_normal(nM + nV + nK)
+    st = SemidiscreteState(0.0, y0[:nM], y0[nM:nM + nV], y0[nM + nV:],
+                           np.zeros(nV))
+    if scheme == "cn":
+        st1 = cn_step(system, st, 0.1)
+        dense = dense_cn_trajectory(system, y0, 0.1, 1, _load_fn(system))[-1]
+    else:
+        st1, _ = radau2_step(system, st, 0.1)
+        dense = dense_radau_trajectory(system, y0, 0.1, 1, _load_fn(system))[-1]
+    got = np.concatenate([st1.alpha, st1.beta, st1.gamma])
+    assert np.abs(got - dense).max() <= 1e-10
 
 
 def test_step_residual_checked_on_first_solve(small_system, monkeypatch):

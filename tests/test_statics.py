@@ -204,6 +204,19 @@ def test_initial_data_eg2_weak_symmetry(mesh_cache, spaces_cache):
     assert cnorm <= 1e-12 * np.linalg.norm(init.sigma0)
 
 
+def test_saddle_factorizations_not_kept(mesh_cache, spaces_cache, unit_material):
+    # each saddle matrix is solved with once per system, so its LU is dropped
+    case = builtin_case("eg2", alpha=2.7)
+    spaces = spaces_cache(2, 2)
+    system = assemble(mesh_cache(2), spaces, case.material,
+                      body_force=case.f, dirichlet_velocity=case.g)
+    build_initial_data(case, system, spaces)
+    assert system._cache == {}
+    sigma, div_sigma = make_matrix_field(np.random.default_rng(2))
+    elliptic_projection(system, sigma, div_sigma)
+    assert list(system._cache) == ["stress_mass"]
+
+
 def test_initial_stress_convergence(mesh_cache):
     case = builtin_case("eg2", alpha=2.7)
     k = 2
