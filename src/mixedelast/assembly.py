@@ -320,8 +320,7 @@ def _dirichlet_operator(spaces: DiscreteSpaces, degree: int):
     weights = length[:, None, None] * wq[None, None, :] * vdotnu  # (nbe, nd, nqe)
     nbe, nd, nqe = weights.shape
     rows = np.broadcast_to(spaces.row_dof_map[tris][:, :, None], weights.shape)
-    cols = np.broadcast_to((np.arange(nbe)[:, None] * nqe + np.arange(nqe))[:, None, :],
-                           weights.shape)
+    cols = np.broadcast_to(np.arange(nbe * nqe).reshape(nbe, 1, nqe), weights.shape)
     shape = (spaces.dim_stress, 2 * nbe * nqe)
     op = _coo(weights, rows, cols, shape)
     op = op + _coo(weights, rows + spaces.n_row_global, cols + nbe * nqe, shape)
