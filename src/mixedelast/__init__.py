@@ -2,7 +2,7 @@
 
 from .assembly import (BlockSystem, MaterialModel, assemble, assemble_body_load,
                        assemble_dirichlet_load, assemble_stress_mass,
-                       isotropic_compliance_apply, isotropic_stiffness_apply)
+                       isotropic_compliance_apply)
 from .dynamics import (CN, RADAU2, RADAU2_NAME, ButcherTableau, SemidiscreteState,
                        TrajectorySummary, cn_step, energy, integrate, radau2_step,
                        reconstruct_displacement_third_order)

@@ -27,7 +27,7 @@ from .spaces import DiscreteSpaces, _rotate_minus90
 
 @dataclass
 class MaterialModel:
-    """Isotropic material data: Lame coefficients, density, skew extension.
+    """Isotropic material data: Lame coefficients and density.
 
     ``rho`` may be a positive constant or a callable rho(x, y); for a
     callable the bounds rho0 <= rho <= rho1 must be supplied and are checked
@@ -39,11 +39,10 @@ class MaterialModel:
     rho: float | Callable = 1.0
     rho0: float | None = None
     rho1: float | None = None
-    skw_scale: float = 1.0
 
     def __post_init__(self):
-        if self.mu <= 0 or self.lambda_ <= 0 or self.skw_scale <= 0:
-            raise MixedElastError("mu, lambda_ and skw_scale must be positive")
+        if self.mu <= 0 or self.lambda_ <= 0:
+            raise MixedElastError("mu and lambda_ must be positive")
         if callable(self.rho):
             if self.rho0 is None or self.rho1 is None:
                 raise MixedElastError("rho bounds rho0, rho1 required for a spatial density")
@@ -63,33 +62,20 @@ class MaterialModel:
 
 
 def isotropic_compliance_apply(tau: np.ndarray, material: MaterialModel) -> np.ndarray:
-    """Apply A = C^{-1} to 2x2 tensors, extended to skew parts by skw_scale.
+    """Apply A = C^{-1} to 2x2 tensors, extended to skew parts by the identity.
 
-    A tau = (1/2mu) (sym tau - lambda/(2mu + 2lambda) tr(tau) I)
-            + skw_scale * skw tau,  for arrays of shape (2, 2) + any.
+    A tau = (1/2mu) (sym tau - lambda/(2mu + 2lambda) tr(tau) I) + skw tau,
+    for arrays of shape (2, 2) + any.
     """
     tau = np.asarray(tau, dtype=float)
     sym = 0.5 * (tau + np.swapaxes(tau, 0, 1))
     skw = tau - sym
     mu, lam = material.mu, material.lambda_
     trace = tau[0, 0] + tau[1, 1]
-    out = sym / (2.0 * mu) + material.skw_scale * skw
+    out = sym / (2.0 * mu) + skw
     c = lam / (2.0 * mu * (2.0 * mu + 2.0 * lam))
     out[0, 0] -= c * trace
     out[1, 1] -= c * trace
-    return out
-
-
-def isotropic_stiffness_apply(tau: np.ndarray, material: MaterialModel) -> np.ndarray:
-    """Apply C tau = 2 mu sym(tau) + lambda tr(tau) I + skw part / skw_scale."""
-    tau = np.asarray(tau, dtype=float)
-    sym = 0.5 * (tau + np.swapaxes(tau, 0, 1))
-    skw = tau - sym
-    mu, lam = material.mu, material.lambda_
-    trace = tau[0, 0] + tau[1, 1]
-    out = 2.0 * mu * sym + skw / material.skw_scale
-    out[0, 0] += lam * trace
-    out[1, 1] += lam * trace
     return out
 
 
@@ -118,17 +104,15 @@ def _coo(vals, rows, cols, shape):
     ).tocsr()
 
 
-def _stress_block_matrices(spaces: DiscreteSpaces, material: MaterialModel | None,
-                           degree: int):
+def _stress_block_matrices(spaces: DiscreteSpaces, material: MaterialModel | None):
     """Stress-stress matrix: compliance pairing, or plain L2 mass if material is None."""
-    rule = triangle_rule(degree)
+    rule = triangle_rule(2 * spaces.k + 2)
     V = spaces.stress_row_values(rule)
     W = spaces.quad_weights(rule)
     VW = V * W[:, None, None, :]
     G = np.einsum("tapq,tbrq->prtab", VW, V)  # test comp p, trial comp r
     dot = G[0, 0] + G[1, 1]
 
-    nd = V.shape[1]
     nrow = spaces.n_row_global
     dim = spaces.dim_stress
     gmap = spaces.row_dof_map
@@ -141,13 +125,13 @@ def _stress_block_matrices(spaces: DiscreteSpaces, material: MaterialModel | Non
             for r in range(2):
                 blocks[s, r] = dot if s == r else None
     else:
-        mu, lam, sk = material.mu, material.lambda_, material.skw_scale
+        mu, lam = material.mu, material.lambda_
         c = lam / (2.0 * mu * (2.0 * mu + 2.0 * lam))
         for s in range(2):
             for r in range(2):
-                blk = (1.0 / (4.0 * mu)) * G[r, s] - c * G[s, r] - (sk / 2.0) * G[r, s]
+                blk = (1.0 / (4.0 * mu)) * G[r, s] - c * G[s, r] - 0.5 * G[r, s]
                 if s == r:
-                    blk = blk + (1.0 / (4.0 * mu) + sk / 2.0) * dot
+                    blk = blk + (1.0 / (4.0 * mu) + 0.5) * dot
                 blocks[s, r] = blk
 
     parts = []
@@ -223,32 +207,26 @@ def _m_matrix(spaces: DiscreteSpaces, material: MaterialModel, degree: int) -> s
     return M
 
 
-def assemble_stress_mass(spaces: DiscreteSpaces, degree: int | None = None) -> sps.csr_matrix:
+def assemble_stress_mass(spaces: DiscreteSpaces) -> sps.csr_matrix:
     """Plain L2 mass matrix (phi_j, phi_i) on the stress space."""
-    if degree is None:
-        degree = 2 * spaces.k + 2
-    return _stress_block_matrices(spaces, None, degree)
+    return _stress_block_matrices(spaces, None)
 
 
 def assemble(mesh: Mesh, spaces: DiscreteSpaces, material: MaterialModel,
              body_force: Callable | None = None,
-             dirichlet_velocity: Callable | None = None,
-             degree: int | None = None,
-             load_degree: int | None = None) -> BlockSystem:
+             dirichlet_velocity: Callable | None = None) -> BlockSystem:
     """Assemble the four block matrices and the load closures.
 
     ``body_force(t, x, y)`` and ``dirichlet_velocity(t, x, y)`` are optional
     time-space callables returning (2,) + broadcast shape; omitted loads are
-    identically zero.
+    identically zero.  The matrices use quadrature of degree 2k + 2, the
+    loads degree 2k + 4.
     """
     if spaces.mesh is not mesh:
         raise MixedElastError("spaces were built on a different mesh")
-    if degree is None:
-        degree = 2 * spaces.k + 2
-    if load_degree is None:
-        load_degree = 2 * spaces.k + 4
+    degree = 2 * spaces.k + 2
 
-    Amat = _stress_block_matrices(spaces, material, degree)
+    Amat = _stress_block_matrices(spaces, material)
     Bmat = _b_matrix(spaces, degree)
     Cmat = _c_matrix(spaces, degree)
     Mmat = _m_matrix(spaces, material, degree)
@@ -257,13 +235,12 @@ def assemble(mesh: Mesh, spaces: DiscreteSpaces, material: MaterialModel,
         zeta = np.zeros(spaces.dim_velocity)
         load = lambda t: zeta
     else:
-        load = lambda t: assemble_body_load(spaces, body_force, t, degree=load_degree)
+        load = lambda t: assemble_body_load(spaces, body_force, t)
     if dirichlet_velocity is None:
         eta = np.zeros(spaces.dim_stress)
         dload = lambda t: eta
     else:
-        dload = lambda t: assemble_dirichlet_load(
-            spaces, dirichlet_velocity, t, degree=load_degree)
+        dload = lambda t: assemble_dirichlet_load(spaces, dirichlet_velocity, t)
 
     return BlockSystem(Amat=Amat, Bmat=Bmat, Cmat=Cmat, Mmat=Mmat,
                        load=load, dirichlet_load=dload,

@@ -15,14 +15,13 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .assembly import assemble
 from .dynamics import CN, RADAU2_NAME, SCHEMES, integrate
 from .errors import ConfigError, MixedElastError
 from .mesh import build_uniform_square_mesh, mesh_diameter
-from .spaces import build_spaces, l2_project_velocity
+from .spaces import l2_project_velocity
 from .statics import InitialData, infsup_constant
-from .verification import (ConvergenceTable, builtin_case, convergence_study,
-                           locking_study, run_case)
+from .verification import (ConvergenceTable, _build_system, builtin_case,
+                           convergence_study, locking_study, run_case)
 
 COMMANDS = ("mesh-info", "converge", "run", "energy-audit", "locking", "infsup")
 
@@ -37,7 +36,7 @@ _CASE_DEFAULTS = {  # case -> (k, scheme, n_list)
 @dataclass
 class RunConfig:
     command: str
-    case: str = "eg1"
+    case: str | None = None  # None: "locking" for the locking command, else "eg1"
     alpha: float = 2.7
     k: int | None = None
     scheme: str | None = None
@@ -56,14 +55,16 @@ class RunConfig:
         """Apply the per-case defaults and check the case/scheme pairings."""
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.case not in _CASE_DEFAULTS:
-            raise ConfigError(f"unknown case {self.case!r}")
-        k_def, scheme_def, nlist_def = _CASE_DEFAULTS[self.case]
-        if self.command == "locking":
-            k_def = 1  # the robustness sweep's reference setting
-        elif self.command == "infsup":
-            k_def, nlist_def = 1, [1, 2, 4]
         cfg = RunConfig(**asdict(self))
+        if cfg.case is None:
+            cfg.case = "locking" if cfg.command == "locking" else "eg1"
+        if cfg.case not in _CASE_DEFAULTS:
+            raise ConfigError(f"unknown case {cfg.case!r}")
+        k_def, scheme_def, nlist_def = _CASE_DEFAULTS[cfg.case]
+        if cfg.command == "locking":
+            k_def = 1  # the robustness sweep's reference setting
+        elif cfg.command == "infsup":
+            k_def, nlist_def = 1, [1, 2, 4]
         cfg.k = k_def if self.k is None else self.k
         cfg.scheme = scheme_def if self.scheme is None else self.scheme
         cfg.n_list = list(nlist_def) if self.n_list is None else list(self.n_list)
@@ -190,9 +191,8 @@ def _cmd_run(cfg: RunConfig) -> int:
 
 def _cmd_energy_audit(cfg: RunConfig) -> int:
     case = _case_of(cfg)
-    mesh = build_uniform_square_mesh(cfg.n)
-    spaces = build_spaces(mesh, cfg.k)
-    system = assemble(mesh, spaces, case.material)  # zero loads
+    system = _build_system(case.material, cfg.k, cfg.n)  # zero loads
+    spaces = system.spaces
     v0 = l2_project_velocity(spaces, lambda x, y: case.v(0.0, x, y), degree=12)
     if not np.any(v0):
         # sigma0 = 0, so the energy (M v0, v0)/2 that drift is measured against is 0
@@ -221,14 +221,7 @@ def _cmd_energy_audit(cfg: RunConfig) -> int:
 
 
 def _cmd_locking(cfg: RunConfig) -> int:
-    # the lambda sweep defaults to the divergence-free robustness case;
-    # --case eg2 etc. still selects an explicit one
-    if cfg.case == "eg1":
-        case = builtin_case("locking", mu=cfg.mu, lam=cfg.lambda_, rho=cfg.rho)
-        case.T0 = cfg.t0
-    else:
-        case = _case_of(cfg)
-    rows = locking_study(case, cfg.k, cfg.lambda_list, n=cfg.n, scheme=cfg.scheme)
+    rows = locking_study(_case_of(cfg), cfg.k, cfg.lambda_list, n=cfg.n, scheme=cfg.scheme)
     header = f"{'lambda':>12}{'err_sigma':>12}{'err_v':>12}{'err_u':>12}{'err_r':>12}"
     print(header)
     lines = ["lambda,err_sigma,err_v,err_u,err_r"]
@@ -246,10 +239,7 @@ def _cmd_infsup(cfg: RunConfig) -> int:
     lines = ["n,beta"]
     prev = None
     for n in cfg.n_list:
-        mesh = build_uniform_square_mesh(n)
-        spaces = build_spaces(mesh, cfg.k)
-        system = assemble(mesh, spaces, material)
-        beta = infsup_constant(system)
+        beta = infsup_constant(_build_system(material, cfg.k, n))
         note = "" if prev is None else f"  ratio={beta / prev:.4f}"
         print(f"n={n:<4d} beta={beta:.6f}{note}")
         lines.append(f"{n},{beta:.10f}")

@@ -114,7 +114,7 @@ def _connect(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     )
 
 
-def build_uniform_square_mesh(n: int, diagonal: str = "lower_left_to_upper_right") -> Mesh:
+def build_uniform_square_mesh(n: int) -> Mesh:
     """Uniform n x n triangulation of the unit square.
 
     Each grid cell is split along its lower-left to upper-right diagonal,
@@ -122,8 +122,6 @@ def build_uniform_square_mesh(n: int, diagonal: str = "lower_left_to_upper_right
     """
     if n < 1:
         raise GeometryError(f"subdivision count must be >= 1, got {n}")
-    if diagonal != "lower_left_to_upper_right":
-        raise GeometryError(f"unsupported diagonal pattern: {diagonal!r}")
     s = np.linspace(0.0, 1.0, n + 1)
     xv, yv = np.meshgrid(s, s, indexing="ij")
     vertices = np.column_stack([xv.ravel(), yv.ravel()])

@@ -178,14 +178,6 @@ class ReferenceElement:
         return stress_row_dof_count(self.k)
 
     @property
-    def n_edge_dofs_per_row(self) -> int:
-        return 3 * (self.k + 1)
-
-    @property
-    def n_interior_dofs_per_row(self) -> int:
-        return self.k**2 - 1
-
-    @property
     def n_scalar(self) -> int:
         return self.k * (self.k + 1) // 2
 
@@ -233,18 +225,6 @@ class DiscreteSpaces:
     @property
     def areas(self) -> np.ndarray:
         return 0.5 * self.dets
-
-    # -- indexing ---------------------------------------------------------
-
-    def velocity_index(self, tri, comp, j):
-        m = self.n_scalar
-        return tri * 2 * m + comp * m + j
-
-    def rotation_index(self, tri, j):
-        return tri * self.n_scalar + j
-
-    def stress_index(self, row, row_dof):
-        return row * self.n_row_global + row_dof
 
     # -- evaluation -------------------------------------------------------
 
@@ -323,17 +303,6 @@ class DiscreteSpaces:
         psi = self.scalar_values(rule)
         c = gamma.reshape(self.mesh.num_triangles, self.n_scalar)
         return np.einsum("tj,jq->tq", c, psi)
-
-    def stress_values_at(self, tri: int, pts: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        """Stress field on one triangle's polynomial at physical points (n, 2)."""
-        nm = len(self.ref.stress_exps)
-        xi = (pts - self.centers[tri]) / self.scales[tri]
-        mv = poly.eval_monomials(self.ref.stress_exps, xi[:, 0], xi[:, 1])
-        rows = alpha.reshape(2, self.n_row_global)
-        local = rows[:, self.row_dof_map[tri]]  # (2, n_row_dofs)
-        vx = local @ (self.stress_coef[tri, :, :nm] @ mv)
-        vy = local @ (self.stress_coef[tri, :, nm:] @ mv)
-        return np.stack([vx, vy], axis=1)  # (2 rows, 2 comps, n)
 
 
 def build_spaces(mesh: Mesh, k: int) -> DiscreteSpaces:

@@ -84,15 +84,16 @@ def solve_elastostatics(system: BlockSystem, rhs_sigma: np.ndarray,
     return StaticSolution(sigma=sig, u=u, r=r)
 
 
-def elliptic_projection(system: BlockSystem, sigma: Callable, div_sigma: Callable,
-                        degree: int = 12) -> np.ndarray:
+def elliptic_projection(system: BlockSystem, sigma: Callable,
+                        div_sigma: Callable) -> np.ndarray:
     """Weakly symmetric elliptic projection of an exact stress field.
 
     Solves the saddle system with the plain L2 stress pairing and data
     ((sigma, tau), (div sigma, w), (sigma, q)); div_sigma must be supplied
-    analytically.  The result preserves the divergence moments and the
-    skew moments of sigma.
+    analytically; the data are integrated with the degree-12 rule.  The
+    result preserves the divergence moments and the skew moments of sigma.
     """
+    degree = 12
     spaces = system.spaces
     if "stress_mass" not in system._cache:
         system._cache["stress_mass"] = assemble_stress_mass(spaces)
@@ -120,22 +121,19 @@ def elliptic_projection(system: BlockSystem, sigma: Callable, div_sigma: Callabl
     return sig
 
 
-def build_initial_data(case, system: BlockSystem, spaces: DiscreteSpaces,
-                       degree: int | None = None) -> InitialData:
+def build_initial_data(case, system: BlockSystem, spaces: DiscreteSpaces) -> InitialData:
     """Initial data: v0 and u0 by local L2 projection, (sigma0, r0) from the
     mixed elliptic system driven by div sigma(0), weakly symmetric by
     construction.  For inhomogeneous displacement data the boundary moment
     of u(0) enters the first block row."""
-    if degree is None:
-        degree = 2 * spaces.k + 4
-    v0 = l2_project_velocity(spaces, lambda x, y: case.v(0.0, x, y), degree=degree)
-    u0 = l2_project_velocity(spaces, lambda x, y: case.u(0.0, x, y), degree=degree)
+    v0 = l2_project_velocity(spaces, lambda x, y: case.v(0.0, x, y))
+    u0 = l2_project_velocity(spaces, lambda x, y: case.u(0.0, x, y))
 
     if case.homogeneous:
         rhs_sigma = np.zeros(spaces.dim_stress)
     else:
-        rhs_sigma = assemble_dirichlet_load(spaces, case.u, 0.0, degree=degree)
-    rhs_v = assemble_body_load(spaces, case.div_sigma, 0.0, degree=degree)
+        rhs_sigma = assemble_dirichlet_load(spaces, case.u, 0.0)
+    rhs_v = assemble_body_load(spaces, case.div_sigma, 0.0)
     rhs_r = np.zeros(spaces.dim_rotation)
 
     sol = solve_elastostatics(system, rhs_sigma, rhs_v, rhs_r)

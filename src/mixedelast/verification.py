@@ -75,9 +75,14 @@ def _lambdify(exprs, args):
 def case_from_displacement(name: str, u_exprs, material: MaterialModel,
                            homogeneous: bool, T0: float = 1.0,
                            alpha: float | None = None,
-                           rebuild: Callable | None = None,
-                           rho_expr=None) -> MmsCase:
-    """Derive all fields of a case from a symbolic displacement pair."""
+                           rebuild: Callable | None = None) -> MmsCase:
+    """Derive all fields of a case from a symbolic displacement pair.
+
+    The density must be constant: the body force rho u_tt is derived
+    symbolically.
+    """
+    if callable(material.rho):
+        raise MixedElastError("manufactured cases need a constant density rho")
     t, x, y = sp.symbols("t x y", real=True)
     u = sp.Matrix(u_exprs)
     grad_u = sp.Matrix([[sp.diff(u[0], x), sp.diff(u[0], y)],
@@ -89,8 +94,7 @@ def case_from_displacement(name: str, u_exprs, material: MaterialModel,
     v = u.diff(t)
     div_sigma = sp.Matrix([sp.diff(sigma[0, 0], x) + sp.diff(sigma[0, 1], y),
                            sp.diff(sigma[1, 0], x) + sp.diff(sigma[1, 1], y)])
-    rho = sp.nsimplify(material.rho) if not callable(material.rho) else rho_expr
-    f = rho * u.diff(t, 2) - div_sigma
+    f = sp.nsimplify(material.rho) * u.diff(t, 2) - div_sigma
 
     args = (t, x, y)
     return MmsCase(
@@ -125,27 +129,24 @@ def builtin_case(name: str, alpha: float | None = None, mu: float = 1.0,
     material = MaterialModel(mu=mu, lambda_=lam, rho=rho)
     t, x, y = sp.symbols("t x y", real=True)
 
+    rebuild = lambda lam_new: builtin_case(name, alpha=alpha, mu=mu, lam=lam_new, rho=rho)
+
     if name in ("eg1", "eg3"):
         u = [sp.sin(sp.pi * x) * sp.sin(sp.pi * y) * sp.sin(t),
              x * (1 - x) * y * (1 - y) * sp.sin(t)]
-        return case_from_displacement(
-            name, u, material, homogeneous=True,
-            rebuild=lambda lam_new: builtin_case(name, mu=mu, lam=lam_new, rho=rho))
+        return case_from_displacement(name, u, material, homogeneous=True,
+                                      rebuild=rebuild)
     if name == "eg2":
         if alpha is None or alpha <= 1.5:
             raise MixedElastError("eg2 requires a regularity parameter alpha > 3/2")
         u = [(1 + t**2) * x**alpha * y**2,
              (1 + sp.cos(t)) * x**2 * y**alpha]
-        return case_from_displacement(
-            name, u, material, homogeneous=False, alpha=alpha,
-            rebuild=lambda lam_new: builtin_case(name, alpha=alpha, mu=mu,
-                                                 lam=lam_new, rho=rho))
+        return case_from_displacement(name, u, material, homogeneous=False,
+                                      alpha=alpha, rebuild=rebuild)
     # divergence-free stream-function field, zero on the boundary
     psi = (sp.sin(sp.pi * x) * sp.sin(sp.pi * y))**2 * sp.sin(t)
     u = [sp.diff(psi, y), -sp.diff(psi, x)]
-    return case_from_displacement(
-        name, u, material, homogeneous=True,
-        rebuild=lambda lam_new: builtin_case(name, mu=mu, lam=lam_new, rho=rho))
+    return case_from_displacement(name, u, material, homogeneous=True, rebuild=rebuild)
 
 
 # -- error norms ------------------------------------------------------------
@@ -252,18 +253,29 @@ def _resolve_dt(dt_rule, n: int) -> float:
     return float(dt_rule)
 
 
+def _build_system(material: MaterialModel, k: int, n: int,
+                  body_force: Callable | None = None,
+                  dirichlet_velocity: Callable | None = None):
+    """Degree-k spaces and the assembled system on the uniform n x n mesh.
+
+    Every command builds its system here.  The stages are looked up by their
+    module-global names at call time, so they can be wrapped from outside.
+    """
+    mesh = build_uniform_square_mesh(n)
+    spaces = build_spaces(mesh, k)
+    return assemble(mesh, spaces, material, body_force=body_force,
+                    dirichlet_velocity=dirichlet_velocity)
+
+
 def _build_case(case: MmsCase, k: int, n: int):
     """Spaces, assembled system and discrete initial data of a case on the
     uniform n x n mesh."""
-    mesh = build_uniform_square_mesh(n)
-    spaces = build_spaces(mesh, k)
-    system = assemble(mesh, spaces, case.material, body_force=case.f,
-                      dirichlet_velocity=case.g)
-    return spaces, system, build_initial_data(case, system, spaces)
+    system = _build_system(case.material, k, n, case.f, case.g)
+    return system.spaces, system, build_initial_data(case, system, system.spaces)
 
 
 def run_case(case: MmsCase, k: int, scheme: str, n: int, dt_rule=None,
-             degree: int | None = None, linf_in_time: bool = False):
+             linf_in_time: bool = False):
     """Integrate one case on one mesh and measure errors.
 
     Errors are taken at the final time; with ``linf_in_time`` they are the
@@ -276,10 +288,10 @@ def run_case(case: MmsCase, k: int, scheme: str, n: int, dt_rule=None,
 
     def errors_at(st):
         return {
-            "sigma": l2_error(spaces, st.alpha, case.sigma, st.t, "stress", degree),
-            "v": l2_error(spaces, st.beta, case.v, st.t, "velocity", degree),
-            "u": l2_error(spaces, st.u, case.u, st.t, "displacement", degree),
-            "r": l2_error(spaces, st.gamma, case.rotation, st.t, "rotation", degree),
+            "sigma": l2_error(spaces, st.alpha, case.sigma, st.t, "stress"),
+            "v": l2_error(spaces, st.beta, case.v, st.t, "velocity"),
+            "u": l2_error(spaces, st.u, case.u, st.t, "displacement"),
+            "r": l2_error(spaces, st.gamma, case.rotation, st.t, "rotation"),
         }
 
     observers = []
@@ -315,13 +327,15 @@ def locking_study(case: MmsCase, k: int, lambda_list: Sequence[float],
     """Fixed-mesh error sweep over the Lame parameter lambda.
 
     The exact solution is rebuilt per lambda (sigma = C eps(u) depends on
-    it).  Returns rows (lambda, errors dict).
+    it) and keeps the case's final time T0.  Returns rows (lambda, errors
+    dict).
     """
     if case.rebuild is None:
         raise MixedElastError("case does not support lambda overrides")
     rows = []
     for lam in lambda_list:
         sub = case.rebuild(float(lam))
+        sub.T0 = case.T0
         errs, _, _ = run_case(sub, k, scheme, n)
         rows.append((float(lam), errs))
     return rows

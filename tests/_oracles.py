@@ -8,14 +8,34 @@ vectorized production kernels.
 import numpy as np
 
 from mixedelast.quadrature import edge_rule, triangle_rule
-from mixedelast.polynomials import edge_legendre_basis, eval_edge_polynomials
+from mixedelast.polynomials import (edge_legendre_basis, eval_edge_polynomials,
+                                    eval_monomials)
 
 
-def _compliance(tau, mu, lam, skw_scale):
+def _compliance(tau, mu, lam):
     sym = 0.5 * (tau + tau.T)
     skw = tau - sym
-    return (sym - lam / (2 * mu + 2 * lam) * np.trace(tau) * np.eye(2)) / (2 * mu) \
-        + skw_scale * skw
+    return (sym - lam / (2 * mu + 2 * lam) * np.trace(tau) * np.eye(2)) / (2 * mu) + skw
+
+
+def isotropic_stiffness_apply(tau, material):
+    """C tau = 2 mu sym(tau) + lambda tr(tau) I + skw(tau) for one 2x2 tensor:
+    the inverse of the compliance, extended to skew parts by the identity."""
+    sym = 0.5 * (tau + tau.T)
+    return (2 * material.mu * sym + material.lambda_ * np.trace(tau) * np.eye(2)
+            + (tau - sym))
+
+
+def stress_values_at(spaces, tri, pts, alpha):
+    """Stress field of coefficients alpha, evaluated with triangle tri's
+    polynomial at physical points pts (n, 2); shape (2 rows, 2 comps, n)."""
+    nm = len(spaces.ref.stress_exps)
+    xi = (pts - spaces.centers[tri]) / spaces.scales[tri]
+    mv = eval_monomials(spaces.ref.stress_exps, xi[:, 0], xi[:, 1])
+    local = alpha.reshape(2, spaces.n_row_global)[:, spaces.row_dof_map[tri]]
+    vx = local @ (spaces.stress_coef[tri, :, :nm] @ mv)
+    vy = local @ (spaces.stress_coef[tri, :, nm:] @ mv)
+    return np.stack([vx, vy], axis=1)
 
 
 def _row_basis_at_point(spaces, t, x, y):
@@ -75,8 +95,7 @@ def dense_assemble(spaces, material, degree=None):
                     gj = r * spaces.n_row_global + spaces.row_dof_map[t, b]
                     tau = np.zeros((2, 2))
                     tau[r] = vals[b]
-                    atau = _compliance(tau, material.mu, material.lambda_,
-                                       material.skw_scale)
+                    atau = _compliance(tau, material.mu, material.lambda_)
                     for s in range(2):
                         for a in range(nd):
                             gi = s * spaces.n_row_global + spaces.row_dof_map[t, a]

@@ -4,10 +4,10 @@ import pytest
 from mixedelast import (AssemblyError, MaterialModel, MixedElastError, assemble,
                         assemble_body_load, assemble_dirichlet_load,
                         assemble_stress_mass, build_spaces, builtin_case,
-                        isotropic_compliance_apply, isotropic_stiffness_apply)
+                        isotropic_compliance_apply)
 
 from _oracles import (dense_assemble, dense_body_load, dense_dirichlet_load,
-                      dense_system_blocks)
+                      dense_system_blocks, isotropic_stiffness_apply)
 
 
 def test_compliance_identity_tensor(unit_material):

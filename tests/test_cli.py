@@ -2,8 +2,13 @@ import json
 
 import pytest
 
+from mixedelast import verification
 from mixedelast.cli import main, parse_config
 from mixedelast.errors import ConfigError
+
+# verification attributes that a benchmark tracer wraps from outside the package
+TRACED_STAGES = ("builtin_case", "build_uniform_square_mesh", "build_spaces", "assemble",
+                 "build_initial_data", "integrate", "l2_error")
 
 
 def test_converge_defaults():
@@ -106,6 +111,36 @@ def test_infsup_command(capsys):
     assert main(["infsup", "--n-list", "1,2"]) == 0
     out = capsys.readouterr().out
     assert "beta=" in out
+
+
+def test_default_case_per_command():
+    assert parse_config(["locking"]).case == "locking"
+    assert parse_config(["locking", "--case", "eg1"]).case == "eg1"
+    assert parse_config(["converge"]).case == "eg1"
+    assert parse_config(["infsup"]).case == "eg1"
+
+
+def test_commands_build_through_verification_stages(monkeypatch, capsys):
+    calls = {}
+    for name in TRACED_STAGES:
+        def counted(*args, _fn=getattr(verification, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(verification, name, counted)
+    built = ("build_uniform_square_mesh", "build_spaces", "assemble")
+
+    verification.run_case(verification.builtin_case("eg1"), 1, "cn", 2)
+    assert {s: calls.get(s) for s in built} == dict.fromkeys(built, 1)
+    assert (calls["builtin_case"], calls["build_initial_data"], calls["integrate"],
+            calls["l2_error"]) == (1, 1, 1, 4)
+
+    calls.clear()
+    assert main(["energy-audit", "--n", "2", "--steps", "2"]) == 0
+    assert {s: calls.get(s) for s in built} == dict.fromkeys(built, 1)
+
+    calls.clear()
+    assert main(["infsup", "--n-list", "1"]) == 0
+    assert {s: calls.get(s) for s in built} == dict.fromkeys(built, 1)
 
 
 def test_locking_and_infsup_default_to_k1():

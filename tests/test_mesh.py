@@ -61,11 +61,6 @@ def test_zero_subdivisions_rejected():
         build_uniform_square_mesh(0)
 
 
-def test_unknown_diagonal_rejected():
-    with pytest.raises(GeometryError):
-        build_uniform_square_mesh(2, diagonal="criss_cross")
-
-
 def test_refine_matches_next_uniform():
     r = refine(build_uniform_square_mesh(1))
     m2 = build_uniform_square_mesh(2)

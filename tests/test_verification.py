@@ -164,6 +164,24 @@ def test_locking_lambda_one_matches_plain_run():
         assert rows[0][1][f] == pytest.approx(errs[f], rel=1e-12)
 
 
+def test_locking_keeps_final_time():
+    # the per-lambda rebuild must integrate to the case's T0, not the default 1
+    case = builtin_case("locking")
+    case.T0 = 0.5
+    rows = locking_study(case, 1, [1.0], n=4)
+    errs, _, _ = run_case(case, 1, "cn", 4)
+    for f in ("sigma", "v", "u", "r"):
+        assert rows[0][1][f] == pytest.approx(errs[f], rel=1e-12)
+
+
+def test_case_from_displacement_rejects_spatial_density():
+    material = MaterialModel(mu=1.0, lambda_=1.0, rho=lambda x, y: 1.0 + x,
+                             rho0=1.0, rho1=2.0)
+    t, x, y = sympy.symbols("t x y", real=True)
+    with pytest.raises(MixedElastError, match="constant density"):
+        case_from_displacement("c", [x * t, y * t], material, homogeneous=False)
+
+
 def test_locking_requires_rebuildable_case():
     case = builtin_case("eg1")
     case.rebuild = None
