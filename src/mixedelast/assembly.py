@@ -79,6 +79,24 @@ def isotropic_compliance_apply(tau: np.ndarray, material: MaterialModel) -> np.n
     return out
 
 
+@dataclass(frozen=True)
+class SeparatedField:
+    """A time-space field f(t, x, y) = sum_i phi(t)[i] psi(x, y)[i].
+
+    Calls go to ``fn``, the field itself.  ``phi(t)`` returns the n time
+    factors and ``psi(x, y)`` the n space parts, shape (n, 2) + the broadcast
+    shape of x.  `assemble` builds the load of each space part once, so that
+    a load call only combines fixed vectors.
+    """
+
+    fn: Callable
+    phi: Callable
+    psi: Callable
+
+    def __call__(self, t, x, y):
+        return self.fn(t, x, y)
+
+
 @dataclass
 class BlockSystem:
     """Assembled matrices and time-dependent loads of the matrix ODE."""
@@ -219,8 +237,9 @@ def assemble(mesh: Mesh, spaces: DiscreteSpaces, material: MaterialModel,
 
     ``body_force(t, x, y)`` and ``dirichlet_velocity(t, x, y)`` are optional
     time-space callables returning (2,) + broadcast shape; omitted loads are
-    identically zero.  The matrices use quadrature of degree 2k + 2, the
-    loads degree 2k + 4.
+    identically zero, and the loads of a SeparatedField are precomputed per
+    term.  The matrices use quadrature of degree 2k + 2, the loads degree
+    2k + 4.
     """
     if spaces.mesh is not mesh:
         raise MixedElastError("spaces were built on a different mesh")
@@ -231,20 +250,28 @@ def assemble(mesh: Mesh, spaces: DiscreteSpaces, material: MaterialModel,
     Cmat = _c_matrix(spaces, degree)
     Mmat = _m_matrix(spaces, material, degree)
 
-    if body_force is None:
-        zeta = np.zeros(spaces.dim_velocity)
-        load = lambda t: zeta
-    else:
-        load = lambda t: assemble_body_load(spaces, body_force, t)
-    if dirichlet_velocity is None:
-        eta = np.zeros(spaces.dim_stress)
-        dload = lambda t: eta
-    else:
-        dload = lambda t: assemble_dirichlet_load(spaces, dirichlet_velocity, t)
-
+    load = _load_closure(body_force, spaces.dim_velocity,
+                         lambda g, t: assemble_body_load(spaces, g, t))
+    dload = _load_closure(dirichlet_velocity, spaces.dim_stress,
+                          lambda g, t: assemble_dirichlet_load(spaces, g, t))
     return BlockSystem(Amat=Amat, Bmat=Bmat, Cmat=Cmat, Mmat=Mmat,
                        load=load, dirichlet_load=dload,
                        spaces=spaces, material=material)
+
+
+def _load_closure(field: Callable | None, dim: int, assemble_at: Callable):
+    """t -> load vector of a field, where assemble_at(g, t) assembles the load
+    of g(t, ., .).  No field gives zero.  For a SeparatedField the load of
+    each space part is assembled once, as a column of L, and a call is
+    L @ phi(t); any other callable is assembled at every call."""
+    if field is None:
+        zero = np.zeros(dim)
+        return lambda t: zero
+    if not isinstance(field, SeparatedField):
+        return lambda t: assemble_at(field, t)
+    L = np.column_stack([assemble_at(lambda t, x, y, i=i: field.psi(x, y)[i], 0.0)
+                         for i in range(len(field.phi(0.0)))])
+    return lambda t: L @ np.asarray(field.phi(t), dtype=float)
 
 
 def assemble_body_load(spaces: DiscreteSpaces, f: Callable, t: float,

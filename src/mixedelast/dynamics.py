@@ -24,7 +24,8 @@ import scipy.sparse as sps
 
 from .assembly import BlockSystem
 from .errors import MixedElastError, SingularSystemError
-from .statics import InitialData, checked_solve, factorize
+from . import statics
+from .statics import InitialData, checked_solve
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ class _StepLU:
         S_r = (rows_r[:, r] - self._S_rv @ (Minv @ self._S_vr)).tocsc()
         del rows_r  # no full-size temporary outlives the factorization's input
         self._r, self._v, self._Minv = r, vel, Minv
-        self._lu = factorize(S_r, "step")
+        self._lu = statics.factorize(S_r, "step")
         self._unchecked = S
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:

@@ -125,7 +125,14 @@ def build_initial_data(case, system: BlockSystem, spaces: DiscreteSpaces) -> Ini
     """Initial data: v0 and u0 by local L2 projection, (sigma0, r0) from the
     mixed elliptic system driven by div sigma(0), weakly symmetric by
     construction.  For inhomogeneous displacement data the boundary moment
-    of u(0) enters the first block row."""
+    of u(0) enters the first block row.
+
+    When every assembled right-hand side is exactly zero (u(0) = 0), the
+    solution is sigma0 = r0 = 0 and no saddle matrix is built or factored.
+    Such a run then never checks that B is onto, which the saddle LU did;
+    `mixedelast infsup` measures the inf-sup constant of [B; C].  The step LU
+    still fails if C is not onto.
+    """
     v0 = l2_project_velocity(spaces, lambda x, y: case.v(0.0, x, y))
     u0 = l2_project_velocity(spaces, lambda x, y: case.u(0.0, x, y))
 
@@ -136,6 +143,9 @@ def build_initial_data(case, system: BlockSystem, spaces: DiscreteSpaces) -> Ini
     rhs_v = assemble_body_load(spaces, case.div_sigma, 0.0)
     rhs_r = np.zeros(spaces.dim_rotation)
 
+    if not (rhs_sigma.any() or rhs_v.any() or rhs_r.any()):
+        return InitialData(sigma0=np.zeros(spaces.dim_stress), v0=v0,
+                           r0=np.zeros(spaces.dim_rotation), u0=u0)
     sol = solve_elastostatics(system, rhs_sigma, rhs_v, rhs_r)
     return InitialData(sigma0=sol.sigma, v0=v0, r0=sol.r, u0=u0)
 

@@ -3,19 +3,22 @@
 Each built-in case carries a closed-form displacement; every derived field
 (velocity, stress, rotation, body force, stress divergence) is produced by
 symbolic differentiation at case construction and lambdified to vectorized
-numpy callables.  Rebuilding a case for a different Lame lambda rederives
-sigma = C eps(u) and the load, which is what the locking sweep needs.
+numpy callables.  The body force and the velocity also carry their split
+into terms phi_i(t) psi_i(x, y), from which assembly precomputes the loads.
+Rebuilding a case for a different Lame lambda rederives sigma = C eps(u) and
+the load, which is what the locking sweep needs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 import sympy as sp
 
-from .assembly import MaterialModel, assemble
+from .assembly import MaterialModel, SeparatedField, assemble
 from .dynamics import CN, integrate
 from .errors import MixedElastError
 from .mesh import build_uniform_square_mesh
@@ -59,17 +62,48 @@ def _lambdify(exprs, args):
     """Vectorized callable of a scalar or an (n,) or (n, m) nested list of
     expressions: (t, x, y) -> exprs' shape + the broadcast shape of x."""
     exprs = np.array(exprs, dtype=object)
-    fns = [sp.lambdify(args, e, modules="numpy") for e in exprs.flat]
+    fn = sp.lambdify(args, list(exprs.flat), modules="numpy")
 
     def call(t, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        out = np.empty((len(fns),) + x.shape)
-        for i, fn in enumerate(fns):
-            out[i] = np.broadcast_to(fn(t, x, y), x.shape)
+        out = np.empty((exprs.size,) + x.shape)
+        for i, value in enumerate(fn(t, x, y)):
+            out[i] = np.broadcast_to(value, x.shape)
         return out.reshape(exprs.shape + x.shape)
 
     return call
+
+
+def _separate(exprs, t, space):
+    """Split a vector of expressions into terms phi_i(t) psi_i(space).
+
+    Each component is expanded and its terms are grouped by their t-dependent
+    factor.  Returns [(phi_i, psi_i)] with psi_i a list of one expression per
+    component, or None when a factor of some term mixes t with the space
+    symbols (sin(x t), say).
+    """
+    groups: dict = {}
+    for c, e in enumerate(exprs):
+        for term in sp.Add.make_args(sp.expand(e)):
+            psi, phi = term.as_independent(t, as_Add=False)
+            if phi.has(*space):
+                return None
+            groups.setdefault(phi, [sp.S.Zero] * len(exprs))[c] += psi
+    return list(groups.items())
+
+
+def _load_field(exprs, args):
+    """Callable of a vector field of (t, x, y); a SeparatedField when its
+    terms separate, so that assemble can precompute their loads."""
+    fn = _lambdify(exprs, args)
+    t, *space = args
+    terms = _separate(exprs, t, space)
+    if terms is None:
+        return fn
+    phi = sp.lambdify(t, [phi for phi, _ in terms], modules="numpy")
+    psi = _lambdify([psi for _, psi in terms], args)
+    return SeparatedField(fn, phi, functools.partial(psi, 0.0))
 
 
 def case_from_displacement(name: str, u_exprs, material: MaterialModel,
@@ -101,10 +135,10 @@ def case_from_displacement(name: str, u_exprs, material: MaterialModel,
         name=name,
         material=material,
         u=_lambdify(list(u), args),
-        v=_lambdify(list(v), args),
+        v=_load_field(list(v), args),
         sigma=_lambdify(sigma.tolist(), args),
         rotation=_lambdify(rot, args),
-        f=_lambdify(list(f), args),
+        f=_load_field(list(f), args),
         div_sigma=_lambdify(list(div_sigma), args),
         homogeneous=homogeneous,
         T0=T0,

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import sympy as sp
 
 from mixedelast import (AssemblyError, MaterialModel, MixedElastError, assemble,
                         assemble_body_load, assemble_dirichlet_load,
                         assemble_stress_mass, build_spaces, builtin_case,
                         isotropic_compliance_apply)
+from mixedelast.assembly import SeparatedField
+from mixedelast.verification import _load_field, _separate
 
 from _oracles import (dense_assemble, dense_body_load, dense_dirichlet_load,
                       dense_system_blocks, isotropic_stiffness_apply)
@@ -210,3 +213,61 @@ def test_stress_mass_spd(mesh_cache, spaces_cache):
     dense = mass.toarray()
     assert np.abs(dense - dense.T).max() <= 1e-13
     assert np.linalg.eigvalsh(dense).min() > 0.0
+
+
+@pytest.mark.parametrize("name,alpha,k", [("eg1", None, 1), ("eg2", 2.2, 2),
+                                          ("eg3", None, 3), ("locking", None, 2)])
+def test_separated_loads_match_oracle_and_sampled_path(mesh_cache, name, alpha, k):
+    # the body force and the velocity (as Dirichlet data, for every case)
+    # split into time factors times space parts, whose loads are built once
+    case = builtin_case(name, alpha=alpha)
+    assert isinstance(case.f, SeparatedField) and isinstance(case.v, SeparatedField)
+    spaces = build_spaces(mesh_cache(2), k)
+    system = assemble(spaces.mesh, spaces, case.material,
+                      body_force=case.f, dirichlet_velocity=case.v)
+    degree = 2 * k + 4
+    for t in (0.0, 0.37, 1.0):
+        body = system.load(t)
+        assert np.abs(body - dense_body_load(spaces, case.f, t, degree)).max() <= 1e-12
+        assert np.abs(body - assemble_body_load(spaces, case.f, t)).max() <= 1e-12
+        bdry = system.dirichlet_load(t)
+        assert np.abs(bdry - dense_dirichlet_load(spaces, case.v, t, degree)).max() <= 1e-12
+        assert np.abs(bdry - assemble_dirichlet_load(spaces, case.v, t)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name,alpha", [("eg1", None), ("eg2", 2.2), ("locking", None)])
+def test_separated_terms_sum_to_field(name, alpha):
+    case = builtin_case(name, alpha=alpha)
+    rng = np.random.default_rng(5)
+    x, y = rng.random((2, 40))
+    for field in (case.f, case.v):
+        for t in (0.0, 0.37, 1.0):
+            total = np.einsum("i,ic...->c...", np.asarray(field.phi(t), dtype=float),
+                              field.psi(x, y))
+            exact = field(t, x, y)
+            assert np.abs(total - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
+
+
+def test_separate_is_exact_and_groups_by_time_factor():
+    t, x, y = sp.symbols("t x y", real=True)
+    u = [(1 + t**2) * x**2.2 * y**2, (1 + sp.cos(t)) * x**2 * y**2.2]
+    exprs = [sp.diff(u[0], x, 2), sp.diff(u[1], y) + sp.sin(t) * x]
+    terms = _separate(exprs, t, (x, y))
+    assert sorted(map(str, (phi for phi, _ in terms))) == ["1", "cos(t)", "sin(t)", "t**2"]
+    for c, e in enumerate(exprs):
+        assert sp.expand(sum(phi * psi[c] for phi, psi in terms) - e) == 0
+
+
+def test_unseparated_fields_use_sampled_path(mesh_cache):
+    t, x, y = sp.symbols("t x y", real=True)
+    mixed = _load_field([sp.sin(x * t), y], (t, x, y))
+    assert not isinstance(mixed, SeparatedField)
+    plain = lambda t, x, y: np.stack([np.cos(t) * x * y, np.ones(np.shape(x))])
+    spaces = build_spaces(mesh_cache(2), 2)
+    for field in (mixed, plain):
+        system = assemble(spaces.mesh, spaces, MaterialModel(mu=1.0, lambda_=1.0),
+                          body_force=field, dirichlet_velocity=field)
+        for s in (0.0, 0.37, 1.0):
+            assert np.array_equal(system.load(s), assemble_body_load(spaces, field, s))
+            assert np.array_equal(system.dirichlet_load(s),
+                                  assemble_dirichlet_load(spaces, field, s))

@@ -335,3 +335,25 @@ def test_step_residual_checked_on_first_solve(small_system, monkeypatch):
         cn_step(fresh, st, 0.1)
     with pytest.raises(SingularSystemError, match="residual"):
         radau2_step(fresh, st, 0.1)
+
+
+@pytest.mark.parametrize("scheme", ["cn", "radau2"])
+def test_step_lu_detects_rotation_constraint_not_onto(small_system, scheme):
+    # with one row of C zeroed, C is not onto, so the (sigma, gamma) Schur
+    # complement [[A + (dt c)^2 B^T M^-1 B, C^T], [C, 0]] is singular; zero
+    # initial data skip the saddle LU, so this is the run's check of C
+    from mixedelast import SingularSystemError
+    system, spaces, _ = small_system
+    C = system.Cmat.tolil()
+    C[0, :] = 0.0
+    broken = type(system)(
+        Amat=system.Amat, Bmat=system.Bmat, Cmat=C.tocsr(), Mmat=system.Mmat,
+        load=system.load, dirichlet_load=system.dirichlet_load,
+        spaces=system.spaces, material=system.material)
+    st = SemidiscreteState(0.0, np.zeros(spaces.dim_stress),
+                           np.zeros(spaces.dim_velocity),
+                           np.zeros(spaces.dim_rotation),
+                           np.zeros(spaces.dim_velocity))
+    step = cn_step if scheme == "cn" else radau2_step
+    with pytest.raises(SingularSystemError, match="step factorization"):
+        step(broken, st, 0.1)

@@ -4,10 +4,12 @@ import scipy.sparse as sps
 import sympy
 
 from mixedelast import (MaterialModel, SingularSystemError, assemble,
-                        assemble_body_load, build_initial_data, build_spaces,
+                        assemble_body_load, assemble_dirichlet_load,
+                        build_initial_data, build_spaces,
                         build_uniform_square_mesh, builtin_case,
                         canonical_interpolation, elliptic_projection, infsup_constant,
                         l2_error, l2_project_velocity, solve_elastostatics)
+from mixedelast import statics
 from mixedelast.quadrature import triangle_rule
 from mixedelast.verification import case_from_displacement
 
@@ -215,6 +217,41 @@ def test_saddle_factorizations_not_kept(mesh_cache, spaces_cache, unit_material)
     sigma, div_sigma = make_matrix_field(np.random.default_rng(2))
     elliptic_projection(system, sigma, div_sigma)
     assert list(system._cache) == ["stress_mass"]
+
+
+@pytest.mark.parametrize("name,n,k", [("eg3", 4, 3), ("locking", 4, 2)])
+def test_zero_initial_data_skip_saddle_lu(mesh_cache, monkeypatch, name, n, k):
+    # u(0) = 0 makes every right-hand side exactly zero, so sigma0 = r0 = 0
+    # without a factorization
+    def no_factorization(S, what):
+        raise AssertionError(f"{what} factorization")
+
+    monkeypatch.setattr(statics, "factorize", no_factorization)
+    case = builtin_case(name)
+    spaces = build_spaces(mesh_cache(n), k)
+    system = assemble(mesh_cache(n), spaces, case.material, body_force=case.f)
+    init = build_initial_data(case, system, spaces)
+    assert init.sigma0.shape == (spaces.dim_stress,) and not init.sigma0.any()
+    assert init.r0.shape == (spaces.dim_rotation,) and not init.r0.any()
+    assert np.abs(init.v0).max() > 0.1
+
+
+def test_nonzero_initial_data_factor_the_saddle(mesh_cache, spaces_cache, monkeypatch):
+    case = builtin_case("eg2", alpha=2.2)
+    spaces = spaces_cache(2, 2)
+    system = assemble(mesh_cache(2), spaces, case.material,
+                      body_force=case.f, dirichlet_velocity=case.g)
+    direct = solve_elastostatics(system, assemble_dirichlet_load(spaces, case.u, 0.0),
+                                 assemble_body_load(spaces, case.div_sigma, 0.0),
+                                 np.zeros(spaces.dim_rotation))
+    calls = []
+    factorize = statics.factorize
+    monkeypatch.setattr(statics, "factorize",
+                        lambda S, what: calls.append(what) or factorize(S, what))
+    init = build_initial_data(case, system, spaces)
+    assert calls == ["saddle"]
+    assert np.array_equal(init.sigma0, direct.sigma)
+    assert np.array_equal(init.r0, direct.r)
 
 
 def test_initial_stress_convergence(mesh_cache):

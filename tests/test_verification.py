@@ -273,3 +273,18 @@ def test_projection_error_orthogonal_to_divergence():
     for r in range(2):
         np.add.at(out[r], spaces.row_dof_map, mom[r])
     assert np.abs(out).max() <= 1e-10
+
+
+@pytest.mark.parametrize("name,alpha,k,scheme,expected",
+                         [("eg3", None, 3, "radau2", ["step"]),
+                          ("eg2", 2.2, 2, "cn", ["saddle", "step"])],
+                         ids=["eg3", "eg2"])
+def test_factorizations_per_run(monkeypatch, name, alpha, k, scheme, expected):
+    # zero initial data need only the step LU; a saddle LU must not come back
+    from mixedelast import statics
+    calls = []
+    factorize = statics.factorize
+    monkeypatch.setattr(statics, "factorize",
+                        lambda S, what: calls.append(what) or factorize(S, what))
+    run_case(builtin_case(name, alpha=alpha), k, scheme, 4)
+    assert calls == expected
