@@ -269,8 +269,18 @@ def _load_closure(field: Callable | None, dim: int, assemble_at: Callable):
         return lambda t: zero
     if not isinstance(field, SeparatedField):
         return lambda t: assemble_at(field, t)
-    L = np.column_stack([assemble_at(lambda t, x, y, i=i: field.psi(x, y)[i], 0.0)
-                         for i in range(len(field.phi(0.0)))])
+    # assemble_at samples every part at the same points, so the space parts
+    # are evaluated there once and handed out one by one
+    parts = []
+
+    def part(i):
+        def g(t, x, y):
+            if not parts:
+                parts.append(field.psi(x, y))
+            return parts[0][i]
+        return g
+
+    L = np.column_stack([assemble_at(part(i), 0.0) for i in range(len(field.phi(0.0)))])
     return lambda t: L @ np.asarray(field.phi(t), dtype=float)
 
 

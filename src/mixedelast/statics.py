@@ -34,10 +34,11 @@ class InitialData:
     u0: np.ndarray
 
 
-def factorize(S: sps.spmatrix, what: str):
-    """Sparse LU of S; a singular S raises SingularSystemError."""
+def factorize(S: sps.spmatrix, what: str, **options):
+    """Sparse LU of S by splu with ``options``; a singular S raises
+    SingularSystemError."""
     try:
-        return spla.splu(S)
+        return spla.splu(S, **options)
     except RuntimeError as exc:
         raise SingularSystemError(f"{what} factorization failed: {exc}") from exc
 

@@ -3,8 +3,9 @@
 Each built-in case carries a closed-form displacement; every derived field
 (velocity, stress, rotation, body force, stress divergence) is produced by
 symbolic differentiation at case construction and lambdified to vectorized
-numpy callables.  The body force and the velocity also carry their split
-into terms phi_i(t) psi_i(x, y), from which assembly precomputes the loads.
+numpy callables.  The body force, and the velocity where it is boundary
+data, also carry their split into terms phi_i(t) psi_i(x, y), from which
+assembly precomputes the loads.
 Rebuilding a case for a different Lame lambda rederives sigma = C eps(u) and
 the load, which is what the locking sweep needs.
 """
@@ -135,7 +136,9 @@ def case_from_displacement(name: str, u_exprs, material: MaterialModel,
         name=name,
         material=material,
         u=_lambdify(list(u), args),
-        v=_load_field(list(v), args),
+        # v is a load (the Dirichlet data g) only for inhomogeneous data;
+        # otherwise only v(0) is projected, so it is not split
+        v=(_lambdify if homogeneous else _load_field)(list(v), args),
         sigma=_lambdify(sigma.tolist(), args),
         rotation=_lambdify(rot, args),
         f=_load_field(list(f), args),

@@ -218,21 +218,57 @@ def test_stress_mass_spd(mesh_cache, spaces_cache):
 @pytest.mark.parametrize("name,alpha,k", [("eg1", None, 1), ("eg2", 2.2, 2),
                                           ("eg3", None, 3), ("locking", None, 2)])
 def test_separated_loads_match_oracle_and_sampled_path(mesh_cache, name, alpha, k):
-    # the body force and the velocity (as Dirichlet data, for every case)
-    # split into time factors times space parts, whose loads are built once
+    # the body force and the boundary data split into time factors times
+    # space parts, whose loads are built once; the velocity is split only
+    # where it is boundary data, so the homogeneous cases use their body
+    # force as separated boundary data
     case = builtin_case(name, alpha=alpha)
-    assert isinstance(case.f, SeparatedField) and isinstance(case.v, SeparatedField)
+    assert isinstance(case.f, SeparatedField)
+    assert isinstance(case.v, SeparatedField) == (not case.homogeneous)
+    g = case.f if case.homogeneous else case.v
     spaces = build_spaces(mesh_cache(2), k)
     system = assemble(spaces.mesh, spaces, case.material,
-                      body_force=case.f, dirichlet_velocity=case.v)
+                      body_force=case.f, dirichlet_velocity=g)
     degree = 2 * k + 4
     for t in (0.0, 0.37, 1.0):
         body = system.load(t)
         assert np.abs(body - dense_body_load(spaces, case.f, t, degree)).max() <= 1e-12
         assert np.abs(body - assemble_body_load(spaces, case.f, t)).max() <= 1e-12
         bdry = system.dirichlet_load(t)
-        assert np.abs(bdry - dense_dirichlet_load(spaces, case.v, t, degree)).max() <= 1e-12
-        assert np.abs(bdry - assemble_dirichlet_load(spaces, case.v, t)).max() <= 1e-12
+        assert np.abs(bdry - dense_dirichlet_load(spaces, g, t, degree)).max() <= 1e-12
+        assert np.abs(bdry - assemble_dirichlet_load(spaces, g, t)).max() <= 1e-12
+
+
+def test_separated_load_evaluates_space_parts_once(mesh_cache):
+    # eg2 has three body-force terms and two velocity terms: each field's
+    # space parts are evaluated once, and the loads equal those assembled
+    # term by term bitwise
+    case = builtin_case("eg2", alpha=2.2)
+    calls = []
+
+    def counted(field, label):
+        def psi(x, y):
+            calls.append(label)
+            return field.psi(x, y)
+        return SeparatedField(field.fn, field.phi, psi)
+
+    spaces = build_spaces(mesh_cache(2), 2)
+    system = assemble(spaces.mesh, spaces, case.material,
+                      body_force=counted(case.f, "f"),
+                      dirichlet_velocity=counted(case.v, "v"))
+    assert sorted(calls) == ["f", "v"]
+
+    def term_by_term(assemble_at, field):
+        return np.column_stack([
+            assemble_at(spaces, lambda t, x, y, i=i: field.psi(x, y)[i], 0.0)
+            for i in range(len(field.phi(0.0)))])
+
+    body = term_by_term(assemble_body_load, case.f)
+    bdry = term_by_term(assemble_dirichlet_load, case.v)
+    for t in (0.0, 0.37, 1.0):
+        assert np.array_equal(system.load(t), body @ np.asarray(case.f.phi(t), dtype=float))
+        assert np.array_equal(system.dirichlet_load(t),
+                              bdry @ np.asarray(case.v.phi(t), dtype=float))
 
 
 @pytest.mark.parametrize("name,alpha", [("eg1", None), ("eg2", 2.2), ("locking", None)])
@@ -240,7 +276,7 @@ def test_separated_terms_sum_to_field(name, alpha):
     case = builtin_case(name, alpha=alpha)
     rng = np.random.default_rng(5)
     x, y = rng.random((2, 40))
-    for field in (case.f, case.v):
+    for field in (case.f,) if case.homogeneous else (case.f, case.v):
         for t in (0.0, 0.37, 1.0):
             total = np.einsum("i,ic...->c...", np.asarray(field.phi(t), dtype=float),
                               field.psi(x, y))

@@ -328,8 +328,8 @@ def test_step_residual_checked_on_first_solve(small_system, monkeypatch):
     init = build_initial_data(case, system, spaces)
     st = SemidiscreteState(0.0, init.sigma0, init.v0, init.r0, init.u0)
     splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda A: splu(
-        (A + 1e-3 * sps.identity(A.shape[0], format="csc")).tocsc()))
+    monkeypatch.setattr(spla, "splu", lambda A, *args, **kwargs: splu(
+        (A + 1e-3 * sps.identity(A.shape[0], format="csc")).tocsc(), *args, **kwargs))
     fresh = assemble(spaces.mesh, spaces, system.material, body_force=case.f)
     with pytest.raises(SingularSystemError, match="residual"):
         cn_step(fresh, st, 0.1)
@@ -357,3 +357,74 @@ def test_step_lu_detects_rotation_constraint_not_onto(small_system, scheme):
     step = cn_step if scheme == "cn" else radau2_step
     with pytest.raises(SingularSystemError, match="step factorization"):
         step(broken, st, 0.1)
+
+
+def _eg2_system(n, k):
+    import mixedelast as me
+    case = builtin_case("eg2", alpha=2.2)
+    mesh = me.build_uniform_square_mesh(n)
+    return assemble(mesh, me.build_spaces(mesh, k), case.material,
+                    body_force=case.f, dirichlet_velocity=case.g)
+
+
+def test_step_order_built_once_per_system(monkeypatch):
+    # both schemes and every dt of a system factor in the one cached order
+    import scipy.sparse.linalg as spla
+    from mixedelast.dynamics import _factorize
+    system = _eg2_system(2, 2)
+    splu, orderings = spla.splu, []
+
+    def counting(A, *args, **kwargs):
+        if kwargs.get("permc_spec") == "MMD_AT_PLUS_A":
+            orderings.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    for scheme, dt in (("cn", 0.1), ("radau2", 0.1), ("cn", 0.05)):
+        _factorize(system, scheme, dt)
+    assert len(orderings) == 1
+    order = system._cache["order"]
+    nM, _, nK = system.dims
+    assert np.array_equal(np.sort(order), np.arange(nM + nK))
+    assert all(lu._r.size == nM + nK for lu in system._cache["factors"].values())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rotations_follow_half_their_stresses(k):
+    from mixedelast.dynamics import _step_order
+    system = _eg2_system(4, k)
+    spaces = system.spaces
+    nM, _, nK = system.dims
+    position = np.empty(nM + nK, dtype=int)
+    position[_step_order(system)] = np.arange(nM + nK)
+    nrow, m = spaces.n_row_global, spaces.n_scalar
+    stress = position[np.hstack([spaces.row_dof_map, spaces.row_dof_map + nrow])]
+    rotation = position[nM:].reshape(-1, m)
+    before = (stress[:, None, :] < rotation[:, :, None]).sum(axis=2)
+    # at least half, and not all: a rotation after all its stresses fills more
+    assert before.min() >= stress.shape[1] // 2
+    assert before.max() < stress.shape[1]
+
+
+@pytest.mark.parametrize("scheme", ["cn", "radau2"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_ordered_step_solve_matches_colamd(k, scheme):
+    import scipy.sparse.linalg as spla
+    from mixedelast.dynamics import _factorize, _step_matrix, _system_blocks
+    system = _eg2_system(4, k)
+    dt = 0.25
+    rng = np.random.default_rng(k)
+    rhs = rng.standard_normal(sum(system.dims))
+    if scheme == "radau2":
+        rhs = rhs + 1j * rng.standard_normal(rhs.size)
+    got = _factorize(system, scheme, dt).solve(rhs)
+    ref = spla.splu(_step_matrix(*_system_blocks(system), scheme, dt).tocsc()).solve(rhs)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_ordered_step_lu_fill():
+    # eg2, k=2, n=16, dt=1/16: 2,957,511 L+U nonzeros in SuperLU's default
+    # COLAMD order, 735,598 in the mesh-entity order
+    from mixedelast.dynamics import _factorize
+    lu = _factorize(_eg2_system(16, 2), "cn", 1.0 / 16)._lu
+    assert lu.L.nnz + lu.U.nnz <= 1_000_000

@@ -182,6 +182,24 @@ def test_case_from_displacement_rejects_spatial_density():
         case_from_displacement("c", [x * t, y * t], material, homogeneous=False)
 
 
+def test_velocity_split_only_for_boundary_data():
+    # homogeneous data use v only through v(0), so v is not split; its values
+    # are those of the split field bitwise
+    from mixedelast.assembly import SeparatedField
+    assert not isinstance(builtin_case("eg3").v, SeparatedField)
+    assert isinstance(builtin_case("eg2", alpha=2.2).v, SeparatedField)
+    t, x, y = sympy.symbols("t x y", real=True)
+    u = [sympy.sin(sympy.pi * x) * sympy.sin(sympy.pi * y) * sympy.sin(t),
+         x * (1 - x) * y * (1 - y) * sympy.sin(t)]
+    material = MaterialModel(mu=1.0, lambda_=1.0)
+    plain = case_from_displacement("c", u, material, homogeneous=True).v
+    split = case_from_displacement("c", u, material, homogeneous=False).v
+    assert not isinstance(plain, SeparatedField) and isinstance(split, SeparatedField)
+    xs, ys = np.random.default_rng(2).random((2, 50))
+    for s in (0.0, 0.37, 1.0):
+        assert np.array_equal(plain(s, xs, ys), split(s, xs, ys))
+
+
 def test_locking_requires_rebuildable_case():
     case = builtin_case("eg1")
     case.rebuild = None
@@ -284,7 +302,7 @@ def test_factorizations_per_run(monkeypatch, name, alpha, k, scheme, expected):
     from mixedelast import statics
     calls = []
     factorize = statics.factorize
-    monkeypatch.setattr(statics, "factorize",
-                        lambda S, what: calls.append(what) or factorize(S, what))
+    monkeypatch.setattr(statics, "factorize", lambda S, what, **options:
+                        calls.append(what) or factorize(S, what, **options))
     run_case(builtin_case(name, alpha=alpha), k, scheme, 4)
     assert calls == expected
