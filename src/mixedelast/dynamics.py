@@ -11,9 +11,9 @@ the real 2N x 2N stage system into one complex N x N system and its complex
 conjugate (Hairer-Wanner, Solving ODEs II, IV.8).  The velocity block of S is
 the velocity mass M, which is block diagonal because the velocity space is
 discontinuous; M^-1 is applied exactly, so only the Schur complement of S on
-the stress and rotation unknowns is factored by a sparse LU.  That LU is
-taken in a symmetric fill-reducing order of the mesh entities (George,
-SIAM J. Numer. Anal. 10, 1973), built once per system.
+the stress and rotation unknowns is factored by a sparse LU: statics.SchurLU,
+shared with the static saddle solve, in a symmetric fill-reducing order of
+the mesh entities (George, SIAM J. Numer. Anal. 10, 1973).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 
 from .assembly import BlockSystem
 from .errors import MixedElastError, SingularSystemError
@@ -74,6 +73,7 @@ _RADAU_LAMBDA, _RADAU_V, _RADAU_VINV = _complex_eigenpair(RADAU2.A)
 CN = "cn"
 RADAU2_NAME = "radau2"
 SCHEMES = (CN, RADAU2_NAME)
+_SHIFT = {CN: 0.5, RADAU2_NAME: _RADAU_LAMBDA}  # c of the step matrix E - dt c G
 
 
 @dataclass
@@ -117,134 +117,28 @@ def _system_blocks(system: BlockSystem):
     return cache["EG"]
 
 
-def _velocity_inverse(system: BlockSystem) -> sps.csr_matrix:
-    """Exact inverse of the velocity mass M, cached on the system.
-
-    M has one m x m block per triangle and velocity component (a spatial
-    density makes the blocks full); all blocks are inverted by one batched
-    np.linalg.inv.
-    """
-    cache = system._cache
-    if "Minv" not in cache:
-        m = system.spaces.n_scalar
-        M = system.Mmat.tocoo()
-        nb = M.shape[0] // m
-        blocks = np.zeros((nb, m, m))
-        blocks[M.row // m, M.row % m, M.col % m] = M.data
-        cache["Minv"] = sps.bsr_matrix(
-            (np.linalg.inv(blocks), np.arange(nb), np.arange(nb + 1)), shape=M.shape
-        ).tocsr()
-    return cache["Minv"]
-
-
-def _step_order(system: BlockSystem) -> np.ndarray:
-    """Symmetric fill-reducing order of the (stress, rotation) unknowns of
-    the step Schur complement, cached on the system.
-
-    The mesh entities (edges and triangles) are ranked by a minimum-degree
-    ordering of the graph with one clique {T, e1, e2, e3} per triangle,
-    the column order SuperLU picks for a diagonally dominant matrix of that
-    graph (an ordering aid, not a solve LU).  The stress unknowns follow their
-    entities' ranks, row 0 before row 1.  A triangle's rotation unknowns,
-    whose diagonal block is zero and which couple only to that triangle's
-    stresses, come right after the first half of them.
-    """
-    cache = system._cache
-    if "order" not in cache:
-        spaces = system.spaces
-        mesh = spaces.mesh
-        ne, nt, k = mesh.num_edges, mesh.num_triangles, spaces.k
-        cliques = np.column_stack([mesh.triangle_edges, ne + np.arange(nt)])
-        graph = sps.csc_matrix(
-            (np.ones(16 * nt), (np.repeat(cliques, 4, axis=1).ravel(),
-                                np.tile(cliques, 4).ravel())),
-            shape=(ne + nt, ne + nt)) + 20.0 * sps.identity(ne + nt, format="csc")
-        rank = spla.splu(graph, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True}).perm_c
-        entity = np.concatenate([np.repeat(np.arange(ne), k + 1),
-                                 ne + np.repeat(np.arange(nt), k * k - 1)])
-        nrow = spaces.n_row_global
-        pos = np.empty(2 * nrow)
-        pos[np.argsort(np.tile(rank[entity], 2), kind="stable")] = np.arange(2 * nrow)
-        tri = np.sort(pos[np.hstack([spaces.row_dof_map, spaces.row_dof_map + nrow])], axis=1)
-        median = tri[:, tri.shape[1] // 2 - 1] + 0.5
-        cache["order"] = np.argsort(
-            np.concatenate([pos, np.repeat(median, spaces.n_scalar)]), kind="stable")
-    return cache["order"]
-
-
 def _step_matrix(E, G, scheme: str, dt: float) -> sps.csr_matrix:
     """The N x N matrix E - dt c G a step of the scheme solves with: c = 1/2
     for Crank-Nicolson, and for RadauIIA the complex eigenvalue of RADAU2.A
-    with positive imaginary part, 1/3 + i sqrt(2)/6.  Its velocity block is
-    M, since G has none; _StepLU eliminates it."""
-    c = 0.5 if scheme == CN else _RADAU_LAMBDA
-    return E - (dt * c) * G
+    with positive imaginary part, 1/3 + i sqrt(2)/6."""
+    return E - (dt * _SHIFT[scheme]) * G
 
 
-# SuperLU options for the step Schur complement, which is (complex) symmetric
-# and built in a fill-reducing order: keep that order, and keep a diagonal
-# pivot unless it is below 0.1 of its column's largest entry (the rotation
-# diagonal is zero)
-_ORDERED_LU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.1,
-                   options={"SymmetricMode": True})
-
-
-class _StepLU:
-    """Solver of a scheme's step matrix S = E - dt c G that eliminates the
-    velocity unknowns ``vel`` with ``Minv`` = S_vv^-1 = M^-1 (G has no
-    velocity-velocity block) and factors only the Schur complement
-    S_r = S_rr - S_rv M^-1 S_vr, here [[A + (dt c)^2 B^T M^-1 B, C^T], [C, 0]].
-    S_r is built and factored with its unknowns in the symmetric ``order``
-    (a permutation of the unknowns outside ``vel``; natural by default).
-    solve() takes and returns full vectors: x_r = S_r^-1 (b_r - S_rv M^-1 b_v),
-    x_v = M^-1 (b_v - S_vr x_r).  The first solve is residual-checked against
-    the full S, which is then released.  Without ``vel``, S_r = S.
-    """
-
-    def __init__(self, E, G, scheme: str, dt: float, vel: slice = slice(0, 0),
-                 Minv: sps.spmatrix = sps.csr_matrix((0, 0)),
-                 order: np.ndarray | None = None):
-        S = _step_matrix(E, G, scheme, dt)
-        keep = np.ones(S.shape[0], dtype=bool)
-        keep[vel] = False
-        r = np.flatnonzero(keep)
-        if order is not None:
-            r = r[order]
-        rows_r = S[r]
-        self._S_rv, self._S_vr = rows_r[:, vel], S[vel][:, r]
-        S_r = (rows_r[:, r] - self._S_rv @ (Minv @ self._S_vr)).tocsc()
-        del rows_r  # no full-size temporary outlives the factorization's input
-        self._r, self._v, self._Minv = r, vel, Minv
-        self._lu = statics.factorize(S_r, "step", **_ORDERED_LU)
-        self._unchecked = S
-
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        r, v = self._r, self._v
-        rhs_v = rhs[v]
-        x_r = self._lu.solve(rhs[r] - self._S_rv @ (self._Minv @ rhs_v))
-        x = np.empty(rhs.shape, dtype=x_r.dtype)
-        x[r] = x_r
-        x[v] = self._Minv @ (rhs_v - self._S_vr @ x_r)
-        return x
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._unchecked is None:
-            return self._solve(rhs)
-        x = checked_solve(self._solve, self._unchecked, rhs, "step")
-        self._unchecked = None
-        return x
-
-
-def _factorize(system: BlockSystem, scheme: str, dt: float) -> _StepLU:
+def _factorize(system: BlockSystem, scheme: str, dt: float) -> statics.SchurLU:
+    """The solver of E - dt c G, which is SchurLU's S(dt c) with the stress
+    block A, cached on the system per (scheme, dt)."""
     cache = system._cache.setdefault("factors", {})
-    key = (scheme, dt)
-    if key not in cache:
-        nM, nV, _ = system.dims
-        cache[key] = _StepLU(*_system_blocks(system), scheme, dt,
-                             slice(nM, nM + nV), _velocity_inverse(system),
-                             _step_order(system))
-    return cache[key]
+    if (scheme, dt) not in cache:
+        cache[scheme, dt] = statics.SchurLU(system, system.Amat, dt * _SHIFT[scheme], "step")
+    return cache[scheme, dt]
+
+
+def _unreduced_solver(E, G, scheme: str, dt: float):
+    """Checked solve with an LU of the full step matrix, for a bare (E, G)
+    pair, which carries no block structure to eliminate."""
+    S = _step_matrix(E, G, scheme, dt)
+    return lambda rhs: checked_solve(statics.factorize(S.tocsc(), "step").solve,
+                                     S.__matmul__, rhs, "step")
 
 
 def _load_vector(system: BlockSystem, t: float) -> np.ndarray:
@@ -262,10 +156,8 @@ def _unpack(system: BlockSystem, y: np.ndarray):
 
 def cn_kernel(E, G, y: np.ndarray, dt: float, f_mid: np.ndarray, lu=None) -> np.ndarray:
     """One Crank-Nicolson update (E - dt/2 G) y1 = (E + dt/2 G) y + dt f_mid."""
-    if lu is None:
-        lu = _StepLU(E, G, CN, dt)
-    rhs = E @ y + (dt / 2.0) * (G @ y) + dt * f_mid
-    return lu.solve(rhs)
+    solve = lu.solve if lu is not None else _unreduced_solver(E, G, CN, dt)
+    return solve(E @ y + (dt / 2.0) * (G @ y) + dt * f_mid)
 
 
 def radau2_kernel(E, G, y: np.ndarray, dt: float, f1: np.ndarray, f2: np.ndarray,
@@ -277,11 +169,10 @@ def radau2_kernel(E, G, y: np.ndarray, dt: float, f1: np.ndarray, f2: np.ndarray
     z = (E - dt lam G)^-1 ((V^-1)_00 R_1 + (V^-1)_01 R_2) gives the real
     stages K_i = 2 Re(V_i0 z).
     """
-    if lu is None:
-        lu = _StepLU(E, G, RADAU2_NAME, dt)
+    solve = lu.solve if lu is not None else _unreduced_solver(E, G, RADAU2_NAME, dt)
     b = RADAU2.b
     gy = G @ y
-    z = lu.solve(_RADAU_VINV[0, 0] * (gy + f1) + _RADAU_VINV[0, 1] * (gy + f2))
+    z = solve(_RADAU_VINV[0, 0] * (gy + f1) + _RADAU_VINV[0, 1] * (gy + f2))
     k1, k2 = (2.0 * (_RADAU_V[i, 0] * z).real for i in (0, 1))
     return y + dt * (b[0] * k1 + b[1] * k2), k1
 

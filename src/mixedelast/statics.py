@@ -1,5 +1,5 @@
 """Elastostatic saddle solves, the weakly symmetric elliptic projection,
-and discrete initial data for the dynamic solver."""
+discrete initial data, and the Schur-complement LU the time steps share."""
 
 from __future__ import annotations
 
@@ -43,35 +43,182 @@ def factorize(S: sps.spmatrix, what: str, **options):
         raise SingularSystemError(f"{what} factorization failed: {exc}") from exc
 
 
-def checked_solve(solve, S: sps.spmatrix, rhs: np.ndarray, what: str) -> np.ndarray:
-    """x = solve(rhs) for a solver of S, with the residual ||S x - rhs|| checked.
+def checked_solve(solve, apply, rhs: np.ndarray, what: str) -> np.ndarray:
+    """x = solve(rhs) for a solver of the matrix ``apply`` multiplies by.
 
-    The residual must stay within 1e-10 max(||rhs||, ||x||, 1); a non-finite
-    or inaccurate solution raises SingularSystemError.
+    The residual ||apply(x) - rhs|| must stay within 1e-10 max(||rhs||,
+    ||x||, 1); a non-finite or inaccurate solution raises SingularSystemError.
     """
     x = solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(f"{what} solve produced non-finite values")
     scale = max(np.linalg.norm(rhs), np.linalg.norm(x), 1.0)
-    res = np.linalg.norm(S @ x - rhs)
+    res = np.linalg.norm(apply(x) - rhs)
     if res > 1e-10 * scale:
         raise SingularSystemError(f"{what} solve residual {res:.3e} exceeds tolerance")
     return x
 
 
-def _solve_saddle(system: BlockSystem, top_left, rhs_sigma, rhs_v, rhs_r):
-    """One checked solve of the saddle system; its LU is dropped on return,
-    since no caller solves with the same matrix twice."""
-    S = sps.bmat(
-        [[top_left, system.Bmat.T, system.Cmat.T],
-         [system.Bmat, None, None],
-         [system.Cmat, None, None]],
-        format="csc",
-    )
-    lu = factorize(S, "saddle")
-    x = checked_solve(lu.solve, S, np.concatenate([rhs_sigma, rhs_v, rhs_r]), "saddle")
+def _velocity_inverse(system: BlockSystem) -> sps.csr_matrix:
+    """Exact inverse of the velocity mass M, cached on the system.
+
+    M has one m x m block per triangle and velocity component (a spatial
+    density makes the blocks full); all blocks are inverted by one batched
+    np.linalg.inv.
+    """
+    cache = system._cache
+    if "Minv" not in cache:
+        m = system.spaces.n_scalar
+        M = system.Mmat.tocoo()
+        nb = M.shape[0] // m
+        blocks = np.zeros((nb, m, m))
+        blocks[M.row // m, M.row % m, M.col % m] = M.data
+        cache["Minv"] = sps.bsr_matrix(
+            (np.linalg.inv(blocks), np.arange(nb), np.arange(nb + 1)), shape=M.shape
+        ).tocsr()
+    return cache["Minv"]
+
+
+def _divergence_gram(system: BlockSystem) -> sps.csr_matrix:
+    """K = B^T M^-1 B, cached on the system next to M^-1."""
+    if "K" not in system._cache:
+        system._cache["K"] = system.Bmat.T @ (_velocity_inverse(system) @ system.Bmat)
+    return system._cache["K"]
+
+
+def _step_order(system: BlockSystem) -> np.ndarray:
+    """Symmetric fill-reducing order of the (stress, rotation) unknowns of
+    a Schur complement [[T + s^2 K, C^T], [C, 0]], cached on the system.
+
+    The mesh entities (edges and triangles) are ranked by a minimum-degree
+    ordering of the graph with one clique {T, e1, e2, e3} per triangle,
+    the column order SuperLU picks for a diagonally dominant matrix of that
+    graph (an ordering aid, not a solve LU).  The stress unknowns follow their
+    entities' ranks, row 0 before row 1.  A triangle's rotation unknowns,
+    whose diagonal block is zero and which couple only to that triangle's
+    stresses, come right after the first half of them.
+    """
+    cache = system._cache
+    if "order" not in cache:
+        spaces = system.spaces
+        mesh = spaces.mesh
+        ne, nt, k = mesh.num_edges, mesh.num_triangles, spaces.k
+        cliques = np.column_stack([mesh.triangle_edges, ne + np.arange(nt)])
+        graph = sps.csc_matrix(
+            (np.ones(16 * nt), (np.repeat(cliques, 4, axis=1).ravel(),
+                                np.tile(cliques, 4).ravel())),
+            shape=(ne + nt, ne + nt)) + 20.0 * sps.identity(ne + nt, format="csc")
+        rank = spla.splu(graph, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True}).perm_c
+        entity = np.concatenate([np.repeat(np.arange(ne), k + 1),
+                                 ne + np.repeat(np.arange(nt), k * k - 1)])
+        nrow = spaces.n_row_global
+        pos = np.empty(2 * nrow)
+        pos[np.argsort(np.tile(rank[entity], 2), kind="stable")] = np.arange(2 * nrow)
+        tri = np.sort(pos[np.hstack([spaces.row_dof_map, spaces.row_dof_map + nrow])], axis=1)
+        median = tri[:, tri.shape[1] // 2 - 1] + 0.5
+        cache["order"] = np.argsort(
+            np.concatenate([pos, np.repeat(median, spaces.n_scalar)]), kind="stable")
+    return cache["order"]
+
+
+# SuperLU options for a Schur complement built in the entity order: keep that
+# order and pivot on the diagonal.  In exact arithmetic every diagonal pivot
+# is nonzero: the stress block is SPD (positive pivots), and each rotation
+# follows half of its own triangle's stresses (a negative pivot).
+_ORDERED_LU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+
+
+class SchurLU:
+    """Solver of S(s) = [[T, s B^T, C^T], [-s B, M, 0], [C, 0, 0]] on the
+    (stress, velocity, rotation) unknowns, for a stress block T and a real or
+    complex shift s.  The velocity is eliminated with the exact M^-1, so the
+    LU is of the Schur complement S_r = [[T + s^2 K, C^T], [C, 0]] with
+    K = B^T M^-1 B, built from the blocks directly in the order of
+    _step_order.  solve() takes and returns full vectors; its first result is
+    residual-checked against S(s) applied block by block.
+    """
+
+    def __init__(self, system: BlockSystem, T: sps.spmatrix, s, what: str):
+        nM, nV, nK = system.dims
+        order, C = _step_order(system), system.Cmat
+        S_r = sps.bmat([[T + (s * s) * _divergence_gram(system), C.T], [C, None]],
+                       format="csc")[:, order]
+        S_r = sps.csc_matrix((S_r.data, np.argsort(order)[S_r.indices], S_r.indptr),
+                             shape=S_r.shape)
+        self._lu = factorize(S_r, what, **_ORDERED_LU)
+        self._r = np.concatenate([np.arange(nM), nM + nV + np.arange(nK)])[order]
+        self._v, self._system, self._T, self._s = slice(nM, nM + nV), system, T, s
+        self._Minv, self._unchecked = _velocity_inverse(system), what
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        system, s, v = self._system, self._s, self._v
+        sig, vel = x[:v.start], x[v]
+        return np.concatenate([
+            self._T @ sig + s * (system.Bmat.T @ vel) + system.Cmat.T @ x[v.stop:],
+            system.Mmat @ vel - s * (system.Bmat @ sig), system.Cmat @ sig])
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        # x_r = S_r^-1 (b_r - s B^T M^-1 b_v), x_v = M^-1 (b_v + s B x_sigma)
+        v, s, B = self._v, self._s, self._system.Bmat
+        w = self._Minv @ rhs[v]
+        b = rhs.astype(np.result_type(rhs, s))
+        b[:v.start] -= s * (B.T @ w)
+        x_r = self._lu.solve(b[self._r])
+        x = np.empty(rhs.shape, dtype=x_r.dtype)
+        x[self._r] = x_r
+        x[v] = w + s * (self._Minv @ (B @ x[:v.start]))
+        return x
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self._unchecked is None:
+            return self._solve(rhs)
+        x = checked_solve(self._solve, self._apply, rhs, self._unchecked)
+        self._unchecked = None
+        return x
+
+
+_MAX_SWEEPS = 50  # augmented-Lagrangian sweeps per saddle solve, at most
+
+
+def _solve_saddle(system: BlockSystem, T, mu: float, rhs_sigma, rhs_v, rhs_r):
+    """Checked solve of the saddle system S = [[T, B^T, C^T], [B, 0, 0], [C, 0, 0]]
+    by augmented-Lagrangian sweeps (Fortin-Glowinski, 1983); the LU is dropped.
+
+    A sweep adds P^-1 (b - S x) to x, with P = [[T, B^T, C^T], [B, -M / tau^2,
+    0], [C, 0, 0]] solved as SchurLU's S(tau) on (rho_sigma, -tau rho_v, rho_r),
+    whose velocity part is then scaled by tau.  tau = sqrt(rho1 / mu), for the
+    shear modulus mu whose compliance T is, keeps tau^2 K on the scale of T.
+    The sweeps stop at a 1e-13 relative residual or once it stops halving, so
+    a B that is not onto fails the final residual check.
+    """
     nM, nV, _ = system.dims
-    return x[:nM], x[nM:nM + nV], x[nM + nV:]
+    B, C, vel = system.Bmat, system.Cmat, slice(nM, nM + nV)
+    tau = np.sqrt(system.material.rho1 / mu)
+    lu = SchurLU(system, T, tau, "saddle")
+
+    def apply(x):
+        return np.concatenate([T @ x[:nM] + B.T @ x[vel] + C.T @ x[vel.stop:],
+                               B @ x[:nM], C @ x[:nM]])
+
+    def sweeps(b):
+        x, res, last = np.zeros_like(b), b.copy(), np.inf
+        for _ in range(_MAX_SWEEPS):
+            res[vel] *= -tau
+            step = lu.solve(res)
+            step[vel] *= tau
+            x += step
+            res = b - apply(x)
+            norm = np.linalg.norm(res)
+            if (norm <= 1e-13 * max(np.linalg.norm(b), np.linalg.norm(x), 1.0)
+                    or norm > 0.5 * last):
+                break
+            last = norm
+        return x
+
+    x = checked_solve(sweeps, apply, np.concatenate([rhs_sigma, rhs_v, rhs_r]), "saddle")
+    return x[:nM], x[vel], x[vel.stop:]
 
 
 def solve_elastostatics(system: BlockSystem, rhs_sigma: np.ndarray,
@@ -81,7 +228,8 @@ def solve_elastostatics(system: BlockSystem, rhs_sigma: np.ndarray,
     Block rows: (A s, tau) + (div tau, u) + (r, tau) = rhs_sigma;
     (div s, w) = rhs_v; (s, q) = rhs_r.
     """
-    sig, u, r = _solve_saddle(system, system.Amat, rhs_sigma, rhs_v, rhs_r)
+    sig, u, r = _solve_saddle(system, system.Amat, system.material.mu,
+                              rhs_sigma, rhs_v, rhs_r)
     return StaticSolution(sigma=sig, u=u, r=r)
 
 
@@ -118,7 +266,8 @@ def elliptic_projection(system: BlockSystem, sigma: Callable,
     skew = vals[0, 1] - vals[1, 0]
     rhs_r = np.einsum("tq,iq,tq->ti", W, psi, skew).ravel()
 
-    sig, _, _ = _solve_saddle(system, mass, rhs_sigma, rhs_v, rhs_r)
+    # the L2 pairing is the compliance of mu = 1/2 (and lambda = 0)
+    sig, _, _ = _solve_saddle(system, mass, 0.5, rhs_sigma, rhs_v, rhs_r)
     return sig
 
 
@@ -128,11 +277,11 @@ def build_initial_data(case, system: BlockSystem, spaces: DiscreteSpaces) -> Ini
     construction.  For inhomogeneous displacement data the boundary moment
     of u(0) enters the first block row.
 
-    When every assembled right-hand side is exactly zero (u(0) = 0), the
-    solution is sigma0 = r0 = 0 and no saddle matrix is built or factored.
-    Such a run then never checks that B is onto, which the saddle LU did;
-    `mixedelast infsup` measures the inf-sup constant of [B; C].  The step LU
-    still fails if C is not onto.
+    Nonzero data check that B is onto: the saddle sweeps converge only then.
+    When every assembled right-hand side is exactly zero (u(0) = 0), sigma0 =
+    r0 = 0 is returned without a solve, so B goes unchecked (`mixedelast
+    infsup` measures the inf-sup constant of [B; C]); the step LU still fails
+    if C is not onto.
     """
     v0 = l2_project_velocity(spaces, lambda x, y: case.v(0.0, x, y))
     u0 = l2_project_velocity(spaces, lambda x, y: case.u(0.0, x, y))

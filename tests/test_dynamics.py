@@ -391,7 +391,7 @@ def test_step_order_built_once_per_system(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_rotations_follow_half_their_stresses(k):
-    from mixedelast.dynamics import _step_order
+    from mixedelast.statics import _step_order
     system = _eg2_system(4, k)
     spaces = system.spaces
     nM, _, nK = system.dims
@@ -428,3 +428,17 @@ def test_ordered_step_lu_fill():
     from mixedelast.dynamics import _factorize
     lu = _factorize(_eg2_system(16, 2), "cn", 1.0 / 16)._lu
     assert lu.L.nnz + lu.U.nnz <= 1_000_000
+
+
+@pytest.mark.parametrize("name,n,k,scheme", [("eg2", 8, 2, "cn"), ("eg3", 4, 3, "radau2")])
+def test_step_lu_pivots_on_its_diagonal(name, n, k, scheme):
+    # the entity order's symmetric pivot sequence is kept: SuperLU makes no
+    # row interchange
+    import mixedelast as me
+    from mixedelast.dynamics import _factorize
+    case = builtin_case(name, alpha=2.2 if name == "eg2" else None)
+    mesh = me.build_uniform_square_mesh(n)
+    system = assemble(mesh, me.build_spaces(mesh, k), case.material, body_force=case.f,
+                      dirichlet_velocity=case.g)
+    lu = _factorize(system, scheme, 1.0 / n)._lu
+    assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 import sympy
 
 from mixedelast import (MaterialModel, SingularSystemError, assemble,
-                        assemble_body_load, assemble_dirichlet_load,
+                        assemble_body_load, assemble_dirichlet_load, assemble_stress_mass,
                         build_initial_data, build_spaces,
                         build_uniform_square_mesh, builtin_case,
                         canonical_interpolation, elliptic_projection, infsup_constant,
@@ -207,16 +208,19 @@ def test_initial_data_eg2_weak_symmetry(mesh_cache, spaces_cache):
 
 
 def test_saddle_factorizations_not_kept(mesh_cache, spaces_cache, unit_material):
-    # each saddle matrix is solved with once per system, so its LU is dropped
+    # each saddle matrix is solved with once per system, so its LU is dropped;
+    # only the order, M^-1 and K = B^T M^-1 B, which the step LUs share, stay
     case = builtin_case("eg2", alpha=2.7)
     spaces = spaces_cache(2, 2)
     system = assemble(mesh_cache(2), spaces, case.material,
                       body_force=case.f, dirichlet_velocity=case.g)
     build_initial_data(case, system, spaces)
-    assert system._cache == {}
+    assert set(system._cache) == {"order", "Minv", "K"}
     sigma, div_sigma = make_matrix_field(np.random.default_rng(2))
     elliptic_projection(system, sigma, div_sigma)
-    assert list(system._cache) == ["stress_mass"]
+    assert set(system._cache) == {"order", "Minv", "K", "stress_mass"}
+    assert not any(isinstance(value, (statics.SchurLU, spla.SuperLU))
+                   for value in system._cache.values())
 
 
 @pytest.mark.parametrize("name,n,k", [("eg3", 4, 3), ("locking", 4, 2)])
@@ -246,10 +250,11 @@ def test_nonzero_initial_data_factor_the_saddle(mesh_cache, spaces_cache, monkey
                                  np.zeros(spaces.dim_rotation))
     calls = []
     factorize = statics.factorize
-    monkeypatch.setattr(statics, "factorize",
-                        lambda S, what: calls.append(what) or factorize(S, what))
+    monkeypatch.setattr(statics, "factorize", lambda S, what, **options:
+                        calls.append((what, S.shape)) or factorize(S, what, **options))
     init = build_initial_data(case, system, spaces)
-    assert calls == ["saddle"]
+    nM, _, nK = system.dims
+    assert calls == [("saddle", (nM + nK, nM + nK))]
     assert np.array_equal(init.sigma0, direct.sigma)
     assert np.array_equal(init.r0, direct.r)
 
@@ -278,3 +283,74 @@ def test_infsup_stable_under_refinement(mesh_cache, unit_material, k):
     assert all(b > 0.5 for b in betas)
     for prev, cur in zip(betas, betas[1:]):
         assert cur >= 0.9 * prev
+
+
+def _dense_saddle_solve(system, T, b):
+    B, C = system.Bmat.toarray(), system.Cmat.toarray()
+    nV, nK = B.shape[0], C.shape[0]
+    S = np.block([[T.toarray(), B.T, C.T],
+                  [B, np.zeros((nV, nV)), np.zeros((nV, nK))],
+                  [C, np.zeros((nK, nV)), np.zeros((nK, nK))]])
+    return np.linalg.solve(S, b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_saddle_sweeps_match_dense_solve(mesh_cache, monkeypatch, k):
+    # the augmented-Lagrangian sweeps solve the saddle system itself, for the
+    # compliance (initial data) and for the stress mass (elliptic projection)
+    case = builtin_case("eg2", alpha=2.2)
+    spaces = build_spaces(mesh_cache(4), k)
+    system = assemble(mesh_cache(4), spaces, case.material)
+    nM, nV, nK = system.dims
+    rng = np.random.default_rng(k)
+    b = rng.standard_normal(nM + nV + nK)
+    sol = solve_elastostatics(system, b[:nM], b[nM:nM + nV], b[nM + nV:])
+    got = np.concatenate([sol.sigma, sol.u, sol.r])
+    ref = _dense_saddle_solve(system, system.Amat, b)
+    assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    seen = []
+    solve_saddle = statics._solve_saddle
+    monkeypatch.setattr(statics, "_solve_saddle", lambda *args: seen.append(args)
+                        or solve_saddle(*args))
+    sigma, div_sigma = make_matrix_field(rng)
+    proj = elliptic_projection(system, sigma, div_sigma)
+    _, mass, _, rhs_sigma, rhs_v, rhs_r = seen[0]
+    assert np.abs(rhs_r).max() > 1e-3
+    ref = _dense_saddle_solve(system, assemble_stress_mass(spaces),
+                              np.concatenate([rhs_sigma, rhs_v, rhs_r]))[:nM]
+    assert np.linalg.norm(proj - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e4])
+@pytest.mark.parametrize("mu,rho", [(1.0, 1.0), (100.0, 1.0), (1.0, 100.0), (0.01, 1.0)])
+def test_saddle_sweep_count_robust_in_material(mesh_cache, spaces_cache, monkeypatch,
+                                               lam, mu, rho):
+    # tau = sqrt(rho1 / mu) keeps the penalty on the scale of A, so the
+    # number of sweeps does not grow with the material's scales or with
+    # near incompressibility
+    system = assemble(mesh_cache(8), spaces_cache(8, 2),
+                      MaterialModel(mu=mu, lambda_=lam, rho=rho))
+    solves = []
+    solve = statics.SchurLU.solve
+    monkeypatch.setattr(statics.SchurLU, "solve",
+                        lambda lu, rhs: solves.append(1) or solve(lu, rhs))
+    rng = np.random.default_rng(0)
+    nM, nV, nK = system.dims
+    b = rng.standard_normal(nM + nV + nK)
+    solve_elastostatics(system, b[:nM], b[nM:nM + nV], b[nM + nV:])
+    assert 1 <= len(solves) <= 12
+
+
+def test_saddle_lu_pivots_on_its_diagonal(mesh_cache, spaces_cache, monkeypatch):
+    case = builtin_case("eg2", alpha=2.2)
+    spaces = spaces_cache(8, 2)
+    system = assemble(mesh_cache(8), spaces, case.material,
+                      body_force=case.f, dirichlet_velocity=case.g)
+    lus = []
+    factorize = statics.factorize
+    monkeypatch.setattr(statics, "factorize", lambda S, what, **options:
+                        lus.append(factorize(S, what, **options)) or lus[-1])
+    build_initial_data(case, system, spaces)
+    (lu,) = lus
+    assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))
