@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .dynamics import CN, RADAU2_NAME, SCHEMES, integrate
+from .dynamics import CN, RADAU2_NAME, SCHEMES, integrate, step_count
 from .errors import ConfigError, MixedElastError
 from .mesh import build_uniform_square_mesh, mesh_diameter
 from .spaces import l2_project_velocity
@@ -82,6 +82,20 @@ class RunConfig:
                     raise ConfigError("n_list must double at each refinement")
         if cfg.lambda_list is None:
             cfg.lambda_list = [1.0, 1e2, 1e4, 1e6]
+        if cfg.n < 1 or min(cfg.n_list, default=1) < 1:
+            raise ConfigError("mesh sizes n must be at least 1")
+        if cfg.steps < 1:
+            raise ConfigError(f"steps must be at least 1, got {cfg.steps}")
+        if cfg.t0 <= 0 or (cfg.dt is not None and cfg.dt <= 0):
+            raise ConfigError("t0 and dt must be positive")
+        # the commands that step from 0 to t0 need a dt that divides it; dt is
+        # 1/n unless given, and always 1/n for locking
+        dt = None if cfg.command == "locking" else cfg.dt
+        for n in {"run": [cfg.n], "locking": [cfg.n], "converge": cfg.n_list}.get(cfg.command, []):
+            try:
+                step_count(1.0 / n if dt is None else dt, cfg.t0)
+            except MixedElastError as exc:
+                raise ConfigError(str(exc)) from exc
         return cfg
 
 

@@ -14,6 +14,11 @@ discontinuous; M^-1 is applied exactly, so only the Schur complement of S on
 the stress and rotation unknowns is factored by a sparse LU: statics.SchurLU,
 shared with the static saddle solve, in a symmetric fill-reducing order of
 the mesh entities (George, SIAM J. Numer. Anal. 10, 1973).
+
+Both updates are written with E-products and solves only, so a system's
+steps keep the state in that order, apply the (stress, rotation) block of E
+as one sparse matrix, and build no N x N E or G.  One update per tableau
+serves the system steps and the bare (E, G) kernels.
 """
 
 from __future__ import annotations
@@ -101,26 +106,10 @@ class TrajectorySummary:
         return float((self.constraint_norms / scale).max())
 
 
-def _system_blocks(system: BlockSystem):
-    cache = system._cache
-    if "EG" not in cache:
-        A, B, C, M = system.Amat, system.Bmat, system.Cmat, system.Mmat
-        nM, nV, nK = system.dims
-        E = sps.bmat([[A, None, C.T], [None, M, None], [C, None, None]], format="csr")
-        G = sps.bmat(
-            [[sps.csr_matrix((nM, nM)), -B.T, sps.csr_matrix((nM, nK))],
-             [B, None, None],
-             [sps.csr_matrix((nK, nM)), None, sps.csr_matrix((nK, nK))]],
-            format="csr",
-        )
-        cache["EG"] = (E, G)
-    return cache["EG"]
-
-
-def _step_matrix(E, G, scheme: str, dt: float) -> sps.csr_matrix:
-    """The N x N matrix E - dt c G a step of the scheme solves with: c = 1/2
-    for Crank-Nicolson, and for RadauIIA the complex eigenvalue of RADAU2.A
-    with positive imaginary part, 1/3 + i sqrt(2)/6."""
+def _step_matrix(E, G, scheme: str, dt: float):
+    """The matrix E - dt c G a step of the scheme solves with: c = 1/2 for
+    Crank-Nicolson, and for RadauIIA the complex eigenvalue of RADAU2.A with
+    positive imaginary part, 1/3 + i sqrt(2)/6."""
     return E - (dt * _SHIFT[scheme]) * G
 
 
@@ -133,68 +122,118 @@ def _factorize(system: BlockSystem, scheme: str, dt: float) -> statics.SchurLU:
     return cache[scheme, dt]
 
 
-def _unreduced_solver(E, G, scheme: str, dt: float):
-    """Checked solve with an LU of the full step matrix, for a bare (E, G)
-    pair, which carries no block structure to eliminate."""
-    S = _step_matrix(E, G, scheme, dt)
-    return lambda rhs: checked_solve(statics.factorize(S.tocsc(), "step").solve,
-                                     S.__matmul__, rhs, "step")
+def _cn_update(y, ey, dt: float, f_mid, solve):
+    """One Crank-Nicolson update of y, given its E-product ey = E y.
+
+    (E - dt/2 G) y1 = (E + dt/2 G) y + dt f_mid is solved in midpoint form,
+    y1 = 2 (E - dt/2 G)^-1 (E y + dt/2 f_mid) - y, which needs no G product.
+    """
+    return 2.0 * solve(ey + (dt / 2.0) * f_mid) - y
 
 
-def _load_vector(system: BlockSystem, t: float) -> np.ndarray:
-    nM, nV, nK = system.dims
-    F = np.zeros(nM + nV + nK)
-    F[:nM] = system.dirichlet_load(t)
-    F[nM:nM + nV] = system.load(t)
-    return F
-
-
-def _unpack(system: BlockSystem, y: np.ndarray):
-    nM, nV, _ = system.dims
-    return y[:nM], y[nM:nM + nV], y[nM + nV:]
-
-
-def cn_kernel(E, G, y: np.ndarray, dt: float, f_mid: np.ndarray, lu=None) -> np.ndarray:
-    """One Crank-Nicolson update (E - dt/2 G) y1 = (E + dt/2 G) y + dt f_mid."""
-    solve = lu.solve if lu is not None else _unreduced_solver(E, G, CN, dt)
-    return solve(E @ y + (dt / 2.0) * (G @ y) + dt * f_mid)
-
-
-def radau2_kernel(E, G, y: np.ndarray, dt: float, f1: np.ndarray, f2: np.ndarray,
-                  lu=None):
-    """One 2-stage RadauIIA update; returns (y1, first stage derivative K1).
+def _radau2_update(y, ey, dt: float, f1, f2, solve):
+    """One 2-stage RadauIIA update of y, given ey = E y; returns (y1, K1).
 
     The stage equations (I (x) E - dt A (x) G) K = R, R_i = G y + f_i, are
     solved in the eigenbasis A = V diag(lam, conj(lam)) V^-1: one complex solve
-    z = (E - dt lam G)^-1 ((V^-1)_00 R_1 + (V^-1)_01 R_2) gives the real
-    stages K_i = 2 Re(V_i0 z).
+    z = S^-1 ((V^-1)_00 R_1 + (V^-1)_01 R_2), S = E - dt lam G, gives the real
+    stages K_i = 2 Re(V_i0 z).  As G y = (E y - S y) / (dt lam),
+    z = S^-1 (q E y + (V^-1)_00 f_1 + (V^-1)_01 f_2) - q y with
+    q = ((V^-1)_00 + (V^-1)_01) / (dt lam), which needs no G product.
     """
-    solve = lu.solve if lu is not None else _unreduced_solver(E, G, RADAU2_NAME, dt)
-    b = RADAU2.b
-    gy = G @ y
-    z = solve(_RADAU_VINV[0, 0] * (gy + f1) + _RADAU_VINV[0, 1] * (gy + f2))
+    w0, w1 = _RADAU_VINV[0]
+    q = (w0 + w1) / (dt * _RADAU_LAMBDA)
+    z = solve(q * ey + w0 * f1 + w1 * f2) - q * y
     k1, k2 = (2.0 * (_RADAU_V[i, 0] * z).real for i in (0, 1))
+    b = RADAU2.b
     return y + dt * (b[0] * k1 + b[1] * k2), k1
 
 
-def _advance(system: BlockSystem, state: SemidiscreteState, scheme: str, dt: float):
-    """The part of a step both schemes share: solve with the cached LU and
-    check the result.  Returns the new (alpha, beta, gamma) and the RadauIIA
-    first stage derivative K1 (None for Crank-Nicolson)."""
-    if dt <= 0:
-        raise MixedElastError("dt must be positive")
-    E, G = _system_blocks(system)
-    lu = _factorize(system, scheme, dt)
-    y = np.concatenate([state.alpha, state.beta, state.gamma])
-    if scheme == CN:
-        y1, k1 = cn_kernel(E, G, y, dt, _load_vector(system, state.t + dt / 2.0), lu=lu), None
-    else:
-        f1, f2 = (_load_vector(system, state.t + c * dt) for c in RADAU2.c)
-        y1, k1 = radau2_kernel(E, G, y, dt, f1, f2, lu=lu)
-    if not np.all(np.isfinite(y1)):
-        label = "Crank-Nicolson" if scheme == CN else "RadauIIA"
-        raise SingularSystemError(f"{label} step produced non-finite values")
-    return _unpack(system, y1), k1
+def _unreduced_solver(E, G, scheme: str, dt: float):
+    """Checked solve with an LU of the full step matrix, for a bare (E, G)
+    pair, which carries no block structure to eliminate."""
+    S = sps.csc_matrix(_step_matrix(E, G, scheme, dt))
+    return lambda rhs: checked_solve(statics.factorize(S, "step").solve,
+                                     S.__matmul__, rhs, "step")
+
+
+def cn_kernel(E, G, y: np.ndarray, dt: float, f_mid: np.ndarray) -> np.ndarray:
+    """One Crank-Nicolson update (E - dt/2 G) y1 = (E + dt/2 G) y + dt f_mid
+    of a bare (E, G) pair."""
+    return _cn_update(y, E @ y, dt, f_mid, _unreduced_solver(E, G, CN, dt))
+
+
+def radau2_kernel(E, G, y: np.ndarray, dt: float, f1: np.ndarray, f2: np.ndarray):
+    """One 2-stage RadauIIA update of a bare (E, G) pair with stage loads f1,
+    f2; returns (y1, first stage derivative K1)."""
+    return _radau2_update(y, E @ y, dt, f1, f2, _unreduced_solver(E, G, RADAU2_NAME, dt))
+
+
+class _Stepper:
+    """Steps of one scheme and dt on a system, in the layout of its cached
+    step LU (statics.SchurLU): the stress and rotation unknowns x in the LU's
+    order, then the velocity v.
+
+    A state is carried as y = (x, v) with its E-product ey = (E_r x, M v),
+    E_r = [[A, C^T], [C, 0]] in that order.  ey is computed once per state
+    and serves the next step's right-hand side, the energy
+    1/2 (sigma.A sigma + v.M v) = 1/2 y.ey - gamma.C sigma and the
+    weak-symmetry moments C sigma.
+    """
+
+    def __init__(self, system: BlockSystem, scheme: str, dt: float):
+        if dt <= 0:
+            raise MixedElastError("dt must be positive")
+        self.system, self.scheme, self.dt = system, scheme, dt
+        self.lu = _factorize(system, scheme, dt)
+        pattern = self.lu.pattern
+        self.n, self._E = pattern.n, pattern.E
+        nM = system.dims[0]
+        self.sigma, self.gamma = pattern.pos[:nM], pattern.pos[nM:]
+
+    def pack(self, alpha, beta, gamma) -> np.ndarray:
+        y = np.empty(self.n + beta.size)
+        y[self.sigma], y[self.gamma], y[self.n:] = alpha, gamma, beta
+        return y
+
+    def state(self, t: float, y: np.ndarray, u: np.ndarray) -> SemidiscreteState:
+        return SemidiscreteState(t=t, alpha=y[self.sigma], beta=y[self.n:],
+                                 gamma=y[self.gamma], u=u)
+
+    def eprod(self, y: np.ndarray) -> np.ndarray:
+        return np.concatenate([self._E @ y[:self.n], self.system.Mmat @ y[self.n:]])
+
+    def _load(self, t: float) -> np.ndarray:
+        f = np.zeros(self.n + self.system.dims[1])
+        f[self.sigma] = self.system.dirichlet_load(t)
+        f[self.n:] = self.system.load(t)
+        return f
+
+    def advance(self, t: float, y: np.ndarray, ey: np.ndarray, u: np.ndarray):
+        """One step from the state (y, ey, u) at time t.  Returns (y1, u1,
+        RadauIIA first stage velocity derivative, None for Crank-Nicolson).
+        The displacement follows the trapezoidal rule in the velocity (CN) or
+        the third-order reconstruction (RadauIIA)."""
+        dt, v = self.dt, y[self.n:]
+        if self.scheme == CN:
+            y1 = _cn_update(y, ey, dt, self._load(t + dt / 2.0), self.lu.solve)
+            k1, u1 = None, u + (dt / 2.0) * (v + y1[self.n:])
+        else:
+            f1, f2 = (self._load(t + c * dt) for c in RADAU2.c)
+            y1, k1 = _radau2_update(y, ey, dt, f1, f2, self.lu.solve)
+            k1 = k1[self.n:]
+            u1 = reconstruct_displacement_third_order(u, v, k1, dt)
+        if not np.all(np.isfinite(y1)):
+            label = "Crank-Nicolson" if self.scheme == CN else "RadauIIA"
+            raise SingularSystemError(f"{label} step produced non-finite values")
+        return y1, u1, k1
+
+
+def _step(system: BlockSystem, state: SemidiscreteState, scheme: str, dt: float):
+    stepper = _Stepper(system, scheme, dt)
+    y = stepper.pack(state.alpha, state.beta, state.gamma)
+    y1, u1, k1 = stepper.advance(state.t, y, stepper.eprod(y), state.u)
+    return stepper.state(state.t + dt, y1, u1), k1
 
 
 def cn_step(system: BlockSystem, state: SemidiscreteState, dt: float) -> SemidiscreteState:
@@ -203,9 +242,7 @@ def cn_step(system: BlockSystem, state: SemidiscreteState, dt: float) -> Semidis
     The displacement is updated by the trapezoidal rule in the velocity.
     The solver of E - dt/2 G is cached on the system per (scheme, dt).
     """
-    (alpha, beta, gamma), _ = _advance(system, state, CN, dt)
-    u = state.u + (dt / 2.0) * (state.beta + beta)
-    return SemidiscreteState(t=state.t + dt, alpha=alpha, beta=beta, gamma=gamma, u=u)
+    return _step(system, state, CN, dt)[0]
 
 
 def radau2_step(system: BlockSystem, state: SemidiscreteState, dt: float):
@@ -215,11 +252,7 @@ def radau2_step(system: BlockSystem, state: SemidiscreteState, dt: float):
     displacement is updated with the third-order reconstruction
     u1 = u + dt v + dt^2/2 vdot(t + dt/3).
     """
-    (alpha, beta, gamma), k1 = _advance(system, state, RADAU2_NAME, dt)
-    _, k1_beta, _ = _unpack(system, k1)
-    u = reconstruct_displacement_third_order(state.u, state.beta, k1_beta, dt)
-    new = SemidiscreteState(t=state.t + dt, alpha=alpha, beta=beta, gamma=gamma, u=u)
-    return new, k1_beta
+    return _step(system, state, RADAU2_NAME, dt)
 
 
 def reconstruct_displacement_third_order(u_i: np.ndarray, beta_i: np.ndarray,
@@ -235,6 +268,17 @@ def energy(system: BlockSystem, state: SemidiscreteState) -> float:
                        + state.beta @ (system.Mmat @ state.beta))
 
 
+def step_count(dt: float, T0: float) -> int:
+    """The number of steps of size dt from 0 to T0.  T0 and dt must be
+    positive and dt must divide T0 within 1e-12 max(1, T0)."""
+    if T0 <= 0 or dt <= 0:
+        raise MixedElastError("T0 and dt must be positive")
+    n_steps = int(round(T0 / dt))
+    if n_steps < 1 or abs(n_steps * dt - T0) > 1e-12 * max(1.0, T0):
+        raise MixedElastError(f"dt={dt} does not divide T0={T0}")
+    return n_steps
+
+
 def integrate(system: BlockSystem, initial: InitialData, scheme: str, dt: float,
               T0: float, observers: Sequence[Callable] = ()) -> TrajectorySummary:
     """Step the block ODE from 0 to T0; dt must divide T0 within 1e-12.
@@ -245,38 +289,34 @@ def integrate(system: BlockSystem, initial: InitialData, scheme: str, dt: float,
     """
     if scheme not in SCHEMES:
         raise MixedElastError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if T0 <= 0 or dt <= 0:
-        raise MixedElastError("T0 and dt must be positive")
-    n_steps = int(round(T0 / dt))
-    if n_steps < 1 or abs(n_steps * dt - T0) > 1e-12 * max(1.0, T0):
-        raise MixedElastError(f"dt={dt} does not divide T0={T0}")
-
-    state = SemidiscreteState(
-        t=0.0, alpha=initial.sigma0.copy(), beta=initial.v0.copy(),
-        gamma=initial.r0.copy(), u=initial.u0.copy(),
-    )
-    c_ref = system.Cmat @ state.alpha
+    n_steps = step_count(dt, T0)
+    stepper = _Stepper(system, scheme, dt)
+    y = stepper.pack(initial.sigma0, initial.v0, initial.r0)
+    ey, u = stepper.eprod(y), initial.u0.copy()
+    c_ref = ey[stepper.gamma]
 
     times = np.empty(n_steps + 1)
     energies = np.empty(n_steps + 1)
     cnorms = np.empty(n_steps + 1)
     anorms = np.empty(n_steps + 1)
 
-    def record(i, st):
-        times[i] = st.t
-        energies[i] = energy(system, st)
-        cnorms[i] = np.linalg.norm(system.Cmat @ st.alpha - c_ref)
-        anorms[i] = np.linalg.norm(st.alpha)
+    def record(i, t, y, ey, u):
+        state = stepper.state(t, y, u)
+        c_sigma = ey[stepper.gamma]
+        times[i] = t
+        energies[i] = 0.5 * float(y @ ey) - float(state.gamma @ c_sigma)
+        cnorms[i] = np.linalg.norm(c_sigma - c_ref)
+        anorms[i] = np.linalg.norm(state.alpha)
         for obs in observers:
-            obs(i, st.t, st, system)
+            obs(i, t, state, system)
+        return state
 
-    record(0, state)
+    t = 0.0
+    state = record(0, t, y, ey, u)
     for i in range(1, n_steps + 1):
-        if scheme == CN:
-            state = cn_step(system, state, dt)
-        else:
-            state, _ = radau2_step(system, state, dt)
-        record(i, state)
+        y, u, _ = stepper.advance(t, y, ey, u)
+        t, ey = t + dt, stepper.eprod(y)
+        state = record(i, t, y, ey, u)
 
     return TrajectorySummary(final_state=state, times=times, energies=energies,
                              constraint_norms=cnorms, alpha_norms=anorms)

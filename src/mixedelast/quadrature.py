@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from math import comb
+
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.linalg import eigvals_banded
 
 from .errors import MixedElastError
 
@@ -38,6 +40,53 @@ class QuadratureRule:
         return self.points[:, 1:]
 
 
+def _jacobi(n: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """Jacobi polynomial P_n^(a, b)(x) for integer a, by the forward
+    recurrence in the operation order of scipy.special.eval_jacobi."""
+    if n == 0:
+        return np.ones_like(x)
+    if n == 1:
+        return 0.5 * (2 * (a + 1) + (a + b + 2) * (x - 1))
+    d = (a + b + 2) * (x - 1) / (2 * (a + 1))
+    p = d + 1
+    for j in range(1, n):
+        t = 2 * j + a + b
+        d = (((t * (t + 1) * (t + 2)) * (x - 1) * p + 2 * j * (j + b) * (t + 2) * d)
+             / (2 * (j + a + 1) * (j + a + b + 1) * t))
+        p = d + p
+    return float(comb(n + int(a), n)) * p
+
+
+def _gauss_jacobi_10(m: int):
+    """m-point Gauss-Jacobi rule on [-1, 1] for the weight 1 - x.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    weight (1 - x)^a (1 + x)^b at a = 1, b = 0, refined by one Newton step;
+    the weights come from P_m' and P_{m-1} at the nodes, scaled to sum to 2,
+    the integral of the weight.  Every operation follows
+    scipy.special.roots_jacobi, so the rule is bitwise the same as its
+    rule, without importing scipy.special.
+    """
+    a, b = 1.0, 0.0
+    k = np.arange(m, dtype=float)
+    j = k[1:]
+    band = np.zeros((2, m))
+    band[0, 1:] = (2.0 / (2.0 * j + a + b) * np.sqrt((j + a) * (j + b) / (2 * j + a + b + 1))
+                   * np.where(j == 1, 1.0, np.sqrt(j * (j + a + b) / (2.0 * j + a + b - 1))))
+    band[1] = np.where(k == 0, (b - a) / (2 + a + b),
+                       (b * b - a * a) / ((2.0 * k + a + b) * (2.0 * k + a + b + 2)))
+    x = eigvals_banded(band)
+    dp = 0.5 * (m + a + b + 1) * _jacobi(m - 1, a + 1, b + 1, x)
+    x -= _jacobi(m, a, b, x) / dp
+    p = _jacobi(m - 1, a, b, x)
+    # scale both factors to O(1) before their product, as roots_jacobi does
+    log_p, log_dp = np.log(np.abs(p)), np.log(np.abs(dp))
+    p /= np.exp((log_p.max() + log_p.min()) / 2.0)
+    dp /= np.exp((log_dp.max() + log_dp.min()) / 2.0)
+    w = 1.0 / (p * dp)
+    return x, w * (2.0 / w.sum())
+
+
 def _check_degree(d: int) -> None:
     if not 1 <= d <= MAX_DEGREE:
         raise MixedElastError(f"quadrature degree must be in 1..{MAX_DEGREE}, got {d}")
@@ -53,7 +102,7 @@ def triangle_rule(d: int) -> QuadratureRule:
     xg = 0.5 * (xg + 1.0)
     wg = 0.5 * wg
     # Gauss-Jacobi on [0, 1] with weight (1 - y)
-    yj, wj = roots_jacobi(m, 1.0, 0.0)
+    yj, wj = _gauss_jacobi_10(m)
     yj = 0.5 * (yj + 1.0)
     wj = 0.25 * wj  # affine map scales both the measure and the weight factor
     x = np.outer(xg, 1.0 - yj).ravel()

@@ -82,7 +82,7 @@ def _velocity_inverse(system: BlockSystem) -> sps.csr_matrix:
 def _divergence_gram(system: BlockSystem) -> sps.csr_matrix:
     """K = B^T M^-1 B, cached on the system next to M^-1."""
     if "K" not in system._cache:
-        system._cache["K"] = system.Bmat.T @ (_velocity_inverse(system) @ system.Bmat)
+        system._cache["K"] = (system.Bmat.T @ (_velocity_inverse(system) @ system.Bmat)).tocsr()
     return system._cache["K"]
 
 
@@ -122,6 +122,85 @@ def _step_order(system: BlockSystem) -> np.ndarray:
     return cache["order"]
 
 
+class _SchurPattern:
+    """The Schur complements S_r(s) = [[T + s^2 K, C^T], [C, 0]] of a system
+    and a stress block T, for any shift s, as one sorted CSC pattern in the
+    order of _step_order; K = B^T M^-1 B.
+
+    Each entry of S_r(s) is X[ix] + s^2 K[ik], with X = (T, C, 0) and K = (K,
+    0) read as data vectors, so a matrix of the family fills only its data.
+    Vectors live in the layout [(stress, rotation) in that order, velocity]:
+    ``pos`` gives the layout position of each natural (stress, rotation)
+    index and ``perm`` the natural index of each layout position.  ``B`` is
+    B with its columns in the layout (``BT`` its transpose, both CSR), and
+    ``E`` is S_r(0) = [[T, C^T], [C, 0]] as CSR, built on first use.
+    """
+
+    def __init__(self, system: BlockSystem, T: sps.spmatrix):
+        nM, nV, nK = system.dims
+        order = _step_order(system)
+        self.n = n = nM + nK
+        self.pos = np.empty(n, dtype=np.int64)
+        self.pos[order] = np.arange(n)
+        self.perm = np.concatenate([
+            np.concatenate([np.arange(nM), nM + nV + np.arange(nK)])[order],
+            nM + np.arange(nV)])
+        B = system.Bmat.tocsr()
+        self.B = sps.csr_matrix((B.data, self.pos[B.indices], B.indptr), shape=(nV, n))
+        self.BT = self.B.T.tocsr()
+        T, C, K = T.tocsr(), system.Cmat.tocsr(), _divergence_gram(system)
+        nX = T.nnz + C.nnz
+
+        def coded(M, first, step=1):  # M's pattern, its entries numbered
+            return sps.csr_matrix((step * (first + np.arange(M.nnz)), M.indices, M.indptr),
+                                  shape=M.shape)
+
+        def permuted(M, first):  # rows of M in the order, columns from `first` on
+            M = M[order]
+            return sps.csr_matrix((M.data, self.pos[first + M.indices], M.indptr),
+                                  shape=(n, n)).tocsc()
+
+        # an entry's code is 1 + its index in X plus (nX + 1) (1 + its index in
+        # K); an absent part decodes to -1, the zero at the end of X or K.
+        # CSR -> CSC conversion leaves the row indices sorted.
+        C_code = coded(C, 1 + T.nnz)
+        S = (permuted(sps.vstack([coded(T, 1) + coded(K, 1, nX + 1), C_code], format="csr"), 0)
+             + permuted(sps.vstack([C_code.T.tocsr(), sps.csr_matrix((nK, nK), dtype=np.int64)],
+                                   format="csr"), nM))
+        self.indptr, self.indices = S.indptr, S.indices
+        self._ix = (S.data % (nX + 1) - 1).astype(np.int32)
+        self._ik = (S.data // (nX + 1) - 1).astype(np.int32)
+        self._data = T.data, C.data, K.data
+        self._E = None
+
+    def matrix(self, s) -> sps.csc_matrix:
+        """S_r(s), with the values of [[T, C^T], [C, 0]] + s^2 [[K, 0], [0, 0]]."""
+        t, c, k = self._data
+        data = (np.concatenate([t, c, [0.0]])[self._ix]
+                + (s * s) * np.append(k, 0.0)[self._ik])
+        S = sps.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+        if not data.all():  # an entry that cancels exactly is dropped, as sparse sums do
+            S = S.copy()
+            S.eliminate_zeros()
+        return S
+
+    @property
+    def E(self) -> sps.csr_matrix:
+        if self._E is None:
+            self._E = self.matrix(0.0).tocsr()
+        return self._E
+
+
+def _schur_pattern(system: BlockSystem, T: sps.spmatrix) -> _SchurPattern:
+    """The _SchurPattern of T; cached on the system when T is its compliance
+    A, the stress block of the initial data and of every step."""
+    if T is not system.Amat:
+        return _SchurPattern(system, T)
+    if "schur" not in system._cache:
+        system._cache["schur"] = _SchurPattern(system, T)
+    return system._cache["schur"]
+
+
 # SuperLU options for a Schur complement built in the entity order: keep that
 # order and pivot on the diagonal.  In exact arithmetic every diagonal pivot
 # is nonzero: the stress block is SPD (positive pivots), and each rotation
@@ -135,48 +214,36 @@ class SchurLU:
     (stress, velocity, rotation) unknowns, for a stress block T and a real or
     complex shift s.  The velocity is eliminated with the exact M^-1, so the
     LU is of the Schur complement S_r = [[T + s^2 K, C^T], [C, 0]] with
-    K = B^T M^-1 B, built from the blocks directly in the order of
-    _step_order.  solve() takes and returns full vectors; its first result is
+    K = B^T M^-1 B, filled into the system's _SchurPattern of T.
+
+    Vectors are in the pattern's layout: the stress and rotation unknowns in
+    the order of _step_order, then the velocity.  Solves 1, 2, 4, 8, ... are
     residual-checked against S(s) applied block by block.
     """
 
     def __init__(self, system: BlockSystem, T: sps.spmatrix, s, what: str):
-        nM, nV, nK = system.dims
-        order, C = _step_order(system), system.Cmat
-        S_r = sps.bmat([[T + (s * s) * _divergence_gram(system), C.T], [C, None]],
-                       format="csc")[:, order]
-        S_r = sps.csc_matrix((S_r.data, np.argsort(order)[S_r.indices], S_r.indptr),
-                             shape=S_r.shape)
-        self._lu = factorize(S_r, what, **_ORDERED_LU)
-        self._r = np.concatenate([np.arange(nM), nM + nV + np.arange(nK)])[order]
-        self._v, self._system, self._T, self._s = slice(nM, nM + nV), system, T, s
-        self._Minv, self._unchecked = _velocity_inverse(system), what
+        self.pattern = _schur_pattern(system, T)
+        self._lu = factorize(self.pattern.matrix(s), what, **_ORDERED_LU)
+        self._M, self._Minv = system.Mmat, _velocity_inverse(system)
+        self._s, self._what, self._solves = s, what, 0
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        system, s, v = self._system, self._s, self._v
-        sig, vel = x[:v.start], x[v]
-        return np.concatenate([
-            self._T @ sig + s * (system.Bmat.T @ vel) + system.Cmat.T @ x[v.stop:],
-            system.Mmat @ vel - s * (system.Bmat @ sig), system.Cmat @ sig])
+        p, s = self.pattern, self._s
+        x_r, v = x[:p.n], x[p.n:]
+        return np.concatenate([p.E @ x_r + s * (p.BT @ v), self._M @ v - s * (p.B @ x_r)])
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         # x_r = S_r^-1 (b_r - s B^T M^-1 b_v), x_v = M^-1 (b_v + s B x_sigma)
-        v, s, B = self._v, self._s, self._system.Bmat
-        w = self._Minv @ rhs[v]
-        b = rhs.astype(np.result_type(rhs, s))
-        b[:v.start] -= s * (B.T @ w)
-        x_r = self._lu.solve(b[self._r])
-        x = np.empty(rhs.shape, dtype=x_r.dtype)
-        x[self._r] = x_r
-        x[v] = w + s * (self._Minv @ (B @ x[:v.start]))
-        return x
+        p, s = self.pattern, self._s
+        w = self._Minv @ rhs[p.n:]
+        x_r = self._lu.solve(rhs[:p.n] - s * (p.BT @ w))
+        return np.concatenate([x_r, w + s * (self._Minv @ (p.B @ x_r))])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._unchecked is None:
+        self._solves += 1
+        if self._solves & (self._solves - 1):
             return self._solve(rhs)
-        x = checked_solve(self._solve, self._apply, rhs, self._unchecked)
-        self._unchecked = None
-        return x
+        return checked_solve(self._solve, self._apply, rhs, self._what)
 
 
 _MAX_SWEEPS = 50  # augmented-Lagrangian sweeps per saddle solve, at most
@@ -197,6 +264,7 @@ def _solve_saddle(system: BlockSystem, T, mu: float, rhs_sigma, rhs_v, rhs_r):
     B, C, vel = system.Bmat, system.Cmat, slice(nM, nM + nV)
     tau = np.sqrt(system.material.rho1 / mu)
     lu = SchurLU(system, T, tau, "saddle")
+    perm = lu.pattern.perm
 
     def apply(x):
         return np.concatenate([T @ x[:nM] + B.T @ x[vel] + C.T @ x[vel.stop:],
@@ -206,7 +274,8 @@ def _solve_saddle(system: BlockSystem, T, mu: float, rhs_sigma, rhs_v, rhs_r):
         x, res, last = np.zeros_like(b), b.copy(), np.inf
         for _ in range(_MAX_SWEEPS):
             res[vel] *= -tau
-            step = lu.solve(res)
+            step = np.empty_like(res)
+            step[perm] = lu.solve(res[perm])
             step[vel] *= tau
             x += step
             res = b - apply(x)

@@ -150,10 +150,34 @@ def test_locking_and_infsup_default_to_k1():
     assert parse_config(["locking", "--k", "2"]).k == 2
 
 
-def test_solver_error_exit_code(capsys):
-    # dt does not divide T0 -> solver error, exit 3
-    assert main(["run", "--k", "1", "--n", "2", "--dt", "0.3"]) == 3
+def test_solver_error_exit_code(capsys, monkeypatch):
+    # a step LU that finds its matrix singular -> solver error, exit 3
+    import scipy.sparse.linalg as spla
+    splu = spla.splu
+
+    def singular(A, *args, **kwargs):
+        if kwargs.get("permc_spec") == "NATURAL":  # the ordered step LU
+            raise RuntimeError("Factor is exactly singular")
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", singular)
+    assert main(["run", "--k", "1", "--n", "2"]) == 3
     assert "solver error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--dt", "0.3"],  # dt does not divide t0 = 1
+    ["run", "--t0", "0.3"],  # nor does dt = 1/n
+    ["run", "--dt", "-0.5"],
+    ["run", "--t0", "0"],
+    ["run", "--n", "0"],
+    ["converge", "--n-list", "0,0"],
+    ["mesh-info", "--n", "-3"],
+    ["energy-audit", "--steps", "0"],
+], ids=" ".join)
+def test_invalid_sizes_are_config_errors(argv, capsys):
+    assert main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_unknown_command_rejected():

@@ -386,7 +386,7 @@ def test_step_order_built_once_per_system(monkeypatch):
     order = system._cache["order"]
     nM, _, nK = system.dims
     assert np.array_equal(np.sort(order), np.arange(nM + nK))
-    assert all(lu._r.size == nM + nK for lu in system._cache["factors"].values())
+    assert all(lu.pattern is system._cache["schur"] for lu in system._cache["factors"].values())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -410,15 +410,19 @@ def test_rotations_follow_half_their_stresses(k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_ordered_step_solve_matches_colamd(k, scheme):
     import scipy.sparse.linalg as spla
-    from mixedelast.dynamics import _factorize, _step_matrix, _system_blocks
+    from mixedelast.dynamics import _factorize, _step_matrix
     system = _eg2_system(4, k)
     dt = 0.25
     rng = np.random.default_rng(k)
     rhs = rng.standard_normal(sum(system.dims))
     if scheme == "radau2":
         rhs = rhs + 1j * rng.standard_normal(rhs.size)
-    got = _factorize(system, scheme, dt).solve(rhs)
-    ref = spla.splu(_step_matrix(*_system_blocks(system), scheme, dt).tocsc()).solve(rhs)
+    lu = _factorize(system, scheme, dt)
+    perm = lu.pattern.perm  # the natural index of each position of the LU's layout
+    got = np.empty_like(rhs)
+    got[perm] = lu.solve(rhs[perm])
+    S = _step_matrix(*dense_system_blocks(system), scheme, dt)
+    ref = spla.splu(sps.csc_matrix(S)).solve(rhs)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -442,3 +446,87 @@ def test_step_lu_pivots_on_its_diagonal(name, n, k, scheme):
                       dirichlet_velocity=case.g)
     lu = _factorize(system, scheme, 1.0 / n)._lu
     assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))
+
+
+def test_step_residual_checked_on_a_doubling_cadence():
+    # an LU that goes wrong after step 1 is caught by the check of solve 2;
+    # solves 1, 2, 4, 8, ... are checked
+    from mixedelast import SingularSystemError
+    system = _eg2_system(2, 2)
+    nM, nV, nK = system.dims
+    rng = np.random.default_rng(5)
+    init = InitialData(sigma0=rng.standard_normal(nM), v0=rng.standard_normal(nV),
+                       r0=rng.standard_normal(nK), u0=np.zeros(nV))
+
+    class Perturbed:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            return self.lu.solve(b) * (1.0 + 1e-6)
+
+    steps = []
+
+    def swap_after_step_1(step, t, st, system):
+        steps.append(step)
+        if step == 1:
+            lu = system._cache["factors"]["cn", 0.125]
+            lu._lu = Perturbed(lu._lu)
+
+    with pytest.raises(SingularSystemError, match="residual"):
+        integrate(system, init, "cn", 0.125, 1.0, observers=[swap_after_step_1])
+    assert steps == [0, 1]
+
+
+@pytest.mark.parametrize("scheme", ["cn", "radau2"])
+def test_records_match_observed_states(scheme):
+    # energy and constraint drift come from each state's own E-product
+    system = _eg2_system(4, 2)
+    nM, nV, nK = system.dims
+    rng = np.random.default_rng(7)
+    init = InitialData(sigma0=rng.standard_normal(nM), v0=rng.standard_normal(nV),
+                       r0=rng.standard_normal(nK), u0=np.zeros(nV))
+    states = []
+    traj = integrate(system, init, scheme, 0.125, 1.0,
+                     observers=[lambda step, t, st, system: states.append(st)])
+    C = system.Cmat
+    c0 = C @ init.sigma0
+    energies = np.array([energy(system, st) for st in states])
+    cnorms = np.array([np.linalg.norm(C @ st.alpha - c0) for st in states])
+    anorms = np.array([np.linalg.norm(st.alpha) for st in states])
+    assert np.abs(traj.energies - energies).max() <= 1e-13 * energies.max()
+    assert np.abs(traj.constraint_norms - cnorms).max() <= 1e-13 * np.linalg.norm(c0)
+    assert np.abs(traj.alpha_norms - anorms).max() <= 1e-13 * anorms.max()
+    assert np.array_equal(traj.times, [st.t for st in states])
+
+
+def test_no_full_step_matrix_cached():
+    # the steps apply the (sigma, gamma) block of E and eliminate the velocity;
+    # no N x N matrix is built or kept
+    system = _eg2_system(2, 2)
+    nM, nV, nK = system.dims
+    N = nM + nV + nK
+    init = InitialData(sigma0=np.zeros(nM), v0=np.ones(nV), r0=np.zeros(nK),
+                       u0=np.zeros(nV))
+    integrate(system, init, "cn", 0.25, 0.5)
+    st = SemidiscreteState(0.0, init.sigma0, init.v0, init.r0, init.u0)
+    cn_step(system, st, 0.1)
+    radau2_step(system, st, 0.1)
+
+    seen = set()
+
+    def matrices(value):
+        if id(value) in seen:
+            return
+        seen.add(id(value))
+        if sps.issparse(value) or isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (dict, tuple)):
+            for v in (value.values() if isinstance(value, dict) else value):
+                yield from matrices(v)
+        elif hasattr(value, "__dict__"):
+            yield from matrices(vars(value))
+
+    shapes = [m.shape for m in matrices(system._cache)]
+    assert shapes and (N, N) not in shapes
+    assert all(max(shape, default=0) < N for shape in shapes if len(shape) == 2)

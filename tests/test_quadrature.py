@@ -64,3 +64,26 @@ def test_unsupported_degree(d):
         triangle_rule(d)
     with pytest.raises(MixedElastError):
         edge_rule(d)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_gauss_jacobi_matches_scipy(m):
+    # bitwise: a last-bit change in the rule moves roundoff-level matrix
+    # entries, and with them the sparse LU fill
+    from scipy.special import roots_jacobi
+    from mixedelast.quadrature import _gauss_jacobi_10
+    x, w = _gauss_jacobi_10(m)
+    x_ref, w_ref = roots_jacobi(m, 1.0, 0.0)
+    assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+
+
+def test_import_leaves_scipy_special_out():
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mixedelast; "
+            "print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -209,16 +209,17 @@ def test_initial_data_eg2_weak_symmetry(mesh_cache, spaces_cache):
 
 def test_saddle_factorizations_not_kept(mesh_cache, spaces_cache, unit_material):
     # each saddle matrix is solved with once per system, so its LU is dropped;
-    # only the order, M^-1 and K = B^T M^-1 B, which the step LUs share, stay
+    # only the order, M^-1, K = B^T M^-1 B and the Schur pattern of A, which
+    # the step LUs share, stay
     case = builtin_case("eg2", alpha=2.7)
     spaces = spaces_cache(2, 2)
     system = assemble(mesh_cache(2), spaces, case.material,
                       body_force=case.f, dirichlet_velocity=case.g)
     build_initial_data(case, system, spaces)
-    assert set(system._cache) == {"order", "Minv", "K"}
+    assert set(system._cache) == {"order", "Minv", "K", "schur"}
     sigma, div_sigma = make_matrix_field(np.random.default_rng(2))
     elliptic_projection(system, sigma, div_sigma)
-    assert set(system._cache) == {"order", "Minv", "K", "stress_mass"}
+    assert set(system._cache) == {"order", "Minv", "K", "schur", "stress_mass"}
     assert not any(isinstance(value, (statics.SchurLU, spla.SuperLU))
                    for value in system._cache.values())
 
@@ -354,3 +355,37 @@ def test_saddle_lu_pivots_on_its_diagonal(mesh_cache, spaces_cache, monkeypatch)
     build_initial_data(case, system, spaces)
     (lu,) = lus
     assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))
+
+
+def _bmat_schur_complement(system, T, s):
+    """S_r = [[T + s^2 K, C^T], [C, 0]] in the order of _step_order, formed by
+    sps.bmat, a column gather and a row renumbering (sorted in place, as
+    SuperLU sorts its input)."""
+    order, C = statics._step_order(system), system.Cmat
+    S = sps.bmat([[T + (s * s) * statics._divergence_gram(system), C.T], [C, None]],
+                 format="csc")[:, order]
+    S = sps.csc_matrix((S.data, np.argsort(order)[S.indices], S.indptr), shape=S.shape)
+    S.sort_indices()
+    return S
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_schur_pattern_fill_matches_bmat_build(mesh_cache, k):
+    # real CN and complex RadauIIA step shifts with T = A, and the static
+    # shifts of both saddle stress blocks (A and the stress mass); at k = 2 an
+    # entry of A + (1/8)^2 K cancels exactly and must be dropped
+    case = builtin_case("eg2", alpha=2.2)
+    system = assemble(mesh_cache(4), build_spaces(mesh_cache(4), k), case.material,
+                      body_force=case.f, dirichlet_velocity=case.g)
+    lam = complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)
+    mass = assemble_stress_mass(system.spaces)
+    for T, s in ((system.Amat, 0.125), (system.Amat, 0.25 * lam),
+                 (system.Amat, np.sqrt(system.material.rho1 / system.material.mu)),
+                 (mass, np.sqrt(system.material.rho1 / 0.5))):
+        got = statics._schur_pattern(system, T).matrix(s)
+        ref = _bmat_schur_complement(system, T, s)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data.view(np.uint8), ref.data.view(np.uint8))
+    assert statics._schur_pattern(system, system.Amat) is system._cache["schur"]
