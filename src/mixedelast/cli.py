@@ -82,6 +82,13 @@ class RunConfig:
                     raise ConfigError("n_list must double at each refinement")
         if cfg.lambda_list is None:
             cfg.lambda_list = [1.0, 1e2, 1e4, 1e6]
+        checks = [("mu", cfg.mu), ("lambda", cfg.lambda_), ("rho", cfg.rho)]
+        checks += [("lambda-list entry", lam) for lam in cfg.lambda_list]
+        for name, value in checks:
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if not all(np.isfinite(x) for x in (cfg.alpha, cfg.t0, cfg.dt) if x is not None):
+            raise ConfigError("alpha, t0 and dt must be finite")
         if cfg.n < 1 or min(cfg.n_list, default=1) < 1:
             raise ConfigError("mesh sizes n must be at least 1")
         if cfg.steps < 1:

@@ -17,8 +17,7 @@ the mesh entities (George, SIAM J. Numer. Anal. 10, 1973).
 
 Both updates are written with E-products and solves only, so a system's
 steps keep the state in that order, apply the (stress, rotation) block of E
-as one sparse matrix, and build no N x N E or G.  One update per tableau
-serves the system steps and the bare (E, G) kernels.
+as one sparse matrix, and build no N x N E or G.
 """
 
 from __future__ import annotations
@@ -27,12 +26,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sps
 
 from .assembly import BlockSystem
 from .errors import MixedElastError, SingularSystemError
 from . import statics
-from .statics import InitialData, checked_solve
+from .statics import InitialData
 
 
 @dataclass(frozen=True)
@@ -106,13 +104,6 @@ class TrajectorySummary:
         return float((self.constraint_norms / scale).max())
 
 
-def _step_matrix(E, G, scheme: str, dt: float):
-    """The matrix E - dt c G a step of the scheme solves with: c = 1/2 for
-    Crank-Nicolson, and for RadauIIA the complex eigenvalue of RADAU2.A with
-    positive imaginary part, 1/3 + i sqrt(2)/6."""
-    return E - (dt * _SHIFT[scheme]) * G
-
-
 def _factorize(system: BlockSystem, scheme: str, dt: float) -> statics.SchurLU:
     """The solver of E - dt c G, which is SchurLU's S(dt c) with the stress
     block A, cached on the system per (scheme, dt)."""
@@ -147,26 +138,6 @@ def _radau2_update(y, ey, dt: float, f1, f2, solve):
     k1, k2 = (2.0 * (_RADAU_V[i, 0] * z).real for i in (0, 1))
     b = RADAU2.b
     return y + dt * (b[0] * k1 + b[1] * k2), k1
-
-
-def _unreduced_solver(E, G, scheme: str, dt: float):
-    """Checked solve with an LU of the full step matrix, for a bare (E, G)
-    pair, which carries no block structure to eliminate."""
-    S = sps.csc_matrix(_step_matrix(E, G, scheme, dt))
-    return lambda rhs: checked_solve(statics.factorize(S, "step").solve,
-                                     S.__matmul__, rhs, "step")
-
-
-def cn_kernel(E, G, y: np.ndarray, dt: float, f_mid: np.ndarray) -> np.ndarray:
-    """One Crank-Nicolson update (E - dt/2 G) y1 = (E + dt/2 G) y + dt f_mid
-    of a bare (E, G) pair."""
-    return _cn_update(y, E @ y, dt, f_mid, _unreduced_solver(E, G, CN, dt))
-
-
-def radau2_kernel(E, G, y: np.ndarray, dt: float, f1: np.ndarray, f2: np.ndarray):
-    """One 2-stage RadauIIA update of a bare (E, G) pair with stage loads f1,
-    f2; returns (y1, first stage derivative K1)."""
-    return _radau2_update(y, E @ y, dt, f1, f2, _unreduced_solver(E, G, RADAU2_NAME, dt))
 
 
 class _Stepper:

@@ -1,5 +1,12 @@
 """Elastostatic saddle solves, the weakly symmetric elliptic projection,
-discrete initial data, and the Schur-complement LU the time steps share."""
+discrete initial data, and the Schur-complement LU the time steps share.
+
+Every LU, static or time step, is of one family per system and stress
+block T: the Schur complements S_r(s) = [[T + s^2 K, C^T], [C, 0]], with
+K = B^T M^-1 B, in a symmetric mesh-entity order.  S_r(s) is the sum
+E_r + s^2 K_r of two permuted matrices, and E_r = S_r(0) is also the matrix
+of the steps' E-products.
+"""
 
 from __future__ import annotations
 
@@ -80,10 +87,8 @@ def _velocity_inverse(system: BlockSystem) -> sps.csr_matrix:
 
 
 def _divergence_gram(system: BlockSystem) -> sps.csr_matrix:
-    """K = B^T M^-1 B, cached on the system next to M^-1."""
-    if "K" not in system._cache:
-        system._cache["K"] = (system.Bmat.T @ (_velocity_inverse(system) @ system.Bmat)).tocsr()
-    return system._cache["K"]
+    """K = B^T M^-1 B."""
+    return (system.Bmat.T @ (_velocity_inverse(system) @ system.Bmat)).tocsr()
 
 
 def _step_order(system: BlockSystem) -> np.ndarray:
@@ -124,23 +129,25 @@ def _step_order(system: BlockSystem) -> np.ndarray:
 
 class _SchurPattern:
     """The Schur complements S_r(s) = [[T + s^2 K, C^T], [C, 0]] of a system
-    and a stress block T, for any shift s, as one sorted CSC pattern in the
-    order of _step_order; K = B^T M^-1 B.
+    and a stress block T, for any shift s, in the order of _step_order;
+    K = B^T M^-1 B.
 
-    Each entry of S_r(s) is X[ix] + s^2 K[ik], with X = (T, C, 0) and K = (K,
-    0) read as data vectors, so a matrix of the family fills only its data.
-    Vectors live in the layout [(stress, rotation) in that order, velocity]:
-    ``pos`` gives the layout position of each natural (stress, rotation)
-    index and ``perm`` the natural index of each layout position.  ``B`` is
-    B with its columns in the layout (``BT`` its transpose, both CSR), and
-    ``E`` is S_r(0) = [[T, C^T], [C, 0]] as CSR, built on first use.
+    With P the permutation into that order, S_r(s) = E_r + s^2 K_r for the
+    CSR matrices ``E`` = E_r = P [[T, C^T], [C, 0]] P^T, which the steps'
+    E-products also apply, and ``K`` = K_r = P [[K, 0], [0, 0]] P^T, built
+    once per system and shared by every T.  Vectors live in the layout
+    [(stress, rotation) in that order, velocity]: ``pos`` gives the layout
+    position of each natural (stress, rotation) index and ``perm`` the
+    natural index of each layout position.  ``B`` is B with its columns in
+    the layout (``BT`` its transpose, both CSR).
     """
 
     def __init__(self, system: BlockSystem, T: sps.spmatrix):
         nM, nV, nK = system.dims
         order = _step_order(system)
         self.n = n = nM + nK
-        self.pos = np.empty(n, dtype=np.int64)
+        # int32 where it fits halves the index arrays of the builds below
+        self.pos = np.empty(n, dtype=np.int32 if n < 2 ** 31 else np.int64)
         self.pos[order] = np.arange(n)
         self.perm = np.concatenate([
             np.concatenate([np.arange(nM), nM + nV + np.arange(nK)])[order],
@@ -148,47 +155,22 @@ class _SchurPattern:
         B = system.Bmat.tocsr()
         self.B = sps.csr_matrix((B.data, self.pos[B.indices], B.indptr), shape=(nV, n))
         self.BT = self.B.T.tocsr()
-        T, C, K = T.tocsr(), system.Cmat.tocsr(), _divergence_gram(system)
-        nX = T.nnz + C.nnz
 
-        def coded(M, first, step=1):  # M's pattern, its entries numbered
-            return sps.csr_matrix((step * (first + np.arange(M.nnz)), M.indices, M.indptr),
-                                  shape=M.shape)
+        def permuted(row, col, data):  # P (the entries at (row, col)) P^T
+            return sps.csr_matrix((data, (self.pos[row], self.pos[col])), shape=(n, n))
 
-        def permuted(M, first):  # rows of M in the order, columns from `first` on
-            M = M[order]
-            return sps.csr_matrix((M.data, self.pos[first + M.indices], M.indptr),
-                                  shape=(n, n)).tocsc()
-
-        # an entry's code is 1 + its index in X plus (nX + 1) (1 + its index in
-        # K); an absent part decodes to -1, the zero at the end of X or K.
-        # CSR -> CSC conversion leaves the row indices sorted.
-        C_code = coded(C, 1 + T.nnz)
-        S = (permuted(sps.vstack([coded(T, 1) + coded(K, 1, nX + 1), C_code], format="csr"), 0)
-             + permuted(sps.vstack([C_code.T.tocsr(), sps.csr_matrix((nK, nK), dtype=np.int64)],
-                                   format="csr"), nM))
-        self.indptr, self.indices = S.indptr, S.indices
-        self._ix = (S.data % (nX + 1) - 1).astype(np.int32)
-        self._ik = (S.data // (nX + 1) - 1).astype(np.int32)
-        self._data = T.data, C.data, K.data
-        self._E = None
+        T, C = T.tocoo(), system.Cmat.tocoo()
+        self.E = permuted(np.concatenate([T.row, nM + C.row, C.col]),
+                          np.concatenate([T.col, C.col, nM + C.row]),
+                          np.concatenate([T.data, C.data, C.data]))
+        if "K" not in system._cache:
+            K = _divergence_gram(system).tocoo()
+            system._cache["K"] = permuted(K.row, K.col, K.data)
+        self.K = system._cache["K"]
 
     def matrix(self, s) -> sps.csc_matrix:
-        """S_r(s), with the values of [[T, C^T], [C, 0]] + s^2 [[K, 0], [0, 0]]."""
-        t, c, k = self._data
-        data = (np.concatenate([t, c, [0.0]])[self._ix]
-                + (s * s) * np.append(k, 0.0)[self._ik])
-        S = sps.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
-        if not data.all():  # an entry that cancels exactly is dropped, as sparse sums do
-            S = S.copy()
-            S.eliminate_zeros()
-        return S
-
-    @property
-    def E(self) -> sps.csr_matrix:
-        if self._E is None:
-            self._E = self.matrix(0.0).tocsr()
-        return self._E
+        """S_r(s); an entry that cancels exactly is dropped, as sparse sums do."""
+        return (self.E + (s * s) * self.K).tocsc()
 
 
 def _schur_pattern(system: BlockSystem, T: sps.spmatrix) -> _SchurPattern:
@@ -214,7 +196,7 @@ class SchurLU:
     (stress, velocity, rotation) unknowns, for a stress block T and a real or
     complex shift s.  The velocity is eliminated with the exact M^-1, so the
     LU is of the Schur complement S_r = [[T + s^2 K, C^T], [C, 0]] with
-    K = B^T M^-1 B, filled into the system's _SchurPattern of T.
+    K = B^T M^-1 B, formed by the system's _SchurPattern of T.
 
     Vectors are in the pattern's layout: the stress and rotation unknowns in
     the order of _step_order, then the velocity.  Solves 1, 2, 4, 8, ... are

@@ -2,14 +2,19 @@
 
 Everything here is written as plain per-element loops with its own
 quadrature degree and its own compliance formula, independent of the
-vectorized production kernels.
+vectorized production kernels.  The exception is the bare-(E, G) step
+kernels at the end: they run the solver's own update per tableau, with an
+LU of the full step matrix, so that the scalar checks test that code.
 """
 
 import numpy as np
+import scipy.sparse as sps
 
+from mixedelast import dynamics
 from mixedelast.quadrature import edge_rule, triangle_rule
 from mixedelast.polynomials import (edge_legendre_basis, eval_edge_polynomials,
                                     eval_monomials)
+from mixedelast.statics import checked_solve, factorize
 
 
 def _compliance(tau, mu, lam):
@@ -218,3 +223,30 @@ def dense_radau_trajectory(system, y0, dt, n_steps, loads=None):
         y = y + dt * (b[0] * kk[:n] + b[1] * kk[n:])
         out.append(y.copy())
     return np.array(out)
+
+
+def step_matrix(E, G, scheme, dt):
+    """The matrix E - dt c G a step of the scheme solves with: c = 1/2 for
+    Crank-Nicolson, and for RadauIIA the complex eigenvalue of RADAU2.A with
+    positive imaginary part, 1/3 + i sqrt(2)/6."""
+    return E - (dt * dynamics._SHIFT[scheme]) * G
+
+
+def _unreduced_solver(E, G, scheme, dt):
+    """Checked solve with an LU of the full step matrix of a bare (E, G)
+    pair, which carries no block structure to eliminate."""
+    S = sps.csc_matrix(step_matrix(E, G, scheme, dt))
+    return lambda rhs: checked_solve(factorize(S, "step").solve, S.__matmul__, rhs, "step")
+
+
+def cn_kernel(E, G, y, dt, f_mid):
+    """One Crank-Nicolson update (E - dt/2 G) y1 = (E + dt/2 G) y + dt f_mid
+    of a bare (E, G) pair."""
+    return dynamics._cn_update(y, E @ y, dt, f_mid, _unreduced_solver(E, G, dynamics.CN, dt))
+
+
+def radau2_kernel(E, G, y, dt, f1, f2):
+    """One 2-stage RadauIIA update of a bare (E, G) pair with stage loads f1,
+    f2; returns (y1, first stage derivative K1)."""
+    return dynamics._radau2_update(y, E @ y, dt, f1, f2,
+                                   _unreduced_solver(E, G, dynamics.RADAU2_NAME, dt))

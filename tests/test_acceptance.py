@@ -14,11 +14,10 @@ from mixedelast import (InitialData, assemble, build_initial_data, build_spaces,
                         build_uniform_square_mesh, builtin_case,
                         canonical_interpolation, convergence_study, elliptic_projection,
                         integrate, l2_project_velocity, locking_study, run_case)
-from mixedelast.dynamics import radau2_kernel
 from mixedelast.quadrature import triangle_rule
 
 from conftest import make_matrix_field
-from _oracles import dense_assemble, dense_cn_trajectory
+from _oracles import dense_assemble, dense_cn_trajectory, radau2_kernel
 
 
 def _report(num, ok, detail):

@@ -174,6 +174,15 @@ def test_solver_error_exit_code(capsys, monkeypatch):
     ["converge", "--n-list", "0,0"],
     ["mesh-info", "--n", "-3"],
     ["energy-audit", "--steps", "0"],
+    ["run", "--mu", "-1"],  # invalid real inputs
+    ["run", "--rho", "0"],
+    ["run", "--lambda", "0"],
+    ["locking", "--lambda-list", "0"],
+    ["run", "--rho", "inf"],
+    ["run", "--mu", "nan"],
+    ["run", "--t0", "nan"],
+    ["run", "--dt", "nan"],
+    ["converge", "--case", "eg2", "--alpha", "nan"],
 ], ids=" ".join)
 def test_invalid_sizes_are_config_errors(argv, capsys):
     assert main(argv) == 2

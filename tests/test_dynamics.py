@@ -8,10 +8,8 @@ from mixedelast import (RADAU2, ButcherTableau, InitialData, MixedElastError,
                         builtin_case, canonical_interpolation, cn_step, energy,
                         integrate, l2_project_velocity, radau2_step,
                         reconstruct_displacement_third_order)
-from mixedelast.dynamics import cn_kernel, radau2_kernel
-
-from _oracles import (dense_cn_trajectory, dense_radau_trajectory,
-                      dense_system_blocks)
+from _oracles import (cn_kernel, dense_cn_trajectory, dense_radau_trajectory,
+                      dense_system_blocks, radau2_kernel, step_matrix)
 
 
 def _scalar_system():
@@ -410,7 +408,7 @@ def test_rotations_follow_half_their_stresses(k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_ordered_step_solve_matches_colamd(k, scheme):
     import scipy.sparse.linalg as spla
-    from mixedelast.dynamics import _factorize, _step_matrix
+    from mixedelast.dynamics import _factorize
     system = _eg2_system(4, k)
     dt = 0.25
     rng = np.random.default_rng(k)
@@ -421,7 +419,7 @@ def test_ordered_step_solve_matches_colamd(k, scheme):
     perm = lu.pattern.perm  # the natural index of each position of the LU's layout
     got = np.empty_like(rhs)
     got[perm] = lu.solve(rhs[perm])
-    S = _step_matrix(*dense_system_blocks(system), scheme, dt)
+    S = step_matrix(*dense_system_blocks(system), scheme, dt)
     ref = spla.splu(sps.csc_matrix(S)).solve(rhs)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 

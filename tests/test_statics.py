@@ -209,8 +209,8 @@ def test_initial_data_eg2_weak_symmetry(mesh_cache, spaces_cache):
 
 def test_saddle_factorizations_not_kept(mesh_cache, spaces_cache, unit_material):
     # each saddle matrix is solved with once per system, so its LU is dropped;
-    # only the order, M^-1, K = B^T M^-1 B and the Schur pattern of A, which
-    # the step LUs share, stay
+    # only the order, M^-1, K = B^T M^-1 B in that order and the Schur
+    # pattern of A, which the step LUs share, stay
     case = builtin_case("eg2", alpha=2.7)
     spaces = spaces_cache(2, 2)
     system = assemble(mesh_cache(2), spaces, case.material,
@@ -371,15 +371,16 @@ def _bmat_schur_complement(system, T, s):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_schur_pattern_fill_matches_bmat_build(mesh_cache, k):
-    # real CN and complex RadauIIA step shifts with T = A, and the static
-    # shifts of both saddle stress blocks (A and the stress mass); at k = 2 an
-    # entry of A + (1/8)^2 K cancels exactly and must be dropped
+    # s = 0 (the E-product matrix), real CN and complex RadauIIA step shifts
+    # with T = A, and the static shifts of both saddle stress blocks (A and
+    # the stress mass); at k = 2 an entry of A + (1/8)^2 K cancels exactly and
+    # must be dropped
     case = builtin_case("eg2", alpha=2.2)
     system = assemble(mesh_cache(4), build_spaces(mesh_cache(4), k), case.material,
                       body_force=case.f, dirichlet_velocity=case.g)
     lam = complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)
     mass = assemble_stress_mass(system.spaces)
-    for T, s in ((system.Amat, 0.125), (system.Amat, 0.25 * lam),
+    for T, s in ((system.Amat, 0.0), (system.Amat, 0.125), (system.Amat, 0.25 * lam),
                  (system.Amat, np.sqrt(system.material.rho1 / system.material.mu)),
                  (mass, np.sqrt(system.material.rho1 / 0.5))):
         got = statics._schur_pattern(system, T).matrix(s)
@@ -388,4 +389,9 @@ def test_schur_pattern_fill_matches_bmat_build(mesh_cache, k):
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.data.view(np.uint8), ref.data.view(np.uint8))
+    E = statics._schur_pattern(system, system.Amat).E
+    ref = _bmat_schur_complement(system, system.Amat, 0.0).tocsr()
+    assert np.array_equal(E.indptr, ref.indptr)
+    assert np.array_equal(E.indices, ref.indices)
+    assert np.array_equal(E.data.view(np.uint8), ref.data.view(np.uint8))
     assert statics._schur_pattern(system, system.Amat) is system._cache["schur"]
