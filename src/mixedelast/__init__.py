@@ -1,20 +1,17 @@
 """2D mixed finite elements for elastodynamics with weakly imposed stress symmetry."""
 
 from .assembly import (BlockSystem, MaterialModel, assemble, assemble_body_load,
-                       assemble_dirichlet_load, assemble_stress_mass,
-                       isotropic_compliance_apply)
-from .dynamics import (CN, RADAU2, RADAU2_NAME, ButcherTableau, SemidiscreteState,
-                       TrajectorySummary, cn_step, energy, integrate, radau2_step,
+                       assemble_dirichlet_load, assemble_stress_mass)
+from .dynamics import (CN, RADAU2_NAME, SemidiscreteState, TrajectorySummary, integrate,
                        reconstruct_displacement_third_order)
 from .errors import (AssemblyError, ConfigError, GeometryError, MixedElastError,
                      SingularSystemError)
-from .mesh import Mesh, build_uniform_square_mesh, mesh_diameter, refine
+from .mesh import Mesh, build_uniform_square_mesh, mesh_diameter
 from .quadrature import QuadratureRule, edge_rule, triangle_rule
-from .spaces import (DiscreteSpaces, ReferenceElement, build_spaces,
-                     canonical_interpolation, l2_project_rotation,
-                     l2_project_velocity)
-from .statics import (InitialData, StaticSolution, build_initial_data,
-                      elliptic_projection, infsup_constant, solve_elastostatics)
+from .spaces import (DiscreteSpaces, build_spaces, canonical_interpolation,
+                     l2_project_rotation, l2_project_velocity)
+from .statics import (InitialData, build_initial_data, elliptic_projection,
+                      infsup_constant, solve_elastostatics)
 from .verification import (ConvergenceTable, MmsCase, builtin_case,
                            case_from_displacement, convergence_study,
                            error_decomposition_diagnostic, l2_error,

@@ -41,42 +41,24 @@ class MaterialModel:
     rho1: float | None = None
 
     def __post_init__(self):
-        if self.mu <= 0 or self.lambda_ <= 0:
-            raise MixedElastError("mu and lambda_ must be positive")
+        if not (0 < self.mu < np.inf and 0 < self.lambda_ < np.inf):
+            raise MixedElastError("mu and lambda_ must be positive and finite")
         if callable(self.rho):
             if self.rho0 is None or self.rho1 is None:
                 raise MixedElastError("rho bounds rho0, rho1 required for a spatial density")
         else:
             value = float(self.rho)
-            if value <= 0:
-                raise MixedElastError("rho must be positive")
+            if not 0 < value < np.inf:
+                raise MixedElastError("rho must be positive and finite")
             self.rho0 = value if self.rho0 is None else self.rho0
             self.rho1 = value if self.rho1 is None else self.rho1
-        if not 0 < self.rho0 <= self.rho1:
-            raise MixedElastError("need 0 < rho0 <= rho1")
+        if not 0 < self.rho0 <= self.rho1 < np.inf:
+            raise MixedElastError("need 0 < rho0 <= rho1 < inf")
 
     def rho_at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if callable(self.rho):
             return np.broadcast_to(np.asarray(self.rho(x, y), dtype=float), np.shape(x)).copy()
         return np.full(np.shape(x), float(self.rho))
-
-
-def isotropic_compliance_apply(tau: np.ndarray, material: MaterialModel) -> np.ndarray:
-    """Apply A = C^{-1} to 2x2 tensors, extended to skew parts by the identity.
-
-    A tau = (1/2mu) (sym tau - lambda/(2mu + 2lambda) tr(tau) I) + skw tau,
-    for arrays of shape (2, 2) + any.
-    """
-    tau = np.asarray(tau, dtype=float)
-    sym = 0.5 * (tau + np.swapaxes(tau, 0, 1))
-    skw = tau - sym
-    mu, lam = material.mu, material.lambda_
-    trace = tau[0, 0] + tau[1, 1]
-    out = sym / (2.0 * mu) + skw
-    c = lam / (2.0 * mu * (2.0 * mu + 2.0 * lam))
-    out[0, 0] -= c * trace
-    out[1, 1] -= c * trace
-    return out
 
 
 @dataclass(frozen=True)
@@ -322,9 +304,9 @@ def _dirichlet_operator(spaces: DiscreteSpaces, degree: int):
     nu = sign[:, None] * _rotate_minus90(tang / length[:, None])
     pts = a[:, None, :] + tq[None, :, None] * tang[:, None, :]
 
-    nm = len(spaces.ref.stress_exps)
+    nm = len(spaces.stress_exps)
     xi = (pts - spaces.centers[tris, None, :]) / spaces.scales[tris, None, None]
-    mv = poly.eval_monomials(spaces.ref.stress_exps, xi[..., 0], xi[..., 1])
+    mv = poly.eval_monomials(spaces.stress_exps, xi[..., 0], xi[..., 1])
     coef = spaces.stress_coef[tris]
     vx = np.einsum("ebm,meq->ebq", coef[:, :, :nm], mv)
     vy = np.einsum("ebm,meq->ebq", coef[:, :, nm:], mv)

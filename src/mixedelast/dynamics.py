@@ -1,8 +1,10 @@
 """Time integration of the semidiscrete block ODE.
 
-Crank-Nicolson (energy conserving for f = 0) and the 2-stage RadauIIA
-method (third order, stiffly accurate, algebraically stable), plus the
-third-order displacement reconstruction that consumes the RadauIIA
+`integrate` steps it from 0 to T0 with Crank-Nicolson (energy conserving
+for f = 0) or the 2-stage RadauIIA method (third order, stiffly accurate,
+algebraically stable), and records the energy and the weak-symmetry
+constraint of every state.  The displacement follows the trapezoidal rule
+(CN) or the third-order reconstruction that consumes the RadauIIA
 first-stage velocity derivative.
 
 Each step solves with a shifted matrix S = E - dt c G.  For RadauIIA, c is a
@@ -33,26 +35,10 @@ from . import statics
 from .statics import InitialData
 
 
-@dataclass(frozen=True)
-class ButcherTableau:
-    """Runge-Kutta coefficients; row sums of A must equal c and sum(b) = 1."""
-
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        if not np.allclose(self.A.sum(axis=1), self.c, atol=1e-15):
-            raise MixedElastError("tableau row sums do not match the abscissae")
-        if abs(self.b.sum() - 1.0) > 1e-15:
-            raise MixedElastError("tableau weights must sum to 1")
-
-
-RADAU2 = ButcherTableau(
-    c=np.array([1.0 / 3.0, 1.0]),
-    A=np.array([[5.0 / 12.0, -1.0 / 12.0], [3.0 / 4.0, 1.0 / 4.0]]),
-    b=np.array([3.0 / 4.0, 1.0 / 4.0]),
-)
+# the 2-stage RadauIIA tableau: abscissae, stage matrix and weights
+RADAU2_C = np.array([1.0 / 3.0, 1.0])
+RADAU2_A = np.array([[5.0 / 12.0, -1.0 / 12.0], [3.0 / 4.0, 1.0 / 4.0]])
+RADAU2_B = np.array([3.0 / 4.0, 1.0 / 4.0])
 
 
 def _complex_eigenpair(A: np.ndarray):
@@ -71,7 +57,7 @@ def _complex_eigenpair(A: np.ndarray):
     return lam, V, np.array([[q.conjugate(), -p], [-q, p]]) / (p * (q.conjugate() - q))
 
 
-_RADAU_LAMBDA, _RADAU_V, _RADAU_VINV = _complex_eigenpair(RADAU2.A)
+_RADAU_LAMBDA, _RADAU_V, _RADAU_VINV = _complex_eigenpair(RADAU2_A)
 
 CN = "cn"
 RADAU2_NAME = "radau2"
@@ -136,8 +122,7 @@ def _radau2_update(y, ey, dt: float, f1, f2, solve):
     q = (w0 + w1) / (dt * _RADAU_LAMBDA)
     z = solve(q * ey + w0 * f1 + w1 * f2) - q * y
     k1, k2 = (2.0 * (_RADAU_V[i, 0] * z).real for i in (0, 1))
-    b = RADAU2.b
-    return y + dt * (b[0] * k1 + b[1] * k2), k1
+    return y + dt * (RADAU2_B[0] * k1 + RADAU2_B[1] * k2), k1
 
 
 class _Stepper:
@@ -153,8 +138,6 @@ class _Stepper:
     """
 
     def __init__(self, system: BlockSystem, scheme: str, dt: float):
-        if dt <= 0:
-            raise MixedElastError("dt must be positive")
         self.system, self.scheme, self.dt = system, scheme, dt
         self.lu = _factorize(system, scheme, dt)
         pattern = self.lu.pattern
@@ -190,7 +173,7 @@ class _Stepper:
             y1 = _cn_update(y, ey, dt, self._load(t + dt / 2.0), self.lu.solve)
             k1, u1 = None, u + (dt / 2.0) * (v + y1[self.n:])
         else:
-            f1, f2 = (self._load(t + c * dt) for c in RADAU2.c)
+            f1, f2 = (self._load(t + c * dt) for c in RADAU2_C)
             y1, k1 = _radau2_update(y, ey, dt, f1, f2, self.lu.solve)
             k1 = k1[self.n:]
             u1 = reconstruct_displacement_third_order(u, v, k1, dt)
@@ -200,32 +183,6 @@ class _Stepper:
         return y1, u1, k1
 
 
-def _step(system: BlockSystem, state: SemidiscreteState, scheme: str, dt: float):
-    stepper = _Stepper(system, scheme, dt)
-    y = stepper.pack(state.alpha, state.beta, state.gamma)
-    y1, u1, k1 = stepper.advance(state.t, y, stepper.eprod(y), state.u)
-    return stepper.state(state.t + dt, y1, u1), k1
-
-
-def cn_step(system: BlockSystem, state: SemidiscreteState, dt: float) -> SemidiscreteState:
-    """Advance one Crank-Nicolson step with midpoint load evaluation.
-
-    The displacement is updated by the trapezoidal rule in the velocity.
-    The solver of E - dt/2 G is cached on the system per (scheme, dt).
-    """
-    return _step(system, state, CN, dt)[0]
-
-
-def radau2_step(system: BlockSystem, state: SemidiscreteState, dt: float):
-    """Advance one 2-stage RadauIIA step.
-
-    Returns (new state, stage velocity derivative at t + dt/3).  The
-    displacement is updated with the third-order reconstruction
-    u1 = u + dt v + dt^2/2 vdot(t + dt/3).
-    """
-    return _step(system, state, RADAU2_NAME, dt)
-
-
 def reconstruct_displacement_third_order(u_i: np.ndarray, beta_i: np.ndarray,
                                          stage_beta_derivative: np.ndarray,
                                          dt: float) -> np.ndarray:
@@ -233,17 +190,11 @@ def reconstruct_displacement_third_order(u_i: np.ndarray, beta_i: np.ndarray,
     return u_i + dt * beta_i + 0.5 * dt * dt * stage_beta_derivative
 
 
-def energy(system: BlockSystem, state: SemidiscreteState) -> float:
-    """Discrete energy 1/2 (A sigma, sigma) + 1/2 (rho v, v)."""
-    return 0.5 * float(state.alpha @ (system.Amat @ state.alpha)
-                       + state.beta @ (system.Mmat @ state.beta))
-
-
 def step_count(dt: float, T0: float) -> int:
     """The number of steps of size dt from 0 to T0.  T0 and dt must be
-    positive and dt must divide T0 within 1e-12 max(1, T0)."""
-    if T0 <= 0 or dt <= 0:
-        raise MixedElastError("T0 and dt must be positive")
+    positive and finite, and dt must divide T0 within 1e-12 max(1, T0)."""
+    if not (0 < T0 < np.inf and 0 < dt < np.inf):
+        raise MixedElastError("T0 and dt must be positive and finite")
     n_steps = int(round(T0 / dt))
     if n_steps < 1 or abs(n_steps * dt - T0) > 1e-12 * max(1.0, T0):
         raise MixedElastError(f"dt={dt} does not divide T0={T0}")

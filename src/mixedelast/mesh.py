@@ -53,14 +53,6 @@ class Mesh:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def triangle_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        return 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-
-    def edge_lengths(self) -> np.ndarray:
-        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        return np.hypot(d[:, 0], d[:, 1])
-
     def edge_triangles(self) -> np.ndarray:
         """(E, 2) incident triangle indices, -1 in column 1 for boundary edges."""
         edges = self.triangle_edges.ravel()
@@ -140,25 +132,7 @@ def build_uniform_square_mesh(n: int) -> Mesh:
     return _connect(vertices, triangles)
 
 
-def refine(mesh: Mesh) -> Mesh:
-    """Regular 1 -> 4 refinement through edge midpoints.
-
-    Children of a counterclockwise parent are counterclockwise.
-    """
-    nv = mesh.num_vertices
-    mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
-    vertices = np.vstack([mesh.vertices, mids])
-
-    tris = []
-    for t, (v0, v1, v2) in enumerate(mesh.triangles):
-        m01 = nv + mesh.triangle_edges[t, 0]
-        m12 = nv + mesh.triangle_edges[t, 1]
-        m20 = nv + mesh.triangle_edges[t, 2]
-        tris.extend([(v0, m01, m20), (m01, v1, m12), (m20, m12, v2), (m01, m12, m20)])
-    triangles = np.array(tris, dtype=int)
-    return _connect(vertices, triangles)
-
-
 def mesh_diameter(mesh: Mesh) -> float:
     """Maximum over triangles of the longest edge length."""
-    return float(mesh.edge_lengths().max())
+    d = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
+    return float(np.hypot(d[:, 0], d[:, 1]).max())

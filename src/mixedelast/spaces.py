@@ -67,10 +67,6 @@ def _edge_frames(verts: np.ndarray, signs: np.ndarray):
     return start, end, _unit_normals(start, end)
 
 
-def stress_row_dof_count(k: int) -> int:
-    return (k + 1) * (k + 2)
-
-
 def _stress_functionals(k: int, degree: int, edges, verts: np.ndarray,
                         sample: Callable) -> tuple[np.ndarray, np.ndarray]:
     """Apply the stress-row DOF functionals of degree k to sampled vector fields.
@@ -157,42 +153,22 @@ def _stress_dof_matrices(k: int, verts: np.ndarray, signs: np.ndarray,
     return np.concatenate([edge_rows, interior.transpose(1, 2, 0)], axis=1)
 
 
-class ReferenceElement:
-    """Degree-k data shared by all triangles: the stress monomials, the DOF
-    counts, and the velocity and rotation basis.
-
-    The velocity and rotation bases are orthonormal P_{k-1} against the
-    doubled reference measure, so their Gram matrix on a physical triangle is
-    area * identity.
-    """
-
-    def __init__(self, k: int):
-        if k not in SUPPORTED_DEGREES:
-            raise MixedElastError(f"unsupported degree k={k}; expected one of {SUPPORTED_DEGREES}")
-        self.k = k
-        self.stress_exps = poly.monomial_exponents(k)
-        self.scalar_exps, self.scalar_coef = poly.orthonormal_scalar_basis(k - 1)
-
-    @property
-    def n_row_dofs(self) -> int:
-        return stress_row_dof_count(self.k)
-
-    @property
-    def n_scalar(self) -> int:
-        return self.k * (self.k + 1) // 2
-
-    def scalar_values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        mv = poly.eval_monomials(self.scalar_exps, np.asarray(x), np.asarray(y))
-        return np.tensordot(self.scalar_coef, mv, axes=(1, 0))
-
-
 @dataclass
 class DiscreteSpaces:
-    """Global DOF maps and per-triangle bases for the degree-k triple."""
+    """Global DOF maps and per-triangle bases for the degree-k triple.
+
+    The stress rows are combinations of the monomials ``stress_exps`` in
+    centered, scaled triangle coordinates.  The velocity and rotation basis
+    is the orthonormal P_{k-1} basis ``scalar_coef`` @ monomials
+    ``scalar_exps`` against the doubled reference measure, so its Gram matrix
+    on a physical triangle is area * identity.
+    """
 
     mesh: Mesh
     k: int
-    ref: ReferenceElement
+    stress_exps: np.ndarray      # (n_mono, 2)
+    scalar_exps: np.ndarray
+    scalar_coef: np.ndarray      # (n_scalar, n_scalar)
     stress_coef: np.ndarray      # (T, n_row_dofs, 2 * n_mono)
     row_dof_map: np.ndarray      # (T, n_row_dofs) -> global row-space index
     tri_verts: np.ndarray        # (T, 3, 2)
@@ -212,7 +188,7 @@ class DiscreteSpaces:
 
     @property
     def n_scalar(self) -> int:
-        return self.ref.n_scalar
+        return self.k * (self.k + 1) // 2
 
     @property
     def dim_velocity(self) -> int:
@@ -248,9 +224,9 @@ class DiscreteSpaces:
         """Row basis values at rule points, shape (T, n_row_dofs, 2, nq)."""
         key = ("sv", rule.exactness)
         if key not in self._cache:
-            nm = len(self.ref.stress_exps)
+            nm = len(self.stress_exps)
             xi = self._xi(self.physical_points(rule))
-            mv = poly.eval_monomials(self.ref.stress_exps, xi[..., 0], xi[..., 1])
+            mv = poly.eval_monomials(self.stress_exps, xi[..., 0], xi[..., 1])
             vx = np.einsum("tbm,mtq->tbq", self.stress_coef[:, :, :nm], mv)
             vy = np.einsum("tbm,mtq->tbq", self.stress_coef[:, :, nm:], mv)
             self._cache[key] = np.stack([vx, vy], axis=2)
@@ -260,13 +236,13 @@ class DiscreteSpaces:
         """Divergence of each row basis function at rule points, (T, n_row_dofs, nq)."""
         key = ("sdiv", rule.exactness)
         if key not in self._cache:
-            nm = len(self.ref.stress_exps)
-            dxm, dym = poly.monomial_derivative_matrices(self.ref.stress_exps)
+            nm = len(self.stress_exps)
+            dxm, dym = poly.monomial_derivative_matrices(self.stress_exps)
             dcoef = (self.stress_coef[:, :, :nm] @ dxm.T
                      + self.stress_coef[:, :, nm:] @ dym.T)
             dcoef /= self.scales[:, None, None]
             xi = self._xi(self.physical_points(rule))
-            mv = poly.eval_monomials(self.ref.stress_exps, xi[..., 0], xi[..., 1])
+            mv = poly.eval_monomials(self.stress_exps, xi[..., 0], xi[..., 1])
             self._cache[key] = np.einsum("tbm,mtq->tbq", dcoef, mv)
         return self._cache[key]
 
@@ -274,8 +250,8 @@ class DiscreteSpaces:
         """P_{k-1} basis values at reference rule points, shape (m, nq)."""
         key = ("psi", rule.exactness)
         if key not in self._cache:
-            xy = rule.xy
-            self._cache[key] = self.ref.scalar_values(xy[:, 0], xy[:, 1])
+            mv = poly.eval_monomials(self.scalar_exps, rule.xy[:, 0], rule.xy[:, 1])
+            self._cache[key] = np.tensordot(self.scalar_coef, mv, axes=(1, 0))
         return self._cache[key]
 
     def stress_values(self, alpha: np.ndarray, rule: QuadratureRule) -> np.ndarray:
@@ -307,14 +283,16 @@ class DiscreteSpaces:
 
 def build_spaces(mesh: Mesh, k: int) -> DiscreteSpaces:
     """Build the degree-k triple on a mesh; k must be 1, 2, or 3."""
-    ref = ReferenceElement(k)
+    if k not in SUPPORTED_DEGREES:
+        raise MixedElastError(f"unsupported degree k={k}; expected one of {SUPPORTED_DEGREES}")
     verts = mesh.vertices[mesh.triangles]
     dof = _stress_dof_matrices(k, verts, mesh.edge_signs)
     coef = np.transpose(np.linalg.inv(dof), (0, 2, 1))
     centers, scales, dets, _ = _triangle_geometry(verts)
+    scalar_exps, scalar_coef = poly.orthonormal_scalar_basis(k - 1)
 
     nt = mesh.num_triangles
-    nd = stress_row_dof_count(k)
+    nd = (k + 1) * (k + 2)
     n_int = k**2 - 1
     row_map = np.empty((nt, nd), dtype=int)
     for loc in range(3):
@@ -326,7 +304,8 @@ def build_spaces(mesh: Mesh, k: int) -> DiscreteSpaces:
         row_map[:, 3 * (k + 1):] = (base + np.arange(nt)[:, None] * n_int
                                     + np.arange(n_int)[None, :])
     return DiscreteSpaces(
-        mesh=mesh, k=k, ref=ref, stress_coef=coef, row_dof_map=row_map,
+        mesh=mesh, k=k, stress_exps=poly.monomial_exponents(k), scalar_exps=scalar_exps,
+        scalar_coef=scalar_coef, stress_coef=coef, row_dof_map=row_map,
         tri_verts=verts, centers=centers, scales=scales, dets=dets,
     )
 

@@ -21,14 +21,7 @@ from .assembly import (BlockSystem, assemble_body_load, assemble_dirichlet_load,
                        assemble_stress_mass)
 from .errors import SingularSystemError
 from .quadrature import triangle_rule
-from .spaces import DiscreteSpaces, l2_project_velocity
-
-
-@dataclass
-class StaticSolution:
-    sigma: np.ndarray
-    u: np.ndarray
-    r: np.ndarray
+from .spaces import l2_project_velocity
 
 
 @dataclass
@@ -273,15 +266,22 @@ def _solve_saddle(system: BlockSystem, T, mu: float, rhs_sigma, rhs_v, rhs_r):
 
 
 def solve_elastostatics(system: BlockSystem, rhs_sigma: np.ndarray,
-                        rhs_v: np.ndarray, rhs_r: np.ndarray) -> StaticSolution:
-    """Solve the weak-symmetry saddle system with the compliance pairing.
+                        rhs_v: np.ndarray, rhs_r: np.ndarray):
+    """Solve the weak-symmetry saddle system with the compliance pairing;
+    returns (sigma, u, r).
 
     Block rows: (A s, tau) + (div tau, u) + (r, tau) = rhs_sigma;
     (div s, w) = rhs_v; (s, q) = rhs_r.
     """
-    sig, u, r = _solve_saddle(system, system.Amat, system.material.mu,
-                              rhs_sigma, rhs_v, rhs_r)
-    return StaticSolution(sigma=sig, u=u, r=r)
+    return _solve_saddle(system, system.Amat, system.material.mu, rhs_sigma, rhs_v, rhs_r)
+
+
+def stress_mass(system: BlockSystem) -> sps.csr_matrix:
+    """The plain L2 mass matrix of the system's stress space, cached on the
+    system."""
+    if "stress_mass" not in system._cache:
+        system._cache["stress_mass"] = assemble_stress_mass(system.spaces)
+    return system._cache["stress_mass"]
 
 
 def elliptic_projection(system: BlockSystem, sigma: Callable,
@@ -295,9 +295,6 @@ def elliptic_projection(system: BlockSystem, sigma: Callable,
     """
     degree = 12
     spaces = system.spaces
-    if "stress_mass" not in system._cache:
-        system._cache["stress_mass"] = assemble_stress_mass(spaces)
-    mass = system._cache["stress_mass"]
 
     rule = triangle_rule(degree)
     X = spaces.physical_points(rule)
@@ -318,11 +315,11 @@ def elliptic_projection(system: BlockSystem, sigma: Callable,
     rhs_r = np.einsum("tq,iq,tq->ti", W, psi, skew).ravel()
 
     # the L2 pairing is the compliance of mu = 1/2 (and lambda = 0)
-    sig, _, _ = _solve_saddle(system, mass, 0.5, rhs_sigma, rhs_v, rhs_r)
+    sig, _, _ = _solve_saddle(system, stress_mass(system), 0.5, rhs_sigma, rhs_v, rhs_r)
     return sig
 
 
-def build_initial_data(case, system: BlockSystem, spaces: DiscreteSpaces) -> InitialData:
+def build_initial_data(case, system: BlockSystem) -> InitialData:
     """Initial data: v0 and u0 by local L2 projection, (sigma0, r0) from the
     mixed elliptic system driven by div sigma(0), weakly symmetric by
     construction.  For inhomogeneous displacement data the boundary moment
@@ -334,6 +331,7 @@ def build_initial_data(case, system: BlockSystem, spaces: DiscreteSpaces) -> Ini
     infsup` measures the inf-sup constant of [B; C]); the step LU still fails
     if C is not onto.
     """
+    spaces = system.spaces
     v0 = l2_project_velocity(spaces, lambda x, y: case.v(0.0, x, y))
     u0 = l2_project_velocity(spaces, lambda x, y: case.u(0.0, x, y))
 
@@ -347,8 +345,8 @@ def build_initial_data(case, system: BlockSystem, spaces: DiscreteSpaces) -> Ini
     if not (rhs_sigma.any() or rhs_v.any() or rhs_r.any()):
         return InitialData(sigma0=np.zeros(spaces.dim_stress), v0=v0,
                            r0=np.zeros(spaces.dim_rotation), u0=u0)
-    sol = solve_elastostatics(system, rhs_sigma, rhs_v, rhs_r)
-    return InitialData(sigma0=sol.sigma, v0=v0, r0=sol.r, u0=u0)
+    sigma0, _, r0 = solve_elastostatics(system, rhs_sigma, rhs_v, rhs_r)
+    return InitialData(sigma0=sigma0, v0=v0, r0=r0, u0=u0)
 
 
 def infsup_constant(system: BlockSystem) -> float:

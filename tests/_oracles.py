@@ -5,12 +5,15 @@ quadrature degree and its own compliance formula, independent of the
 vectorized production kernels.  The exception is the bare-(E, G) step
 kernels at the end: they run the solver's own update per tableau, with an
 LU of the full step matrix, so that the scalar checks test that code.
+Mesh refinement, triangle areas and the energy of a state are reference
+formulas that only the tests use.
 """
 
 import numpy as np
 import scipy.sparse as sps
 
 from mixedelast import dynamics
+from mixedelast.mesh import _connect
 from mixedelast.quadrature import edge_rule, triangle_rule
 from mixedelast.polynomials import (edge_legendre_basis, eval_edge_polynomials,
                                     eval_monomials)
@@ -31,12 +34,48 @@ def isotropic_stiffness_apply(tau, material):
             + (tau - sym))
 
 
+def refine(mesh):
+    """Regular 1 -> 4 refinement through edge midpoints.
+
+    Children of a counterclockwise parent are counterclockwise.
+    """
+    nv = mesh.num_vertices
+    mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
+    vertices = np.vstack([mesh.vertices, mids])
+
+    tris = []
+    for t, (v0, v1, v2) in enumerate(mesh.triangles):
+        m01 = nv + mesh.triangle_edges[t, 0]
+        m12 = nv + mesh.triangle_edges[t, 1]
+        m20 = nv + mesh.triangle_edges[t, 2]
+        tris.extend([(v0, m01, m20), (m01, v1, m12), (m20, m12, v2), (m01, m12, m20)])
+    return _connect(vertices, np.array(tris, dtype=int))
+
+
+def triangle_areas(mesh):
+    p = mesh.vertices[mesh.triangles]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def energy(system, state):
+    """Discrete energy 1/2 (A sigma, sigma) + 1/2 (rho v, v) of a state."""
+    return 0.5 * float(state.alpha @ (system.Amat @ state.alpha)
+                       + state.beta @ (system.Mmat @ state.beta))
+
+
+def _scalar_basis_at(spaces, x, y):
+    """The orthonormal P_{k-1} basis at one reference point (x, y)."""
+    mv = eval_monomials(spaces.scalar_exps, np.array(x), np.array(y))
+    return np.tensordot(spaces.scalar_coef, mv, axes=(1, 0))
+
+
 def stress_values_at(spaces, tri, pts, alpha):
     """Stress field of coefficients alpha, evaluated with triangle tri's
     polynomial at physical points pts (n, 2); shape (2 rows, 2 comps, n)."""
-    nm = len(spaces.ref.stress_exps)
+    nm = len(spaces.stress_exps)
     xi = (pts - spaces.centers[tri]) / spaces.scales[tri]
-    mv = eval_monomials(spaces.ref.stress_exps, xi[:, 0], xi[:, 1])
+    mv = eval_monomials(spaces.stress_exps, xi[:, 0], xi[:, 1])
     local = alpha.reshape(2, spaces.n_row_global)[:, spaces.row_dof_map[tri]]
     vx = local @ (spaces.stress_coef[tri, :, :nm] @ mv)
     vy = local @ (spaces.stress_coef[tri, :, nm:] @ mv)
@@ -47,9 +86,9 @@ def _row_basis_at_point(spaces, t, x, y):
     """Values of all local row-basis functions at one point, shape (nd, 2)."""
     nd = spaces.row_dof_map.shape[1]
     out = np.empty((nd, 2))
-    nm = len(spaces.ref.stress_exps)
+    nm = len(spaces.stress_exps)
     xi = (np.array([x, y]) - spaces.centers[t]) / spaces.scales[t]
-    mono = np.array([xi[0] ** a * xi[1] ** b for a, b in spaces.ref.stress_exps])
+    mono = np.array([xi[0] ** a * xi[1] ** b for a, b in spaces.stress_exps])
     out[:, 0] = spaces.stress_coef[t, :, :nm] @ mono
     out[:, 1] = spaces.stress_coef[t, :, nm:] @ mono
     return out
@@ -57,12 +96,12 @@ def _row_basis_at_point(spaces, t, x, y):
 
 def _row_div_at_point(spaces, t, x, y, h=1e-20):
     """Divergence of each local row basis by complex-step differentiation."""
-    nm = len(spaces.ref.stress_exps)
+    nm = len(spaces.stress_exps)
     xi = (np.array([x, y]) - spaces.centers[t]) / spaces.scales[t]
     step = 1j * h
 
     def mono(z0, z1):
-        return np.array([z0 ** a * z1 ** b for a, b in spaces.ref.stress_exps])
+        return np.array([z0 ** a * z1 ** b for a, b in spaces.stress_exps])
 
     dx = (spaces.stress_coef[t, :, :nm] @ mono(xi[0] + step / spaces.scales[t], xi[1])).imag / h
     dy = (spaces.stress_coef[t, :, nm:] @ mono(xi[0], xi[1] + step / spaces.scales[t])).imag / h
@@ -92,7 +131,7 @@ def dense_assemble(spaces, material, degree=None):
             w = det * rule.weights[q]
             vals = _row_basis_at_point(spaces, t, xq, yq)  # (nd, 2)
             divs = _row_div_at_point(spaces, t, xq, yq)
-            psi = spaces.ref.scalar_values(np.array(bary[1]), np.array(bary[2]))
+            psi = _scalar_basis_at(spaces, bary[1], bary[2])
             rho = material.rho_at(np.array(xq), np.array(yq))
 
             for r in range(2):
@@ -134,7 +173,7 @@ def dense_body_load(spaces, f, t_time, degree=None):
             xq, yq = bary @ verts
             w = det * rule.weights[q]
             fv = np.asarray(f(t_time, np.array(xq), np.array(yq)), dtype=float).reshape(2)
-            psi = spaces.ref.scalar_values(np.array(bary[1]), np.array(bary[2]))
+            psi = _scalar_basis_at(spaces, bary[1], bary[2])
             for c in range(2):
                 for i in range(m):
                     out[t * 2 * m + c * m + i] += w * fv[c] * psi[i]
@@ -227,7 +266,7 @@ def dense_radau_trajectory(system, y0, dt, n_steps, loads=None):
 
 def step_matrix(E, G, scheme, dt):
     """The matrix E - dt c G a step of the scheme solves with: c = 1/2 for
-    Crank-Nicolson, and for RadauIIA the complex eigenvalue of RADAU2.A with
+    Crank-Nicolson, and for RadauIIA the complex eigenvalue of RADAU2_A with
     positive imaginary part, 1/3 + i sqrt(2)/6."""
     return E - (dt * dynamics._SHIFT[scheme]) * G
 

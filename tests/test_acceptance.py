@@ -195,10 +195,8 @@ def test_criterion_9_oracle_equivalence():
                   np.abs(system.Cmat.toarray() - C).max(),
                   np.abs(system.Mmat.toarray() - M).max())
 
-    init = build_initial_data(case, system, spaces)
-    from mixedelast import SemidiscreteState, cn_step
-    st = SemidiscreteState(0.0, init.sigma0, init.v0, init.r0, init.u0)
-    st1 = cn_step(system, st, 0.125)
+    init = build_initial_data(case, system)
+    st1 = integrate(system, init, "cn", 0.125, 0.125).final_state
     nM, nV, nK = system.dims
 
     def loads(t):

@@ -3,13 +3,12 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sps
 
-from mixedelast import (RADAU2, ButcherTableau, InitialData, MixedElastError,
-                        SemidiscreteState, assemble, build_initial_data,
-                        builtin_case, canonical_interpolation, cn_step, energy,
-                        integrate, l2_project_velocity, radau2_step,
-                        reconstruct_displacement_third_order)
+from mixedelast import (InitialData, MixedElastError, assemble, build_initial_data,
+                        builtin_case, canonical_interpolation, dynamics, integrate,
+                        l2_project_velocity, reconstruct_displacement_third_order)
+from mixedelast.dynamics import RADAU2_A, RADAU2_B, RADAU2_C, step_count
 from _oracles import (cn_kernel, dense_cn_trajectory, dense_radau_trajectory,
-                      dense_system_blocks, radau2_kernel, step_matrix)
+                      dense_system_blocks, energy, radau2_kernel, step_matrix)
 
 
 def _scalar_system():
@@ -19,13 +18,11 @@ def _scalar_system():
 
 
 def test_tableau_invariants():
-    assert np.abs(RADAU2.A.sum(axis=1) - RADAU2.c).max() <= 1e-15
-    assert abs(RADAU2.b.sum() - 1.0) <= 1e-15
-    assert np.allclose(RADAU2.c, [1.0 / 3.0, 1.0])
-    assert np.allclose(RADAU2.A, [[5 / 12, -1 / 12], [3 / 4, 1 / 4]])
-    assert np.allclose(RADAU2.b, [3 / 4, 1 / 4])
-    with pytest.raises(MixedElastError):
-        ButcherTableau(c=np.array([0.5]), A=np.array([[0.3]]), b=np.array([1.0]))
+    assert np.abs(RADAU2_A.sum(axis=1) - RADAU2_C).max() <= 1e-15
+    assert abs(RADAU2_B.sum() - 1.0) <= 1e-15
+    assert np.allclose(RADAU2_C, [1.0 / 3.0, 1.0])
+    assert np.allclose(RADAU2_A, [[5 / 12, -1 / 12], [3 / 4, 1 / 4]])
+    assert np.allclose(RADAU2_B, [3 / 4, 1 / 4])
 
 
 def test_cn_scalar_decay():
@@ -83,13 +80,15 @@ def small_system():
     return assemble(mesh, spaces, case.material, body_force=case.f), spaces, case
 
 
+def _zero_initial_data(spaces):
+    return InitialData(sigma0=np.zeros(spaces.dim_stress), v0=np.zeros(spaces.dim_velocity),
+                       r0=np.zeros(spaces.dim_rotation), u0=np.zeros(spaces.dim_velocity))
+
+
 def test_zero_data_zero_trajectory(small_system):
     system, spaces, _ = small_system
     sysz = assemble(spaces.mesh, spaces, system.material)  # no loads
-    init = InitialData(sigma0=np.zeros(spaces.dim_stress),
-                       v0=np.zeros(spaces.dim_velocity),
-                       r0=np.zeros(spaces.dim_rotation),
-                       u0=np.zeros(spaces.dim_velocity))
+    init = _zero_initial_data(spaces)
     traj = integrate(sysz, init, "cn", 0.1, 1.0)
     st = traj.final_state
     assert np.abs(st.alpha).max() <= 1e-14
@@ -98,21 +97,20 @@ def test_zero_data_zero_trajectory(small_system):
 
 
 def test_energy_zero_state_and_scaling(small_system):
+    # the energy integrate records for its initial state
     system, spaces, case = small_system
-    zero = SemidiscreteState(0.0, np.zeros(spaces.dim_stress),
-                             np.zeros(spaces.dim_velocity),
-                             np.zeros(spaces.dim_rotation),
-                             np.zeros(spaces.dim_velocity))
-    assert energy(system, zero) == 0.0
+    nM, nV, nK = system.dims
+
+    def recorded_energy(sigma0, v0):
+        init = InitialData(sigma0=sigma0, v0=v0, r0=np.zeros(nK), u0=np.zeros(nV))
+        return integrate(system, init, "cn", 0.5, 0.5).energies[0]
+
+    assert recorded_energy(np.zeros(nM), np.zeros(nV)) == 0.0
     rng = np.random.default_rng(0)
-    st = SemidiscreteState(0.0, rng.standard_normal(spaces.dim_stress),
-                           rng.standard_normal(spaces.dim_velocity),
-                           np.zeros(spaces.dim_rotation),
-                           np.zeros(spaces.dim_velocity))
-    e1 = energy(system, st)
-    st3 = SemidiscreteState(0.0, 3.0 * st.alpha, 3.0 * st.beta, st.gamma, st.u)
+    sigma0, v0 = rng.standard_normal(nM), rng.standard_normal(nV)
+    e1 = recorded_energy(sigma0, v0)
     assert e1 > 0.0
-    assert energy(system, st3) == pytest.approx(9.0 * e1, rel=1e-13)
+    assert recorded_energy(3.0 * sigma0, 3.0 * v0) == pytest.approx(9.0 * e1, rel=1e-13)
 
 
 def test_cn_energy_conservation_and_expm_oracle(small_system):
@@ -154,7 +152,7 @@ def test_constraint_preserved(scheme):
     mesh = me.build_uniform_square_mesh(4)
     spaces = me.build_spaces(mesh, 2)
     system = assemble(mesh, spaces, case.material, body_force=case.f)
-    init = build_initial_data(case, system, spaces)
+    init = build_initial_data(case, system)
     traj = integrate(system, init, scheme, 0.25, 1.0)
     assert traj.max_constraint_rel <= 1e-12
 
@@ -166,7 +164,7 @@ def test_trace_moment_conserved():
     mesh = me.build_uniform_square_mesh(4)
     spaces = me.build_spaces(mesh, 2)
     system = assemble(mesh, spaces, case.material, body_force=case.f)
-    init = build_initial_data(case, system, spaces)
+    init = build_initial_data(case, system)
 
     def identity_field(x, y):
         out = np.zeros((2, 2) + np.shape(x))
@@ -202,22 +200,18 @@ def _load_fn(system):
 def test_step_matches_dense(small_system, scheme):
     # the body load varies in time, so the two RadauIIA stage loads differ
     system, spaces, case = small_system
-    init = build_initial_data(case, system, spaces)
-    st = SemidiscreteState(0.0, init.sigma0, init.v0, init.r0, init.u0)
+    init = build_initial_data(case, system)
     y0 = np.concatenate([init.sigma0, init.v0, init.r0])
-    if scheme == "cn":
-        st1 = cn_step(system, st, 0.1)
-        dense = dense_cn_trajectory(system, y0, 0.1, 1, _load_fn(system))[-1]
-    else:
-        st1, _ = radau2_step(system, st, 0.1)
-        dense = dense_radau_trajectory(system, y0, 0.1, 1, _load_fn(system))[-1]
+    st1 = integrate(system, init, scheme, 0.1, 0.1).final_state
+    dense_trajectory = dense_cn_trajectory if scheme == "cn" else dense_radau_trajectory
+    dense = dense_trajectory(system, y0, 0.1, 1, _load_fn(system))[-1]
     got = np.concatenate([st1.alpha, st1.beta, st1.gamma])
     assert np.abs(got - dense).max() <= 1e-10
 
 
 def test_full_trajectories_match_dense(small_system):
     system, spaces, case = small_system
-    init = build_initial_data(case, system, spaces)
+    init = build_initial_data(case, system)
     y0 = np.concatenate([init.sigma0, init.v0, init.r0])
     loads = _load_fn(system)
 
@@ -236,24 +230,29 @@ def test_full_trajectories_match_dense(small_system):
 
 def test_radau_step_returns_stage_derivative(small_system):
     system, spaces, case = small_system
-    init = build_initial_data(case, system, spaces)
-    st = SemidiscreteState(0.0, init.sigma0, init.v0, init.r0, init.u0)
-    st1, k1_beta = radau2_step(system, st, 0.1)
+    init = build_initial_data(case, system)
+    stepper = dynamics._Stepper(system, "radau2", 0.1)
+    y = stepper.pack(init.sigma0, init.v0, init.r0)
+    _, u1, k1_beta = stepper.advance(0.0, y, stepper.eprod(y), init.u0)
     assert k1_beta.shape == (spaces.dim_velocity,)
-    expect_u = reconstruct_displacement_third_order(st.u, st.beta, k1_beta, 0.1)
-    assert np.abs(st1.u - expect_u).max() == 0.0
+    expect_u = reconstruct_displacement_third_order(init.u0, init.v0, k1_beta, 0.1)
+    assert np.abs(u1 - expect_u).max() == 0.0
 
 
 def test_integrate_validates_dt(small_system):
     system, spaces, _ = small_system
-    init = InitialData(sigma0=np.zeros(spaces.dim_stress),
-                       v0=np.zeros(spaces.dim_velocity),
-                       r0=np.zeros(spaces.dim_rotation),
-                       u0=np.zeros(spaces.dim_velocity))
+    init = _zero_initial_data(spaces)
     with pytest.raises(MixedElastError):
         integrate(system, init, "cn", 0.3, 1.0)
     with pytest.raises(MixedElastError):
         integrate(system, init, "leapfrog", 0.5, 1.0)
+
+
+@pytest.mark.parametrize("dt,T0", [(float("nan"), 1.0), (1.0, float("nan")),
+                                   (1.0, float("inf")), (float("inf"), 1.0)])
+def test_step_count_rejects_non_finite(dt, T0):
+    with pytest.raises(MixedElastError):
+        step_count(dt, T0)
 
 
 def test_singular_step_detected(small_system):
@@ -265,25 +264,19 @@ def test_singular_step_detected(small_system):
         Cmat=sps.csr_matrix(system.Cmat.shape), Mmat=system.Mmat, load=system.load,
         dirichlet_load=system.dirichlet_load, spaces=system.spaces,
         material=system.material)
-    st = SemidiscreteState(0.0, np.zeros(spaces.dim_stress),
-                           np.zeros(spaces.dim_velocity),
-                           np.zeros(spaces.dim_rotation),
-                           np.zeros(spaces.dim_velocity))
     with pytest.raises(SingularSystemError):
-        cn_step(broken, st, 0.1)
+        integrate(broken, _zero_initial_data(spaces), "cn", 0.1, 0.1)
 
 
 @pytest.mark.parametrize("scheme", ["cn", "radau2"])
 def test_factorization_cached(small_system, scheme):
     system, spaces, case = small_system
-    init = build_initial_data(case, system, spaces)
-    st = SemidiscreteState(0.0, init.sigma0, init.v0, init.r0, init.u0)
-    step = cn_step if scheme == "cn" else radau2_step
-    step(system, st, 0.1)
+    init = build_initial_data(case, system)
+    integrate(system, init, scheme, 0.1, 0.1)
     factors = system._cache["factors"]
     assert (scheme, 0.1) in factors
     before = factors[(scheme, 0.1)]
-    step(system, st, 0.1)
+    integrate(system, init, scheme, 0.1, 0.1)
     assert factors[(scheme, 0.1)] is before
     # the LU holds the (sigma, gamma) Schur complement only: the velocity block
     # is eliminated, and RadauIIA needs no real 2N x 2N stage matrix
@@ -305,14 +298,10 @@ def test_step_matches_dense_variable_density(scheme):
     rng = np.random.default_rng(3)
     nM, nV, nK = system.dims
     y0 = rng.standard_normal(nM + nV + nK)
-    st = SemidiscreteState(0.0, y0[:nM], y0[nM:nM + nV], y0[nM + nV:],
-                           np.zeros(nV))
-    if scheme == "cn":
-        st1 = cn_step(system, st, 0.1)
-        dense = dense_cn_trajectory(system, y0, 0.1, 1, _load_fn(system))[-1]
-    else:
-        st1, _ = radau2_step(system, st, 0.1)
-        dense = dense_radau_trajectory(system, y0, 0.1, 1, _load_fn(system))[-1]
+    init = InitialData(sigma0=y0[:nM], v0=y0[nM:nM + nV], r0=y0[nM + nV:], u0=np.zeros(nV))
+    st1 = integrate(system, init, scheme, 0.1, 0.1).final_state
+    dense_trajectory = dense_cn_trajectory if scheme == "cn" else dense_radau_trajectory
+    dense = dense_trajectory(system, y0, 0.1, 1, _load_fn(system))[-1]
     got = np.concatenate([st1.alpha, st1.beta, st1.gamma])
     assert np.abs(got - dense).max() <= 1e-10
 
@@ -323,16 +312,15 @@ def test_step_residual_checked_on_first_solve(small_system, monkeypatch):
     import scipy.sparse.linalg as spla
     from mixedelast import SingularSystemError
     system, spaces, case = small_system
-    init = build_initial_data(case, system, spaces)
-    st = SemidiscreteState(0.0, init.sigma0, init.v0, init.r0, init.u0)
+    init = build_initial_data(case, system)
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda A, *args, **kwargs: splu(
         (A + 1e-3 * sps.identity(A.shape[0], format="csc")).tocsc(), *args, **kwargs))
     fresh = assemble(spaces.mesh, spaces, system.material, body_force=case.f)
     with pytest.raises(SingularSystemError, match="residual"):
-        cn_step(fresh, st, 0.1)
+        integrate(fresh, init, "cn", 0.1, 0.1)
     with pytest.raises(SingularSystemError, match="residual"):
-        radau2_step(fresh, st, 0.1)
+        integrate(fresh, init, "radau2", 0.1, 0.1)
 
 
 @pytest.mark.parametrize("scheme", ["cn", "radau2"])
@@ -348,13 +336,8 @@ def test_step_lu_detects_rotation_constraint_not_onto(small_system, scheme):
         Amat=system.Amat, Bmat=system.Bmat, Cmat=C.tocsr(), Mmat=system.Mmat,
         load=system.load, dirichlet_load=system.dirichlet_load,
         spaces=system.spaces, material=system.material)
-    st = SemidiscreteState(0.0, np.zeros(spaces.dim_stress),
-                           np.zeros(spaces.dim_velocity),
-                           np.zeros(spaces.dim_rotation),
-                           np.zeros(spaces.dim_velocity))
-    step = cn_step if scheme == "cn" else radau2_step
     with pytest.raises(SingularSystemError, match="step factorization"):
-        step(broken, st, 0.1)
+        integrate(broken, _zero_initial_data(spaces), scheme, 0.1, 0.1)
 
 
 def _eg2_system(n, k):
@@ -507,9 +490,8 @@ def test_no_full_step_matrix_cached():
     init = InitialData(sigma0=np.zeros(nM), v0=np.ones(nV), r0=np.zeros(nK),
                        u0=np.zeros(nV))
     integrate(system, init, "cn", 0.25, 0.5)
-    st = SemidiscreteState(0.0, init.sigma0, init.v0, init.r0, init.u0)
-    cn_step(system, st, 0.1)
-    radau2_step(system, st, 0.1)
+    integrate(system, init, "cn", 0.1, 0.1)
+    integrate(system, init, "radau2", 0.1, 0.1)
 
     seen = set()
 

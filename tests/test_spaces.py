@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from mixedelast import (MixedElastError, ReferenceElement, build_spaces,
-                        canonical_interpolation, l2_project_rotation,
-                        l2_project_velocity)
+from mixedelast import (MixedElastError, build_spaces, canonical_interpolation,
+                        l2_project_rotation, l2_project_velocity)
 from mixedelast.quadrature import triangle_rule
 from mixedelast.spaces import _stress_dof_matrices
 
-from _oracles import stress_values_at
+from _oracles import refine, stress_values_at
 from conftest import make_matrix_field
 
 
@@ -34,9 +33,12 @@ def test_unsupported_degree(mesh_cache):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_reference_element_counts(k):
-    ref = ReferenceElement(k)
-    assert ref.n_row_dofs == (k + 1) * (k + 2)
+def test_reference_element_counts(spaces_cache, k):
+    sp = spaces_cache(1, k)
+    nd = (k + 1) * (k + 2)
+    assert sp.row_dof_map.shape == (2, nd)
+    assert sp.stress_coef.shape == (2, nd, nd)
+    assert sp.scalar_coef.shape == (sp.n_scalar, sp.n_scalar) == (k * (k + 1) // 2,) * 2
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -70,10 +72,10 @@ def test_normal_trace_continuity(spaces_cache, mesh_cache, k):
         traces = {}
         for t in (t1, t2):
             alpha = np.zeros(sp.dim_stress)
-            nm = len(sp.ref.stress_exps)
+            nm = len(sp.stress_exps)
             xi = (pts - sp.centers[t]) / sp.scales[t]
             from mixedelast.polynomials import eval_monomials
-            mv = eval_monomials(sp.ref.stress_exps, xi[:, 0], xi[:, 1])
+            mv = eval_monomials(sp.stress_exps, xi[:, 0], xi[:, 1])
             vx = sp.stress_coef[t, :, :nm] @ mv
             vy = sp.stress_coef[t, :, nm:] @ mv
             vn = vx * nrm[0] + vy * nrm[1]  # (nd, npts)
@@ -107,7 +109,7 @@ def test_commutativity_random_fields(spaces_cache, n, k):
 
 def test_commutativity_on_refined_mesh():
     # k=3 on a mesh produced by refinement (generic edge orientations)
-    from mixedelast import build_uniform_square_mesh, refine
+    from mixedelast import build_uniform_square_mesh
 
     rng = np.random.default_rng(6)
     mesh = refine(build_uniform_square_mesh(2))

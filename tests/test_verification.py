@@ -258,13 +258,14 @@ def test_linf_in_time_errors_dominate_final_time():
 def test_refined_mesh_matches_uniform_run():
     # refine(build(2)) is build(4) up to renumbering; the whole pipeline must
     # produce the same errors through the generic connectivity path
-    from mixedelast import build_initial_data, integrate, refine
+    from mixedelast import build_initial_data, integrate
+    from _oracles import refine
 
     case = builtin_case("eg1")
     mesh = refine(build_uniform_square_mesh(2))
     spaces = build_spaces(mesh, 2)
     system = assemble(mesh, spaces, case.material, body_force=case.f)
-    init = build_initial_data(case, system, spaces)
+    init = build_initial_data(case, system)
     traj = integrate(system, init, "cn", 0.25, 1.0)
     err = l2_error(spaces, traj.final_state.alpha, case.sigma, 1.0, "stress")
     reference, _, _ = run_case(case, 2, "cn", 4)
@@ -306,3 +307,14 @@ def test_factorizations_per_run(monkeypatch, name, alpha, k, scheme, expected):
                         calls.append(what) or factorize(S, what, **options))
     run_case(builtin_case(name, alpha=alpha), k, scheme, 4)
     assert calls == expected
+
+
+def test_readme_library_example():
+    # the python block under "## Library example" in README.md runs as written
+    from pathlib import Path
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    assert namespace["err"] == pytest.approx(0.01355, rel=1e-3)
