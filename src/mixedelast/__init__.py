@@ -12,9 +12,8 @@ from .spaces import (DiscreteSpaces, build_spaces, canonical_interpolation,
                      l2_project_rotation, l2_project_velocity)
 from .statics import (InitialData, build_initial_data, elliptic_projection,
                       infsup_constant, solve_elastostatics)
-from .verification import (ConvergenceTable, MmsCase, builtin_case,
-                           case_from_displacement, convergence_study,
-                           error_decomposition_diagnostic, l2_error,
-                           locking_study, run_case)
+from .verification import (ConvergenceTable, MmsCase, builtin_case, convergence_study,
+                           error_decomposition_diagnostic, l2_error, locking_study,
+                           run_case)
 
 __version__ = "0.1.0"

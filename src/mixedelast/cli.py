@@ -41,14 +41,14 @@ class RunConfig:
     k: int | None = None
     scheme: str | None = None
     n: int = 8
-    n_list: list | None = None
+    n_list: list[int] | None = None
     t0: float = 1.0
     dt: float | None = None  # None means dt = 1/n
     mu: float = 1.0
     lambda_: float = 1.0
     rho: float = 1.0
     steps: int = 100
-    lambda_list: list | None = None
+    lambda_list: list[float] | None = None
     out: str | None = None
 
     def resolved(self) -> "RunConfig":
@@ -106,13 +106,27 @@ class RunConfig:
         return cfg
 
 
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+
+
+def _has_type(value, annotation: str) -> bool:
+    """Whether a JSON value fits a RunConfig annotation ("int | None", say)."""
+    kind, _, optional = annotation.partition(" | ")
+    if value is None or isinstance(value, bool):
+        return value is None and optional == "None"
+    if kind.startswith("list["):
+        return isinstance(value, list) and all(_has_type(v, kind[5:-1]) for v in value)
+    return isinstance(value, {"int": int, "float": (int, float), "str": str}[kind])
 
 
 def _config_from_dict(data: dict) -> dict:
-    unknown = set(data) - _FIELD_NAMES
+    unknown = set(data) - _FIELD_TYPES.keys()
     if unknown:
         raise ConfigError(f"unknown configuration key(s): {', '.join(sorted(unknown))}")
+    for key, value in data.items():
+        if not _has_type(value, _FIELD_TYPES[key]):
+            raise ConfigError(f"configuration key {key!r} must be {_FIELD_TYPES[key]}, "
+                              f"got {value!r}")
     return data
 
 
@@ -163,7 +177,7 @@ def parse_config(argv) -> RunConfig:
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a flat JSON object")
         data.update(_config_from_dict(loaded))
-    for f in _FIELD_NAMES:
+    for f in _FIELD_TYPES:
         value = getattr(ns, f, None)
         if value is not None:
             data[f] = value
@@ -172,10 +186,7 @@ def parse_config(argv) -> RunConfig:
 
 
 def _case_of(cfg: RunConfig):
-    kwargs = dict(mu=cfg.mu, lam=cfg.lambda_, rho=cfg.rho)
-    if cfg.case == "eg2":
-        kwargs["alpha"] = cfg.alpha
-    case = builtin_case(cfg.case, **kwargs)
+    case = builtin_case(cfg.case, alpha=cfg.alpha, mu=cfg.mu, lam=cfg.lambda_, rho=cfg.rho)
     case.T0 = cfg.t0
     return case
 

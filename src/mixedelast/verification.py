@@ -1,23 +1,21 @@
 """Manufactured solutions, error norms, convergence and locking studies.
 
-Each built-in case carries a closed-form displacement; every derived field
-(velocity, stress, rotation, body force, stress divergence) is produced by
-symbolic differentiation at case construction and lambdified to vectorized
-numpy callables.  The body force, and the velocity where it is boundary
-data, also carry their split into terms phi_i(t) psi_i(x, y), from which
+Each built-in case carries a closed-form displacement sum_g a_g(t) U_g(x, y);
+every derived field (velocity, stress, rotation, body force, stress
+divergence) is formed in numpy by the product rule from the first and second
+derivatives of 1-D factors.  The body force, and the velocity where it is
+boundary data, are SeparatedFields of terms phi_i(t) psi_i(x, y), from which
 assembly precomputes the loads.
-Rebuilding a case for a different Lame lambda rederives sigma = C eps(u) and
-the load, which is what the locking sweep needs.
+Rebuilding a case for a different Lame lambda forms sigma = C eps(u) and
+the load anew, which is what the locking sweep needs.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import sympy as sp
 
 from .assembly import MaterialModel, SeparatedField, assemble
 from .dynamics import CN, integrate
@@ -59,95 +57,100 @@ class MmsCase:
         return None if self.homogeneous else self.v
 
 
-def _lambdify(exprs, args):
-    """Vectorized callable of a scalar or an (n,) or (n, m) nested list of
-    expressions: (t, x, y) -> exprs' shape + the broadcast shape of x."""
-    exprs = np.array(exprs, dtype=object)
-    fn = sp.lambdify(args, list(exprs.flat), modules="numpy")
+# -- built-in cases in closed form ---------------------------------------------
+# A built-in displacement is sum_g a_g(t) U_g(x, y), each component of U_g a
+# product g(x) h(y) of 1-D factors.  A space factor is the tuple of its
+# value and its first and second derivatives; a time factor is (a, a', a''),
+# each a sum of terms c b(t), so that load terms of one time function b merge.
 
-    def call(t, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.empty((exprs.size,) + x.shape)
-        for i, value in enumerate(fn(t, x, y)):
-            out[i] = np.broadcast_to(value, x.shape)
-        return out.reshape(exprs.shape + x.shape)
-
-    return call
-
-
-def _separate(exprs, t, space):
-    """Split a vector of expressions into terms phi_i(t) psi_i(space).
-
-    Each component is expanded and its terms are grouped by their t-dependent
-    factor.  Returns [(phi_i, psi_i)] with psi_i a list of one expression per
-    component, or None when a factor of some term mixes t with the space
-    symbols (sin(x t), say).
-    """
-    groups: dict = {}
-    for c, e in enumerate(exprs):
-        for term in sp.Add.make_args(sp.expand(e)):
-            psi, phi = term.as_independent(t, as_Add=False)
-            if phi.has(*space):
-                return None
-            groups.setdefault(phi, [sp.S.Zero] * len(exprs))[c] += psi
-    return list(groups.items())
+_SIN = (lambda x: np.sin(np.pi * x), lambda x: np.pi * np.cos(np.pi * x),
+        lambda x: -np.pi**2 * np.sin(np.pi * x))
+_BUBBLE = (lambda x: x * (1 - x), lambda x: 1 - 2 * x, lambda x: np.full_like(x, -2.0))
+# pi sin(2 pi x), the derivative of sin^2(pi x)
+_DSIN2 = (lambda x: np.pi * np.sin(2 * np.pi * x),
+          lambda x: 2 * np.pi**2 * np.cos(2 * np.pi * x),
+          lambda x: -4 * np.pi**3 * np.sin(2 * np.pi * x))
+_SIN2 = (lambda x: np.sin(np.pi * x)**2,) + _DSIN2[:2]
+_NEG_DSIN2 = tuple(lambda x, d=d: -d(x) for d in _DSIN2)
+_ONE, _T, _T2 = (lambda t: 1.0), (lambda t: t), (lambda t: t**2)
+_SIN_T = (((1, np.sin),), ((1, np.cos),), ((-1, np.sin),))
+_power = lambda p: (lambda x: x**p, lambda x: p * x**(p - 1),
+                    lambda x: p * (p - 1) * x**(p - 2))
+# the (x, y) derivative orders (i, j) that a field reads
+_VALUE, _GRADIENT, _HESSIAN = ((0, 0),), ((1, 0), (0, 1)), ((2, 0), (1, 1), (0, 2))
 
 
-def _load_field(exprs, args):
-    """Callable of a vector field of (t, x, y); a SeparatedField when its
-    terms separate, so that assemble can precompute their loads."""
-    fn = _lambdify(exprs, args)
-    t, *space = args
-    terms = _separate(exprs, t, space)
-    if terms is None:
-        return fn
-    phi = sp.lambdify(t, [phi for phi, _ in terms], modules="numpy")
-    psi = _lambdify([psi for _, psi in terms], args)
-    return SeparatedField(fn, phi, functools.partial(psi, 0.0))
+def _jet(product, x, y, orders):
+    """{(i, j): d^i/dx^i d^j/dy^j of g(x) h(y)} for the orders listed, with
+    product = (g, h), or None for zero."""
+    if product is None:
+        return dict.fromkeys(orders, np.zeros(x.shape))
+    g, h = product
+    return {(i, j): g[i](x) * h[j](y) for i, j in orders}
 
 
-def case_from_displacement(name: str, u_exprs, material: MaterialModel,
-                           homogeneous: bool, T0: float = 1.0,
-                           alpha: float | None = None,
-                           rebuild: Callable | None = None) -> MmsCase:
-    """Derive all fields of a case from a symbolic displacement pair.
+# The fields of one group from the jets J of U's two components
+_displacement = lambda J, mu, lam: np.array([J[0][0, 0], J[1][0, 0]])
+_rotation = lambda J, mu, lam: (J[0][0, 1] - J[1][1, 0]) / 2
 
-    The density must be constant: the body force rho u_tt is derived
-    symbolically.
-    """
-    if callable(material.rho):
-        raise MixedElastError("manufactured cases need a constant density rho")
-    t, x, y = sp.symbols("t x y", real=True)
-    u = sp.Matrix(u_exprs)
-    grad_u = sp.Matrix([[sp.diff(u[0], x), sp.diff(u[0], y)],
-                        [sp.diff(u[1], x), sp.diff(u[1], y)]])
-    eps = (grad_u + grad_u.T) / 2
-    mu, lam = sp.nsimplify(material.mu), sp.nsimplify(material.lambda_)
-    sigma = 2 * mu * eps + lam * sp.trace(eps) * sp.eye(2)
-    rot = (grad_u[0, 1] - grad_u[1, 0]) / 2
-    v = u.diff(t)
-    div_sigma = sp.Matrix([sp.diff(sigma[0, 0], x) + sp.diff(sigma[0, 1], y),
-                           sp.diff(sigma[1, 0], x) + sp.diff(sigma[1, 1], y)])
-    f = sp.nsimplify(material.rho) * u.diff(t, 2) - div_sigma
 
-    args = (t, x, y)
-    return MmsCase(
-        name=name,
-        material=material,
-        u=_lambdify(list(u), args),
-        # v is a load (the Dirichlet data g) only for inhomogeneous data;
-        # otherwise only v(0) is projected, so it is not split
-        v=(_lambdify if homogeneous else _load_field)(list(v), args),
-        sigma=_lambdify(sigma.tolist(), args),
-        rotation=_lambdify(rot, args),
-        f=_load_field(list(f), args),
-        div_sigma=_lambdify(list(div_sigma), args),
-        homogeneous=homogeneous,
-        T0=T0,
-        alpha=alpha,
-        rebuild=rebuild,
-    )
+def _stress(J, mu, lam):
+    ux, uy, vx, vy = J[0][1, 0], J[0][0, 1], J[1][1, 0], J[1][0, 1]
+    tr, shear = ux + vy, mu * (uy + vx)
+    return np.array([[2 * mu * ux + lam * tr, shear], [shear, 2 * mu * vy + lam * tr]])
+
+
+def _div_stress(J, mu, lam):
+    """mu (Laplace U + grad div U) + lambda grad div U."""
+    (uxx, uxy, uyy), (vxx, vxy, vyy) = ([j[o] for o in _HESSIAN] for j in J)
+    grad_div = np.array([uxx + vxy, uxy + vyy])
+    return mu * (np.array([uxx + uyy, vxx + vyy]) + grad_div) + lam * grad_div
+
+
+def _case_from_groups(name: str, groups, material: MaterialModel, homogeneous: bool,
+                      alpha, rebuild) -> MmsCase:
+    """All fields of the displacement sum_g a_g(t) U_g(x, y), with ``groups``
+    holding (a_g, product of U_g's x component, product of its y component).
+    sigma and div sigma are formed per group from both components, so that
+    lambda tr eps cancels exactly where it vanishes (the locking case)."""
+    mu, lam, rho = material.mu, material.lambda_, material.rho
+
+    def jets(x, y, orders):
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        return [[_jet(p, x, y, orders) for p in products] for _, *products in groups]
+
+    def field(part, orders):
+        return lambda t, x, y: sum(sum(c * b(t) for c, b in a[0]) * part(J, mu, lam)
+                                   for (a, *_), J in zip(groups, jets(x, y, orders)))
+
+    def separated(parts, orders):
+        """sum_g sum_(k, part) a_g^(k)(t) part(J_g), one term per time function."""
+        basis = list(dict.fromkeys(b for a, *_ in groups for k, _ in parts for _, b in a[k]))
+
+        def psi(x, y):
+            out = dict.fromkeys(basis, 0.0)
+            for (a, *_), J in zip(groups, jets(x, y, orders)):
+                for k, part in parts:
+                    value = part(J)
+                    for c, b in a[k]:
+                        out[b] = out[b] + c * value
+            return np.array(list(out.values()))
+
+        phi = lambda t: [b(t) for b in basis]
+        return SeparatedField(lambda t, x, y: np.tensordot(phi(t), psi(x, y), axes=1),
+                              phi, psi)
+
+    # f = sum_g rho a_g'' U_g - a_g div sigma_g and v = sum_g a_g' U_g
+    f = separated([(2, lambda J: rho * _displacement(J, mu, lam)),
+                   (0, lambda J: -_div_stress(J, mu, lam))], _VALUE + _HESSIAN)
+    v = separated([(1, lambda J: _displacement(J, mu, lam))], _VALUE)
+    # v is a load (the Dirichlet data g) only for inhomogeneous data;
+    # otherwise only v(0) is projected, so it is not split
+    return MmsCase(name=name, material=material, u=field(_displacement, _VALUE),
+                   v=v.fn if homogeneous else v, sigma=field(_stress, _GRADIENT),
+                   rotation=field(_rotation, _GRADIENT), f=f,
+                   div_sigma=field(_div_stress, _HESSIAN),
+                   homogeneous=homogeneous, alpha=alpha, rebuild=rebuild)
 
 
 def builtin_case(name: str, alpha: float | None = None, mu: float = 1.0,
@@ -157,33 +160,30 @@ def builtin_case(name: str, alpha: float | None = None, mu: float = 1.0,
     eg1/eg3: smooth field (sin(pi x) sin(pi y) sin t, x(1-x)y(1-y) sin t)
     vanishing on the boundary; eg2: reduced-regularity field
     ((1+t^2) x^alpha y^2, (1+cos t) x^2 y^alpha) with inhomogeneous
-    displacement data, requiring alpha > 3/2; locking: a divergence-free
-    smooth field for the lambda sweep (sigma independent of lambda).
+    displacement data, requiring a finite alpha > 3/2; locking: the
+    divergence-free field of the stream function sin^2(pi x) sin^2(pi y) sin t
+    for the lambda sweep (sigma independent of lambda).
     """
     name = name.lower()
     if name not in BUILTIN_CASES:
         raise MixedElastError(f"unknown case {name!r}; expected one of {BUILTIN_CASES}")
     material = MaterialModel(mu=mu, lambda_=lam, rho=rho)
-    t, x, y = sp.symbols("t x y", real=True)
-
     rebuild = lambda lam_new: builtin_case(name, alpha=alpha, mu=mu, lam=lam_new, rho=rho)
 
     if name in ("eg1", "eg3"):
-        u = [sp.sin(sp.pi * x) * sp.sin(sp.pi * y) * sp.sin(t),
-             x * (1 - x) * y * (1 - y) * sp.sin(t)]
-        return case_from_displacement(name, u, material, homogeneous=True,
-                                      rebuild=rebuild)
-    if name == "eg2":
-        if alpha is None or alpha <= 1.5:
-            raise MixedElastError("eg2 requires a regularity parameter alpha > 3/2")
-        u = [(1 + t**2) * x**alpha * y**2,
-             (1 + sp.cos(t)) * x**2 * y**alpha]
-        return case_from_displacement(name, u, material, homogeneous=False,
-                                      alpha=alpha, rebuild=rebuild)
-    # divergence-free stream-function field, zero on the boundary
-    psi = (sp.sin(sp.pi * x) * sp.sin(sp.pi * y))**2 * sp.sin(t)
-    u = [sp.diff(psi, y), -sp.diff(psi, x)]
-    return case_from_displacement(name, u, material, homogeneous=True, rebuild=rebuild)
+        groups = [(_SIN_T, (_SIN, _SIN), (_BUBBLE, _BUBBLE))]
+    elif name == "eg2":
+        if alpha is None or not (np.isfinite(alpha) and alpha > 1.5):
+            raise MixedElastError("eg2 requires a finite regularity parameter alpha > 3/2")
+        x_alpha, x2 = _power(alpha), _power(2)
+        groups = [((((1, _ONE), (1, _T2)), ((2, _T),), ((2, _ONE),)),  # 1 + t^2
+                   (x_alpha, x2), None),
+                  ((((1, _ONE), (1, np.cos)), ((-1, np.sin),), ((-1, np.cos),)),  # 1 + cos t
+                   None, (x2, x_alpha))]
+    else:
+        groups = [(_SIN_T, (_SIN2, _DSIN2), (_NEG_DSIN2, _SIN2))]
+    eg2 = name == "eg2"
+    return _case_from_groups(name, groups, material, not eg2, alpha if eg2 else None, rebuild)
 
 
 # -- error norms ------------------------------------------------------------

@@ -6,18 +6,27 @@ vectorized production kernels.  The exception is the bare-(E, G) step
 kernels at the end: they run the solver's own update per tableau, with an
 LU of the full step matrix, so that the scalar checks test that code.
 Mesh refinement, triangle areas and the energy of a state are reference
-formulas that only the tests use.
+formulas that only the tests use.  The manufactured cases have a symbolic
+reference here too: sympy differentiates a displacement, splits the loads
+into time-space terms and lambdifies every field, so that the closed forms
+of the built-in cases are checked against an independent derivation.
 """
+
+import functools
 
 import numpy as np
 import scipy.sparse as sps
+import sympy as sp
 
 from mixedelast import dynamics
+from mixedelast.assembly import MaterialModel, SeparatedField
+from mixedelast.errors import MixedElastError
 from mixedelast.mesh import _connect
 from mixedelast.quadrature import edge_rule, triangle_rule
 from mixedelast.polynomials import (edge_legendre_basis, eval_edge_polynomials,
                                     eval_monomials)
 from mixedelast.statics import checked_solve, factorize
+from mixedelast.verification import MmsCase
 
 
 def _compliance(tau, mu, lam):
@@ -289,3 +298,112 @@ def radau2_kernel(E, G, y, dt, f1, f2):
     f2; returns (y1, first stage derivative K1)."""
     return dynamics._radau2_update(y, E @ y, dt, f1, f2,
                                    _unreduced_solver(E, G, dynamics.RADAU2_NAME, dt))
+
+
+# -- symbolic reference of the manufactured cases ------------------------------
+
+
+def _lambdify(exprs, args):
+    """Vectorized callable of a scalar or an (n,) or (n, m) nested list of
+    expressions: (t, x, y) -> exprs' shape + the broadcast shape of x."""
+    exprs = np.array(exprs, dtype=object)
+    fn = sp.lambdify(args, list(exprs.flat), modules="numpy")
+
+    def call(t, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        out = np.empty((exprs.size,) + x.shape)
+        for i, value in enumerate(fn(t, x, y)):
+            out[i] = np.broadcast_to(value, x.shape)
+        return out.reshape(exprs.shape + x.shape)
+
+    return call
+
+
+def _separate(exprs, t, space):
+    """Split a vector of expressions into terms phi_i(t) psi_i(space).
+
+    Each component is expanded and its terms are grouped by their t-dependent
+    factor.  Returns [(phi_i, psi_i)] with psi_i a list of one expression per
+    component, or None when a factor of some term mixes t with the space
+    symbols (sin(x t), say).
+    """
+    groups: dict = {}
+    for c, e in enumerate(exprs):
+        for term in sp.Add.make_args(sp.expand(e)):
+            psi, phi = term.as_independent(t, as_Add=False)
+            if phi.has(*space):
+                return None
+            groups.setdefault(phi, [sp.S.Zero] * len(exprs))[c] += psi
+    return list(groups.items())
+
+
+def _load_field(exprs, args):
+    """Callable of a vector field of (t, x, y); a SeparatedField when its
+    terms separate, so that assemble can precompute their loads."""
+    fn = _lambdify(exprs, args)
+    t, *space = args
+    terms = _separate(exprs, t, space)
+    if terms is None:
+        return fn
+    phi = sp.lambdify(t, [phi for phi, _ in terms], modules="numpy")
+    psi = _lambdify([psi for _, psi in terms], args)
+    return SeparatedField(fn, phi, functools.partial(psi, 0.0))
+
+
+def case_from_displacement(name, u_exprs, material: MaterialModel, homogeneous: bool,
+                           T0=1.0, alpha=None, rebuild=None) -> MmsCase:
+    """Derive all fields of a case from a symbolic displacement pair.
+
+    The density must be constant: the body force rho u_tt is derived
+    symbolically.
+    """
+    if callable(material.rho):
+        raise MixedElastError("manufactured cases need a constant density rho")
+    t, x, y = sp.symbols("t x y", real=True)
+    u = sp.Matrix(u_exprs)
+    grad_u = sp.Matrix([[sp.diff(u[0], x), sp.diff(u[0], y)],
+                        [sp.diff(u[1], x), sp.diff(u[1], y)]])
+    eps = (grad_u + grad_u.T) / 2
+    mu, lam = sp.nsimplify(material.mu), sp.nsimplify(material.lambda_)
+    sigma = 2 * mu * eps + lam * sp.trace(eps) * sp.eye(2)
+    rot = (grad_u[0, 1] - grad_u[1, 0]) / 2
+    v = u.diff(t)
+    div_sigma = sp.Matrix([sp.diff(sigma[0, 0], x) + sp.diff(sigma[0, 1], y),
+                           sp.diff(sigma[1, 0], x) + sp.diff(sigma[1, 1], y)])
+    f = sp.nsimplify(material.rho) * u.diff(t, 2) - div_sigma
+
+    args = (t, x, y)
+    return MmsCase(
+        name=name,
+        material=material,
+        u=_lambdify(list(u), args),
+        v=(_lambdify if homogeneous else _load_field)(list(v), args),
+        sigma=_lambdify(sigma.tolist(), args),
+        rotation=_lambdify(rot, args),
+        f=_load_field(list(f), args),
+        div_sigma=_lambdify(list(div_sigma), args),
+        homogeneous=homogeneous,
+        T0=T0,
+        alpha=alpha,
+        rebuild=rebuild,
+    )
+
+
+def builtin_displacement(name, alpha=None):
+    """The symbolic displacement of a built-in case."""
+    t, x, y = sp.symbols("t x y", real=True)
+    if name in ("eg1", "eg3"):
+        return [sp.sin(sp.pi * x) * sp.sin(sp.pi * y) * sp.sin(t),
+                x * (1 - x) * y * (1 - y) * sp.sin(t)]
+    if name == "eg2":
+        return [(1 + t**2) * x**alpha * y**2, (1 + sp.cos(t)) * x**2 * y**alpha]
+    psi = (sp.sin(sp.pi * x) * sp.sin(sp.pi * y))**2 * sp.sin(t)
+    return [sp.diff(psi, y), -sp.diff(psi, x)]
+
+
+def sympy_builtin_case(name, alpha=None, mu=1.0, lam=1.0, rho=1.0) -> MmsCase:
+    """A built-in case derived symbolically, as a reference for the closed forms."""
+    return case_from_displacement(name, builtin_displacement(name, alpha),
+                                  MaterialModel(mu=mu, lambda_=lam, rho=rho),
+                                  homogeneous=name != "eg2", alpha=alpha)

@@ -7,10 +7,9 @@ from mixedelast import (AssemblyError, MaterialModel, MixedElastError, assemble,
                         assemble_stress_mass, build_spaces, builtin_case,
                         canonical_interpolation)
 from mixedelast.assembly import SeparatedField
-from mixedelast.verification import _load_field, _separate
 
-from _oracles import (dense_assemble, dense_body_load, dense_dirichlet_load,
-                      dense_system_blocks, isotropic_stiffness_apply,
+from _oracles import (_load_field, _separate, dense_assemble, dense_body_load,
+                      dense_dirichlet_load, dense_system_blocks, isotropic_stiffness_apply,
                       triangle_areas)
 
 
@@ -291,17 +290,19 @@ def test_separated_load_evaluates_space_parts_once(mesh_cache):
                               bdry @ np.asarray(case.v.phi(t), dtype=float))
 
 
-@pytest.mark.parametrize("name,alpha", [("eg1", None), ("eg2", 2.2), ("locking", None)])
+@pytest.mark.parametrize("name,alpha", [("eg1", None), ("eg2", 2.2), ("locking", None),
+                                        ("eg3", None), ("eg2", 2.7)])
 def test_separated_terms_sum_to_field(name, alpha):
-    case = builtin_case(name, alpha=alpha)
     rng = np.random.default_rng(5)
-    x, y = rng.random((2, 40))
-    for field in (case.f,) if case.homogeneous else (case.f, case.v):
-        for t in (0.0, 0.37, 1.0):
-            total = np.einsum("i,ic...->c...", np.asarray(field.phi(t), dtype=float),
-                              field.psi(x, y))
-            exact = field(t, x, y)
-            assert np.abs(total - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
+    x, y = rng.random((2, 2000))
+    for mu, lam, rho in [(1.0, 1.0, 1.0), (1.0, 1e4, 1.0), (2.5, 0.3, 7.0)]:
+        case = builtin_case(name, alpha=alpha, mu=mu, lam=lam, rho=rho)
+        for field in (case.f,) if case.homogeneous else (case.f, case.v):
+            for t in (0.0, 0.37, 1.0):
+                total = np.einsum("i,ic...->c...", np.asarray(field.phi(t), dtype=float),
+                                  field.psi(x, y))
+                exact = field(t, x, y)
+                assert np.abs(total - exact).max() <= 1e-14 * np.abs(exact).max()
 
 
 def test_separate_is_exact_and_groups_by_time_factor():

@@ -46,6 +46,20 @@ def test_unknown_config_key(tmp_path):
         parse_config(["converge", "--config", str(path)])
 
 
+@pytest.mark.parametrize("data", [
+    {"alpha": "x", "case": "eg2"},
+    {"n_list": 4},
+    {"dt": "0.1"},
+    {"lambda_list": "1,2"},
+], ids=json.dumps)
+def test_config_values_of_wrong_type_are_config_errors(tmp_path, data, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and repr(next(iter(data))) in err
+
+
 def test_config_file_with_flag_override(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"case": "eg2", "alpha": 2.2, "n": 4}))

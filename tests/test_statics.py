@@ -12,9 +12,9 @@ from mixedelast import (MaterialModel, SingularSystemError, assemble,
                         l2_error, l2_project_velocity, solve_elastostatics)
 from mixedelast import statics
 from mixedelast.quadrature import triangle_rule
-from mixedelast.verification import case_from_displacement
 
 from conftest import make_matrix_field
+from _oracles import case_from_displacement
 
 
 def _static_case(mu=1.0, lam=1.0):

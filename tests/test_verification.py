@@ -7,7 +7,9 @@ from mixedelast import (MaterialModel, MixedElastError, assemble, builtin_case,
                         error_decomposition_diagnostic, l2_error, l2_project_velocity,
                         locking_study, run_case)
 from mixedelast.quadrature import triangle_rule
-from mixedelast.verification import ConvergenceTable, case_from_displacement
+from mixedelast.verification import ConvergenceTable
+
+from _oracles import case_from_displacement, sympy_builtin_case
 
 
 def test_eg1_fields_at_t0():
@@ -43,10 +45,39 @@ def test_eg2_boundary_data_inhomogeneous():
 
 
 def test_eg2_requires_valid_alpha():
-    with pytest.raises(MixedElastError):
-        builtin_case("eg2", alpha=1.2)
-    with pytest.raises(MixedElastError):
-        builtin_case("eg2")
+    for alpha in (1.2, None, float("nan"), float("inf")):
+        with pytest.raises(MixedElastError):
+            builtin_case("eg2", alpha=alpha)
+
+
+def test_builtin_cases_leave_sympy_out():
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mixedelast; "
+            "[mixedelast.builtin_case(c, alpha=2.2) for c in ('eg1', 'eg2', 'eg3')]; "
+            "mixedelast.builtin_case('locking').rebuild(1e4); "
+            "print('sympy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("mu,lam,rho", [(1.0, 1.0, 1.0), (1.0, 1e4, 1.0), (2.5, 0.3, 7.0)])
+@pytest.mark.parametrize("name,alpha", [("eg1", None), ("eg3", None), ("eg2", 2.2),
+                                        ("eg2", 2.7), ("locking", None)])
+def test_closed_forms_match_sympy_derivation(name, alpha, mu, lam, rho):
+    # every field of a built-in case against the same displacement
+    # differentiated and lambdified by sympy
+    case = builtin_case(name, alpha=alpha, mu=mu, lam=lam, rho=rho)
+    ref = sympy_builtin_case(name, alpha, mu, lam, rho)
+    x, y = np.random.default_rng(3).random((2, 2000))
+    for f in ("u", "v", "sigma", "rotation", "f", "div_sigma"):
+        for t in (0.0, 0.37, 1.0):
+            got, want = getattr(case, f)(t, x, y), getattr(ref, f)(t, x, y)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (f, t)
 
 
 def test_unknown_case_rejected():
@@ -54,7 +85,8 @@ def test_unknown_case_rejected():
         builtin_case("eg9")
 
 
-@pytest.mark.parametrize("name,alpha", [("eg1", None), ("eg2", 2.7), ("locking", None)])
+@pytest.mark.parametrize("name,alpha", [("eg1", None), ("eg3", None), ("eg2", 2.2),
+                                        ("eg2", 2.7), ("locking", None)])
 def test_case_internal_consistency(name, alpha):
     # v against a central difference of u in t; f against rho u_tt - div sigma
     # with the divergence taken by central differences of the case's own sigma
