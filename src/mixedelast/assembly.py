@@ -8,6 +8,11 @@ The block ODE reads  E ydot = G y + F(t)  with
 
 where the entries are (A phi_j, phi_i), (div phi_j, psi_i), (phi_j, chi_i)
 and (rho psi_j, psi_i) over the stress, velocity and rotation bases.
+
+Every matrix and the boundary operator are summed from local matrices by one
+`_scatter` through the global numbering that `DiscreteSpaces` states and
+carries as ``stress_map``, ``velocity_map`` and ``rotation_map``; the loads
+are moments in the same numbering.
 """
 
 from __future__ import annotations
@@ -18,11 +23,9 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sps
 
-from . import polynomials as poly
 from .errors import AssemblyError, MixedElastError
-from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
-from .spaces import DiscreteSpaces, _rotate_minus90
+from .spaces import DiscreteSpaces, _unit_normals
 
 
 @dataclass
@@ -98,10 +101,17 @@ class BlockSystem:
         return (self.Amat.shape[0], self.Mmat.shape[0], self.Cmat.shape[0])
 
 
-def _coo(vals, rows, cols, shape):
-    return sps.coo_matrix(
-        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape
-    ).tocsr()
+def _scatter(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sps.csr_matrix:
+    """Sum of the local matrices local[..., i, j] at the global entries
+    (rows[..., i], cols[..., j]), whose leading batch axes broadcast.  Exact
+    zeros are dropped, so the CSR result is canonical with no stored zeros."""
+    local, rows, cols = np.broadcast_arrays(local, rows[..., :, None], cols[..., None, :])
+    idx = np.int32 if max(shape) < 2**31 else np.int64  # the index copies at half the size
+    out = sps.coo_matrix((local.ravel(), (rows.astype(idx, order="C").ravel(),
+                                          cols.astype(idx, order="C").ravel())),
+                         shape=shape).tocsr()
+    out.eliminate_zeros()
+    return out.copy()  # a compact copy: the CSR arrays still have room for the duplicates
 
 
 def _stress_block_matrices(spaces: DiscreteSpaces, material: MaterialModel | None):
@@ -112,39 +122,17 @@ def _stress_block_matrices(spaces: DiscreteSpaces, material: MaterialModel | Non
     VW = V * W[:, None, None, :]
     G = np.einsum("tapq,tbrq->prtab", VW, V)  # test comp p, trial comp r
     dot = G[0, 0] + G[1, 1]
-
-    nrow = spaces.n_row_global
-    dim = spaces.dim_stress
-    gmap = spaces.row_dof_map
-    rows_loc = np.broadcast_to(gmap[:, :, None], G.shape[2:])
-    cols_loc = np.broadcast_to(gmap[:, None, :], G.shape[2:])
-
-    blocks = {}
-    if material is None:
-        for s in range(2):
-            for r in range(2):
-                blocks[s, r] = dot if s == r else None
-    else:
-        mu, lam = material.mu, material.lambda_
-        c = lam / (2.0 * mu * (2.0 * mu + 2.0 * lam))
-        for s in range(2):
-            for r in range(2):
-                blk = (1.0 / (4.0 * mu)) * G[r, s] - c * G[s, r] - 0.5 * G[r, s]
-                if s == r:
-                    blk = blk + (1.0 / (4.0 * mu) + 0.5) * dot
-                blocks[s, r] = blk
-
-    parts = []
+    shape = (spaces.dim_stress, spaces.dim_stress)
+    if material is None:  # row r of a test function pairs with row r only
+        return _scatter(dot[:, None], spaces.stress_map, spaces.stress_map, shape)
+    mu, lam = material.mu, material.lambda_
+    c = lam / (2.0 * mu * (2.0 * mu + 2.0 * lam))
+    Gt = G.swapaxes(0, 1)
+    blocks = (1.0 / (4.0 * mu)) * Gt - c * G - 0.5 * Gt  # (test row s, trial row r, T, a, b)
     for s in range(2):
-        for r in range(2):
-            blk = blocks[s, r]
-            if blk is None:
-                continue
-            parts.append(_coo(blk, rows_loc + s * nrow, cols_loc + r * nrow, (dim, dim)))
-    out = parts[0]
-    for p in parts[1:]:
-        out = out + p
-    return out
+        blocks[s, s] += (1.0 / (4.0 * mu) + 0.5) * dot
+    rows = spaces.stress_map.transpose(1, 0, 2)
+    return _scatter(blocks, rows[:, None], rows[None], shape)
 
 
 def _b_matrix(spaces: DiscreteSpaces, degree: int) -> sps.csr_matrix:
@@ -152,17 +140,9 @@ def _b_matrix(spaces: DiscreteSpaces, degree: int) -> sps.csr_matrix:
     DV = spaces.stress_row_div_values(rule)
     W = spaces.quad_weights(rule)
     psi = spaces.scalar_values(rule)
-    loc = np.einsum("tq,iq,tbq->tib", W, psi, DV)  # (T, m, nd)
-
-    nt = spaces.mesh.num_triangles
-    m = spaces.n_scalar
-    vel_rows = (np.arange(nt)[:, None] * 2 * m + np.arange(m)[None, :])  # comp 0
-    rows0 = np.broadcast_to(vel_rows[:, :, None], loc.shape)
-    cols = np.broadcast_to(spaces.row_dof_map[:, None, :], loc.shape)
-    shape = (spaces.dim_velocity, spaces.dim_stress)
-    B = _coo(loc, rows0, cols, shape)
-    B = B + _coo(loc, rows0 + m, cols + spaces.n_row_global, shape)
-    return B
+    loc = np.einsum("tq,iq,tbq->tib", W, psi, DV)  # (T, m, nd), one per component
+    return _scatter(loc[:, None], spaces.velocity_map, spaces.stress_map,
+                    (spaces.dim_velocity, spaces.dim_stress))
 
 
 def _c_matrix(spaces: DiscreteSpaces, degree: int) -> sps.csr_matrix:
@@ -172,18 +152,10 @@ def _c_matrix(spaces: DiscreteSpaces, degree: int) -> sps.csr_matrix:
     V = spaces.stress_row_values(rule)
     W = spaces.quad_weights(rule)
     psi = spaces.scalar_values(rule)
-    loc0 = np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 1, :])
-    loc1 = -np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 0, :])
-
-    nt = spaces.mesh.num_triangles
-    m = spaces.n_scalar
-    rot_rows = np.arange(nt)[:, None] * m + np.arange(m)[None, :]
-    rows = np.broadcast_to(rot_rows[:, :, None], loc0.shape)
-    cols = np.broadcast_to(spaces.row_dof_map[:, None, :], loc0.shape)
-    shape = (spaces.dim_rotation, spaces.dim_stress)
-    C = _coo(loc0, rows, cols, shape)
-    C = C + _coo(loc1, rows, cols + spaces.n_row_global, shape)
-    return C
+    loc = np.stack([np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 1, :]),
+                    -np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 0, :])], axis=1)
+    return _scatter(loc, spaces.rotation_map[:, None], spaces.stress_map,
+                    (spaces.dim_rotation, spaces.dim_stress))
 
 
 def _m_matrix(spaces: DiscreteSpaces, material: MaterialModel, degree: int) -> sps.csr_matrix:
@@ -194,17 +166,9 @@ def _m_matrix(spaces: DiscreteSpaces, material: MaterialModel, degree: int) -> s
         raise AssemblyError("density out of declared bounds at quadrature points")
     W = spaces.quad_weights(rule) * rho
     psi = spaces.scalar_values(rule)
-    loc = np.einsum("tq,iq,jq->tij", W, psi, psi)  # (T, m, m)
-
-    nt = spaces.mesh.num_triangles
-    m = spaces.n_scalar
-    base = np.arange(nt)[:, None] * 2 * m + np.arange(m)[None, :]
-    rows = np.broadcast_to(base[:, :, None], loc.shape)
-    cols = np.broadcast_to(base[:, None, :], loc.shape)
-    shape = (spaces.dim_velocity, spaces.dim_velocity)
-    M = _coo(loc, rows, cols, shape)
-    M = M + _coo(loc, rows + m, cols + m, shape)
-    return M
+    loc = np.einsum("tq,iq,jq->tij", W, psi, psi)  # (T, m, m), one per component
+    return _scatter(loc[:, None], spaces.velocity_map, spaces.velocity_map,
+                    (spaces.dim_velocity, spaces.dim_velocity))
 
 
 def assemble_stress_mass(spaces: DiscreteSpaces) -> sps.csr_matrix:
@@ -212,7 +176,7 @@ def assemble_stress_mass(spaces: DiscreteSpaces) -> sps.csr_matrix:
     return _stress_block_matrices(spaces, None)
 
 
-def assemble(mesh: Mesh, spaces: DiscreteSpaces, material: MaterialModel,
+def assemble(spaces: DiscreteSpaces, material: MaterialModel,
              body_force: Callable | None = None,
              dirichlet_velocity: Callable | None = None) -> BlockSystem:
     """Assemble the four block matrices and the load closures.
@@ -223,61 +187,51 @@ def assemble(mesh: Mesh, spaces: DiscreteSpaces, material: MaterialModel,
     term.  The matrices use quadrature of degree 2k + 2, the loads degree
     2k + 4.
     """
-    if spaces.mesh is not mesh:
-        raise MixedElastError("spaces were built on a different mesh")
     degree = 2 * spaces.k + 2
-
-    Amat = _stress_block_matrices(spaces, material)
-    Bmat = _b_matrix(spaces, degree)
-    Cmat = _c_matrix(spaces, degree)
-    Mmat = _m_matrix(spaces, material, degree)
-
-    load = _load_closure(body_force, spaces.dim_velocity,
-                         lambda g, t: assemble_body_load(spaces, g, t))
-    dload = _load_closure(dirichlet_velocity, spaces.dim_stress,
-                          lambda g, t: assemble_dirichlet_load(spaces, g, t))
-    return BlockSystem(Amat=Amat, Bmat=Bmat, Cmat=Cmat, Mmat=Mmat,
-                       load=load, dirichlet_load=dload,
-                       spaces=spaces, material=material)
+    return BlockSystem(
+        Amat=_stress_block_matrices(spaces, material), Bmat=_b_matrix(spaces, degree),
+        Cmat=_c_matrix(spaces, degree), Mmat=_m_matrix(spaces, material, degree),
+        load=_load_closure(body_force, spaces.dim_velocity,
+                           lambda: _body_load_map(spaces)),
+        dirichlet_load=_load_closure(dirichlet_velocity, spaces.dim_stress,
+                                     lambda: _dirichlet_load_map(spaces)),
+        spaces=spaces, material=material)
 
 
-def _load_closure(field: Callable | None, dim: int, assemble_at: Callable):
-    """t -> load vector of a field, where assemble_at(g, t) assembles the load
-    of g(t, ., .).  No field gives zero.  For a SeparatedField the load of
-    each space part is assembled once, as a column of L, and a call is
-    L @ phi(t); any other callable is assembled at every call."""
+def _sample(f: Callable, t: float, pts: np.ndarray) -> np.ndarray:
+    return np.asarray(f(t, pts[..., 0], pts[..., 1]), dtype=float)
+
+
+def _load_closure(field: Callable | None, dim: int, load_map: Callable):
+    """t -> load vector of a field, where load_map() gives the sample points
+    of the load and its linear map from the field sampled there to the load
+    vector.  No field gives zero.  For a SeparatedField each sampled space
+    part is mapped once, as a column of L, and a call is L @ phi(t); any
+    other callable is sampled and mapped at every call."""
     if field is None:
         zero = np.zeros(dim)
         return lambda t: zero
+    pts, apply = load_map()
     if not isinstance(field, SeparatedField):
-        return lambda t: assemble_at(field, t)
-    # assemble_at samples every part at the same points, so the space parts
-    # are evaluated there once and handed out one by one
-    parts = []
-
-    def part(i):
-        def g(t, x, y):
-            if not parts:
-                parts.append(field.psi(x, y))
-            return parts[0][i]
-        return g
-
-    L = np.column_stack([assemble_at(part(i), 0.0) for i in range(len(field.phi(0.0)))])
+        return lambda t: apply(_sample(field, t, pts))
+    parts = np.asarray(field.psi(pts[..., 0], pts[..., 1]), dtype=float)
+    L = np.column_stack([apply(part) for part in parts])
     return lambda t: L @ np.asarray(field.phi(t), dtype=float)
+
+
+def _body_load_map(spaces: DiscreteSpaces, degree: int | None = None):
+    """Sample points (T, nq, 2) of the body load and its map from f sampled
+    there, (2, T, nq), to the velocity-space load."""
+    rule = triangle_rule(2 * spaces.k + 4 if degree is None else degree)
+    W = spaces.quad_weights(rule)
+    return spaces.physical_points(rule), lambda vals: spaces.scalar_moments(W, rule, vals)
 
 
 def assemble_body_load(spaces: DiscreteSpaces, f: Callable, t: float,
                        degree: int | None = None) -> np.ndarray:
     """Velocity-space load vector with entries (f(t, .), psi_i)."""
-    if degree is None:
-        degree = 2 * spaces.k + 4
-    rule = triangle_rule(degree)
-    X = spaces.physical_points(rule)
-    vals = np.asarray(f(t, X[..., 0], X[..., 1]), dtype=float)  # (2, T, nq)
-    W = spaces.quad_weights(rule)
-    psi = spaces.scalar_values(rule)
-    coeffs = np.einsum("tq,jq,ctq->tcj", W, psi, vals)
-    return coeffs.ravel()
+    pts, apply = _body_load_map(spaces, degree)
+    return apply(_sample(f, t, pts))
 
 
 def _dirichlet_operator(spaces: DiscreteSpaces, degree: int):
@@ -289,39 +243,36 @@ def _dirichlet_operator(spaces: DiscreteSpaces, degree: int):
         return spaces._cache[key]
     mesh = spaces.mesh
     edges = mesh.boundary_edges
-    inc = mesh.edge_triangles()
-    tris = inc[edges, 0]
+    tris = mesh.edge_triangles()[edges, 0]
     # local edge index and outward-normal sign of each boundary edge
     loc = np.argmax(mesh.triangle_edges[tris] == edges[:, None], axis=1)
     sign = mesh.edge_signs[tris, loc]
 
     rule = edge_rule(degree)
-    tq, wq = rule.points, rule.weights
     a = mesh.vertices[mesh.edges[edges, 0]]
     b = mesh.vertices[mesh.edges[edges, 1]]
     tang = b - a
     length = np.linalg.norm(tang, axis=1)
-    nu = sign[:, None] * _rotate_minus90(tang / length[:, None])
-    pts = a[:, None, :] + tq[None, :, None] * tang[:, None, :]
-
-    nm = len(spaces.stress_exps)
-    xi = (pts - spaces.centers[tris, None, :]) / spaces.scales[tris, None, None]
-    mv = poly.eval_monomials(spaces.stress_exps, xi[..., 0], xi[..., 1])
-    coef = spaces.stress_coef[tris]
-    vx = np.einsum("ebm,meq->ebq", coef[:, :, :nm], mv)
-    vy = np.einsum("ebm,meq->ebq", coef[:, :, nm:], mv)
-    vdotnu = vx * nu[:, None, None, 0] + vy * nu[:, None, None, 1]
+    nu = sign[:, None] * _unit_normals(a, b)
+    pts = a[:, None, :] + rule.points[None, :, None] * tang[:, None, :]
+    V = spaces.stress_basis(pts, tris)  # (nbe, nd, 2, nqe)
+    vdotnu = V[:, :, 0] * nu[:, None, None, 0] + V[:, :, 1] * nu[:, None, None, 1]
 
     # entry for stress dof (r, b) and sample (r, e, q): length_e w_q (v_b . nu)(q)
-    weights = length[:, None, None] * wq[None, None, :] * vdotnu  # (nbe, nd, nqe)
-    nbe, nd, nqe = weights.shape
-    rows = np.broadcast_to(spaces.row_dof_map[tris][:, :, None], weights.shape)
-    cols = np.broadcast_to(np.arange(nbe * nqe).reshape(nbe, 1, nqe), weights.shape)
-    shape = (spaces.dim_stress, 2 * nbe * nqe)
-    op = _coo(weights, rows, cols, shape)
-    op = op + _coo(weights, rows + spaces.n_row_global, cols + nbe * nqe, shape)
+    weights = length[:, None, None] * rule.weights[None, None, :] * vdotnu  # (nbe, nd, nqe)
+    nbe, _, nqe = weights.shape
+    samples = np.arange(2 * nbe * nqe).reshape(2, nbe, nqe).transpose(1, 0, 2)
+    op = _scatter(weights[:, None], spaces.stress_map[tris], samples,
+                  (spaces.dim_stress, 2 * nbe * nqe))
     spaces._cache[key] = (pts, op)
     return pts, op
+
+
+def _dirichlet_load_map(spaces: DiscreteSpaces, degree: int | None = None):
+    """Sample points (nbe, nqe, 2) of the boundary load and its map from g
+    sampled there, (2, nbe, nqe), to the stress-space load."""
+    pts, op = _dirichlet_operator(spaces, 2 * spaces.k + 4 if degree is None else degree)
+    return pts, lambda vals: op @ vals.ravel()
 
 
 def assemble_dirichlet_load(spaces: DiscreteSpaces, g: Callable, t: float,
@@ -333,8 +284,5 @@ def assemble_dirichlet_load(spaces: DiscreteSpaces, g: Callable, t: float,
     geometry and basis traces are built once per spaces and degree; a call
     samples g and applies one sparse operator.
     """
-    if degree is None:
-        degree = 2 * spaces.k + 4
-    pts, op = _dirichlet_operator(spaces, degree)
-    gv = np.asarray(g(t, pts[..., 0], pts[..., 1]), dtype=float)  # (2, nbe, nqe)
-    return op @ gv.ravel()
+    pts, apply = _dirichlet_load_map(spaces, degree)
+    return apply(_sample(g, t, pts))

@@ -162,6 +162,19 @@ class DiscreteSpaces:
     is the orthonormal P_{k-1} basis ``scalar_coef`` @ monomials
     ``scalar_exps`` against the doubled reference measure, so its Gram matrix
     on a physical triangle is area * identity.
+
+    Global numbering, with m = n_scalar and E, T the edge and triangle counts:
+
+    - stress: row 0 of the tensor, then row 1, each ``n_row_global`` long.
+      Within a row, edge e holds e (k+1) + i, i < k+1, and triangle t the
+      interior DOFs (k+1) E + t (k^2-1) + i.  ``row_dof_map`` gives the row
+      index of each local DOF and ``stress_map`` (T, 2, n_row_dofs) its
+      global index in row r, ``row_dof_map + r n_row_global``;
+    - velocity: ``velocity_map`` (T, 2, m), t 2m + c m + j for component c;
+    - rotation: ``rotation_map`` (T, m), t m + j.
+
+    Every matrix, boundary operator and load is scattered through these
+    three maps.
     """
 
     mesh: Mesh
@@ -171,6 +184,9 @@ class DiscreteSpaces:
     scalar_coef: np.ndarray      # (n_scalar, n_scalar)
     stress_coef: np.ndarray      # (T, n_row_dofs, 2 * n_mono)
     row_dof_map: np.ndarray      # (T, n_row_dofs) -> global row-space index
+    stress_map: np.ndarray       # (T, 2, n_row_dofs)
+    velocity_map: np.ndarray     # (T, 2, n_scalar)
+    rotation_map: np.ndarray     # (T, n_scalar)
     tri_verts: np.ndarray        # (T, 3, 2)
     centers: np.ndarray
     scales: np.ndarray
@@ -217,19 +233,25 @@ class DiscreteSpaces:
             self._cache[key] = self.dets[:, None] * rule.weights[None, :]
         return self._cache[key]
 
-    def _xi(self, pts: np.ndarray) -> np.ndarray:
-        return (pts - self.centers[:, None, :]) / self.scales[:, None, None]
+    def _xi(self, pts: np.ndarray, tris=slice(None)) -> np.ndarray:
+        return (pts - self.centers[tris, None, :]) / self.scales[tris, None, None]
+
+    def stress_basis(self, pts: np.ndarray, tris=slice(None)) -> np.ndarray:
+        """Row basis values at points pts (len(tris), nq, 2), pts[i] in
+        triangle tris[i]; shape (len(tris), n_row_dofs, 2, nq)."""
+        nm = len(self.stress_exps)
+        xi = self._xi(pts, tris)
+        mv = poly.eval_monomials(self.stress_exps, xi[..., 0], xi[..., 1])
+        coef = self.stress_coef[tris]
+        vx = np.einsum("tbm,mtq->tbq", coef[:, :, :nm], mv)
+        vy = np.einsum("tbm,mtq->tbq", coef[:, :, nm:], mv)
+        return np.stack([vx, vy], axis=2)
 
     def stress_row_values(self, rule: QuadratureRule) -> np.ndarray:
         """Row basis values at rule points, shape (T, n_row_dofs, 2, nq)."""
         key = ("sv", rule.exactness)
         if key not in self._cache:
-            nm = len(self.stress_exps)
-            xi = self._xi(self.physical_points(rule))
-            mv = poly.eval_monomials(self.stress_exps, xi[..., 0], xi[..., 1])
-            vx = np.einsum("tbm,mtq->tbq", self.stress_coef[:, :, :nm], mv)
-            vy = np.einsum("tbm,mtq->tbq", self.stress_coef[:, :, nm:], mv)
-            self._cache[key] = np.stack([vx, vy], axis=2)
+            self._cache[key] = self.stress_basis(self.physical_points(rule))
         return self._cache[key]
 
     def stress_row_div_values(self, rule: QuadratureRule) -> np.ndarray:
@@ -254,19 +276,20 @@ class DiscreteSpaces:
             self._cache[key] = np.tensordot(self.scalar_coef, mv, axes=(1, 0))
         return self._cache[key]
 
+    def scalar_moments(self, W: np.ndarray, rule: QuadratureRule,
+                       vals: np.ndarray) -> np.ndarray:
+        """sum_q W[t, q] psi_j(q) vals[..., t, q]: the moments of fields
+        sampled at rule points against the P_{k-1} basis, a V_h vector for
+        vals (2, T, nq) and a K_h vector for vals (T, nq), in global order."""
+        return np.einsum("tq,jq,...tq->t...j", W, self.scalar_values(rule), vals).ravel()
+
     def stress_values(self, alpha: np.ndarray, rule: QuadratureRule) -> np.ndarray:
         """Field values of a stress coefficient vector, shape (T, 2, 2, nq)."""
-        V = self.stress_row_values(rule)
-        rows = alpha.reshape(2, self.n_row_global)
-        local = rows[:, self.row_dof_map]  # (2, T, n_row_dofs)
-        return np.einsum("rtb,tbdq->trdq", local, V)
+        return np.einsum("trb,tbdq->trdq", alpha[self.stress_map], self.stress_row_values(rule))
 
     def stress_div_values(self, alpha: np.ndarray, rule: QuadratureRule) -> np.ndarray:
         """Row-wise divergence of a stress field, shape (T, 2, nq)."""
-        DV = self.stress_row_div_values(rule)
-        rows = alpha.reshape(2, self.n_row_global)
-        local = rows[:, self.row_dof_map]
-        return np.einsum("rtb,tbq->trq", local, DV)
+        return np.einsum("trb,tbq->trq", alpha[self.stress_map], self.stress_row_div_values(rule))
 
     def velocity_values(self, coeffs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
         """Field values of a V_h coefficient vector, shape (T, 2, nq)."""
@@ -291,21 +314,17 @@ def build_spaces(mesh: Mesh, k: int) -> DiscreteSpaces:
     centers, scales, dets, _ = _triangle_geometry(verts)
     scalar_exps, scalar_coef = poly.orthonormal_scalar_basis(k - 1)
 
-    nt = mesh.num_triangles
-    nd = (k + 1) * (k + 2)
-    n_int = k**2 - 1
-    row_map = np.empty((nt, nd), dtype=int)
-    for loc in range(3):
-        cols = slice(loc * (k + 1), (loc + 1) * (k + 1))
-        row_map[:, cols] = (mesh.triangle_edges[:, loc, None] * (k + 1)
-                            + np.arange(k + 1)[None, :])
-    if n_int:
-        base = (k + 1) * mesh.num_edges
-        row_map[:, 3 * (k + 1):] = (base + np.arange(nt)[:, None] * n_int
-                                    + np.arange(n_int)[None, :])
+    nt, m, n_int = mesh.num_triangles, len(scalar_exps), k**2 - 1
+    base = (k + 1) * mesh.num_edges
+    edge_dofs = mesh.triangle_edges[:, :, None] * (k + 1) + np.arange(k + 1)
+    row_map = np.concatenate([edge_dofs.reshape(nt, -1),
+                              base + np.arange(nt)[:, None] * n_int + np.arange(n_int)], axis=1)
     return DiscreteSpaces(
         mesh=mesh, k=k, stress_exps=poly.monomial_exponents(k), scalar_exps=scalar_exps,
         scalar_coef=scalar_coef, stress_coef=coef, row_dof_map=row_map,
+        stress_map=row_map[:, None, :] + (base + n_int * nt) * np.arange(2)[:, None],
+        velocity_map=np.arange(2 * nt * m).reshape(nt, 2, m),
+        rotation_map=np.arange(nt * m).reshape(nt, m),
         tri_verts=verts, centers=centers, scales=scales, dets=dets,
     )
 
@@ -333,27 +352,22 @@ def canonical_interpolation(spaces: DiscreteSpaces, sigma: Callable,
     return np.concatenate([edge.reshape(2, -1), interior.reshape(2, -1)], axis=1).ravel()
 
 
+def _l2_project(spaces: DiscreteSpaces, fn: Callable, degree: int | None) -> np.ndarray:
+    # the basis is orthonormal against the doubled reference measure, so the
+    # projection's coefficients are the moments with weights 2 w_q
+    rule = triangle_rule(2 * spaces.k + 4 if degree is None else degree)
+    X = spaces.physical_points(rule)
+    vals = np.asarray(fn(X[..., 0], X[..., 1]), dtype=float)
+    return spaces.scalar_moments(np.broadcast_to(2.0 * rule.weights, X.shape[:2]), rule, vals)
+
+
 def l2_project_velocity(spaces: DiscreteSpaces, v: Callable,
                         degree: int | None = None) -> np.ndarray:
     """Elementwise L2 projection of a vector field onto V_h."""
-    if degree is None:
-        degree = 2 * spaces.k + 4
-    rule = triangle_rule(degree)
-    X = spaces.physical_points(rule)
-    vals = np.asarray(v(X[..., 0], X[..., 1]), dtype=float)  # (2, T, nq)
-    psi = spaces.scalar_values(rule)
-    coeffs = 2.0 * np.einsum("q,jq,ctq->tcj", rule.weights, psi, vals)
-    return coeffs.ravel()
+    return _l2_project(spaces, v, degree)
 
 
 def l2_project_rotation(spaces: DiscreteSpaces, q: Callable,
                         degree: int | None = None) -> np.ndarray:
     """Elementwise L2 projection of a scalar rotation field onto K_h."""
-    if degree is None:
-        degree = 2 * spaces.k + 4
-    rule = triangle_rule(degree)
-    X = spaces.physical_points(rule)
-    vals = np.asarray(q(X[..., 0], X[..., 1]), dtype=float)  # (T, nq)
-    psi = spaces.scalar_values(rule)
-    coeffs = 2.0 * np.einsum("q,jq,tq->tj", rule.weights, psi, vals)
-    return coeffs.ravel()
+    return _l2_project(spaces, q, degree)

@@ -110,10 +110,9 @@ def _step_order(system: BlockSystem) -> np.ndarray:
                          options={"SymmetricMode": True}).perm_c
         entity = np.concatenate([np.repeat(np.arange(ne), k + 1),
                                  ne + np.repeat(np.arange(nt), k * k - 1)])
-        nrow = spaces.n_row_global
-        pos = np.empty(2 * nrow)
-        pos[np.argsort(np.tile(rank[entity], 2), kind="stable")] = np.arange(2 * nrow)
-        tri = np.sort(pos[np.hstack([spaces.row_dof_map, spaces.row_dof_map + nrow])], axis=1)
+        pos = np.empty(spaces.dim_stress)
+        pos[np.argsort(np.tile(rank[entity], 2), kind="stable")] = np.arange(spaces.dim_stress)
+        tri = np.sort(pos[spaces.stress_map].reshape(nt, -1), axis=1)
         median = tri[:, tri.shape[1] // 2 - 1] + 0.5
         cache["order"] = np.argsort(
             np.concatenate([pos, np.repeat(median, spaces.n_scalar)]), kind="stable")
@@ -293,26 +292,16 @@ def elliptic_projection(system: BlockSystem, sigma: Callable,
     analytically; the data are integrated with the degree-12 rule.  The
     result preserves the divergence moments and the skew moments of sigma.
     """
-    degree = 12
     spaces = system.spaces
-
-    rule = triangle_rule(degree)
+    rule = triangle_rule(12)
     X = spaces.physical_points(rule)
     W = spaces.quad_weights(rule)
     vals = np.asarray(sigma(X[..., 0], X[..., 1]), dtype=float)  # (2, 2, T, nq)
-    V = spaces.stress_row_values(rule)
-    rhs_sigma = np.empty(spaces.dim_stress)
-    for r in range(2):
-        loc = np.einsum("tq,tbdq,dtq->tb", W, V, vals[r])
-        vec = np.zeros(spaces.n_row_global)
-        np.add.at(vec, spaces.row_dof_map, loc)
-        rhs_sigma[r * spaces.n_row_global:(r + 1) * spaces.n_row_global] = vec
-
-    rhs_v = assemble_body_load(spaces, lambda t, x, y: div_sigma(x, y), 0.0, degree=degree)
-
-    psi = spaces.scalar_values(rule)
-    skew = vals[0, 1] - vals[1, 0]
-    rhs_r = np.einsum("tq,iq,tq->ti", W, psi, skew).ravel()
+    loc = np.einsum("tq,tbdq,rdtq->trb", W, spaces.stress_row_values(rule), vals)
+    rhs_sigma = np.bincount(spaces.stress_map.ravel(), loc.ravel(), spaces.dim_stress)
+    rhs_v = spaces.scalar_moments(W, rule, np.asarray(div_sigma(X[..., 0], X[..., 1]),
+                                                      dtype=float))
+    rhs_r = spaces.scalar_moments(W, rule, vals[0, 1] - vals[1, 0])
 
     # the L2 pairing is the compliance of mu = 1/2 (and lambda = 0)
     sig, _, _ = _solve_saddle(system, stress_mass(system), 0.5, rhs_sigma, rhs_v, rhs_r)

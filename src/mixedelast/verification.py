@@ -298,9 +298,8 @@ def _build_system(material: MaterialModel, k: int, n: int,
     Every command builds its system here.  The stages are looked up by their
     module-global names at call time, so they can be wrapped from outside.
     """
-    mesh = build_uniform_square_mesh(n)
-    spaces = build_spaces(mesh, k)
-    return assemble(mesh, spaces, material, body_force=body_force,
+    spaces = build_spaces(build_uniform_square_mesh(n), k)
+    return assemble(spaces, material, body_force=body_force,
                     dirichlet_velocity=dirichlet_velocity)
 
 

@@ -83,7 +83,7 @@ def energy_setup():
     case = builtin_case("eg1")
     mesh = build_uniform_square_mesh(8)
     spaces = build_spaces(mesh, 2)
-    system = assemble(mesh, spaces, case.material)  # f = 0
+    system = assemble(spaces, case.material)  # f = 0
     v0 = l2_project_velocity(spaces, lambda x, y: case.v(0.0, x, y), degree=12)
     init = InitialData(sigma0=np.zeros(spaces.dim_stress), v0=v0,
                        r0=np.zeros(spaces.dim_rotation),
@@ -146,7 +146,7 @@ def test_criterion_8_elliptic_projection():
     for k, n in ((1, 4), (2, 4), (3, 2)):
         mesh = build_uniform_square_mesh(n)
         spaces = build_spaces(mesh, k)
-        system = assemble(mesh, spaces, builtin_case("eg1").material)
+        system = assemble(spaces, builtin_case("eg1").material)
         rule = triangle_rule(12)
         W = spaces.quad_weights(rule)
         X = spaces.physical_points(rule)
@@ -188,7 +188,7 @@ def test_criterion_9_oracle_equivalence():
     case = builtin_case("eg1")
     mesh = build_uniform_square_mesh(1)
     spaces = build_spaces(mesh, 1)
-    system = assemble(mesh, spaces, case.material, body_force=case.f)
+    system = assemble(spaces, case.material, body_force=case.f)
     A, B, C, M = dense_assemble(spaces, case.material)
     mat_err = max(np.abs(system.Amat.toarray() - A).max(),
                   np.abs(system.Bmat.toarray() - B).max(),

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 import sympy as sp
 
 from mixedelast import (AssemblyError, MaterialModel, MixedElastError, assemble,
                         assemble_body_load, assemble_dirichlet_load,
                         assemble_stress_mass, build_spaces, builtin_case,
                         canonical_interpolation)
-from mixedelast.assembly import SeparatedField
+from mixedelast.assembly import SeparatedField, _dirichlet_operator
 
 from _oracles import (_load_field, _separate, dense_assemble, dense_body_load,
                       dense_dirichlet_load, dense_system_blocks, isotropic_stiffness_apply,
@@ -21,7 +22,7 @@ def _compliance_residual(spaces, material, tau, image):
         return canonical_interpolation(
             spaces, lambda x, y: np.multiply.outer(c, np.ones(np.shape(x))))
 
-    A = assemble(spaces.mesh, spaces, material).Amat
+    A = assemble(spaces, material).Amat
     rhs = assemble_stress_mass(spaces) @ interpolant(image)
     return np.abs(A @ interpolant(tau) - rhs).max() / np.abs(rhs).max()
 
@@ -67,8 +68,8 @@ def test_material_validation():
             MaterialModel(**{"mu": 1.0, "lambda_": 1.0, **kwargs})
 
 
-def test_block_sizes(mesh_cache, spaces_cache, unit_material):
-    system = assemble(mesh_cache(1), spaces_cache(1, 1), unit_material)
+def test_block_sizes(spaces_cache, unit_material):
+    system = assemble(spaces_cache(1, 1), unit_material)
     assert system.Amat.shape == (20, 20)
     assert system.Bmat.shape == (4, 20)
     assert system.Cmat.shape == (2, 20)
@@ -77,7 +78,7 @@ def test_block_sizes(mesh_cache, spaces_cache, unit_material):
 
 def test_mass_matrix_is_area_blocks(mesh_cache, spaces_cache, unit_material):
     mesh = mesh_cache(2)
-    system = assemble(mesh, spaces_cache(2, 1), unit_material)
+    system = assemble(spaces_cache(2, 1), unit_material)
     M = system.Mmat.toarray()
     expected = np.zeros_like(M)
     for t, area in enumerate(triangle_areas(mesh)):
@@ -85,8 +86,8 @@ def test_mass_matrix_is_area_blocks(mesh_cache, spaces_cache, unit_material):
     assert np.abs(M - expected).max() <= 1e-14
 
 
-def test_amat_positive_definite(mesh_cache, spaces_cache, unit_material):
-    system = assemble(mesh_cache(2), spaces_cache(2, 2), unit_material)
+def test_amat_positive_definite(spaces_cache, unit_material):
+    system = assemble(spaces_cache(2, 2), unit_material)
     rng = np.random.default_rng(7)
     for _ in range(5):
         a = rng.standard_normal(system.Amat.shape[0])
@@ -97,25 +98,24 @@ def test_amat_positive_definite(mesh_cache, spaces_cache, unit_material):
     assert abs(M - M.T).max() <= 1e-14
 
 
-def test_bmat_full_row_rank(mesh_cache, spaces_cache, unit_material):
+def test_bmat_full_row_rank(spaces_cache, unit_material):
     for n, k in ((1, 1), (2, 1), (2, 2)):
-        system = assemble(mesh_cache(n), spaces_cache(n, k), unit_material)
+        system = assemble(spaces_cache(n, k), unit_material)
         sv = np.linalg.svd(system.Bmat.toarray(), compute_uv=False)
         assert sv.min() > 1e-10 * sv.max()
 
 
-def test_block_ode_matrix_invertible(mesh_cache, spaces_cache, unit_material):
-    system = assemble(mesh_cache(1), spaces_cache(1, 1), unit_material)
+def test_block_ode_matrix_invertible(spaces_cache, unit_material):
+    system = assemble(spaces_cache(1, 1), unit_material)
     E, _ = dense_system_blocks(system)
     assert np.linalg.cond(E) < 1e3
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 1)])
-def test_oracle_equivalence(mesh_cache, spaces_cache, unit_material, n, k):
+def test_oracle_equivalence(spaces_cache, unit_material, n, k):
     # brute-force looped assembly on meshes of up to 8 triangles
-    mesh = mesh_cache(n)
     spaces = spaces_cache(n, k)
-    system = assemble(mesh, spaces, unit_material)
+    system = assemble(spaces, unit_material)
     A, B, C, M = dense_assemble(spaces, unit_material)
     assert np.abs(system.Amat.toarray() - A).max() <= 1e-12
     assert np.abs(system.Bmat.toarray() - B).max() <= 1e-12
@@ -130,27 +130,27 @@ def test_compliance_inverts_stiffness_on_general_tensors(spaces_cache, unit_mate
                                 isotropic_stiffness_apply(tau, unit_material), tau) <= 1e-12
 
 
-def test_amat_mmat_smallest_eigenvalue_positive(mesh_cache, spaces_cache, unit_material):
-    system = assemble(mesh_cache(1), spaces_cache(1, 1), unit_material)
+def test_amat_mmat_smallest_eigenvalue_positive(spaces_cache, unit_material):
+    system = assemble(spaces_cache(1, 1), unit_material)
     assert np.linalg.eigvalsh(system.Amat.toarray()).min() > 0.0
     assert np.linalg.eigvalsh(system.Mmat.toarray()).min() > 0.0
 
 
-def test_rho_scaling(mesh_cache, spaces_cache):
-    base = assemble(mesh_cache(2), spaces_cache(2, 1), MaterialModel(mu=1, lambda_=1, rho=1.0))
-    scaled = assemble(mesh_cache(2), spaces_cache(2, 1), MaterialModel(mu=1, lambda_=1, rho=3.0))
+def test_rho_scaling(spaces_cache):
+    base = assemble(spaces_cache(2, 1), MaterialModel(mu=1, lambda_=1, rho=1.0))
+    scaled = assemble(spaces_cache(2, 1), MaterialModel(mu=1, lambda_=1, rho=3.0))
     assert abs(scaled.Mmat - 3.0 * base.Mmat).max() <= 1e-14
 
 
-def test_rho_bound_violation(mesh_cache, spaces_cache):
+def test_rho_bound_violation(spaces_cache):
     mat = MaterialModel(mu=1.0, lambda_=1.0, rho=lambda x, y: 1.0 + x, rho0=1.0, rho1=1.5)
     with pytest.raises(AssemblyError):
-        assemble(mesh_cache(2), spaces_cache(2, 1), mat)
+        assemble(spaces_cache(2, 1), mat)
 
 
 def test_spatial_rho_assembles(mesh_cache, spaces_cache):
     mat = MaterialModel(mu=1.0, lambda_=1.0, rho=lambda x, y: 1.0 + x, rho0=1.0, rho1=2.0)
-    system = assemble(mesh_cache(2), spaces_cache(2, 1), mat)
+    system = assemble(spaces_cache(2, 1), mat)
     # k=1 constant basis is 1 per triangle, so the x-component diagonal sums
     # to the total mass: int (1 + x) over the unit square = 3/2
     M = system.Mmat.toarray()
@@ -199,11 +199,10 @@ def test_dirichlet_load_zero(spaces_cache):
     assert np.all(zero == 0.0)
 
 
-def test_homogeneous_case_never_assembles_boundary_load(mesh_cache, spaces_cache,
-                                                        unit_material):
+def test_homogeneous_case_never_assembles_boundary_load(spaces_cache, unit_material):
     case = builtin_case("eg1")
     assert case.homogeneous and case.g is None
-    system = assemble(mesh_cache(1), spaces_cache(1, 1), unit_material,
+    system = assemble(spaces_cache(1, 1), unit_material,
                       body_force=case.f, dirichlet_velocity=case.g)
     assert np.all(system.dirichlet_load(0.37) == 0.0)
 
@@ -227,6 +226,22 @@ def test_dirichlet_load_cached_operator_matches_oracle(mesh_cache):
     assert [key for key in spaces._cache if key[0] == "dirichlet"] == [("dirichlet", 10)]
 
 
+@pytest.mark.parametrize("spatial", [False, True], ids=["constant-rho", "spatial-rho"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_operators_are_canonical_without_stored_zeros(spaces_cache, k, spatial):
+    # sorted column indices, no duplicates and no explicit zeros: the fill of
+    # the entity-ordered step LU depends on this structure
+    rho = dict(rho=lambda x, y: 1.0 + 0.5 * x * y, rho0=1.0, rho1=1.5) if spatial else {}
+    spaces = spaces_cache(2, k)
+    system = assemble(spaces, MaterialModel(mu=1.0, lambda_=1.0, **rho))
+    _, dirichlet = _dirichlet_operator(spaces, 2 * k + 4)
+    for op in (system.Amat, system.Bmat, system.Cmat, system.Mmat,
+               assemble_stress_mass(spaces), dirichlet):
+        assert op.format == "csr"
+        assert sps.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape).has_canonical_format
+        assert np.all(op.data != 0.0)
+
+
 def test_stress_mass_spd(mesh_cache, spaces_cache):
     mass = assemble_stress_mass(spaces_cache(1, 1))
     dense = mass.toarray()
@@ -246,7 +261,7 @@ def test_separated_loads_match_oracle_and_sampled_path(mesh_cache, name, alpha, 
     assert isinstance(case.v, SeparatedField) == (not case.homogeneous)
     g = case.f if case.homogeneous else case.v
     spaces = build_spaces(mesh_cache(2), k)
-    system = assemble(spaces.mesh, spaces, case.material,
+    system = assemble(spaces, case.material,
                       body_force=case.f, dirichlet_velocity=g)
     degree = 2 * k + 4
     for t in (0.0, 0.37, 1.0):
@@ -272,7 +287,7 @@ def test_separated_load_evaluates_space_parts_once(mesh_cache):
         return SeparatedField(field.fn, field.phi, psi)
 
     spaces = build_spaces(mesh_cache(2), 2)
-    system = assemble(spaces.mesh, spaces, case.material,
+    system = assemble(spaces, case.material,
                       body_force=counted(case.f, "f"),
                       dirichlet_velocity=counted(case.v, "v"))
     assert sorted(calls) == ["f", "v"]
@@ -322,7 +337,7 @@ def test_unseparated_fields_use_sampled_path(mesh_cache):
     plain = lambda t, x, y: np.stack([np.cos(t) * x * y, np.ones(np.shape(x))])
     spaces = build_spaces(mesh_cache(2), 2)
     for field in (mixed, plain):
-        system = assemble(spaces.mesh, spaces, MaterialModel(mu=1.0, lambda_=1.0),
+        system = assemble(spaces, MaterialModel(mu=1.0, lambda_=1.0),
                           body_force=field, dirichlet_velocity=field)
         for s in (0.0, 0.37, 1.0):
             assert np.array_equal(system.load(s), assemble_body_load(spaces, field, s))

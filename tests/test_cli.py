@@ -60,6 +60,15 @@ def test_config_values_of_wrong_type_are_config_errors(tmp_path, data, capsys):
     assert "configuration error" in err and repr(next(iter(data))) in err
 
 
+@pytest.mark.parametrize("command,key", [("converge", "n_list"), ("infsup", "n_list"),
+                                         ("locking", "lambda_list")])
+def test_empty_lists_in_config_file_are_config_errors(tmp_path, command, key, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({key: []}))
+    assert main([command, "--config", str(path)]) == 2
+    assert "must not be empty" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"case": "eg2", "alpha": 2.2, "n": 4}))
@@ -186,6 +195,9 @@ def test_solver_error_exit_code(capsys, monkeypatch):
     ["run", "--t0", "0"],
     ["run", "--n", "0"],
     ["converge", "--n-list", "0,0"],
+    ["converge", "--n-list", ","],  # empty lists
+    ["infsup", "--n-list", ","],
+    ["locking", "--lambda-list", ","],
     ["mesh-info", "--n", "-3"],
     ["energy-audit", "--steps", "0"],
     ["run", "--mu", "-1"],  # invalid real inputs

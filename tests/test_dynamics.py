@@ -77,7 +77,7 @@ def small_system():
     case = builtin_case("eg1")
     mesh = __import__("mixedelast").build_uniform_square_mesh(1)
     spaces = __import__("mixedelast").build_spaces(mesh, 1)
-    return assemble(mesh, spaces, case.material, body_force=case.f), spaces, case
+    return assemble(spaces, case.material, body_force=case.f), spaces, case
 
 
 def _zero_initial_data(spaces):
@@ -87,7 +87,7 @@ def _zero_initial_data(spaces):
 
 def test_zero_data_zero_trajectory(small_system):
     system, spaces, _ = small_system
-    sysz = assemble(spaces.mesh, spaces, system.material)  # no loads
+    sysz = assemble(spaces, system.material)  # no loads
     init = _zero_initial_data(spaces)
     traj = integrate(sysz, init, "cn", 0.1, 1.0)
     st = traj.final_state
@@ -115,7 +115,7 @@ def test_energy_zero_state_and_scaling(small_system):
 
 def test_cn_energy_conservation_and_expm_oracle(small_system):
     system, spaces, case = small_system
-    sysz = assemble(spaces.mesh, spaces, system.material)
+    sysz = assemble(spaces, system.material)
     v0 = l2_project_velocity(spaces, lambda x, y: case.v(0.0, x, y), degree=12)
     init = InitialData(sigma0=np.zeros(spaces.dim_stress), v0=v0,
                        r0=np.zeros(spaces.dim_rotation),
@@ -135,7 +135,7 @@ def test_cn_energy_conservation_and_expm_oracle(small_system):
 
 def test_radau_energy_never_increases(small_system):
     system, spaces, case = small_system
-    sysz = assemble(spaces.mesh, spaces, system.material)
+    sysz = assemble(spaces, system.material)
     v0 = l2_project_velocity(spaces, lambda x, y: case.v(0.0, x, y), degree=12)
     init = InitialData(sigma0=np.zeros(spaces.dim_stress), v0=v0,
                        r0=np.zeros(spaces.dim_rotation),
@@ -151,7 +151,7 @@ def test_constraint_preserved(scheme):
     case = builtin_case("eg1")
     mesh = me.build_uniform_square_mesh(4)
     spaces = me.build_spaces(mesh, 2)
-    system = assemble(mesh, spaces, case.material, body_force=case.f)
+    system = assemble(spaces, case.material, body_force=case.f)
     init = build_initial_data(case, system)
     traj = integrate(system, init, scheme, 0.25, 1.0)
     assert traj.max_constraint_rel <= 1e-12
@@ -163,7 +163,7 @@ def test_trace_moment_conserved():
     case = builtin_case("eg1")
     mesh = me.build_uniform_square_mesh(4)
     spaces = me.build_spaces(mesh, 2)
-    system = assemble(mesh, spaces, case.material, body_force=case.f)
+    system = assemble(spaces, case.material, body_force=case.f)
     init = build_initial_data(case, system)
 
     def identity_field(x, y):
@@ -294,7 +294,7 @@ def test_step_matches_dense_variable_density(scheme):
                                 rho0=1.0, rho1=2.0)
     mesh = me.build_uniform_square_mesh(1)
     spaces = me.build_spaces(mesh, 2)
-    system = assemble(mesh, spaces, material, body_force=case.f)
+    system = assemble(spaces, material, body_force=case.f)
     rng = np.random.default_rng(3)
     nM, nV, nK = system.dims
     y0 = rng.standard_normal(nM + nV + nK)
@@ -316,7 +316,7 @@ def test_step_residual_checked_on_first_solve(small_system, monkeypatch):
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda A, *args, **kwargs: splu(
         (A + 1e-3 * sps.identity(A.shape[0], format="csc")).tocsc(), *args, **kwargs))
-    fresh = assemble(spaces.mesh, spaces, system.material, body_force=case.f)
+    fresh = assemble(spaces, system.material, body_force=case.f)
     with pytest.raises(SingularSystemError, match="residual"):
         integrate(fresh, init, "cn", 0.1, 0.1)
     with pytest.raises(SingularSystemError, match="residual"):
@@ -344,7 +344,7 @@ def _eg2_system(n, k):
     import mixedelast as me
     case = builtin_case("eg2", alpha=2.2)
     mesh = me.build_uniform_square_mesh(n)
-    return assemble(mesh, me.build_spaces(mesh, k), case.material,
+    return assemble(me.build_spaces(mesh, k), case.material,
                     body_force=case.f, dirichlet_velocity=case.g)
 
 
@@ -423,7 +423,7 @@ def test_step_lu_pivots_on_its_diagonal(name, n, k, scheme):
     from mixedelast.dynamics import _factorize
     case = builtin_case(name, alpha=2.2 if name == "eg2" else None)
     mesh = me.build_uniform_square_mesh(n)
-    system = assemble(mesh, me.build_spaces(mesh, k), case.material, body_force=case.f,
+    system = assemble(me.build_spaces(mesh, k), case.material, body_force=case.f,
                       dirichlet_velocity=case.g)
     lu = _factorize(system, scheme, 1.0 / n)._lu
     assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))

@@ -44,8 +44,8 @@ def _wrap_coefficient_stress(spaces, alpha, degree=12):
     return sigma, div_sigma
 
 
-def test_zero_rhs_gives_zero(mesh_cache, spaces_cache, unit_material):
-    system = assemble(mesh_cache(2), spaces_cache(2, 1), unit_material)
+def test_zero_rhs_gives_zero(spaces_cache, unit_material):
+    system = assemble(spaces_cache(2, 1), unit_material)
     sol = solve_elastostatics(system, np.zeros(system.dims[0]),
                               np.zeros(system.dims[1]), np.zeros(system.dims[2]))
     assert all(np.abs(part).max() <= 1e-12 for part in sol)
@@ -53,7 +53,7 @@ def test_zero_rhs_gives_zero(mesh_cache, spaces_cache, unit_material):
 
 def test_constant_load_matches_dense_solve(mesh_cache, spaces_cache, unit_material):
     mesh, spaces = mesh_cache(1), spaces_cache(1, 1)
-    system = assemble(mesh, spaces, unit_material)
+    system = assemble(spaces, unit_material)
     f = lambda t, x, y: np.stack([np.ones(np.shape(x)), 2.0 * np.ones(np.shape(x))])
     rhs_v = -assemble_body_load(spaces, f, 0.0)
     rhs_s = np.zeros(spaces.dim_stress)
@@ -76,7 +76,7 @@ def test_static_mms_convergence(mesh_cache):
     for n in (2, 4, 8):
         mesh = mesh_cache(n)
         spaces = build_spaces(mesh, k)
-        system = assemble(mesh, spaces, case.material)
+        system = assemble(spaces, case.material)
         # -(div sigma_h, w) = (f, w) with f = -div sigma
         rhs_v = assemble_body_load(spaces, case.div_sigma, 0.0, degree=12)
         sigma, u, r = solve_elastostatics(system, np.zeros(spaces.dim_stress), rhs_v,
@@ -88,8 +88,8 @@ def test_static_mms_convergence(mesh_cache):
         assert np.log2(errs[-2] / errs[-1]) >= k - 0.25
 
 
-def test_singular_pairing_detected(mesh_cache, spaces_cache, unit_material):
-    system = assemble(mesh_cache(1), spaces_cache(1, 1), unit_material)
+def test_singular_pairing_detected(spaces_cache, unit_material):
+    system = assemble(spaces_cache(1, 1), unit_material)
     broken = type(system)(
         Amat=system.Amat, Bmat=sps.csr_matrix(system.Bmat.shape),
         Cmat=system.Cmat, Mmat=system.Mmat, load=system.load,
@@ -100,9 +100,9 @@ def test_singular_pairing_detected(mesh_cache, spaces_cache, unit_material):
                             np.ones(system.dims[1]), np.zeros(system.dims[2]))
 
 
-def test_elliptic_projection_reproduces_mh(mesh_cache, spaces_cache, unit_material):
+def test_elliptic_projection_reproduces_mh(spaces_cache, unit_material):
     spaces = spaces_cache(2, 2)
-    system = assemble(mesh_cache(2), spaces, unit_material)
+    system = assemble(spaces, unit_material)
     rng = np.random.default_rng(11)
     alpha = rng.standard_normal(spaces.dim_stress)
     sigma, div_sigma = _wrap_coefficient_stress(spaces, alpha)
@@ -110,9 +110,9 @@ def test_elliptic_projection_reproduces_mh(mesh_cache, spaces_cache, unit_materi
     assert np.abs(proj - alpha).max() <= 1e-10 * max(1.0, np.abs(alpha).max())
 
 
-def test_elliptic_projection_idempotent(mesh_cache, spaces_cache, unit_material):
+def test_elliptic_projection_idempotent(spaces_cache, unit_material):
     spaces = spaces_cache(2, 2)
-    system = assemble(mesh_cache(2), spaces, unit_material)
+    system = assemble(spaces, unit_material)
     sigma, div_sigma = make_matrix_field(np.random.default_rng(5))
     once = elliptic_projection(system, sigma, div_sigma)
     sig2, div2 = _wrap_coefficient_stress(spaces, once)
@@ -125,7 +125,7 @@ def test_elliptic_projection_lemma_identities(mesh_cache, unit_material, seed):
     # div ProjTilde sigma = P_h div sigma and skew moments preserved
     mesh = build_uniform_square_mesh(3)
     spaces = build_spaces(mesh, 2)
-    system = assemble(mesh, spaces, unit_material)
+    system = assemble(spaces, unit_material)
     sigma, div_sigma = make_matrix_field(np.random.default_rng(100 + seed))
     proj = elliptic_projection(system, sigma, div_sigma)
 
@@ -152,7 +152,7 @@ def test_elliptic_projection_quasi_optimal(mesh_cache, unit_material):
     for n in (2, 4, 8):
         mesh = build_uniform_square_mesh(n)
         spaces = build_spaces(mesh, 2)
-        system = assemble(mesh, spaces, unit_material)
+        system = assemble(spaces, unit_material)
         proj = elliptic_projection(system, sigma, div_sigma)
         interp = canonical_interpolation(spaces, sigma)
         wrap = lambda t, x, y: sigma(x, y)
@@ -166,7 +166,7 @@ def test_elliptic_projection_div_stability(mesh_cache, unit_material):
     sigma, div_sigma = make_matrix_field(np.random.default_rng(33))
     mesh = build_uniform_square_mesh(4)
     spaces = build_spaces(mesh, 2)
-    system = assemble(mesh, spaces, unit_material)
+    system = assemble(spaces, unit_material)
     proj = elliptic_projection(system, sigma, div_sigma)
     rule = triangle_rule(12)
     W = spaces.quad_weights(rule)
@@ -180,12 +180,12 @@ def test_elliptic_projection_div_stability(mesh_cache, unit_material):
     assert norm_proj <= 10.0 * norm_exact
 
 
-def test_initial_data_eg1_zero_stress(mesh_cache, spaces_cache, unit_material):
+def test_initial_data_eg1_zero_stress(spaces_cache, unit_material):
     # EG1 displacement vanishes at t = 0, so sigma0, r0, u0 are all zero and
     # v0 is the projection of the nonzero initial velocity
     case = builtin_case("eg1")
     spaces = spaces_cache(2, 2)
-    system = assemble(mesh_cache(2), spaces, case.material)
+    system = assemble(spaces, case.material)
     init = build_initial_data(case, system)
     assert np.abs(init.sigma0).max() <= 1e-12
     assert np.abs(init.r0).max() <= 1e-12
@@ -193,10 +193,10 @@ def test_initial_data_eg1_zero_stress(mesh_cache, spaces_cache, unit_material):
     assert np.abs(init.v0).max() > 0.1
 
 
-def test_initial_data_eg2_weak_symmetry(mesh_cache, spaces_cache):
+def test_initial_data_eg2_weak_symmetry(spaces_cache):
     case = builtin_case("eg2", alpha=2.7)
     spaces = spaces_cache(2, 2)
-    system = assemble(mesh_cache(2), spaces, case.material,
+    system = assemble(spaces, case.material,
                       body_force=case.f, dirichlet_velocity=case.g)
     init = build_initial_data(case, system)
     assert np.abs(init.sigma0).max() > 0.1
@@ -204,13 +204,13 @@ def test_initial_data_eg2_weak_symmetry(mesh_cache, spaces_cache):
     assert cnorm <= 1e-12 * np.linalg.norm(init.sigma0)
 
 
-def test_saddle_factorizations_not_kept(mesh_cache, spaces_cache, unit_material):
+def test_saddle_factorizations_not_kept(spaces_cache, unit_material):
     # each saddle matrix is solved with once per system, so its LU is dropped;
     # only the order, M^-1, K = B^T M^-1 B in that order and the Schur
     # pattern of A, which the step LUs share, stay
     case = builtin_case("eg2", alpha=2.7)
     spaces = spaces_cache(2, 2)
-    system = assemble(mesh_cache(2), spaces, case.material,
+    system = assemble(spaces, case.material,
                       body_force=case.f, dirichlet_velocity=case.g)
     build_initial_data(case, system)
     assert set(system._cache) == {"order", "Minv", "K", "schur"}
@@ -231,17 +231,17 @@ def test_zero_initial_data_skip_saddle_lu(mesh_cache, monkeypatch, name, n, k):
     monkeypatch.setattr(statics, "factorize", no_factorization)
     case = builtin_case(name)
     spaces = build_spaces(mesh_cache(n), k)
-    system = assemble(mesh_cache(n), spaces, case.material, body_force=case.f)
+    system = assemble(spaces, case.material, body_force=case.f)
     init = build_initial_data(case, system)
     assert init.sigma0.shape == (spaces.dim_stress,) and not init.sigma0.any()
     assert init.r0.shape == (spaces.dim_rotation,) and not init.r0.any()
     assert np.abs(init.v0).max() > 0.1
 
 
-def test_nonzero_initial_data_factor_the_saddle(mesh_cache, spaces_cache, monkeypatch):
+def test_nonzero_initial_data_factor_the_saddle(spaces_cache, monkeypatch):
     case = builtin_case("eg2", alpha=2.2)
     spaces = spaces_cache(2, 2)
-    system = assemble(mesh_cache(2), spaces, case.material,
+    system = assemble(spaces, case.material,
                       body_force=case.f, dirichlet_velocity=case.g)
     sigma, _, r = solve_elastostatics(system, assemble_dirichlet_load(spaces, case.u, 0.0),
                                       assemble_body_load(spaces, case.div_sigma, 0.0),
@@ -264,7 +264,7 @@ def test_initial_stress_convergence(mesh_cache):
     for n in (2, 4, 8):
         mesh = mesh_cache(n)
         spaces = build_spaces(mesh, k)
-        system = assemble(mesh, spaces, case.material)
+        system = assemble(spaces, case.material)
         init = build_initial_data(case, system)
         errs.append(l2_error(spaces, init.sigma0, case.sigma, 0.0, "stress"))
     assert np.log2(errs[-2] / errs[-1]) >= k - 0.4
@@ -276,7 +276,7 @@ def test_infsup_stable_under_refinement(mesh_cache, unit_material, k):
     for n in (1, 2, 4):
         mesh = mesh_cache(n)
         spaces = build_spaces(mesh, k)
-        system = assemble(mesh, spaces, unit_material)
+        system = assemble(spaces, unit_material)
         betas.append(infsup_constant(system))
     assert all(b > 0.5 for b in betas)
     for prev, cur in zip(betas, betas[1:]):
@@ -298,7 +298,7 @@ def test_saddle_sweeps_match_dense_solve(mesh_cache, monkeypatch, k):
     # compliance (initial data) and for the stress mass (elliptic projection)
     case = builtin_case("eg2", alpha=2.2)
     spaces = build_spaces(mesh_cache(4), k)
-    system = assemble(mesh_cache(4), spaces, case.material)
+    system = assemble(spaces, case.material)
     nM, nV, nK = system.dims
     rng = np.random.default_rng(k)
     b = rng.standard_normal(nM + nV + nK)
@@ -321,12 +321,11 @@ def test_saddle_sweeps_match_dense_solve(mesh_cache, monkeypatch, k):
 
 @pytest.mark.parametrize("lam", [1.0, 1e4])
 @pytest.mark.parametrize("mu,rho", [(1.0, 1.0), (100.0, 1.0), (1.0, 100.0), (0.01, 1.0)])
-def test_saddle_sweep_count_robust_in_material(mesh_cache, spaces_cache, monkeypatch,
-                                               lam, mu, rho):
+def test_saddle_sweep_count_robust_in_material(spaces_cache, monkeypatch, lam, mu, rho):
     # tau = sqrt(rho1 / mu) keeps the penalty on the scale of A, so the
     # number of sweeps does not grow with the material's scales or with
     # near incompressibility
-    system = assemble(mesh_cache(8), spaces_cache(8, 2),
+    system = assemble(spaces_cache(8, 2),
                       MaterialModel(mu=mu, lambda_=lam, rho=rho))
     solves = []
     solve = statics.SchurLU.solve
@@ -339,10 +338,10 @@ def test_saddle_sweep_count_robust_in_material(mesh_cache, spaces_cache, monkeyp
     assert 1 <= len(solves) <= 12
 
 
-def test_saddle_lu_pivots_on_its_diagonal(mesh_cache, spaces_cache, monkeypatch):
+def test_saddle_lu_pivots_on_its_diagonal(spaces_cache, monkeypatch):
     case = builtin_case("eg2", alpha=2.2)
     spaces = spaces_cache(8, 2)
-    system = assemble(mesh_cache(8), spaces, case.material,
+    system = assemble(spaces, case.material,
                       body_force=case.f, dirichlet_velocity=case.g)
     lus = []
     factorize = statics.factorize
@@ -372,7 +371,7 @@ def test_schur_pattern_fill_matches_bmat_build(mesh_cache, k):
     # the stress mass); at k = 2 an entry of A + (1/8)^2 K cancels exactly and
     # must be dropped
     case = builtin_case("eg2", alpha=2.2)
-    system = assemble(mesh_cache(4), build_spaces(mesh_cache(4), k), case.material,
+    system = assemble(build_spaces(mesh_cache(4), k), case.material,
                       body_force=case.f, dirichlet_velocity=case.g)
     lam = complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)
     mass = assemble_stress_mass(system.spaces)

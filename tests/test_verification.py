@@ -296,7 +296,7 @@ def test_refined_mesh_matches_uniform_run():
     case = builtin_case("eg1")
     mesh = refine(build_uniform_square_mesh(2))
     spaces = build_spaces(mesh, 2)
-    system = assemble(mesh, spaces, case.material, body_force=case.f)
+    system = assemble(spaces, case.material, body_force=case.f)
     init = build_initial_data(case, system)
     traj = integrate(system, init, "cn", 0.25, 1.0)
     err = l2_error(spaces, traj.final_state.alpha, case.sigma, 1.0, "stress")
