@@ -119,11 +119,11 @@ def _stress_block_matrices(spaces: DiscreteSpaces, material: MaterialModel | Non
     rule = triangle_rule(2 * spaces.k + 2)
     V = spaces.stress_row_values(rule)
     W = spaces.quad_weights(rule)
-    VW = V * W[:, None, None, :]
-    G = np.einsum("tapq,tbrq->prtab", VW, V)  # test comp p, trial comp r
+    G = np.einsum("tapq,tbrq->prtab", V * W[:, None, None, :], V)  # test comp p, trial comp r
     dot = G[0, 0] + G[1, 1]
     shape = (spaces.dim_stress, spaces.dim_stress)
     if material is None:  # row r of a test function pairs with row r only
+        del G  # freed before the scatter, as below
         return _scatter(dot[:, None], spaces.stress_map, spaces.stress_map, shape)
     mu, lam = material.mu, material.lambda_
     c = lam / (2.0 * mu * (2.0 * mu + 2.0 * lam))
@@ -131,6 +131,7 @@ def _stress_block_matrices(spaces: DiscreteSpaces, material: MaterialModel | Non
     blocks = (1.0 / (4.0 * mu)) * Gt - c * G - 0.5 * Gt  # (test row s, trial row r, T, a, b)
     for s in range(2):
         blocks[s, s] += (1.0 / (4.0 * mu) + 0.5) * dot
+    del G, Gt, dot
     rows = spaces.stress_map.transpose(1, 0, 2)
     return _scatter(blocks, rows[:, None], rows[None], shape)
 

@@ -15,7 +15,10 @@ the velocity mass M, which is block diagonal because the velocity space is
 discontinuous; M^-1 is applied exactly, so only the Schur complement of S on
 the stress and rotation unknowns is factored by a sparse LU: statics.SchurLU,
 shared with the static saddle solve, in a symmetric fill-reducing order of
-the mesh entities (George, SIAM J. Numer. Anal. 10, 1973).
+the mesh entities (George, SIAM J. Numer. Anal. 10, 1973).  The parts of
+that LU that every scheme and dt share are the system's
+statics.ReducedSystem; each `integrate` call factors its own step LU and
+frees it when it returns.
 
 Both updates are written with E-products and solves only, so a system's
 steps keep the state in that order, apply the (stress, rotation) block of E
@@ -90,15 +93,6 @@ class TrajectorySummary:
         return float((self.constraint_norms / scale).max())
 
 
-def _factorize(system: BlockSystem, scheme: str, dt: float) -> statics.SchurLU:
-    """The solver of E - dt c G, which is SchurLU's S(dt c) with the stress
-    block A, cached on the system per (scheme, dt)."""
-    cache = system._cache.setdefault("factors", {})
-    if (scheme, dt) not in cache:
-        cache[scheme, dt] = statics.SchurLU(system, system.Amat, dt * _SHIFT[scheme], "step")
-    return cache[scheme, dt]
-
-
 def _cn_update(y, ey, dt: float, f_mid, solve):
     """One Crank-Nicolson update of y, given its E-product ey = E y.
 
@@ -126,9 +120,11 @@ def _radau2_update(y, ey, dt: float, f1, f2, solve):
 
 
 class _Stepper:
-    """Steps of one scheme and dt on a system, in the layout of its cached
-    step LU (statics.SchurLU): the stress and rotation unknowns x in the LU's
-    order, then the velocity v.
+    """Steps of one scheme and dt on a system, in the layout of its
+    statics.ReducedSystem: the stress and rotation unknowns x in the
+    entity order, then the velocity v.  The step LU, statics.SchurLU's
+    S(dt c) for the stress block A, solves E - dt c G; it is built here and
+    lives as long as the stepper.
 
     A state is carried as y = (x, v) with its E-product ey = (E_r x, M v),
     E_r = [[A, C^T], [C, 0]] in that order.  ey is computed once per state
@@ -139,11 +135,11 @@ class _Stepper:
 
     def __init__(self, system: BlockSystem, scheme: str, dt: float):
         self.system, self.scheme, self.dt = system, scheme, dt
-        self.lu = _factorize(system, scheme, dt)
-        pattern = self.lu.pattern
-        self.n, self._E = pattern.n, pattern.E
+        reduced = statics.reduced_system(system)
+        self.lu = statics.SchurLU(reduced, reduced.E, dt * _SHIFT[scheme], "step")
+        self.n, self._E = reduced.n, reduced.E
         nM = system.dims[0]
-        self.sigma, self.gamma = pattern.pos[:nM], pattern.pos[nM:]
+        self.sigma, self.gamma = reduced.pos[:nM], reduced.pos[nM:]
 
     def pack(self, alpha, beta, gamma) -> np.ndarray:
         y = np.empty(self.n + beta.size)

@@ -294,14 +294,12 @@ class DiscreteSpaces:
     def velocity_values(self, coeffs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
         """Field values of a V_h coefficient vector, shape (T, 2, nq)."""
         psi = self.scalar_values(rule)
-        c = coeffs.reshape(self.mesh.num_triangles, 2, self.n_scalar)
-        return np.einsum("tcj,jq->tcq", c, psi)
+        return np.einsum("tcj,jq->tcq", coeffs[self.velocity_map], psi)
 
     def rotation_values(self, gamma: np.ndarray, rule: QuadratureRule) -> np.ndarray:
         """Scalar rotation values of a K_h coefficient vector, shape (T, nq)."""
         psi = self.scalar_values(rule)
-        c = gamma.reshape(self.mesh.num_triangles, self.n_scalar)
-        return np.einsum("tj,jq->tq", c, psi)
+        return np.einsum("tj,jq->tq", gamma[self.rotation_map], psi)
 
 
 def build_spaces(mesh: Mesh, k: int) -> DiscreteSpaces:

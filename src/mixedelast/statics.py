@@ -5,7 +5,10 @@ Every LU, static or time step, is of one family per system and stress
 block T: the Schur complements S_r(s) = [[T + s^2 K, C^T], [C, 0]], with
 K = B^T M^-1 B, in a symmetric mesh-entity order.  S_r(s) is the sum
 E_r + s^2 K_r of two permuted matrices, and E_r = S_r(0) is also the matrix
-of the steps' E-products.
+of the steps' E-products.  A system keeps one ReducedSystem, built on its
+first solve, that holds the order, M^-1, K_r and E_r of the compliance.  No
+LU is kept with it: a saddle LU is dropped after its solve, and a step LU
+when `dynamics.integrate` returns.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .assembly import (BlockSystem, assemble_body_load, assemble_dirichlet_load,
+from .assembly import (BlockSystem, _scatter, assemble_body_load, assemble_dirichlet_load,
                        assemble_stress_mass)
 from .errors import SingularSystemError
 from .quadrature import triangle_rule
-from .spaces import l2_project_velocity
+from .spaces import DiscreteSpaces, l2_project_velocity
 
 
 @dataclass
@@ -59,34 +62,9 @@ def checked_solve(solve, apply, rhs: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _velocity_inverse(system: BlockSystem) -> sps.csr_matrix:
-    """Exact inverse of the velocity mass M, cached on the system.
-
-    M has one m x m block per triangle and velocity component (a spatial
-    density makes the blocks full); all blocks are inverted by one batched
-    np.linalg.inv.
-    """
-    cache = system._cache
-    if "Minv" not in cache:
-        m = system.spaces.n_scalar
-        M = system.Mmat.tocoo()
-        nb = M.shape[0] // m
-        blocks = np.zeros((nb, m, m))
-        blocks[M.row // m, M.row % m, M.col % m] = M.data
-        cache["Minv"] = sps.bsr_matrix(
-            (np.linalg.inv(blocks), np.arange(nb), np.arange(nb + 1)), shape=M.shape
-        ).tocsr()
-    return cache["Minv"]
-
-
-def _divergence_gram(system: BlockSystem) -> sps.csr_matrix:
-    """K = B^T M^-1 B."""
-    return (system.Bmat.T @ (_velocity_inverse(system) @ system.Bmat)).tocsr()
-
-
-def _step_order(system: BlockSystem) -> np.ndarray:
+def _step_order(spaces: DiscreteSpaces) -> np.ndarray:
     """Symmetric fill-reducing order of the (stress, rotation) unknowns of
-    a Schur complement [[T + s^2 K, C^T], [C, 0]], cached on the system.
+    a Schur complement [[T + s^2 K, C^T], [C, 0]].
 
     The mesh entities (edges and triangles) are ranked by a minimum-degree
     ordering of the graph with one clique {T, e1, e2, e3} per triangle,
@@ -96,47 +74,45 @@ def _step_order(system: BlockSystem) -> np.ndarray:
     whose diagonal block is zero and which couple only to that triangle's
     stresses, come right after the first half of them.
     """
-    cache = system._cache
-    if "order" not in cache:
-        spaces = system.spaces
-        mesh = spaces.mesh
-        ne, nt, k = mesh.num_edges, mesh.num_triangles, spaces.k
-        cliques = np.column_stack([mesh.triangle_edges, ne + np.arange(nt)])
-        graph = sps.csc_matrix(
-            (np.ones(16 * nt), (np.repeat(cliques, 4, axis=1).ravel(),
-                                np.tile(cliques, 4).ravel())),
-            shape=(ne + nt, ne + nt)) + 20.0 * sps.identity(ne + nt, format="csc")
-        rank = spla.splu(graph, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True}).perm_c
-        entity = np.concatenate([np.repeat(np.arange(ne), k + 1),
-                                 ne + np.repeat(np.arange(nt), k * k - 1)])
-        pos = np.empty(spaces.dim_stress)
-        pos[np.argsort(np.tile(rank[entity], 2), kind="stable")] = np.arange(spaces.dim_stress)
-        tri = np.sort(pos[spaces.stress_map].reshape(nt, -1), axis=1)
-        median = tri[:, tri.shape[1] // 2 - 1] + 0.5
-        cache["order"] = np.argsort(
-            np.concatenate([pos, np.repeat(median, spaces.n_scalar)]), kind="stable")
-    return cache["order"]
+    mesh = spaces.mesh
+    ne, nt, k = mesh.num_edges, mesh.num_triangles, spaces.k
+    cliques = np.column_stack([mesh.triangle_edges, ne + np.arange(nt)])
+    graph = sps.csc_matrix(
+        (np.ones(16 * nt), (np.repeat(cliques, 4, axis=1).ravel(),
+                            np.tile(cliques, 4).ravel())),
+        shape=(ne + nt, ne + nt)) + 20.0 * sps.identity(ne + nt, format="csc")
+    rank = spla.splu(graph, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True}).perm_c
+    entity = np.concatenate([np.repeat(np.arange(ne), k + 1),
+                             ne + np.repeat(np.arange(nt), k * k - 1)])
+    pos = np.empty(spaces.dim_stress)
+    pos[np.argsort(np.tile(rank[entity], 2), kind="stable")] = np.arange(spaces.dim_stress)
+    tri = np.sort(pos[spaces.stress_map].reshape(nt, -1), axis=1)
+    median = tri[:, tri.shape[1] // 2 - 1] + 0.5
+    return np.argsort(np.concatenate([pos, np.repeat(median, spaces.n_scalar)]), kind="stable")
 
 
-class _SchurPattern:
-    """The Schur complements S_r(s) = [[T + s^2 K, C^T], [C, 0]] of a system
-    and a stress block T, for any shift s, in the order of _step_order;
-    K = B^T M^-1 B.
+class ReducedSystem:
+    """A system with its velocity eliminated: the parts of every Schur
+    complement S_r(s) = [[T + s^2 K, C^T], [C, 0]], K = B^T M^-1 B, of the
+    system, for any stress block T and shift s, in the order of _step_order.
 
-    With P the permutation into that order, S_r(s) = E_r + s^2 K_r for the
-    CSR matrices ``E`` = E_r = P [[T, C^T], [C, 0]] P^T, which the steps'
-    E-products also apply, and ``K`` = K_r = P [[K, 0], [0, 0]] P^T, built
-    once per system and shared by every T.  Vectors live in the layout
-    [(stress, rotation) in that order, velocity]: ``pos`` gives the layout
-    position of each natural (stress, rotation) index and ``perm`` the
-    natural index of each layout position.  ``B`` is B with its columns in
-    the layout (``BT`` its transpose, both CSR).
+    The velocity mass ``M`` is block diagonal (the velocity space is
+    discontinuous), and ``Minv`` is its exact inverse.  With P the
+    permutation into the order, S_r(s) = E_r(T) + s^2 K_r for the CSR
+    matrices E_r(T) = P [[T, C^T], [C, 0]] P^T and ``K`` = K_r =
+    P [[K, 0], [0, 0]] P^T.  ``E`` is E_r(A) for the compliance A, the
+    stress block of the initial data and of every step, whose E-products
+    also apply it; `e_matrix` forms E_r(T) for another T.  Vectors live in
+    the layout [(stress, rotation) in that order, velocity]: ``pos`` gives
+    the layout position of each natural (stress, rotation) index and
+    ``perm`` the natural index of each layout position.  ``B`` is B with
+    its columns in the layout (``BT`` its transpose, both CSR).
     """
 
-    def __init__(self, system: BlockSystem, T: sps.spmatrix):
+    def __init__(self, system: BlockSystem):
         nM, nV, nK = system.dims
-        order = _step_order(system)
+        order = _step_order(system.spaces)
         self.n = n = nM + nK
         # int32 where it fits halves the index arrays of the builds below
         self.pos = np.empty(n, dtype=np.int32 if n < 2 ** 31 else np.int64)
@@ -147,32 +123,34 @@ class _SchurPattern:
         B = system.Bmat.tocsr()
         self.B = sps.csr_matrix((B.data, self.pos[B.indices], B.indptr), shape=(nV, n))
         self.BT = self.B.T.tocsr()
+        self._C = system.Cmat
+        self.E = self.e_matrix(system.Amat)
+        self.M = system.Mmat
+        # M^-1 from the inverses of M's m x m blocks, one per triangle and
+        # velocity component
+        vmap = system.spaces.velocity_map
+        rows, cols = np.broadcast_arrays(vmap[..., :, None], vmap[..., None, :])
+        blocks = np.asarray(self.M[rows.ravel(), cols.ravel()]).reshape(rows.shape)
+        self.Minv = _scatter(np.linalg.inv(blocks), vmap, vmap, self.M.shape)
+        K = (system.Bmat.T @ (self.Minv @ system.Bmat)).tocoo()
+        self.K = sps.csr_matrix((K.data, (self.pos[K.row], self.pos[K.col])), shape=(n, n))
 
-        def permuted(row, col, data):  # P (the entries at (row, col)) P^T
-            return sps.csr_matrix((data, (self.pos[row], self.pos[col])), shape=(n, n))
-
-        T, C = T.tocoo(), system.Cmat.tocoo()
-        self.E = permuted(np.concatenate([T.row, nM + C.row, C.col]),
-                          np.concatenate([T.col, C.col, nM + C.row]),
-                          np.concatenate([T.data, C.data, C.data]))
-        if "K" not in system._cache:
-            K = _divergence_gram(system).tocoo()
-            system._cache["K"] = permuted(K.row, K.col, K.data)
-        self.K = system._cache["K"]
-
-    def matrix(self, s) -> sps.csc_matrix:
-        """S_r(s); an entry that cancels exactly is dropped, as sparse sums do."""
-        return (self.E + (s * s) * self.K).tocsc()
+    def e_matrix(self, T: sps.spmatrix) -> sps.csr_matrix:
+        """E_r(T) = P [[T, C^T], [C, 0]] P^T for the stress block T."""
+        nM, pos = T.shape[0], self.pos
+        T, C = T.tocoo(), self._C.tocoo()
+        return sps.csr_matrix((np.concatenate([T.data, C.data, C.data]),
+                               (pos[np.concatenate([T.row, nM + C.row, C.col])],
+                                pos[np.concatenate([T.col, C.col, nM + C.row])])),
+                              shape=(self.n, self.n))
 
 
-def _schur_pattern(system: BlockSystem, T: sps.spmatrix) -> _SchurPattern:
-    """The _SchurPattern of T; cached on the system when T is its compliance
-    A, the stress block of the initial data and of every step."""
-    if T is not system.Amat:
-        return _SchurPattern(system, T)
-    if "schur" not in system._cache:
-        system._cache["schur"] = _SchurPattern(system, T)
-    return system._cache["schur"]
+def reduced_system(system: BlockSystem) -> ReducedSystem:
+    """The ReducedSystem of a system, built on its first solve; it is the
+    only entry of ``system._cache``."""
+    if "reduced" not in system._cache:
+        system._cache["reduced"] = ReducedSystem(system)
+    return system._cache["reduced"]
 
 
 # SuperLU options for a Schur complement built in the entity order: keep that
@@ -185,33 +163,33 @@ _ORDERED_LU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
 
 class SchurLU:
     """Solver of S(s) = [[T, s B^T, C^T], [-s B, M, 0], [C, 0, 0]] on the
-    (stress, velocity, rotation) unknowns, for a stress block T and a real or
-    complex shift s.  The velocity is eliminated with the exact M^-1, so the
-    LU is of the Schur complement S_r = [[T + s^2 K, C^T], [C, 0]] with
-    K = B^T M^-1 B, formed by the system's _SchurPattern of T.
+    (stress, velocity, rotation) unknowns of a reduced system, for a stress
+    block T, given by its E_r(T), and a real or complex shift s.  The
+    velocity is eliminated with the exact M^-1, so the LU is of the Schur
+    complement S_r(s) = E_r(T) + s^2 K_r; an entry of the sum that cancels
+    exactly is dropped, as sparse sums do.
 
-    Vectors are in the pattern's layout: the stress and rotation unknowns in
-    the order of _step_order, then the velocity.  Solves 1, 2, 4, 8, ... are
-    residual-checked against S(s) applied block by block.
+    Vectors are in the reduced system's layout.  Solves 1, 2, 4, 8, ... are
+    residual-checked against S(s) applied block by block.  The LU lives as
+    long as this object: its owner drops it after its last solve.
     """
 
-    def __init__(self, system: BlockSystem, T: sps.spmatrix, s, what: str):
-        self.pattern = _schur_pattern(system, T)
-        self._lu = factorize(self.pattern.matrix(s), what, **_ORDERED_LU)
-        self._M, self._Minv = system.Mmat, _velocity_inverse(system)
+    def __init__(self, reduced: ReducedSystem, E: sps.csr_matrix, s, what: str):
+        self.reduced, self.E = reduced, E
+        self._lu = factorize((E + (s * s) * reduced.K).tocsc(), what, **_ORDERED_LU)
         self._s, self._what, self._solves = s, what, 0
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        p, s = self.pattern, self._s
-        x_r, v = x[:p.n], x[p.n:]
-        return np.concatenate([p.E @ x_r + s * (p.BT @ v), self._M @ v - s * (p.B @ x_r)])
+        r, s = self.reduced, self._s
+        x_r, v = x[:r.n], x[r.n:]
+        return np.concatenate([self.E @ x_r + s * (r.BT @ v), r.M @ v - s * (r.B @ x_r)])
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         # x_r = S_r^-1 (b_r - s B^T M^-1 b_v), x_v = M^-1 (b_v + s B x_sigma)
-        p, s = self.pattern, self._s
-        w = self._Minv @ rhs[p.n:]
-        x_r = self._lu.solve(rhs[:p.n] - s * (p.BT @ w))
-        return np.concatenate([x_r, w + s * (self._Minv @ (p.B @ x_r))])
+        r, s = self.reduced, self._s
+        w = r.Minv @ rhs[r.n:]
+        x_r = self._lu.solve(rhs[:r.n] - s * (r.BT @ w))
+        return np.concatenate([x_r, w + s * (r.Minv @ (r.B @ x_r))])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         self._solves += 1
@@ -237,8 +215,10 @@ def _solve_saddle(system: BlockSystem, T, mu: float, rhs_sigma, rhs_v, rhs_r):
     nM, nV, _ = system.dims
     B, C, vel = system.Bmat, system.Cmat, slice(nM, nM + nV)
     tau = np.sqrt(system.material.rho1 / mu)
-    lu = SchurLU(system, T, tau, "saddle")
-    perm = lu.pattern.perm
+    reduced = reduced_system(system)
+    lu = SchurLU(reduced, reduced.E if T is system.Amat else reduced.e_matrix(T), tau,
+                 "saddle")
+    perm = reduced.perm
 
     def apply(x):
         return np.concatenate([T @ x[:nM] + B.T @ x[vel] + C.T @ x[vel.stop:],
@@ -275,14 +255,6 @@ def solve_elastostatics(system: BlockSystem, rhs_sigma: np.ndarray,
     return _solve_saddle(system, system.Amat, system.material.mu, rhs_sigma, rhs_v, rhs_r)
 
 
-def stress_mass(system: BlockSystem) -> sps.csr_matrix:
-    """The plain L2 mass matrix of the system's stress space, cached on the
-    system."""
-    if "stress_mass" not in system._cache:
-        system._cache["stress_mass"] = assemble_stress_mass(system.spaces)
-    return system._cache["stress_mass"]
-
-
 def elliptic_projection(system: BlockSystem, sigma: Callable,
                         div_sigma: Callable) -> np.ndarray:
     """Weakly symmetric elliptic projection of an exact stress field.
@@ -304,7 +276,8 @@ def elliptic_projection(system: BlockSystem, sigma: Callable,
     rhs_r = spaces.scalar_moments(W, rule, vals[0, 1] - vals[1, 0])
 
     # the L2 pairing is the compliance of mu = 1/2 (and lambda = 0)
-    sig, _, _ = _solve_saddle(system, stress_mass(system), 0.5, rhs_sigma, rhs_v, rhs_r)
+    sig, _, _ = _solve_saddle(system, assemble_stress_mass(spaces), 0.5,
+                              rhs_sigma, rhs_v, rhs_r)
     return sig
 
 
@@ -351,10 +324,10 @@ def infsup_constant(system: BlockSystem) -> float:
     spaces = system.spaces
     mass = assemble_stress_mass(spaces)
     # velocity mass with rho = 1 is area * I per scalar block; same for rotation
-    areas = spaces.areas
-    m = spaces.n_scalar
-    mv_diag = np.repeat(areas, 2 * m)
-    mk_diag = np.repeat(areas, m)
+    mv_diag = np.empty(spaces.dim_velocity)
+    mv_diag[spaces.velocity_map] = spaces.areas[:, None, None]
+    mk_diag = np.empty(spaces.dim_rotation)
+    mk_diag[spaces.rotation_map] = spaces.areas[:, None]
 
     divdiv = system.Bmat.T @ sps.diags(1.0 / mv_diag) @ system.Bmat
     D = (mass + divdiv).toarray()

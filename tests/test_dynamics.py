@@ -5,7 +5,7 @@ import scipy.sparse as sps
 
 from mixedelast import (InitialData, MixedElastError, assemble, build_initial_data,
                         builtin_case, canonical_interpolation, dynamics, integrate,
-                        l2_project_velocity, reconstruct_displacement_third_order)
+                        l2_project_velocity, reconstruct_displacement_third_order, statics)
 from mixedelast.dynamics import RADAU2_A, RADAU2_B, RADAU2_C, step_count
 from _oracles import (cn_kernel, dense_cn_trajectory, dense_radau_trajectory,
                       dense_system_blocks, energy, radau2_kernel, step_matrix)
@@ -269,19 +269,51 @@ def test_singular_step_detected(small_system):
 
 
 @pytest.mark.parametrize("scheme", ["cn", "radau2"])
-def test_factorization_cached(small_system, scheme):
+def test_step_lu_factors_the_schur_complement(small_system, monkeypatch, scheme):
+    # the LU holds the (sigma, gamma) Schur complement only: the velocity block
+    # is eliminated, and RadauIIA needs no real 2N x 2N stage matrix; each
+    # integrate call factors its own
     system, spaces, case = small_system
     init = build_initial_data(case, system)
+    calls, factorize = [], statics.factorize
+    monkeypatch.setattr(statics, "factorize", lambda S, what, **options:
+                        calls.append((what, S.shape)) or factorize(S, what, **options))
     integrate(system, init, scheme, 0.1, 0.1)
-    factors = system._cache["factors"]
-    assert (scheme, 0.1) in factors
-    before = factors[(scheme, 0.1)]
     integrate(system, init, scheme, 0.1, 0.1)
-    assert factors[(scheme, 0.1)] is before
-    # the LU holds the (sigma, gamma) Schur complement only: the velocity block
-    # is eliminated, and RadauIIA needs no real 2N x 2N stage matrix
     nM, _, nK = system.dims
-    assert before._lu.shape == (nM + nK, nM + nK)
+    assert calls == [("step", (nM + nK, nM + nK))] * 2
+
+
+def _reachable(root):
+    """Every object reachable from root through attributes, dicts, lists
+    and tuples."""
+    seen, stack = {}, [root]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen[id(value)] = value
+        if isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+        elif hasattr(value, "__dict__"):
+            stack.extend(vars(value).values())
+    return list(seen.values())
+
+
+def test_step_lu_freed_when_integrate_returns():
+    # the step LU lives in the stepper of one integrate call; the system keeps
+    # only its reduced system
+    import scipy.sparse.linalg as spla
+    system = _eg2_system(2, 2)
+    nM, nV, nK = system.dims
+    init = InitialData(sigma0=np.zeros(nM), v0=np.ones(nV), r0=np.zeros(nK), u0=np.zeros(nV))
+    for scheme in ("cn", "radau2"):
+        integrate(system, init, scheme, 0.25, 0.5)
+    reachable = _reachable(system)
+    assert not any(isinstance(value, (spla.SuperLU, statics.SchurLU)) for value in reachable)
+    assert [type(value) for value in system._cache.values()] == [statics.ReducedSystem]
 
 
 @pytest.mark.parametrize("scheme", ["cn", "radau2"])
@@ -349,9 +381,11 @@ def _eg2_system(n, k):
 
 
 def test_step_order_built_once_per_system(monkeypatch):
-    # both schemes and every dt of a system factor in the one cached order
+    # the initial data, both schemes and every dt of a system factor in the
+    # one order of its reduced system, and the saddle LU and the step LUs
+    # share its E_r
     import scipy.sparse.linalg as spla
-    from mixedelast.dynamics import _factorize
+    case = builtin_case("eg2", alpha=2.2)
     system = _eg2_system(2, 2)
     splu, orderings = spla.splu, []
 
@@ -361,13 +395,19 @@ def test_step_order_built_once_per_system(monkeypatch):
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting)
-    for scheme, dt in (("cn", 0.1), ("radau2", 0.1), ("cn", 0.05)):
-        _factorize(system, scheme, dt)
+    lus, schur_lu = [], statics.SchurLU.__init__
+    monkeypatch.setattr(statics.SchurLU, "__init__",
+                        lambda lu, *args: lus.append(lu) or schur_lu(lu, *args))
+    init = build_initial_data(case, system)
+    for scheme, dt in (("cn", 0.5), ("radau2", 0.5), ("cn", 0.25)):
+        integrate(system, init, scheme, dt, 0.5)
     assert len(orderings) == 1
-    order = system._cache["order"]
-    nM, _, nK = system.dims
-    assert np.array_equal(np.sort(order), np.arange(nM + nK))
-    assert all(lu.pattern is system._cache["schur"] for lu in system._cache["factors"].values())
+    reduced = statics.reduced_system(system)
+    nM, nV, nK = system.dims
+    assert np.array_equal(np.sort(reduced.pos), np.arange(nM + nK))
+    assert np.array_equal(np.sort(reduced.perm), np.arange(nM + nV + nK))
+    assert [lu._what for lu in lus] == ["saddle", "step", "step", "step"]
+    assert all(lu.E is reduced.E for lu in lus)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -377,7 +417,7 @@ def test_rotations_follow_half_their_stresses(k):
     spaces = system.spaces
     nM, _, nK = system.dims
     position = np.empty(nM + nK, dtype=int)
-    position[_step_order(system)] = np.arange(nM + nK)
+    position[_step_order(spaces)] = np.arange(nM + nK)
     nrow, m = spaces.n_row_global, spaces.n_scalar
     stress = position[np.hstack([spaces.row_dof_map, spaces.row_dof_map + nrow])]
     rotation = position[nM:].reshape(-1, m)
@@ -391,15 +431,14 @@ def test_rotations_follow_half_their_stresses(k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_ordered_step_solve_matches_colamd(k, scheme):
     import scipy.sparse.linalg as spla
-    from mixedelast.dynamics import _factorize
     system = _eg2_system(4, k)
     dt = 0.25
     rng = np.random.default_rng(k)
     rhs = rng.standard_normal(sum(system.dims))
     if scheme == "radau2":
         rhs = rhs + 1j * rng.standard_normal(rhs.size)
-    lu = _factorize(system, scheme, dt)
-    perm = lu.pattern.perm  # the natural index of each position of the LU's layout
+    lu = dynamics._Stepper(system, scheme, dt).lu
+    perm = lu.reduced.perm  # the natural index of each position of the LU's layout
     got = np.empty_like(rhs)
     got[perm] = lu.solve(rhs[perm])
     S = step_matrix(*dense_system_blocks(system), scheme, dt)
@@ -410,8 +449,7 @@ def test_ordered_step_solve_matches_colamd(k, scheme):
 def test_ordered_step_lu_fill():
     # eg2, k=2, n=16, dt=1/16: 2,957,511 L+U nonzeros in SuperLU's default
     # COLAMD order, 735,598 in the mesh-entity order
-    from mixedelast.dynamics import _factorize
-    lu = _factorize(_eg2_system(16, 2), "cn", 1.0 / 16)._lu
+    lu = dynamics._Stepper(_eg2_system(16, 2), "cn", 1.0 / 16).lu._lu
     assert lu.L.nnz + lu.U.nnz <= 1_000_000
 
 
@@ -420,16 +458,15 @@ def test_step_lu_pivots_on_its_diagonal(name, n, k, scheme):
     # the entity order's symmetric pivot sequence is kept: SuperLU makes no
     # row interchange
     import mixedelast as me
-    from mixedelast.dynamics import _factorize
     case = builtin_case(name, alpha=2.2 if name == "eg2" else None)
     mesh = me.build_uniform_square_mesh(n)
     system = assemble(me.build_spaces(mesh, k), case.material, body_force=case.f,
                       dirichlet_velocity=case.g)
-    lu = _factorize(system, scheme, 1.0 / n)._lu
+    lu = dynamics._Stepper(system, scheme, 1.0 / n).lu._lu
     assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))
 
 
-def test_step_residual_checked_on_a_doubling_cadence():
+def test_step_residual_checked_on_a_doubling_cadence(monkeypatch):
     # an LU that goes wrong after step 1 is caught by the check of solve 2;
     # solves 1, 2, 4, 8, ... are checked
     from mixedelast import SingularSystemError
@@ -439,23 +476,21 @@ def test_step_residual_checked_on_a_doubling_cadence():
     init = InitialData(sigma0=rng.standard_normal(nM), v0=rng.standard_normal(nV),
                        r0=rng.standard_normal(nK), u0=np.zeros(nV))
 
-    class Perturbed:
+    class Drifting:  # exact on its first solve, off by a factor 1 + 1e-6 after it
         def __init__(self, lu):
-            self.lu = lu
+            self.lu, self.solves = lu, 0
 
         def solve(self, b):
-            return self.lu.solve(b) * (1.0 + 1e-6)
+            self.solves += 1
+            return self.lu.solve(b) * (1.0 if self.solves == 1 else 1.0 + 1e-6)
 
+    factorize = statics.factorize
+    monkeypatch.setattr(statics, "factorize", lambda S, what, **options:
+                        Drifting(factorize(S, what, **options)))
     steps = []
-
-    def swap_after_step_1(step, t, st, system):
-        steps.append(step)
-        if step == 1:
-            lu = system._cache["factors"]["cn", 0.125]
-            lu._lu = Perturbed(lu._lu)
-
     with pytest.raises(SingularSystemError, match="residual"):
-        integrate(system, init, "cn", 0.125, 1.0, observers=[swap_after_step_1])
+        integrate(system, init, "cn", 0.125, 1.0,
+                  observers=[lambda step, t, st, system: steps.append(step)])
     assert steps == [0, 1]
 
 

@@ -1,6 +1,7 @@
 """The benchmark's accuracy gate on the n=4 form of each workload: a pass
 checks its errors against perfbench/reference.json (rtol 1e-6) and its
-weak-symmetry drift against 1e-10, in a fresh process."""
+weak-symmetry drift against 1e-10, in a fresh process.  A traced pass must
+also see every stage that the benchmark's counts come from."""
 
 import importlib.util
 import json
@@ -23,11 +24,38 @@ def _workloads():
 WORKLOADS = _workloads()
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
-def test_benchmark_smoke_pass_ok(name):
+def _smoke_pass(name, *flags):
     spec = WORKLOADS.smoke_spec(WORKLOADS.WORKLOADS[name])
-    proc = subprocess.run([sys.executable, str(PERFBENCH / "passrun.py"), json.dumps(spec)],
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "passrun.py"), json.dumps(spec),
+                           *flags], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["ok"] is True, result["failures"]
+    return spec, result
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_benchmark_smoke_pass_ok(name):
+    _smoke_pass(name)
+
+
+# eg2, k=2, n=4, CN, dt=1/4: the static saddle LU and the step LU are of the
+# same 624 x 624 Schur complement at two shifts, and each of the 4 steps
+# calls the body load and the boundary load once
+EG2_N4_COUNTS = {"statics.lu_nnz": 28_200, "statics.dim": 624, "dynamics.lu_nnz": 28_200,
+                 "dynamics.dim": 624, "dynamics.steps": 4, "assembly.load_calls": 8}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_benchmark_traced_smoke_pass_counts_every_stage(name):
+    # a stage hidden from the tracer would drop its counts from the report
+    spec, result = _smoke_pass(name, "--trace")
+    (mesh,) = result["trace"]["meshes"]
+    counts = mesh["counts"]
+    assert {"dynamics.lu_nnz", "dynamics.dim", "dynamics.steps",
+            "assembly.load_calls"} <= set(counts)
+    # only eg2 has nonzero initial data, so only eg2 factors the static saddle
+    statics = {key for key in counts if key.startswith("statics.")}
+    assert statics == ({"statics.lu_nnz", "statics.dim"} if spec["case"] == "eg2" else set())
+    if name == "eg2-cn-converge":
+        assert {key: counts[key] for key in EG2_N4_COUNTS} == EG2_N4_COUNTS

@@ -9,7 +9,7 @@ from mixedelast import (MaterialModel, SingularSystemError, assemble,
                         build_initial_data, build_spaces,
                         build_uniform_square_mesh, builtin_case,
                         canonical_interpolation, elliptic_projection, infsup_constant,
-                        l2_error, l2_project_velocity, solve_elastostatics)
+                        integrate, l2_error, l2_project_velocity, solve_elastostatics)
 from mixedelast import statics
 from mixedelast.quadrature import triangle_rule
 
@@ -205,20 +205,23 @@ def test_initial_data_eg2_weak_symmetry(spaces_cache):
 
 
 def test_saddle_factorizations_not_kept(spaces_cache, unit_material):
-    # each saddle matrix is solved with once per system, so its LU is dropped;
-    # only the order, M^-1, K = B^T M^-1 B in that order and the Schur
-    # pattern of A, which the step LUs share, stay
+    # each saddle matrix is solved with once per system, so its LU is dropped,
+    # and so is each integrate call's step LU; the system keeps one reduced
+    # system, shared by the saddles and the steps
     case = builtin_case("eg2", alpha=2.7)
     spaces = spaces_cache(2, 2)
     system = assemble(spaces, case.material,
                       body_force=case.f, dirichlet_velocity=case.g)
-    build_initial_data(case, system)
-    assert set(system._cache) == {"order", "Minv", "K", "schur"}
+    init = build_initial_data(case, system)
+    (reduced,) = system._cache.values()
+    assert isinstance(reduced, statics.ReducedSystem)
+    for scheme in ("cn", "radau2"):
+        integrate(system, init, scheme, 0.5, 0.5)
     sigma, div_sigma = make_matrix_field(np.random.default_rng(2))
     elliptic_projection(system, sigma, div_sigma)
-    assert set(system._cache) == {"order", "Minv", "K", "schur", "stress_mass"}
+    assert list(system._cache.values()) == [reduced]
     assert not any(isinstance(value, (statics.SchurLU, spla.SuperLU))
-                   for value in system._cache.values())
+                   for value in vars(reduced).values())
 
 
 @pytest.mark.parametrize("name,n,k", [("eg3", 4, 3), ("locking", 4, 2)])
@@ -353,40 +356,47 @@ def test_saddle_lu_pivots_on_its_diagonal(spaces_cache, monkeypatch):
 
 
 def _bmat_schur_complement(system, T, s):
-    """S_r = [[T + s^2 K, C^T], [C, 0]] in the order of _step_order, formed by
-    sps.bmat, a column gather and a row renumbering (sorted in place, as
-    SuperLU sorts its input)."""
-    order, C = statics._step_order(system), system.Cmat
-    S = sps.bmat([[T + (s * s) * statics._divergence_gram(system), C.T], [C, None]],
-                 format="csc")[:, order]
+    """S_r = [[T + s^2 K, C^T], [C, 0]], K = B^T M^-1 B, in the order of
+    _step_order, formed by sps.bmat, a column gather and a row renumbering
+    (sorted in place, as SuperLU sorts its input)."""
+    order, B, C = statics._step_order(system.spaces), system.Bmat, system.Cmat
+    K = (B.T @ (statics.reduced_system(system).Minv @ B)).tocsr()
+    S = sps.bmat([[T + (s * s) * K, C.T], [C, None]], format="csc")[:, order]
     S = sps.csc_matrix((S.data, np.argsort(order)[S.indices], S.indptr), shape=S.shape)
     S.sort_indices()
     return S
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_schur_pattern_fill_matches_bmat_build(mesh_cache, k):
-    # s = 0 (the E-product matrix), real CN and complex RadauIIA step shifts
-    # with T = A, and the static shifts of both saddle stress blocks (A and
-    # the stress mass); at k = 2 an entry of A + (1/8)^2 K cancels exactly and
-    # must be dropped
+def test_schur_pattern_fill_matches_bmat_build(mesh_cache, monkeypatch, k):
+    # the matrix each SchurLU factors, S_r(s) = E_r(T) + s^2 K_r: s = 0 (the
+    # E-product matrix), real CN and complex RadauIIA step shifts with T = A,
+    # and the static shifts of both saddle stress blocks (A and the stress
+    # mass); at k = 2 an entry of A + (1/8)^2 K cancels exactly and must be
+    # dropped
     case = builtin_case("eg2", alpha=2.2)
     system = assemble(build_spaces(mesh_cache(4), k), case.material,
                       body_force=case.f, dirichlet_velocity=case.g)
+    reduced = statics.reduced_system(system)
+    M = system.Mmat.toarray()
+    assert np.abs(reduced.Minv.toarray() @ M - np.eye(len(M))).max() <= 1e-12
+    factored, factorize = [], statics.factorize
+    monkeypatch.setattr(statics, "factorize", lambda S, what, **options:
+                        factored.append(S) or factorize(S, what, **options))
     lam = complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)
     mass = assemble_stress_mass(system.spaces)
     for T, s in ((system.Amat, 0.0), (system.Amat, 0.125), (system.Amat, 0.25 * lam),
                  (system.Amat, np.sqrt(system.material.rho1 / system.material.mu)),
                  (mass, np.sqrt(system.material.rho1 / 0.5))):
-        got = statics._schur_pattern(system, T).matrix(s)
+        statics.SchurLU(reduced, reduced.E if T is system.Amat else reduced.e_matrix(T),
+                        s, "test")
+        got = factored.pop()
         ref = _bmat_schur_complement(system, T, s)
         assert got.dtype == ref.dtype
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.data.view(np.uint8), ref.data.view(np.uint8))
-    E = statics._schur_pattern(system, system.Amat).E
     ref = _bmat_schur_complement(system, system.Amat, 0.0).tocsr()
-    assert np.array_equal(E.indptr, ref.indptr)
-    assert np.array_equal(E.indices, ref.indices)
-    assert np.array_equal(E.data.view(np.uint8), ref.data.view(np.uint8))
-    assert statics._schur_pattern(system, system.Amat) is system._cache["schur"]
+    assert np.array_equal(reduced.E.indptr, ref.indptr)
+    assert np.array_equal(reduced.E.indices, ref.indices)
+    assert np.array_equal(reduced.E.data.view(np.uint8), ref.data.view(np.uint8))

@@ -268,6 +268,13 @@ def test_error_decomposition():
         assert np.log2(parts8[f][1] / parts16[f][1]) >= 0.7
 
 
+@pytest.mark.parametrize("t", [0.3, 0.0])
+def test_error_decomposition_rejects_t_off_the_step_grid(t):
+    # t must be a positive multiple of the CN step 1/n
+    with pytest.raises(MixedElastError):
+        error_decomposition_diagnostic(builtin_case("eg1"), 1, 4, t)
+
+
 def test_radau_with_inhomogeneous_boundary_converges():
     # stage-time Dirichlet loads drive the RadauIIA path; spatial order k
     case = builtin_case("eg2", alpha=2.7)
