@@ -2,18 +2,14 @@
 
 from .assembly import (BlockSystem, MaterialModel, assemble, assemble_body_load,
                        assemble_dirichlet_load, assemble_stress_mass)
-from .dynamics import (CN, RADAU2_NAME, SemidiscreteState, TrajectorySummary, integrate,
-                       reconstruct_displacement_third_order)
+from .dynamics import CN, RADAU2_NAME, SemidiscreteState, TrajectorySummary, integrate
 from .errors import (AssemblyError, ConfigError, GeometryError, MixedElastError,
                      SingularSystemError)
 from .mesh import Mesh, build_uniform_square_mesh, mesh_diameter
 from .quadrature import QuadratureRule, edge_rule, triangle_rule
-from .spaces import (DiscreteSpaces, build_spaces, canonical_interpolation,
-                     l2_project_rotation, l2_project_velocity)
-from .statics import (InitialData, build_initial_data, elliptic_projection,
-                      infsup_constant, solve_elastostatics)
+from .spaces import DiscreteSpaces, build_spaces, l2_project_velocity
+from .statics import InitialData, build_initial_data, elliptic_projection, infsup_constant
 from .verification import (ConvergenceTable, MmsCase, builtin_case, convergence_study,
-                           error_decomposition_diagnostic, l2_error, locking_study,
-                           run_case)
+                           l2_error, locking_study, run_case)
 
 __version__ = "0.1.0"

@@ -114,11 +114,11 @@ def _scatter(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sp
     return out.copy()  # a compact copy: the CSR arrays still have room for the duplicates
 
 
-def _stress_block_matrices(spaces: DiscreteSpaces, material: MaterialModel | None):
-    """Stress-stress matrix: compliance pairing, or plain L2 mass if material is None."""
-    rule = triangle_rule(2 * spaces.k + 2)
-    V = spaces.stress_row_values(rule)
-    W = spaces.quad_weights(rule)
+def _stress_block_matrices(spaces: DiscreteSpaces, material: MaterialModel | None,
+                           V: np.ndarray):
+    """Stress-stress matrix from the row basis values V at the degree 2k + 2
+    rule: compliance pairing, or plain L2 mass if material is None."""
+    W = spaces.quad_weights(triangle_rule(2 * spaces.k + 2))
     G = np.einsum("tapq,tbrq->prtab", V * W[:, None, None, :], V)  # test comp p, trial comp r
     dot = G[0, 0] + G[1, 1]
     shape = (spaces.dim_stress, spaces.dim_stress)
@@ -146,11 +146,10 @@ def _b_matrix(spaces: DiscreteSpaces, degree: int) -> sps.csr_matrix:
                     (spaces.dim_velocity, spaces.dim_stress))
 
 
-def _c_matrix(spaces: DiscreteSpaces, degree: int) -> sps.csr_matrix:
+def _c_matrix(spaces: DiscreteSpaces, V: np.ndarray, degree: int) -> sps.csr_matrix:
     # (phi, S(chi)) with S(q) = [[0, q], [-q, 0]]: rotation chi pairs with
     # phi[0, 1] - phi[1, 0], i.e. +v_y for row-0 fields, -v_x for row-1 fields.
     rule = triangle_rule(degree)
-    V = spaces.stress_row_values(rule)
     W = spaces.quad_weights(rule)
     psi = spaces.scalar_values(rule)
     loc = np.stack([np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 1, :]),
@@ -174,7 +173,8 @@ def _m_matrix(spaces: DiscreteSpaces, material: MaterialModel, degree: int) -> s
 
 def assemble_stress_mass(spaces: DiscreteSpaces) -> sps.csr_matrix:
     """Plain L2 mass matrix (phi_j, phi_i) on the stress space."""
-    return _stress_block_matrices(spaces, None)
+    V = spaces.stress_row_values(triangle_rule(2 * spaces.k + 2))
+    return _stress_block_matrices(spaces, None, V)
 
 
 def assemble(spaces: DiscreteSpaces, material: MaterialModel,
@@ -189,9 +189,11 @@ def assemble(spaces: DiscreteSpaces, material: MaterialModel,
     2k + 4.
     """
     degree = 2 * spaces.k + 2
+    V = spaces.stress_row_values(triangle_rule(degree))  # A and C share it; freed here
+    A, C = _stress_block_matrices(spaces, material, V), _c_matrix(spaces, V, degree)
+    del V
     return BlockSystem(
-        Amat=_stress_block_matrices(spaces, material), Bmat=_b_matrix(spaces, degree),
-        Cmat=_c_matrix(spaces, degree), Mmat=_m_matrix(spaces, material, degree),
+        Amat=A, Bmat=_b_matrix(spaces, degree), Cmat=C, Mmat=_m_matrix(spaces, material, degree),
         load=_load_closure(body_force, spaces.dim_velocity,
                            lambda: _body_load_map(spaces)),
         dirichlet_load=_load_closure(dirichlet_velocity, spaces.dim_stress,

@@ -174,7 +174,7 @@ def parse_config(argv) -> RunConfig:
         try:
             with open(ns.config) as fh:
                 loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a flat JSON object")

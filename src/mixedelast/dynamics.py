@@ -163,7 +163,8 @@ class _Stepper:
         """One step from the state (y, ey, u) at time t.  Returns (y1, u1,
         RadauIIA first stage velocity derivative, None for Crank-Nicolson).
         The displacement follows the trapezoidal rule in the velocity (CN) or
-        the third-order reconstruction (RadauIIA)."""
+        the third-order reconstruction u + dt v + dt^2/2 vdot(t + dt/3)
+        (RadauIIA)."""
         dt, v = self.dt, y[self.n:]
         if self.scheme == CN:
             y1 = _cn_update(y, ey, dt, self._load(t + dt / 2.0), self.lu.solve)
@@ -172,18 +173,11 @@ class _Stepper:
             f1, f2 = (self._load(t + c * dt) for c in RADAU2_C)
             y1, k1 = _radau2_update(y, ey, dt, f1, f2, self.lu.solve)
             k1 = k1[self.n:]
-            u1 = reconstruct_displacement_third_order(u, v, k1, dt)
+            u1 = u + dt * v + 0.5 * dt * dt * k1
         if not np.all(np.isfinite(y1)):
             label = "Crank-Nicolson" if self.scheme == CN else "RadauIIA"
             raise SingularSystemError(f"{label} step produced non-finite values")
         return y1, u1, k1
-
-
-def reconstruct_displacement_third_order(u_i: np.ndarray, beta_i: np.ndarray,
-                                         stage_beta_derivative: np.ndarray,
-                                         dt: float) -> np.ndarray:
-    """Taylor-type update u_{i+1} = u_i + dt v_i + dt^2/2 vdot(t_i + dt/3)."""
-    return u_i + dt * beta_i + 0.5 * dt * dt * stage_beta_derivative
 
 
 def step_count(dt: float, T0: float) -> int:

@@ -248,25 +248,20 @@ class DiscreteSpaces:
         return np.stack([vx, vy], axis=2)
 
     def stress_row_values(self, rule: QuadratureRule) -> np.ndarray:
-        """Row basis values at rule points, shape (T, n_row_dofs, 2, nq)."""
-        key = ("sv", rule.exactness)
-        if key not in self._cache:
-            self._cache[key] = self.stress_basis(self.physical_points(rule))
-        return self._cache[key]
+        """Row basis values at rule points, shape (T, n_row_dofs, 2, nq).
+        Not cached, like the divergences below: they are the largest tables
+        of assembly, and nothing reads them after it."""
+        return self.stress_basis(self.physical_points(rule))
 
     def stress_row_div_values(self, rule: QuadratureRule) -> np.ndarray:
         """Divergence of each row basis function at rule points, (T, n_row_dofs, nq)."""
-        key = ("sdiv", rule.exactness)
-        if key not in self._cache:
-            nm = len(self.stress_exps)
-            dxm, dym = poly.monomial_derivative_matrices(self.stress_exps)
-            dcoef = (self.stress_coef[:, :, :nm] @ dxm.T
-                     + self.stress_coef[:, :, nm:] @ dym.T)
-            dcoef /= self.scales[:, None, None]
-            xi = self._xi(self.physical_points(rule))
-            mv = poly.eval_monomials(self.stress_exps, xi[..., 0], xi[..., 1])
-            self._cache[key] = np.einsum("tbm,mtq->tbq", dcoef, mv)
-        return self._cache[key]
+        nm = len(self.stress_exps)
+        dxm, dym = poly.monomial_derivative_matrices(self.stress_exps)
+        dcoef = self.stress_coef[:, :, :nm] @ dxm.T + self.stress_coef[:, :, nm:] @ dym.T
+        dcoef /= self.scales[:, None, None]
+        xi = self._xi(self.physical_points(rule))
+        mv = poly.eval_monomials(self.stress_exps, xi[..., 0], xi[..., 1])
+        return np.einsum("tbm,mtq->tbq", dcoef, mv)
 
     def scalar_values(self, rule: QuadratureRule) -> np.ndarray:
         """P_{k-1} basis values at reference rule points, shape (m, nq)."""
@@ -286,10 +281,6 @@ class DiscreteSpaces:
     def stress_values(self, alpha: np.ndarray, rule: QuadratureRule) -> np.ndarray:
         """Field values of a stress coefficient vector, shape (T, 2, 2, nq)."""
         return np.einsum("trb,tbdq->trdq", alpha[self.stress_map], self.stress_row_values(rule))
-
-    def stress_div_values(self, alpha: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-        """Row-wise divergence of a stress field, shape (T, 2, nq)."""
-        return np.einsum("trb,tbq->trq", alpha[self.stress_map], self.stress_row_div_values(rule))
 
     def velocity_values(self, coeffs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
         """Field values of a V_h coefficient vector, shape (T, 2, nq)."""
@@ -327,45 +318,12 @@ def build_spaces(mesh: Mesh, k: int) -> DiscreteSpaces:
     )
 
 
-# -- canonical interpolation and local projections -------------------------
-
-
-def canonical_interpolation(spaces: DiscreteSpaces, sigma: Callable,
-                            degree: int = 12) -> np.ndarray:
-    """Coefficients of the canonical stress interpolant of a matrix field.
-
-    ``sigma(x, y)`` must return (2, 2) + broadcast shape and be continuous on
-    each closed triangle.  The interpolant commutes with the divergence:
-    div of the result is the V_h projection of div sigma.
-    """
-    mesh = spaces.mesh
-    a = mesh.vertices[mesh.edges[:, 0]]
-    b = mesh.vertices[mesh.edges[:, 1]]
-
-    def rows_of_sigma(pts):
-        return np.swapaxes(np.asarray(sigma(pts[..., 0], pts[..., 1]), dtype=float), 0, 1)
-
-    edge, interior = _stress_functionals(spaces.k, degree, (a, b, _unit_normals(a, b)),
-                                         spaces.tri_verts, rows_of_sigma)
-    return np.concatenate([edge.reshape(2, -1), interior.reshape(2, -1)], axis=1).ravel()
-
-
-def _l2_project(spaces: DiscreteSpaces, fn: Callable, degree: int | None) -> np.ndarray:
+def l2_project_velocity(spaces: DiscreteSpaces, v: Callable,
+                        degree: int | None = None) -> np.ndarray:
+    """Elementwise L2 projection of a vector field onto V_h."""
     # the basis is orthonormal against the doubled reference measure, so the
     # projection's coefficients are the moments with weights 2 w_q
     rule = triangle_rule(2 * spaces.k + 4 if degree is None else degree)
     X = spaces.physical_points(rule)
-    vals = np.asarray(fn(X[..., 0], X[..., 1]), dtype=float)
+    vals = np.asarray(v(X[..., 0], X[..., 1]), dtype=float)
     return spaces.scalar_moments(np.broadcast_to(2.0 * rule.weights, X.shape[:2]), rule, vals)
-
-
-def l2_project_velocity(spaces: DiscreteSpaces, v: Callable,
-                        degree: int | None = None) -> np.ndarray:
-    """Elementwise L2 projection of a vector field onto V_h."""
-    return _l2_project(spaces, v, degree)
-
-
-def l2_project_rotation(spaces: DiscreteSpaces, q: Callable,
-                        degree: int | None = None) -> np.ndarray:
-    """Elementwise L2 projection of a scalar rotation field onto K_h."""
-    return _l2_project(spaces, q, degree)

@@ -244,17 +244,6 @@ def _solve_saddle(system: BlockSystem, T, mu: float, rhs_sigma, rhs_v, rhs_r):
     return x[:nM], x[vel], x[vel.stop:]
 
 
-def solve_elastostatics(system: BlockSystem, rhs_sigma: np.ndarray,
-                        rhs_v: np.ndarray, rhs_r: np.ndarray):
-    """Solve the weak-symmetry saddle system with the compliance pairing;
-    returns (sigma, u, r).
-
-    Block rows: (A s, tau) + (div tau, u) + (r, tau) = rhs_sigma;
-    (div s, w) = rhs_v; (s, q) = rhs_r.
-    """
-    return _solve_saddle(system, system.Amat, system.material.mu, rhs_sigma, rhs_v, rhs_r)
-
-
 def elliptic_projection(system: BlockSystem, sigma: Callable,
                         div_sigma: Callable) -> np.ndarray:
     """Weakly symmetric elliptic projection of an exact stress field.
@@ -307,7 +296,8 @@ def build_initial_data(case, system: BlockSystem) -> InitialData:
     if not (rhs_sigma.any() or rhs_v.any() or rhs_r.any()):
         return InitialData(sigma0=np.zeros(spaces.dim_stress), v0=v0,
                            r0=np.zeros(spaces.dim_rotation), u0=u0)
-    sigma0, _, r0 = solve_elastostatics(system, rhs_sigma, rhs_v, rhs_r)
+    sigma0, _, r0 = _solve_saddle(system, system.Amat, system.material.mu,
+                                  rhs_sigma, rhs_v, rhs_r)
     return InitialData(sigma0=sigma0, v0=v0, r0=r0, u0=u0)
 
 

@@ -17,14 +17,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .assembly import MaterialModel, SeparatedField, assemble, assemble_stress_mass
+from .assembly import MaterialModel, SeparatedField, assemble
 from .dynamics import CN, integrate
 from .errors import MixedElastError
 from .mesh import build_uniform_square_mesh
 from .quadrature import triangle_rule
-from .spaces import (DiscreteSpaces, build_spaces, l2_project_rotation,
-                     l2_project_velocity)
-from .statics import build_initial_data, elliptic_projection
+from .spaces import DiscreteSpaces, build_spaces
+from .statics import build_initial_data
 
 BUILTIN_CASES = ("eg1", "eg2", "eg3", "locking")
 
@@ -218,16 +217,6 @@ def l2_error(spaces: DiscreteSpaces, coefficients: np.ndarray, exact: Callable,
     return float(np.sqrt((W * diff2).sum()))
 
 
-def _coefficient_l2(spaces: DiscreteSpaces, diff: np.ndarray, fieldkind: str) -> float:
-    """L2 norm of a V_h/K_h coefficient difference via the diagonal Gram."""
-    areas = spaces.areas
-    if fieldkind == "velocity":
-        c2 = diff[spaces.velocity_map].reshape(len(areas), -1) ** 2
-        return float(np.sqrt((areas * c2.sum(axis=1)).sum()))
-    c2 = diff[spaces.rotation_map] ** 2
-    return float(np.sqrt(2.0 * (areas * c2.sum(axis=1)).sum()))
-
-
 # -- convergence machinery ----------------------------------------------------
 
 
@@ -283,12 +272,6 @@ class ConvergenceTable:
         return "\n".join(lines)
 
 
-def _resolve_dt(dt_rule, n: int) -> float:
-    if dt_rule is None:
-        return 1.0 / n
-    return float(dt_rule)
-
-
 def _build_system(material: MaterialModel, k: int, n: int,
                   body_force: Callable | None = None,
                   dirichlet_velocity: Callable | None = None):
@@ -302,43 +285,23 @@ def _build_system(material: MaterialModel, k: int, n: int,
                     dirichlet_velocity=dirichlet_velocity)
 
 
-def _build_case(case: MmsCase, k: int, n: int):
-    """Spaces, assembled system and discrete initial data of a case on the
-    uniform n x n mesh."""
-    system = _build_system(case.material, k, n, case.f, case.g)
-    return system.spaces, system, build_initial_data(case, system)
-
-
-def run_case(case: MmsCase, k: int, scheme: str, n: int, dt_rule=None,
-             linf_in_time: bool = False):
-    """Integrate one case on one mesh and measure errors.
-
-    Errors are taken at the final time; with ``linf_in_time`` they are the
-    maxima over all step times instead (a discrete stand-in for the
-    L-infinity-in-time norms).  Returns (errors dict, trajectory summary,
-    spaces).
+def run_case(case: MmsCase, k: int, scheme: str, n: int, dt_rule=None):
+    """Integrate one case on one mesh, with dt = 1/n unless ``dt_rule``
+    gives it, and measure the errors at the final time.  Returns (errors
+    dict, trajectory summary, spaces).
     """
-    spaces, system, initial = _build_case(case, k, n)
-    dt = _resolve_dt(dt_rule, n)
-
-    def errors_at(st):
-        return {
-            "sigma": l2_error(spaces, st.alpha, case.sigma, st.t, "stress"),
-            "v": l2_error(spaces, st.beta, case.v, st.t, "velocity"),
-            "u": l2_error(spaces, st.u, case.u, st.t, "displacement"),
-            "r": l2_error(spaces, st.gamma, case.rotation, st.t, "rotation"),
-        }
-
-    observers = []
-    running = {}
-    if linf_in_time:
-        def track(step, t, st, system):
-            for f, e in errors_at(st).items():
-                running[f] = max(running.get(f, 0.0), e)
-
-        observers.append(track)
-    traj = integrate(system, initial, scheme, dt, case.T0, observers=observers)
-    errors = dict(running) if linf_in_time else errors_at(traj.final_state)
+    system = _build_system(case.material, k, n, case.f, case.g)
+    spaces = system.spaces
+    initial = build_initial_data(case, system)
+    dt = 1.0 / n if dt_rule is None else float(dt_rule)
+    traj = integrate(system, initial, scheme, dt, case.T0)
+    st = traj.final_state
+    errors = {
+        "sigma": l2_error(spaces, st.alpha, case.sigma, st.t, "stress"),
+        "v": l2_error(spaces, st.beta, case.v, st.t, "velocity"),
+        "u": l2_error(spaces, st.u, case.u, st.t, "displacement"),
+        "r": l2_error(spaces, st.gamma, case.rotation, st.t, "rotation"),
+    }
     return errors, traj, spaces
 
 
@@ -374,36 +337,3 @@ def locking_study(case: MmsCase, k: int, lambda_list: Sequence[float],
         errs, _, _ = run_case(sub, k, scheme, n)
         rows.append((float(lam), errs))
     return rows
-
-
-def error_decomposition_diagnostic(case: MmsCase, k: int, n: int, t: float):
-    """Split each field error at time t into projection and approximation parts.
-
-    The stress splits against the weakly symmetric elliptic projection, the
-    velocity against P_h, the rotation against P'_h.  t must be a positive
-    multiple of 1/n, the CN step; `integrate` checks it.  Returns
-    {field: (projection_error, approximation_error)}.
-    """
-    spaces, system, initial = _build_case(case, k, n)
-    traj = integrate(system, initial, CN, 1.0 / n, t)
-    st = traj.final_state
-
-    proj_sigma = elliptic_projection(system, lambda x, y: case.sigma(t, x, y),
-                                     lambda x, y: case.div_sigma(t, x, y))
-    ph_v = l2_project_velocity(spaces, lambda x, y: case.v(t, x, y), degree=12)
-    ph_r = l2_project_rotation(spaces, lambda x, y: case.rotation(t, x, y), degree=12)
-
-    e_sigma_p = l2_error(spaces, proj_sigma, case.sigma, t, "stress")
-    e_v_p = l2_error(spaces, ph_v, case.v, t, "velocity")
-    e_r_p = l2_error(spaces, ph_r, case.rotation, t, "rotation")
-
-    d = proj_sigma - st.alpha
-    e_sigma_h = float(np.sqrt(d @ (assemble_stress_mass(spaces) @ d)))
-    e_v_h = _coefficient_l2(spaces, ph_v - st.beta, "velocity")
-    e_r_h = _coefficient_l2(spaces, ph_r - st.gamma, "rotation")
-
-    return {
-        "sigma": (e_sigma_p, e_sigma_h),
-        "v": (e_v_p, e_v_h),
-        "r": (e_r_p, e_r_h),
-    }

@@ -6,7 +6,11 @@ vectorized production kernels.  The exception is the bare-(E, G) step
 kernels at the end: they run the solver's own update per tableau, with an
 LU of the full step matrix, so that the scalar checks test that code.
 Mesh refinement, triangle areas and the energy of a state are reference
-formulas that only the tests use.  The manufactured cases have a symbolic
+formulas that only the tests use.  So are the canonical stress interpolant,
+the rotation projection, the row-wise stress divergence, the compliance
+saddle solve and the RadauIIA displacement update, and the error
+decomposition that the criterion-4 diagnosis runs: no command of the package
+needs them.  The manufactured cases have a symbolic
 reference here too: sympy differentiates a displacement, splits the loads
 into time-space terms and lambdifies every field, so that the closed forms
 of the built-in cases are checked against an independent derivation.
@@ -18,15 +22,18 @@ import numpy as np
 import scipy.sparse as sps
 import sympy as sp
 
-from mixedelast import dynamics
-from mixedelast.assembly import MaterialModel, SeparatedField
+from mixedelast import dynamics, statics
+from mixedelast.assembly import MaterialModel, SeparatedField, assemble_stress_mass
+from mixedelast.dynamics import CN, integrate
 from mixedelast.errors import MixedElastError
 from mixedelast.mesh import _connect
 from mixedelast.quadrature import edge_rule, triangle_rule
 from mixedelast.polynomials import (edge_legendre_basis, eval_edge_polynomials,
                                     eval_monomials)
-from mixedelast.statics import checked_solve, factorize
-from mixedelast.verification import MmsCase
+from mixedelast.spaces import _stress_functionals, _unit_normals, l2_project_velocity
+from mixedelast.statics import (build_initial_data, checked_solve, elliptic_projection,
+                                factorize)
+from mixedelast.verification import MmsCase, _build_system, l2_error
 
 
 def _compliance(tau, mu, lam):
@@ -298,6 +305,95 @@ def radau2_kernel(E, G, y, dt, f1, f2):
     f2; returns (y1, first stage derivative K1)."""
     return dynamics._radau2_update(y, E @ y, dt, f1, f2,
                                    _unreduced_solver(E, G, dynamics.RADAU2_NAME, dt))
+
+
+# -- reference operators and the error decomposition ---------------------------
+
+
+def canonical_interpolation(spaces, sigma, degree=12):
+    """Coefficients of the canonical stress interpolant of a matrix field.
+
+    ``sigma(x, y)`` must return (2, 2) + broadcast shape and be continuous on
+    each closed triangle.  The interpolant commutes with the divergence:
+    div of the result is the V_h projection of div sigma.  It applies the
+    package's own stress DOF functionals.
+    """
+    mesh = spaces.mesh
+    a = mesh.vertices[mesh.edges[:, 0]]
+    b = mesh.vertices[mesh.edges[:, 1]]
+
+    def rows_of_sigma(pts):
+        return np.swapaxes(np.asarray(sigma(pts[..., 0], pts[..., 1]), dtype=float), 0, 1)
+
+    edge, interior = _stress_functionals(spaces.k, degree, (a, b, _unit_normals(a, b)),
+                                         spaces.tri_verts, rows_of_sigma)
+    return np.concatenate([edge.reshape(2, -1), interior.reshape(2, -1)], axis=1).ravel()
+
+
+def stress_div_values(spaces, alpha, rule):
+    """Row-wise divergence of a stress coefficient vector, shape (T, 2, nq)."""
+    return np.einsum("trb,tbq->trq", alpha[spaces.stress_map],
+                     spaces.stress_row_div_values(rule))
+
+
+def l2_project_rotation(spaces, q, degree=None):
+    """Elementwise L2 projection of a scalar rotation field onto K_h: the
+    moments that project a velocity, taken of a scalar field."""
+    return l2_project_velocity(spaces, q, degree)
+
+
+def solve_elastostatics(system, rhs_sigma, rhs_v, rhs_r):
+    """The compliance saddle solve of the initial data; returns (sigma, u, r)."""
+    return statics._solve_saddle(system, system.Amat, system.material.mu,
+                                 rhs_sigma, rhs_v, rhs_r)
+
+
+def reconstruct_displacement_third_order(u, v, vdot, dt):
+    """The RadauIIA displacement update u + dt v + dt^2/2 vdot(t + dt/3)."""
+    return u + dt * v + 0.5 * dt * dt * vdot
+
+
+def coefficient_l2(spaces, diff, fieldkind):
+    """L2 norm of a V_h/K_h coefficient difference via the diagonal Gram."""
+    areas = spaces.areas
+    if fieldkind == "velocity":
+        c2 = diff[spaces.velocity_map].reshape(len(areas), -1) ** 2
+        return float(np.sqrt((areas * c2.sum(axis=1)).sum()))
+    c2 = diff[spaces.rotation_map] ** 2
+    return float(np.sqrt(2.0 * (areas * c2.sum(axis=1)).sum()))
+
+
+def error_decomposition_diagnostic(case, k, n, t):
+    """Split each field error at time t into projection and approximation parts.
+
+    The stress splits against the weakly symmetric elliptic projection, the
+    velocity against P_h, the rotation against P'_h.  t must be a positive
+    multiple of 1/n, the CN step; `integrate` checks it.  Returns
+    {field: (projection_error, approximation_error)}.
+    """
+    system = _build_system(case.material, k, n, case.f, case.g)
+    spaces = system.spaces
+    st = integrate(system, build_initial_data(case, system), CN, 1.0 / n, t).final_state
+
+    proj_sigma = elliptic_projection(system, lambda x, y: case.sigma(t, x, y),
+                                     lambda x, y: case.div_sigma(t, x, y))
+    ph_v = l2_project_velocity(spaces, lambda x, y: case.v(t, x, y), degree=12)
+    ph_r = l2_project_rotation(spaces, lambda x, y: case.rotation(t, x, y), degree=12)
+
+    e_sigma_p = l2_error(spaces, proj_sigma, case.sigma, t, "stress")
+    e_v_p = l2_error(spaces, ph_v, case.v, t, "velocity")
+    e_r_p = l2_error(spaces, ph_r, case.rotation, t, "rotation")
+
+    d = proj_sigma - st.alpha
+    e_sigma_h = float(np.sqrt(d @ (assemble_stress_mass(spaces) @ d)))
+    e_v_h = coefficient_l2(spaces, ph_v - st.beta, "velocity")
+    e_r_h = coefficient_l2(spaces, ph_r - st.gamma, "rotation")
+
+    return {
+        "sigma": (e_sigma_p, e_sigma_h),
+        "v": (e_v_p, e_v_h),
+        "r": (e_r_p, e_r_h),
+    }
 
 
 # -- symbolic reference of the manufactured cases ------------------------------

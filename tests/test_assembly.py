@@ -5,13 +5,12 @@ import sympy as sp
 
 from mixedelast import (AssemblyError, MaterialModel, MixedElastError, assemble,
                         assemble_body_load, assemble_dirichlet_load,
-                        assemble_stress_mass, build_spaces, builtin_case,
-                        canonical_interpolation)
+                        assemble_stress_mass, build_spaces, builtin_case)
 from mixedelast.assembly import SeparatedField, _dirichlet_operator
 
-from _oracles import (_load_field, _separate, dense_assemble, dense_body_load,
-                      dense_dirichlet_load, dense_system_blocks, isotropic_stiffness_apply,
-                      triangle_areas)
+from _oracles import (_load_field, _separate, canonical_interpolation, dense_assemble,
+                      dense_body_load, dense_dirichlet_load, dense_system_blocks,
+                      isotropic_stiffness_apply, triangle_areas)
 
 
 def _compliance_residual(spaces, material, tau, image):
@@ -224,6 +223,21 @@ def test_dirichlet_load_cached_operator_matches_oracle(mesh_cache):
         oracle = dense_dirichlet_load(spaces, case.v, t)
         assert np.abs(production - oracle).max() <= 1e-12
     assert [key for key in spaces._cache if key[0] == "dirichlet"] == [("dirichlet", 10)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_no_stress_basis_table_outlives_assemble(mesh_cache, k):
+    # the row values and row divergences of the stress basis at the
+    # quadrature points, (T, n_row_dofs, ...), are the largest tables of
+    # assembly; nothing reads them after it, so the spaces keep none
+    case = builtin_case("eg2", alpha=2.2)
+    spaces = build_spaces(mesh_cache(4), k)
+    assemble(spaces, case.material, body_force=case.f, dirichlet_velocity=case.g)
+    assert not [key for key in spaces._cache if key[0] in ("sv", "sdiv")]
+    nt, nd = spaces.row_dof_map.shape
+    cached = [a for value in spaces._cache.values()
+              for a in (value if isinstance(value, tuple) else (value,))]
+    assert not [a.shape for a in cached if a.shape[:2] == (nt, nd)]
 
 
 @pytest.mark.parametrize("spatial", [False, True], ids=["constant-rho", "spatial-rho"])

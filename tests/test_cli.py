@@ -46,6 +46,17 @@ def test_unknown_config_key(tmp_path):
         parse_config(["converge", "--config", str(path)])
 
 
+@pytest.mark.parametrize("content", [None, b"{\"n\": 4", b"\xff{\"n\": 4}",
+                                     b"[" * 100_000 + b"]" * 100_000],
+                         ids=["missing", "bad-json", "not-utf8", "nested-too-deep"])
+def test_unreadable_config_file_is_config_error(tmp_path, content, capsys):
+    path = tmp_path / "c.json"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["run", "--config", str(path)]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("data", [
     {"alpha": "x", "case": "eg2"},
     {"n_list": 4},

@@ -4,11 +4,11 @@ import scipy.linalg
 import scipy.sparse as sps
 
 from mixedelast import (InitialData, MixedElastError, assemble, build_initial_data,
-                        builtin_case, canonical_interpolation, dynamics, integrate,
-                        l2_project_velocity, reconstruct_displacement_third_order, statics)
+                        builtin_case, dynamics, integrate, l2_project_velocity, statics)
 from mixedelast.dynamics import RADAU2_A, RADAU2_B, RADAU2_C, step_count
-from _oracles import (cn_kernel, dense_cn_trajectory, dense_radau_trajectory,
-                      dense_system_blocks, energy, radau2_kernel, step_matrix)
+from _oracles import (canonical_interpolation, cn_kernel, dense_cn_trajectory,
+                      dense_radau_trajectory, dense_system_blocks, energy, radau2_kernel,
+                      reconstruct_displacement_third_order, step_matrix)
 
 
 def _scalar_system():
@@ -59,6 +59,8 @@ def test_radau_exact_on_quadratic_forcing():
 
 
 def test_reconstruction_rule():
+    # the oracle's formula; test_radau_step_returns_stage_derivative holds
+    # the stepper's update to it bitwise
     # v(t) = t: V0 = 0, Vdot = 1
     u1 = reconstruct_displacement_third_order(np.zeros(1), np.zeros(1), np.ones(1), 1.0)
     assert u1[0] == pytest.approx(0.5, abs=1e-15)

@@ -39,23 +39,26 @@ def test_benchmark_smoke_pass_ok(name):
     _smoke_pass(name)
 
 
-# eg2, k=2, n=4, CN, dt=1/4: the static saddle LU and the step LU are of the
-# same 624 x 624 Schur complement at two shifts, and each of the 4 steps
-# calls the body load and the boundary load once
-EG2_N4_COUNTS = {"statics.lu_nnz": 28_200, "statics.dim": 624, "dynamics.lu_nnz": 28_200,
-                 "dynamics.dim": 624, "dynamics.steps": 4, "assembly.load_calls": 8}
+# The traced counts of each workload's n=4 pass.  eg2 (k=2, CN) factors the
+# static saddle LU and the step LU, the same 624 x 624 Schur complement at two
+# shifts; eg3 (k=3, RadauIIA) has zero initial data and one complex step LU.
+# A CN step calls the body load and the boundary load once, a RadauIIA step
+# each of them at both stages.
+_EG2_N4 = {"assembly.matrix_nnz": 22_157, "statics.lu_nnz": 28_200, "statics.dim": 624,
+           "dynamics.lu_nnz": 28_200, "dynamics.dim": 624}
+N4_COUNTS = {
+    "eg2-cn-converge": {**_EG2_N4, "dynamics.steps": 4, "assembly.load_calls": 8},
+    "eg2-cn-fine-dt": {**_EG2_N4, "dynamics.steps": 1024, "assembly.load_calls": 2048},
+    "eg3-radau-converge": {"assembly.matrix_nnz": 66_297, "dynamics.lu_nnz": 77_296,
+                           "dynamics.dim": 1152, "dynamics.steps": 4,
+                           "assembly.load_calls": 16},
+}
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
 def test_benchmark_traced_smoke_pass_counts_every_stage(name):
-    # a stage hidden from the tracer would drop its counts from the report
-    spec, result = _smoke_pass(name, "--trace")
-    (mesh,) = result["trace"]["meshes"]
-    counts = mesh["counts"]
-    assert {"dynamics.lu_nnz", "dynamics.dim", "dynamics.steps",
-            "assembly.load_calls"} <= set(counts)
+    # a stage hidden from the tracer would drop its counts from the report;
     # only eg2 has nonzero initial data, so only eg2 factors the static saddle
-    statics = {key for key in counts if key.startswith("statics.")}
-    assert statics == ({"statics.lu_nnz", "statics.dim"} if spec["case"] == "eg2" else set())
-    if name == "eg2-cn-converge":
-        assert {key: counts[key] for key in EG2_N4_COUNTS} == EG2_N4_COUNTS
+    _, result = _smoke_pass(name, "--trace")
+    (mesh,) = result["trace"]["meshes"]
+    assert mesh["counts"] == N4_COUNTS[name]
