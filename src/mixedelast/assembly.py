@@ -84,34 +84,36 @@ class SeparatedField:
 
 @dataclass
 class BlockSystem:
-    """Assembled matrices and time-dependent loads of the matrix ODE."""
+    """Assembled matrices and time-dependent loads of the matrix ODE.  The first
+    solve hands A, B and C to `statics.reduced_system`; ``Amat`` etc. are None after it."""
 
-    Amat: sps.csr_matrix
-    Bmat: sps.csr_matrix
-    Cmat: sps.csr_matrix
+    Amat: sps.csr_matrix | None
+    Bmat: sps.csr_matrix | None
+    Cmat: sps.csr_matrix | None
     Mmat: sps.csr_matrix
     load: Callable[[float], np.ndarray]
     dirichlet_load: Callable[[float], np.ndarray]
     spaces: DiscreteSpaces
     material: MaterialModel
     _cache: dict = field(default_factory=dict, repr=False)
+    dims: tuple[int, int, int] = field(init=False)
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (self.Amat.shape[0], self.Mmat.shape[0], self.Cmat.shape[0])
+    def __post_init__(self):
+        self.dims = (self.Amat.shape[0], self.Mmat.shape[0], self.Cmat.shape[0])
 
 
 def _scatter(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sps.csr_matrix:
     """Sum of the local matrices local[..., i, j] at the global entries
     (rows[..., i], cols[..., j]), whose leading batch axes broadcast.  Exact
-    zeros are dropped, so the CSR result is canonical with no stored zeros."""
+    zeros are dropped, so the CSR result is canonical with no stored zeros.  It
+    is not compacted: only A keeps much room for duplicates, and a solve frees A."""
     local, rows, cols = np.broadcast_arrays(local, rows[..., :, None], cols[..., None, :])
     idx = np.int32 if max(shape) < 2**31 else np.int64  # the index copies at half the size
     out = sps.coo_matrix((local.ravel(), (rows.astype(idx, order="C").ravel(),
                                           cols.astype(idx, order="C").ravel())),
                          shape=shape).tocsr()
     out.eliminate_zeros()
-    return out.copy()  # a compact copy: the CSR arrays still have room for the duplicates
+    return out
 
 
 def _stress_block_matrices(spaces: DiscreteSpaces, material: MaterialModel | None,
@@ -128,7 +130,9 @@ def _stress_block_matrices(spaces: DiscreteSpaces, material: MaterialModel | Non
     mu, lam = material.mu, material.lambda_
     c = lam / (2.0 * mu * (2.0 * mu + 2.0 * lam))
     Gt = G.swapaxes(0, 1)
-    blocks = (1.0 / (4.0 * mu)) * Gt - c * G - 0.5 * Gt  # (test row s, trial row r, T, a, b)
+    blocks = np.multiply(Gt, 1.0 / (4.0 * mu), order="C")  # C order: _scatter needs no copy
+    blocks -= c * G  # (test row s, trial row r, T, a, b)
+    blocks -= 0.5 * Gt
     for s in range(2):
         blocks[s, s] += (1.0 / (4.0 * mu) + 0.5) * dot
     del G, Gt, dot

@@ -6,9 +6,9 @@ block T: the Schur complements S_r(s) = [[T + s^2 K, C^T], [C, 0]], with
 K = B^T M^-1 B, in a symmetric mesh-entity order.  S_r(s) is the sum
 E_r + s^2 K_r of two permuted matrices, and E_r = S_r(0) is also the matrix
 of the steps' E-products.  A system keeps one ReducedSystem, built on its
-first solve, that holds the order, M^-1, K_r and E_r of the compliance.  No
-LU is kept with it: a saddle LU is dropped after its solve, and a step LU
-when `dynamics.integrate` returns.
+first solve, that takes the operators over: the order, B in it, C, M^-1,
+K_r and E_r of the compliance.  No LU is kept with it: a saddle LU is
+dropped after its solve, and a step LU when `dynamics.integrate` returns.
 """
 
 from __future__ import annotations
@@ -103,11 +103,11 @@ class ReducedSystem:
     matrices E_r(T) = P [[T, C^T], [C, 0]] P^T and ``K`` = K_r =
     P [[K, 0], [0, 0]] P^T.  ``E`` is E_r(A) for the compliance A, the
     stress block of the initial data and of every step, whose E-products
-    also apply it; `e_matrix` forms E_r(T) for another T.  Vectors live in
-    the layout [(stress, rotation) in that order, velocity]: ``pos`` gives
-    the layout position of each natural (stress, rotation) index and
-    ``perm`` the natural index of each layout position.  ``B`` is B with
-    its columns in the layout (``BT`` its transpose, both CSR).
+    also apply it; `e_matrix` forms E_r(T) for another T from ``C``.
+    Vectors live in the layout [(stress, rotation) in that order, velocity]:
+    ``pos`` gives the layout position of each natural (stress, rotation)
+    index and ``perm`` the natural index of each layout position.  ``B`` is
+    B with its columns in the layout (CSR; B^T is the view ``B.T``).
     """
 
     def __init__(self, system: BlockSystem):
@@ -120,10 +120,9 @@ class ReducedSystem:
         self.perm = np.concatenate([
             np.concatenate([np.arange(nM), nM + nV + np.arange(nK)])[order],
             nM + np.arange(nV)])
-        B = system.Bmat.tocsr()
+        B = system.Bmat
         self.B = sps.csr_matrix((B.data, self.pos[B.indices], B.indptr), shape=(nV, n))
-        self.BT = self.B.T.tocsr()
-        self._C = system.Cmat
+        self.C = system.Cmat
         self.E = self.e_matrix(system.Amat)
         self.M = system.Mmat
         # M^-1 from the inverses of M's m x m blocks, one per triangle and
@@ -132,13 +131,13 @@ class ReducedSystem:
         rows, cols = np.broadcast_arrays(vmap[..., :, None], vmap[..., None, :])
         blocks = np.asarray(self.M[rows.ravel(), cols.ravel()]).reshape(rows.shape)
         self.Minv = _scatter(np.linalg.inv(blocks), vmap, vmap, self.M.shape)
-        K = (system.Bmat.T @ (self.Minv @ system.Bmat)).tocoo()
+        K = (B.T @ (self.Minv @ B)).tocoo()
         self.K = sps.csr_matrix((K.data, (self.pos[K.row], self.pos[K.col])), shape=(n, n))
 
     def e_matrix(self, T: sps.spmatrix) -> sps.csr_matrix:
         """E_r(T) = P [[T, C^T], [C, 0]] P^T for the stress block T."""
         nM, pos = T.shape[0], self.pos
-        T, C = T.tocoo(), self._C.tocoo()
+        T, C = T.tocoo(), self.C.tocoo()
         return sps.csr_matrix((np.concatenate([T.data, C.data, C.data]),
                                (pos[np.concatenate([T.row, nM + C.row, C.col])],
                                 pos[np.concatenate([T.col, C.col, nM + C.row])])),
@@ -147,10 +146,20 @@ class ReducedSystem:
 
 def reduced_system(system: BlockSystem) -> ReducedSystem:
     """The ReducedSystem of a system, built on its first solve; it is the
-    only entry of ``system._cache``."""
+    only entry of ``system._cache`` and takes over A, B and C."""
     if "reduced" not in system._cache:
         system._cache["reduced"] = ReducedSystem(system)
+        system.Amat = system.Bmat = system.Cmat = None
     return system._cache["reduced"]
+
+
+def _product(A: sps.spmatrix, x: np.ndarray) -> np.ndarray:
+    """A @ x for a real sparse A, without casting A to complex for a complex x."""
+    if np.isrealobj(x):
+        return A @ x
+    y = np.empty(A.shape[0], dtype=x.dtype)
+    y.real, y.imag = A @ x.real, A @ x.imag
+    return y
 
 
 # SuperLU options for a Schur complement built in the entity order: keep that
@@ -182,14 +191,15 @@ class SchurLU:
     def _apply(self, x: np.ndarray) -> np.ndarray:
         r, s = self.reduced, self._s
         x_r, v = x[:r.n], x[r.n:]
-        return np.concatenate([self.E @ x_r + s * (r.BT @ v), r.M @ v - s * (r.B @ x_r)])
+        return np.concatenate([_product(self.E, x_r) + s * _product(r.B.T, v),
+                               _product(r.M, v) - s * _product(r.B, x_r)])
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         # x_r = S_r^-1 (b_r - s B^T M^-1 b_v), x_v = M^-1 (b_v + s B x_sigma)
         r, s = self.reduced, self._s
-        w = r.Minv @ rhs[r.n:]
-        x_r = self._lu.solve(rhs[:r.n] - s * (r.BT @ w))
-        return np.concatenate([x_r, w + s * (r.Minv @ (r.B @ x_r))])
+        w = _product(r.Minv, rhs[r.n:])
+        x_r = self._lu.solve(rhs[:r.n] - s * _product(r.B.T, w))
+        return np.concatenate([x_r, w + s * _product(r.Minv, _product(r.B, x_r))])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         self._solves += 1
@@ -201,36 +211,32 @@ class SchurLU:
 _MAX_SWEEPS = 50  # augmented-Lagrangian sweeps per saddle solve, at most
 
 
-def _solve_saddle(system: BlockSystem, T, mu: float, rhs_sigma, rhs_v, rhs_r):
-    """Checked solve of the saddle system S = [[T, B^T, C^T], [B, 0, 0], [C, 0, 0]]
-    by augmented-Lagrangian sweeps (Fortin-Glowinski, 1983); the LU is dropped.
+def _solve_saddle(system: BlockSystem, E, mu: float, rhs_sigma, rhs_v, rhs_r):
+    """Checked solve of the saddle system S = [[T, B^T, C^T], [B, 0, 0], [C, 0, 0]],
+    for E = E_r(T), by augmented-Lagrangian sweeps (Fortin-Glowinski, 1983).
 
     A sweep adds P^-1 (b - S x) to x, with P = [[T, B^T, C^T], [B, -M / tau^2,
     0], [C, 0, 0]] solved as SchurLU's S(tau) on (rho_sigma, -tau rho_v, rho_r),
     whose velocity part is then scaled by tau.  tau = sqrt(rho1 / mu), for the
     shear modulus mu whose compliance T is, keeps tau^2 K on the scale of T.
     The sweeps stop at a 1e-13 relative residual or once it stops halving, so
-    a B that is not onto fails the final residual check.
+    a B that is not onto fails the final residual check.  Both run in the
+    reduced layout, where S = [[E, B_r^T], [B_r, 0]]; the LU is dropped.
     """
-    nM, nV, _ = system.dims
-    B, C, vel = system.Bmat, system.Cmat, slice(nM, nM + nV)
-    tau = np.sqrt(system.material.rho1 / mu)
     reduced = reduced_system(system)
-    lu = SchurLU(reduced, reduced.E if T is system.Amat else reduced.e_matrix(T), tau,
-                 "saddle")
-    perm = reduced.perm
+    n, B = reduced.n, reduced.B
+    tau = np.sqrt(system.material.rho1 / mu)
+    lu = SchurLU(reduced, E, tau, "saddle")
 
     def apply(x):
-        return np.concatenate([T @ x[:nM] + B.T @ x[vel] + C.T @ x[vel.stop:],
-                               B @ x[:nM], C @ x[:nM]])
+        return np.concatenate([E @ x[:n] + B.T @ x[n:], B @ x[:n]])
 
     def sweeps(b):
         x, res, last = np.zeros_like(b), b.copy(), np.inf
         for _ in range(_MAX_SWEEPS):
-            res[vel] *= -tau
-            step = np.empty_like(res)
-            step[perm] = lu.solve(res[perm])
-            step[vel] *= tau
+            res[n:] *= -tau
+            step = lu.solve(res)
+            step[n:] *= tau
             x += step
             res = b - apply(x)
             norm = np.linalg.norm(res)
@@ -240,8 +246,10 @@ def _solve_saddle(system: BlockSystem, T, mu: float, rhs_sigma, rhs_v, rhs_r):
             last = norm
         return x
 
-    x = checked_solve(sweeps, apply, np.concatenate([rhs_sigma, rhs_v, rhs_r]), "saddle")
-    return x[:nM], x[vel], x[vel.stop:]
+    b = np.concatenate([rhs_sigma, rhs_v, rhs_r])[reduced.perm]
+    x = np.empty_like(b)
+    x[reduced.perm] = checked_solve(sweeps, apply, b, "saddle")
+    return np.split(x, np.cumsum(system.dims[:2]))
 
 
 def elliptic_projection(system: BlockSystem, sigma: Callable,
@@ -265,8 +273,8 @@ def elliptic_projection(system: BlockSystem, sigma: Callable,
     rhs_r = spaces.scalar_moments(W, rule, vals[0, 1] - vals[1, 0])
 
     # the L2 pairing is the compliance of mu = 1/2 (and lambda = 0)
-    sig, _, _ = _solve_saddle(system, assemble_stress_mass(spaces), 0.5,
-                              rhs_sigma, rhs_v, rhs_r)
+    mass = reduced_system(system).e_matrix(assemble_stress_mass(spaces))
+    sig, _, _ = _solve_saddle(system, mass, 0.5, rhs_sigma, rhs_v, rhs_r)
     return sig
 
 
@@ -286,18 +294,13 @@ def build_initial_data(case, system: BlockSystem) -> InitialData:
     v0 = l2_project_velocity(spaces, lambda x, y: case.v(0.0, x, y))
     u0 = l2_project_velocity(spaces, lambda x, y: case.u(0.0, x, y))
 
-    if case.homogeneous:
-        rhs_sigma = np.zeros(spaces.dim_stress)
-    else:
-        rhs_sigma = assemble_dirichlet_load(spaces, case.u, 0.0)
+    rhs_sigma = (np.zeros(spaces.dim_stress) if case.homogeneous
+                 else assemble_dirichlet_load(spaces, case.u, 0.0))
     rhs_v = assemble_body_load(spaces, case.div_sigma, 0.0)
-    rhs_r = np.zeros(spaces.dim_rotation)
-
-    if not (rhs_sigma.any() or rhs_v.any() or rhs_r.any()):
-        return InitialData(sigma0=np.zeros(spaces.dim_stress), v0=v0,
-                           r0=np.zeros(spaces.dim_rotation), u0=u0)
-    sigma0, _, r0 = _solve_saddle(system, system.Amat, system.material.mu,
-                                  rhs_sigma, rhs_v, rhs_r)
+    sigma0, r0 = np.zeros(spaces.dim_stress), np.zeros(spaces.dim_rotation)
+    if rhs_sigma.any() or rhs_v.any():  # the rotation's right-hand side is zero
+        sigma0, _, r0 = _solve_saddle(system, reduced_system(system).E, system.material.mu,
+                                      rhs_sigma, rhs_v, r0)
     return InitialData(sigma0=sigma0, v0=v0, r0=r0, u0=u0)
 
 
@@ -319,9 +322,12 @@ def infsup_constant(system: BlockSystem) -> float:
     mk_diag = np.empty(spaces.dim_rotation)
     mk_diag[spaces.rotation_map] = spaces.areas[:, None]
 
-    divdiv = system.Bmat.T @ sps.diags(1.0 / mv_diag) @ system.Bmat
+    r = reduced_system(system)  # it holds C, and B with its columns in the layout
+    B, C = sps.csr_matrix((r.B.data, r.perm[r.B.indices], r.B.indptr),
+                          shape=(spaces.dim_velocity, spaces.dim_stress)), r.C
+    divdiv = B.T @ sps.diags(1.0 / mv_diag) @ B
     D = (mass + divdiv).toarray()
-    Bb = sps.vstack([system.Bmat, system.Cmat]).toarray()
+    Bb = sps.vstack([B, C]).toarray()
     N = np.diag(np.concatenate([mv_diag, mk_diag]))
     S = Bb @ np.linalg.solve(D, Bb.T)
     eigs = sla.eigh(S, N, eigvals_only=True)

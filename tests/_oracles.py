@@ -74,9 +74,26 @@ def triangle_areas(mesh):
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
+def natural_operators(system):
+    """A, B and C of a system in the natural numbering, taken out of its
+    reduced system (built here if no solve has built it yet), which holds
+    them once: A is the stress block of E_r, C is held as it is, and B_r has
+    its columns in the entity order."""
+    r = statics.reduced_system(system)
+    nM, nV, _ = system.dims
+    E = r.E.tocoo()
+    row, col = r.perm[E.row], r.perm[E.col]
+    keep = (row < nM) & (col < nM)
+    A = sps.csr_matrix((E.data[keep], (row[keep], col[keep])), shape=(nM, nM))
+    B = sps.csr_matrix((r.B.data, r.perm[r.B.indices], r.B.indptr), shape=(nV, nM))
+    B.sort_indices()
+    return A, B, r.C
+
+
 def energy(system, state):
     """Discrete energy 1/2 (A sigma, sigma) + 1/2 (rho v, v) of a state."""
-    return 0.5 * float(state.alpha @ (system.Amat @ state.alpha)
+    A = natural_operators(system)[0]
+    return 0.5 * float(state.alpha @ (A @ state.alpha)
                        + state.beta @ (system.Mmat @ state.beta))
 
 
@@ -228,9 +245,7 @@ def dense_dirichlet_load(spaces, g, t_time, degree=None):
 
 
 def dense_system_blocks(system):
-    A = system.Amat.toarray()
-    B = system.Bmat.toarray()
-    C = system.Cmat.toarray()
+    A, B, C = (op.toarray() for op in natural_operators(system))
     M = system.Mmat.toarray()
     nM, nV, nK = A.shape[0], M.shape[0], C.shape[0]
     E = np.zeros((nM + nV + nK, nM + nV + nK))
@@ -344,7 +359,7 @@ def l2_project_rotation(spaces, q, degree=None):
 
 def solve_elastostatics(system, rhs_sigma, rhs_v, rhs_r):
     """The compliance saddle solve of the initial data; returns (sigma, u, r)."""
-    return statics._solve_saddle(system, system.Amat, system.material.mu,
+    return statics._solve_saddle(system, statics.reduced_system(system).E, system.material.mu,
                                  rhs_sigma, rhs_v, rhs_r)
 
 

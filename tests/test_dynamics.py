@@ -7,7 +7,8 @@ from mixedelast import (InitialData, MixedElastError, assemble, build_initial_da
                         builtin_case, dynamics, integrate, l2_project_velocity, statics)
 from mixedelast.dynamics import RADAU2_A, RADAU2_B, RADAU2_C, step_count
 from _oracles import (canonical_interpolation, cn_kernel, dense_cn_trajectory,
-                      dense_radau_trajectory, dense_system_blocks, energy, radau2_kernel,
+                      dense_radau_trajectory, dense_system_blocks, energy,
+                      natural_operators, radau2_kernel,
                       reconstruct_displacement_third_order, step_matrix)
 
 
@@ -131,7 +132,8 @@ def test_cn_energy_conservation_and_expm_oracle(small_system):
     y0 = np.concatenate([init.sigma0, init.v0, init.r0])
     yT = scipy.linalg.expm(5.0 * np.linalg.solve(E, G)) @ y0
     nM, nV = spaces.dim_stress, spaces.dim_velocity
-    eT = 0.5 * (yT[:nM] @ (sysz.Amat @ yT[:nM]) + yT[nM:nM + nV] @ (sysz.Mmat @ yT[nM:nM + nV]))
+    A = natural_operators(sysz)[0]
+    eT = 0.5 * (yT[:nM] @ (A @ yT[:nM]) + yT[nM:nM + nV] @ (sysz.Mmat @ yT[nM:nM + nV]))
     assert eT == pytest.approx(e[0], rel=1e-9)
 
 
@@ -175,10 +177,11 @@ def test_trace_moment_conserved():
         return out
 
     iota = canonical_interpolation(spaces, identity_field)
+    A = natural_operators(system)[0]
     vals = []
 
     def observer(step, t, st, system):
-        vals.append(iota @ (system.Amat @ st.alpha))
+        vals.append(iota @ (A @ st.alpha))
 
     traj = integrate(system, init, "cn", 0.25, 2.0, observers=[observer])
     vals = np.array(vals)
@@ -261,9 +264,10 @@ def test_singular_step_detected(small_system):
     # zeroed stress and symmetry blocks make E - dt/2 G exactly singular
     from mixedelast import SingularSystemError
     system, spaces, _ = small_system
+    nM, nV, nK = system.dims
     broken = type(system)(
-        Amat=sps.csr_matrix(system.Amat.shape), Bmat=sps.csr_matrix(system.Bmat.shape),
-        Cmat=sps.csr_matrix(system.Cmat.shape), Mmat=system.Mmat, load=system.load,
+        Amat=sps.csr_matrix((nM, nM)), Bmat=sps.csr_matrix((nV, nM)),
+        Cmat=sps.csr_matrix((nK, nM)), Mmat=system.Mmat, load=system.load,
         dirichlet_load=system.dirichlet_load, spaces=system.spaces,
         material=system.material)
     with pytest.raises(SingularSystemError):
@@ -363,10 +367,11 @@ def test_step_lu_detects_rotation_constraint_not_onto(small_system, scheme):
     # initial data skip the saddle LU, so this is the run's check of C
     from mixedelast import SingularSystemError
     system, spaces, _ = small_system
-    C = system.Cmat.tolil()
+    A, B, C = natural_operators(system)
+    C = C.tolil()
     C[0, :] = 0.0
     broken = type(system)(
-        Amat=system.Amat, Bmat=system.Bmat, Cmat=C.tocsr(), Mmat=system.Mmat,
+        Amat=A, Bmat=B, Cmat=C.tocsr(), Mmat=system.Mmat,
         load=system.load, dirichlet_load=system.dirichlet_load,
         spaces=system.spaces, material=system.material)
     with pytest.raises(SingularSystemError, match="step factorization"):
@@ -506,7 +511,7 @@ def test_records_match_observed_states(scheme):
     states = []
     traj = integrate(system, init, scheme, 0.125, 1.0,
                      observers=[lambda step, t, st, system: states.append(st)])
-    C = system.Cmat
+    C = natural_operators(system)[2]
     c0 = C @ init.sigma0
     energies = np.array([energy(system, st) for st in states])
     cnorms = np.array([np.linalg.norm(C @ st.alpha - c0) for st in states])
@@ -533,3 +538,24 @@ def test_no_full_step_matrix_cached():
               if sps.issparse(value) or isinstance(value, np.ndarray)]
     assert shapes and (N, N) not in shapes
     assert all(max(shape, default=0) < N for shape in shapes if len(shape) == 2)
+
+
+@pytest.mark.parametrize("name,n,k", [("eg2", 8, 2), ("eg3", 4, 3)])
+def test_each_operator_held_once(name, n, k):
+    # after the first solve the reduced system holds E_r, K_r, B_r, C, M and
+    # M^-1, and the system no natural-order A or B; no operator is held twice
+    import mixedelast as me
+    case = builtin_case(name, alpha=2.2 if name == "eg2" else None)
+    mesh = me.build_uniform_square_mesh(n)
+    system = assemble(me.build_spaces(mesh, k), case.material, body_force=case.f,
+                      dirichlet_velocity=case.g)
+    integrate(system, build_initial_data(case, system), "cn", 1.0 / n, 2.0 / n)
+    assert system.Amat is None and system.Bmat is None and system.Cmat is None
+    nM, nV, nK = system.dims
+    held = [value for value in _reachable(system) if sps.issparse(value)]
+    shapes = [op.shape for op in held]
+    assert (nM, nM) not in shapes and (nV, nM) not in shapes
+    assert shapes.count((nK, nM)) == 1  # C, which forms E_r of another stress block
+    for i, a in enumerate(held):
+        for b in held[i + 1:]:
+            assert not (a.data.shape == b.data.shape and np.array_equal(a.data, b.data))

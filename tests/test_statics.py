@@ -13,8 +13,8 @@ from mixedelast import statics
 from mixedelast.quadrature import triangle_rule
 
 from conftest import make_matrix_field
-from _oracles import (canonical_interpolation, case_from_displacement, solve_elastostatics,
-                      stress_div_values)
+from _oracles import (canonical_interpolation, case_from_displacement, natural_operators,
+                      solve_elastostatics, stress_div_values)
 
 
 def _static_case(mu=1.0, lam=1.0):
@@ -60,10 +60,11 @@ def test_constant_load_matches_dense_solve(mesh_cache, spaces_cache, unit_materi
     rhs_r = np.zeros(spaces.dim_rotation)
     sol = solve_elastostatics(system, rhs_s, rhs_v, rhs_r)
 
+    A, B, C = (op.toarray() for op in natural_operators(system))
     S = np.block([
-        [system.Amat.toarray(), system.Bmat.toarray().T, system.Cmat.toarray().T],
-        [system.Bmat.toarray(), np.zeros((4, 4)), np.zeros((4, 2))],
-        [system.Cmat.toarray(), np.zeros((2, 4)), np.zeros((2, 2))],
+        [A, B.T, C.T],
+        [B, np.zeros((4, 4)), np.zeros((4, 2))],
+        [C, np.zeros((2, 4)), np.zeros((2, 2))],
     ])
     x = np.linalg.solve(S, np.concatenate([rhs_s, rhs_v, rhs_r]))
     assert np.abs(np.concatenate(sol) - x).max() <= 1e-10
@@ -200,7 +201,7 @@ def test_initial_data_eg2_weak_symmetry(spaces_cache):
                       body_force=case.f, dirichlet_velocity=case.g)
     init = build_initial_data(case, system)
     assert np.abs(init.sigma0).max() > 0.1
-    cnorm = np.linalg.norm(system.Cmat @ init.sigma0)
+    cnorm = np.linalg.norm(natural_operators(system)[2] @ init.sigma0)
     assert cnorm <= 1e-12 * np.linalg.norm(init.sigma0)
 
 
@@ -286,8 +287,51 @@ def test_infsup_stable_under_refinement(mesh_cache, unit_material, k):
         assert cur >= 0.9 * prev
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_natural_operators_oracle_is_bitwise(mesh_cache, k):
+    # the oracle that tests read A, B and C through once a system's reduced
+    # system holds them gives back the assembled matrices exactly
+    case = builtin_case("eg2", alpha=2.2)
+    system = assemble(build_spaces(mesh_cache(4), k), case.material)
+    assembled = system.Amat, system.Bmat, system.Cmat
+    dims = system.dims
+    for got, ref in zip(natural_operators(system), assembled):
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data.view(np.uint8), ref.data.view(np.uint8))
+    assert system.Amat is None and system.Bmat is None and system.Cmat is None
+    assert system.dims == dims
+
+
+def test_infsup_constant_independent_of_first_solve(spaces_cache):
+    # infsup_constant reads B and C from the reduced system, which a fresh
+    # system builds on the call and a solved one already holds
+    case = builtin_case("eg2", alpha=2.2)
+    spaces = spaces_cache(2, 2)
+    fresh = assemble(spaces, case.material, body_force=case.f, dirichlet_velocity=case.g)
+    solved = assemble(spaces, case.material, body_force=case.f, dirichlet_velocity=case.g)
+    build_initial_data(case, solved)
+    assert solved.Bmat is None and fresh.Bmat is not None
+    beta = infsup_constant(fresh)
+    assert abs(infsup_constant(solved) - beta) <= 1e-12 * beta
+
+
+@pytest.mark.parametrize("name,k", [("eg2", 2), ("eg3", 3)])
+def test_complex_products_match_the_cast_product(mesh_cache, name, k):
+    # SchurLU multiplies the real operators by a complex vector as two real
+    # products; scipy's own product casts the operator to complex
+    case = builtin_case(name, alpha=2.2 if name == "eg2" else None)
+    reduced = statics.reduced_system(assemble(build_spaces(mesh_cache(4), k), case.material))
+    rng = np.random.default_rng(k)
+    for op in (reduced.E, reduced.B, reduced.B.T, reduced.M, reduced.Minv):
+        x = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
+        got, ref = statics._product(op, x), op @ x
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got.view(np.uint8), ref.view(np.uint8))
+
+
 def _dense_saddle_solve(system, T, b):
-    B, C = system.Bmat.toarray(), system.Cmat.toarray()
+    _, B, C = (op.toarray() for op in natural_operators(system))
     nV, nK = B.shape[0], C.shape[0]
     S = np.block([[T.toarray(), B.T, C.T],
                   [B, np.zeros((nV, nV)), np.zeros((nV, nK))],
@@ -306,7 +350,7 @@ def test_saddle_sweeps_match_dense_solve(mesh_cache, monkeypatch, k):
     rng = np.random.default_rng(k)
     b = rng.standard_normal(nM + nV + nK)
     got = np.concatenate(solve_elastostatics(system, b[:nM], b[nM:nM + nV], b[nM + nV:]))
-    ref = _dense_saddle_solve(system, system.Amat, b)
+    ref = _dense_saddle_solve(system, natural_operators(system)[0], b)
     assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
     seen = []
@@ -359,7 +403,7 @@ def _bmat_schur_complement(system, T, s):
     """S_r = [[T + s^2 K, C^T], [C, 0]], K = B^T M^-1 B, in the order of
     _step_order, formed by sps.bmat, a column gather and a row renumbering
     (sorted in place, as SuperLU sorts its input)."""
-    order, B, C = statics._step_order(system.spaces), system.Bmat, system.Cmat
+    order, (_, B, C) = statics._step_order(system.spaces), natural_operators(system)
     K = (B.T @ (statics.reduced_system(system).Minv @ B)).tocsr()
     S = sps.bmat([[T + (s * s) * K, C.T], [C, None]], format="csc")[:, order]
     S = sps.csc_matrix((S.data, np.argsort(order)[S.indices], S.indptr), shape=S.shape)
@@ -385,10 +429,11 @@ def test_schur_pattern_fill_matches_bmat_build(mesh_cache, monkeypatch, k):
                         factored.append(S) or factorize(S, what, **options))
     lam = complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)
     mass = assemble_stress_mass(system.spaces)
-    for T, s in ((system.Amat, 0.0), (system.Amat, 0.125), (system.Amat, 0.25 * lam),
-                 (system.Amat, np.sqrt(system.material.rho1 / system.material.mu)),
+    A = natural_operators(system)[0]
+    for T, s in ((A, 0.0), (A, 0.125), (A, 0.25 * lam),
+                 (A, np.sqrt(system.material.rho1 / system.material.mu)),
                  (mass, np.sqrt(system.material.rho1 / 0.5))):
-        statics.SchurLU(reduced, reduced.E if T is system.Amat else reduced.e_matrix(T),
+        statics.SchurLU(reduced, reduced.E if T is A else reduced.e_matrix(T),
                         s, "test")
         got = factored.pop()
         ref = _bmat_schur_complement(system, T, s)
@@ -396,7 +441,7 @@ def test_schur_pattern_fill_matches_bmat_build(mesh_cache, monkeypatch, k):
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.data.view(np.uint8), ref.data.view(np.uint8))
-    ref = _bmat_schur_complement(system, system.Amat, 0.0).tocsr()
+    ref = _bmat_schur_complement(system, A, 0.0).tocsr()
     assert np.array_equal(reduced.E.indptr, ref.indptr)
     assert np.array_equal(reduced.E.indices, ref.indices)
     assert np.array_equal(reduced.E.data.view(np.uint8), ref.data.view(np.uint8))
