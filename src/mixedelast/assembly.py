@@ -1,13 +1,15 @@
 """Sparse block matrices and load vectors of the semidiscrete system.
 
-The block ODE reads  E ydot = G y + F(t)  with
+The block ODE in y = (x, v), x the stress and rotation unknowns in their
+one range of the spaces, reads  E ydot = G y + F(t)  with
 
-    E = [[A, 0, C^T], [0, M, 0], [C, 0, 0]],
-    G = [[0, -B^T, 0], [B, 0, 0], [0, 0, 0]],
-    F = (dirichlet_load(t), load(t), 0),
+    E = [[A + C + C^T, 0], [0, M]],   G = [[0, -B^T], [B, 0]],
+    F = (dirichlet_load(t), load(t)),
 
 where the entries are (A phi_j, phi_i), (div phi_j, psi_i), (phi_j, chi_i)
-and (rho psi_j, psi_i) over the stress, velocity and rotation bases.
+and (rho psi_j, psi_i) over the stress, velocity and rotation bases.  A and
+C are square on the range of x: A couples stresses and C is nonzero in the
+rotation rows and stress columns only.
 
 Every matrix and the boundary operator are summed from local matrices by one
 `_scatter` through the global numbering that `DiscreteSpaces` states and
@@ -85,21 +87,18 @@ class SeparatedField:
 @dataclass
 class BlockSystem:
     """Assembled matrices and time-dependent loads of the matrix ODE.  The first
-    solve hands A, B and C to `statics.reduced_system`; ``Amat`` etc. are None after it."""
+    solve builds `statics.reduced_system`, whose E_r = A + C + C^T holds A from
+    then on: ``Amat`` is None after it, and B, C and M are shared with it."""
 
     Amat: sps.csr_matrix | None
-    Bmat: sps.csr_matrix | None
-    Cmat: sps.csr_matrix | None
+    Bmat: sps.csr_matrix
+    Cmat: sps.csr_matrix
     Mmat: sps.csr_matrix
     load: Callable[[float], np.ndarray]
     dirichlet_load: Callable[[float], np.ndarray]
     spaces: DiscreteSpaces
     material: MaterialModel
     _cache: dict = field(default_factory=dict, repr=False)
-    dims: tuple[int, int, int] = field(init=False)
-
-    def __post_init__(self):
-        self.dims = (self.Amat.shape[0], self.Mmat.shape[0], self.Cmat.shape[0])
 
 
 def _scatter(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sps.csr_matrix:
@@ -119,11 +118,14 @@ def _scatter(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sp
 def _stress_block_matrices(spaces: DiscreteSpaces, material: MaterialModel | None,
                            V: np.ndarray):
     """Stress-stress matrix from the row basis values V at the degree 2k + 2
-    rule: compliance pairing, or plain L2 mass if material is None."""
+    rule: compliance pairing, or plain L2 mass if material is None.  V is
+    dropped once the Gram is formed, so the caller should hand over its last
+    reference."""
     W = spaces.quad_weights(triangle_rule(2 * spaces.k + 2))
     G = np.einsum("tapq,tbrq->prtab", V * W[:, None, None, :], V)  # test comp p, trial comp r
+    del V
     dot = G[0, 0] + G[1, 1]
-    shape = (spaces.dim_stress, spaces.dim_stress)
+    shape = (spaces.dim_x, spaces.dim_x)
     if material is None:  # row r of a test function pairs with row r only
         del G  # freed before the scatter, as below
         return _scatter(dot[:, None], spaces.stress_map, spaces.stress_map, shape)
@@ -147,7 +149,7 @@ def _b_matrix(spaces: DiscreteSpaces, degree: int) -> sps.csr_matrix:
     psi = spaces.scalar_values(rule)
     loc = np.einsum("tq,iq,tbq->tib", W, psi, DV)  # (T, m, nd), one per component
     return _scatter(loc[:, None], spaces.velocity_map, spaces.stress_map,
-                    (spaces.dim_velocity, spaces.dim_stress))
+                    (spaces.dim_velocity, spaces.dim_x))
 
 
 def _c_matrix(spaces: DiscreteSpaces, V: np.ndarray, degree: int) -> sps.csr_matrix:
@@ -159,7 +161,7 @@ def _c_matrix(spaces: DiscreteSpaces, V: np.ndarray, degree: int) -> sps.csr_mat
     loc = np.stack([np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 1, :]),
                     -np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 0, :])], axis=1)
     return _scatter(loc, spaces.rotation_map[:, None], spaces.stress_map,
-                    (spaces.dim_rotation, spaces.dim_stress))
+                    (spaces.dim_x, spaces.dim_x))
 
 
 def _m_matrix(spaces: DiscreteSpaces, material: MaterialModel, degree: int) -> sps.csr_matrix:
@@ -176,9 +178,9 @@ def _m_matrix(spaces: DiscreteSpaces, material: MaterialModel, degree: int) -> s
 
 
 def assemble_stress_mass(spaces: DiscreteSpaces) -> sps.csr_matrix:
-    """Plain L2 mass matrix (phi_j, phi_i) on the stress space."""
-    V = spaces.stress_row_values(triangle_rule(2 * spaces.k + 2))
-    return _stress_block_matrices(spaces, None, V)
+    """Plain L2 mass matrix (phi_j, phi_i) of the stresses, on the range of x."""
+    return _stress_block_matrices(spaces, None,
+                                  spaces.stress_row_values(triangle_rule(2 * spaces.k + 2)))
 
 
 def assemble(spaces: DiscreteSpaces, material: MaterialModel,
@@ -193,14 +195,14 @@ def assemble(spaces: DiscreteSpaces, material: MaterialModel,
     2k + 4.
     """
     degree = 2 * spaces.k + 2
-    V = spaces.stress_row_values(triangle_rule(degree))  # A and C share it; freed here
-    A, C = _stress_block_matrices(spaces, material, V), _c_matrix(spaces, V, degree)
-    del V
+    V = [spaces.stress_row_values(triangle_rule(degree))]  # C reads it, then A frees it
+    C = _c_matrix(spaces, V[0], degree)
+    A = _stress_block_matrices(spaces, material, V.pop())
     return BlockSystem(
         Amat=A, Bmat=_b_matrix(spaces, degree), Cmat=C, Mmat=_m_matrix(spaces, material, degree),
         load=_load_closure(body_force, spaces.dim_velocity,
                            lambda: _body_load_map(spaces)),
-        dirichlet_load=_load_closure(dirichlet_velocity, spaces.dim_stress,
+        dirichlet_load=_load_closure(dirichlet_velocity, spaces.dim_x,
                                      lambda: _dirichlet_load_map(spaces)),
         spaces=spaces, material=material)
 
@@ -243,8 +245,8 @@ def assemble_body_load(spaces: DiscreteSpaces, f: Callable, t: float,
 
 def _dirichlet_operator(spaces: DiscreteSpaces, degree: int):
     """Boundary quadrature points (nbe, nqe, 2) and the sparse operator that
-    maps g sampled there, flattened from (2, nbe, nqe), to the stress-space
-    boundary load; cached on the spaces per degree."""
+    maps g sampled there, flattened from (2, nbe, nqe), to the boundary load
+    on the range of x; cached on the spaces per degree."""
     key = ("dirichlet", degree)
     if key in spaces._cache:
         return spaces._cache[key]
@@ -270,21 +272,22 @@ def _dirichlet_operator(spaces: DiscreteSpaces, degree: int):
     nbe, _, nqe = weights.shape
     samples = np.arange(2 * nbe * nqe).reshape(2, nbe, nqe).transpose(1, 0, 2)
     op = _scatter(weights[:, None], spaces.stress_map[tris], samples,
-                  (spaces.dim_stress, 2 * nbe * nqe))
+                  (spaces.dim_x, 2 * nbe * nqe))
     spaces._cache[key] = (pts, op)
     return pts, op
 
 
 def _dirichlet_load_map(spaces: DiscreteSpaces, degree: int | None = None):
     """Sample points (nbe, nqe, 2) of the boundary load and its map from g
-    sampled there, (2, nbe, nqe), to the stress-space load."""
+    sampled there, (2, nbe, nqe), to the load on the range of x."""
     pts, op = _dirichlet_operator(spaces, 2 * spaces.k + 4 if degree is None else degree)
     return pts, lambda vals: op @ vals.ravel()
 
 
 def assemble_dirichlet_load(spaces: DiscreteSpaces, g: Callable, t: float,
                             degree: int | None = None) -> np.ndarray:
-    """Stress-space boundary load with entries int_Gamma g . (phi_i nu) ds.
+    """Boundary load on the range of x with entries int_Gamma g . (phi_i nu) ds
+    at the stresses and zeros at the rotations.
 
     Every boundary edge carries the velocity data: traction conditions are
     essential in this formulation and are not supported.  The boundary

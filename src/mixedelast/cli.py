@@ -232,10 +232,7 @@ def _cmd_energy_audit(cfg: RunConfig) -> int:
         # sigma0 = 0, so the energy (M v0, v0)/2 that drift is measured against is 0
         raise ConfigError(f"case {cfg.case} has zero initial energy (v(0) = 0); "
                           "the energy audit needs a nonzero initial velocity")
-    initial = InitialData(
-        sigma0=np.zeros(spaces.dim_stress), v0=v0,
-        r0=np.zeros(spaces.dim_rotation), u0=np.zeros(spaces.dim_velocity),
-    )
+    initial = InitialData(x0=np.zeros(spaces.dim_x), v0=v0, u0=np.zeros(spaces.dim_velocity))
     dt = cfg.dt if cfg.dt is not None else 1.0 / cfg.n
     traj = integrate(system, initial, cfg.scheme, dt, cfg.steps * dt)
     e0 = traj.energies[0]

@@ -21,8 +21,8 @@ statics.ReducedSystem; each `integrate` call factors its own step LU and
 frees it when it returns.
 
 Both updates are written with E-products and solves only, so a system's
-steps keep the state in that order, apply the (stress, rotation) block of E
-as one sparse matrix, and build no N x N E or G.
+steps keep the state y = (x, v) in the spaces' numbering, apply the (stress,
+rotation) block of E as one sparse matrix, and build no N x N E or G.
 """
 
 from __future__ import annotations
@@ -70,13 +70,19 @@ _SHIFT = {CN: 0.5, RADAU2_NAME: _RADAU_LAMBDA}  # c of the step matrix E - dt c 
 
 @dataclass
 class SemidiscreteState:
-    """Coefficient vectors at one time: stress, velocity, rotation, displacement."""
+    """Coefficient vectors at one time: x holds the stress and the rotation
+    in the range of the spaces' stress and rotation maps; beta is the
+    velocity and u the displacement."""
 
     t: float
-    alpha: np.ndarray
+    x: np.ndarray
     beta: np.ndarray
-    gamma: np.ndarray
     u: np.ndarray
+
+    alpha = gamma = property(lambda self: self.x, doc=(
+        "x, read-only under the stress's and the rotation's former names for "
+        "readers of final_state.alpha and .gamma outside the package (the "
+        "benchmark harness)."))
 
 
 @dataclass
@@ -120,17 +126,15 @@ def _radau2_update(y, ey, dt: float, f1, f2, solve):
 
 
 class _Stepper:
-    """Steps of one scheme and dt on a system, in the layout of its
-    statics.ReducedSystem: the stress and rotation unknowns x in the
-    entity order, then the velocity v.  The step LU, statics.SchurLU's
+    """Steps of one scheme and dt on a system.  The step LU, statics.SchurLU's
     S(dt c) for the stress block A, solves E - dt c G; it is built here and
     lives as long as the stepper.
 
     A state is carried as y = (x, v) with its E-product ey = (E_r x, M v),
-    E_r = [[A, C^T], [C, 0]] in that order.  ey is computed once per state
-    and serves the next step's right-hand side, the energy
-    1/2 (sigma.A sigma + v.M v) = 1/2 y.ey - gamma.C sigma and the
-    weak-symmetry moments C sigma.
+    E_r = A + C + C^T.  ey is computed once per state and serves the next
+    step's right-hand side, the energy 1/2 (sigma.A sigma + v.M v) =
+    1/2 y.ey - gamma.C sigma and the weak-symmetry moments C sigma, which
+    are the rotation entries of E_r x.
     """
 
     def __init__(self, system: BlockSystem, scheme: str, dt: float):
@@ -138,26 +142,12 @@ class _Stepper:
         reduced = statics.reduced_system(system)
         self.lu = statics.SchurLU(reduced, reduced.E, dt * _SHIFT[scheme], "step")
         self.n, self._E = reduced.n, reduced.E
-        nM = system.dims[0]
-        self.sigma, self.gamma = reduced.pos[:nM], reduced.pos[nM:]
-
-    def pack(self, alpha, beta, gamma) -> np.ndarray:
-        y = np.empty(self.n + beta.size)
-        y[self.sigma], y[self.gamma], y[self.n:] = alpha, gamma, beta
-        return y
-
-    def state(self, t: float, y: np.ndarray, u: np.ndarray) -> SemidiscreteState:
-        return SemidiscreteState(t=t, alpha=y[self.sigma], beta=y[self.n:],
-                                 gamma=y[self.gamma], u=u)
 
     def eprod(self, y: np.ndarray) -> np.ndarray:
         return np.concatenate([self._E @ y[:self.n], self.system.Mmat @ y[self.n:]])
 
     def _load(self, t: float) -> np.ndarray:
-        f = np.zeros(self.n + self.system.dims[1])
-        f[self.sigma] = self.system.dirichlet_load(t)
-        f[self.n:] = self.system.load(t)
-        return f
+        return np.concatenate([self.system.dirichlet_load(t), self.system.load(t)])
 
     def advance(self, t: float, y: np.ndarray, ey: np.ndarray, u: np.ndarray):
         """One step from the state (y, ey, u) at time t.  Returns (y1, u1,
@@ -197,15 +187,16 @@ def integrate(system: BlockSystem, initial: InitialData, scheme: str, dt: float,
 
     Observers are called as observer(step, t, state, system) after the
     initial state and after every step.  The summary records energy and the
-    weak-symmetry constraint drift ||C alpha_n - C alpha_0|| per step.
+    weak-symmetry constraint drift ||C sigma_n - C sigma_0|| per step.
     """
     if scheme not in SCHEMES:
         raise MixedElastError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     n_steps = step_count(dt, T0)
     stepper = _Stepper(system, scheme, dt)
-    y = stepper.pack(initial.sigma0, initial.v0, initial.r0)
+    n, rot = stepper.n, system.spaces.rotation_map.ravel()
+    y = np.concatenate([initial.x0, initial.v0])
     ey, u = stepper.eprod(y), initial.u0.copy()
-    c_ref = ey[stepper.gamma]
+    c_ref = ey[rot]
 
     times = np.empty(n_steps + 1)
     energies = np.empty(n_steps + 1)
@@ -213,12 +204,12 @@ def integrate(system: BlockSystem, initial: InitialData, scheme: str, dt: float,
     anorms = np.empty(n_steps + 1)
 
     def record(i, t, y, ey, u):
-        state = stepper.state(t, y, u)
-        c_sigma = ey[stepper.gamma]
+        state = SemidiscreteState(t=t, x=y[:n], beta=y[n:], u=u)
+        c_sigma = ey[rot]
         times[i] = t
-        energies[i] = 0.5 * float(y @ ey) - float(state.gamma @ c_sigma)
+        energies[i] = 0.5 * float(y @ ey) - float(state.x[rot] @ c_sigma)
         cnorms[i] = np.linalg.norm(c_sigma - c_ref)
-        anorms[i] = np.linalg.norm(state.alpha)
+        anorms[i] = np.linalg.norm(np.delete(state.x, rot))
         for obs in observers:
             obs(i, t, state, system)
         return state

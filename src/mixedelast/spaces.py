@@ -18,6 +18,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sps
+# bound by name at import: the entity order's splu is an ordering aid, not a
+# factorization, so a wrapper of scipy.sparse.linalg.splu installed later
+# (a tracer's, say) does not count it as one
+from scipy.sparse.linalg import splu
 
 from . import polynomials as poly
 from .errors import GeometryError, MixedElastError
@@ -163,15 +168,18 @@ class DiscreteSpaces:
     ``scalar_exps`` against the doubled reference measure, so its Gram matrix
     on a physical triangle is area * identity.
 
-    Global numbering, with m = n_scalar and E, T the edge and triangle counts:
+    Global numbering, with m = n_scalar: the stress and rotation unknowns
+    share one range of length ``dim_x`` = dim_stress + dim_rotation, in the
+    symmetric mesh-entity order that every Schur complement of the solver is
+    factored in (see `_entity_positions`); a coefficient vector x of that
+    range holds a stress and a rotation at once.
 
-    - stress: row 0 of the tensor, then row 1, each ``n_row_global`` long.
-      Within a row, edge e holds e (k+1) + i, i < k+1, and triangle t the
-      interior DOFs (k+1) E + t (k^2-1) + i.  ``row_dof_map`` gives the row
-      index of each local DOF and ``stress_map`` (T, 2, n_row_dofs) its
-      global index in row r, ``row_dof_map + r n_row_global``;
-    - velocity: ``velocity_map`` (T, 2, m), t 2m + c m + j for component c;
-    - rotation: ``rotation_map`` (T, m), t m + j.
+    - stress: ``stress_map`` (T, 2, n_row_dofs) gives the position of each
+      local DOF of tensor row r; a shared edge DOF has one position, met
+      from both of its triangles;
+    - rotation: ``rotation_map`` (T, m), in the same range;
+    - velocity: ``velocity_map`` (T, 2, m), t 2m + c m + j for component c,
+      a range of its own.
 
     Every matrix, boundary operator and load is scattered through these
     three maps.
@@ -183,7 +191,6 @@ class DiscreteSpaces:
     scalar_exps: np.ndarray
     scalar_coef: np.ndarray      # (n_scalar, n_scalar)
     stress_coef: np.ndarray      # (T, n_row_dofs, 2 * n_mono)
-    row_dof_map: np.ndarray      # (T, n_row_dofs) -> global row-space index
     stress_map: np.ndarray       # (T, 2, n_row_dofs)
     velocity_map: np.ndarray     # (T, 2, n_scalar)
     rotation_map: np.ndarray     # (T, n_scalar)
@@ -194,13 +201,13 @@ class DiscreteSpaces:
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
-    def n_row_global(self) -> int:
+    def dim_stress(self) -> int:
         k, m = self.k, self.mesh
-        return (k + 1) * m.num_edges + (k**2 - 1) * m.num_triangles
+        return 2 * ((k + 1) * m.num_edges + (k**2 - 1) * m.num_triangles)
 
     @property
-    def dim_stress(self) -> int:
-        return 2 * self.n_row_global
+    def dim_x(self) -> int:
+        return self.dim_stress + self.dim_rotation
 
     @property
     def n_scalar(self) -> int:
@@ -274,23 +281,60 @@ class DiscreteSpaces:
     def scalar_moments(self, W: np.ndarray, rule: QuadratureRule,
                        vals: np.ndarray) -> np.ndarray:
         """sum_q W[t, q] psi_j(q) vals[..., t, q]: the moments of fields
-        sampled at rule points against the P_{k-1} basis, a V_h vector for
-        vals (2, T, nq) and a K_h vector for vals (T, nq), in global order."""
+        sampled at rule points against the P_{k-1} basis.  For vals (2, T,
+        nq) they are a V_h vector in global order; for vals (T, nq) they
+        come out in ``rotation_map.ravel()`` order, and a K_h vector is
+        x[rotation_map.ravel()] = moments (as `statics.elliptic_projection`
+        scatters them)."""
         return np.einsum("tq,jq,...tq->t...j", W, self.scalar_values(rule), vals).ravel()
 
-    def stress_values(self, alpha: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-        """Field values of a stress coefficient vector, shape (T, 2, 2, nq)."""
-        return np.einsum("trb,tbdq->trdq", alpha[self.stress_map], self.stress_row_values(rule))
+    def stress_values(self, x: np.ndarray, rule: QuadratureRule) -> np.ndarray:
+        """Stress field values of a coefficient vector x, shape (T, 2, 2, nq)."""
+        return np.einsum("trb,tbdq->trdq", x[self.stress_map], self.stress_row_values(rule))
 
     def velocity_values(self, coeffs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
         """Field values of a V_h coefficient vector, shape (T, 2, nq)."""
         psi = self.scalar_values(rule)
         return np.einsum("tcj,jq->tcq", coeffs[self.velocity_map], psi)
 
-    def rotation_values(self, gamma: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-        """Scalar rotation values of a K_h coefficient vector, shape (T, nq)."""
+    def rotation_values(self, x: np.ndarray, rule: QuadratureRule) -> np.ndarray:
+        """Scalar rotation values of a coefficient vector x, shape (T, nq)."""
         psi = self.scalar_values(rule)
-        return np.einsum("tj,jq->tq", gamma[self.rotation_map], psi)
+        return np.einsum("tj,jq->tq", x[self.rotation_map], psi)
+
+
+def _entity_positions(mesh: Mesh, k: int, stress: np.ndarray, m: int) -> np.ndarray:
+    """Positions in a symmetric fill-reducing order of the stress unknowns,
+    numbered by entity (edges, then triangles) and row in ``stress`` (T, 2,
+    n_row_dofs), followed by the rotation unknowns, numbered t m + j.
+
+    The mesh entities (edges and triangles) are ranked by a minimum-degree
+    ordering of the graph with one clique {T, e1, e2, e3} per triangle, the
+    column order SuperLU picks for a diagonally dominant matrix of that graph
+    (an ordering aid, not a solve LU).  The stress unknowns follow their
+    entities' ranks, row 0 before row 1.  A triangle's rotation unknowns,
+    whose diagonal block in a Schur complement [[T + s^2 K, C^T], [C, 0]] is
+    zero and which couple only to that triangle's stresses, come right after
+    the first half of them (George, SIAM J. Numer. Anal. 10, 1973).
+    """
+    ne, nt = mesh.num_edges, mesh.num_triangles
+    cliques = np.column_stack([mesh.triangle_edges, ne + np.arange(nt)])
+    graph = sps.csc_matrix(
+        (np.ones(16 * nt), (np.repeat(cliques, 4, axis=1).ravel(),
+                            np.tile(cliques, 4).ravel())),
+        shape=(ne + nt, ne + nt)) + 20.0 * sps.identity(ne + nt, format="csc")
+    rank = splu(graph, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True}).perm_c
+    entity = np.concatenate([np.repeat(np.arange(ne), k + 1),
+                             ne + np.repeat(np.arange(nt), k * k - 1)])
+    pos = np.empty(2 * len(entity))
+    pos[np.argsort(np.tile(rank[entity], 2), kind="stable")] = np.arange(len(pos))
+    tri = np.sort(pos[stress].reshape(nt, -1), axis=1)
+    median = tri[:, tri.shape[1] // 2 - 1] + 0.5
+    order = np.argsort(np.concatenate([pos, np.repeat(median, m)]), kind="stable")
+    positions = np.empty_like(order)
+    positions[order] = np.arange(len(order))
+    return positions
 
 
 def build_spaces(mesh: Mesh, k: int) -> DiscreteSpaces:
@@ -308,12 +352,15 @@ def build_spaces(mesh: Mesh, k: int) -> DiscreteSpaces:
     edge_dofs = mesh.triangle_edges[:, :, None] * (k + 1) + np.arange(k + 1)
     row_map = np.concatenate([edge_dofs.reshape(nt, -1),
                               base + np.arange(nt)[:, None] * n_int + np.arange(n_int)], axis=1)
+    n_row = base + n_int * nt
+    stress = row_map[:, None, :] + n_row * np.arange(2)[:, None]
+    positions = _entity_positions(mesh, k, stress, m)
     return DiscreteSpaces(
         mesh=mesh, k=k, stress_exps=poly.monomial_exponents(k), scalar_exps=scalar_exps,
-        scalar_coef=scalar_coef, stress_coef=coef, row_dof_map=row_map,
-        stress_map=row_map[:, None, :] + (base + n_int * nt) * np.arange(2)[:, None],
+        scalar_coef=scalar_coef, stress_coef=coef,
+        stress_map=positions[stress],
         velocity_map=np.arange(2 * nt * m).reshape(nt, 2, m),
-        rotation_map=np.arange(nt * m).reshape(nt, m),
+        rotation_map=positions[2 * n_row + np.arange(nt * m).reshape(nt, m)],
         tri_verts=verts, centers=centers, scales=scales, dets=dets,
     )
 

@@ -3,11 +3,11 @@ discrete initial data, and the Schur-complement LU the time steps share.
 
 Every LU, static or time step, is of one family per system and stress
 block T: the Schur complements S_r(s) = [[T + s^2 K, C^T], [C, 0]], with
-K = B^T M^-1 B, in a symmetric mesh-entity order.  S_r(s) is the sum
-E_r + s^2 K_r of two permuted matrices, and E_r = S_r(0) is also the matrix
-of the steps' E-products.  A system keeps one ReducedSystem, built on its
-first solve, that takes the operators over: the order, B in it, C, M^-1,
-K_r and E_r of the compliance.  No LU is kept with it: a saddle LU is
+K = B^T M^-1 B, on the stress and rotation unknowns x, which the spaces
+number in a symmetric mesh-entity order.  S_r(s) is the sum E_r + s^2 K_r,
+and E_r = S_r(0) is also the matrix of the steps' E-products.  A system
+keeps one ReducedSystem, built on its first solve: M^-1, K_r and E_r of the
+compliance, which takes A over.  No LU is kept with it: a saddle LU is
 dropped after its solve, and a step LU when `dynamics.integrate` returns.
 """
 
@@ -24,16 +24,17 @@ from .assembly import (BlockSystem, _scatter, assemble_body_load, assemble_diric
                        assemble_stress_mass)
 from .errors import SingularSystemError
 from .quadrature import triangle_rule
-from .spaces import DiscreteSpaces, l2_project_velocity
+from .spaces import l2_project_velocity
 
 
 @dataclass
 class InitialData:
-    """Discrete initial data: weakly symmetric sigma0, projected v0 and u0."""
+    """Discrete initial data: x0 holds the weakly symmetric sigma0 and its
+    rotation r0 in the range of the spaces' stress and rotation maps; v0 and
+    u0 are projected."""
 
-    sigma0: np.ndarray
+    x0: np.ndarray
     v0: np.ndarray
-    r0: np.ndarray
     u0: np.ndarray
 
 
@@ -62,94 +63,44 @@ def checked_solve(solve, apply, rhs: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _step_order(spaces: DiscreteSpaces) -> np.ndarray:
-    """Symmetric fill-reducing order of the (stress, rotation) unknowns of
-    a Schur complement [[T + s^2 K, C^T], [C, 0]].
-
-    The mesh entities (edges and triangles) are ranked by a minimum-degree
-    ordering of the graph with one clique {T, e1, e2, e3} per triangle,
-    the column order SuperLU picks for a diagonally dominant matrix of that
-    graph (an ordering aid, not a solve LU).  The stress unknowns follow their
-    entities' ranks, row 0 before row 1.  A triangle's rotation unknowns,
-    whose diagonal block is zero and which couple only to that triangle's
-    stresses, come right after the first half of them.
-    """
-    mesh = spaces.mesh
-    ne, nt, k = mesh.num_edges, mesh.num_triangles, spaces.k
-    cliques = np.column_stack([mesh.triangle_edges, ne + np.arange(nt)])
-    graph = sps.csc_matrix(
-        (np.ones(16 * nt), (np.repeat(cliques, 4, axis=1).ravel(),
-                            np.tile(cliques, 4).ravel())),
-        shape=(ne + nt, ne + nt)) + 20.0 * sps.identity(ne + nt, format="csc")
-    rank = spla.splu(graph, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True}).perm_c
-    entity = np.concatenate([np.repeat(np.arange(ne), k + 1),
-                             ne + np.repeat(np.arange(nt), k * k - 1)])
-    pos = np.empty(spaces.dim_stress)
-    pos[np.argsort(np.tile(rank[entity], 2), kind="stable")] = np.arange(spaces.dim_stress)
-    tri = np.sort(pos[spaces.stress_map].reshape(nt, -1), axis=1)
-    median = tri[:, tri.shape[1] // 2 - 1] + 0.5
-    return np.argsort(np.concatenate([pos, np.repeat(median, spaces.n_scalar)]), kind="stable")
-
-
 class ReducedSystem:
     """A system with its velocity eliminated: the parts of every Schur
     complement S_r(s) = [[T + s^2 K, C^T], [C, 0]], K = B^T M^-1 B, of the
-    system, for any stress block T and shift s, in the order of _step_order.
+    system, for any stress block T and shift s, on the range of x.
 
     The velocity mass ``M`` is block diagonal (the velocity space is
-    discontinuous), and ``Minv`` is its exact inverse.  With P the
-    permutation into the order, S_r(s) = E_r(T) + s^2 K_r for the CSR
-    matrices E_r(T) = P [[T, C^T], [C, 0]] P^T and ``K`` = K_r =
-    P [[K, 0], [0, 0]] P^T.  ``E`` is E_r(A) for the compliance A, the
-    stress block of the initial data and of every step, whose E-products
-    also apply it; `e_matrix` forms E_r(T) for another T from ``C``.
-    Vectors live in the layout [(stress, rotation) in that order, velocity]:
-    ``pos`` gives the layout position of each natural (stress, rotation)
-    index and ``perm`` the natural index of each layout position.  ``B`` is
-    B with its columns in the layout (CSR; B^T is the view ``B.T``).
+    discontinuous), and ``Minv`` is its exact inverse.  S_r(s) = E_r(T) +
+    s^2 K_r for the CSR matrices E_r(T) = T + C + C^T and ``K`` = K_r.  ``E``
+    is E_r(A) for the compliance A, the stress block of the initial data and
+    of every step, whose E-products also apply it; `e_matrix` forms E_r(T)
+    for another T.  ``B``, ``C`` and ``M`` are the system's own matrices (B^T
+    is the view ``B.T``); vectors are (x, velocity).
     """
 
     def __init__(self, system: BlockSystem):
-        nM, nV, nK = system.dims
-        order = _step_order(system.spaces)
-        self.n = n = nM + nK
-        # int32 where it fits halves the index arrays of the builds below
-        self.pos = np.empty(n, dtype=np.int32 if n < 2 ** 31 else np.int64)
-        self.pos[order] = np.arange(n)
-        self.perm = np.concatenate([
-            np.concatenate([np.arange(nM), nM + nV + np.arange(nK)])[order],
-            nM + np.arange(nV)])
-        B = system.Bmat
-        self.B = sps.csr_matrix((B.data, self.pos[B.indices], B.indptr), shape=(nV, n))
-        self.C = system.Cmat
+        self.B, self.C, self.M = system.Bmat, system.Cmat, system.Mmat
+        self.n = self.C.shape[0]
         self.E = self.e_matrix(system.Amat)
-        self.M = system.Mmat
         # M^-1 from the inverses of M's m x m blocks, one per triangle and
         # velocity component
         vmap = system.spaces.velocity_map
         rows, cols = np.broadcast_arrays(vmap[..., :, None], vmap[..., None, :])
         blocks = np.asarray(self.M[rows.ravel(), cols.ravel()]).reshape(rows.shape)
         self.Minv = _scatter(np.linalg.inv(blocks), vmap, vmap, self.M.shape)
-        K = (B.T @ (self.Minv @ B)).tocoo()
-        self.K = sps.csr_matrix((K.data, (self.pos[K.row], self.pos[K.col])), shape=(n, n))
+        # as CSR, so that each E_r + s^2 K_r adds two canonical CSR matrices
+        self.K = (self.B.T @ (self.Minv @ self.B)).tocsr()
 
     def e_matrix(self, T: sps.spmatrix) -> sps.csr_matrix:
-        """E_r(T) = P [[T, C^T], [C, 0]] P^T for the stress block T."""
-        nM, pos = T.shape[0], self.pos
-        T, C = T.tocoo(), self.C.tocoo()
-        return sps.csr_matrix((np.concatenate([T.data, C.data, C.data]),
-                               (pos[np.concatenate([T.row, nM + C.row, C.col])],
-                                pos[np.concatenate([T.col, C.col, nM + C.row])])),
-                              shape=(self.n, self.n))
+        """E_r(T) = T + C + C^T for the stress block T."""
+        return T + self.C + self.C.T
 
 
 def reduced_system(system: BlockSystem) -> ReducedSystem:
     """The ReducedSystem of a system, built on its first solve; it is the
-    only entry of ``system._cache`` and takes over A, B and C."""
+    only entry of ``system._cache``, and its E_r takes A over."""
     if "reduced" not in system._cache:
         system._cache["reduced"] = ReducedSystem(system)
-        system.Amat = system.Bmat = system.Cmat = None
+        system.Amat = None
     return system._cache["reduced"]
 
 
@@ -178,7 +129,7 @@ class SchurLU:
     complement S_r(s) = E_r(T) + s^2 K_r; an entry of the sum that cancels
     exactly is dropped, as sparse sums do.
 
-    Vectors are in the reduced system's layout.  Solves 1, 2, 4, 8, ... are
+    Vectors are (x, velocity).  Solves 1, 2, 4, 8, ... are
     residual-checked against S(s) applied block by block.  The LU lives as
     long as this object: its owner drops it after its last solve.
     """
@@ -211,17 +162,17 @@ class SchurLU:
 _MAX_SWEEPS = 50  # augmented-Lagrangian sweeps per saddle solve, at most
 
 
-def _solve_saddle(system: BlockSystem, E, mu: float, rhs_sigma, rhs_v, rhs_r):
-    """Checked solve of the saddle system S = [[T, B^T, C^T], [B, 0, 0], [C, 0, 0]],
-    for E = E_r(T), by augmented-Lagrangian sweeps (Fortin-Glowinski, 1983).
+def _solve_saddle(system: BlockSystem, E, mu: float, rhs_x, rhs_v):
+    """Checked solve of the saddle system S = [[E, B^T], [B, 0]] in (x,
+    velocity), for E = E_r(T), by augmented-Lagrangian sweeps
+    (Fortin-Glowinski, 1983); returns (x, velocity).
 
-    A sweep adds P^-1 (b - S x) to x, with P = [[T, B^T, C^T], [B, -M / tau^2,
-    0], [C, 0, 0]] solved as SchurLU's S(tau) on (rho_sigma, -tau rho_v, rho_r),
-    whose velocity part is then scaled by tau.  tau = sqrt(rho1 / mu), for the
+    A sweep adds P^-1 (b - S x) to x, with P = [[E, B^T], [B, -M / tau^2]]
+    solved as SchurLU's S(tau) on (rho_x, -tau rho_v), whose velocity part is
+    then scaled by tau.  tau = sqrt(rho1 / mu), for the
     shear modulus mu whose compliance T is, keeps tau^2 K on the scale of T.
     The sweeps stop at a 1e-13 relative residual or once it stops halving, so
-    a B that is not onto fails the final residual check.  Both run in the
-    reduced layout, where S = [[E, B_r^T], [B_r, 0]]; the LU is dropped.
+    a B that is not onto fails the final residual check.  The LU is dropped.
     """
     reduced = reduced_system(system)
     n, B = reduced.n, reduced.B
@@ -246,10 +197,8 @@ def _solve_saddle(system: BlockSystem, E, mu: float, rhs_sigma, rhs_v, rhs_r):
             last = norm
         return x
 
-    b = np.concatenate([rhs_sigma, rhs_v, rhs_r])[reduced.perm]
-    x = np.empty_like(b)
-    x[reduced.perm] = checked_solve(sweeps, apply, b, "saddle")
-    return np.split(x, np.cumsum(system.dims[:2]))
+    x = checked_solve(sweeps, apply, np.concatenate([rhs_x, rhs_v]), "saddle")
+    return x[:n], x[n:]
 
 
 def elliptic_projection(system: BlockSystem, sigma: Callable,
@@ -259,7 +208,8 @@ def elliptic_projection(system: BlockSystem, sigma: Callable,
     Solves the saddle system with the plain L2 stress pairing and data
     ((sigma, tau), (div sigma, w), (sigma, q)); div_sigma must be supplied
     analytically; the data are integrated with the degree-12 rule.  The
-    result preserves the divergence moments and the skew moments of sigma.
+    result, an x with zero rotation entries, preserves the divergence
+    moments and the skew moments of sigma.
     """
     spaces = system.spaces
     rule = triangle_rule(12)
@@ -267,15 +217,16 @@ def elliptic_projection(system: BlockSystem, sigma: Callable,
     W = spaces.quad_weights(rule)
     vals = np.asarray(sigma(X[..., 0], X[..., 1]), dtype=float)  # (2, 2, T, nq)
     loc = np.einsum("tq,tbdq,rdtq->trb", W, spaces.stress_row_values(rule), vals)
-    rhs_sigma = np.bincount(spaces.stress_map.ravel(), loc.ravel(), spaces.dim_stress)
+    rhs_x = np.bincount(spaces.stress_map.ravel(), loc.ravel(), spaces.dim_x)
+    rhs_x[spaces.rotation_map.ravel()] = spaces.scalar_moments(W, rule, vals[0, 1] - vals[1, 0])
     rhs_v = spaces.scalar_moments(W, rule, np.asarray(div_sigma(X[..., 0], X[..., 1]),
                                                       dtype=float))
-    rhs_r = spaces.scalar_moments(W, rule, vals[0, 1] - vals[1, 0])
 
     # the L2 pairing is the compliance of mu = 1/2 (and lambda = 0)
     mass = reduced_system(system).e_matrix(assemble_stress_mass(spaces))
-    sig, _, _ = _solve_saddle(system, mass, 0.5, rhs_sigma, rhs_v, rhs_r)
-    return sig
+    x, _ = _solve_saddle(system, mass, 0.5, rhs_x, rhs_v)
+    x[spaces.rotation_map] = 0.0  # the multiplier
+    return x
 
 
 def build_initial_data(case, system: BlockSystem) -> InitialData:
@@ -294,14 +245,13 @@ def build_initial_data(case, system: BlockSystem) -> InitialData:
     v0 = l2_project_velocity(spaces, lambda x, y: case.v(0.0, x, y))
     u0 = l2_project_velocity(spaces, lambda x, y: case.u(0.0, x, y))
 
-    rhs_sigma = (np.zeros(spaces.dim_stress) if case.homogeneous
-                 else assemble_dirichlet_load(spaces, case.u, 0.0))
+    x0 = np.zeros(spaces.dim_x)  # also the right-hand side of a homogeneous case
+    rhs_x = x0 if case.homogeneous else assemble_dirichlet_load(spaces, case.u, 0.0)
     rhs_v = assemble_body_load(spaces, case.div_sigma, 0.0)
-    sigma0, r0 = np.zeros(spaces.dim_stress), np.zeros(spaces.dim_rotation)
-    if rhs_sigma.any() or rhs_v.any():  # the rotation's right-hand side is zero
-        sigma0, _, r0 = _solve_saddle(system, reduced_system(system).E, system.material.mu,
-                                      rhs_sigma, rhs_v, r0)
-    return InitialData(sigma0=sigma0, v0=v0, r0=r0, u0=u0)
+    if rhs_x.any() or rhs_v.any():  # the rotation's right-hand side is zero
+        x0, _ = _solve_saddle(system, reduced_system(system).E, system.material.mu,
+                              rhs_x, rhs_v)
+    return InitialData(x0=x0, v0=v0, u0=u0)
 
 
 def infsup_constant(system: BlockSystem) -> float:
@@ -315,19 +265,16 @@ def infsup_constant(system: BlockSystem) -> float:
     import scipy.linalg as sla
 
     spaces = system.spaces
-    mass = assemble_stress_mass(spaces)
+    B, C = system.Bmat, system.Cmat
     # velocity mass with rho = 1 is area * I per scalar block; same for rotation
     mv_diag = np.empty(spaces.dim_velocity)
     mv_diag[spaces.velocity_map] = spaces.areas[:, None, None]
-    mk_diag = np.empty(spaces.dim_rotation)
-    mk_diag[spaces.rotation_map] = spaces.areas[:, None]
+    mk_diag = np.repeat(spaces.areas, spaces.n_scalar)
 
-    r = reduced_system(system)  # it holds C, and B with its columns in the layout
-    B, C = sps.csr_matrix((r.B.data, r.perm[r.B.indices], r.B.indptr),
-                          shape=(spaces.dim_velocity, spaces.dim_stress)), r.C
+    stress = np.unique(spaces.stress_map)
     divdiv = B.T @ sps.diags(1.0 / mv_diag) @ B
-    D = (mass + divdiv).toarray()
-    Bb = sps.vstack([B, C]).toarray()
+    D = (assemble_stress_mass(spaces) + divdiv)[stress][:, stress].toarray()
+    Bb = sps.vstack([B, C[spaces.rotation_map.ravel()]])[:, stress].toarray()
     N = np.diag(np.concatenate([mv_diag, mk_diag]))
     S = Bb @ np.linalg.solve(D, Bb.T)
     eigs = sla.eigh(S, N, eigvals_only=True)

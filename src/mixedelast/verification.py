@@ -297,10 +297,10 @@ def run_case(case: MmsCase, k: int, scheme: str, n: int, dt_rule=None):
     traj = integrate(system, initial, scheme, dt, case.T0)
     st = traj.final_state
     errors = {
-        "sigma": l2_error(spaces, st.alpha, case.sigma, st.t, "stress"),
+        "sigma": l2_error(spaces, st.x, case.sigma, st.t, "stress"),
         "v": l2_error(spaces, st.beta, case.v, st.t, "velocity"),
         "u": l2_error(spaces, st.u, case.u, st.t, "displacement"),
-        "r": l2_error(spaces, st.gamma, case.rotation, st.t, "rotation"),
+        "r": l2_error(spaces, st.x, case.rotation, st.t, "rotation"),
     }
     return errors, traj, spaces
 

@@ -74,27 +74,34 @@ def triangle_areas(mesh):
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
+def rotation_mask(spaces):
+    """True at the rotation entries of the range of x."""
+    mask = np.zeros(spaces.dim_x, dtype=bool)
+    mask[spaces.rotation_map] = True
+    return mask
+
+
+def stress_part(spaces, x):
+    """x with its rotation entries set to zero."""
+    return np.where(rotation_mask(spaces), 0.0, x)
+
+
 def natural_operators(system):
-    """A, B and C of a system in the natural numbering, taken out of its
-    reduced system (built here if no solve has built it yet), which holds
-    them once: A is the stress block of E_r, C is held as it is, and B_r has
-    its columns in the entity order."""
-    r = statics.reduced_system(system)
-    nM, nV, _ = system.dims
-    E = r.E.tocoo()
-    row, col = r.perm[E.row], r.perm[E.col]
-    keep = (row < nM) & (col < nM)
-    A = sps.csr_matrix((E.data[keep], (row[keep], col[keep])), shape=(nM, nM))
-    B = sps.csr_matrix((r.B.data, r.perm[r.B.indices], r.B.indptr), shape=(nV, nM))
-    B.sort_indices()
-    return A, B, r.C
+    """A, B and C of a system as `assemble` built them.  After the first
+    solve the reduced system's E_r = A + C + C^T holds A, so A is taken out
+    of it (built here if no solve has built it yet) as its stress block; the
+    system keeps B and C."""
+    E = statics.reduced_system(system).E.tocoo()
+    rot = rotation_mask(system.spaces)
+    keep = ~(rot[E.row] | rot[E.col])
+    A = sps.csr_matrix((E.data[keep], (E.row[keep], E.col[keep])), shape=E.shape)
+    return A, system.Bmat, system.Cmat
 
 
 def energy(system, state):
     """Discrete energy 1/2 (A sigma, sigma) + 1/2 (rho v, v) of a state."""
     A = natural_operators(system)[0]
-    return 0.5 * float(state.alpha @ (A @ state.alpha)
-                       + state.beta @ (system.Mmat @ state.beta))
+    return 0.5 * float(state.x @ (A @ state.x) + state.beta @ (system.Mmat @ state.beta))
 
 
 def _scalar_basis_at(spaces, x, y):
@@ -103,13 +110,13 @@ def _scalar_basis_at(spaces, x, y):
     return np.tensordot(spaces.scalar_coef, mv, axes=(1, 0))
 
 
-def stress_values_at(spaces, tri, pts, alpha):
-    """Stress field of coefficients alpha, evaluated with triangle tri's
+def stress_values_at(spaces, tri, pts, x):
+    """Stress field of coefficients x, evaluated with triangle tri's
     polynomial at physical points pts (n, 2); shape (2 rows, 2 comps, n)."""
     nm = len(spaces.stress_exps)
     xi = (pts - spaces.centers[tri]) / spaces.scales[tri]
     mv = eval_monomials(spaces.stress_exps, xi[:, 0], xi[:, 1])
-    local = alpha.reshape(2, spaces.n_row_global)[:, spaces.row_dof_map[tri]]
+    local = x[spaces.stress_map[tri]]
     vx = local @ (spaces.stress_coef[tri, :, :nm] @ mv)
     vy = local @ (spaces.stress_coef[tri, :, nm:] @ mv)
     return np.stack([vx, vy], axis=1)
@@ -117,7 +124,7 @@ def stress_values_at(spaces, tri, pts, alpha):
 
 def _row_basis_at_point(spaces, t, x, y):
     """Values of all local row-basis functions at one point, shape (nd, 2)."""
-    nd = spaces.row_dof_map.shape[1]
+    nd = spaces.stress_map.shape[2]
     out = np.empty((nd, 2))
     nm = len(spaces.stress_exps)
     xi = (np.array([x, y]) - spaces.centers[t]) / spaces.scales[t]
@@ -142,18 +149,19 @@ def _row_div_at_point(spaces, t, x, y, h=1e-20):
 
 
 def dense_assemble(spaces, material, degree=None):
-    """Per-element looped assembly of the four block matrices."""
+    """Per-element looped assembly of the four block matrices, A, B and C on
+    the range of x."""
     mesh = spaces.mesh
     k = spaces.k
     if degree is None:
         degree = 2 * k + 4
     rule = triangle_rule(degree)
-    nd = spaces.row_dof_map.shape[1]
+    nd = spaces.stress_map.shape[2]
     m = spaces.n_scalar
-    dim_m, dim_v, dim_k = spaces.dim_stress, spaces.dim_velocity, spaces.dim_rotation
-    A = np.zeros((dim_m, dim_m))
-    B = np.zeros((dim_v, dim_m))
-    C = np.zeros((dim_k, dim_m))
+    dim_x, dim_v = spaces.dim_x, spaces.dim_velocity
+    A = np.zeros((dim_x, dim_x))
+    B = np.zeros((dim_v, dim_x))
+    C = np.zeros((dim_x, dim_x))
     M = np.zeros((dim_v, dim_v))
 
     for t in range(mesh.num_triangles):
@@ -169,20 +177,20 @@ def dense_assemble(spaces, material, degree=None):
 
             for r in range(2):
                 for b in range(nd):
-                    gj = r * spaces.n_row_global + spaces.row_dof_map[t, b]
+                    gj = spaces.stress_map[t, r, b]
                     tau = np.zeros((2, 2))
                     tau[r] = vals[b]
                     atau = _compliance(tau, material.mu, material.lambda_)
                     for s in range(2):
                         for a in range(nd):
-                            gi = s * spaces.n_row_global + spaces.row_dof_map[t, a]
+                            gi = spaces.stress_map[t, s, a]
                             phi = np.zeros((2, 2))
                             phi[s] = vals[a]
                             A[gi, gj] += w * np.tensordot(atau, phi)
                     for i in range(m):
                         gv = t * 2 * m + r * m + i
                         B[gv, gj] += w * psi[i] * divs[b]
-                        gr = t * m + i
+                        gr = spaces.rotation_map[t, i]
                         C[gr, gj] += w * psi[i] * (tau[0, 1] - tau[1, 0])
             for i in range(m):
                 for j in range(m):
@@ -227,7 +235,7 @@ def dense_dirichlet_load(spaces, g, t_time, degree=None):
     rule = edge_rule(degree)
     leg = eval_edge_polynomials(edge_legendre_basis(k), rule.points)
     inc = mesh.edge_triangles()
-    out = np.zeros(spaces.dim_stress)
+    out = np.zeros(spaces.dim_x)
     for e in mesh.boundary_edges:
         t = inc[e, 0]
         loc = list(mesh.triangle_edges[t]).index(e)
@@ -239,23 +247,22 @@ def dense_dirichlet_load(spaces, g, t_time, degree=None):
             gv = np.asarray(g(t_time, np.array(pt[0]), np.array(pt[1])), dtype=float).reshape(2)
             for r in range(2):
                 for i in range(k + 1):
-                    gi = r * spaces.n_row_global + e * (k + 1) + i
+                    gi = spaces.stress_map[t, r, loc * (k + 1) + i]
                     out[gi] += length * sign * rule.weights[q] * gv[r] * leg[i, q]
     return out
 
 
 def dense_system_blocks(system):
+    """Dense E and G of the block ODE in y = (x, v)."""
     A, B, C = (op.toarray() for op in natural_operators(system))
     M = system.Mmat.toarray()
-    nM, nV, nK = A.shape[0], M.shape[0], C.shape[0]
-    E = np.zeros((nM + nV + nK, nM + nV + nK))
+    n = A.shape[0]
+    E = np.zeros((n + M.shape[0],) * 2)
     G = np.zeros_like(E)
-    E[:nM, :nM] = A
-    E[:nM, nM + nV:] = C.T
-    E[nM:nM + nV, nM:nM + nV] = M
-    E[nM + nV:, :nM] = C
-    G[:nM, nM:nM + nV] = -B.T
-    G[nM:nM + nV, :nM] = B
+    E[:n, :n] = A + C + C.T
+    E[n:, n:] = M
+    G[:n, n:] = -B.T
+    G[n:, :n] = B
     return E, G
 
 
@@ -326,7 +333,8 @@ def radau2_kernel(E, G, y, dt, f1, f2):
 
 
 def canonical_interpolation(spaces, sigma, degree=12):
-    """Coefficients of the canonical stress interpolant of a matrix field.
+    """Coefficients x of the canonical stress interpolant of a matrix field;
+    its rotation entries are zero.
 
     ``sigma(x, y)`` must return (2, 2) + broadcast shape and be continuous on
     each closed triangle.  The interpolant commutes with the divergence:
@@ -342,25 +350,35 @@ def canonical_interpolation(spaces, sigma, degree=12):
 
     edge, interior = _stress_functionals(spaces.k, degree, (a, b, _unit_normals(a, b)),
                                          spaces.tri_verts, rows_of_sigma)
-    return np.concatenate([edge.reshape(2, -1), interior.reshape(2, -1)], axis=1).ravel()
+    # an edge's DOF positions, read from its first triangle, (2, E, k+1)
+    k, tri = spaces.k, mesh.edge_triangles()[:, 0]
+    loc = np.argmax(mesh.triangle_edges[tri] == np.arange(mesh.num_edges)[:, None], axis=1)
+    local = loc[:, None] * (k + 1) + np.arange(k + 1)
+    x = np.zeros(spaces.dim_x)
+    x[np.moveaxis(spaces.stress_map[tri[:, None], :, local], 2, 0)] = edge
+    x[np.moveaxis(spaces.stress_map[:, :, 3 * (k + 1):], 1, 0)] = interior
+    return x
 
 
-def stress_div_values(spaces, alpha, rule):
-    """Row-wise divergence of a stress coefficient vector, shape (T, 2, nq)."""
-    return np.einsum("trb,tbq->trq", alpha[spaces.stress_map],
+def stress_div_values(spaces, x, rule):
+    """Row-wise divergence of the stress of a coefficient vector x, shape (T, 2, nq)."""
+    return np.einsum("trb,tbq->trq", x[spaces.stress_map],
                      spaces.stress_row_div_values(rule))
 
 
 def l2_project_rotation(spaces, q, degree=None):
-    """Elementwise L2 projection of a scalar rotation field onto K_h: the
-    moments that project a velocity, taken of a scalar field."""
-    return l2_project_velocity(spaces, q, degree)
+    """Elementwise L2 projection of a scalar rotation field onto K_h, as the
+    rotation entries of an x whose stress entries are zero: the moments that
+    project a velocity, taken of a scalar field."""
+    x = np.zeros(spaces.dim_x)
+    x[spaces.rotation_map.ravel()] = l2_project_velocity(spaces, q, degree)
+    return x
 
 
-def solve_elastostatics(system, rhs_sigma, rhs_v, rhs_r):
-    """The compliance saddle solve of the initial data; returns (sigma, u, r)."""
+def solve_elastostatics(system, rhs_x, rhs_v):
+    """The compliance saddle solve of the initial data; returns (x, u)."""
     return statics._solve_saddle(system, statics.reduced_system(system).E, system.material.mu,
-                                 rhs_sigma, rhs_v, rhs_r)
+                                 rhs_x, rhs_v)
 
 
 def reconstruct_displacement_third_order(u, v, vdot, dt):
@@ -369,7 +387,8 @@ def reconstruct_displacement_third_order(u, v, vdot, dt):
 
 
 def coefficient_l2(spaces, diff, fieldkind):
-    """L2 norm of a V_h/K_h coefficient difference via the diagonal Gram."""
+    """L2 norm of a V_h coefficient difference, or of the rotation of an x
+    difference, via the diagonal Gram."""
     areas = spaces.areas
     if fieldkind == "velocity":
         c2 = diff[spaces.velocity_map].reshape(len(areas), -1) ** 2
@@ -399,10 +418,10 @@ def error_decomposition_diagnostic(case, k, n, t):
     e_v_p = l2_error(spaces, ph_v, case.v, t, "velocity")
     e_r_p = l2_error(spaces, ph_r, case.rotation, t, "rotation")
 
-    d = proj_sigma - st.alpha
+    d = proj_sigma - st.x
     e_sigma_h = float(np.sqrt(d @ (assemble_stress_mass(spaces) @ d)))
     e_v_h = coefficient_l2(spaces, ph_v - st.beta, "velocity")
-    e_r_h = coefficient_l2(spaces, ph_r - st.gamma, "rotation")
+    e_r_h = coefficient_l2(spaces, ph_r - st.x, "rotation")
 
     return {
         "sigma": (e_sigma_p, e_sigma_h),

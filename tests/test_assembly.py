@@ -10,7 +10,13 @@ from mixedelast.assembly import SeparatedField, _dirichlet_operator
 
 from _oracles import (_load_field, _separate, canonical_interpolation, dense_assemble,
                       dense_body_load, dense_dirichlet_load, dense_system_blocks,
-                      isotropic_stiffness_apply, triangle_areas)
+                      isotropic_stiffness_apply, rotation_mask, triangle_areas)
+
+
+def _stress_block(spaces, op):
+    """The dense stress-stress block of an operator on the range of x."""
+    stress = ~rotation_mask(spaces)
+    return op.toarray()[np.ix_(stress, stress)]
 
 
 def _compliance_residual(spaces, material, tau, image):
@@ -68,10 +74,11 @@ def test_material_validation():
 
 
 def test_block_sizes(spaces_cache, unit_material):
+    # A, B and C act on the range of x: 20 stresses and 2 rotations
     system = assemble(spaces_cache(1, 1), unit_material)
-    assert system.Amat.shape == (20, 20)
-    assert system.Bmat.shape == (4, 20)
-    assert system.Cmat.shape == (2, 20)
+    assert system.Amat.shape == (22, 22)
+    assert system.Bmat.shape == (4, 22)
+    assert system.Cmat.shape == (22, 22)
     assert system.Mmat.shape == (4, 4)
 
 
@@ -130,8 +137,9 @@ def test_compliance_inverts_stiffness_on_general_tensors(spaces_cache, unit_mate
 
 
 def test_amat_mmat_smallest_eigenvalue_positive(spaces_cache, unit_material):
-    system = assemble(spaces_cache(1, 1), unit_material)
-    assert np.linalg.eigvalsh(system.Amat.toarray()).min() > 0.0
+    spaces = spaces_cache(1, 1)
+    system = assemble(spaces, unit_material)
+    assert np.linalg.eigvalsh(_stress_block(spaces, system.Amat)).min() > 0.0
     assert np.linalg.eigvalsh(system.Mmat.toarray()).min() > 0.0
 
 
@@ -234,7 +242,7 @@ def test_no_stress_basis_table_outlives_assemble(mesh_cache, k):
     spaces = build_spaces(mesh_cache(4), k)
     assemble(spaces, case.material, body_force=case.f, dirichlet_velocity=case.g)
     assert not [key for key in spaces._cache if key[0] in ("sv", "sdiv")]
-    nt, nd = spaces.row_dof_map.shape
+    nt, _, nd = spaces.stress_map.shape
     cached = [a for value in spaces._cache.values()
               for a in (value if isinstance(value, tuple) else (value,))]
     assert not [a.shape for a in cached if a.shape[:2] == (nt, nd)]
@@ -257,8 +265,8 @@ def test_operators_are_canonical_without_stored_zeros(spaces_cache, k, spatial):
 
 
 def test_stress_mass_spd(mesh_cache, spaces_cache):
-    mass = assemble_stress_mass(spaces_cache(1, 1))
-    dense = mass.toarray()
+    spaces = spaces_cache(1, 1)
+    dense = _stress_block(spaces, assemble_stress_mass(spaces))
     assert np.abs(dense - dense.T).max() <= 1e-13
     assert np.linalg.eigvalsh(dense).min() > 0.0
 

@@ -109,6 +109,24 @@ def test_converge_writes_csv(tmp_path, capsys):
     assert out2.read_text() == text  # byte-identical rerun
 
 
+_HEADER = "inv_h,err_sigma,ord_sigma,err_v,ord_v,err_u,ord_u,err_r,ord_r\n"
+GOLDEN_CSV = {  # the CSV bytes of two converge runs; a refactor must not move them
+    ("--case", "eg2", "--alpha", "2.2"): _HEADER
+    + "2,7.11e-02,,5.19e-02,,5.77e-02,,3.69e-02,\n"
+    + "4,1.25e-02,2.51,1.33e-02,1.97,1.49e-02,1.95,8.87e-03,2.06\n",
+    ("--case", "eg3"): _HEADER
+    + "2,4.83e-02,,9.64e-03,,1.38e-02,,3.08e-02,\n"
+    + "4,4.53e-03,3.41,1.22e-03,2.98,1.82e-03,2.91,4.03e-03,2.93\n",
+}
+
+
+@pytest.mark.parametrize("case_args", list(GOLDEN_CSV), ids=["eg2", "eg3"])
+def test_converge_csv_bytes_are_pinned(tmp_path, capsys, case_args):
+    out = tmp_path / "table.csv"
+    assert main(["converge", *case_args, "--n-list", "2,4", "--out", str(out)]) == 0
+    assert out.read_bytes() == GOLDEN_CSV[case_args].encode()
+
+
 def test_run_single_mesh(tmp_path, capsys):
     out = tmp_path / "run.csv"
     assert main(["run", "--k", "1", "--n", "2", "--out", str(out)]) == 0

@@ -9,7 +9,7 @@ from mixedelast.dynamics import RADAU2_A, RADAU2_B, RADAU2_C, step_count
 from _oracles import (canonical_interpolation, cn_kernel, dense_cn_trajectory,
                       dense_radau_trajectory, dense_system_blocks, energy,
                       natural_operators, radau2_kernel,
-                      reconstruct_displacement_third_order, step_matrix)
+                      reconstruct_displacement_third_order, step_matrix, stress_part)
 
 
 def _scalar_system():
@@ -84,8 +84,8 @@ def small_system():
 
 
 def _zero_initial_data(spaces):
-    return InitialData(sigma0=np.zeros(spaces.dim_stress), v0=np.zeros(spaces.dim_velocity),
-                       r0=np.zeros(spaces.dim_rotation), u0=np.zeros(spaces.dim_velocity))
+    return InitialData(x0=np.zeros(spaces.dim_x), v0=np.zeros(spaces.dim_velocity),
+                       u0=np.zeros(spaces.dim_velocity))
 
 
 def test_zero_data_zero_trajectory(small_system):
@@ -94,7 +94,7 @@ def test_zero_data_zero_trajectory(small_system):
     init = _zero_initial_data(spaces)
     traj = integrate(sysz, init, "cn", 0.1, 1.0)
     st = traj.final_state
-    assert np.abs(st.alpha).max() <= 1e-14
+    assert np.abs(st.x).max() <= 1e-14
     assert np.abs(st.beta).max() <= 1e-14
     assert np.abs(st.u).max() <= 1e-14
 
@@ -102,15 +102,15 @@ def test_zero_data_zero_trajectory(small_system):
 def test_energy_zero_state_and_scaling(small_system):
     # the energy integrate records for its initial state
     system, spaces, case = small_system
-    nM, nV, nK = system.dims
+    n, nV = spaces.dim_x, spaces.dim_velocity
 
     def recorded_energy(sigma0, v0):
-        init = InitialData(sigma0=sigma0, v0=v0, r0=np.zeros(nK), u0=np.zeros(nV))
+        init = InitialData(x0=sigma0, v0=v0, u0=np.zeros(nV))
         return integrate(system, init, "cn", 0.5, 0.5).energies[0]
 
-    assert recorded_energy(np.zeros(nM), np.zeros(nV)) == 0.0
+    assert recorded_energy(np.zeros(n), np.zeros(nV)) == 0.0
     rng = np.random.default_rng(0)
-    sigma0, v0 = rng.standard_normal(nM), rng.standard_normal(nV)
+    sigma0, v0 = stress_part(spaces, rng.standard_normal(n)), rng.standard_normal(nV)
     e1 = recorded_energy(sigma0, v0)
     assert e1 > 0.0
     assert recorded_energy(3.0 * sigma0, 3.0 * v0) == pytest.approx(9.0 * e1, rel=1e-13)
@@ -120,20 +120,18 @@ def test_cn_energy_conservation_and_expm_oracle(small_system):
     system, spaces, case = small_system
     sysz = assemble(spaces, system.material)
     v0 = l2_project_velocity(spaces, lambda x, y: case.v(0.0, x, y), degree=12)
-    init = InitialData(sigma0=np.zeros(spaces.dim_stress), v0=v0,
-                       r0=np.zeros(spaces.dim_rotation),
-                       u0=np.zeros(spaces.dim_velocity))
+    init = InitialData(x0=np.zeros(spaces.dim_x), v0=v0, u0=np.zeros(spaces.dim_velocity))
     traj = integrate(sysz, init, "cn", 0.05, 5.0)
     e = traj.energies
     assert np.abs(e - e[0]).max() <= 1e-10 * e[0]
 
     # exact propagator conserves the same energy
     E, G = dense_system_blocks(sysz)
-    y0 = np.concatenate([init.sigma0, init.v0, init.r0])
+    y0 = np.concatenate([init.x0, init.v0])
     yT = scipy.linalg.expm(5.0 * np.linalg.solve(E, G)) @ y0
-    nM, nV = spaces.dim_stress, spaces.dim_velocity
+    n = spaces.dim_x
     A = natural_operators(sysz)[0]
-    eT = 0.5 * (yT[:nM] @ (A @ yT[:nM]) + yT[nM:nM + nV] @ (sysz.Mmat @ yT[nM:nM + nV]))
+    eT = 0.5 * (yT[:n] @ (A @ yT[:n]) + yT[n:] @ (sysz.Mmat @ yT[n:]))
     assert eT == pytest.approx(e[0], rel=1e-9)
 
 
@@ -141,9 +139,7 @@ def test_radau_energy_never_increases(small_system):
     system, spaces, case = small_system
     sysz = assemble(spaces, system.material)
     v0 = l2_project_velocity(spaces, lambda x, y: case.v(0.0, x, y), degree=12)
-    init = InitialData(sigma0=np.zeros(spaces.dim_stress), v0=v0,
-                       r0=np.zeros(spaces.dim_rotation),
-                       u0=np.zeros(spaces.dim_velocity))
+    init = InitialData(x0=np.zeros(spaces.dim_x), v0=v0, u0=np.zeros(spaces.dim_velocity))
     traj = integrate(sysz, init, "radau2", 0.05, 5.0)
     growth = np.diff(traj.energies).max()
     assert growth <= 1e-12 * traj.energies[0]
@@ -181,24 +177,16 @@ def test_trace_moment_conserved():
     vals = []
 
     def observer(step, t, st, system):
-        vals.append(iota @ (A @ st.alpha))
+        vals.append(iota @ (A @ st.x))
 
     traj = integrate(system, init, "cn", 0.25, 2.0, observers=[observer])
     vals = np.array(vals)
-    scale = max(np.abs(vals).max(), np.abs(traj.final_state.alpha).max())
+    scale = max(np.abs(vals).max(), np.abs(traj.final_state.x[spaces.stress_map]).max())
     assert np.abs(vals - vals[0]).max() <= 1e-10 * scale
 
 
 def _load_fn(system):
-    nM, nV, nK = system.dims
-
-    def loads(t):
-        F = np.zeros(nM + nV + nK)
-        F[:nM] = system.dirichlet_load(t)
-        F[nM:nM + nV] = system.load(t)
-        return F
-
-    return loads
+    return lambda t: np.concatenate([system.dirichlet_load(t), system.load(t)])
 
 
 @pytest.mark.parametrize("scheme", ["cn", "radau2"])
@@ -206,30 +194,28 @@ def test_step_matches_dense(small_system, scheme):
     # the body load varies in time, so the two RadauIIA stage loads differ
     system, spaces, case = small_system
     init = build_initial_data(case, system)
-    y0 = np.concatenate([init.sigma0, init.v0, init.r0])
+    y0 = np.concatenate([init.x0, init.v0])
     st1 = integrate(system, init, scheme, 0.1, 0.1).final_state
     dense_trajectory = dense_cn_trajectory if scheme == "cn" else dense_radau_trajectory
     dense = dense_trajectory(system, y0, 0.1, 1, _load_fn(system))[-1]
-    got = np.concatenate([st1.alpha, st1.beta, st1.gamma])
+    got = np.concatenate([st1.x, st1.beta])
     assert np.abs(got - dense).max() <= 1e-10
 
 
 def test_full_trajectories_match_dense(small_system):
     system, spaces, case = small_system
     init = build_initial_data(case, system)
-    y0 = np.concatenate([init.sigma0, init.v0, init.r0])
+    y0 = np.concatenate([init.x0, init.v0])
     loads = _load_fn(system)
 
     traj = integrate(system, init, "cn", 0.125, 1.0)
     dense = dense_cn_trajectory(system, y0, 0.125, 8, loads)[-1]
-    got = np.concatenate([traj.final_state.alpha, traj.final_state.beta,
-                          traj.final_state.gamma])
+    got = np.concatenate([traj.final_state.x, traj.final_state.beta])
     assert np.abs(got - dense).max() <= 1e-9
 
     trajr = integrate(system, init, "radau2", 0.125, 1.0)
     denser = dense_radau_trajectory(system, y0, 0.125, 8, loads)[-1]
-    gotr = np.concatenate([trajr.final_state.alpha, trajr.final_state.beta,
-                           trajr.final_state.gamma])
+    gotr = np.concatenate([trajr.final_state.x, trajr.final_state.beta])
     assert np.abs(gotr - denser).max() <= 1e-9
 
 
@@ -237,7 +223,7 @@ def test_radau_step_returns_stage_derivative(small_system):
     system, spaces, case = small_system
     init = build_initial_data(case, system)
     stepper = dynamics._Stepper(system, "radau2", 0.1)
-    y = stepper.pack(init.sigma0, init.v0, init.r0)
+    y = np.concatenate([init.x0, init.v0])
     _, u1, k1_beta = stepper.advance(0.0, y, stepper.eprod(y), init.u0)
     assert k1_beta.shape == (spaces.dim_velocity,)
     expect_u = reconstruct_displacement_third_order(init.u0, init.v0, k1_beta, 0.1)
@@ -264,10 +250,10 @@ def test_singular_step_detected(small_system):
     # zeroed stress and symmetry blocks make E - dt/2 G exactly singular
     from mixedelast import SingularSystemError
     system, spaces, _ = small_system
-    nM, nV, nK = system.dims
+    n, nV = spaces.dim_x, spaces.dim_velocity
     broken = type(system)(
-        Amat=sps.csr_matrix((nM, nM)), Bmat=sps.csr_matrix((nV, nM)),
-        Cmat=sps.csr_matrix((nK, nM)), Mmat=system.Mmat, load=system.load,
+        Amat=sps.csr_matrix((n, n)), Bmat=sps.csr_matrix((nV, n)),
+        Cmat=sps.csr_matrix((n, n)), Mmat=system.Mmat, load=system.load,
         dirichlet_load=system.dirichlet_load, spaces=system.spaces,
         material=system.material)
     with pytest.raises(SingularSystemError):
@@ -286,8 +272,7 @@ def test_step_lu_factors_the_schur_complement(small_system, monkeypatch, scheme)
                         calls.append((what, S.shape)) or factorize(S, what, **options))
     integrate(system, init, scheme, 0.1, 0.1)
     integrate(system, init, scheme, 0.1, 0.1)
-    nM, _, nK = system.dims
-    assert calls == [("step", (nM + nK, nM + nK))] * 2
+    assert calls == [("step", (spaces.dim_x, spaces.dim_x))] * 2
 
 
 def _reachable(root):
@@ -313,8 +298,8 @@ def test_step_lu_freed_when_integrate_returns():
     # only its reduced system
     import scipy.sparse.linalg as spla
     system = _eg2_system(2, 2)
-    nM, nV, nK = system.dims
-    init = InitialData(sigma0=np.zeros(nM), v0=np.ones(nV), r0=np.zeros(nK), u0=np.zeros(nV))
+    nV = system.spaces.dim_velocity
+    init = InitialData(x0=np.zeros(system.spaces.dim_x), v0=np.ones(nV), u0=np.zeros(nV))
     for scheme in ("cn", "radau2"):
         integrate(system, init, scheme, 0.25, 0.5)
     assert not any(isinstance(value, (spla.SuperLU, statics.SchurLU))
@@ -333,13 +318,13 @@ def test_step_matches_dense_variable_density(scheme):
     spaces = me.build_spaces(mesh, 2)
     system = assemble(spaces, material, body_force=case.f)
     rng = np.random.default_rng(3)
-    nM, nV, nK = system.dims
-    y0 = rng.standard_normal(nM + nV + nK)
-    init = InitialData(sigma0=y0[:nM], v0=y0[nM:nM + nV], r0=y0[nM + nV:], u0=np.zeros(nV))
+    n, nV = spaces.dim_x, spaces.dim_velocity
+    y0 = rng.standard_normal(n + nV)
+    init = InitialData(x0=y0[:n], v0=y0[n:], u0=np.zeros(nV))
     st1 = integrate(system, init, scheme, 0.1, 0.1).final_state
     dense_trajectory = dense_cn_trajectory if scheme == "cn" else dense_radau_trajectory
     dense = dense_trajectory(system, y0, 0.1, 1, _load_fn(system))[-1]
-    got = np.concatenate([st1.alpha, st1.beta, st1.gamma])
+    got = np.concatenate([st1.x, st1.beta])
     assert np.abs(got - dense).max() <= 1e-10
 
 
@@ -362,14 +347,15 @@ def test_step_residual_checked_on_first_solve(small_system, monkeypatch):
 
 @pytest.mark.parametrize("scheme", ["cn", "radau2"])
 def test_step_lu_detects_rotation_constraint_not_onto(small_system, scheme):
-    # with one row of C zeroed, C is not onto, so the (sigma, gamma) Schur
-    # complement [[A + (dt c)^2 B^T M^-1 B, C^T], [C, 0]] is singular; zero
-    # initial data skip the saddle LU, so this is the run's check of C
+    # with the row of one rotation of C zeroed, C is not onto, so the (sigma,
+    # gamma) Schur complement [[A + (dt c)^2 B^T M^-1 B, C^T], [C, 0]] is
+    # singular; zero initial data skip the saddle LU, so this is the run's
+    # check of C
     from mixedelast import SingularSystemError
     system, spaces, _ = small_system
     A, B, C = natural_operators(system)
     C = C.tolil()
-    C[0, :] = 0.0
+    C[spaces.rotation_map[0, 0], :] = 0.0
     broken = type(system)(
         Amat=A, Bmat=B, Cmat=C.tocsr(), Mmat=system.Mmat,
         load=system.load, dirichlet_load=system.dirichlet_load,
@@ -387,20 +373,25 @@ def _eg2_system(n, k):
 
 
 def test_step_order_built_once_per_system(monkeypatch):
-    # the initial data, both schemes and every dt of a system factor in the
-    # one order of its reduced system, and the saddle LU and the step LUs
-    # share its E_r
+    # build_spaces orders the mesh entities once; the initial data, both
+    # schemes and every dt of a system factor in that numbering with no
+    # ordering of their own, and the saddle LU and the step LUs share its E_r
     import scipy.sparse.linalg as spla
+    import mixedelast.spaces
     case = builtin_case("eg2", alpha=2.2)
+    orderings = []
+
+    def counting(splu):
+        def splu_counted(A, *args, **kwargs):
+            if kwargs.get("permc_spec") == "MMD_AT_PLUS_A":
+                orderings.append(A.shape)
+            return splu(A, *args, **kwargs)
+        return splu_counted
+
+    monkeypatch.setattr(mixedelast.spaces, "splu", counting(mixedelast.spaces.splu))
+    monkeypatch.setattr(spla, "splu", counting(spla.splu))
     system = _eg2_system(2, 2)
-    splu, orderings = spla.splu, []
-
-    def counting(A, *args, **kwargs):
-        if kwargs.get("permc_spec") == "MMD_AT_PLUS_A":
-            orderings.append(A.shape)
-        return splu(A, *args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting)
+    assert len(orderings) == 1
     lus, schur_lu = [], statics.SchurLU.__init__
     monkeypatch.setattr(statics.SchurLU, "__init__",
                         lambda lu, *args: lus.append(lu) or schur_lu(lu, *args))
@@ -409,24 +400,15 @@ def test_step_order_built_once_per_system(monkeypatch):
         integrate(system, init, scheme, dt, 0.5)
     assert len(orderings) == 1
     reduced = statics.reduced_system(system)
-    nM, nV, nK = system.dims
-    assert np.array_equal(np.sort(reduced.pos), np.arange(nM + nK))
-    assert np.array_equal(np.sort(reduced.perm), np.arange(nM + nV + nK))
     assert [lu._what for lu in lus] == ["saddle", "step", "step", "step"]
     assert all(lu.E is reduced.E for lu in lus)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_rotations_follow_half_their_stresses(k):
-    from mixedelast.statics import _step_order
-    system = _eg2_system(4, k)
-    spaces = system.spaces
-    nM, _, nK = system.dims
-    position = np.empty(nM + nK, dtype=int)
-    position[_step_order(spaces)] = np.arange(nM + nK)
-    nrow, m = spaces.n_row_global, spaces.n_scalar
-    stress = position[np.hstack([spaces.row_dof_map, spaces.row_dof_map + nrow])]
-    rotation = position[nM:].reshape(-1, m)
+    spaces = _eg2_system(4, k).spaces
+    stress = spaces.stress_map.reshape(len(spaces.stress_map), -1)
+    rotation = spaces.rotation_map
     before = (stress[:, None, :] < rotation[:, :, None]).sum(axis=2)
     # at least half, and not all: a rotation after all its stresses fills more
     assert before.min() >= stress.shape[1] // 2
@@ -440,13 +422,10 @@ def test_ordered_step_solve_matches_colamd(k, scheme):
     system = _eg2_system(4, k)
     dt = 0.25
     rng = np.random.default_rng(k)
-    rhs = rng.standard_normal(sum(system.dims))
+    rhs = rng.standard_normal(system.spaces.dim_x + system.spaces.dim_velocity)
     if scheme == "radau2":
         rhs = rhs + 1j * rng.standard_normal(rhs.size)
-    lu = dynamics._Stepper(system, scheme, dt).lu
-    perm = lu.reduced.perm  # the natural index of each position of the LU's layout
-    got = np.empty_like(rhs)
-    got[perm] = lu.solve(rhs[perm])
+    got = dynamics._Stepper(system, scheme, dt).lu.solve(rhs)
     S = step_matrix(*dense_system_blocks(system), scheme, dt)
     ref = spla.splu(sps.csc_matrix(S)).solve(rhs)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -477,10 +456,10 @@ def test_step_residual_checked_on_a_doubling_cadence(monkeypatch):
     # solves 1, 2, 4, 8, ... are checked
     from mixedelast import SingularSystemError
     system = _eg2_system(2, 2)
-    nM, nV, nK = system.dims
+    nV = system.spaces.dim_velocity
     rng = np.random.default_rng(5)
-    init = InitialData(sigma0=rng.standard_normal(nM), v0=rng.standard_normal(nV),
-                       r0=rng.standard_normal(nK), u0=np.zeros(nV))
+    init = InitialData(x0=rng.standard_normal(system.spaces.dim_x),
+                       v0=rng.standard_normal(nV), u0=np.zeros(nV))
 
     class Drifting:  # exact on its first solve, off by a factor 1 + 1e-6 after it
         def __init__(self, lu):
@@ -504,18 +483,19 @@ def test_step_residual_checked_on_a_doubling_cadence(monkeypatch):
 def test_records_match_observed_states(scheme):
     # energy and constraint drift come from each state's own E-product
     system = _eg2_system(4, 2)
-    nM, nV, nK = system.dims
+    spaces = system.spaces
+    nV = spaces.dim_velocity
     rng = np.random.default_rng(7)
-    init = InitialData(sigma0=rng.standard_normal(nM), v0=rng.standard_normal(nV),
-                       r0=rng.standard_normal(nK), u0=np.zeros(nV))
+    init = InitialData(x0=rng.standard_normal(spaces.dim_x), v0=rng.standard_normal(nV),
+                       u0=np.zeros(nV))
     states = []
     traj = integrate(system, init, scheme, 0.125, 1.0,
                      observers=[lambda step, t, st, system: states.append(st)])
     C = natural_operators(system)[2]
-    c0 = C @ init.sigma0
+    c0 = C @ init.x0
     energies = np.array([energy(system, st) for st in states])
-    cnorms = np.array([np.linalg.norm(C @ st.alpha - c0) for st in states])
-    anorms = np.array([np.linalg.norm(st.alpha) for st in states])
+    cnorms = np.array([np.linalg.norm(C @ st.x - c0) for st in states])
+    anorms = np.array([np.linalg.norm(stress_part(spaces, st.x)) for st in states])
     assert np.abs(traj.energies - energies).max() <= 1e-13 * energies.max()
     assert np.abs(traj.constraint_norms - cnorms).max() <= 1e-13 * np.linalg.norm(c0)
     assert np.abs(traj.alpha_norms - anorms).max() <= 1e-13 * anorms.max()
@@ -526,10 +506,9 @@ def test_no_full_step_matrix_cached():
     # the steps apply the (sigma, gamma) block of E and eliminate the velocity;
     # no N x N matrix is built or kept
     system = _eg2_system(2, 2)
-    nM, nV, nK = system.dims
-    N = nM + nV + nK
-    init = InitialData(sigma0=np.zeros(nM), v0=np.ones(nV), r0=np.zeros(nK),
-                       u0=np.zeros(nV))
+    n, nV = system.spaces.dim_x, system.spaces.dim_velocity
+    N = n + nV
+    init = InitialData(x0=np.zeros(n), v0=np.ones(nV), u0=np.zeros(nV))
     integrate(system, init, "cn", 0.25, 0.5)
     integrate(system, init, "cn", 0.1, 0.1)
     integrate(system, init, "radau2", 0.1, 0.1)
@@ -542,20 +521,23 @@ def test_no_full_step_matrix_cached():
 
 @pytest.mark.parametrize("name,n,k", [("eg2", 8, 2), ("eg3", 4, 3)])
 def test_each_operator_held_once(name, n, k):
-    # after the first solve the reduced system holds E_r, K_r, B_r, C, M and
-    # M^-1, and the system no natural-order A or B; no operator is held twice
+    # after the first solve E_r holds A, the reduced system adds K_r and
+    # M^-1, and the system and its reduced system share B, C and M; no
+    # operator is held twice
     import mixedelast as me
     case = builtin_case(name, alpha=2.2 if name == "eg2" else None)
     mesh = me.build_uniform_square_mesh(n)
     system = assemble(me.build_spaces(mesh, k), case.material, body_force=case.f,
                       dirichlet_velocity=case.g)
     integrate(system, build_initial_data(case, system), "cn", 1.0 / n, 2.0 / n)
-    assert system.Amat is None and system.Bmat is None and system.Cmat is None
-    nM, nV, nK = system.dims
+    reduced = statics.reduced_system(system)
+    assert system.Amat is None
+    assert reduced.B is system.Bmat and reduced.C is system.Cmat and reduced.M is system.Mmat
+    n, nV = system.spaces.dim_x, system.spaces.dim_velocity
     held = [value for value in _reachable(system) if sps.issparse(value)]
     shapes = [op.shape for op in held]
-    assert (nM, nM) not in shapes and (nV, nM) not in shapes
-    assert shapes.count((nK, nM)) == 1  # C, which forms E_r of another stress block
+    assert shapes.count((n, n)) == 3  # E_r, K_r and C, which forms E_r of another stress block
+    assert shapes.count((nV, n)) == 1  # B
     for i, a in enumerate(held):
         for b in held[i + 1:]:
             assert not (a.data.shape == b.data.shape and np.array_equal(a.data, b.data))

@@ -36,9 +36,34 @@ def test_unsupported_degree(mesh_cache):
 def test_reference_element_counts(spaces_cache, k):
     sp = spaces_cache(1, k)
     nd = (k + 1) * (k + 2)
-    assert sp.row_dof_map.shape == (2, nd)
+    assert sp.stress_map.shape == (2, 2, nd)
     assert sp.stress_coef.shape == (2, nd, nd)
     assert sp.scalar_coef.shape == (sp.n_scalar, sp.n_scalar) == (k * (k + 1) // 2,) * 2
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stress_and_rotation_maps_number_one_range(spaces_cache, mesh_cache, k):
+    # every index of range(dim_stress + dim_rotation) belongs to exactly one
+    # field, and a shared edge DOF has one index, met from both triangles
+    sp, mesh = spaces_cache(4, k), mesh_cache(4)
+    stress, rotation = np.unique(sp.stress_map), sp.rotation_map.ravel()
+    assert len(stress) == sp.dim_stress and len(rotation) == sp.dim_rotation
+    assert np.array_equal(np.sort(np.concatenate([stress, rotation])),
+                          np.arange(sp.dim_stress + sp.dim_rotation))
+
+    def edge_dofs(t, e):
+        first = list(mesh.triangle_edges[t]).index(e) * (k + 1)
+        return sp.stress_map[t, :, first:first + k + 1]
+
+    seen = np.bincount(sp.stress_map.ravel(), minlength=sp.dim_x)
+    shared = 0
+    for e, (t1, t2) in enumerate(mesh.edge_triangles()):
+        if t2 >= 0:
+            assert np.array_equal(edge_dofs(t1, e), edge_dofs(t2, e))
+            assert np.all(seen[edge_dofs(t1, e)] == 2)
+            shared += edge_dofs(t1, e).size
+    assert np.count_nonzero(seen == 2) == shared
+    assert np.count_nonzero(seen == 1) == sp.dim_stress - shared
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -48,7 +73,7 @@ def test_physical_duality(spaces_cache, mesh_cache, n, k):
     sp = spaces_cache(n, k)
     D = _stress_dof_matrices(k, sp.tri_verts, mesh_cache(n).edge_signs, degree=2 * k + 6)
     prod = np.einsum("tij,tlj->til", D, sp.stress_coef)
-    eye = np.eye(sp.row_dof_map.shape[1])
+    eye = np.eye(sp.stress_map.shape[2])
     assert np.abs(prod - eye).max() <= 1e-12
 
 
@@ -79,13 +104,14 @@ def test_normal_trace_continuity(spaces_cache, mesh_cache, k):
             vx = sp.stress_coef[t, :, :nm] @ mv
             vy = sp.stress_coef[t, :, nm:] @ mv
             vn = vx * nrm[0] + vy * nrm[1]  # (nd, npts)
-            for loc, gdof in enumerate(sp.row_dof_map[t]):
+            for loc, gdof in enumerate(sp.stress_map[t, 0]):
                 if gdof in traces:
                     assert np.abs(traces[gdof] - vn[loc]).max() <= 1e-12
                 else:
                     traces[gdof] = vn[loc]
-            own = set(e * (k + 1) + i for i in range(k + 1))
-            for loc, gdof in enumerate(sp.row_dof_map[t]):
+            first = list(m.triangle_edges[t]).index(e) * (k + 1)
+            own = set(sp.stress_map[t, 0, first:first + k + 1])
+            for loc, gdof in enumerate(sp.stress_map[t, 0]):
                 if gdof not in own:
                     assert np.abs(vn[loc]).max() <= 1e-12
 
@@ -131,7 +157,8 @@ def test_interpolation_reproduces_space(spaces_cache, mesh_cache, k):
     m = mesh_cache(2)
     sp = spaces_cache(2, k)
     rng = np.random.default_rng(3)
-    alpha = rng.standard_normal(sp.dim_stress)
+    alpha = rng.standard_normal(sp.dim_x)
+    alpha[sp.rotation_map] = 0.0  # the interpolant has no rotation
     rule = triangle_rule(12)
     vals_tri = np.moveaxis(sp.stress_values(alpha, rule), (1, 2), (0, 1))  # (2,2,T,nq)
     X = sp.physical_points(rule)

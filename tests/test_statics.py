@@ -14,7 +14,7 @@ from mixedelast.quadrature import triangle_rule
 
 from conftest import make_matrix_field
 from _oracles import (canonical_interpolation, case_from_displacement, natural_operators,
-                      solve_elastostatics, stress_div_values)
+                      solve_elastostatics, stress_div_values, stress_part)
 
 
 def _static_case(mu=1.0, lam=1.0):
@@ -46,8 +46,8 @@ def _wrap_coefficient_stress(spaces, alpha, degree=12):
 
 def test_zero_rhs_gives_zero(spaces_cache, unit_material):
     system = assemble(spaces_cache(2, 1), unit_material)
-    sol = solve_elastostatics(system, np.zeros(system.dims[0]),
-                              np.zeros(system.dims[1]), np.zeros(system.dims[2]))
+    spaces = system.spaces
+    sol = solve_elastostatics(system, np.zeros(spaces.dim_x), np.zeros(spaces.dim_velocity))
     assert all(np.abs(part).max() <= 1e-12 for part in sol)
 
 
@@ -56,17 +56,15 @@ def test_constant_load_matches_dense_solve(mesh_cache, spaces_cache, unit_materi
     system = assemble(spaces, unit_material)
     f = lambda t, x, y: np.stack([np.ones(np.shape(x)), 2.0 * np.ones(np.shape(x))])
     rhs_v = -assemble_body_load(spaces, f, 0.0)
-    rhs_s = np.zeros(spaces.dim_stress)
-    rhs_r = np.zeros(spaces.dim_rotation)
-    sol = solve_elastostatics(system, rhs_s, rhs_v, rhs_r)
+    rhs_x = np.zeros(spaces.dim_x)
+    sol = solve_elastostatics(system, rhs_x, rhs_v)
 
     A, B, C = (op.toarray() for op in natural_operators(system))
     S = np.block([
-        [A, B.T, C.T],
-        [B, np.zeros((4, 4)), np.zeros((4, 2))],
-        [C, np.zeros((2, 4)), np.zeros((2, 2))],
+        [A + C + C.T, B.T],
+        [B, np.zeros((4, 4))],
     ])
-    x = np.linalg.solve(S, np.concatenate([rhs_s, rhs_v, rhs_r]))
+    x = np.linalg.solve(S, np.concatenate([rhs_x, rhs_v]))
     assert np.abs(np.concatenate(sol) - x).max() <= 1e-10
 
 
@@ -80,11 +78,10 @@ def test_static_mms_convergence(mesh_cache):
         system = assemble(spaces, case.material)
         # -(div sigma_h, w) = (f, w) with f = -div sigma
         rhs_v = assemble_body_load(spaces, case.div_sigma, 0.0, degree=12)
-        sigma, u, r = solve_elastostatics(system, np.zeros(spaces.dim_stress), rhs_v,
-                                          np.zeros(spaces.dim_rotation))
-        errs_sigma.append(l2_error(spaces, sigma, case.sigma, 0.0, "stress"))
+        x, u = solve_elastostatics(system, np.zeros(spaces.dim_x), rhs_v)
+        errs_sigma.append(l2_error(spaces, x, case.sigma, 0.0, "stress"))
         errs_u.append(l2_error(spaces, u, case.u, 0.0, "velocity"))
-        errs_r.append(l2_error(spaces, r, case.rotation, 0.0, "rotation"))
+        errs_r.append(l2_error(spaces, x, case.rotation, 0.0, "rotation"))
     for errs in (errs_sigma, errs_u, errs_r):
         assert np.log2(errs[-2] / errs[-1]) >= k - 0.25
 
@@ -97,15 +94,15 @@ def test_singular_pairing_detected(spaces_cache, unit_material):
         dirichlet_load=system.dirichlet_load, spaces=system.spaces,
         material=system.material)
     with pytest.raises(SingularSystemError):
-        solve_elastostatics(broken, np.zeros(system.dims[0]),
-                            np.ones(system.dims[1]), np.zeros(system.dims[2]))
+        solve_elastostatics(broken, np.zeros(system.spaces.dim_x),
+                            np.ones(system.spaces.dim_velocity))
 
 
 def test_elliptic_projection_reproduces_mh(spaces_cache, unit_material):
     spaces = spaces_cache(2, 2)
     system = assemble(spaces, unit_material)
     rng = np.random.default_rng(11)
-    alpha = rng.standard_normal(spaces.dim_stress)
+    alpha = stress_part(spaces, rng.standard_normal(spaces.dim_x))
     sigma, div_sigma = _wrap_coefficient_stress(spaces, alpha)
     proj = elliptic_projection(system, sigma, div_sigma)
     assert np.abs(proj - alpha).max() <= 1e-10 * max(1.0, np.abs(alpha).max())
@@ -188,8 +185,8 @@ def test_initial_data_eg1_zero_stress(spaces_cache, unit_material):
     spaces = spaces_cache(2, 2)
     system = assemble(spaces, case.material)
     init = build_initial_data(case, system)
-    assert np.abs(init.sigma0).max() <= 1e-12
-    assert np.abs(init.r0).max() <= 1e-12
+    assert np.abs(init.x0[spaces.stress_map]).max() <= 1e-12
+    assert np.abs(init.x0[spaces.rotation_map]).max() <= 1e-12
     assert np.abs(init.u0).max() <= 1e-12
     assert np.abs(init.v0).max() > 0.1
 
@@ -200,9 +197,10 @@ def test_initial_data_eg2_weak_symmetry(spaces_cache):
     system = assemble(spaces, case.material,
                       body_force=case.f, dirichlet_velocity=case.g)
     init = build_initial_data(case, system)
-    assert np.abs(init.sigma0).max() > 0.1
-    cnorm = np.linalg.norm(natural_operators(system)[2] @ init.sigma0)
-    assert cnorm <= 1e-12 * np.linalg.norm(init.sigma0)
+    sigma0 = stress_part(spaces, init.x0)
+    assert np.abs(sigma0).max() > 0.1
+    cnorm = np.linalg.norm(natural_operators(system)[2] @ sigma0)
+    assert cnorm <= 1e-12 * np.linalg.norm(sigma0)
 
 
 def test_saddle_factorizations_not_kept(spaces_cache, unit_material):
@@ -227,7 +225,7 @@ def test_saddle_factorizations_not_kept(spaces_cache, unit_material):
 
 @pytest.mark.parametrize("name,n,k", [("eg3", 4, 3), ("locking", 4, 2)])
 def test_zero_initial_data_skip_saddle_lu(mesh_cache, monkeypatch, name, n, k):
-    # u(0) = 0 makes every right-hand side exactly zero, so sigma0 = r0 = 0
+    # u(0) = 0 makes every right-hand side exactly zero, so x0 = 0
     # without a factorization
     def no_factorization(S, what):
         raise AssertionError(f"{what} factorization")
@@ -237,8 +235,8 @@ def test_zero_initial_data_skip_saddle_lu(mesh_cache, monkeypatch, name, n, k):
     spaces = build_spaces(mesh_cache(n), k)
     system = assemble(spaces, case.material, body_force=case.f)
     init = build_initial_data(case, system)
-    assert init.sigma0.shape == (spaces.dim_stress,) and not init.sigma0.any()
-    assert init.r0.shape == (spaces.dim_rotation,) and not init.r0.any()
+    assert init.x0.shape == (spaces.dim_x,)
+    assert not init.x0[spaces.stress_map].any() and not init.x0[spaces.rotation_map].any()
     assert np.abs(init.v0).max() > 0.1
 
 
@@ -247,18 +245,15 @@ def test_nonzero_initial_data_factor_the_saddle(spaces_cache, monkeypatch):
     spaces = spaces_cache(2, 2)
     system = assemble(spaces, case.material,
                       body_force=case.f, dirichlet_velocity=case.g)
-    sigma, _, r = solve_elastostatics(system, assemble_dirichlet_load(spaces, case.u, 0.0),
-                                      assemble_body_load(spaces, case.div_sigma, 0.0),
-                                      np.zeros(spaces.dim_rotation))
+    x, _ = solve_elastostatics(system, assemble_dirichlet_load(spaces, case.u, 0.0),
+                               assemble_body_load(spaces, case.div_sigma, 0.0))
     calls = []
     factorize = statics.factorize
     monkeypatch.setattr(statics, "factorize", lambda S, what, **options:
                         calls.append((what, S.shape)) or factorize(S, what, **options))
     init = build_initial_data(case, system)
-    nM, _, nK = system.dims
-    assert calls == [("saddle", (nM + nK, nM + nK))]
-    assert np.array_equal(init.sigma0, sigma)
-    assert np.array_equal(init.r0, r)
+    assert calls == [("saddle", (spaces.dim_x, spaces.dim_x))]
+    assert np.array_equal(init.x0, x)
 
 
 def test_initial_stress_convergence(mesh_cache):
@@ -270,7 +265,7 @@ def test_initial_stress_convergence(mesh_cache):
         spaces = build_spaces(mesh, k)
         system = assemble(spaces, case.material)
         init = build_initial_data(case, system)
-        errs.append(l2_error(spaces, init.sigma0, case.sigma, 0.0, "stress"))
+        errs.append(l2_error(spaces, init.x0, case.sigma, 0.0, "stress"))
     assert np.log2(errs[-2] / errs[-1]) >= k - 0.4
 
 
@@ -290,28 +285,27 @@ def test_infsup_stable_under_refinement(mesh_cache, unit_material, k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_natural_operators_oracle_is_bitwise(mesh_cache, k):
     # the oracle that tests read A, B and C through once a system's reduced
-    # system holds them gives back the assembled matrices exactly
+    # system holds A gives back the assembled matrices exactly
     case = builtin_case("eg2", alpha=2.2)
     system = assemble(build_spaces(mesh_cache(4), k), case.material)
     assembled = system.Amat, system.Bmat, system.Cmat
-    dims = system.dims
     for got, ref in zip(natural_operators(system), assembled):
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.data.view(np.uint8), ref.data.view(np.uint8))
-    assert system.Amat is None and system.Bmat is None and system.Cmat is None
-    assert system.dims == dims
+    assert system.Amat is None
+    assert system.Bmat is assembled[1] and system.Cmat is assembled[2]
 
 
 def test_infsup_constant_independent_of_first_solve(spaces_cache):
-    # infsup_constant reads B and C from the reduced system, which a fresh
-    # system builds on the call and a solved one already holds
+    # infsup_constant reads B and C, which a system keeps through its first
+    # solve, and assembles its own stress mass
     case = builtin_case("eg2", alpha=2.2)
     spaces = spaces_cache(2, 2)
     fresh = assemble(spaces, case.material, body_force=case.f, dirichlet_velocity=case.g)
     solved = assemble(spaces, case.material, body_force=case.f, dirichlet_velocity=case.g)
     build_initial_data(case, solved)
-    assert solved.Bmat is None and fresh.Bmat is not None
+    assert solved.Amat is None and fresh.Amat is not None
     beta = infsup_constant(fresh)
     assert abs(infsup_constant(solved) - beta) <= 1e-12 * beta
 
@@ -332,10 +326,9 @@ def test_complex_products_match_the_cast_product(mesh_cache, name, k):
 
 def _dense_saddle_solve(system, T, b):
     _, B, C = (op.toarray() for op in natural_operators(system))
-    nV, nK = B.shape[0], C.shape[0]
-    S = np.block([[T.toarray(), B.T, C.T],
-                  [B, np.zeros((nV, nV)), np.zeros((nV, nK))],
-                  [C, np.zeros((nK, nV)), np.zeros((nK, nK))]])
+    nV = B.shape[0]
+    S = np.block([[T.toarray() + C + C.T, B.T],
+                  [B, np.zeros((nV, nV))]])
     return np.linalg.solve(S, b)
 
 
@@ -346,10 +339,10 @@ def test_saddle_sweeps_match_dense_solve(mesh_cache, monkeypatch, k):
     case = builtin_case("eg2", alpha=2.2)
     spaces = build_spaces(mesh_cache(4), k)
     system = assemble(spaces, case.material)
-    nM, nV, nK = system.dims
+    n = spaces.dim_x
     rng = np.random.default_rng(k)
-    b = rng.standard_normal(nM + nV + nK)
-    got = np.concatenate(solve_elastostatics(system, b[:nM], b[nM:nM + nV], b[nM + nV:]))
+    b = rng.standard_normal(n + spaces.dim_velocity)
+    got = np.concatenate(solve_elastostatics(system, b[:n], b[n:]))
     ref = _dense_saddle_solve(system, natural_operators(system)[0], b)
     assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -359,10 +352,10 @@ def test_saddle_sweeps_match_dense_solve(mesh_cache, monkeypatch, k):
                         or solve_saddle(*args))
     sigma, div_sigma = make_matrix_field(rng)
     proj = elliptic_projection(system, sigma, div_sigma)
-    _, mass, _, rhs_sigma, rhs_v, rhs_r = seen[0]
-    assert np.abs(rhs_r).max() > 1e-3
-    ref = _dense_saddle_solve(system, assemble_stress_mass(spaces),
-                              np.concatenate([rhs_sigma, rhs_v, rhs_r]))[:nM]
+    _, mass, _, rhs_x, rhs_v = seen[0]
+    assert np.abs(rhs_x[spaces.rotation_map]).max() > 1e-3
+    ref = stress_part(spaces, _dense_saddle_solve(system, assemble_stress_mass(spaces),
+                                                  np.concatenate([rhs_x, rhs_v]))[:n])
     assert np.linalg.norm(proj - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -379,9 +372,9 @@ def test_saddle_sweep_count_robust_in_material(spaces_cache, monkeypatch, lam, m
     monkeypatch.setattr(statics.SchurLU, "solve",
                         lambda lu, rhs: solves.append(1) or solve(lu, rhs))
     rng = np.random.default_rng(0)
-    nM, nV, nK = system.dims
-    b = rng.standard_normal(nM + nV + nK)
-    solve_elastostatics(system, b[:nM], b[nM:nM + nV], b[nM + nV:])
+    n = system.spaces.dim_x
+    b = rng.standard_normal(n + system.spaces.dim_velocity)
+    solve_elastostatics(system, b[:n], b[n:])
     assert 1 <= len(solves) <= 12
 
 
@@ -400,13 +393,15 @@ def test_saddle_lu_pivots_on_its_diagonal(spaces_cache, monkeypatch):
 
 
 def _bmat_schur_complement(system, T, s):
-    """S_r = [[T + s^2 K, C^T], [C, 0]], K = B^T M^-1 B, in the order of
-    _step_order, formed by sps.bmat, a column gather and a row renumbering
-    (sorted in place, as SuperLU sorts its input)."""
-    order, (_, B, C) = statics._step_order(system.spaces), natural_operators(system)
+    """S_r = [[T + s^2 K, C^T], [C, 0]], K = B^T M^-1 B, on the range of x:
+    that 2 x 2 sps.bmat acts on two copies of the range, the first for the
+    stresses and the second for the rotations, and [I, I] folds it back.
+    No two of its blocks share an entry, so the fold sums nothing (sorted in
+    place, as SuperLU sorts its input)."""
+    _, B, C = natural_operators(system)
     K = (B.T @ (statics.reduced_system(system).Minv @ B)).tocsr()
-    S = sps.bmat([[T + (s * s) * K, C.T], [C, None]], format="csc")[:, order]
-    S = sps.csc_matrix((S.data, np.argsort(order)[S.indices], S.indptr), shape=S.shape)
+    fold = sps.vstack([sps.identity(C.shape[0])] * 2, format="csr")
+    S = (fold.T @ sps.bmat([[T + (s * s) * K, C.T], [C, None]]) @ fold).tocsc()
     S.sort_indices()
     return S
 

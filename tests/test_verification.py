@@ -316,9 +316,8 @@ def test_projection_error_orthogonal_to_divergence():
     DV = spaces.stress_row_div_values(rule)
     # moments (div phi_(r,b), e_v^P) per triangle and row dof
     mom = np.einsum("tq,tbq,trq->rtb", W, DV, resid)
-    out = np.zeros((2, spaces.n_row_global))
-    for r in range(2):
-        np.add.at(out[r], spaces.row_dof_map, mom[r])
+    out = np.zeros(spaces.dim_x)
+    np.add.at(out, spaces.stress_map, np.moveaxis(mom, 0, 1))
     assert np.abs(out).max() <= 1e-10
 
 
