@@ -3,13 +3,15 @@
 The block ODE in y = (x, v), x the stress and rotation unknowns in their
 one range of the spaces, reads  E ydot = G y + F(t)  with
 
-    E = [[A + C + C^T, 0], [0, M]],   G = [[0, -B^T], [B, 0]],
+    E = [[E_r, 0], [0, M]],  E_r = A + C + C^T,   G = [[0, -B^T], [B, 0]],
     F = (dirichlet_load(t), load(t)),
 
 where the entries are (A phi_j, phi_i), (div phi_j, psi_i), (phi_j, chi_i)
 and (rho psi_j, psi_i) over the stress, velocity and rotation bases.  A and
 C are square on the range of x: A couples stresses and C is nonzero in the
-rotation rows and stress columns only.
+rotation rows and stress columns only.  `assemble` builds the system once,
+with the two operators every solve with a velocity eliminated needs: the
+exact inverse M^-1 of the block-diagonal M and K_r = B^T M^-1 B.
 
 Every matrix and the boundary operator are summed from local matrices by one
 `_scatter` through the global numbering that `DiscreteSpaces` states and
@@ -19,7 +21,7 @@ are moments in the same numbering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -86,26 +88,35 @@ class SeparatedField:
 
 @dataclass
 class BlockSystem:
-    """Assembled matrices and time-dependent loads of the matrix ODE.  The first
-    solve builds `statics.reduced_system`, whose E_r = A + C + C^T holds A from
-    then on: ``Amat`` is None after it, and B, C and M are shared with it."""
+    """The assembled matrix ODE: ``Emat`` = E_r = A + C + C^T on the range of
+    x, B, C, the velocity mass M, its inverse ``Minv`` and ``Kmat`` = K_r =
+    B^T M^-1 B, with the time-dependent loads.  Every solve reads these
+    matrices and none changes them."""
 
-    Amat: sps.csr_matrix | None
+    Emat: sps.csr_matrix
     Bmat: sps.csr_matrix
     Cmat: sps.csr_matrix
     Mmat: sps.csr_matrix
+    Minv: sps.csr_matrix
+    Kmat: sps.csr_matrix
     load: Callable[[float], np.ndarray]
     dirichlet_load: Callable[[float], np.ndarray]
     spaces: DiscreteSpaces
     material: MaterialModel
-    _cache: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def Amat(self) -> sps.csr_matrix:
+        """The compliance A, formed from E_r.  A, C and C^T have disjoint
+        patterns, so this is the assembled A exactly."""
+        return self.Emat - self.Cmat - self.Cmat.T
 
 
 def _scatter(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sps.csr_matrix:
     """Sum of the local matrices local[..., i, j] at the global entries
     (rows[..., i], cols[..., j]), whose leading batch axes broadcast.  Exact
     zeros are dropped, so the CSR result is canonical with no stored zeros.  It
-    is not compacted: only A keeps much room for duplicates, and a solve frees A."""
+    is not compacted: only A keeps much room for duplicates, and `assemble`
+    frees A once E_r is formed."""
     local, rows, cols = np.broadcast_arrays(local, rows[..., :, None], cols[..., None, :])
     idx = np.int32 if max(shape) < 2**31 else np.int64  # the index copies at half the size
     out = sps.coo_matrix((local.ravel(), (rows.astype(idx, order="C").ravel(),
@@ -164,7 +175,9 @@ def _c_matrix(spaces: DiscreteSpaces, V: np.ndarray, degree: int) -> sps.csr_mat
                     (spaces.dim_x, spaces.dim_x))
 
 
-def _m_matrix(spaces: DiscreteSpaces, material: MaterialModel, degree: int) -> sps.csr_matrix:
+def _m_matrices(spaces: DiscreteSpaces, material: MaterialModel, degree: int):
+    """M and its exact inverse M^-1, scattered from the m x m local mass
+    blocks and their inverses, one per triangle and velocity component."""
     rule = triangle_rule(degree)
     X = spaces.physical_points(rule)
     rho = material.rho_at(X[..., 0], X[..., 1])
@@ -173,8 +186,9 @@ def _m_matrix(spaces: DiscreteSpaces, material: MaterialModel, degree: int) -> s
     W = spaces.quad_weights(rule) * rho
     psi = spaces.scalar_values(rule)
     loc = np.einsum("tq,iq,jq->tij", W, psi, psi)  # (T, m, m), one per component
-    return _scatter(loc[:, None], spaces.velocity_map, spaces.velocity_map,
-                    (spaces.dim_velocity, spaces.dim_velocity))
+    vmap, shape = spaces.velocity_map, (spaces.dim_velocity, spaces.dim_velocity)
+    return (_scatter(loc[:, None], vmap, vmap, shape),
+            _scatter(np.linalg.inv(loc)[:, None], vmap, vmap, shape))
 
 
 def assemble_stress_mass(spaces: DiscreteSpaces) -> sps.csr_matrix:
@@ -186,7 +200,7 @@ def assemble_stress_mass(spaces: DiscreteSpaces) -> sps.csr_matrix:
 def assemble(spaces: DiscreteSpaces, material: MaterialModel,
              body_force: Callable | None = None,
              dirichlet_velocity: Callable | None = None) -> BlockSystem:
-    """Assemble the four block matrices and the load closures.
+    """Assemble the block system: its matrices and the load closures.
 
     ``body_force(t, x, y)`` and ``dirichlet_velocity(t, x, y)`` are optional
     time-space callables returning (2,) + broadcast shape; omitted loads are
@@ -197,9 +211,12 @@ def assemble(spaces: DiscreteSpaces, material: MaterialModel,
     degree = 2 * spaces.k + 2
     V = [spaces.stress_row_values(triangle_rule(degree))]  # C reads it, then A frees it
     C = _c_matrix(spaces, V[0], degree)
-    A = _stress_block_matrices(spaces, material, V.pop())
+    E = _stress_block_matrices(spaces, material, V.pop()) + C + C.T
+    B = _b_matrix(spaces, degree)
+    M, Minv = _m_matrices(spaces, material, degree)
     return BlockSystem(
-        Amat=A, Bmat=_b_matrix(spaces, degree), Cmat=C, Mmat=_m_matrix(spaces, material, degree),
+        # as CSR, so that each E_r + s^2 K_r adds two canonical CSR matrices
+        Emat=E, Bmat=B, Cmat=C, Mmat=M, Minv=Minv, Kmat=(B.T @ (Minv @ B)).tocsr(),
         load=_load_closure(body_force, spaces.dim_velocity,
                            lambda: _body_load_map(spaces)),
         dirichlet_load=_load_closure(dirichlet_velocity, spaces.dim_x,

@@ -16,9 +16,9 @@ discontinuous; M^-1 is applied exactly, so only the Schur complement of S on
 the stress and rotation unknowns is factored by a sparse LU: statics.SchurLU,
 shared with the static saddle solve, in a symmetric fill-reducing order of
 the mesh entities (George, SIAM J. Numer. Anal. 10, 1973).  The parts of
-that LU that every scheme and dt share are the system's
-statics.ReducedSystem; each `integrate` call factors its own step LU and
-frees it when it returns.
+that LU that every scheme and dt share, E_r, K_r = B^T M^-1 B and M^-1,
+are assembled with the system; each `integrate` call factors its own step
+LU and frees it when it returns.
 
 Both updates are written with E-products and solves only, so a system's
 steps keep the state y = (x, v) in the spaces' numbering, apply the (stress,
@@ -139,12 +139,11 @@ class _Stepper:
 
     def __init__(self, system: BlockSystem, scheme: str, dt: float):
         self.system, self.scheme, self.dt = system, scheme, dt
-        reduced = statics.reduced_system(system)
-        self.lu = statics.SchurLU(reduced, reduced.E, dt * _SHIFT[scheme], "step")
-        self.n, self._E = reduced.n, reduced.E
+        self.lu = statics.SchurLU(system, system.Emat, dt * _SHIFT[scheme], "step")
+        self.n = system.spaces.dim_x
 
     def eprod(self, y: np.ndarray) -> np.ndarray:
-        return np.concatenate([self._E @ y[:self.n], self.system.Mmat @ y[self.n:]])
+        return np.concatenate([self.system.Emat @ y[:self.n], self.system.Mmat @ y[self.n:]])
 
     def _load(self, t: float) -> np.ndarray:
         return np.concatenate([self.system.dirichlet_load(t), self.system.load(t)])

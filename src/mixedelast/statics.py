@@ -4,11 +4,11 @@ discrete initial data, and the Schur-complement LU the time steps share.
 Every LU, static or time step, is of one family per system and stress
 block T: the Schur complements S_r(s) = [[T + s^2 K, C^T], [C, 0]], with
 K = B^T M^-1 B, on the stress and rotation unknowns x, which the spaces
-number in a symmetric mesh-entity order.  S_r(s) is the sum E_r + s^2 K_r,
-and E_r = S_r(0) is also the matrix of the steps' E-products.  A system
-keeps one ReducedSystem, built on its first solve: M^-1, K_r and E_r of the
-compliance, which takes A over.  No LU is kept with it: a saddle LU is
-dropped after its solve, and a step LU when `dynamics.integrate` returns.
+number in a symmetric mesh-entity order.  S_r(s) is the sum E_r(T) + s^2 K_r
+of two matrices on the range of x, E_r(T) = T + C + C^T.  The system holds
+K_r, M^-1 and E_r of the compliance A, which is also the matrix of the
+steps' E-products.  No LU is kept with it: a saddle LU is dropped after its
+solve, and a step LU when `dynamics.integrate` returns.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .assembly import (BlockSystem, _scatter, assemble_body_load, assemble_dirichlet_load,
+from .assembly import (BlockSystem, assemble_body_load, assemble_dirichlet_load,
                        assemble_stress_mass)
 from .errors import SingularSystemError
 from .quadrature import triangle_rule
@@ -38,11 +38,15 @@ class InitialData:
     u0: np.ndarray
 
 
-def factorize(S: sps.spmatrix, what: str, **options):
-    """Sparse LU of S by splu with ``options``; a singular S raises
-    SingularSystemError."""
+def factorize(S: sps.spmatrix, what: str):
+    """Sparse LU of a Schur complement S built in the entity order, which
+    keeps that order and pivots on the diagonal; a singular S raises
+    SingularSystemError.  In exact arithmetic every diagonal pivot is
+    nonzero: the stress block is SPD (positive pivots), and each rotation
+    follows half of its own triangle's stresses (a negative pivot)."""
     try:
-        return spla.splu(S, **options)
+        return spla.splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularSystemError(f"{what} factorization failed: {exc}") from exc
 
@@ -63,47 +67,6 @@ def checked_solve(solve, apply, rhs: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-class ReducedSystem:
-    """A system with its velocity eliminated: the parts of every Schur
-    complement S_r(s) = [[T + s^2 K, C^T], [C, 0]], K = B^T M^-1 B, of the
-    system, for any stress block T and shift s, on the range of x.
-
-    The velocity mass ``M`` is block diagonal (the velocity space is
-    discontinuous), and ``Minv`` is its exact inverse.  S_r(s) = E_r(T) +
-    s^2 K_r for the CSR matrices E_r(T) = T + C + C^T and ``K`` = K_r.  ``E``
-    is E_r(A) for the compliance A, the stress block of the initial data and
-    of every step, whose E-products also apply it; `e_matrix` forms E_r(T)
-    for another T.  ``B``, ``C`` and ``M`` are the system's own matrices (B^T
-    is the view ``B.T``); vectors are (x, velocity).
-    """
-
-    def __init__(self, system: BlockSystem):
-        self.B, self.C, self.M = system.Bmat, system.Cmat, system.Mmat
-        self.n = self.C.shape[0]
-        self.E = self.e_matrix(system.Amat)
-        # M^-1 from the inverses of M's m x m blocks, one per triangle and
-        # velocity component
-        vmap = system.spaces.velocity_map
-        rows, cols = np.broadcast_arrays(vmap[..., :, None], vmap[..., None, :])
-        blocks = np.asarray(self.M[rows.ravel(), cols.ravel()]).reshape(rows.shape)
-        self.Minv = _scatter(np.linalg.inv(blocks), vmap, vmap, self.M.shape)
-        # as CSR, so that each E_r + s^2 K_r adds two canonical CSR matrices
-        self.K = (self.B.T @ (self.Minv @ self.B)).tocsr()
-
-    def e_matrix(self, T: sps.spmatrix) -> sps.csr_matrix:
-        """E_r(T) = T + C + C^T for the stress block T."""
-        return T + self.C + self.C.T
-
-
-def reduced_system(system: BlockSystem) -> ReducedSystem:
-    """The ReducedSystem of a system, built on its first solve; it is the
-    only entry of ``system._cache``, and its E_r takes A over."""
-    if "reduced" not in system._cache:
-        system._cache["reduced"] = ReducedSystem(system)
-        system.Amat = None
-    return system._cache["reduced"]
-
-
 def _product(A: sps.spmatrix, x: np.ndarray) -> np.ndarray:
     """A @ x for a real sparse A, without casting A to complex for a complex x."""
     if np.isrealobj(x):
@@ -113,19 +76,11 @@ def _product(A: sps.spmatrix, x: np.ndarray) -> np.ndarray:
     return y
 
 
-# SuperLU options for a Schur complement built in the entity order: keep that
-# order and pivot on the diagonal.  In exact arithmetic every diagonal pivot
-# is nonzero: the stress block is SPD (positive pivots), and each rotation
-# follows half of its own triangle's stresses (a negative pivot).
-_ORDERED_LU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
-
-
 class SchurLU:
     """Solver of S(s) = [[T, s B^T, C^T], [-s B, M, 0], [C, 0, 0]] on the
-    (stress, velocity, rotation) unknowns of a reduced system, for a stress
-    block T, given by its E_r(T), and a real or complex shift s.  The
-    velocity is eliminated with the exact M^-1, so the LU is of the Schur
+    (stress, velocity, rotation) unknowns of a system, for a stress block T,
+    given by its E_r(T), and a real or complex shift s.  The velocity is
+    eliminated with the system's exact M^-1, so the LU is of the Schur
     complement S_r(s) = E_r(T) + s^2 K_r; an entry of the sum that cancels
     exactly is dropped, as sparse sums do.
 
@@ -134,23 +89,24 @@ class SchurLU:
     long as this object: its owner drops it after its last solve.
     """
 
-    def __init__(self, reduced: ReducedSystem, E: sps.csr_matrix, s, what: str):
-        self.reduced, self.E = reduced, E
-        self._lu = factorize((E + (s * s) * reduced.K).tocsc(), what, **_ORDERED_LU)
+    def __init__(self, system: BlockSystem, E: sps.csr_matrix, s, what: str):
+        self.system, self.E, self.n = system, E, system.spaces.dim_x
+        self._lu = factorize((E + (s * s) * system.Kmat).tocsc(), what)
         self._s, self._what, self._solves = s, what, 0
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        r, s = self.reduced, self._s
-        x_r, v = x[:r.n], x[r.n:]
-        return np.concatenate([_product(self.E, x_r) + s * _product(r.B.T, v),
-                               _product(r.M, v) - s * _product(r.B, x_r)])
+        system, n, s = self.system, self.n, self._s
+        x_r, v = x[:n], x[n:]
+        return np.concatenate([_product(self.E, x_r) + s * _product(system.Bmat.T, v),
+                               _product(system.Mmat, v) - s * _product(system.Bmat, x_r)])
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         # x_r = S_r^-1 (b_r - s B^T M^-1 b_v), x_v = M^-1 (b_v + s B x_sigma)
-        r, s = self.reduced, self._s
-        w = _product(r.Minv, rhs[r.n:])
-        x_r = self._lu.solve(rhs[:r.n] - s * _product(r.B.T, w))
-        return np.concatenate([x_r, w + s * _product(r.Minv, _product(r.B, x_r))])
+        system, n, s = self.system, self.n, self._s
+        B, Minv = system.Bmat, system.Minv
+        w = _product(Minv, rhs[n:])
+        x_r = self._lu.solve(rhs[:n] - s * _product(B.T, w))
+        return np.concatenate([x_r, w + s * _product(Minv, _product(B, x_r))])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         self._solves += 1
@@ -174,10 +130,9 @@ def _solve_saddle(system: BlockSystem, E, mu: float, rhs_x, rhs_v):
     The sweeps stop at a 1e-13 relative residual or once it stops halving, so
     a B that is not onto fails the final residual check.  The LU is dropped.
     """
-    reduced = reduced_system(system)
-    n, B = reduced.n, reduced.B
+    n, B = system.spaces.dim_x, system.Bmat
     tau = np.sqrt(system.material.rho1 / mu)
-    lu = SchurLU(reduced, E, tau, "saddle")
+    lu = SchurLU(system, E, tau, "saddle")
 
     def apply(x):
         return np.concatenate([E @ x[:n] + B.T @ x[n:], B @ x[:n]])
@@ -223,7 +178,7 @@ def elliptic_projection(system: BlockSystem, sigma: Callable,
                                                       dtype=float))
 
     # the L2 pairing is the compliance of mu = 1/2 (and lambda = 0)
-    mass = reduced_system(system).e_matrix(assemble_stress_mass(spaces))
+    mass = assemble_stress_mass(spaces) + system.Cmat + system.Cmat.T
     x, _ = _solve_saddle(system, mass, 0.5, rhs_x, rhs_v)
     x[spaces.rotation_map] = 0.0  # the multiplier
     return x
@@ -249,8 +204,7 @@ def build_initial_data(case, system: BlockSystem) -> InitialData:
     rhs_x = x0 if case.homogeneous else assemble_dirichlet_load(spaces, case.u, 0.0)
     rhs_v = assemble_body_load(spaces, case.div_sigma, 0.0)
     if rhs_x.any() or rhs_v.any():  # the rotation's right-hand side is zero
-        x0, _ = _solve_saddle(system, reduced_system(system).E, system.material.mu,
-                              rhs_x, rhs_v)
+        x0, _ = _solve_saddle(system, system.Emat, system.material.mu, rhs_x, rhs_v)
     return InitialData(x0=x0, v0=v0, u0=u0)
 
 

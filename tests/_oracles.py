@@ -20,6 +20,7 @@ import functools
 
 import numpy as np
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 import sympy as sp
 
 from mixedelast import dynamics, statics
@@ -31,8 +32,7 @@ from mixedelast.quadrature import edge_rule, triangle_rule
 from mixedelast.polynomials import (edge_legendre_basis, eval_edge_polynomials,
                                     eval_monomials)
 from mixedelast.spaces import _stress_functionals, _unit_normals, l2_project_velocity
-from mixedelast.statics import (build_initial_data, checked_solve, elliptic_projection,
-                                factorize)
+from mixedelast.statics import build_initial_data, checked_solve, elliptic_projection
 from mixedelast.verification import MmsCase, _build_system, l2_error
 
 
@@ -86,22 +86,9 @@ def stress_part(spaces, x):
     return np.where(rotation_mask(spaces), 0.0, x)
 
 
-def natural_operators(system):
-    """A, B and C of a system as `assemble` built them.  After the first
-    solve the reduced system's E_r = A + C + C^T holds A, so A is taken out
-    of it (built here if no solve has built it yet) as its stress block; the
-    system keeps B and C."""
-    E = statics.reduced_system(system).E.tocoo()
-    rot = rotation_mask(system.spaces)
-    keep = ~(rot[E.row] | rot[E.col])
-    A = sps.csr_matrix((E.data[keep], (E.row[keep], E.col[keep])), shape=E.shape)
-    return A, system.Bmat, system.Cmat
-
-
 def energy(system, state):
     """Discrete energy 1/2 (A sigma, sigma) + 1/2 (rho v, v) of a state."""
-    A = natural_operators(system)[0]
-    return 0.5 * float(state.x @ (A @ state.x) + state.beta @ (system.Mmat @ state.beta))
+    return 0.5 * float(state.x @ (system.Amat @ state.x) + state.beta @ (system.Mmat @ state.beta))
 
 
 def _scalar_basis_at(spaces, x, y):
@@ -254,8 +241,7 @@ def dense_dirichlet_load(spaces, g, t_time, degree=None):
 
 def dense_system_blocks(system):
     """Dense E and G of the block ODE in y = (x, v)."""
-    A, B, C = (op.toarray() for op in natural_operators(system))
-    M = system.Mmat.toarray()
+    A, B, C, M = (op.toarray() for op in (system.Amat, system.Bmat, system.Cmat, system.Mmat))
     n = A.shape[0]
     E = np.zeros((n + M.shape[0],) * 2)
     G = np.zeros_like(E)
@@ -311,9 +297,10 @@ def step_matrix(E, G, scheme, dt):
 
 def _unreduced_solver(E, G, scheme, dt):
     """Checked solve with an LU of the full step matrix of a bare (E, G)
-    pair, which carries no block structure to eliminate."""
+    pair, which carries no block structure to eliminate, in SuperLU's own
+    order."""
     S = sps.csc_matrix(step_matrix(E, G, scheme, dt))
-    return lambda rhs: checked_solve(factorize(S, "step").solve, S.__matmul__, rhs, "step")
+    return lambda rhs: checked_solve(spla.splu(S).solve, S.__matmul__, rhs, "step")
 
 
 def cn_kernel(E, G, y, dt, f_mid):
@@ -377,8 +364,7 @@ def l2_project_rotation(spaces, q, degree=None):
 
 def solve_elastostatics(system, rhs_x, rhs_v):
     """The compliance saddle solve of the initial data; returns (x, u)."""
-    return statics._solve_saddle(system, statics.reduced_system(system).E, system.material.mu,
-                                 rhs_x, rhs_v)
+    return statics._solve_saddle(system, system.Emat, system.material.mu, rhs_x, rhs_v)
 
 
 def reconstruct_displacement_third_order(u, v, vdot, dt):

@@ -34,6 +34,24 @@ def unit_material():
     return MaterialModel(mu=1.0, lambda_=1.0)
 
 
+def _reachable(root):
+    """Every object reachable from root through attributes, dicts, lists
+    and tuples."""
+    seen, stack = {}, [root]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen[id(value)] = value
+        if isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+        elif hasattr(value, "__dict__"):
+            stack.extend(vars(value).values())
+    return list(seen.values())
+
+
 def make_matrix_field(rng):
     """A random smooth polynomial-plus-trig matrix field with analytic divergence.
 

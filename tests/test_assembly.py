@@ -6,7 +6,8 @@ import sympy as sp
 from mixedelast import (AssemblyError, MaterialModel, MixedElastError, assemble,
                         assemble_body_load, assemble_dirichlet_load,
                         assemble_stress_mass, build_spaces, builtin_case)
-from mixedelast.assembly import SeparatedField, _dirichlet_operator
+from mixedelast.assembly import SeparatedField, _dirichlet_operator, _stress_block_matrices
+from mixedelast.quadrature import triangle_rule
 
 from _oracles import (_load_field, _separate, canonical_interpolation, dense_assemble,
                       dense_body_load, dense_dirichlet_load, dense_system_blocks,
@@ -115,6 +116,20 @@ def test_block_ode_matrix_invertible(spaces_cache, unit_material):
     system = assemble(spaces_cache(1, 1), unit_material)
     E, _ = dense_system_blocks(system)
     assert np.linalg.cond(E) < 1e3
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_amat_is_the_compliance_scatter(mesh_cache, k):
+    # the system holds E_r = A + C + C^T, and A, C and C^T have disjoint
+    # patterns, so the A formed from it is the assembled compliance exactly
+    case = builtin_case("eg2", alpha=2.2)
+    spaces = build_spaces(mesh_cache(4), k)
+    got = assemble(spaces, case.material).Amat
+    ref = _stress_block_matrices(spaces, case.material,
+                                 spaces.stress_row_values(triangle_rule(2 * k + 2)))
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data.view(np.uint8), ref.data.view(np.uint8))
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 1)])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,9 +8,9 @@ import scipy.sparse as sps
 from mixedelast import (InitialData, MixedElastError, assemble, build_initial_data,
                         builtin_case, dynamics, integrate, l2_project_velocity, statics)
 from mixedelast.dynamics import RADAU2_A, RADAU2_B, RADAU2_C, step_count
+from conftest import _reachable
 from _oracles import (canonical_interpolation, cn_kernel, dense_cn_trajectory,
-                      dense_radau_trajectory, dense_system_blocks, energy,
-                      natural_operators, radau2_kernel,
+                      dense_radau_trajectory, dense_system_blocks, energy, radau2_kernel,
                       reconstruct_displacement_third_order, step_matrix, stress_part)
 
 
@@ -130,7 +132,7 @@ def test_cn_energy_conservation_and_expm_oracle(small_system):
     y0 = np.concatenate([init.x0, init.v0])
     yT = scipy.linalg.expm(5.0 * np.linalg.solve(E, G)) @ y0
     n = spaces.dim_x
-    A = natural_operators(sysz)[0]
+    A = sysz.Amat
     eT = 0.5 * (yT[:n] @ (A @ yT[:n]) + yT[n:] @ (sysz.Mmat @ yT[n:]))
     assert eT == pytest.approx(e[0], rel=1e-9)
 
@@ -173,7 +175,7 @@ def test_trace_moment_conserved():
         return out
 
     iota = canonical_interpolation(spaces, identity_field)
-    A = natural_operators(system)[0]
+    A = system.Amat
     vals = []
 
     def observer(step, t, st, system):
@@ -251,11 +253,9 @@ def test_singular_step_detected(small_system):
     from mixedelast import SingularSystemError
     system, spaces, _ = small_system
     n, nV = spaces.dim_x, spaces.dim_velocity
-    broken = type(system)(
-        Amat=sps.csr_matrix((n, n)), Bmat=sps.csr_matrix((nV, n)),
-        Cmat=sps.csr_matrix((n, n)), Mmat=system.Mmat, load=system.load,
-        dirichlet_load=system.dirichlet_load, spaces=system.spaces,
-        material=system.material)
+    zero = sps.csr_matrix((n, n))
+    broken = dataclasses.replace(system, Emat=zero, Bmat=sps.csr_matrix((nV, n)),
+                                 Cmat=zero, Kmat=zero)
     with pytest.raises(SingularSystemError):
         integrate(broken, _zero_initial_data(spaces), "cn", 0.1, 0.1)
 
@@ -268,34 +268,16 @@ def test_step_lu_factors_the_schur_complement(small_system, monkeypatch, scheme)
     system, spaces, case = small_system
     init = build_initial_data(case, system)
     calls, factorize = [], statics.factorize
-    monkeypatch.setattr(statics, "factorize", lambda S, what, **options:
-                        calls.append((what, S.shape)) or factorize(S, what, **options))
+    monkeypatch.setattr(statics, "factorize", lambda S, what:
+                        calls.append((what, S.shape)) or factorize(S, what))
     integrate(system, init, scheme, 0.1, 0.1)
     integrate(system, init, scheme, 0.1, 0.1)
     assert calls == [("step", (spaces.dim_x, spaces.dim_x))] * 2
 
 
-def _reachable(root):
-    """Every object reachable from root through attributes, dicts, lists
-    and tuples."""
-    seen, stack = {}, [root]
-    while stack:
-        value = stack.pop()
-        if id(value) in seen:
-            continue
-        seen[id(value)] = value
-        if isinstance(value, dict):
-            stack.extend(value.values())
-        elif isinstance(value, (list, tuple)):
-            stack.extend(value)
-        elif hasattr(value, "__dict__"):
-            stack.extend(vars(value).values())
-    return list(seen.values())
-
-
 def test_step_lu_freed_when_integrate_returns():
     # the step LU lives in the stepper of one integrate call; the system keeps
-    # only its reduced system
+    # only its assembled operators
     import scipy.sparse.linalg as spla
     system = _eg2_system(2, 2)
     nV = system.spaces.dim_velocity
@@ -353,13 +335,10 @@ def test_step_lu_detects_rotation_constraint_not_onto(small_system, scheme):
     # check of C
     from mixedelast import SingularSystemError
     system, spaces, _ = small_system
-    A, B, C = natural_operators(system)
-    C = C.tolil()
+    C = system.Cmat.tolil()
     C[spaces.rotation_map[0, 0], :] = 0.0
-    broken = type(system)(
-        Amat=A, Bmat=B, Cmat=C.tocsr(), Mmat=system.Mmat,
-        load=system.load, dirichlet_load=system.dirichlet_load,
-        spaces=system.spaces, material=system.material)
+    C = C.tocsr()
+    broken = dataclasses.replace(system, Emat=system.Amat + C + C.T, Cmat=C)
     with pytest.raises(SingularSystemError, match="step factorization"):
         integrate(broken, _zero_initial_data(spaces), scheme, 0.1, 0.1)
 
@@ -399,9 +378,8 @@ def test_step_order_built_once_per_system(monkeypatch):
     for scheme, dt in (("cn", 0.5), ("radau2", 0.5), ("cn", 0.25)):
         integrate(system, init, scheme, dt, 0.5)
     assert len(orderings) == 1
-    reduced = statics.reduced_system(system)
     assert [lu._what for lu in lus] == ["saddle", "step", "step", "step"]
-    assert all(lu.E is reduced.E for lu in lus)
+    assert all(lu.E is system.Emat for lu in lus)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -470,8 +448,8 @@ def test_step_residual_checked_on_a_doubling_cadence(monkeypatch):
             return self.lu.solve(b) * (1.0 if self.solves == 1 else 1.0 + 1e-6)
 
     factorize = statics.factorize
-    monkeypatch.setattr(statics, "factorize", lambda S, what, **options:
-                        Drifting(factorize(S, what, **options)))
+    monkeypatch.setattr(statics, "factorize", lambda S, what:
+                        Drifting(factorize(S, what)))
     steps = []
     with pytest.raises(SingularSystemError, match="residual"):
         integrate(system, init, "cn", 0.125, 1.0,
@@ -491,7 +469,7 @@ def test_records_match_observed_states(scheme):
     states = []
     traj = integrate(system, init, scheme, 0.125, 1.0,
                      observers=[lambda step, t, st, system: states.append(st)])
-    C = natural_operators(system)[2]
+    C = system.Cmat
     c0 = C @ init.x0
     energies = np.array([energy(system, st) for st in states])
     cnorms = np.array([np.linalg.norm(C @ st.x - c0) for st in states])
@@ -513,7 +491,7 @@ def test_no_full_step_matrix_cached():
     integrate(system, init, "cn", 0.1, 0.1)
     integrate(system, init, "radau2", 0.1, 0.1)
 
-    shapes = [value.shape for value in _reachable(system._cache)
+    shapes = [value.shape for value in _reachable(system)
               if sps.issparse(value) or isinstance(value, np.ndarray)]
     assert shapes and (N, N) not in shapes
     assert all(max(shape, default=0) < N for shape in shapes if len(shape) == 2)
@@ -521,23 +499,20 @@ def test_no_full_step_matrix_cached():
 
 @pytest.mark.parametrize("name,n,k", [("eg2", 8, 2), ("eg3", 4, 3)])
 def test_each_operator_held_once(name, n, k):
-    # after the first solve E_r holds A, the reduced system adds K_r and
-    # M^-1, and the system and its reduced system share B, C and M; no
-    # operator is held twice
+    # the system holds E_r, which stands for A, with B, C, M, M^-1 and K_r;
+    # no operator is held twice
     import mixedelast as me
     case = builtin_case(name, alpha=2.2 if name == "eg2" else None)
     mesh = me.build_uniform_square_mesh(n)
     system = assemble(me.build_spaces(mesh, k), case.material, body_force=case.f,
                       dirichlet_velocity=case.g)
     integrate(system, build_initial_data(case, system), "cn", 1.0 / n, 2.0 / n)
-    reduced = statics.reduced_system(system)
-    assert system.Amat is None
-    assert reduced.B is system.Bmat and reduced.C is system.Cmat and reduced.M is system.Mmat
     n, nV = system.spaces.dim_x, system.spaces.dim_velocity
     held = [value for value in _reachable(system) if sps.issparse(value)]
     shapes = [op.shape for op in held]
     assert shapes.count((n, n)) == 3  # E_r, K_r and C, which forms E_r of another stress block
     assert shapes.count((nV, n)) == 1  # B
+    assert shapes.count((nV, nV)) == 2  # M and M^-1
     for i, a in enumerate(held):
         for b in held[i + 1:]:
             assert not (a.data.shape == b.data.shape and np.array_equal(a.data, b.data))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -12,9 +14,9 @@ from mixedelast import (MaterialModel, SingularSystemError, assemble,
 from mixedelast import statics
 from mixedelast.quadrature import triangle_rule
 
-from conftest import make_matrix_field
-from _oracles import (canonical_interpolation, case_from_displacement, natural_operators,
-                      solve_elastostatics, stress_div_values, stress_part)
+from conftest import _reachable, make_matrix_field
+from _oracles import (canonical_interpolation, case_from_displacement, solve_elastostatics,
+                      stress_div_values, stress_part)
 
 
 def _static_case(mu=1.0, lam=1.0):
@@ -59,7 +61,7 @@ def test_constant_load_matches_dense_solve(mesh_cache, spaces_cache, unit_materi
     rhs_x = np.zeros(spaces.dim_x)
     sol = solve_elastostatics(system, rhs_x, rhs_v)
 
-    A, B, C = (op.toarray() for op in natural_operators(system))
+    A, B, C = (op.toarray() for op in (system.Amat, system.Bmat, system.Cmat))
     S = np.block([
         [A + C + C.T, B.T],
         [B, np.zeros((4, 4))],
@@ -88,11 +90,9 @@ def test_static_mms_convergence(mesh_cache):
 
 def test_singular_pairing_detected(spaces_cache, unit_material):
     system = assemble(spaces_cache(1, 1), unit_material)
-    broken = type(system)(
-        Amat=system.Amat, Bmat=sps.csr_matrix(system.Bmat.shape),
-        Cmat=system.Cmat, Mmat=system.Mmat, load=system.load,
-        dirichlet_load=system.dirichlet_load, spaces=system.spaces,
-        material=system.material)
+    n = system.spaces.dim_x
+    broken = dataclasses.replace(system, Bmat=sps.csr_matrix(system.Bmat.shape),
+                                 Kmat=sps.csr_matrix((n, n)))
     with pytest.raises(SingularSystemError):
         solve_elastostatics(broken, np.zeros(system.spaces.dim_x),
                             np.ones(system.spaces.dim_velocity))
@@ -199,28 +199,33 @@ def test_initial_data_eg2_weak_symmetry(spaces_cache):
     init = build_initial_data(case, system)
     sigma0 = stress_part(spaces, init.x0)
     assert np.abs(sigma0).max() > 0.1
-    cnorm = np.linalg.norm(natural_operators(system)[2] @ sigma0)
+    cnorm = np.linalg.norm(system.Cmat @ sigma0)
     assert cnorm <= 1e-12 * np.linalg.norm(sigma0)
 
 
 def test_saddle_factorizations_not_kept(spaces_cache, unit_material):
-    # each saddle matrix is solved with once per system, so its LU is dropped,
-    # and so is each integrate call's step LU; the system keeps one reduced
-    # system, shared by the saddles and the steps
+    # the system is assembled once: its saddle solves, both schemes' steps
+    # and the elliptic projection read its operators and change none, and
+    # each LU is dropped after its solves
     case = builtin_case("eg2", alpha=2.7)
     spaces = spaces_cache(2, 2)
     system = assemble(spaces, case.material,
                       body_force=case.f, dirichlet_velocity=case.g)
+    before = {name: getattr(system, name)
+              for name in ("Emat", "Bmat", "Cmat", "Mmat", "Minv", "Kmat")}
+    saved = {name: (op.indptr.copy(), op.indices.copy(), op.data.copy())
+             for name, op in before.items()}
     init = build_initial_data(case, system)
-    (reduced,) = system._cache.values()
-    assert isinstance(reduced, statics.ReducedSystem)
     for scheme in ("cn", "radau2"):
         integrate(system, init, scheme, 0.5, 0.5)
     sigma, div_sigma = make_matrix_field(np.random.default_rng(2))
     elliptic_projection(system, sigma, div_sigma)
-    assert list(system._cache.values()) == [reduced]
+    for name, op in before.items():
+        assert getattr(system, name) is op
+        for got, ref in zip((op.indptr, op.indices, op.data), saved[name]):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
     assert not any(isinstance(value, (statics.SchurLU, spla.SuperLU))
-                   for value in vars(reduced).values())
+                   for value in _reachable(system))
 
 
 @pytest.mark.parametrize("name,n,k", [("eg3", 4, 3), ("locking", 4, 2)])
@@ -249,8 +254,8 @@ def test_nonzero_initial_data_factor_the_saddle(spaces_cache, monkeypatch):
                                assemble_body_load(spaces, case.div_sigma, 0.0))
     calls = []
     factorize = statics.factorize
-    monkeypatch.setattr(statics, "factorize", lambda S, what, **options:
-                        calls.append((what, S.shape)) or factorize(S, what, **options))
+    monkeypatch.setattr(statics, "factorize", lambda S, what:
+                        calls.append((what, S.shape)) or factorize(S, what))
     init = build_initial_data(case, system)
     assert calls == [("saddle", (spaces.dim_x, spaces.dim_x))]
     assert np.array_equal(init.x0, x)
@@ -282,42 +287,14 @@ def test_infsup_stable_under_refinement(mesh_cache, unit_material, k):
         assert cur >= 0.9 * prev
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_natural_operators_oracle_is_bitwise(mesh_cache, k):
-    # the oracle that tests read A, B and C through once a system's reduced
-    # system holds A gives back the assembled matrices exactly
-    case = builtin_case("eg2", alpha=2.2)
-    system = assemble(build_spaces(mesh_cache(4), k), case.material)
-    assembled = system.Amat, system.Bmat, system.Cmat
-    for got, ref in zip(natural_operators(system), assembled):
-        assert np.array_equal(got.indptr, ref.indptr)
-        assert np.array_equal(got.indices, ref.indices)
-        assert np.array_equal(got.data.view(np.uint8), ref.data.view(np.uint8))
-    assert system.Amat is None
-    assert system.Bmat is assembled[1] and system.Cmat is assembled[2]
-
-
-def test_infsup_constant_independent_of_first_solve(spaces_cache):
-    # infsup_constant reads B and C, which a system keeps through its first
-    # solve, and assembles its own stress mass
-    case = builtin_case("eg2", alpha=2.2)
-    spaces = spaces_cache(2, 2)
-    fresh = assemble(spaces, case.material, body_force=case.f, dirichlet_velocity=case.g)
-    solved = assemble(spaces, case.material, body_force=case.f, dirichlet_velocity=case.g)
-    build_initial_data(case, solved)
-    assert solved.Amat is None and fresh.Amat is not None
-    beta = infsup_constant(fresh)
-    assert abs(infsup_constant(solved) - beta) <= 1e-12 * beta
-
-
 @pytest.mark.parametrize("name,k", [("eg2", 2), ("eg3", 3)])
 def test_complex_products_match_the_cast_product(mesh_cache, name, k):
     # SchurLU multiplies the real operators by a complex vector as two real
     # products; scipy's own product casts the operator to complex
     case = builtin_case(name, alpha=2.2 if name == "eg2" else None)
-    reduced = statics.reduced_system(assemble(build_spaces(mesh_cache(4), k), case.material))
+    system = assemble(build_spaces(mesh_cache(4), k), case.material)
     rng = np.random.default_rng(k)
-    for op in (reduced.E, reduced.B, reduced.B.T, reduced.M, reduced.Minv):
+    for op in (system.Emat, system.Bmat, system.Bmat.T, system.Mmat, system.Minv):
         x = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
         got, ref = statics._product(op, x), op @ x
         assert got.dtype == ref.dtype
@@ -325,7 +302,7 @@ def test_complex_products_match_the_cast_product(mesh_cache, name, k):
 
 
 def _dense_saddle_solve(system, T, b):
-    _, B, C = (op.toarray() for op in natural_operators(system))
+    B, C = system.Bmat.toarray(), system.Cmat.toarray()
     nV = B.shape[0]
     S = np.block([[T.toarray() + C + C.T, B.T],
                   [B, np.zeros((nV, nV))]])
@@ -343,7 +320,7 @@ def test_saddle_sweeps_match_dense_solve(mesh_cache, monkeypatch, k):
     rng = np.random.default_rng(k)
     b = rng.standard_normal(n + spaces.dim_velocity)
     got = np.concatenate(solve_elastostatics(system, b[:n], b[n:]))
-    ref = _dense_saddle_solve(system, natural_operators(system)[0], b)
+    ref = _dense_saddle_solve(system, system.Amat, b)
     assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
     seen = []
@@ -385,8 +362,8 @@ def test_saddle_lu_pivots_on_its_diagonal(spaces_cache, monkeypatch):
                       body_force=case.f, dirichlet_velocity=case.g)
     lus = []
     factorize = statics.factorize
-    monkeypatch.setattr(statics, "factorize", lambda S, what, **options:
-                        lus.append(factorize(S, what, **options)) or lus[-1])
+    monkeypatch.setattr(statics, "factorize", lambda S, what:
+                        lus.append(factorize(S, what)) or lus[-1])
     build_initial_data(case, system)
     (lu,) = lus
     assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))
@@ -398,8 +375,8 @@ def _bmat_schur_complement(system, T, s):
     stresses and the second for the rotations, and [I, I] folds it back.
     No two of its blocks share an entry, so the fold sums nothing (sorted in
     place, as SuperLU sorts its input)."""
-    _, B, C = natural_operators(system)
-    K = (B.T @ (statics.reduced_system(system).Minv @ B)).tocsr()
+    B, C = system.Bmat, system.Cmat
+    K = (B.T @ (system.Minv @ B)).tocsr()
     fold = sps.vstack([sps.identity(C.shape[0])] * 2, format="csr")
     S = (fold.T @ sps.bmat([[T + (s * s) * K, C.T], [C, None]]) @ fold).tocsc()
     S.sort_indices()
@@ -416,20 +393,18 @@ def test_schur_pattern_fill_matches_bmat_build(mesh_cache, monkeypatch, k):
     case = builtin_case("eg2", alpha=2.2)
     system = assemble(build_spaces(mesh_cache(4), k), case.material,
                       body_force=case.f, dirichlet_velocity=case.g)
-    reduced = statics.reduced_system(system)
     M = system.Mmat.toarray()
-    assert np.abs(reduced.Minv.toarray() @ M - np.eye(len(M))).max() <= 1e-12
+    assert np.abs(system.Minv.toarray() @ M - np.eye(len(M))).max() <= 1e-12
     factored, factorize = [], statics.factorize
-    monkeypatch.setattr(statics, "factorize", lambda S, what, **options:
-                        factored.append(S) or factorize(S, what, **options))
+    monkeypatch.setattr(statics, "factorize", lambda S, what:
+                        factored.append(S) or factorize(S, what))
     lam = complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)
     mass = assemble_stress_mass(system.spaces)
-    A = natural_operators(system)[0]
+    A, C = system.Amat, system.Cmat
     for T, s in ((A, 0.0), (A, 0.125), (A, 0.25 * lam),
                  (A, np.sqrt(system.material.rho1 / system.material.mu)),
                  (mass, np.sqrt(system.material.rho1 / 0.5))):
-        statics.SchurLU(reduced, reduced.E if T is A else reduced.e_matrix(T),
-                        s, "test")
+        statics.SchurLU(system, system.Emat if T is A else T + C + C.T, s, "test")
         got = factored.pop()
         ref = _bmat_schur_complement(system, T, s)
         assert got.dtype == ref.dtype
@@ -437,6 +412,6 @@ def test_schur_pattern_fill_matches_bmat_build(mesh_cache, monkeypatch, k):
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.data.view(np.uint8), ref.data.view(np.uint8))
     ref = _bmat_schur_complement(system, A, 0.0).tocsr()
-    assert np.array_equal(reduced.E.indptr, ref.indptr)
-    assert np.array_equal(reduced.E.indices, ref.indices)
-    assert np.array_equal(reduced.E.data.view(np.uint8), ref.data.view(np.uint8))
+    assert np.array_equal(system.Emat.indptr, ref.indptr)
+    assert np.array_equal(system.Emat.indices, ref.indices)
+    assert np.array_equal(system.Emat.data.view(np.uint8), ref.data.view(np.uint8))
