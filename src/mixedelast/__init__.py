@@ -3,8 +3,7 @@
 from .assembly import (BlockSystem, MaterialModel, assemble, assemble_body_load,
                        assemble_dirichlet_load, assemble_stress_mass)
 from .dynamics import CN, RADAU2_NAME, SemidiscreteState, TrajectorySummary, integrate
-from .errors import (AssemblyError, ConfigError, GeometryError, MixedElastError,
-                     SingularSystemError)
+from .errors import ConfigError, GeometryError, MixedElastError, SingularSystemError
 from .mesh import Mesh, build_uniform_square_mesh, mesh_diameter
 from .quadrature import QuadratureRule, edge_rule, triangle_rule
 from .spaces import DiscreteSpaces, build_spaces, l2_project_velocity

@@ -27,45 +27,25 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sps
 
-from .errors import AssemblyError, MixedElastError
+from .errors import MixedElastError
 from .quadrature import edge_rule, triangle_rule
 from .spaces import DiscreteSpaces, _unit_normals
 
 
 @dataclass
 class MaterialModel:
-    """Isotropic material data: Lame coefficients and density.
-
-    ``rho`` may be a positive constant or a callable rho(x, y); for a
-    callable the bounds rho0 <= rho <= rho1 must be supplied and are checked
-    at the quadrature points during assembly.
-    """
+    """Isotropic material data: the Lame coefficients and the density, each a
+    positive finite constant."""
 
     mu: float
     lambda_: float
-    rho: float | Callable = 1.0
-    rho0: float | None = None
-    rho1: float | None = None
+    rho: float = 1.0
 
     def __post_init__(self):
         if not (0 < self.mu < np.inf and 0 < self.lambda_ < np.inf):
             raise MixedElastError("mu and lambda_ must be positive and finite")
-        if callable(self.rho):
-            if self.rho0 is None or self.rho1 is None:
-                raise MixedElastError("rho bounds rho0, rho1 required for a spatial density")
-        else:
-            value = float(self.rho)
-            if not 0 < value < np.inf:
-                raise MixedElastError("rho must be positive and finite")
-            self.rho0 = value if self.rho0 is None else self.rho0
-            self.rho1 = value if self.rho1 is None else self.rho1
-        if not 0 < self.rho0 <= self.rho1 < np.inf:
-            raise MixedElastError("need 0 < rho0 <= rho1 < inf")
-
-    def rho_at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if callable(self.rho):
-            return np.broadcast_to(np.asarray(self.rho(x, y), dtype=float), np.shape(x)).copy()
-        return np.full(np.shape(x), float(self.rho))
+        if callable(self.rho) or not 0 < self.rho < np.inf:
+            raise MixedElastError("rho must be a positive finite constant")
 
 
 @dataclass(frozen=True)
@@ -179,11 +159,7 @@ def _m_matrices(spaces: DiscreteSpaces, material: MaterialModel, degree: int):
     """M and its exact inverse M^-1, scattered from the m x m local mass
     blocks and their inverses, one per triangle and velocity component."""
     rule = triangle_rule(degree)
-    X = spaces.physical_points(rule)
-    rho = material.rho_at(X[..., 0], X[..., 1])
-    if np.any(rho < material.rho0 - 1e-12) or np.any(rho > material.rho1 + 1e-12):
-        raise AssemblyError("density out of declared bounds at quadrature points")
-    W = spaces.quad_weights(rule) * rho
+    W = spaces.quad_weights(rule) * material.rho
     psi = spaces.scalar_values(rule)
     loc = np.einsum("tq,iq,jq->tij", W, psi, psi)  # (T, m, m), one per component
     vmap, shape = spaces.velocity_map, (spaces.dim_velocity, spaces.dim_velocity)
@@ -198,16 +174,19 @@ def assemble_stress_mass(spaces: DiscreteSpaces) -> sps.csr_matrix:
 
 
 def assemble(spaces: DiscreteSpaces, material: MaterialModel,
-             body_force: Callable | None = None,
-             dirichlet_velocity: Callable | None = None) -> BlockSystem:
+             body_force: SeparatedField | None = None,
+             dirichlet_velocity: SeparatedField | None = None) -> BlockSystem:
     """Assemble the block system: its matrices and the load closures.
 
-    ``body_force(t, x, y)`` and ``dirichlet_velocity(t, x, y)`` are optional
-    time-space callables returning (2,) + broadcast shape; omitted loads are
-    identically zero, and the loads of a SeparatedField are precomputed per
-    term.  The matrices use quadrature of degree 2k + 2, the loads degree
-    2k + 4.
+    ``body_force`` and ``dirichlet_velocity`` are optional SeparatedFields
+    whose values have shape (2,) + broadcast; an omitted load is identically
+    zero, and any other load raises MixedElastError.  The load of each
+    space part is built once.  The matrices use quadrature of degree 2k + 2,
+    the loads degree 2k + 4.
     """
+    for name, field in (("body_force", body_force), ("dirichlet_velocity", dirichlet_velocity)):
+        if field is not None and not isinstance(field, SeparatedField):
+            raise MixedElastError(f"{name} must be a SeparatedField or None")
     degree = 2 * spaces.k + 2
     V = [spaces.stress_row_values(triangle_rule(degree))]  # C reads it, then A frees it
     C = _c_matrix(spaces, V[0], degree)
@@ -228,45 +207,40 @@ def _sample(f: Callable, t: float, pts: np.ndarray) -> np.ndarray:
     return np.asarray(f(t, pts[..., 0], pts[..., 1]), dtype=float)
 
 
-def _load_closure(field: Callable | None, dim: int, load_map: Callable):
+def _load_closure(field: SeparatedField | None, dim: int, load_map: Callable):
     """t -> load vector of a field, where load_map() gives the sample points
     of the load and its linear map from the field sampled there to the load
-    vector.  No field gives zero.  For a SeparatedField each sampled space
-    part is mapped once, as a column of L, and a call is L @ phi(t); any
-    other callable is sampled and mapped at every call."""
+    vector.  No field gives zero.  Each sampled space part is mapped once,
+    as a column of L, and a call is L @ phi(t)."""
     if field is None:
         zero = np.zeros(dim)
         return lambda t: zero
     pts, apply = load_map()
-    if not isinstance(field, SeparatedField):
-        return lambda t: apply(_sample(field, t, pts))
     parts = np.asarray(field.psi(pts[..., 0], pts[..., 1]), dtype=float)
     L = np.column_stack([apply(part) for part in parts])
     return lambda t: L @ np.asarray(field.phi(t), dtype=float)
 
 
-def _body_load_map(spaces: DiscreteSpaces, degree: int | None = None):
+def _body_load_map(spaces: DiscreteSpaces):
     """Sample points (T, nq, 2) of the body load and its map from f sampled
-    there, (2, T, nq), to the velocity-space load."""
-    rule = triangle_rule(2 * spaces.k + 4 if degree is None else degree)
+    there, (2, T, nq), to the velocity-space load, at degree 2k + 4."""
+    rule = triangle_rule(2 * spaces.k + 4)
     W = spaces.quad_weights(rule)
     return spaces.physical_points(rule), lambda vals: spaces.scalar_moments(W, rule, vals)
 
 
-def assemble_body_load(spaces: DiscreteSpaces, f: Callable, t: float,
-                       degree: int | None = None) -> np.ndarray:
+def assemble_body_load(spaces: DiscreteSpaces, f: Callable, t: float) -> np.ndarray:
     """Velocity-space load vector with entries (f(t, .), psi_i)."""
-    pts, apply = _body_load_map(spaces, degree)
+    pts, apply = _body_load_map(spaces)
     return apply(_sample(f, t, pts))
 
 
-def _dirichlet_operator(spaces: DiscreteSpaces, degree: int):
-    """Boundary quadrature points (nbe, nqe, 2) and the sparse operator that
-    maps g sampled there, flattened from (2, nbe, nqe), to the boundary load
-    on the range of x; cached on the spaces per degree."""
-    key = ("dirichlet", degree)
-    if key in spaces._cache:
-        return spaces._cache[key]
+def _dirichlet_operator(spaces: DiscreteSpaces):
+    """Boundary quadrature points (nbe, nqe, 2) of the degree 2k + 4 rule and
+    the sparse operator that maps g sampled there, flattened from (2, nbe,
+    nqe), to the boundary load on the range of x; cached on the spaces."""
+    if "dirichlet" in spaces._cache:
+        return spaces._cache["dirichlet"]
     mesh = spaces.mesh
     edges = mesh.boundary_edges
     tris = mesh.edge_triangles()[edges, 0]
@@ -274,7 +248,7 @@ def _dirichlet_operator(spaces: DiscreteSpaces, degree: int):
     loc = np.argmax(mesh.triangle_edges[tris] == edges[:, None], axis=1)
     sign = mesh.edge_signs[tris, loc]
 
-    rule = edge_rule(degree)
+    rule = edge_rule(2 * spaces.k + 4)
     a = mesh.vertices[mesh.edges[edges, 0]]
     b = mesh.vertices[mesh.edges[edges, 1]]
     tang = b - a
@@ -290,26 +264,25 @@ def _dirichlet_operator(spaces: DiscreteSpaces, degree: int):
     samples = np.arange(2 * nbe * nqe).reshape(2, nbe, nqe).transpose(1, 0, 2)
     op = _scatter(weights[:, None], spaces.stress_map[tris], samples,
                   (spaces.dim_x, 2 * nbe * nqe))
-    spaces._cache[key] = (pts, op)
+    spaces._cache["dirichlet"] = (pts, op)
     return pts, op
 
 
-def _dirichlet_load_map(spaces: DiscreteSpaces, degree: int | None = None):
+def _dirichlet_load_map(spaces: DiscreteSpaces):
     """Sample points (nbe, nqe, 2) of the boundary load and its map from g
     sampled there, (2, nbe, nqe), to the load on the range of x."""
-    pts, op = _dirichlet_operator(spaces, 2 * spaces.k + 4 if degree is None else degree)
+    pts, op = _dirichlet_operator(spaces)
     return pts, lambda vals: op @ vals.ravel()
 
 
-def assemble_dirichlet_load(spaces: DiscreteSpaces, g: Callable, t: float,
-                            degree: int | None = None) -> np.ndarray:
+def assemble_dirichlet_load(spaces: DiscreteSpaces, g: Callable, t: float) -> np.ndarray:
     """Boundary load on the range of x with entries int_Gamma g . (phi_i nu) ds
     at the stresses and zeros at the rotations.
 
     Every boundary edge carries the velocity data: traction conditions are
     essential in this formulation and are not supported.  The boundary
-    geometry and basis traces are built once per spaces and degree; a call
-    samples g and applies one sparse operator.
+    geometry and basis traces are built once per spaces; a call samples g
+    and applies one sparse operator.
     """
-    pts, apply = _dirichlet_load_map(spaces, degree)
+    pts, apply = _dirichlet_load_map(spaces)
     return apply(_sample(g, t, pts))

@@ -9,10 +9,6 @@ class GeometryError(MixedElastError):
     """Invalid or degenerate mesh geometry."""
 
 
-class AssemblyError(MixedElastError):
-    """Assembly-time failure, e.g. material bound violation."""
-
-
 class SingularSystemError(MixedElastError):
     """A linear solve failed; signals a broken saddle-point pairing."""
 

@@ -125,13 +125,14 @@ def _solve_saddle(system: BlockSystem, E, mu: float, rhs_x, rhs_v):
 
     A sweep adds P^-1 (b - S x) to x, with P = [[E, B^T], [B, -M / tau^2]]
     solved as SchurLU's S(tau) on (rho_x, -tau rho_v), whose velocity part is
-    then scaled by tau.  tau = sqrt(rho1 / mu), for the
-    shear modulus mu whose compliance T is, keeps tau^2 K on the scale of T.
+    then scaled by tau.  tau = sqrt(rho / mu), for the material's density rho
+    and the shear modulus mu whose compliance T is, keeps tau^2 K on the scale
+    of T.
     The sweeps stop at a 1e-13 relative residual or once it stops halving, so
     a B that is not onto fails the final residual check.  The LU is dropped.
     """
     n, B = system.spaces.dim_x, system.Bmat
-    tau = np.sqrt(system.material.rho1 / mu)
+    tau = np.sqrt(system.material.rho / mu)
     lu = SchurLU(system, E, tau, "saddle")
 
     def apply(x):

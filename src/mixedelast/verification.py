@@ -47,7 +47,6 @@ class MmsCase:
     div_sigma: Callable
     homogeneous: bool
     T0: float = 1.0
-    alpha: float | None = None
     rebuild: Callable | None = field(default=None, repr=False)
 
     @property
@@ -107,7 +106,7 @@ def _div_stress(J, mu, lam):
 
 
 def _case_from_groups(name: str, groups, material: MaterialModel, homogeneous: bool,
-                      alpha, rebuild) -> MmsCase:
+                      rebuild) -> MmsCase:
     """All fields of the displacement sum_g a_g(t) U_g(x, y), with ``groups``
     holding (a_g, product of U_g's x component, product of its y component).
     sigma and div sigma are formed per group from both components, so that
@@ -149,7 +148,7 @@ def _case_from_groups(name: str, groups, material: MaterialModel, homogeneous: b
                    v=v.fn if homogeneous else v, sigma=field(_stress, _GRADIENT),
                    rotation=field(_rotation, _GRADIENT), f=f,
                    div_sigma=field(_div_stress, _HESSIAN),
-                   homogeneous=homogeneous, alpha=alpha, rebuild=rebuild)
+                   homogeneous=homogeneous, rebuild=rebuild)
 
 
 def builtin_case(name: str, alpha: float | None = None, mu: float = 1.0,
@@ -181,8 +180,7 @@ def builtin_case(name: str, alpha: float | None = None, mu: float = 1.0,
                    None, (x2, x_alpha))]
     else:
         groups = [(_SIN_T, (_SIN2, _DSIN2), (_NEG_DSIN2, _SIN2))]
-    eg2 = name == "eg2"
-    return _case_from_groups(name, groups, material, not eg2, alpha if eg2 else None, rebuild)
+    return _case_from_groups(name, groups, material, name != "eg2", rebuild)
 
 
 # -- error norms ------------------------------------------------------------

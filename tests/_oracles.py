@@ -26,7 +26,6 @@ import sympy as sp
 from mixedelast import dynamics, statics
 from mixedelast.assembly import MaterialModel, SeparatedField, assemble_stress_mass
 from mixedelast.dynamics import CN, integrate
-from mixedelast.errors import MixedElastError
 from mixedelast.mesh import _connect
 from mixedelast.quadrature import edge_rule, triangle_rule
 from mixedelast.polynomials import (edge_legendre_basis, eval_edge_polynomials,
@@ -160,7 +159,6 @@ def dense_assemble(spaces, material, degree=None):
             vals = _row_basis_at_point(spaces, t, xq, yq)  # (nd, 2)
             divs = _row_div_at_point(spaces, t, xq, yq)
             psi = _scalar_basis_at(spaces, bary[1], bary[2])
-            rho = material.rho_at(np.array(xq), np.array(yq))
 
             for r in range(2):
                 for b in range(nd):
@@ -181,7 +179,7 @@ def dense_assemble(spaces, material, degree=None):
                         C[gr, gj] += w * psi[i] * (tau[0, 1] - tau[1, 0])
             for i in range(m):
                 for j in range(m):
-                    val = w * float(rho) * psi[i] * psi[j]
+                    val = w * material.rho * psi[i] * psi[j]
                     M[t * 2 * m + i, t * 2 * m + j] += val
                     M[t * 2 * m + m + i, t * 2 * m + m + j] += val
     return A, B, C, M
@@ -468,14 +466,8 @@ def _load_field(exprs, args):
 
 
 def case_from_displacement(name, u_exprs, material: MaterialModel, homogeneous: bool,
-                           T0=1.0, alpha=None, rebuild=None) -> MmsCase:
-    """Derive all fields of a case from a symbolic displacement pair.
-
-    The density must be constant: the body force rho u_tt is derived
-    symbolically.
-    """
-    if callable(material.rho):
-        raise MixedElastError("manufactured cases need a constant density rho")
+                           T0=1.0, rebuild=None) -> MmsCase:
+    """Derive all fields of a case from a symbolic displacement pair."""
     t, x, y = sp.symbols("t x y", real=True)
     u = sp.Matrix(u_exprs)
     grad_u = sp.Matrix([[sp.diff(u[0], x), sp.diff(u[0], y)],
@@ -501,7 +493,6 @@ def case_from_displacement(name, u_exprs, material: MaterialModel, homogeneous: 
         div_sigma=_lambdify(list(div_sigma), args),
         homogeneous=homogeneous,
         T0=T0,
-        alpha=alpha,
         rebuild=rebuild,
     )
 
@@ -522,4 +513,4 @@ def sympy_builtin_case(name, alpha=None, mu=1.0, lam=1.0, rho=1.0) -> MmsCase:
     """A built-in case derived symbolically, as a reference for the closed forms."""
     return case_from_displacement(name, builtin_displacement(name, alpha),
                                   MaterialModel(mu=mu, lambda_=lam, rho=rho),
-                                  homogeneous=name != "eg2", alpha=alpha)
+                                  homogeneous=name != "eg2")

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sps
 import sympy as sp
 
-from mixedelast import (AssemblyError, MaterialModel, MixedElastError, assemble,
+from mixedelast import (MaterialModel, MixedElastError, assemble,
                         assemble_body_load, assemble_dirichlet_load,
                         assemble_stress_mass, build_spaces, builtin_case)
 from mixedelast.assembly import SeparatedField, _dirichlet_operator, _stress_block_matrices
@@ -67,9 +67,7 @@ def test_material_validation():
         MaterialModel(mu=1.0, lambda_=1.0, rho=lambda x, y: 1.0 + x)
     nan, inf = float("nan"), float("inf")
     for kwargs in ({"mu": nan}, {"mu": inf}, {"lambda_": nan}, {"lambda_": inf},
-                   {"rho": nan}, {"rho": inf}, {"rho0": nan}, {"rho1": inf},
-                   {"rho": lambda x, y: 1.0 + x, "rho0": 1.0, "rho1": inf},
-                   {"rho": lambda x, y: 1.0 + x, "rho0": nan, "rho1": 2.0}):
+                   {"rho": nan}, {"rho": inf}):
         with pytest.raises(MixedElastError):
             MaterialModel(**{"mu": 1.0, "lambda_": 1.0, **kwargs})
 
@@ -164,22 +162,6 @@ def test_rho_scaling(spaces_cache):
     assert abs(scaled.Mmat - 3.0 * base.Mmat).max() <= 1e-14
 
 
-def test_rho_bound_violation(spaces_cache):
-    mat = MaterialModel(mu=1.0, lambda_=1.0, rho=lambda x, y: 1.0 + x, rho0=1.0, rho1=1.5)
-    with pytest.raises(AssemblyError):
-        assemble(spaces_cache(2, 1), mat)
-
-
-def test_spatial_rho_assembles(mesh_cache, spaces_cache):
-    mat = MaterialModel(mu=1.0, lambda_=1.0, rho=lambda x, y: 1.0 + x, rho0=1.0, rho1=2.0)
-    system = assemble(spaces_cache(2, 1), mat)
-    # k=1 constant basis is 1 per triangle, so the x-component diagonal sums
-    # to the total mass: int (1 + x) over the unit square = 3/2
-    M = system.Mmat.toarray()
-    total = sum(M[2 * t, 2 * t] for t in range(mesh_cache(2).num_triangles))
-    assert total == pytest.approx(1.5, rel=1e-13)
-
-
 def test_body_load_zero(spaces_cache, unit_material):
     spaces = spaces_cache(2, 1)
     zero = assemble_body_load(spaces, lambda t, x, y: np.zeros((2,) + np.shape(x)), 0.0)
@@ -232,8 +214,8 @@ def test_homogeneous_case_never_assembles_boundary_load(spaces_cache, unit_mater
 def test_dirichlet_load_oracle(spaces_cache):
     spaces = spaces_cache(2, 2)
     case = builtin_case("eg2", alpha=2.7)
-    production = assemble_dirichlet_load(spaces, case.v, 0.0, degree=10)
-    oracle = dense_dirichlet_load(spaces, case.v, 0.0)
+    production = assemble_dirichlet_load(spaces, case.v, 0.0)
+    oracle = dense_dirichlet_load(spaces, case.v, 0.0, 2 * spaces.k + 4)
     assert np.abs(production - oracle).max() <= 1e-12
 
 
@@ -242,10 +224,10 @@ def test_dirichlet_load_cached_operator_matches_oracle(mesh_cache):
     spaces = build_spaces(mesh_cache(2), 2)
     case = builtin_case("eg2", alpha=2.7)
     for t in (0.0, 0.6):
-        production = assemble_dirichlet_load(spaces, case.v, t, degree=10)
-        oracle = dense_dirichlet_load(spaces, case.v, t)
+        production = assemble_dirichlet_load(spaces, case.v, t)
+        oracle = dense_dirichlet_load(spaces, case.v, t, 2 * spaces.k + 4)
         assert np.abs(production - oracle).max() <= 1e-12
-    assert [key for key in spaces._cache if key[0] == "dirichlet"] == [("dirichlet", 10)]
+    assert [key for key in spaces._cache if "dirichlet" in key] == ["dirichlet"]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -263,16 +245,15 @@ def test_no_stress_basis_table_outlives_assemble(mesh_cache, k):
     assert not [a.shape for a in cached if a.shape[:2] == (nt, nd)]
 
 
-@pytest.mark.parametrize("spatial", [False, True], ids=["constant-rho", "spatial-rho"])
+@pytest.mark.parametrize("rho", [1.0, 2.5], ids=["constant-rho", "scaled-rho"])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_operators_are_canonical_without_stored_zeros(spaces_cache, k, spatial):
+def test_operators_are_canonical_without_stored_zeros(spaces_cache, k, rho):
     # sorted column indices, no duplicates and no explicit zeros: the fill of
     # the entity-ordered step LU depends on this structure
-    rho = dict(rho=lambda x, y: 1.0 + 0.5 * x * y, rho0=1.0, rho1=1.5) if spatial else {}
     spaces = spaces_cache(2, k)
-    system = assemble(spaces, MaterialModel(mu=1.0, lambda_=1.0, **rho))
-    _, dirichlet = _dirichlet_operator(spaces, 2 * k + 4)
-    for op in (system.Amat, system.Bmat, system.Cmat, system.Mmat,
+    system = assemble(spaces, MaterialModel(mu=1.0, lambda_=1.0, rho=rho))
+    _, dirichlet = _dirichlet_operator(spaces)
+    for op in (system.Amat, system.Bmat, system.Cmat, system.Mmat, system.Minv,
                assemble_stress_mass(spaces), dirichlet):
         assert op.format == "csr"
         assert sps.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape).has_canonical_format
@@ -367,16 +348,15 @@ def test_separate_is_exact_and_groups_by_time_factor():
         assert sp.expand(sum(phi * psi[c] for phi, psi in terms) - e) == 0
 
 
-def test_unseparated_fields_use_sampled_path(mesh_cache):
+def test_unseparated_loads_are_rejected(mesh_cache):
+    # a load must split into time factors times space parts: sin(x t) does
+    # not, and neither does a plain callable
     t, x, y = sp.symbols("t x y", real=True)
     mixed = _load_field([sp.sin(x * t), y], (t, x, y))
     assert not isinstance(mixed, SeparatedField)
     plain = lambda t, x, y: np.stack([np.cos(t) * x * y, np.ones(np.shape(x))])
     spaces = build_spaces(mesh_cache(2), 2)
     for field in (mixed, plain):
-        system = assemble(spaces, MaterialModel(mu=1.0, lambda_=1.0),
-                          body_force=field, dirichlet_velocity=field)
-        for s in (0.0, 0.37, 1.0):
-            assert np.array_equal(system.load(s), assemble_body_load(spaces, field, s))
-            assert np.array_equal(system.dirichlet_load(s),
-                                  assemble_dirichlet_load(spaces, field, s))
+        for load in ("body_force", "dirichlet_velocity"):
+            with pytest.raises(MixedElastError, match=load):
+                assemble(spaces, MaterialModel(mu=1.0, lambda_=1.0), **{load: field})

@@ -117,10 +117,15 @@ GOLDEN_CSV = {  # the CSV bytes of two converge runs; a refactor must not move t
     ("--case", "eg3"): _HEADER
     + "2,4.83e-02,,9.64e-03,,1.38e-02,,3.08e-02,\n"
     + "4,4.53e-03,3.41,1.22e-03,2.98,1.82e-03,2.91,4.03e-03,2.93\n",
+    # a non-unit density and shear modulus reach M, the body force and the
+    # shift of the static saddle solve
+    ("--case", "eg2", "--alpha", "2.2", "--rho", "2.5", "--mu", "0.3"): _HEADER
+    + "2,4.45e-02,,5.05e-02,,5.78e-02,,4.16e-02,\n"
+    + "4,1.10e-02,2.01,1.30e-02,1.96,1.50e-02,1.95,1.04e-02,2.01\n",
 }
 
 
-@pytest.mark.parametrize("case_args", list(GOLDEN_CSV), ids=["eg2", "eg3"])
+@pytest.mark.parametrize("case_args", list(GOLDEN_CSV), ids=["eg2", "eg3", "eg2-rho-mu"])
 def test_converge_csv_bytes_are_pinned(tmp_path, capsys, case_args):
     out = tmp_path / "table.csv"
     assert main(["converge", *case_args, "--n-list", "2,4", "--out", str(out)]) == 0

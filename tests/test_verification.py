@@ -206,14 +206,6 @@ def test_locking_keeps_final_time():
         assert rows[0][1][f] == pytest.approx(errs[f], rel=1e-12)
 
 
-def test_case_from_displacement_rejects_spatial_density():
-    material = MaterialModel(mu=1.0, lambda_=1.0, rho=lambda x, y: 1.0 + x,
-                             rho0=1.0, rho1=2.0)
-    t, x, y = sympy.symbols("t x y", real=True)
-    with pytest.raises(MixedElastError, match="constant density"):
-        case_from_displacement("c", [x * t, y * t], material, homogeneous=False)
-
-
 def test_velocity_split_only_for_boundary_data():
     # homogeneous data use v only through v(0), so v is not split; its values
     # are those of the split field bitwise
@@ -295,7 +287,7 @@ def test_refined_mesh_matches_uniform_run():
     system = assemble(spaces, case.material, body_force=case.f)
     init = build_initial_data(case, system)
     traj = integrate(system, init, "cn", 0.25, 1.0)
-    err = l2_error(spaces, traj.final_state.alpha, case.sigma, 1.0, "stress")
+    err = l2_error(spaces, traj.final_state.x, case.sigma, 1.0, "stress")
     reference, _, _ = run_case(case, 2, "cn", 4)
     # renumbering changes summation and pivoting order; roundoff-level match
     assert err == pytest.approx(reference["sigma"], rel=1e-8)
