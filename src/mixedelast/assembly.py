@@ -16,12 +16,14 @@ exact inverse M^-1 of the block-diagonal M and K_r = B^T M^-1 B.
 Every matrix and the boundary operator are summed from local matrices by one
 `_scatter` through the global numbering that `DiscreteSpaces` states and
 carries as ``stress_map``, ``velocity_map`` and ``rotation_map``; the loads
-are moments in the same numbering.
+are moments in the same numbering.  Local matrices are formed once per
+congruence class of triangles (see `DiscreteSpaces`), gathered by ``tri_class``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -42,10 +44,10 @@ class MaterialModel:
     rho: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.mu < np.inf and 0 < self.lambda_ < np.inf):
-            raise MixedElastError("mu and lambda_ must be positive and finite")
-        if callable(self.rho) or not 0 < self.rho < np.inf:
-            raise MixedElastError("rho must be a positive finite constant")
+        for name in ("mu", "lambda_", "rho"):
+            value = getattr(self, name)  # a bool is an int, but no material constant
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < np.inf:
+                raise MixedElastError(f"{name} must be a positive finite constant, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -108,38 +110,34 @@ def _scatter(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sp
 
 def _stress_block_matrices(spaces: DiscreteSpaces, material: MaterialModel | None,
                            V: np.ndarray):
-    """Stress-stress matrix from the row basis values V at the degree 2k + 2
-    rule: compliance pairing, or plain L2 mass if material is None.  V is
-    dropped once the Gram is formed, so the caller should hand over its last
-    reference."""
-    W = spaces.quad_weights(triangle_rule(2 * spaces.k + 2))
+    """Stress-stress matrix from the row basis values V of each class at the
+    degree 2k + 2 rule: compliance pairing, or plain L2 mass if material is None."""
+    W = spaces.quad_weights(triangle_rule(2 * spaces.k + 2))[spaces.class_tris]
     G = np.einsum("tapq,tbrq->prtab", V * W[:, None, None, :], V)  # test comp p, trial comp r
-    del V
     dot = G[0, 0] + G[1, 1]
     shape = (spaces.dim_x, spaces.dim_x)
     if material is None:  # row r of a test function pairs with row r only
-        del G  # freed before the scatter, as below
-        return _scatter(dot[:, None], spaces.stress_map, spaces.stress_map, shape)
+        return _scatter(dot[spaces.tri_class, None], spaces.stress_map, spaces.stress_map, shape)
     mu, lam = material.mu, material.lambda_
     c = lam / (2.0 * mu * (2.0 * mu + 2.0 * lam))
     Gt = G.swapaxes(0, 1)
-    blocks = np.multiply(Gt, 1.0 / (4.0 * mu), order="C")  # C order: _scatter needs no copy
-    blocks -= c * G  # (test row s, trial row r, T, a, b)
+    blocks = Gt * (1.0 / (4.0 * mu))
+    blocks -= c * G  # (test row s, trial row r, class, a, b)
     blocks -= 0.5 * Gt
     for s in range(2):
         blocks[s, s] += (1.0 / (4.0 * mu) + 0.5) * dot
-    del G, Gt, dot
     rows = spaces.stress_map.transpose(1, 0, 2)
-    return _scatter(blocks, rows[:, None], rows[None], shape)
+    # gathered in C order, so that _scatter needs no copy
+    return _scatter(np.take(blocks, spaces.tri_class, axis=2), rows[:, None], rows[None], shape)
 
 
 def _b_matrix(spaces: DiscreteSpaces, degree: int) -> sps.csr_matrix:
     rule = triangle_rule(degree)
     DV = spaces.stress_row_div_values(rule)
-    W = spaces.quad_weights(rule)
+    W = spaces.quad_weights(rule)[spaces.class_tris]
     psi = spaces.scalar_values(rule)
-    loc = np.einsum("tq,iq,tbq->tib", W, psi, DV)  # (T, m, nd), one per component
-    return _scatter(loc[:, None], spaces.velocity_map, spaces.stress_map,
+    loc = np.einsum("tq,iq,tbq->tib", W, psi, DV)  # (class, m, nd), one per component
+    return _scatter(loc[spaces.tri_class, None], spaces.velocity_map, spaces.stress_map,
                     (spaces.dim_velocity, spaces.dim_x))
 
 
@@ -147,24 +145,24 @@ def _c_matrix(spaces: DiscreteSpaces, V: np.ndarray, degree: int) -> sps.csr_mat
     # (phi, S(chi)) with S(q) = [[0, q], [-q, 0]]: rotation chi pairs with
     # phi[0, 1] - phi[1, 0], i.e. +v_y for row-0 fields, -v_x for row-1 fields.
     rule = triangle_rule(degree)
-    W = spaces.quad_weights(rule)
+    W = spaces.quad_weights(rule)[spaces.class_tris]
     psi = spaces.scalar_values(rule)
     loc = np.stack([np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 1, :]),
                     -np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 0, :])], axis=1)
-    return _scatter(loc, spaces.rotation_map[:, None], spaces.stress_map,
+    return _scatter(loc[spaces.tri_class], spaces.rotation_map[:, None], spaces.stress_map,
                     (spaces.dim_x, spaces.dim_x))
 
 
 def _m_matrices(spaces: DiscreteSpaces, material: MaterialModel, degree: int):
     """M and its exact inverse M^-1, scattered from the m x m local mass
-    blocks and their inverses, one per triangle and velocity component."""
+    blocks and their inverses, one per class and velocity component."""
     rule = triangle_rule(degree)
-    W = spaces.quad_weights(rule) * material.rho
+    W = spaces.quad_weights(rule)[spaces.class_tris] * material.rho
     psi = spaces.scalar_values(rule)
-    loc = np.einsum("tq,iq,jq->tij", W, psi, psi)  # (T, m, m), one per component
+    loc = np.einsum("tq,iq,jq->tij", W, psi, psi)  # (class, m, m), one per component
     vmap, shape = spaces.velocity_map, (spaces.dim_velocity, spaces.dim_velocity)
-    return (_scatter(loc[:, None], vmap, vmap, shape),
-            _scatter(np.linalg.inv(loc)[:, None], vmap, vmap, shape))
+    return (_scatter(loc[spaces.tri_class, None], vmap, vmap, shape),
+            _scatter(np.linalg.inv(loc)[spaces.tri_class, None], vmap, vmap, shape))
 
 
 def assemble_stress_mass(spaces: DiscreteSpaces) -> sps.csr_matrix:
@@ -188,9 +186,9 @@ def assemble(spaces: DiscreteSpaces, material: MaterialModel,
         if field is not None and not isinstance(field, SeparatedField):
             raise MixedElastError(f"{name} must be a SeparatedField or None")
     degree = 2 * spaces.k + 2
-    V = [spaces.stress_row_values(triangle_rule(degree))]  # C reads it, then A frees it
-    C = _c_matrix(spaces, V[0], degree)
-    E = _stress_block_matrices(spaces, material, V.pop()) + C + C.T
+    V = spaces.stress_row_values(triangle_rule(degree))
+    C = _c_matrix(spaces, V, degree)
+    E = _stress_block_matrices(spaces, material, V) + C + C.T
     B = _b_matrix(spaces, degree)
     M, Minv = _m_matrices(spaces, material, degree)
     return BlockSystem(
@@ -211,14 +209,14 @@ def _load_closure(field: SeparatedField | None, dim: int, load_map: Callable):
     """t -> load vector of a field, where load_map() gives the sample points
     of the load and its linear map from the field sampled there to the load
     vector.  No field gives zero.  Each sampled space part is mapped once,
-    as a column of L, and a call is L @ phi(t)."""
+    as a column of L, and a call is L.dot(phi(t))."""
     if field is None:
         zero = np.zeros(dim)
         return lambda t: zero
     pts, apply = load_map()
     parts = np.asarray(field.psi(pts[..., 0], pts[..., 1]), dtype=float)
-    L = np.column_stack([apply(part) for part in parts])
-    return lambda t: L @ np.asarray(field.phi(t), dtype=float)
+    L = np.array([apply(part) for part in parts]).T  # column-major: .dot is fastest on it
+    return lambda t: L.dot(np.asarray(field.phi(t), dtype=float))
 
 
 def _body_load_map(spaces: DiscreteSpaces):

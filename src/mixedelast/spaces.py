@@ -5,11 +5,12 @@ P_k vector fields (edge moments against P_k per edge plus interior moments),
 discontinuous vector P_{k-1} velocities, and discontinuous scalar P_{k-1}
 rotations (the scalar q stands for the skew matrix [[0, q], [-q, 0]]).
 
-Stress row bases are constructed on each physical triangle by inverting the
-matrix of the degree-of-freedom functionals.  The edge functionals use the
-global low-to-high edge parameterization and a fixed normal per edge, so a
-shared edge carries the same functionals from both sides and the assembled
-space is H(div)-conforming with no orientation bookkeeping.
+Stress row bases, in centered, scaled local coordinates, are constructed once
+per congruence class of triangles (the same edge vectors and edge signs; the
+uniform mesh has two) by inverting the matrix of the DOF functionals.  The edge
+functionals use the global low-to-high edge parameterization and a fixed normal
+per edge, so a shared edge carries the same functionals from both sides and the
+assembled space is H(div)-conforming with no orientation bookkeeping.
 """
 
 from __future__ import annotations
@@ -39,10 +40,7 @@ def _rotate_minus90(v: np.ndarray) -> np.ndarray:
 
 def _triangle_geometry(verts: np.ndarray):
     """Centers, scales (longest edge), doubled areas and barycentric gradients."""
-    e = np.stack(
-        [verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 1], verts[:, 0] - verts[:, 2]],
-        axis=1,
-    )
+    e = verts[:, [1, 2, 0]] - verts  # edge l from local vertex l to l + 1
     d1 = verts[:, 1] - verts[:, 0]
     d2 = verts[:, 2] - verts[:, 0]
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
@@ -132,7 +130,7 @@ def _stress_functionals(k: int, degree: int, edges, verts: np.ndarray,
 
 
 def _stress_dof_matrices(k: int, verts: np.ndarray, signs: np.ndarray,
-                         degree: int | None = None) -> np.ndarray:
+                         degree: int) -> np.ndarray:
     """DOF matrices D[t, i, j] = functional_i(vector monomial j) per triangle.
 
     Vector monomials are (m, 0) for the first n_mono columns and (0, m) for
@@ -140,8 +138,6 @@ def _stress_dof_matrices(k: int, verts: np.ndarray, signs: np.ndarray,
     coordinates.  Rows are the functionals of ``_stress_functionals``: the
     edge moments of local edges 0, 1, 2, then the interior moments.
     """
-    if degree is None:
-        degree = 2 * k + 2
     exps = poly.monomial_exponents(k)
     centers, scales, _, _ = _triangle_geometry(verts)
 
@@ -160,13 +156,14 @@ def _stress_dof_matrices(k: int, verts: np.ndarray, signs: np.ndarray,
 
 @dataclass
 class DiscreteSpaces:
-    """Global DOF maps and per-triangle bases for the degree-k triple.
+    """Global DOF maps and the bases of the degree-k triple.
 
     The stress rows are combinations of the monomials ``stress_exps`` in
-    centered, scaled triangle coordinates.  The velocity and rotation basis
-    is the orthonormal P_{k-1} basis ``scalar_coef`` @ monomials
-    ``scalar_exps`` against the doubled reference measure, so its Gram matrix
-    on a physical triangle is area * identity.
+    centered, scaled coordinates: ``stress_coef[tri_class[t]]`` on triangle t,
+    one set per class, tabulated at the rule points of ``class_tris``.  The
+    velocity and rotation basis is the orthonormal P_{k-1} basis
+    ``scalar_coef`` @ monomials ``scalar_exps`` against the doubled reference
+    measure, so its Gram matrix on a physical triangle is area * identity.
 
     Global numbering, with m = n_scalar: the stress and rotation unknowns
     share one range of length ``dim_x`` = dim_stress + dim_rotation, in the
@@ -190,7 +187,9 @@ class DiscreteSpaces:
     stress_exps: np.ndarray      # (n_mono, 2)
     scalar_exps: np.ndarray
     scalar_coef: np.ndarray      # (n_scalar, n_scalar)
-    stress_coef: np.ndarray      # (T, n_row_dofs, 2 * n_mono)
+    stress_coef: np.ndarray      # (n_classes, n_row_dofs, 2 * n_mono)
+    tri_class: np.ndarray        # (T,) class of each triangle
+    class_tris: np.ndarray       # (n_classes,) one triangle of each class
     stress_map: np.ndarray       # (T, 2, n_row_dofs)
     velocity_map: np.ndarray     # (T, 2, n_scalar)
     rotation_map: np.ndarray     # (T, n_scalar)
@@ -240,34 +239,31 @@ class DiscreteSpaces:
             self._cache[key] = self.dets[:, None] * rule.weights[None, :]
         return self._cache[key]
 
-    def _xi(self, pts: np.ndarray, tris=slice(None)) -> np.ndarray:
-        return (pts - self.centers[tris, None, :]) / self.scales[tris, None, None]
+    def _monomials(self, pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
+        xi = (pts - self.centers[tris, None, :]) / self.scales[tris, None, None]
+        return poly.eval_monomials(self.stress_exps, xi[..., 0], xi[..., 1])
 
-    def stress_basis(self, pts: np.ndarray, tris=slice(None)) -> np.ndarray:
+    def stress_basis(self, pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
         """Row basis values at points pts (len(tris), nq, 2), pts[i] in
         triangle tris[i]; shape (len(tris), n_row_dofs, 2, nq)."""
         nm = len(self.stress_exps)
-        xi = self._xi(pts, tris)
-        mv = poly.eval_monomials(self.stress_exps, xi[..., 0], xi[..., 1])
-        coef = self.stress_coef[tris]
+        mv = self._monomials(pts, tris)
+        coef = self.stress_coef[self.tri_class[tris]]
         vx = np.einsum("tbm,mtq->tbq", coef[:, :, :nm], mv)
         vy = np.einsum("tbm,mtq->tbq", coef[:, :, nm:], mv)
         return np.stack([vx, vy], axis=2)
 
     def stress_row_values(self, rule: QuadratureRule) -> np.ndarray:
-        """Row basis values at rule points, shape (T, n_row_dofs, 2, nq).
-        Not cached, like the divergences below: they are the largest tables
-        of assembly, and nothing reads them after it."""
-        return self.stress_basis(self.physical_points(rule))
+        """Row basis values at rule points per class, (n_classes, n_row_dofs, 2, nq)."""
+        return self.stress_basis(self.physical_points(rule)[self.class_tris], self.class_tris)
 
     def stress_row_div_values(self, rule: QuadratureRule) -> np.ndarray:
-        """Divergence of each row basis function at rule points, (T, n_row_dofs, nq)."""
-        nm = len(self.stress_exps)
+        """Row basis divergences at rule points per class, (n_classes, n_row_dofs, nq)."""
+        nm, reps = len(self.stress_exps), self.class_tris
         dxm, dym = poly.monomial_derivative_matrices(self.stress_exps)
         dcoef = self.stress_coef[:, :, :nm] @ dxm.T + self.stress_coef[:, :, nm:] @ dym.T
-        dcoef /= self.scales[:, None, None]
-        xi = self._xi(self.physical_points(rule))
-        mv = poly.eval_monomials(self.stress_exps, xi[..., 0], xi[..., 1])
+        dcoef /= self.scales[reps, None, None]
+        mv = self._monomials(self.physical_points(rule)[reps], reps)
         return np.einsum("tbm,mtq->tbq", dcoef, mv)
 
     def scalar_values(self, rule: QuadratureRule) -> np.ndarray:
@@ -290,7 +286,8 @@ class DiscreteSpaces:
 
     def stress_values(self, x: np.ndarray, rule: QuadratureRule) -> np.ndarray:
         """Stress field values of a coefficient vector x, shape (T, 2, 2, nq)."""
-        return np.einsum("trb,tbdq->trdq", x[self.stress_map], self.stress_row_values(rule))
+        return np.einsum("trb,tbdq->trdq", x[self.stress_map],
+                         self.stress_row_values(rule)[self.tri_class])
 
     def velocity_values(self, coeffs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
         """Field values of a V_h coefficient vector, shape (T, 2, nq)."""
@@ -341,13 +338,16 @@ def build_spaces(mesh: Mesh, k: int) -> DiscreteSpaces:
     """Build the degree-k triple on a mesh; k must be 1, 2, or 3."""
     if k not in SUPPORTED_DEGREES:
         raise MixedElastError(f"unsupported degree k={k}; expected one of {SUPPORTED_DEGREES}")
-    verts = mesh.vertices[mesh.triangles]
-    dof = _stress_dof_matrices(k, verts, mesh.edge_signs)
+    verts, nt = mesh.vertices[mesh.triangles], mesh.num_triangles
+    # a class: the same edge vectors, as stored, and the same edge signs
+    key = np.column_stack([(verts[:, 1:] - verts[:, :1]).reshape(nt, 4), mesh.edge_signs])
+    _, reps, tri_class = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    dof = _stress_dof_matrices(k, verts[reps], mesh.edge_signs[reps], 2 * k + 2)
     coef = np.transpose(np.linalg.inv(dof), (0, 2, 1))
     centers, scales, dets, _ = _triangle_geometry(verts)
     scalar_exps, scalar_coef = poly.orthonormal_scalar_basis(k - 1)
 
-    nt, m, n_int = mesh.num_triangles, len(scalar_exps), k**2 - 1
+    m, n_int = len(scalar_exps), k**2 - 1
     base = (k + 1) * mesh.num_edges
     edge_dofs = mesh.triangle_edges[:, :, None] * (k + 1) + np.arange(k + 1)
     row_map = np.concatenate([edge_dofs.reshape(nt, -1),
@@ -357,7 +357,7 @@ def build_spaces(mesh: Mesh, k: int) -> DiscreteSpaces:
     positions = _entity_positions(mesh, k, stress, m)
     return DiscreteSpaces(
         mesh=mesh, k=k, stress_exps=poly.monomial_exponents(k), scalar_exps=scalar_exps,
-        scalar_coef=scalar_coef, stress_coef=coef,
+        scalar_coef=scalar_coef, stress_coef=coef, tri_class=tri_class, class_tris=reps,
         stress_map=positions[stress],
         velocity_map=np.arange(2 * nt * m).reshape(nt, 2, m),
         rotation_map=positions[2 * n_row + np.arange(nt * m).reshape(nt, m)],

@@ -172,7 +172,8 @@ def elliptic_projection(system: BlockSystem, sigma: Callable,
     X = spaces.physical_points(rule)
     W = spaces.quad_weights(rule)
     vals = np.asarray(sigma(X[..., 0], X[..., 1]), dtype=float)  # (2, 2, T, nq)
-    loc = np.einsum("tq,tbdq,rdtq->trb", W, spaces.stress_row_values(rule), vals)
+    V = spaces.stress_row_values(rule)[spaces.tri_class]
+    loc = np.einsum("tq,tbdq,rdtq->trb", W, V, vals)
     rhs_x = np.bincount(spaces.stress_map.ravel(), loc.ravel(), spaces.dim_x)
     rhs_x[spaces.rotation_map.ravel()] = spaces.scalar_moments(W, rule, vals[0, 1] - vals[1, 0])
     rhs_v = spaces.scalar_moments(W, rule, np.asarray(div_sigma(X[..., 0], X[..., 1]),

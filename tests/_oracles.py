@@ -103,8 +103,9 @@ def stress_values_at(spaces, tri, pts, x):
     xi = (pts - spaces.centers[tri]) / spaces.scales[tri]
     mv = eval_monomials(spaces.stress_exps, xi[:, 0], xi[:, 1])
     local = x[spaces.stress_map[tri]]
-    vx = local @ (spaces.stress_coef[tri, :, :nm] @ mv)
-    vy = local @ (spaces.stress_coef[tri, :, nm:] @ mv)
+    coef = spaces.stress_coef[spaces.tri_class[tri]]
+    vx = local @ (coef[:, :nm] @ mv)
+    vy = local @ (coef[:, nm:] @ mv)
     return np.stack([vx, vy], axis=1)
 
 
@@ -115,8 +116,9 @@ def _row_basis_at_point(spaces, t, x, y):
     nm = len(spaces.stress_exps)
     xi = (np.array([x, y]) - spaces.centers[t]) / spaces.scales[t]
     mono = np.array([xi[0] ** a * xi[1] ** b for a, b in spaces.stress_exps])
-    out[:, 0] = spaces.stress_coef[t, :, :nm] @ mono
-    out[:, 1] = spaces.stress_coef[t, :, nm:] @ mono
+    coef = spaces.stress_coef[spaces.tri_class[t]]
+    out[:, 0] = coef[:, :nm] @ mono
+    out[:, 1] = coef[:, nm:] @ mono
     return out
 
 
@@ -129,8 +131,9 @@ def _row_div_at_point(spaces, t, x, y, h=1e-20):
     def mono(z0, z1):
         return np.array([z0 ** a * z1 ** b for a, b in spaces.stress_exps])
 
-    dx = (spaces.stress_coef[t, :, :nm] @ mono(xi[0] + step / spaces.scales[t], xi[1])).imag / h
-    dy = (spaces.stress_coef[t, :, nm:] @ mono(xi[0], xi[1] + step / spaces.scales[t])).imag / h
+    coef = spaces.stress_coef[spaces.tri_class[t]]
+    dx = (coef[:, :nm] @ mono(xi[0] + step / spaces.scales[t], xi[1])).imag / h
+    dy = (coef[:, nm:] @ mono(xi[0], xi[1] + step / spaces.scales[t])).imag / h
     return dx + dy
 
 
@@ -348,7 +351,7 @@ def canonical_interpolation(spaces, sigma, degree=12):
 def stress_div_values(spaces, x, rule):
     """Row-wise divergence of the stress of a coefficient vector x, shape (T, 2, nq)."""
     return np.einsum("trb,tbq->trq", x[spaces.stress_map],
-                     spaces.stress_row_div_values(rule))
+                     spaces.stress_row_div_values(rule)[spaces.tri_class])
 
 
 def l2_project_rotation(spaces, q, degree=None):

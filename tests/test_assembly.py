@@ -5,8 +5,10 @@ import sympy as sp
 
 from mixedelast import (MaterialModel, MixedElastError, assemble,
                         assemble_body_load, assemble_dirichlet_load,
-                        assemble_stress_mass, build_spaces, builtin_case)
+                        assemble_stress_mass, build_spaces, build_uniform_square_mesh,
+                        builtin_case)
 from mixedelast.assembly import SeparatedField, _dirichlet_operator, _stress_block_matrices
+from mixedelast.mesh import _connect
 from mixedelast.quadrature import triangle_rule
 
 from _oracles import (_load_field, _separate, canonical_interpolation, dense_assemble,
@@ -67,7 +69,11 @@ def test_material_validation():
         MaterialModel(mu=1.0, lambda_=1.0, rho=lambda x, y: 1.0 + x)
     nan, inf = float("nan"), float("inf")
     for kwargs in ({"mu": nan}, {"mu": inf}, {"lambda_": nan}, {"lambda_": inf},
-                   {"rho": nan}, {"rho": inf}):
+                   {"rho": nan}, {"rho": inf},
+                   # not real numbers: each must fail as a MixedElastError, not a
+                   # TypeError, and True is no density of 1
+                   {"rho": "2"}, {"rho": None}, {"rho": 1 + 0j}, {"rho": True},
+                   {"mu": "2"}, {"mu": None}, {"lambda_": 2j}, {"lambda_": True}):
         with pytest.raises(MixedElastError):
             MaterialModel(**{"mu": 1.0, "lambda_": 1.0, **kwargs})
 
@@ -134,6 +140,23 @@ def test_amat_is_the_compliance_scatter(mesh_cache, k):
 def test_oracle_equivalence(spaces_cache, unit_material, n, k):
     # brute-force looped assembly on meshes of up to 8 triangles
     spaces = spaces_cache(n, k)
+    system = assemble(spaces, unit_material)
+    A, B, C, M = dense_assemble(spaces, unit_material)
+    assert np.abs(system.Amat.toarray() - A).max() <= 1e-12
+    assert np.abs(system.Bmat.toarray() - B).max() <= 1e-12
+    assert np.abs(system.Cmat.toarray() - C).max() <= 1e-12
+    assert np.abs(system.Mmat.toarray() - M).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_oracle_equivalence_without_congruent_triangles(unit_material, k):
+    # the interior vertex of the n=2 mesh moved off the grid: no two of the 8
+    # triangles are congruent, so each is a class of its own
+    mesh = build_uniform_square_mesh(2)
+    vertices = mesh.vertices.copy()
+    vertices[4] += np.random.default_rng(k).uniform(-0.1, 0.1, 2)
+    spaces = build_spaces(_connect(vertices, mesh.triangles), k)
+    assert np.array_equal(spaces.tri_class[spaces.class_tris], np.arange(8))
     system = assemble(spaces, unit_material)
     A, B, C, M = dense_assemble(spaces, unit_material)
     assert np.abs(system.Amat.toarray() - A).max() <= 1e-12
@@ -232,12 +255,13 @@ def test_dirichlet_load_cached_operator_matches_oracle(mesh_cache):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_no_stress_basis_table_outlives_assemble(mesh_cache, k):
-    # the row values and row divergences of the stress basis at the
-    # quadrature points, (T, n_row_dofs, ...), are the largest tables of
-    # assembly; nothing reads them after it, so the spaces keep none
+    # the stress basis and its tables at the quadrature points are held once
+    # per congruence class, never per triangle, (T, n_row_dofs, ...), and
+    # nothing reads the tables after assembly, so the spaces keep none
     case = builtin_case("eg2", alpha=2.2)
     spaces = build_spaces(mesh_cache(4), k)
     assemble(spaces, case.material, body_force=case.f, dirichlet_velocity=case.g)
+    assert spaces.stress_coef.shape[0] == len(np.unique(spaces.tri_class)) == 2
     assert not [key for key in spaces._cache if key[0] in ("sv", "sdiv")]
     nt, _, nd = spaces.stress_map.shape
     cached = [a for value in spaces._cache.values()
@@ -294,7 +318,7 @@ def test_separated_loads_match_oracle_and_sampled_path(mesh_cache, name, alpha, 
 def test_separated_load_evaluates_space_parts_once(mesh_cache):
     # eg2 has three body-force terms and two velocity terms: each field's
     # space parts are evaluated once, and the loads equal those assembled
-    # term by term bitwise
+    # term by term bitwise, combined as the closure does (column-major .dot)
     case = builtin_case("eg2", alpha=2.2)
     calls = []
 
@@ -311,16 +335,16 @@ def test_separated_load_evaluates_space_parts_once(mesh_cache):
     assert sorted(calls) == ["f", "v"]
 
     def term_by_term(assemble_at, field):
-        return np.column_stack([
+        return np.asfortranarray(np.column_stack([
             assemble_at(spaces, lambda t, x, y, i=i: field.psi(x, y)[i], 0.0)
-            for i in range(len(field.phi(0.0)))])
+            for i in range(len(field.phi(0.0)))]))
 
     body = term_by_term(assemble_body_load, case.f)
     bdry = term_by_term(assemble_dirichlet_load, case.v)
     for t in (0.0, 0.37, 1.0):
-        assert np.array_equal(system.load(t), body @ np.asarray(case.f.phi(t), dtype=float))
+        assert np.array_equal(system.load(t), body.dot(np.asarray(case.f.phi(t), dtype=float)))
         assert np.array_equal(system.dirichlet_load(t),
-                              bdry @ np.asarray(case.v.phi(t), dtype=float))
+                              bdry.dot(np.asarray(case.v.phi(t), dtype=float)))
 
 
 @pytest.mark.parametrize("name,alpha", [("eg1", None), ("eg2", 2.2), ("locking", None),

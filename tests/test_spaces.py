@@ -66,13 +66,24 @@ def test_stress_and_rotation_maps_number_one_range(spaces_cache, mesh_cache, k):
     assert np.count_nonzero(seen == 1) == sp.dim_stress - shared
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 32])
+def test_uniform_mesh_has_two_triangle_classes(mesh_cache, n):
+    # the two halves of a grid cell: every triangle is a translate of one
+    sp = build_spaces(mesh_cache(n), 1)
+    assert sp.stress_coef.shape[0] == len(sp.class_tris) == 2
+    assert np.array_equal(np.unique(sp.tri_class), [0, 1])
+    assert np.array_equal(sp.tri_class[sp.class_tris], [0, 1])
+    assert np.bincount(sp.tri_class).tolist() == [n * n, n * n]
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [2, 3])
 def test_physical_duality(spaces_cache, mesh_cache, n, k):
     # DOF functionals re-applied at an independent quadrature degree
     sp = spaces_cache(n, k)
     D = _stress_dof_matrices(k, sp.tri_verts, mesh_cache(n).edge_signs, degree=2 * k + 6)
-    prod = np.einsum("tij,tlj->til", D, sp.stress_coef)
+    # each triangle's own DOF matrix against its class's coefficients
+    prod = np.einsum("tij,tlj->til", D, sp.stress_coef[sp.tri_class])
     eye = np.eye(sp.stress_map.shape[2])
     assert np.abs(prod - eye).max() <= 1e-12
 
@@ -101,8 +112,9 @@ def test_normal_trace_continuity(spaces_cache, mesh_cache, k):
             xi = (pts - sp.centers[t]) / sp.scales[t]
             from mixedelast.polynomials import eval_monomials
             mv = eval_monomials(sp.stress_exps, xi[:, 0], xi[:, 1])
-            vx = sp.stress_coef[t, :, :nm] @ mv
-            vy = sp.stress_coef[t, :, nm:] @ mv
+            coef = sp.stress_coef[sp.tri_class[t]]
+            vx = coef[:, :nm] @ mv
+            vy = coef[:, nm:] @ mv
             vn = vx * nrm[0] + vy * nrm[1]  # (nd, npts)
             for loc, gdof in enumerate(sp.stress_map[t, 0]):
                 if gdof in traces:

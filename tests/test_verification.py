@@ -305,7 +305,7 @@ def test_projection_error_orthogonal_to_divergence():
     X = spaces.physical_points(rule)
     resid = (np.moveaxis(case.v(t, X[..., 0], X[..., 1]), 0, 1)
              - spaces.velocity_values(ph, rule))
-    DV = spaces.stress_row_div_values(rule)
+    DV = spaces.stress_row_div_values(rule)[spaces.tri_class]
     # moments (div phi_(r,b), e_v^P) per triangle and row dof
     mom = np.einsum("tq,tbq,trq->rtb", W, DV, resid)
     out = np.zeros(spaces.dim_x)
