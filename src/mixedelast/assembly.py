@@ -16,8 +16,10 @@ exact inverse M^-1 of the block-diagonal M and K_r = B^T M^-1 B.
 Every matrix and the boundary operator are summed from local matrices by one
 `_scatter` through the global numbering that `DiscreteSpaces` states and
 carries as ``stress_map``, ``velocity_map`` and ``rotation_map``; the loads
-are moments in the same numbering.  Local matrices are formed once per
-congruence class of triangles (see `DiscreteSpaces`), gathered by ``tri_class``.
+are moments in the same numbering.  Every local matrix is formed once per
+congruence class of triangles (see `DiscreteSpaces`) from one set of class
+tables and gathered by ``tri_class``; the compliance has one formula, and the
+L2 stress mass is its value at mu = 1/2, lambda = 0.
 """
 
 from __future__ import annotations
@@ -108,67 +110,42 @@ def _scatter(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sp
     return out
 
 
-def _stress_block_matrices(spaces: DiscreteSpaces, material: MaterialModel | None,
-                           V: np.ndarray):
-    """Stress-stress matrix from the row basis values V of each class at the
-    degree 2k + 2 rule: compliance pairing, or plain L2 mass if material is None."""
-    W = spaces.quad_weights(triangle_rule(2 * spaces.k + 2))[spaces.class_tris]
+def _class_tables(spaces: DiscreteSpaces):
+    """The tables every local matrix is formed from, at the degree 2k + 2
+    rule: the weights W (class, nq) of each class's triangle, its stress row
+    values V (class, n_row_dofs, 2, nq) and divergences DV (class,
+    n_row_dofs, nq), and the P_{k-1} basis psi (m, nq)."""
+    rule = triangle_rule(2 * spaces.k + 2)
+    return (spaces.dets[spaces.class_tris, None] * rule.weights, spaces.stress_row_values(rule),
+            spaces.stress_row_div_values(rule), spaces.scalar_values(rule))
+
+
+def _compliance(spaces: DiscreteSpaces, W: np.ndarray, V: np.ndarray, mu: float,
+                lam: float) -> sps.csr_matrix:
+    """Stress-stress compliance matrix (A phi_j, phi_i) of the Lame
+    coefficients (mu, lam), from the class weights W and row values V."""
     G = np.einsum("tapq,tbrq->prtab", V * W[:, None, None, :], V)  # test comp p, trial comp r
-    dot = G[0, 0] + G[1, 1]
-    shape = (spaces.dim_x, spaces.dim_x)
-    if material is None:  # row r of a test function pairs with row r only
-        return _scatter(dot[spaces.tri_class, None], spaces.stress_map, spaces.stress_map, shape)
-    mu, lam = material.mu, material.lambda_
     c = lam / (2.0 * mu * (2.0 * mu + 2.0 * lam))
     Gt = G.swapaxes(0, 1)
     blocks = Gt * (1.0 / (4.0 * mu))
     blocks -= c * G  # (test row s, trial row r, class, a, b)
     blocks -= 0.5 * Gt
     for s in range(2):
-        blocks[s, s] += (1.0 / (4.0 * mu) + 0.5) * dot
+        blocks[s, s] += (1.0 / (4.0 * mu) + 0.5) * (G[0, 0] + G[1, 1])
     rows = spaces.stress_map.transpose(1, 0, 2)
     # gathered in C order, so that _scatter needs no copy
-    return _scatter(np.take(blocks, spaces.tri_class, axis=2), rows[:, None], rows[None], shape)
-
-
-def _b_matrix(spaces: DiscreteSpaces, degree: int) -> sps.csr_matrix:
-    rule = triangle_rule(degree)
-    DV = spaces.stress_row_div_values(rule)
-    W = spaces.quad_weights(rule)[spaces.class_tris]
-    psi = spaces.scalar_values(rule)
-    loc = np.einsum("tq,iq,tbq->tib", W, psi, DV)  # (class, m, nd), one per component
-    return _scatter(loc[spaces.tri_class, None], spaces.velocity_map, spaces.stress_map,
-                    (spaces.dim_velocity, spaces.dim_x))
-
-
-def _c_matrix(spaces: DiscreteSpaces, V: np.ndarray, degree: int) -> sps.csr_matrix:
-    # (phi, S(chi)) with S(q) = [[0, q], [-q, 0]]: rotation chi pairs with
-    # phi[0, 1] - phi[1, 0], i.e. +v_y for row-0 fields, -v_x for row-1 fields.
-    rule = triangle_rule(degree)
-    W = spaces.quad_weights(rule)[spaces.class_tris]
-    psi = spaces.scalar_values(rule)
-    loc = np.stack([np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 1, :]),
-                    -np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 0, :])], axis=1)
-    return _scatter(loc[spaces.tri_class], spaces.rotation_map[:, None], spaces.stress_map,
+    return _scatter(np.take(blocks, spaces.tri_class, axis=2), rows[:, None], rows[None],
                     (spaces.dim_x, spaces.dim_x))
 
 
-def _m_matrices(spaces: DiscreteSpaces, material: MaterialModel, degree: int):
-    """M and its exact inverse M^-1, scattered from the m x m local mass
-    blocks and their inverses, one per class and velocity component."""
-    rule = triangle_rule(degree)
-    W = spaces.quad_weights(rule)[spaces.class_tris] * material.rho
-    psi = spaces.scalar_values(rule)
-    loc = np.einsum("tq,iq,jq->tij", W, psi, psi)  # (class, m, m), one per component
-    vmap, shape = spaces.velocity_map, (spaces.dim_velocity, spaces.dim_velocity)
-    return (_scatter(loc[spaces.tri_class, None], vmap, vmap, shape),
-            _scatter(np.linalg.inv(loc)[spaces.tri_class, None], vmap, vmap, shape))
-
-
 def assemble_stress_mass(spaces: DiscreteSpaces) -> sps.csr_matrix:
-    """Plain L2 mass matrix (phi_j, phi_i) of the stresses, on the range of x."""
-    return _stress_block_matrices(spaces, None,
-                                  spaces.stress_row_values(triangle_rule(2 * spaces.k + 2)))
+    """Plain L2 mass matrix (phi_j, phi_i) of the stresses, on the range of x.
+
+    It is the compliance of mu = 1/2, lambda = 0, exactly: the blocks that
+    couple different tensor rows are 0.5 G^T - 0 G - 0.5 G^T = 0, which
+    `_scatter` drops, and the factor of the row-by-row pairing is 1."""
+    W, V, _, _ = _class_tables(spaces)
+    return _compliance(spaces, W, V, 0.5, 0.0)
 
 
 def assemble(spaces: DiscreteSpaces, material: MaterialModel,
@@ -185,12 +162,21 @@ def assemble(spaces: DiscreteSpaces, material: MaterialModel,
     for name, field in (("body_force", body_force), ("dirichlet_velocity", dirichlet_velocity)):
         if field is not None and not isinstance(field, SeparatedField):
             raise MixedElastError(f"{name} must be a SeparatedField or None")
-    degree = 2 * spaces.k + 2
-    V = spaces.stress_row_values(triangle_rule(degree))
-    C = _c_matrix(spaces, V, degree)
-    E = _stress_block_matrices(spaces, material, V) + C + C.T
-    B = _b_matrix(spaces, degree)
-    M, Minv = _m_matrices(spaces, material, degree)
+    W, V, DV, psi = _class_tables(spaces)
+    velocity, stress, tc = spaces.velocity_map, spaces.stress_map, spaces.tri_class
+    shape_v = (spaces.dim_velocity, spaces.dim_velocity)
+    # (phi, S(chi)) with S(q) = [[0, q], [-q, 0]]: rotation chi pairs with
+    # phi[0, 1] - phi[1, 0], i.e. +v_y for row-0 fields, -v_x for row-1 fields.
+    C_T = np.stack([np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 1, :]),
+                    -np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 0, :])], axis=1)
+    C = _scatter(C_T[tc], spaces.rotation_map[:, None], stress, (spaces.dim_x, spaces.dim_x))
+    E = _compliance(spaces, W, V, material.mu, material.lambda_) + C + C.T
+    B_T = np.einsum("tq,iq,tbq->tib", W, psi, DV)  # (class, m, nd), one per component
+    B = _scatter(B_T[tc, None], velocity, stress, (spaces.dim_velocity, spaces.dim_x))
+    # M and its exact inverse from the m x m local mass blocks, one per component
+    M_T = np.einsum("tq,iq,jq->tij", W * material.rho, psi, psi)
+    M = _scatter(M_T[tc, None], velocity, velocity, shape_v)
+    Minv = _scatter(np.linalg.inv(M_T)[tc, None], velocity, velocity, shape_v)
     return BlockSystem(
         # as CSR, so that each E_r + s^2 K_r adds two canonical CSR matrices
         Emat=E, Bmat=B, Cmat=C, Mmat=M, Minv=Minv, Kmat=(B.T @ (Minv @ B)).tocsr(),
@@ -236,9 +222,7 @@ def assemble_body_load(spaces: DiscreteSpaces, f: Callable, t: float) -> np.ndar
 def _dirichlet_operator(spaces: DiscreteSpaces):
     """Boundary quadrature points (nbe, nqe, 2) of the degree 2k + 4 rule and
     the sparse operator that maps g sampled there, flattened from (2, nbe,
-    nqe), to the boundary load on the range of x; cached on the spaces."""
-    if "dirichlet" in spaces._cache:
-        return spaces._cache["dirichlet"]
+    nqe), to the boundary load on the range of x; built where it is used."""
     mesh = spaces.mesh
     edges = mesh.boundary_edges
     tris = mesh.edge_triangles()[edges, 0]
@@ -260,10 +244,8 @@ def _dirichlet_operator(spaces: DiscreteSpaces):
     weights = length[:, None, None] * rule.weights[None, None, :] * vdotnu  # (nbe, nd, nqe)
     nbe, _, nqe = weights.shape
     samples = np.arange(2 * nbe * nqe).reshape(2, nbe, nqe).transpose(1, 0, 2)
-    op = _scatter(weights[:, None], spaces.stress_map[tris], samples,
-                  (spaces.dim_x, 2 * nbe * nqe))
-    spaces._cache["dirichlet"] = (pts, op)
-    return pts, op
+    return pts, _scatter(weights[:, None], spaces.stress_map[tris], samples,
+                         (spaces.dim_x, 2 * nbe * nqe))
 
 
 def _dirichlet_load_map(spaces: DiscreteSpaces):
@@ -278,9 +260,8 @@ def assemble_dirichlet_load(spaces: DiscreteSpaces, g: Callable, t: float) -> np
     at the stresses and zeros at the rotations.
 
     Every boundary edge carries the velocity data: traction conditions are
-    essential in this formulation and are not supported.  The boundary
-    geometry and basis traces are built once per spaces; a call samples g
-    and applies one sparse operator.
+    essential in this formulation and are not supported.  A call builds the
+    boundary operator, samples g and applies the operator once.
     """
     pts, apply = _dirichlet_load_map(spaces)
     return apply(_sample(g, t, pts))

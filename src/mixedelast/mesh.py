@@ -75,34 +75,25 @@ def _connect(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     if np.any(areas <= 0.0):
         raise GeometryError("all triangles must be counterclockwise with positive area")
 
-    edge_index: dict[tuple[int, int], int] = {}
-    edge_list: list[tuple[int, int]] = []
-    tri_edges = np.empty_like(triangles)
-    signs = np.empty_like(triangles)
-    edge_count = np.zeros(3 * len(triangles), dtype=int)
-    for t, tri in enumerate(triangles):
-        for loc in range(3):
-            a, b = int(tri[loc]), int(tri[(loc + 1) % 3])
-            key = (min(a, b), max(a, b))
-            e = edge_index.get(key)
-            if e is None:
-                e = len(edge_list)
-                edge_index[key] = e
-                edge_list.append(key)
-            tri_edges[t, loc] = e
-            signs[t, loc] = 1 if a < b else -1
-            edge_count[e] += 1
-    edges = np.array(edge_list, dtype=int)
-    edge_count = edge_count[: len(edges)]
+    # local edge l runs from local vertex l to l + 1; its sorted vertex pair
+    # is one integer, and an edge is numbered at its first appearance in
+    # triangle-major order
+    start, end = triangles.ravel(), np.roll(triangles, -1, axis=1).ravel()
+    low, high = np.minimum(start, end), np.maximum(start, end)
+    _, first, inverse, edge_count = np.unique(low * len(vertices) + high, return_index=True,
+                                              return_inverse=True, return_counts=True)
+    rank = np.argsort(first)
+    number = np.empty_like(rank)
+    number[rank] = np.arange(len(rank))
     if np.any(edge_count > 2):
         raise GeometryError("non-manifold edge found")
     return Mesh(
         vertices=vertices,
         triangles=triangles,
-        edges=edges,
-        triangle_edges=tri_edges,
-        edge_signs=signs,
-        boundary_edges=np.flatnonzero(edge_count == 1),
+        edges=np.column_stack([low, high])[first[rank]].astype(int),
+        triangle_edges=number[inverse].reshape(triangles.shape).astype(triangles.dtype),
+        edge_signs=np.where(start < end, 1, -1).reshape(triangles.shape).astype(triangles.dtype),
+        boundary_edges=np.flatnonzero(edge_count[rank] == 1),
     )
 
 
@@ -118,17 +109,10 @@ def build_uniform_square_mesh(n: int) -> Mesh:
     xv, yv = np.meshgrid(s, s, indexing="ij")
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
 
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    triangles = np.array(tris, dtype=int)
+    vid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)  # vertex (i, j) at i (n+1) + j
+    a, b, c, d = vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]
+    # cell (i, j) in row-major order gives triangles (a, b, c) and (a, c, d)
+    triangles = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
     return _connect(vertices, triangles)
 
 

@@ -48,13 +48,13 @@ def reference_triangle_moment(a: int, b: int) -> float:
     return factorial(a) * factorial(b) / factorial(a + b + 2)
 
 
-def monomial_gram(exps: np.ndarray, weight: float = 2.0) -> np.ndarray:
-    """Exact Gram matrix of the monomials against ``weight * dx`` on T."""
+def monomial_gram(exps: np.ndarray) -> np.ndarray:
+    """Exact Gram matrix of the monomials against the doubled measure 2 dx on T."""
     n = len(exps)
     gram = np.empty((n, n))
     for i, (ai, bi) in enumerate(exps):
         for j, (aj, bj) in enumerate(exps):
-            gram[i, j] = weight * reference_triangle_moment(ai + aj, bi + bj)
+            gram[i, j] = 2.0 * reference_triangle_moment(ai + aj, bi + bj)
     return gram
 
 

@@ -253,9 +253,13 @@ class DiscreteSpaces:
         vy = np.einsum("tbm,mtq->tbq", coef[:, :, nm:], mv)
         return np.stack([vx, vy], axis=2)
 
+    def _class_points(self, rule: QuadratureRule) -> np.ndarray:
+        """Rule points (n_classes, nq, 2) of the triangles ``class_tris``."""
+        return np.einsum("ql,tld->tqd", rule.points, self.tri_verts[self.class_tris])
+
     def stress_row_values(self, rule: QuadratureRule) -> np.ndarray:
         """Row basis values at rule points per class, (n_classes, n_row_dofs, 2, nq)."""
-        return self.stress_basis(self.physical_points(rule)[self.class_tris], self.class_tris)
+        return self.stress_basis(self._class_points(rule), self.class_tris)
 
     def stress_row_div_values(self, rule: QuadratureRule) -> np.ndarray:
         """Row basis divergences at rule points per class, (n_classes, n_row_dofs, nq)."""
@@ -263,8 +267,7 @@ class DiscreteSpaces:
         dxm, dym = poly.monomial_derivative_matrices(self.stress_exps)
         dcoef = self.stress_coef[:, :, :nm] @ dxm.T + self.stress_coef[:, :, nm:] @ dym.T
         dcoef /= self.scales[reps, None, None]
-        mv = self._monomials(self.physical_points(rule)[reps], reps)
-        return np.einsum("tbm,mtq->tbq", dcoef, mv)
+        return np.einsum("tbm,mtq->tbq", dcoef, self._monomials(self._class_points(rule), reps))
 
     def scalar_values(self, rule: QuadratureRule) -> np.ndarray:
         """P_{k-1} basis values at reference rule points, shape (m, nq)."""

@@ -5,12 +5,12 @@ quadrature degree and its own compliance formula, independent of the
 vectorized production kernels.  The exception is the bare-(E, G) step
 kernels at the end: they run the solver's own update per tableau, with an
 LU of the full step matrix, so that the scalar checks test that code.
-Mesh refinement, triangle areas and the energy of a state are reference
-formulas that only the tests use.  So are the canonical stress interpolant,
-the rotation projection, the row-wise stress divergence, the compliance
-saddle solve and the RadauIIA displacement update, and the error
-decomposition that the criterion-4 diagnosis runs: no command of the package
-needs them.  The manufactured cases have a symbolic
+The edge numbering, mesh refinement, triangle areas and the energy of a
+state are reference formulas that only the tests use.  So are the canonical
+stress interpolant, the rotation projection, the row-wise stress divergence,
+the compliance saddle solve and the RadauIIA displacement update, and the
+error decomposition that the criterion-4 diagnosis runs: no command of the
+package needs them.  The manufactured cases have a symbolic
 reference here too: sympy differentiates a displacement, splits the loads
 into time-space terms and lambdifies every field, so that the closed forms
 of the built-in cases are checked against an independent derivation.
@@ -26,7 +26,7 @@ import sympy as sp
 from mixedelast import dynamics, statics
 from mixedelast.assembly import MaterialModel, SeparatedField, assemble_stress_mass
 from mixedelast.dynamics import CN, integrate
-from mixedelast.mesh import _connect
+from mixedelast.mesh import Mesh, _connect
 from mixedelast.quadrature import edge_rule, triangle_rule
 from mixedelast.polynomials import (edge_legendre_basis, eval_edge_polynomials,
                                     eval_monomials)
@@ -47,6 +47,30 @@ def isotropic_stiffness_apply(tau, material):
     sym = 0.5 * (tau + tau.T)
     return (2 * material.mu * sym + material.lambda_ * np.trace(tau) * np.eye(2)
             + (tau - sym))
+
+
+def reference_connect(vertices, triangles):
+    """`mesh._connect` as a per-triangle dictionary loop: each edge is numbered
+    at its first appearance, local edge l joining local vertices l and l + 1."""
+    edge_index, edge_list = {}, []
+    tri_edges = np.empty_like(triangles)
+    signs = np.empty_like(triangles)
+    edge_count = np.zeros(3 * len(triangles), dtype=int)
+    for t, tri in enumerate(triangles):
+        for loc in range(3):
+            a, b = int(tri[loc]), int(tri[(loc + 1) % 3])
+            key = (min(a, b), max(a, b))
+            e = edge_index.get(key)
+            if e is None:
+                e = len(edge_list)
+                edge_index[key] = e
+                edge_list.append(key)
+            tri_edges[t, loc] = e
+            signs[t, loc] = 1 if a < b else -1
+            edge_count[e] += 1
+    return Mesh(vertices=vertices, triangles=triangles, edges=np.array(edge_list, dtype=int),
+                triangle_edges=tri_edges, edge_signs=signs,
+                boundary_edges=np.flatnonzero(edge_count[:len(edge_list)] == 1))
 
 
 def refine(mesh):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from mixedelast import GeometryError, build_uniform_square_mesh, mesh_diameter
+from mixedelast.mesh import _connect
 
-from _oracles import refine, triangle_areas
+from _oracles import reference_connect, refine, triangle_areas
 
 
 def test_single_cell_counts():
@@ -92,3 +93,39 @@ def test_mesh_diameter():
     assert mesh_diameter(build_uniform_square_mesh(8)) == pytest.approx(np.sqrt(2) / 8, abs=1e-15)
     m = build_uniform_square_mesh(2)
     assert mesh_diameter(refine(m)) == pytest.approx(mesh_diameter(m) / 2, abs=1e-15)
+
+
+def _jittered(n, seed=4):
+    """The uniform n x n mesh with its interior vertices moved off the grid."""
+    mesh = build_uniform_square_mesh(n)
+    vertices = mesh.vertices.copy()
+    inner = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+    vertices[inner] += np.random.default_rng(seed).uniform(-0.2 / n, 0.2 / n, (inner.sum(), 2))
+    return _connect(vertices, mesh.triangles)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_uniform_square_mesh(1), lambda: build_uniform_square_mesh(3),
+    lambda: build_uniform_square_mesh(8), lambda: refine(build_uniform_square_mesh(3)),
+    lambda: _jittered(4)], ids=["uniform-1", "uniform-3", "uniform-8", "refined-3", "jittered-4"])
+def test_connectivity_matches_reference_numbering(build):
+    mesh = build()
+    ref = reference_connect(mesh.vertices, mesh.triangles)
+    for name in ("vertices", "triangles", "edges", "triangle_edges", "edge_signs",
+                 "boundary_edges"):
+        got, want = getattr(mesh, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert np.array_equal(mesh.edge_triangles(), ref.edge_triangles())
+
+
+def test_clockwise_triangle_rejected():
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(GeometryError, match="counterclockwise"):
+        _connect(vertices, np.array([[0, 2, 1]]))
+
+
+def test_edge_of_three_triangles_rejected():
+    # three counterclockwise triangles on the edge from (0, 0) to (1, 0)
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    with pytest.raises(GeometryError, match="non-manifold"):
+        _connect(vertices, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]))
