@@ -31,15 +31,15 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sps
 
-from .errors import MixedElastError
+from .errors import ConfigError, MixedElastError
 from .quadrature import edge_rule, triangle_rule
 from .spaces import DiscreteSpaces, _unit_normals
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaterialModel:
     """Isotropic material data: the Lame coefficients and the density, each a
-    positive finite constant."""
+    positive finite constant; frozen, so a model stays valid."""
 
     mu: float
     lambda_: float
@@ -49,7 +49,7 @@ class MaterialModel:
         for name in ("mu", "lambda_", "rho"):
             value = getattr(self, name)  # a bool is an int, but no material constant
             if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < np.inf:
-                raise MixedElastError(f"{name} must be a positive finite constant, got {value!r}")
+                raise ConfigError(f"{name} must be a positive finite constant, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .assembly import BlockSystem
-from .errors import MixedElastError, SingularSystemError
+from .errors import ConfigError, SingularSystemError
 from . import statics
 from .statics import InitialData
 
@@ -171,12 +171,15 @@ class _Stepper:
 
 def step_count(dt: float, T0: float) -> int:
     """The number of steps of size dt from 0 to T0.  T0 and dt must be
-    positive and finite, and dt must divide T0 within 1e-12 max(1, T0)."""
+    positive and finite, dt must advance t at T0 (T0 + dt > T0), and dt must
+    divide T0 within 1e-12 max(1, T0)."""
     if not (0 < T0 < np.inf and 0 < dt < np.inf):
-        raise MixedElastError("T0 and dt must be positive and finite")
+        raise ConfigError("T0 and dt must be positive and finite")
+    if T0 + dt == T0:
+        raise ConfigError(f"dt={dt} is below the resolution of T0={T0}")
     n_steps = int(round(T0 / dt))
     if n_steps < 1 or abs(n_steps * dt - T0) > 1e-12 * max(1.0, T0):
-        raise MixedElastError(f"dt={dt} does not divide T0={T0}")
+        raise ConfigError(f"dt={dt} does not divide T0={T0}")
     return n_steps
 
 
@@ -189,10 +192,11 @@ def integrate(system: BlockSystem, initial: InitialData, scheme: str, dt: float,
     weak-symmetry constraint drift ||C sigma_n - C sigma_0|| per step.
     """
     if scheme not in SCHEMES:
-        raise MixedElastError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     n_steps = step_count(dt, T0)
     stepper = _Stepper(system, scheme, dt)
     n, rot = stepper.n, system.spaces.rotation_map.ravel()
+    stress = np.delete(np.arange(n), rot)
     y = np.concatenate([initial.x0, initial.v0])
     ey, u = stepper.eprod(y), initial.u0.copy()
     c_ref = ey[rot]
@@ -208,7 +212,7 @@ def integrate(system: BlockSystem, initial: InitialData, scheme: str, dt: float,
         times[i] = t
         energies[i] = 0.5 * float(y @ ey) - float(state.x[rot] @ c_sigma)
         cnorms[i] = np.linalg.norm(c_sigma - c_ref)
-        anorms[i] = np.linalg.norm(np.delete(state.x, rot))
+        anorms[i] = np.linalg.norm(state.x[stress])
         for obs in observers:
             obs(i, t, state, system)
         return state

@@ -14,4 +14,6 @@ class SingularSystemError(MixedElastError):
 
 
 class ConfigError(MixedElastError):
-    """Invalid run configuration."""
+    """An invalid input.  The library raises it where it checks one (a
+    material constant, a degree, a step size, a case), so the command line
+    exits 2 wherever the input is caught."""

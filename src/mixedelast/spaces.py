@@ -26,7 +26,7 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import splu
 
 from . import polynomials as poly
-from .errors import GeometryError, MixedElastError
+from .errors import ConfigError, GeometryError
 from .mesh import Mesh
 from .quadrature import QuadratureRule, edge_rule, triangle_rule
 
@@ -197,28 +197,24 @@ class DiscreteSpaces:
     centers: np.ndarray
     scales: np.ndarray
     dets: np.ndarray             # 2 * triangle areas
+    dim_x: int                   # length of the stress and rotation range
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim_stress(self) -> int:
-        k, m = self.k, self.mesh
-        return 2 * ((k + 1) * m.num_edges + (k**2 - 1) * m.num_triangles)
-
-    @property
-    def dim_x(self) -> int:
-        return self.dim_stress + self.dim_rotation
+        return self.dim_x - self.dim_rotation
 
     @property
     def n_scalar(self) -> int:
-        return self.k * (self.k + 1) // 2
+        return self.rotation_map.shape[1]
 
     @property
     def dim_velocity(self) -> int:
-        return self.mesh.num_triangles * self.k * (self.k + 1)
+        return self.velocity_map.size
 
     @property
     def dim_rotation(self) -> int:
-        return self.mesh.num_triangles * self.k * (self.k + 1) // 2
+        return self.rotation_map.size
 
     @property
     def areas(self) -> np.ndarray:
@@ -303,10 +299,10 @@ class DiscreteSpaces:
         return np.einsum("tj,jq->tq", x[self.rotation_map], psi)
 
 
-def _entity_positions(mesh: Mesh, k: int, stress: np.ndarray, m: int) -> np.ndarray:
+def _entity_positions(mesh: Mesh, entity: np.ndarray, stress: np.ndarray, m: int) -> np.ndarray:
     """Positions in a symmetric fill-reducing order of the stress unknowns,
-    numbered by entity (edges, then triangles) and row in ``stress`` (T, 2,
-    n_row_dofs), followed by the rotation unknowns, numbered t m + j.
+    numbered by row, then by the mesh entity ``entity`` of each row DOF, and
+    met in ``stress`` (T, 2, n_row_dofs); then the rotations, numbered t m + j.
 
     The mesh entities (edges and triangles) are ranked by a minimum-degree
     ordering of the graph with one clique {T, e1, e2, e3} per triangle, the
@@ -325,8 +321,6 @@ def _entity_positions(mesh: Mesh, k: int, stress: np.ndarray, m: int) -> np.ndar
         shape=(ne + nt, ne + nt)) + 20.0 * sps.identity(ne + nt, format="csc")
     rank = splu(graph, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True}).perm_c
-    entity = np.concatenate([np.repeat(np.arange(ne), k + 1),
-                             ne + np.repeat(np.arange(nt), k * k - 1)])
     pos = np.empty(2 * len(entity))
     pos[np.argsort(np.tile(rank[entity], 2), kind="stable")] = np.arange(len(pos))
     tri = np.sort(pos[stress].reshape(nt, -1), axis=1)
@@ -340,7 +334,7 @@ def _entity_positions(mesh: Mesh, k: int, stress: np.ndarray, m: int) -> np.ndar
 def build_spaces(mesh: Mesh, k: int) -> DiscreteSpaces:
     """Build the degree-k triple on a mesh; k must be 1, 2, or 3."""
     if k not in SUPPORTED_DEGREES:
-        raise MixedElastError(f"unsupported degree k={k}; expected one of {SUPPORTED_DEGREES}")
+        raise ConfigError(f"unsupported degree k={k}; expected one of {SUPPORTED_DEGREES}")
     verts, nt = mesh.vertices[mesh.triangles], mesh.num_triangles
     # a class: the same edge vectors, as stored, and the same edge signs
     key = np.column_stack([(verts[:, 1:] - verts[:, :1]).reshape(nt, 4), mesh.edge_signs])
@@ -350,21 +344,22 @@ def build_spaces(mesh: Mesh, k: int) -> DiscreteSpaces:
     centers, scales, dets, _ = _triangle_geometry(verts)
     scalar_exps, scalar_coef = poly.orthonormal_scalar_basis(k - 1)
 
-    m, n_int = len(scalar_exps), k**2 - 1
-    base = (k + 1) * mesh.num_edges
+    m, ne, n_int = len(scalar_exps), mesh.num_edges, k**2 - 1
+    # the entity of each DOF of one tensor row: k + 1 per edge, then n_int per triangle
+    entity = np.concatenate([np.repeat(np.arange(ne), k + 1), ne + np.repeat(np.arange(nt), n_int)])
+    base, n_row = (k + 1) * ne, len(entity)
     edge_dofs = mesh.triangle_edges[:, :, None] * (k + 1) + np.arange(k + 1)
     row_map = np.concatenate([edge_dofs.reshape(nt, -1),
                               base + np.arange(nt)[:, None] * n_int + np.arange(n_int)], axis=1)
-    n_row = base + n_int * nt
     stress = row_map[:, None, :] + n_row * np.arange(2)[:, None]
-    positions = _entity_positions(mesh, k, stress, m)
+    positions = _entity_positions(mesh, entity, stress, m)
     return DiscreteSpaces(
         mesh=mesh, k=k, stress_exps=poly.monomial_exponents(k), scalar_exps=scalar_exps,
         scalar_coef=scalar_coef, stress_coef=coef, tri_class=tri_class, class_tris=reps,
         stress_map=positions[stress],
         velocity_map=np.arange(2 * nt * m).reshape(nt, 2, m),
         rotation_map=positions[2 * n_row + np.arange(nt * m).reshape(nt, m)],
-        tri_verts=verts, centers=centers, scales=scales, dets=dets,
+        tri_verts=verts, centers=centers, scales=scales, dets=dets, dim_x=len(positions),
     )
 
 

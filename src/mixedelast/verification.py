@@ -19,7 +19,7 @@ import numpy as np
 
 from .assembly import MaterialModel, SeparatedField, assemble
 from .dynamics import CN, integrate
-from .errors import MixedElastError
+from .errors import ConfigError, MixedElastError
 from .mesh import build_uniform_square_mesh
 from .quadrature import triangle_rule
 from .spaces import DiscreteSpaces, build_spaces
@@ -164,7 +164,7 @@ def builtin_case(name: str, alpha: float | None = None, mu: float = 1.0,
     """
     name = name.lower()
     if name not in BUILTIN_CASES:
-        raise MixedElastError(f"unknown case {name!r}; expected one of {BUILTIN_CASES}")
+        raise ConfigError(f"unknown case {name!r}; expected one of {BUILTIN_CASES}")
     material = MaterialModel(mu=mu, lambda_=lam, rho=rho)
     rebuild = lambda lam_new: builtin_case(name, alpha=alpha, mu=mu, lam=lam_new, rho=rho)
 
@@ -172,7 +172,7 @@ def builtin_case(name: str, alpha: float | None = None, mu: float = 1.0,
         groups = [(_SIN_T, (_SIN, _SIN), (_BUBBLE, _BUBBLE))]
     elif name == "eg2":
         if alpha is None or not (np.isfinite(alpha) and alpha > 1.5):
-            raise MixedElastError("eg2 requires a finite regularity parameter alpha > 3/2")
+            raise ConfigError("eg2 requires a finite regularity parameter alpha > 3/2")
         x_alpha, x2 = _power(alpha), _power(2)
         groups = [((((1, _ONE), (1, _T2)), ((2, _T),), ((2, _ONE),)),  # 1 + t^2
                    (x_alpha, x2), None),
@@ -234,40 +234,26 @@ class ConvergenceTable:
             out.append(np.log2(prev / cur))
         return out
 
-    def row_tuples(self):
-        rows = []
+    def _rows(self, blank: str):
+        """The cells of each row: 1/h, then each field's error and order, with
+        ``blank`` for the orders of the first row."""
         ords = {f: self.orders(f) for f in self.FIELDS}
         for i, n in enumerate(self.inv_h):
-            row = [n]
+            cells = [str(n)]
             for f in self.FIELDS:
-                row.append(self.errors[f][i])
-                row.append(ords[f][i])
-            rows.append(tuple(row))
-        return rows
+                order = ords[f][i]
+                cells += [f"{self.errors[f][i]:.2e}", blank if order is None else f"{order:.2f}"]
+            yield cells
 
     def to_csv(self) -> str:
         lines = ["inv_h,err_sigma,ord_sigma,err_v,ord_v,err_u,ord_u,err_r,ord_r"]
-        for row in self.row_tuples():
-            cells = [str(row[0])]
-            for err, order in zip(row[1::2], row[2::2]):
-                cells.append(f"{err:.2e}")
-                cells.append("" if order is None else f"{order:.2f}")
-            lines.append(",".join(cells))
+        lines += [",".join(cells) for cells in self._rows("")]
         return "\n".join(lines) + "\n"
 
     def format_table(self) -> str:
-        header = ["1/h"]
-        for f in self.FIELDS:
-            header += [f"err_{f}", "order"]
-        widths = [9] * len(header)
-        lines = ["".join(h.rjust(w) for h, w in zip(header, widths))]
-        for row in self.row_tuples():
-            cells = [str(row[0])]
-            for err, order in zip(row[1::2], row[2::2]):
-                cells.append(f"{err:.2e}")
-                cells.append("--" if order is None else f"{order:.2f}")
-            lines.append("".join(c.rjust(w) for c, w in zip(cells, widths)))
-        return "\n".join(lines)
+        header = ["1/h"] + [h for f in self.FIELDS for h in (f"err_{f}", "order")]
+        return "\n".join("".join(c.rjust(9) for c in cells)
+                         for cells in [header, *self._rows("--")])
 
 
 def _build_system(material: MaterialModel, k: int, n: int,
@@ -309,7 +295,7 @@ def convergence_study(case: MmsCase, k: int, scheme: str, n_list: Sequence[int],
     n_list = list(n_list)
     for prev, cur in zip(n_list, n_list[1:]):
         if cur != 2 * prev:
-            raise MixedElastError("n_list must double at each refinement")
+            raise ConfigError("n_list must double at each refinement")
     errors = {f: [] for f in ConvergenceTable.FIELDS}
     for n in n_list:
         errs, _, _ = run_case(case, k, scheme, n, dt_rule)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -75,6 +77,15 @@ def test_material_validation():
                    {"mu": "2"}, {"mu": None}, {"lambda_": 2j}, {"lambda_": True}):
         with pytest.raises(MixedElastError):
             MaterialModel(**{"mu": 1.0, "lambda_": 1.0, **kwargs})
+
+
+@pytest.mark.parametrize("name", ["mu", "lambda_", "rho"])
+def test_material_is_frozen(name):
+    # a validated material cannot be made invalid after the fact
+    material = MaterialModel(mu=1.0, lambda_=1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(material, name, -1.0)
+    assert (material.mu, material.lambda_, material.rho) == (1.0, 1.0, 1.0)
 
 
 def test_block_sizes(spaces_cache, unit_material):

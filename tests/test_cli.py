@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
-from mixedelast import verification
+from mixedelast import (InitialData, MaterialModel, build_spaces, build_uniform_square_mesh,
+                        cli, integrate, verification)
 from mixedelast.cli import main, parse_config
+from mixedelast.dynamics import step_count
 from mixedelast.errors import ConfigError
 
 # verification attributes that a benchmark tracer wraps from outside the package
@@ -243,10 +246,47 @@ def test_solver_error_exit_code(capsys, monkeypatch):
     ["run", "--t0", "nan"],
     ["run", "--dt", "nan"],
     ["converge", "--case", "eg2", "--alpha", "nan"],
+    ["run", "--n", "2", "--dt", "1e-300"],  # dt cannot advance t: t0 + dt == t0
+    ["run", "--n", "2", "--t0", "1e300"],
 ], ids=" ".join)
 def test_invalid_sizes_are_config_errors(argv, capsys):
     assert main(argv) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def _integrate_with_unknown_scheme():
+    system = verification._build_system(MaterialModel(mu=1.0, lambda_=1.0), 1, 1)
+    nx, nv = system.spaces.dim_x, system.spaces.dim_velocity
+    initial = InitialData(x0=np.zeros(nx), v0=np.zeros(nv), u0=np.zeros(nv))
+    integrate(system, initial, "euler", 0.5, 1.0)
+
+
+# each input check of the library raises ConfigError, so that the command line
+# exits 2 wherever an invalid input is caught
+@pytest.mark.parametrize("call", [
+    lambda: MaterialModel(mu=-1, lambda_=1),
+    lambda: step_count(0.3, 1.0),
+    lambda: step_count(1e-300, 1.0),
+    _integrate_with_unknown_scheme,
+    lambda: build_spaces(build_uniform_square_mesh(1), 4),
+    lambda: verification.builtin_case("eg9"),
+    lambda: verification.builtin_case("eg2", alpha=1.2),
+    lambda: verification.convergence_study(verification.builtin_case("eg1"), 1, "cn", [2, 5]),
+], ids=["material", "step-not-dividing", "step-below-resolution", "scheme", "degree",
+        "case", "eg2-alpha", "doubling"])
+def test_library_input_checks_raise_config_error(call):
+    with pytest.raises(ConfigError):
+        call()
+
+
+def test_out_of_memory_is_solver_error(monkeypatch, capsys):
+    # never a real huge allocation: on a host that overcommits it could hang
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 7.11 PiB")
+
+    monkeypatch.setitem(cli._DISPATCH, "run", exhausted)
+    assert main(["run", "--n", "2"]) == 3
+    assert "solver error: out of memory" in capsys.readouterr().err
 
 
 def test_unknown_command_rejected():

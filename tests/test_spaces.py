@@ -20,6 +20,7 @@ def test_dimension_examples(spaces_cache):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_dimension_formulas(spaces_cache, mesh_cache, n, k):
+    # the dimensions are read from the DOF maps; the per-entity counts cross-check them
     sp = spaces_cache(n, k)
     m = mesh_cache(n)
     assert sp.dim_stress == 2 * ((k + 1) * m.num_edges + (k**2 - 1) * m.num_triangles)
