@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sps
 
-from .errors import ConfigError, MixedElastError
+from .errors import ConfigError
 from .quadrature import edge_rule, triangle_rule
 from .spaces import DiscreteSpaces, _unit_normals
 
@@ -75,7 +75,8 @@ class BlockSystem:
     """The assembled matrix ODE: ``Emat`` = E_r = A + C + C^T on the range of
     x, B, C, the velocity mass M, its inverse ``Minv`` and ``Kmat`` = K_r =
     B^T M^-1 B, with the time-dependent loads.  Every solve reads these
-    matrices and none changes them."""
+    matrices and none changes them.  Unlike the spaces it is not frozen, so
+    that a profiler can rebind the two load closures to time them."""
 
     Emat: sps.csr_matrix
     Bmat: sps.csr_matrix
@@ -155,13 +156,13 @@ def assemble(spaces: DiscreteSpaces, material: MaterialModel,
 
     ``body_force`` and ``dirichlet_velocity`` are optional SeparatedFields
     whose values have shape (2,) + broadcast; an omitted load is identically
-    zero, and any other load raises MixedElastError.  The load of each
+    zero, and any other load raises ConfigError.  The load of each
     space part is built once.  The matrices use quadrature of degree 2k + 2,
     the loads degree 2k + 4.
     """
     for name, field in (("body_force", body_force), ("dirichlet_velocity", dirichlet_velocity)):
         if field is not None and not isinstance(field, SeparatedField):
-            raise MixedElastError(f"{name} must be a SeparatedField or None")
+            raise ConfigError(f"{name} must be a SeparatedField or None")
     W, V, DV, psi = _class_tables(spaces)
     velocity, stress, tc = spaces.velocity_map, spaces.stress_map, spaces.tri_class
     shape_v = (spaces.dim_velocity, spaces.dim_velocity)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -179,8 +179,7 @@ def parse_config(argv) -> RunConfig:
 
 def _case_of(cfg: RunConfig):
     case = builtin_case(cfg.case, alpha=cfg.alpha, mu=cfg.mu, lam=cfg.lambda_, rho=cfg.rho)
-    case.T0 = cfg.t0
-    return case
+    return replace(case, T0=cfg.t0)
 
 
 def _write_out(cfg: RunConfig, text: str) -> None:

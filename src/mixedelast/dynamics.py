@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .assembly import BlockSystem
-from .errors import ConfigError, SingularSystemError
+from .errors import ConfigError, MixedElastError, SingularSystemError
 from . import statics
 from .statics import InitialData
 
@@ -188,9 +188,9 @@ def integrate(system: BlockSystem, initial: InitialData, scheme: str, dt: float,
     """Step the block ODE from 0 to T0; dt must divide T0 within 1e-12.
 
     Observers are called as observer(step, t, state, system) after the
-    initial state and after every step.  The summary records energy and the
-    weak-symmetry constraint drift ||C sigma_n - C sigma_0|| per step.
-    """
+    initial state and after every step.  The summary records the energy, the
+    weak-symmetry drift ||C sigma_n - C sigma_0|| and the stress norm per step,
+    and a non-finite one raises MixedElastError."""
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     n_steps = step_count(dt, T0)
@@ -223,6 +223,8 @@ def integrate(system: BlockSystem, initial: InitialData, scheme: str, dt: float,
         y, u, _ = stepper.advance(t, y, ey, u)
         t, ey = t + dt, stepper.eprod(y)
         state = record(i, t, y, ey, u)
-
+    for name, a in (("energy", energies), ("constraint norm", cnorms), ("stress norm", anorms)):
+        if not np.all(np.isfinite(a)):
+            raise MixedElastError(f"non-finite {name} in the trajectory")
     return TrajectorySummary(final_state=state, times=times, energies=energies,
                              constraint_norms=cnorms, alpha_norms=anorms)

@@ -8,22 +8,21 @@ Edge rules are plain Gauss-Legendre on [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from math import comb
 
 import numpy as np
 from scipy.linalg import eigvals_banded
 
-from .errors import MixedElastError
+from .errors import ConfigError
 
 MAX_DEGREE = 12
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Points and weights on a reference element.
+class QuadratureRule(NamedTuple):
+    """Points and weights on a reference element, nothing more; unpacks as such.
 
     Triangle rules store barycentric points of shape (n, 3) with weights
     summing to 1/2 (the reference area); edge rules store parametric points
@@ -32,7 +31,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    exactness: int
 
     @property
     def xy(self) -> np.ndarray:
@@ -89,7 +87,7 @@ def _gauss_jacobi_10(m: int):
 
 def _check_degree(d: int) -> None:
     if not 1 <= d <= MAX_DEGREE:
-        raise MixedElastError(f"quadrature degree must be in 1..{MAX_DEGREE}, got {d}")
+        raise ConfigError(f"quadrature degree must be in 1..{MAX_DEGREE}, got {d}")
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +107,7 @@ def triangle_rule(d: int) -> QuadratureRule:
     y = np.tile(yj, m)
     w = np.outer(wg, wj).ravel()
     bary = np.column_stack([1.0 - x - y, x, y])
-    return QuadratureRule(points=bary, weights=w, exactness=d)
+    return QuadratureRule(points=bary, weights=w)
 
 
 @lru_cache(maxsize=None)
@@ -118,4 +116,4 @@ def edge_rule(d: int) -> QuadratureRule:
     _check_degree(d)
     m = (d + 1 + 1) // 2
     t, w = np.polynomial.legendre.leggauss(m)
-    return QuadratureRule(points=0.5 * (t + 1.0), weights=0.5 * w, exactness=d)
+    return QuadratureRule(points=0.5 * (t + 1.0), weights=0.5 * w)

@@ -15,7 +15,7 @@ assembled space is H(div)-conforming with no orientation bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -54,6 +54,15 @@ def _triangle_geometry(verts: np.ndarray):
     return centers, scales, det, grad_lam
 
 
+def _rule_points(bary: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """Points (T, nq, 2) of barycentric rule points bary (nq, 3) on triangles
+    verts (T, 3, 2): the products of np.einsum("ql,tld->tqd", bary, verts) summed
+    in its order, so bitwise its points, into one (T, nq) array per coordinate."""
+    v = verts.transpose(2, 0, 1)[..., None]
+    xy = v[:, :, 0] * bary[:, 0] + v[:, :, 1] * bary[:, 1] + v[:, :, 2] * bary[:, 2]
+    return xy.transpose(1, 2, 0)
+
+
 def _unit_normals(start: np.ndarray, end: np.ndarray) -> np.ndarray:
     tang = end - start
     return _rotate_minus90(tang / np.linalg.norm(tang, axis=-1)[..., None])
@@ -88,8 +97,7 @@ def _stress_functionals(k: int, degree: int, edges, verts: np.ndarray,
     scaled local coordinates.
     """
     start, end, normal = edges
-    erule = edge_rule(degree)
-    tq, wq = erule.points, erule.weights
+    tq, wq = edge_rule(degree)
     leg = poly.eval_edge_polynomials(poly.edge_legendre_basis(k), tq)  # (k+1, nqe)
     fx, fy = sample(start[..., None, :] + tq[:, None] * (end - start)[..., None, :])
     mom_x = np.einsum("q,iq,j...q->j...i", wq, leg, fx)
@@ -98,10 +106,9 @@ def _stress_functionals(k: int, degree: int, edges, verts: np.ndarray,
     if k < 2:
         return edge, np.zeros((len(fx), len(verts), 0))
 
-    trule = triangle_rule(degree)
-    bary, wt = trule.points, trule.weights
+    bary, wt = triangle_rule(degree)
     centers, scales, _, grad_lam = _triangle_geometry(verts)
-    X = np.einsum("ql,tld->tqd", bary, verts)
+    X = _rule_points(bary, verts)
     xi = (X - centers[:, None, :]) / scales[:, None, None]
     exps = poly.monomial_exponents(k)
     mv = poly.eval_monomials(exps, xi[..., 0], xi[..., 1])  # (nm, T, nq)
@@ -154,7 +161,7 @@ def _stress_dof_matrices(k: int, verts: np.ndarray, signs: np.ndarray,
     return np.concatenate([edge_rows, interior.transpose(1, 2, 0)], axis=1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscreteSpaces:
     """Global DOF maps and the bases of the degree-k triple.
 
@@ -179,7 +186,9 @@ class DiscreteSpaces:
       a range of its own.
 
     Every matrix, boundary operator and load is scattered through these
-    three maps.
+    three maps.  The spaces are an immutable value, frozen like `Mesh`, and
+    keep no table: `physical_points`, `quad_weights` and `scalar_values`
+    compute theirs on each call.
     """
 
     mesh: Mesh
@@ -198,7 +207,6 @@ class DiscreteSpaces:
     scales: np.ndarray
     dets: np.ndarray             # 2 * triangle areas
     dim_x: int                   # length of the stress and rotation range
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim_stress(self) -> int:
@@ -223,17 +231,11 @@ class DiscreteSpaces:
     # -- evaluation -------------------------------------------------------
 
     def physical_points(self, rule: QuadratureRule) -> np.ndarray:
-        key = ("pts", rule.exactness)
-        if key not in self._cache:
-            self._cache[key] = np.einsum("ql,tld->tqd", rule.points, self.tri_verts)
-        return self._cache[key]
+        return _rule_points(rule.points, self.tri_verts)
 
     def quad_weights(self, rule: QuadratureRule) -> np.ndarray:
         """Physical integration weights (T, nq): sum_q W f(x_q) = int_T f."""
-        key = ("w", rule.exactness)
-        if key not in self._cache:
-            self._cache[key] = self.dets[:, None] * rule.weights[None, :]
-        return self._cache[key]
+        return self.dets[:, None] * rule.weights[None, :]
 
     def _monomials(self, pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
         xi = (pts - self.centers[tris, None, :]) / self.scales[tris, None, None]
@@ -251,7 +253,7 @@ class DiscreteSpaces:
 
     def _class_points(self, rule: QuadratureRule) -> np.ndarray:
         """Rule points (n_classes, nq, 2) of the triangles ``class_tris``."""
-        return np.einsum("ql,tld->tqd", rule.points, self.tri_verts[self.class_tris])
+        return _rule_points(rule.points, self.tri_verts[self.class_tris])
 
     def stress_row_values(self, rule: QuadratureRule) -> np.ndarray:
         """Row basis values at rule points per class, (n_classes, n_row_dofs, 2, nq)."""
@@ -267,11 +269,8 @@ class DiscreteSpaces:
 
     def scalar_values(self, rule: QuadratureRule) -> np.ndarray:
         """P_{k-1} basis values at reference rule points, shape (m, nq)."""
-        key = ("psi", rule.exactness)
-        if key not in self._cache:
-            mv = poly.eval_monomials(self.scalar_exps, rule.xy[:, 0], rule.xy[:, 1])
-            self._cache[key] = np.tensordot(self.scalar_coef, mv, axes=(1, 0))
-        return self._cache[key]
+        mv = poly.eval_monomials(self.scalar_exps, rule.xy[:, 0], rule.xy[:, 1])
+        return np.tensordot(self.scalar_coef, mv, axes=(1, 0))
 
     def scalar_moments(self, W: np.ndarray, rule: QuadratureRule,
                        vals: np.ndarray) -> np.ndarray:
@@ -290,13 +289,11 @@ class DiscreteSpaces:
 
     def velocity_values(self, coeffs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
         """Field values of a V_h coefficient vector, shape (T, 2, nq)."""
-        psi = self.scalar_values(rule)
-        return np.einsum("tcj,jq->tcq", coeffs[self.velocity_map], psi)
+        return np.einsum("tcj,jq->tcq", coeffs[self.velocity_map], self.scalar_values(rule))
 
     def rotation_values(self, x: np.ndarray, rule: QuadratureRule) -> np.ndarray:
         """Scalar rotation values of a coefficient vector x, shape (T, nq)."""
-        psi = self.scalar_values(rule)
-        return np.einsum("tj,jq->tq", x[self.rotation_map], psi)
+        return np.einsum("tj,jq->tq", x[self.rotation_map], self.scalar_values(rule))
 
 
 def _entity_positions(mesh: Mesh, entity: np.ndarray, stress: np.ndarray, m: int) -> np.ndarray:

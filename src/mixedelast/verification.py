@@ -12,7 +12,7 @@ the load anew, which is what the locking sweep needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,13 +28,14 @@ from .statics import build_initial_data
 BUILTIN_CASES = ("eg1", "eg2", "eg3", "locking")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MmsCase:
     """A manufactured solution with all derived fields in closed form.
 
     Field callables take (t, x, y) with array-broadcast x, y and return
     shape (2,) + broadcast for vectors, (2, 2) + broadcast for the stress,
-    and plain broadcast shape for the scalar rotation.
+    and plain broadcast shape for the scalar rotation.  A case is frozen:
+    ``dataclasses.replace(case, T0=...)`` is the case of another final time.
     """
 
     name: str
@@ -211,7 +212,7 @@ def l2_error(spaces: DiscreteSpaces, coefficients: np.ndarray, exact: Callable,
         vals_e = np.asarray(exact(t, X[..., 0], X[..., 1]))
         diff2 = 2.0 * (vals_e - vals_h) ** 2
     else:
-        raise MixedElastError(f"unknown field kind {fieldkind!r}")
+        raise ConfigError(f"unknown field kind {fieldkind!r}")
     return float(np.sqrt((W * diff2).sum()))
 
 
@@ -271,8 +272,8 @@ def _build_system(material: MaterialModel, k: int, n: int,
 
 def run_case(case: MmsCase, k: int, scheme: str, n: int, dt_rule=None):
     """Integrate one case on one mesh, with dt = 1/n unless ``dt_rule``
-    gives it, and measure the errors at the final time.  Returns (errors
-    dict, trajectory summary, spaces).
+    gives it, and measure the errors at the final time (a non-finite one
+    raises MixedElastError).  Returns (errors dict, trajectory, spaces).
     """
     system = _build_system(case.material, k, n, case.f, case.g)
     spaces = system.spaces
@@ -286,6 +287,9 @@ def run_case(case: MmsCase, k: int, scheme: str, n: int, dt_rule=None):
         "u": l2_error(spaces, st.u, case.u, st.t, "displacement"),
         "r": l2_error(spaces, st.x, case.rotation, st.t, "rotation"),
     }
+    for f, err in errors.items():
+        if not np.isfinite(err):
+            raise MixedElastError(f"non-finite {f} error at t={st.t}")
     return errors, traj, spaces
 
 
@@ -313,11 +317,9 @@ def locking_study(case: MmsCase, k: int, lambda_list: Sequence[float],
     dict).
     """
     if case.rebuild is None:
-        raise MixedElastError("case does not support lambda overrides")
+        raise ConfigError("case does not support lambda overrides")
     rows = []
     for lam in lambda_list:
-        sub = case.rebuild(float(lam))
-        sub.T0 = case.T0
-        errs, _, _ = run_case(sub, k, scheme, n)
+        errs, _, _ = run_case(replace(case.rebuild(float(lam)), T0=case.T0), k, scheme, n)
         rows.append((float(lam), errs))
     return rows

@@ -12,6 +12,7 @@ from mixedelast import (MaterialModel, MixedElastError, assemble,
 from mixedelast.assembly import SeparatedField, _class_tables, _compliance, _dirichlet_operator
 from mixedelast.mesh import _connect
 
+from conftest import _reachable
 from _oracles import (_load_field, _separate, canonical_interpolation, dense_assemble,
                       dense_body_load, dense_dirichlet_load, dense_system_blocks,
                       isotropic_stiffness_apply, rotation_mask, triangle_areas)
@@ -266,16 +267,16 @@ def test_dirichlet_load_cached_operator_matches_oracle(mesh_cache):
 def test_no_stress_basis_table_outlives_assemble(mesh_cache, k):
     # the stress basis and its tables at the quadrature points are held once
     # per congruence class, never per triangle, (T, n_row_dofs, ...), and
-    # nothing reads the tables after assembly, so the spaces keep none
+    # nothing reads the tables after assembly, so neither the spaces nor the
+    # system keeps one
     case = builtin_case("eg2", alpha=2.2)
     spaces = build_spaces(mesh_cache(4), k)
-    assemble(spaces, case.material, body_force=case.f, dirichlet_velocity=case.g)
+    system = assemble(spaces, case.material, body_force=case.f, dirichlet_velocity=case.g)
     assert spaces.stress_coef.shape[0] == len(np.unique(spaces.tri_class)) == 2
-    assert not [key for key in spaces._cache if key[0] in ("sv", "sdiv")]
     nt, _, nd = spaces.stress_map.shape
-    cached = [a for value in spaces._cache.values()
-              for a in (value if isinstance(value, tuple) else (value,))]
-    assert not [a.shape for a in cached if a.shape[:2] == (nt, nd)]
+    held = [a for a in _reachable(spaces) + _reachable(system) if isinstance(a, np.ndarray)]
+    assert [a for a in held if a is spaces.stress_map]  # the scan reaches the spaces' arrays
+    assert not [a.shape for a in held if a.shape[:2] == (nt, nd)]
 
 
 @pytest.mark.parametrize("rho", [1.0, 2.5], ids=["constant-rho", "scaled-rho"])

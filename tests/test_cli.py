@@ -1,13 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mixedelast import (InitialData, MaterialModel, build_spaces, build_uniform_square_mesh,
-                        cli, integrate, verification)
+from mixedelast import (InitialData, MaterialModel, assemble, build_spaces,
+                        build_uniform_square_mesh, cli, integrate, verification)
 from mixedelast.cli import main, parse_config
 from mixedelast.dynamics import step_count
 from mixedelast.errors import ConfigError
+from mixedelast.quadrature import edge_rule, triangle_rule
 
 # verification attributes that a benchmark tracer wraps from outside the package
 TRACED_STAGES = ("builtin_case", "build_uniform_square_mesh", "build_spaces", "assemble",
@@ -94,6 +96,8 @@ def test_mesh_info(capsys):
     assert main(["mesh-info", "--n", "4"]) == 0
     out = capsys.readouterr().out
     assert "V=25" in out and "T=32" in out and "E=56" in out
+    assert main(["mesh-info", "--n", "5"]) == 0
+    assert capsys.readouterr().out == "V=36 T=50 E=85 h=0.282843\n"
 
 
 def test_converge_writes_csv(tmp_path, capsys):
@@ -140,7 +144,19 @@ def test_run_single_mesh(tmp_path, capsys):
     assert main(["run", "--k", "1", "--n", "2", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "err_sigma" in printed
-    assert len(out.read_text().strip().split("\n")) == 2
+    assert out.read_bytes() == (_HEADER + "2,1.48e+00,,1.61e-01,,2.26e-01,,5.23e-01,\n").encode()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns on the overflow first
+@pytest.mark.parametrize("argv", [
+    ["run", "--n", "2", "--k", "1", "--mu", "1e300"],
+    ["run", "--n", "2", "--k", "1", "--lambda", "1e300"],
+    ["run", "--n", "2", "--k", "1", "--rho", "1e-300"],
+], ids=" ".join)
+def test_non_finite_results_are_solver_errors(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "solver error: non-finite" in err
 
 
 def test_energy_audit(capsys):
@@ -167,10 +183,20 @@ def test_locking_command(tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_infsup_command(capsys):
-    assert main(["infsup", "--n-list", "1,2"]) == 0
-    out = capsys.readouterr().out
-    assert "beta=" in out
+def test_locking_csv_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "lock.csv"
+    assert main(["locking", "--n", "2", "--lambda-list", "1,1e4", "--out", str(out)]) == 0
+    assert out.read_bytes() == (b"lambda,err_sigma,err_v,err_u,err_r\n"
+                                b"1,1.105010e+01,7.288030e-01,1.163660e+00,7.780506e+00\n"
+                                b"10000,1.118586e+01,7.257928e-01,1.171274e+00,7.794860e+00\n")
+
+
+def test_infsup_command(tmp_path, capsys):
+    out = tmp_path / "infsup.csv"
+    assert main(["infsup", "--n-list", "1,2", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ("n=1    beta=0.964017\n"
+                                       "n=2    beta=0.958157  ratio=0.9939\n")
+    assert out.read_bytes() == b"n,beta\n1,0.9640173054\n2,0.9581573385\n"
 
 
 def test_default_case_per_command():
@@ -272,8 +298,18 @@ def _integrate_with_unknown_scheme():
     lambda: verification.builtin_case("eg9"),
     lambda: verification.builtin_case("eg2", alpha=1.2),
     lambda: verification.convergence_study(verification.builtin_case("eg1"), 1, "cn", [2, 5]),
+    lambda: build_uniform_square_mesh(0),
+    lambda: triangle_rule(13),
+    lambda: edge_rule(0),
+    lambda: assemble(build_spaces(build_uniform_square_mesh(1), 1),
+                     MaterialModel(mu=1, lambda_=1), body_force=lambda t, x, y: 0 * x),
+    lambda: verification.l2_error(build_spaces(build_uniform_square_mesh(1), 1), np.zeros(6),
+                                  lambda t, x, y: 0 * x, 0.0, "pressure"),
+    lambda: verification.locking_study(
+        dataclasses.replace(verification.builtin_case("eg1"), rebuild=None), 1, [1.0]),
 ], ids=["material", "step-not-dividing", "step-below-resolution", "scheme", "degree",
-        "case", "eg2-alpha", "doubling"])
+        "case", "eg2-alpha", "doubling", "geometry", "triangle-rule-degree",
+        "edge-rule-degree", "unseparated-load", "field-kind", "locking-without-rebuild"])
 def test_library_input_checks_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mixedelast import MixedElastError, build_spaces, l2_project_velocity
-from mixedelast.quadrature import triangle_rule
-from mixedelast.spaces import _stress_dof_matrices
+from mixedelast.quadrature import MAX_DEGREE, triangle_rule
+from mixedelast.spaces import _rule_points, _stress_dof_matrices
 
 from _oracles import (canonical_interpolation, l2_project_rotation, refine,
                       stress_div_values, stress_values_at)
@@ -75,6 +77,30 @@ def test_uniform_mesh_has_two_triangle_classes(mesh_cache, n):
     assert np.array_equal(np.unique(sp.tri_class), [0, 1])
     assert np.array_equal(sp.tri_class[sp.class_tris], [0, 1])
     assert np.bincount(sp.tri_class).tolist() == [n * n, n * n]
+
+
+def test_spaces_are_frozen(spaces_cache):
+    sp = spaces_cache(1, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sp.k = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sp.dim_x = 0
+    assert sp.k == 1 and not hasattr(sp, "_cache")
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_rule_points_equal_the_einsum_bitwise(spaces_cache, n):
+    # the one map of rule points onto triangles sums the einsum's products in
+    # its order, so every point table it feeds is unchanged to the last bit
+    sp = spaces_cache(n, 1)
+    for d in range(1, MAX_DEGREE + 1):
+        rule = triangle_rule(d)
+        for verts in (sp.tri_verts, sp.tri_verts[sp.class_tris]):
+            pts = _rule_points(rule.points, verts)
+            assert pts.shape == (len(verts), len(rule.weights), 2)
+            assert np.array_equal(pts, np.einsum("ql,tld->tqd", rule.points, verts))
+        assert np.array_equal(sp.physical_points(rule),
+                              np.einsum("ql,tld->tqd", rule.points, sp.tri_verts))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy
@@ -198,8 +200,7 @@ def test_locking_lambda_one_matches_plain_run():
 
 def test_locking_keeps_final_time():
     # the per-lambda rebuild must integrate to the case's T0, not the default 1
-    case = builtin_case("locking")
-    case.T0 = 0.5
+    case = dataclasses.replace(builtin_case("locking"), T0=0.5)
     rows = locking_study(case, 1, [1.0], n=4)
     errs, _, _ = run_case(case, 1, "cn", 4)
     for f in ("sigma", "v", "u", "r"):
@@ -225,10 +226,16 @@ def test_velocity_split_only_for_boundary_data():
 
 
 def test_locking_requires_rebuildable_case():
-    case = builtin_case("eg1")
-    case.rebuild = None
+    case = dataclasses.replace(builtin_case("eg1"), rebuild=None)
     with pytest.raises(MixedElastError):
         locking_study(case, 1, [1.0, 10.0])
+
+
+def test_case_is_frozen():
+    case = builtin_case("eg1")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        case.T0 = 0.5
+    assert case.T0 == 1.0
 
 
 def test_locking_case_divergence_free():
