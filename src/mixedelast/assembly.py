@@ -10,8 +10,8 @@ where the entries are (A phi_j, phi_i), (div phi_j, psi_i), (phi_j, chi_i)
 and (rho psi_j, psi_i) over the stress, velocity and rotation bases.  A and
 C are square on the range of x: A couples stresses and C is nonzero in the
 rotation rows and stress columns only.  `assemble` builds the system once,
-with the two operators every solve with a velocity eliminated needs: the
-exact inverse M^-1 of the block-diagonal M and K_r = B^T M^-1 B.
+with M as its diagonal (the velocity basis is orthonormal, so M^-1 is 1/m
+entrywise) and K_r = B^T M^-1 B, which every solve that eliminates v needs.
 
 Every matrix and the boundary operator are summed from local matrices by one
 `_scatter` through the global numbering that `DiscreteSpaces` states and
@@ -73,16 +73,15 @@ class SeparatedField:
 @dataclass
 class BlockSystem:
     """The assembled matrix ODE: ``Emat`` = E_r = A + C + C^T on the range of
-    x, B, C, the velocity mass M, its inverse ``Minv`` and ``Kmat`` = K_r =
-    B^T M^-1 B, with the time-dependent loads.  Every solve reads these
+    x, B, C, the diagonal ``Mdiag`` of the velocity mass M and ``Kmat`` = K_r
+    = B^T M^-1 B, with the time-dependent loads.  Every solve reads these
     matrices and none changes them.  Unlike the spaces it is not frozen, so
     that a profiler can rebind the two load closures to time them."""
 
     Emat: sps.csr_matrix
     Bmat: sps.csr_matrix
     Cmat: sps.csr_matrix
-    Mmat: sps.csr_matrix
-    Minv: sps.csr_matrix
+    Mdiag: np.ndarray
     Kmat: sps.csr_matrix
     load: Callable[[float], np.ndarray]
     dirichlet_load: Callable[[float], np.ndarray]
@@ -94,6 +93,11 @@ class BlockSystem:
         """The compliance A, formed from E_r.  A, C and C^T have disjoint
         patterns, so this is the assembled A exactly."""
         return self.Emat - self.Cmat - self.Cmat.T
+
+    @property
+    def Mmat(self) -> sps.csr_matrix:
+        """The velocity mass M, formed from its diagonal; no solve reads it."""
+        return sps.diags(self.Mdiag, format="csr")
 
 
 def _scatter(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sps.csr_matrix:
@@ -165,7 +169,6 @@ def assemble(spaces: DiscreteSpaces, material: MaterialModel,
             raise ConfigError(f"{name} must be a SeparatedField or None")
     W, V, DV, psi = _class_tables(spaces)
     velocity, stress, tc = spaces.velocity_map, spaces.stress_map, spaces.tri_class
-    shape_v = (spaces.dim_velocity, spaces.dim_velocity)
     # (phi, S(chi)) with S(q) = [[0, q], [-q, 0]]: rotation chi pairs with
     # phi[0, 1] - phi[1, 0], i.e. +v_y for row-0 fields, -v_x for row-1 fields.
     C_T = np.stack([np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 1, :]),
@@ -174,13 +177,14 @@ def assemble(spaces: DiscreteSpaces, material: MaterialModel,
     E = _compliance(spaces, W, V, material.mu, material.lambda_) + C + C.T
     B_T = np.einsum("tq,iq,tbq->tib", W, psi, DV)  # (class, m, nd), one per component
     B = _scatter(B_T[tc, None], velocity, stress, (spaces.dim_velocity, spaces.dim_x))
-    # M and its exact inverse from the m x m local mass blocks, one per component
-    M_T = np.einsum("tq,iq,jq->tij", W * material.rho, psi, psi)
-    M = _scatter(M_T[tc, None], velocity, velocity, shape_v)
-    Minv = _scatter(np.linalg.inv(M_T)[tc, None], velocity, velocity, shape_v)
+    # psi is orthonormal, so each local mass is diagonal up to roundoff
+    Mdiag = np.empty(spaces.dim_velocity)
+    Mdiag[velocity] = np.einsum("tq,iq,iq->ti", W * material.rho, psi, psi)[tc, None]
+    B_scaled = B.copy()  # M^-1 B: the rows of B scaled by 1/m
+    B_scaled.data *= np.repeat(1.0 / Mdiag, np.diff(B.indptr))
     return BlockSystem(
         # as CSR, so that each E_r + s^2 K_r adds two canonical CSR matrices
-        Emat=E, Bmat=B, Cmat=C, Mmat=M, Minv=Minv, Kmat=(B.T @ (Minv @ B)).tocsr(),
+        Emat=E, Bmat=B, Cmat=C, Mdiag=Mdiag, Kmat=(B.T @ B_scaled).tocsr(),
         load=_load_closure(body_force, spaces.dim_velocity,
                            lambda: _body_load_map(spaces)),
         dirichlet_load=_load_closure(dirichlet_velocity, spaces.dim_x,

@@ -6,9 +6,9 @@ block T: the Schur complements S_r(s) = [[T + s^2 K, C^T], [C, 0]], with
 K = B^T M^-1 B, on the stress and rotation unknowns x, which the spaces
 number in a symmetric mesh-entity order.  S_r(s) is the sum E_r(T) + s^2 K_r
 of two matrices on the range of x, E_r(T) = T + C + C^T.  The system holds
-K_r, M^-1 and E_r of the compliance A, which is also the matrix of the
-steps' E-products.  No LU is kept with it: a saddle LU is dropped after its
-solve, and a step LU when `dynamics.integrate` returns.
+K_r, the diagonal of M and E_r of the compliance A, which is also the matrix
+of the steps' E-products.  No LU is kept with it: a saddle LU is dropped
+after its solve, and a step LU when `dynamics.integrate` returns.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
@@ -51,6 +52,11 @@ def factorize(S: sps.spmatrix, what: str):
         raise SingularSystemError(f"{what} factorization failed: {exc}") from exc
 
 
+def _norm(x: np.ndarray) -> float:
+    """||x|| by BLAS nrm2, which scales as it sums: no overflow for a finite x."""
+    return sla.norm(x, check_finite=False)
+
+
 def checked_solve(solve, apply, rhs: np.ndarray, what: str) -> np.ndarray:
     """x = solve(rhs) for a solver of the matrix ``apply`` multiplies by.
 
@@ -60,8 +66,8 @@ def checked_solve(solve, apply, rhs: np.ndarray, what: str) -> np.ndarray:
     x = solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(f"{what} solve produced non-finite values")
-    scale = max(np.linalg.norm(rhs), np.linalg.norm(x), 1.0)
-    res = np.linalg.norm(apply(x) - rhs)
+    scale = max(_norm(rhs), _norm(x), 1.0)
+    res = _norm(apply(x) - rhs)
     if res > 1e-10 * scale:
         raise SingularSystemError(f"{what} solve residual {res:.3e} exceeds tolerance")
     return x
@@ -80,7 +86,7 @@ class SchurLU:
     """Solver of S(s) = [[T, s B^T, C^T], [-s B, M, 0], [C, 0, 0]] on the
     (stress, velocity, rotation) unknowns of a system, for a stress block T,
     given by its E_r(T), and a real or complex shift s.  The velocity is
-    eliminated with the system's exact M^-1, so the LU is of the Schur
+    eliminated with the reciprocals of M's diagonal, so the LU is of the Schur
     complement S_r(s) = E_r(T) + s^2 K_r; an entry of the sum that cancels
     exactly is dropped, as sparse sums do.
 
@@ -98,15 +104,15 @@ class SchurLU:
         system, n, s = self.system, self.n, self._s
         x_r, v = x[:n], x[n:]
         return np.concatenate([_product(self.E, x_r) + s * _product(system.Bmat.T, v),
-                               _product(system.Mmat, v) - s * _product(system.Bmat, x_r)])
+                               system.Mdiag * v - s * _product(system.Bmat, x_r)])
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         # x_r = S_r^-1 (b_r - s B^T M^-1 b_v), x_v = M^-1 (b_v + s B x_sigma)
         system, n, s = self.system, self.n, self._s
-        B, Minv = system.Bmat, system.Minv
-        w = _product(Minv, rhs[n:])
+        B, minv = system.Bmat, 1.0 / system.Mdiag
+        w = minv * rhs[n:]
         x_r = self._lu.solve(rhs[:n] - s * _product(B.T, w))
-        return np.concatenate([x_r, w + s * _product(Minv, _product(B, x_r))])
+        return np.concatenate([x_r, w + s * (minv * _product(B, x_r))])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         self._solves += 1
@@ -146,8 +152,8 @@ def _solve_saddle(system: BlockSystem, E, mu: float, rhs_x, rhs_v):
             step[n:] *= tau
             x += step
             res = b - apply(x)
-            norm = np.linalg.norm(res)
-            if (norm <= 1e-13 * max(np.linalg.norm(b), np.linalg.norm(x), 1.0)
+            norm = _norm(res)
+            if (norm <= 1e-13 * max(_norm(b), _norm(x), 1.0)
                     or norm > 0.5 * last):
                 break
             last = norm
@@ -218,20 +224,13 @@ def infsup_constant(system: BlockSystem) -> float:
     the rotation measured in the scalar L2 norm of its stored component.
     Dense eigensolve; intended for small diagnostic meshes only.
     """
-    import scipy.linalg as sla
-
-    spaces = system.spaces
+    spaces, rho = system.spaces, system.material.rho
     B, C = system.Bmat, system.Cmat
-    # velocity mass with rho = 1 is area * I per scalar block; same for rotation
-    mv_diag = np.empty(spaces.dim_velocity)
-    mv_diag[spaces.velocity_map] = spaces.areas[:, None, None]
-    mk_diag = np.repeat(spaces.areas, spaces.n_scalar)
-
+    # the masses with rho = 1: M / rho for the velocity, area * I per rotation
     stress = np.unique(spaces.stress_map)
-    divdiv = B.T @ sps.diags(1.0 / mv_diag) @ B
-    D = (assemble_stress_mass(spaces) + divdiv)[stress][:, stress].toarray()
+    D = (assemble_stress_mass(spaces) + rho * system.Kmat)[stress][:, stress].toarray()
     Bb = sps.vstack([B, C[spaces.rotation_map.ravel()]])[:, stress].toarray()
-    N = np.diag(np.concatenate([mv_diag, mk_diag]))
+    N = np.diag(np.concatenate([system.Mdiag / rho, np.repeat(spaces.areas, spaces.n_scalar)]))
     S = Bb @ np.linalg.solve(D, Bb.T)
     eigs = sla.eigh(S, N, eigvals_only=True)
     return float(np.sqrt(max(eigs[0], 0.0)))

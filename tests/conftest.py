@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -35,8 +37,9 @@ def unit_material():
 
 
 def _reachable(root):
-    """Every object reachable from root through attributes, dicts, lists
-    and tuples."""
+    """Every object reachable from root through attributes, dicts, lists,
+    tuples and the closure cells of functions (the arrays a load closure
+    holds)."""
     seen, stack = {}, [root]
     while stack:
         value = stack.pop()
@@ -49,6 +52,8 @@ def _reachable(root):
             stack.extend(value)
         elif hasattr(value, "__dict__"):
             stack.extend(vars(value).values())
+        if isinstance(value, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in value.__closure__ or ())
     return list(seen.values())
 
 

@@ -159,14 +159,18 @@ def test_oracle_equivalence(spaces_cache, unit_material, n, k):
     assert np.abs(system.Mmat.toarray() - M).max() <= 1e-12
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_oracle_equivalence_without_congruent_triangles(unit_material, k):
-    # the interior vertex of the n=2 mesh moved off the grid: no two of the 8
-    # triangles are congruent, so each is a class of its own
+def _mesh_without_congruent_triangles(seed):
+    """The n=2 mesh with its interior vertex moved off the grid: no two of its
+    8 triangles are congruent, so each is a class of its own."""
     mesh = build_uniform_square_mesh(2)
     vertices = mesh.vertices.copy()
-    vertices[4] += np.random.default_rng(k).uniform(-0.1, 0.1, 2)
-    spaces = build_spaces(_connect(vertices, mesh.triangles), k)
+    vertices[4] += np.random.default_rng(seed).uniform(-0.1, 0.1, 2)
+    return _connect(vertices, mesh.triangles)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_oracle_equivalence_without_congruent_triangles(unit_material, k):
+    spaces = build_spaces(_mesh_without_congruent_triangles(k), k)
     assert np.array_equal(spaces.tri_class[spaces.class_tris], np.arange(8))
     system = assemble(spaces, unit_material)
     A, B, C, M = dense_assemble(spaces, unit_material)
@@ -174,6 +178,28 @@ def test_oracle_equivalence_without_congruent_triangles(unit_material, k):
     assert np.abs(system.Bmat.toarray() - B).max() <= 1e-12
     assert np.abs(system.Cmat.toarray() - C).max() <= 1e-12
     assert np.abs(system.Mmat.toarray() - M).max() <= 1e-12
+
+
+@pytest.mark.parametrize("which", ["uniform", "no-congruent"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_velocity_mass_is_held_as_its_diagonal(mesh_cache, k, which):
+    # the P_{k-1} basis is orthonormal on every triangle, so the full local
+    # mass has only roundoff off its diagonal, and the system holds that
+    # diagonal, bit for bit, as one 1-D array
+    mesh = mesh_cache(4) if which == "uniform" else _mesh_without_congruent_triangles(k)
+    spaces = build_spaces(mesh, k)
+    rho = 2.5
+    system = assemble(spaces, MaterialModel(mu=1.0, lambda_=1.0, rho=rho))
+    W, _, _, psi = _class_tables(spaces)
+    local = np.einsum("tq,iq,jq->tij", W * rho, psi, psi)[spaces.tri_class]
+    diag = np.einsum("tii->ti", local)
+    off = local - diag[:, :, None] * np.eye(len(psi))
+    assert np.all(np.abs(off) <= 1e-14 * diag[:, :, None])
+    expected = np.empty(spaces.dim_velocity)
+    expected[spaces.velocity_map] = diag[:, None]
+    assert system.Mdiag.shape == (spaces.dim_velocity,)
+    assert np.array_equal(system.Mdiag.view(np.uint8), expected.view(np.uint8))
+    assert np.array_equal(system.Mmat.toarray(), np.diag(expected))
 
 
 def test_compliance_inverts_stiffness_on_general_tensors(spaces_cache, unit_material):
@@ -287,7 +313,7 @@ def test_operators_are_canonical_without_stored_zeros(spaces_cache, k, rho):
     spaces = spaces_cache(2, k)
     system = assemble(spaces, MaterialModel(mu=1.0, lambda_=1.0, rho=rho))
     _, dirichlet = _dirichlet_operator(spaces)
-    for op in (system.Amat, system.Bmat, system.Cmat, system.Mmat, system.Minv,
+    for op in (system.Amat, system.Bmat, system.Cmat, system.Mmat,
                assemble_stress_mass(spaces), dirichlet):
         assert op.format == "csr"
         assert sps.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape).has_canonical_format

@@ -260,6 +260,21 @@ def test_singular_step_detected(small_system):
         integrate(broken, _zero_initial_data(spaces), "cn", 0.1, 0.1)
 
 
+def test_non_finite_record_stops_at_its_step(monkeypatch):
+    # with mu = 1e300 the energy of the first step overflows: integrate
+    # raises there, with no numpy warning, and does not step on to T0
+    import mixedelast as me
+    case = builtin_case("eg1", mu=1e300)
+    system = assemble(me.build_spaces(me.build_uniform_square_mesh(2), 1), case.material,
+                      body_force=case.f)
+    steps, advance = [], dynamics._Stepper.advance
+    monkeypatch.setattr(dynamics._Stepper, "advance",
+                        lambda *args: steps.append(1) or advance(*args))
+    with pytest.raises(MixedElastError, match="^non-finite energy at step 1$"):
+        integrate(system, build_initial_data(case, system), "cn", 0.1, 1.0)
+    assert len(steps) == 1
+
+
 @pytest.mark.parametrize("scheme", ["cn", "radau2"])
 def test_step_lu_factors_the_schur_complement(small_system, monkeypatch, scheme):
     # the LU holds the (sigma, gamma) Schur complement only: the velocity block
@@ -498,8 +513,9 @@ def test_no_full_step_matrix_cached():
 
 @pytest.mark.parametrize("name,n,k", [("eg2", 8, 2), ("eg3", 4, 3)])
 def test_each_operator_held_once(name, n, k):
-    # the system holds E_r, which stands for A, with B, C, M, M^-1 and K_r;
-    # no operator is held twice
+    # the system holds E_r, which stands for A, with B, C and K_r, the
+    # velocity mass as its diagonal, and one load matrix in each load
+    # closure; no operator and no load matrix is held twice
     import mixedelast as me
     case = builtin_case(name, alpha=2.2 if name == "eg2" else None)
     mesh = me.build_uniform_square_mesh(n)
@@ -511,7 +527,13 @@ def test_each_operator_held_once(name, n, k):
     shapes = [op.shape for op in held]
     assert shapes.count((n, n)) == 3  # E_r, K_r and C, which forms E_r of another stress block
     assert shapes.count((nV, n)) == 1  # B
-    assert shapes.count((nV, nV)) == 2  # M and M^-1
+    assert shapes.count((nV, nV)) == 0  # M is the 1-D Mdiag, and M^-1 is not held
     for i, a in enumerate(held):
         for b in held[i + 1:]:
             assert not (a.data.shape == b.data.shape and np.array_equal(a.data, b.data))
+    arrays = [value for value in _reachable(system) if isinstance(value, np.ndarray)]
+    loads = [cell.cell_contents for load in (system.load, system.dirichlet_load)
+             for cell in load.__closure__ if isinstance(cell.cell_contents, np.ndarray)]
+    assert sorted(L.shape[0] for L in loads) == sorted([nV, n])
+    for L in loads:
+        assert sum(a.shape == L.shape and np.array_equal(a, L) for a in arrays) == 1
