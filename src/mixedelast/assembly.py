@@ -16,7 +16,9 @@ entrywise) and K_r = B^T M^-1 B, which every solve that eliminates v needs.
 Every matrix and the boundary operator are summed from local matrices by one
 `_scatter` through the global numbering that `DiscreteSpaces` states and
 carries as ``stress_map``, ``velocity_map`` and ``rotation_map``; the loads
-are moments in the same numbering.  Every local matrix is formed once per
+are moments in the same numbering.  Every matrix on the range of x has
+E_r's one pattern, fixed by the maps: K_r is held as values at positions of
+E_r's stored entries.  Every local matrix is formed once per
 congruence class of triangles (see `DiscreteSpaces`) from one set of class
 tables and gathered by ``tri_class``; the compliance has one formula, and the
 L2 stress mass is its value at mu = 1/2, lambda = 0.
@@ -73,8 +75,9 @@ class SeparatedField:
 @dataclass
 class BlockSystem:
     """The assembled matrix ODE: ``Emat`` = E_r = A + C + C^T on the range of
-    x, B, C, the diagonal ``Mdiag`` of the velocity mass M and ``Kmat`` = K_r
-    = B^T M^-1 B, with the time-dependent loads.  Every solve reads these
+    x, B, C, the diagonal ``Mdiag`` of the velocity mass M and K_r =
+    B^T M^-1 B as its values ``Kdata`` at the positions ``Kpos`` of Emat's
+    stored entries, with the time-dependent loads.  Every solve reads these
     matrices and none changes them.  Unlike the spaces it is not frozen, so
     that a profiler can rebind the two load closures to time them."""
 
@@ -82,7 +85,8 @@ class BlockSystem:
     Bmat: sps.csr_matrix
     Cmat: sps.csr_matrix
     Mdiag: np.ndarray
-    Kmat: sps.csr_matrix
+    Kdata: np.ndarray
+    Kpos: np.ndarray
     load: Callable[[float], np.ndarray]
     dirichlet_load: Callable[[float], np.ndarray]
     spaces: DiscreteSpaces
@@ -90,9 +94,10 @@ class BlockSystem:
 
     @property
     def Amat(self) -> sps.csr_matrix:
-        """The compliance A, formed from E_r.  A, C and C^T have disjoint
-        patterns, so this is the assembled A exactly."""
-        return self.Emat - self.Cmat - self.Cmat.T
+        """The compliance A on E_r's pattern, with C's and C^T's entries zero."""
+        (rows, cols), E = _entry_rows(self.spaces, self.Emat), self.Emat
+        return sps.csr_matrix((np.where((rows < 2) & (cols < 2), E.data, 0.0), E.indices,
+                               E.indptr), shape=E.shape)
 
     @property
     def Mmat(self) -> sps.csr_matrix:
@@ -101,18 +106,25 @@ class BlockSystem:
 
 
 def _scatter(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sps.csr_matrix:
-    """Sum of the local matrices local[..., i, j] at the global entries
-    (rows[..., i], cols[..., j]), whose leading batch axes broadcast.  Exact
-    zeros are dropped, so the CSR result is canonical with no stored zeros.  It
-    is not compacted: only A keeps much room for duplicates, and `assemble`
-    frees A once E_r is formed."""
-    local, rows, cols = np.broadcast_arrays(local, rows[..., :, None], cols[..., None, :])
+    """Sum of the local entries local[...] at the global entries (rows[...],
+    cols[...]), the three broadcast together, as canonical CSR.  Every entry
+    is kept, an exact zero too, so the pattern follows from rows and cols
+    alone.  An entry is met from at most two triangles, and a sum of two
+    values is symmetric, so symmetric local matrices give a symmetric sum."""
+    local, rows, cols = np.broadcast_arrays(local, rows, cols)
     idx = np.int32 if max(shape) < 2**31 else np.int64  # the index copies at half the size
-    out = sps.coo_matrix((local.ravel(), (rows.astype(idx, order="C").ravel(),
-                                          cols.astype(idx, order="C").ravel())),
-                         shape=shape).tocsr()
-    out.eliminate_zeros()
-    return out
+    return sps.coo_matrix((local.ravel(), (rows.astype(idx, order="C").ravel(),
+                                           cols.astype(idx, order="C").ravel())),
+                          shape=shape).tocsr()
+
+
+def _entry_rows(spaces: DiscreteSpaces, op: sps.csr_matrix):
+    """The tensor row of the row and of the column unknown of each stored
+    entry of a CSR matrix on the range of x: 0 or 1 for a stress, 2 for a
+    rotation."""
+    row = np.full(spaces.dim_x, 2, dtype=np.int8)
+    row[spaces.stress_map] = np.arange(2, dtype=np.int8)[:, None]
+    return np.repeat(row, np.diff(op.indptr)), row[op.indices]
 
 
 def _class_tables(spaces: DiscreteSpaces):
@@ -125,10 +137,10 @@ def _class_tables(spaces: DiscreteSpaces):
             spaces.stress_row_div_values(rule), spaces.scalar_values(rule))
 
 
-def _compliance(spaces: DiscreteSpaces, W: np.ndarray, V: np.ndarray, mu: float,
-                lam: float) -> sps.csr_matrix:
-    """Stress-stress compliance matrix (A phi_j, phi_i) of the Lame
-    coefficients (mu, lam), from the class weights W and row values V."""
+def _compliance(W: np.ndarray, V: np.ndarray, mu: float, lam: float) -> np.ndarray:
+    """Local stress-stress compliance matrices (A phi_j, phi_i) of the Lame
+    coefficients (mu, lam), from the class weights W and row values V: shape
+    (class, 2 nd, 2 nd), the unknowns by tensor row, then by row DOF."""
     G = np.einsum("tapq,tbrq->prtab", V * W[:, None, None, :], V)  # test comp p, trial comp r
     c = lam / (2.0 * mu * (2.0 * mu + 2.0 * lam))
     Gt = G.swapaxes(0, 1)
@@ -137,20 +149,37 @@ def _compliance(spaces: DiscreteSpaces, W: np.ndarray, V: np.ndarray, mu: float,
     blocks -= 0.5 * Gt
     for s in range(2):
         blocks[s, s] += (1.0 / (4.0 * mu) + 0.5) * (G[0, 0] + G[1, 1])
-    rows = spaces.stress_map.transpose(1, 0, 2)
-    # gathered in C order, so that _scatter needs no copy
-    return _scatter(np.take(blocks, spaces.tri_class, axis=2), rows[:, None], rows[None],
-                    (spaces.dim_x, spaces.dim_x))
+    _, _, nc, nd, _ = blocks.shape
+    return blocks.transpose(2, 0, 3, 1, 4).reshape(nc, 2 * nd, 2 * nd)
+
+
+def _range_matrix(spaces: DiscreteSpaces, T: np.ndarray, C: np.ndarray) -> sps.csr_matrix:
+    """E_r = T + C + C^T of the local stress blocks T (class, 2 nd, 2 nd) and
+    couplings C (class, m, 2 nd), by one `_scatter` over the union of the
+    local T, C and C^T blocks, the same for every T and C.  Each T is made
+    bitwise symmetric, 1/2 (T + T^T); so is E_r, whose CSR arrays are then
+    also its CSC arrays."""
+    (nc, ns, _), m = T.shape, C.shape[1]
+    local = np.block([[0.5 * (T + T.swapaxes(1, 2)), C.swapaxes(1, 2)], [C, np.zeros((nc, m, m))]])
+    stress = np.arange(ns + m) < ns
+    i, j = np.nonzero(stress[:, None] | stress)  # every pair but one of two rotations
+    dofs = np.concatenate([spaces.stress_map.reshape(-1, ns), spaces.rotation_map], axis=1)
+    # np.take, not dofs[:, i], whose result is in F order, which the scatter
+    # would copy to C order at several times the cost
+    return _scatter(local[:, i, j][spaces.tri_class], np.take(dofs, i, axis=1),
+                    np.take(dofs, j, axis=1), (spaces.dim_x, spaces.dim_x))
 
 
 def assemble_stress_mass(spaces: DiscreteSpaces) -> sps.csr_matrix:
-    """Plain L2 mass matrix (phi_j, phi_i) of the stresses, on the range of x.
+    """Plain L2 mass matrix (phi_j, phi_i) of the stresses, on E_r's pattern.
 
     It is the compliance of mu = 1/2, lambda = 0, exactly: the blocks that
-    couple different tensor rows are 0.5 G^T - 0 G - 0.5 G^T = 0, which
-    `_scatter` drops, and the factor of the row-by-row pairing is 1."""
-    W, V, _, _ = _class_tables(spaces)
-    return _compliance(spaces, W, V, 0.5, 0.0)
+    couple different tensor rows are 0.5 G^T - 0 G - 0.5 G^T = 0, and the
+    factor of the row-by-row pairing is 1.  Those blocks, and the entries of
+    C and C^T, are stored exact zeros."""
+    W, V, _, psi = _class_tables(spaces)
+    T = _compliance(W, V, 0.5, 0.0)
+    return _range_matrix(spaces, T, np.zeros((len(T), len(psi), T.shape[1])))
 
 
 def assemble(spaces: DiscreteSpaces, material: MaterialModel,
@@ -171,20 +200,27 @@ def assemble(spaces: DiscreteSpaces, material: MaterialModel,
     velocity, stress, tc = spaces.velocity_map, spaces.stress_map, spaces.tri_class
     # (phi, S(chi)) with S(q) = [[0, q], [-q, 0]]: rotation chi pairs with
     # phi[0, 1] - phi[1, 0], i.e. +v_y for row-0 fields, -v_x for row-1 fields.
-    C_T = np.stack([np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 1, :]),
-                    -np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 0, :])], axis=1)
-    C = _scatter(C_T[tc], spaces.rotation_map[:, None], stress, (spaces.dim_x, spaces.dim_x))
-    E = _compliance(spaces, W, V, material.mu, material.lambda_) + C + C.T
+    C_T = np.concatenate([np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 1, :]),
+                          -np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 0, :])], axis=2)
+    shape = (spaces.dim_x, spaces.dim_x)
+    C = _scatter(C_T[tc], spaces.rotation_map[:, :, None], stress.reshape(len(tc), 1, -1), shape)
+    E = _range_matrix(spaces, _compliance(W, V, material.mu, material.lambda_), C_T)
     B_T = np.einsum("tq,iq,tbq->tib", W, psi, DV)  # (class, m, nd), one per component
-    B = _scatter(B_T[tc, None], velocity, stress, (spaces.dim_velocity, spaces.dim_x))
+    B = _scatter(B_T[tc, None], velocity[..., None], stress[:, :, None],
+                 (spaces.dim_velocity, spaces.dim_x))
     # psi is orthonormal, so each local mass is diagonal up to roundoff
+    m_T = np.einsum("tq,iq,iq->ti", W * material.rho, psi, psi)
     Mdiag = np.empty(spaces.dim_velocity)
-    Mdiag[velocity] = np.einsum("tq,iq,iq->ti", W * material.rho, psi, psi)[tc, None]
-    B_scaled = B.copy()  # M^-1 B: the rows of B scaled by 1/m
-    B_scaled.data *= np.repeat(1.0 / Mdiag, np.diff(B.indptr))
+    Mdiag[velocity] = m_T[tc, None]
+    # K_r from the local B_T^T M_T^-1 B_T, which pair the stresses of one
+    # tensor row; its pattern is those entries of E_r's, in E_r's order
+    K_T = (B_T * (1.0 / m_T)[:, :, None]).swapaxes(1, 2) @ B_T
+    K = _scatter(0.5 * (K_T + K_T.swapaxes(1, 2))[tc, None], stress[..., None],
+                 stress[:, :, None], shape)
+    rows, cols = _entry_rows(spaces, E)
     return BlockSystem(
-        # as CSR, so that each E_r + s^2 K_r adds two canonical CSR matrices
-        Emat=E, Bmat=B, Cmat=C, Mdiag=Mdiag, Kmat=(B.T @ B_scaled).tocsr(),
+        Emat=E, Bmat=B, Cmat=C, Mdiag=Mdiag, Kdata=K.data,
+        Kpos=np.flatnonzero((rows == cols) & (cols < 2)).astype(E.indices.dtype),
         load=_load_closure(body_force, spaces.dim_velocity,
                            lambda: _body_load_map(spaces)),
         dirichlet_load=_load_closure(dirichlet_velocity, spaces.dim_x,
@@ -249,7 +285,7 @@ def _dirichlet_operator(spaces: DiscreteSpaces):
     weights = length[:, None, None] * rule.weights[None, None, :] * vdotnu  # (nbe, nd, nqe)
     nbe, _, nqe = weights.shape
     samples = np.arange(2 * nbe * nqe).reshape(2, nbe, nqe).transpose(1, 0, 2)
-    return pts, _scatter(weights[:, None], spaces.stress_map[tris], samples,
+    return pts, _scatter(weights[:, None], spaces.stress_map[tris][..., None], samples[:, :, None],
                          (spaces.dim_x, 2 * nbe * nqe))
 
 

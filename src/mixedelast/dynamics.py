@@ -143,7 +143,10 @@ class _Stepper:
         self.n = system.spaces.dim_x
 
     def eprod(self, y: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.system.Emat @ y[:self.n], self.system.Mdiag * y[self.n:]])
+        ey, n = np.empty_like(y), self.n
+        ey[:n] = self.system.Emat @ y[:n]
+        np.multiply(self.system.Mdiag, y[n:], out=ey[n:])
+        return ey
 
     def _load(self, t: float) -> np.ndarray:
         return np.concatenate([self.system.dirichlet_load(t), self.system.load(t)])
@@ -207,25 +210,24 @@ def integrate(system: BlockSystem, initial: InitialData, scheme: str, dt: float,
     anorms = np.empty(n_steps + 1)
 
     def record(i, t, y, ey, u):
-        state = SemidiscreteState(t=t, x=y[:n], beta=y[n:], u=u)
         c_sigma = ey[rot]
         times[i] = t
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            energies[i] = 0.5 * float(y @ ey) - float(state.x[rot] @ c_sigma)
+            energies[i] = 0.5 * float(y @ ey) - float(y[rot] @ c_sigma)
             cnorms[i] = np.linalg.norm(c_sigma - c_ref)
-            anorms[i] = np.linalg.norm(state.x[stress])
+            anorms[i] = np.linalg.norm(y[stress])
         for name, a in (("energy", energies), ("constraint norm", cnorms), ("stress norm", anorms)):
             if not np.isfinite(a[i]):
                 raise MixedElastError(f"non-finite {name} at step {i}")
         for obs in observers:
-            obs(i, t, state, system)
-        return state
+            obs(i, t, SemidiscreteState(t=t, x=y[:n], beta=y[n:], u=u), system)
 
     t = 0.0
-    state = record(0, t, y, ey, u)
+    record(0, t, y, ey, u)
     for i in range(1, n_steps + 1):
         y, u, _ = stepper.advance(t, y, ey, u)
         t, ey = t + dt, stepper.eprod(y)
-        state = record(i, t, y, ey, u)
-    return TrajectorySummary(final_state=state, times=times, energies=energies,
-                             constraint_norms=cnorms, alpha_norms=anorms)
+        record(i, t, y, ey, u)
+    return TrajectorySummary(final_state=SemidiscreteState(t=t, x=y[:n], beta=y[n:], u=u),
+                             times=times, energies=energies, constraint_norms=cnorms,
+                             alpha_norms=anorms)

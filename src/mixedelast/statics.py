@@ -4,11 +4,13 @@ discrete initial data, and the Schur-complement LU the time steps share.
 Every LU, static or time step, is of one family per system and stress
 block T: the Schur complements S_r(s) = [[T + s^2 K, C^T], [C, 0]], with
 K = B^T M^-1 B, on the stress and rotation unknowns x, which the spaces
-number in a symmetric mesh-entity order.  S_r(s) is the sum E_r(T) + s^2 K_r
-of two matrices on the range of x, E_r(T) = T + C + C^T.  The system holds
-K_r, the diagonal of M and E_r of the compliance A, which is also the matrix
-of the steps' E-products.  No LU is kept with it: a saddle LU is dropped
-after its solve, and a step LU when `dynamics.integrate` returns.
+number in a symmetric mesh-entity order.  S_r(s) is E_r(T) + s^2 K_r on the
+range of x, E_r(T) = T + C + C^T, built as one gather onto E_r(T)'s
+pattern, which every matrix on that range shares (see `assembly`).  The
+system holds K_r's values on that pattern, the diagonal of M and E_r of the
+compliance A, which is also the matrix of the steps' E-products.  No LU is
+kept with it: a saddle LU is dropped after its solve, and a step LU when
+`dynamics.integrate` returns.
 """
 
 from __future__ import annotations
@@ -82,13 +84,22 @@ def _product(A: sps.spmatrix, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _shifted(system: BlockSystem, E: sps.csr_matrix, s2) -> sps.csc_matrix:
+    """E + s2 K_r for an E on the system's E_r pattern: one value array, real
+    or complex as s2 is, on E's own index arrays, which are also the CSC
+    arrays of the sum, as E and K_r are bitwise symmetric."""
+    data = E.data.astype(np.result_type(E.data, s2))
+    np.add.at(data, system.Kpos, s2 * system.Kdata)
+    return sps.csc_matrix((data, E.indices, E.indptr), shape=E.shape)
+
+
 class SchurLU:
     """Solver of S(s) = [[T, s B^T, C^T], [-s B, M, 0], [C, 0, 0]] on the
     (stress, velocity, rotation) unknowns of a system, for a stress block T,
-    given by its E_r(T), and a real or complex shift s.  The velocity is
-    eliminated with the reciprocals of M's diagonal, so the LU is of the Schur
-    complement S_r(s) = E_r(T) + s^2 K_r; an entry of the sum that cancels
-    exactly is dropped, as sparse sums do.
+    given by its E_r(T) on the system's index arrays, and a real or complex
+    shift s.  The velocity is eliminated with the reciprocals of M's
+    diagonal, so the LU is of the Schur complement S_r(s) = E_r(T) + s^2 K_r,
+    which shares E_r(T)'s index arrays.
 
     Vectors are (x, velocity).  Solves 1, 2, 4, 8, ... are
     residual-checked against S(s) applied block by block.  The LU lives as
@@ -96,23 +107,29 @@ class SchurLU:
     """
 
     def __init__(self, system: BlockSystem, E: sps.csr_matrix, s, what: str):
+        if not np.may_share_memory(E.indices, system.Emat.indices):
+            raise ValueError("E must be on the system's E_r pattern and index arrays")
         self.system, self.E, self.n = system, E, system.spaces.dim_x
-        self._lu = factorize((E + (s * s) * system.Kmat).tocsc(), what)
+        self._minv, self._BT = 1.0 / system.Mdiag, system.Bmat.T
+        self._lu = factorize(_shifted(system, E, s * s), what)
         self._s, self._what, self._solves = s, what, 0
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         system, n, s = self.system, self.n, self._s
         x_r, v = x[:n], x[n:]
-        return np.concatenate([_product(self.E, x_r) + s * _product(system.Bmat.T, v),
+        return np.concatenate([_product(self.E, x_r) + s * _product(self._BT, v),
                                system.Mdiag * v - s * _product(system.Bmat, x_r)])
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         # x_r = S_r^-1 (b_r - s B^T M^-1 b_v), x_v = M^-1 (b_v + s B x_sigma)
-        system, n, s = self.system, self.n, self._s
-        B, minv = system.Bmat, 1.0 / system.Mdiag
+        n, s, minv = self.n, self._s, self._minv
         w = minv * rhs[n:]
-        x_r = self._lu.solve(rhs[:n] - s * _product(B.T, w))
-        return np.concatenate([x_r, w + s * (minv * _product(B, x_r))])
+        x = np.empty(len(rhs), dtype=np.result_type(rhs, s))
+        x[:n] = self._lu.solve(rhs[:n] - s * _product(self._BT, w))
+        x_v = np.multiply(minv, _product(self.system.Bmat, x[:n]), out=x[n:])
+        np.multiply(s, x_v, out=x_v)  # s first: a complex product is not commutative bitwise
+        x_v += w
+        return x
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         self._solves += 1
@@ -185,8 +202,11 @@ def elliptic_projection(system: BlockSystem, sigma: Callable,
     rhs_v = spaces.scalar_moments(W, rule, np.asarray(div_sigma(X[..., 0], X[..., 1]),
                                                       dtype=float))
 
-    # the L2 pairing is the compliance of mu = 1/2 (and lambda = 0)
-    mass = assemble_stress_mass(spaces) + system.Cmat + system.Cmat.T
+    # the L2 pairing is the compliance of mu = 1/2 (and lambda = 0); its E_r
+    # is E_r - A + mass, exact entry by entry on their one pattern
+    E = system.Emat
+    data = E.data - system.Amat.data + assemble_stress_mass(spaces).data
+    mass = sps.csr_matrix((data, E.indices, E.indptr), shape=E.shape)
     x, _ = _solve_saddle(system, mass, 0.5, rhs_x, rhs_v)
     x[spaces.rotation_map] = 0.0  # the multiplier
     return x
@@ -228,7 +248,7 @@ def infsup_constant(system: BlockSystem) -> float:
     B, C = system.Bmat, system.Cmat
     # the masses with rho = 1: M / rho for the velocity, area * I per rotation
     stress = np.unique(spaces.stress_map)
-    D = (assemble_stress_mass(spaces) + rho * system.Kmat)[stress][:, stress].toarray()
+    D = _shifted(system, assemble_stress_mass(spaces), rho)[stress][:, stress].toarray()
     Bb = sps.vstack([B, C[spaces.rotation_map.ravel()]])[:, stress].toarray()
     N = np.diag(np.concatenate([system.Mdiag / rho, np.repeat(spaces.areas, spaces.n_scalar)]))
     S = Bb @ np.linalg.solve(D, Bb.T)

@@ -9,7 +9,8 @@ from mixedelast import (MaterialModel, MixedElastError, assemble,
                         assemble_body_load, assemble_dirichlet_load,
                         assemble_stress_mass, build_spaces, build_uniform_square_mesh,
                         builtin_case)
-from mixedelast.assembly import SeparatedField, _class_tables, _compliance, _dirichlet_operator
+from mixedelast.assembly import (SeparatedField, _class_tables, _compliance, _dirichlet_operator,
+                                 _scatter)
 from mixedelast.mesh import _connect
 
 from conftest import _reachable
@@ -136,15 +137,19 @@ def test_block_ode_matrix_invertible(spaces_cache, unit_material):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_amat_is_the_compliance_scatter(mesh_cache, k):
     # the system holds E_r = A + C + C^T, and A, C and C^T have disjoint
-    # patterns, so the A formed from it is the assembled compliance exactly
+    # local blocks, so the A formed from it, on E_r's pattern, is the
+    # assembled (symmetrized) compliance exactly
     case = builtin_case("eg2", alpha=2.2)
     spaces = build_spaces(mesh_cache(4), k)
-    got = assemble(spaces, case.material).Amat
+    system = assemble(spaces, case.material)
+    got = system.Amat
+    assert np.shares_memory(got.indices, system.Emat.indices)
     W, V, _, _ = _class_tables(spaces)
-    ref = _compliance(spaces, W, V, case.material.mu, case.material.lambda_)
-    assert np.array_equal(got.indptr, ref.indptr)
-    assert np.array_equal(got.indices, ref.indices)
-    assert np.array_equal(got.data.view(np.uint8), ref.data.view(np.uint8))
+    T = _compliance(W, V, case.material.mu, case.material.lambda_)
+    stress = spaces.stress_map.reshape(len(spaces.tri_class), -1)
+    ref = _scatter(0.5 * (T + T.swapaxes(1, 2))[spaces.tri_class], stress[:, :, None],
+                   stress[:, None, :], got.shape)
+    assert np.array_equal(got.toarray().view(np.uint8), ref.toarray().view(np.uint8))
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 1)])
@@ -308,22 +313,26 @@ def test_no_stress_basis_table_outlives_assemble(mesh_cache, k):
 @pytest.mark.parametrize("rho", [1.0, 2.5], ids=["constant-rho", "scaled-rho"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_operators_are_canonical_without_stored_zeros(spaces_cache, k, rho):
-    # sorted column indices, no duplicates and no explicit zeros: the fill of
-    # the entity-ordered step LU depends on this structure
+    # sorted column indices and no duplicates; every scattered entry is kept,
+    # so the stored zeros are the structural ones of E_r's one pattern
     spaces = spaces_cache(2, k)
     system = assemble(spaces, MaterialModel(mu=1.0, lambda_=1.0, rho=rho))
     _, dirichlet = _dirichlet_operator(spaces)
-    for op in (system.Amat, system.Bmat, system.Cmat, system.Mmat,
-               assemble_stress_mass(spaces), dirichlet):
+    mass = assemble_stress_mass(spaces)
+    for op in (system.Emat, system.Amat, system.Bmat, system.Cmat, system.Mmat, mass, dirichlet):
         assert op.format == "csr"
         assert sps.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape).has_canonical_format
-        assert np.all(op.data != 0.0)
-    # the L2 mass pairs each tensor row with itself only: no stored entry, not
-    # even a roundoff one, couples a row-0 stress with a row-1 stress
+    assert np.array_equal(mass.indptr, system.Emat.indptr)
+    assert np.array_equal(mass.indices, system.Emat.indices)
+    # the L2 mass pairs each tensor row with itself only: its entries that
+    # couple a row-0 stress with a row-1 stress, and those of C and C^T, are
+    # stored exact zeros, not roundoff and not absent
     row = np.full(spaces.dim_x, -1)
     row[spaces.stress_map] = np.arange(2)[:, None]
-    mass = assemble_stress_mass(spaces).tocoo()
-    assert not np.any(row[mass.row] + row[mass.col] == 1)
+    mass = mass.tocoo()
+    cross = (row[mass.row] + row[mass.col] == 1) | (row[mass.row] < 0) | (row[mass.col] < 0)
+    assert cross.sum() > 0
+    assert np.array_equal(mass.data[cross].view(np.uint8), np.zeros(cross.sum()).view(np.uint8))
 
 
 def test_stress_mass_spd(mesh_cache, spaces_cache):
@@ -426,3 +435,31 @@ def test_unseparated_loads_are_rejected(mesh_cache):
         for load in ("body_force", "dirichlet_velocity"):
             with pytest.raises(MixedElastError, match=load):
                 assemble(spaces, MaterialModel(mu=1.0, lambda_=1.0), **{load: field})
+
+
+@pytest.mark.parametrize("which", ["uniform", "no-congruent"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_range_pattern_does_not_depend_on_values(mesh_cache, k, which):
+    # every scattered entry is kept, so E_r's pattern, and K_r's positions in
+    # it, follow from the DOF maps alone; E_r is bitwise symmetric, so its
+    # CSR arrays are its CSC arrays; K_r on E_r's pattern is B^T M^-1 B
+    mesh = mesh_cache(2) if which == "uniform" else _mesh_without_congruent_triangles(k)
+    spaces = build_spaces(mesh, k)
+    systems = [assemble(spaces, MaterialModel(mu=mu, lambda_=lam, rho=rho))
+               for mu, lam, rho in ((1.0, 1.0, 1.0), (0.3, 1e4, 2.5))]
+    first = systems[0].Emat
+    for system in systems:
+        E = system.Emat
+        K = sps.csr_matrix((np.zeros(E.nnz), E.indices, E.indptr), shape=E.shape)
+        K.data[system.Kpos] = system.Kdata
+        for op in (E, K):
+            assert np.array_equal(op.indptr, first.indptr)
+            assert np.array_equal(op.indices, first.indices)
+        assert np.array_equal(system.Kpos, systems[0].Kpos)
+        Et = E.T.tocsr()
+        Et.sort_indices()
+        assert np.array_equal(Et.indptr, E.indptr) and np.array_equal(Et.indices, E.indices)
+        assert np.array_equal(Et.data.view(np.uint8), E.data.view(np.uint8))
+        B = system.Bmat
+        ref = (B.T @ (sps.diags(1.0 / system.Mdiag) @ B)).toarray()
+        assert np.abs(K.toarray() - ref).max() <= 1e-15 * np.abs(ref).max()

@@ -252,10 +252,10 @@ def test_singular_step_detected(small_system):
     # zeroed stress and symmetry blocks make E - dt/2 G exactly singular
     from mixedelast import SingularSystemError
     system, spaces, _ = small_system
-    n, nV = spaces.dim_x, spaces.dim_velocity
-    zero = sps.csr_matrix((n, n))
+    n, nV, E = spaces.dim_x, spaces.dim_velocity, system.Emat
+    zero = sps.csr_matrix((np.zeros(E.nnz), E.indices, E.indptr), shape=E.shape)
     broken = dataclasses.replace(system, Emat=zero, Bmat=sps.csr_matrix((nV, n)),
-                                 Cmat=zero, Kmat=zero)
+                                 Cmat=sps.csr_matrix((n, n)), Kdata=np.zeros_like(system.Kdata))
     with pytest.raises(SingularSystemError):
         integrate(broken, _zero_initial_data(spaces), "cn", 0.1, 0.1)
 
@@ -349,10 +349,13 @@ def test_step_lu_detects_rotation_constraint_not_onto(small_system, scheme):
     # check of C
     from mixedelast import SingularSystemError
     system, spaces, _ = small_system
-    C = system.Cmat.tolil()
-    C[spaces.rotation_map[0, 0], :] = 0.0
-    C = C.tocsr()
-    broken = dataclasses.replace(system, Emat=system.Amat + C + C.T, Cmat=C)
+    rot = spaces.rotation_map[0, 0]
+    C, E = system.Cmat.copy(), system.Emat
+    C.data[C.indptr[rot]:C.indptr[rot + 1]] = 0.0
+    data = E.data.copy()  # the row and the column of rot in E_r are C's and C^T's
+    data[E.indptr[rot]:E.indptr[rot + 1]] = data[E.indices == rot] = 0.0
+    broken = dataclasses.replace(
+        system, Emat=sps.csr_matrix((data, E.indices, E.indptr), shape=E.shape), Cmat=C)
     with pytest.raises(SingularSystemError, match="step factorization"):
         integrate(broken, _zero_initial_data(spaces), scheme, 0.1, 0.1)
 
@@ -513,9 +516,9 @@ def test_no_full_step_matrix_cached():
 
 @pytest.mark.parametrize("name,n,k", [("eg2", 8, 2), ("eg3", 4, 3)])
 def test_each_operator_held_once(name, n, k):
-    # the system holds E_r, which stands for A, with B, C and K_r, the
-    # velocity mass as its diagonal, and one load matrix in each load
-    # closure; no operator and no load matrix is held twice
+    # the system holds E_r, which stands for A, with B, C, K_r as values on
+    # E_r's pattern, the velocity mass as its diagonal, and one load matrix
+    # in each load closure; no operator and no load matrix is held twice
     import mixedelast as me
     case = builtin_case(name, alpha=2.2 if name == "eg2" else None)
     mesh = me.build_uniform_square_mesh(n)
@@ -525,13 +528,17 @@ def test_each_operator_held_once(name, n, k):
     n, nV = system.spaces.dim_x, system.spaces.dim_velocity
     held = [value for value in _reachable(system) if sps.issparse(value)]
     shapes = [op.shape for op in held]
-    assert shapes.count((n, n)) == 3  # E_r, K_r and C, which forms E_r of another stress block
+    assert shapes.count((n, n)) == 2  # E_r and C, which forms E_r of another stress block
     assert shapes.count((nV, n)) == 1  # B
     assert shapes.count((nV, nV)) == 0  # M is the 1-D Mdiag, and M^-1 is not held
     for i, a in enumerate(held):
         for b in held[i + 1:]:
             assert not (a.data.shape == b.data.shape and np.array_equal(a.data, b.data))
     arrays = [value for value in _reachable(system) if isinstance(value, np.ndarray)]
+    # K_r is its values and int32 positions, not a matrix on E_r's whole
+    # pattern: only E_r's own data and indices are that long
+    assert system.Kpos.dtype == np.int32 and system.Kdata.shape == system.Kpos.shape
+    assert sum(a.shape == (system.Emat.nnz,) for a in arrays) == 2
     loads = [cell.cell_contents for load in (system.load, system.dirichlet_load)
              for cell in load.__closure__ if isinstance(cell.cell_contents, np.ndarray)]
     assert sorted(L.shape[0] for L in loads) == sorted([nV, n])
