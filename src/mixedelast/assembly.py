@@ -18,15 +18,20 @@ Every matrix and the boundary operator are summed from local matrices by one
 carries as ``stress_map``, ``velocity_map`` and ``rotation_map``; the loads
 are moments in the same numbering.  Every matrix on the range of x has
 E_r's one pattern, fixed by the maps: K_r is held as values at positions of
-E_r's stored entries.  Every local matrix is formed once per
-congruence class of triangles (see `DiscreteSpaces`) from one set of class
-tables and gathered by ``tri_class``; the compliance has one formula, and the
-L2 stress mass is its value at mu = 1/2, lambda = 0.
+E_r's stored entries, and C as E_r's rotation rows.  Every local matrix is
+formed once per congruence class of triangles (see `DiscreteSpaces`) from one
+set of class tables and gathered by ``tri_class``; the compliance has one
+formula, and the L2 stress mass is its value at mu = 1/2, lambda = 0.
+
+E_r's CSR serves only to build the Schur complements that SuperLU factors.
+Every product with E_r, or with another matrix E_r(T) = T + C + C^T on the
+range of x, is made element by element from its local blocks, one per class
+(`RangeOperator`; Hughes, Levit & Winget, CMAME 36, 1983).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Real
 from typing import Callable
 
@@ -72,18 +77,45 @@ class SeparatedField:
         return self.fn(t, x, y)
 
 
+@dataclass(frozen=True)
+class RangeOperator:
+    """A matrix on the range of x applied from its local blocks, one per
+    congruence class: L x = sum_T P_T^T L_c(T) P_T x, where P_T gathers the
+    stress and rotation unknowns of triangle T (Hughes, Levit & Winget, CMAME
+    36, 1983).  ``table`` (T, 2 nd + m) lists each triangle's unknowns, its
+    rows grouped by class: those of class c are ``table[bounds[c]:bounds[c +
+    1]]``, and ``blocks`` (class, 2 nd + m, 2 nd + m) holds their local
+    matrix."""
+
+    blocks: np.ndarray
+    table: np.ndarray
+    bounds: tuple
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if np.iscomplexobj(x):  # bincount sums real weights only
+            y = np.empty(len(x), dtype=x.dtype)
+            y.real, y.imag = self @ x.real, self @ x.imag
+            return y
+        local = x[self.table]
+        out = np.empty_like(local)
+        for block, lo, hi in zip(self.blocks, self.bounds, self.bounds[1:]):
+            np.matmul(local[lo:hi], block.T, out=out[lo:hi])
+        return np.bincount(self.table.ravel(), out.ravel(), minlength=len(x))
+
+
 @dataclass
 class BlockSystem:
     """The assembled matrix ODE: ``Emat`` = E_r = A + C + C^T on the range of
-    x, B, C, the diagonal ``Mdiag`` of the velocity mass M and K_r =
-    B^T M^-1 B as its values ``Kdata`` at the positions ``Kpos`` of Emat's
-    stored entries, with the time-dependent loads.  Every solve reads these
-    matrices and none changes them.  Unlike the spaces it is not frozen, so
-    that a profiler can rebind the two load closures to time them."""
+    x, ``Eop``, the same E_r applied from its local blocks, B, the diagonal
+    ``Mdiag`` of the velocity mass M and K_r = B^T M^-1 B as its values
+    ``Kdata`` at the positions ``Kpos`` of Emat's stored entries, with the
+    time-dependent loads.  Every solve reads these matrices and none changes
+    them.  Unlike the spaces it is not frozen, so that a profiler can rebind
+    the two load closures to time them."""
 
     Emat: sps.csr_matrix
+    Eop: RangeOperator
     Bmat: sps.csr_matrix
-    Cmat: sps.csr_matrix
     Mdiag: np.ndarray
     Kdata: np.ndarray
     Kpos: np.ndarray
@@ -98,6 +130,15 @@ class BlockSystem:
         (rows, cols), E = _entry_rows(self.spaces, self.Emat), self.Emat
         return sps.csr_matrix((np.where((rows < 2) & (cols < 2), E.data, 0.0), E.indices,
                                E.indptr), shape=E.shape)
+
+    @property
+    def Cmat(self) -> sps.csr_matrix:
+        """The rotation coupling C: E_r's rotation rows, whose entries are C's
+        alone, with every other row empty; no solve reads it."""
+        E = self.Emat
+        keep = _entry_rows(self.spaces, E)[0] == 2
+        indptr = np.concatenate([[0], np.cumsum(keep)])[E.indptr]
+        return sps.csr_matrix((E.data[keep], E.indices[keep], indptr), shape=E.shape)
 
     @property
     def Mmat(self) -> sps.csr_matrix:
@@ -153,33 +194,69 @@ def _compliance(W: np.ndarray, V: np.ndarray, mu: float, lam: float) -> np.ndarr
     return blocks.transpose(2, 0, 3, 1, 4).reshape(nc, 2 * nd, 2 * nd)
 
 
-def _range_matrix(spaces: DiscreteSpaces, T: np.ndarray, C: np.ndarray) -> sps.csr_matrix:
-    """E_r = T + C + C^T of the local stress blocks T (class, 2 nd, 2 nd) and
-    couplings C (class, m, 2 nd), by one `_scatter` over the union of the
-    local T, C and C^T blocks, the same for every T and C.  Each T is made
-    bitwise symmetric, 1/2 (T + T^T); so is E_r, whose CSR arrays are then
-    also its CSC arrays."""
-    (nc, ns, _), m = T.shape, C.shape[1]
-    local = np.block([[0.5 * (T + T.swapaxes(1, 2)), C.swapaxes(1, 2)], [C, np.zeros((nc, m, m))]])
-    stress = np.arange(ns + m) < ns
+def _local_blocks(T: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The local blocks [[T, C^T], [C, 0]] (class, 2 nd + m, 2 nd + m) of E_r(T)
+    = T + C + C^T, of the stress blocks T (class, 2 nd, 2 nd) and couplings C
+    (class, m, 2 nd); each T is made bitwise symmetric, 1/2 (T + T^T)."""
+    nc, m = len(T), C.shape[1]
+    return np.block([[0.5 * (T + T.swapaxes(1, 2)), C.swapaxes(1, 2)], [C, np.zeros((nc, m, m))]])
+
+
+def _range_operator(spaces: DiscreteSpaces, blocks: np.ndarray) -> RangeOperator:
+    """The RangeOperator of local blocks (class, 2 nd + m, 2 nd + m), with the
+    triangles' (stress, rotation) unknowns as its table, grouped by class."""
+    order = np.argsort(spaces.tri_class, kind="stable")
+    table = np.concatenate([spaces.stress_map.reshape(len(order), -1), spaces.rotation_map],
+                           axis=1)[order]
+    bounds = np.searchsorted(spaces.tri_class[order], np.arange(len(blocks) + 1))
+    return RangeOperator(blocks, table, tuple(bounds.tolist()))
+
+
+def _range_matrix(spaces: DiscreteSpaces, op: RangeOperator) -> sps.csr_matrix:
+    """The CSR of a RangeOperator of E_r(T), by one `_scatter` over the union
+    of the local T, C and C^T blocks, the same for every T and C.  E_r(T) is
+    bitwise symmetric, as its T blocks are, so its CSR arrays are also its
+    CSC arrays."""
+    stress = np.arange(op.blocks.shape[1]) < spaces.stress_map[0].size
     i, j = np.nonzero(stress[:, None] | stress)  # every pair but one of two rotations
-    dofs = np.concatenate([spaces.stress_map.reshape(-1, ns), spaces.rotation_map], axis=1)
-    # np.take, not dofs[:, i], whose result is in F order, which the scatter
+    # np.take, not table[:, i], whose result is in F order, which the scatter
     # would copy to C order at several times the cost
-    return _scatter(local[:, i, j][spaces.tri_class], np.take(dofs, i, axis=1),
-                    np.take(dofs, j, axis=1), (spaces.dim_x, spaces.dim_x))
+    return _scatter(np.repeat(op.blocks[:, i, j], np.diff(op.bounds), axis=0),
+                    np.take(op.table, i, axis=1), np.take(op.table, j, axis=1),
+                    (spaces.dim_x, spaces.dim_x))
+
+
+def _stress_mass_blocks(spaces: DiscreteSpaces) -> np.ndarray:
+    """The local L2 stress masses (phi_j, phi_i), (class, 2 nd, 2 nd).
+
+    They are the compliance of mu = 1/2, lambda = 0, exactly: the blocks that
+    couple different tensor rows are 0.5 G^T - 0 G - 0.5 G^T = 0, and the
+    factor of the row-by-row pairing is 1."""
+    W, V, _, _ = _class_tables(spaces)
+    return _compliance(W, V, 0.5, 0.0)
 
 
 def assemble_stress_mass(spaces: DiscreteSpaces) -> sps.csr_matrix:
     """Plain L2 mass matrix (phi_j, phi_i) of the stresses, on E_r's pattern.
+    Its blocks that couple different tensor rows, and the entries of C and
+    C^T, are stored exact zeros."""
+    T = _stress_mass_blocks(spaces)
+    C = np.zeros((len(T), spaces.n_scalar, T.shape[1]))
+    return _range_matrix(spaces, _range_operator(spaces, _local_blocks(T, C)))
 
-    It is the compliance of mu = 1/2, lambda = 0, exactly: the blocks that
-    couple different tensor rows are 0.5 G^T - 0 G - 0.5 G^T = 0, and the
-    factor of the row-by-row pairing is 1.  Those blocks, and the entries of
-    C and C^T, are stored exact zeros."""
-    W, V, _, psi = _class_tables(spaces)
-    T = _compliance(W, V, 0.5, 0.0)
-    return _range_matrix(spaces, T, np.zeros((len(T), len(psi), T.shape[1])))
+
+def l2_pairing(system: BlockSystem):
+    """E_r(mass) = mass + C + C^T, the weakly symmetric L2 stress pairing, as
+    (its CSR on the index arrays of the system's E_r, its RangeOperator).
+
+    Its local blocks are E_r's with the compliance's replaced by the L2
+    mass's, so its entries are exact: each is a sum of the same local values
+    that the mass and C hold.  The operator shares E_r's table."""
+    E, op, ns = system.Emat, system.Eop, system.spaces.stress_map[0].size
+    op = replace(op, blocks=_local_blocks(_stress_mass_blocks(system.spaces),
+                                          op.blocks[:, ns:, :ns]))  # C from E_r
+    data = _range_matrix(system.spaces, op).data
+    return sps.csr_matrix((data, E.indices, E.indptr), shape=E.shape), op
 
 
 def assemble(spaces: DiscreteSpaces, material: MaterialModel,
@@ -202,9 +279,9 @@ def assemble(spaces: DiscreteSpaces, material: MaterialModel,
     # phi[0, 1] - phi[1, 0], i.e. +v_y for row-0 fields, -v_x for row-1 fields.
     C_T = np.concatenate([np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 1, :]),
                           -np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 0, :])], axis=2)
-    shape = (spaces.dim_x, spaces.dim_x)
-    C = _scatter(C_T[tc], spaces.rotation_map[:, :, None], stress.reshape(len(tc), 1, -1), shape)
-    E = _range_matrix(spaces, _compliance(W, V, material.mu, material.lambda_), C_T)
+    Eop = _range_operator(spaces, _local_blocks(_compliance(W, V, material.mu,
+                                                            material.lambda_), C_T))
+    E = _range_matrix(spaces, Eop)
     B_T = np.einsum("tq,iq,tbq->tib", W, psi, DV)  # (class, m, nd), one per component
     B = _scatter(B_T[tc, None], velocity[..., None], stress[:, :, None],
                  (spaces.dim_velocity, spaces.dim_x))
@@ -216,11 +293,16 @@ def assemble(spaces: DiscreteSpaces, material: MaterialModel,
     # tensor row; its pattern is those entries of E_r's, in E_r's order
     K_T = (B_T * (1.0 / m_T)[:, :, None]).swapaxes(1, 2) @ B_T
     K = _scatter(0.5 * (K_T + K_T.swapaxes(1, 2))[tc, None], stress[..., None],
-                 stress[:, :, None], shape)
+                 stress[:, :, None], (spaces.dim_x, spaces.dim_x))
     rows, cols = _entry_rows(spaces, E)
+    Kpos = np.flatnonzero((rows == cols) & (cols < 2)).astype(E.indices.dtype)
+    del rows, cols
+    # scipy's sum_duplicates prunes E_r and K_r by slicing, so they hold the
+    # arrays of every scattered entry; copied to their length once every
+    # scatter temporary is gone, which keeps the copies off the peak
+    E.data, E.indices, Kdata = E.data.copy(), E.indices.copy(), K.data.copy()
     return BlockSystem(
-        Emat=E, Bmat=B, Cmat=C, Mdiag=Mdiag, Kdata=K.data,
-        Kpos=np.flatnonzero((rows == cols) & (cols < 2)).astype(E.indices.dtype),
+        Emat=E, Eop=Eop, Bmat=B, Mdiag=Mdiag, Kdata=Kdata, Kpos=Kpos,
         load=_load_closure(body_force, spaces.dim_velocity,
                            lambda: _body_load_map(spaces)),
         dirichlet_load=_load_closure(dirichlet_velocity, spaces.dim_x,

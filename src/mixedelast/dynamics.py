@@ -22,7 +22,8 @@ K_r = B^T M^-1 B and the diagonal of M, are assembled with the system; each
 
 Both updates are written with E-products and solves only, so a system's
 steps keep the state y = (x, v) in the spaces' numbering, apply the (stress,
-rotation) block of E as one sparse matrix, and build no N x N E or G.
+rotation) block E_r of E element by element from its local blocks, one per
+congruence class (assembly.RangeOperator), and build no N x N E or G.
 """
 
 from __future__ import annotations
@@ -139,12 +140,12 @@ class _Stepper:
 
     def __init__(self, system: BlockSystem, scheme: str, dt: float):
         self.system, self.scheme, self.dt = system, scheme, dt
-        self.lu = statics.SchurLU(system, system.Emat, dt * _SHIFT[scheme], "step")
+        self.lu = statics.SchurLU(system, system.Emat, system.Eop, dt * _SHIFT[scheme], "step")
         self.n = system.spaces.dim_x
 
     def eprod(self, y: np.ndarray) -> np.ndarray:
         ey, n = np.empty_like(y), self.n
-        ey[:n] = self.system.Emat @ y[:n]
+        ey[:n] = self.system.Eop @ y[:n]
         np.multiply(self.system.Mdiag, y[n:], out=ey[n:])
         return ey
 

@@ -8,9 +8,10 @@ number in a symmetric mesh-entity order.  S_r(s) is E_r(T) + s^2 K_r on the
 range of x, E_r(T) = T + C + C^T, built as one gather onto E_r(T)'s
 pattern, which every matrix on that range shares (see `assembly`).  The
 system holds K_r's values on that pattern, the diagonal of M and E_r of the
-compliance A, which is also the matrix of the steps' E-products.  No LU is
-kept with it: a saddle LU is dropped after its solve, and a step LU when
-`dynamics.integrate` returns.
+compliance A, as CSR for the LUs and as its local blocks, from which every
+product with E_r(T), the residual checks' and the steps' E-products, is
+made.  No LU is kept with it: a saddle LU is dropped after its solve, and a
+step LU when `dynamics.integrate` returns.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .assembly import (BlockSystem, assemble_body_load, assemble_dirichlet_load,
-                       assemble_stress_mass)
+from .assembly import (BlockSystem, RangeOperator, assemble_body_load,
+                       assemble_dirichlet_load, assemble_stress_mass, l2_pairing)
 from .errors import SingularSystemError
 from .quadrature import triangle_rule
 from .spaces import l2_project_velocity
@@ -96,20 +97,22 @@ def _shifted(system: BlockSystem, E: sps.csr_matrix, s2) -> sps.csc_matrix:
 class SchurLU:
     """Solver of S(s) = [[T, s B^T, C^T], [-s B, M, 0], [C, 0, 0]] on the
     (stress, velocity, rotation) unknowns of a system, for a stress block T,
-    given by its E_r(T) on the system's index arrays, and a real or complex
-    shift s.  The velocity is eliminated with the reciprocals of M's
-    diagonal, so the LU is of the Schur complement S_r(s) = E_r(T) + s^2 K_r,
-    which shares E_r(T)'s index arrays.
+    given by its E_r(T) as CSR on the system's index arrays and as the
+    RangeOperator E_op that applies it, and a real or complex shift s.  The
+    velocity is eliminated with the reciprocals of M's diagonal, so the LU is
+    of the Schur complement S_r(s) = E_r(T) + s^2 K_r, which shares E_r(T)'s
+    index arrays.
 
     Vectors are (x, velocity).  Solves 1, 2, 4, 8, ... are
     residual-checked against S(s) applied block by block.  The LU lives as
     long as this object: its owner drops it after its last solve.
     """
 
-    def __init__(self, system: BlockSystem, E: sps.csr_matrix, s, what: str):
+    def __init__(self, system: BlockSystem, E: sps.csr_matrix, E_op: RangeOperator, s,
+                 what: str):
         if not np.may_share_memory(E.indices, system.Emat.indices):
             raise ValueError("E must be on the system's E_r pattern and index arrays")
-        self.system, self.E, self.n = system, E, system.spaces.dim_x
+        self.system, self.E, self.E_op, self.n = system, E, E_op, system.spaces.dim_x
         self._minv, self._BT = 1.0 / system.Mdiag, system.Bmat.T
         self._lu = factorize(_shifted(system, E, s * s), what)
         self._s, self._what, self._solves = s, what, 0
@@ -117,7 +120,7 @@ class SchurLU:
     def _apply(self, x: np.ndarray) -> np.ndarray:
         system, n, s = self.system, self.n, self._s
         x_r, v = x[:n], x[n:]
-        return np.concatenate([_product(self.E, x_r) + s * _product(self._BT, v),
+        return np.concatenate([self.E_op @ x_r + s * _product(self._BT, v),
                                system.Mdiag * v - s * _product(system.Bmat, x_r)])
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -141,10 +144,11 @@ class SchurLU:
 _MAX_SWEEPS = 50  # augmented-Lagrangian sweeps per saddle solve, at most
 
 
-def _solve_saddle(system: BlockSystem, E, mu: float, rhs_x, rhs_v):
+def _solve_saddle(system: BlockSystem, E, E_op: RangeOperator, mu: float, rhs_x, rhs_v):
     """Checked solve of the saddle system S = [[E, B^T], [B, 0]] in (x,
-    velocity), for E = E_r(T), by augmented-Lagrangian sweeps
-    (Fortin-Glowinski, 1983); returns (x, velocity).
+    velocity), for E = E_r(T) given as SchurLU takes it (E, E_op), by
+    augmented-Lagrangian sweeps (Fortin-Glowinski, 1983); returns (x,
+    velocity).
 
     A sweep adds P^-1 (b - S x) to x, with P = [[E, B^T], [B, -M / tau^2]]
     solved as SchurLU's S(tau) on (rho_x, -tau rho_v), whose velocity part is
@@ -156,10 +160,10 @@ def _solve_saddle(system: BlockSystem, E, mu: float, rhs_x, rhs_v):
     """
     n, B = system.spaces.dim_x, system.Bmat
     tau = np.sqrt(system.material.rho / mu)
-    lu = SchurLU(system, E, tau, "saddle")
+    lu = SchurLU(system, E, E_op, tau, "saddle")
 
     def apply(x):
-        return np.concatenate([E @ x[:n] + B.T @ x[n:], B @ x[:n]])
+        return np.concatenate([E_op @ x[:n] + B.T @ x[n:], B @ x[:n]])
 
     def sweeps(b):
         x, res, last = np.zeros_like(b), b.copy(), np.inf
@@ -202,12 +206,8 @@ def elliptic_projection(system: BlockSystem, sigma: Callable,
     rhs_v = spaces.scalar_moments(W, rule, np.asarray(div_sigma(X[..., 0], X[..., 1]),
                                                       dtype=float))
 
-    # the L2 pairing is the compliance of mu = 1/2 (and lambda = 0); its E_r
-    # is E_r - A + mass, exact entry by entry on their one pattern
-    E = system.Emat
-    data = E.data - system.Amat.data + assemble_stress_mass(spaces).data
-    mass = sps.csr_matrix((data, E.indices, E.indptr), shape=E.shape)
-    x, _ = _solve_saddle(system, mass, 0.5, rhs_x, rhs_v)
+    # the L2 pairing is the compliance of mu = 1/2 (and lambda = 0)
+    x, _ = _solve_saddle(system, *l2_pairing(system), 0.5, rhs_x, rhs_v)
     x[spaces.rotation_map] = 0.0  # the multiplier
     return x
 
@@ -232,7 +232,8 @@ def build_initial_data(case, system: BlockSystem) -> InitialData:
     rhs_x = x0 if case.homogeneous else assemble_dirichlet_load(spaces, case.u, 0.0)
     rhs_v = assemble_body_load(spaces, case.div_sigma, 0.0)
     if rhs_x.any() or rhs_v.any():  # the rotation's right-hand side is zero
-        x0, _ = _solve_saddle(system, system.Emat, system.material.mu, rhs_x, rhs_v)
+        x0, _ = _solve_saddle(system, system.Emat, system.Eop, system.material.mu, rhs_x,
+                              rhs_v)
     return InitialData(x0=x0, v0=v0, u0=u0)
 
 

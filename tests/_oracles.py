@@ -389,7 +389,8 @@ def l2_project_rotation(spaces, q, degree=None):
 
 def solve_elastostatics(system, rhs_x, rhs_v):
     """The compliance saddle solve of the initial data; returns (x, u)."""
-    return statics._solve_saddle(system, system.Emat, system.material.mu, rhs_x, rhs_v)
+    return statics._solve_saddle(system, system.Emat, system.Eop, system.material.mu, rhs_x,
+                                 rhs_v)
 
 
 def reconstruct_displacement_third_order(u, v, vdot, dt):

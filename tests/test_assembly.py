@@ -10,10 +10,11 @@ from mixedelast import (MaterialModel, MixedElastError, assemble,
                         assemble_stress_mass, build_spaces, build_uniform_square_mesh,
                         builtin_case)
 from mixedelast.assembly import (SeparatedField, _class_tables, _compliance, _dirichlet_operator,
-                                 _scatter)
+                                 _scatter, l2_pairing)
 from mixedelast.mesh import _connect
 
 from conftest import _reachable
+from test_mesh import _jittered
 from _oracles import (_load_field, _separate, canonical_interpolation, dense_assemble,
                       dense_body_load, dense_dirichlet_load, dense_system_blocks,
                       isotropic_stiffness_apply, rotation_mask, triangle_areas)
@@ -463,3 +464,67 @@ def test_range_pattern_does_not_depend_on_values(mesh_cache, k, which):
         B = system.Bmat
         ref = (B.T @ (sps.diags(1.0 / system.Mdiag) @ B)).toarray()
         assert np.abs(K.toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("mesh", ["uniform-1", "uniform-3", "uniform-4", "jittered-4"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_range_operator_matches_its_csr(mesh, k):
+    # E_r, and the L2 pairing of the elliptic projection, are applied from
+    # their local blocks, one per congruence class (on the jittered mesh each
+    # triangle is a class of its own); the product is the CSR product up to
+    # the order of its sums, for a real and for a complex x
+    jittered = mesh == "jittered-4"
+    mesh = _jittered(4) if jittered else build_uniform_square_mesh(int(mesh[-1]))
+    spaces = build_spaces(mesh, k)
+    if jittered:
+        assert len(spaces.class_tris) == len(mesh.triangles)
+    system = assemble(spaces, MaterialModel(mu=0.7, lambda_=3.0, rho=1.3))
+    rng = np.random.default_rng(k)
+    for E, op in ((system.Emat, system.Eop), l2_pairing(system)):
+        x = rng.standard_normal(spaces.dim_x)
+        for x in (x, x + 1j * rng.standard_normal(spaces.dim_x)):
+            got, ref = op @ x, E @ x
+            assert got.dtype == ref.dtype
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_l2_pairing_is_exact_entry_by_entry(spaces_cache, k):
+    # E_r of the L2 mass, scattered from E_r's blocks with the compliance's
+    # replaced by the mass's, is E_r - A + mass exactly, on E_r's index
+    # arrays; its operator shares E_r's table
+    system = assemble(spaces_cache(4, k), MaterialModel(mu=0.7, lambda_=3.0))
+    E, A, mass = system.Emat, system.Amat, assemble_stress_mass(system.spaces)
+    got, op = l2_pairing(system)
+    assert np.shares_memory(got.indices, E.indices) and np.shares_memory(got.indptr, E.indptr)
+    assert np.array_equal(got.data, E.data - A.data + mass.data)
+    assert op.table is system.Eop.table and op.bounds == system.Eop.bounds
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (8, 3), (16, 2)])
+def test_c_is_held_as_the_rotation_rows_of_e_r(spaces_cache, n, k):
+    # C is not scattered on its own: Cmat is formed from E_r's rotation rows,
+    # and its arrays are bitwise those of the local couplings' own scatter
+    spaces = spaces_cache(n, k)
+    system = assemble(spaces, MaterialModel(mu=0.7, lambda_=3.0))
+    ns, tc = spaces.stress_map[0].size, spaces.tri_class
+    ref = _scatter(system.Eop.blocks[tc, ns:, :ns], spaces.rotation_map[:, :, None],
+                   spaces.stress_map.reshape(len(tc), 1, -1), (spaces.dim_x, spaces.dim_x))
+    got = system.Cmat
+    for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices), (got.data, ref.data)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_range_operator_holds_class_blocks_and_one_table(mesh_cache, k):
+    # the system holds E_r's local blocks once per class, no (T, 2 nd + m,
+    # 2 nd + m) array of them, and its DOF table once; E_r's and K_r's arrays
+    # are held at the length of their sums, not of every scattered entry
+    spaces = build_spaces(mesh_cache(4), k)
+    system = assemble(spaces, MaterialModel(mu=0.7, lambda_=3.0))
+    nt, width = len(spaces.tri_class), spaces.stress_map[0].size + spaces.n_scalar
+    assert system.Eop.blocks.shape == (2, width, width)
+    held = [a for a in _reachable(system) if isinstance(a, np.ndarray)]
+    assert not [a for a in held if a.shape == (nt, width, width)]
+    assert sum(a.shape == (nt, width) for a in held) == 1
+    assert all(a.base is None for a in (system.Emat.data, system.Emat.indices, system.Kdata))

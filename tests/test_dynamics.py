@@ -255,7 +255,8 @@ def test_singular_step_detected(small_system):
     n, nV, E = spaces.dim_x, spaces.dim_velocity, system.Emat
     zero = sps.csr_matrix((np.zeros(E.nnz), E.indices, E.indptr), shape=E.shape)
     broken = dataclasses.replace(system, Emat=zero, Bmat=sps.csr_matrix((nV, n)),
-                                 Cmat=sps.csr_matrix((n, n)), Kdata=np.zeros_like(system.Kdata))
+                                 Kdata=np.zeros_like(system.Kdata))
+    assert broken.Cmat.nnz == system.Cmat.nnz and not broken.Cmat.data.any()
     with pytest.raises(SingularSystemError):
         integrate(broken, _zero_initial_data(spaces), "cn", 0.1, 0.1)
 
@@ -346,16 +347,17 @@ def test_step_lu_detects_rotation_constraint_not_onto(small_system, scheme):
     # with the row of one rotation of C zeroed, C is not onto, so the (sigma,
     # gamma) Schur complement [[A + (dt c)^2 B^T M^-1 B, C^T], [C, 0]] is
     # singular; zero initial data skip the saddle LU, so this is the run's
-    # check of C
+    # check of C.  C is E_r's rotation rows, so breaking E_r breaks C
     from mixedelast import SingularSystemError
     system, spaces, _ = small_system
     rot = spaces.rotation_map[0, 0]
-    C, E = system.Cmat.copy(), system.Emat
-    C.data[C.indptr[rot]:C.indptr[rot + 1]] = 0.0
+    E = system.Emat
     data = E.data.copy()  # the row and the column of rot in E_r are C's and C^T's
     data[E.indptr[rot]:E.indptr[rot + 1]] = data[E.indices == rot] = 0.0
     broken = dataclasses.replace(
-        system, Emat=sps.csr_matrix((data, E.indices, E.indptr), shape=E.shape), Cmat=C)
+        system, Emat=sps.csr_matrix((data, E.indices, E.indptr), shape=E.shape))
+    C = broken.Cmat
+    assert C.indptr[rot + 1] > C.indptr[rot] and not C.data[C.indptr[rot]:C.indptr[rot + 1]].any()
     with pytest.raises(SingularSystemError, match="step factorization"):
         integrate(broken, _zero_initial_data(spaces), scheme, 0.1, 0.1)
 
@@ -514,9 +516,23 @@ def test_no_full_step_matrix_cached():
     assert all(max(shape, default=0) < N for shape in shapes if len(shape) == 2)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_eprod_rotation_entries_are_c_sigma(k):
+    # the steps' E-product applies E_r from its local blocks; its rotation
+    # entries are the weak-symmetry moments C sigma, and its velocity
+    # entries M v
+    system = _eg2_system(4, k)
+    stepper = dynamics._Stepper(system, "cn", 0.25)
+    n, rot = stepper.n, system.spaces.rotation_map.ravel()
+    y = np.random.default_rng(k).standard_normal(n + system.spaces.dim_velocity)
+    ey, ref = stepper.eprod(y), system.Cmat @ y[:n]
+    assert np.abs(ey[rot] - ref[rot]).max() <= 1e-14 * np.abs(ref).max()
+    assert np.array_equal(ey[n:], system.Mdiag * y[n:])
+
+
 @pytest.mark.parametrize("name,n,k", [("eg2", 8, 2), ("eg3", 4, 3)])
 def test_each_operator_held_once(name, n, k):
-    # the system holds E_r, which stands for A, with B, C, K_r as values on
+    # the system holds E_r, which stands for A and C, B, K_r as values on
     # E_r's pattern, the velocity mass as its diagonal, and one load matrix
     # in each load closure; no operator and no load matrix is held twice
     import mixedelast as me
@@ -528,7 +544,7 @@ def test_each_operator_held_once(name, n, k):
     n, nV = system.spaces.dim_x, system.spaces.dim_velocity
     held = [value for value in _reachable(system) if sps.issparse(value)]
     shapes = [op.shape for op in held]
-    assert shapes.count((n, n)) == 2  # E_r and C, which forms E_r of another stress block
+    assert shapes.count((n, n)) == 1  # E_r; C is formed from its rotation rows on each read
     assert shapes.count((nV, n)) == 1  # B
     assert shapes.count((nV, nV)) == 0  # M is the 1-D Mdiag, and M^-1 is not held
     for i, a in enumerate(held):

@@ -12,6 +12,7 @@ from mixedelast import (MaterialModel, SingularSystemError, assemble,
                         build_uniform_square_mesh, builtin_case, elliptic_projection,
                         infsup_constant, integrate, l2_error, l2_project_velocity)
 from mixedelast import statics
+from mixedelast.assembly import RangeOperator, l2_pairing
 from mixedelast.quadrature import triangle_rule
 
 from conftest import _reachable, make_matrix_field
@@ -213,10 +214,13 @@ def test_saddle_factorizations_not_kept(spaces_cache, unit_material):
                       body_force=case.f, dirichlet_velocity=case.g)
 
     def arrays(op):  # the arrays that hold an operator's values
+        if isinstance(op, RangeOperator):
+            return op.blocks, op.table
         return (op,) if isinstance(op, np.ndarray) else (op.indptr, op.indices, op.data)
 
+    # C is formed from E_r's rotation rows on each read, so E_r's arrays hold it
     before = {name: getattr(system, name)
-              for name in ("Emat", "Bmat", "Cmat", "Kdata", "Kpos", "Mdiag")}
+              for name in ("Emat", "Eop", "Bmat", "Kdata", "Kpos", "Mdiag")}
     saved = {name: [a.copy() for a in arrays(op)] for name, op in before.items()}
     init = build_initial_data(case, system)
     for scheme in ("cn", "radau2"):
@@ -345,7 +349,7 @@ def test_saddle_sweeps_match_dense_solve(mesh_cache, monkeypatch, k):
                         or solve_saddle(*args))
     sigma, div_sigma = make_matrix_field(rng)
     proj = elliptic_projection(system, sigma, div_sigma)
-    _, mass, _, rhs_x, rhs_v = seen[0]
+    *_, rhs_x, rhs_v = seen[0]
     assert np.abs(rhs_x[spaces.rotation_map]).max() > 1e-3
     ref = stress_part(spaces, _dense_saddle_solve(system, assemble_stress_mass(spaces),
                                                   np.concatenate([rhs_x, rhs_v]))[:n])
@@ -419,11 +423,10 @@ def test_schur_pattern_fill_matches_bmat_build(mesh_cache, monkeypatch, k):
                         factored.append(S) or factorize(S, what))
     lam = complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)
     E, A, mass = system.Emat, system.Amat, assemble_stress_mass(system.spaces)
-    E_mass = sps.csr_matrix((E.data - A.data + mass.data, E.indices, E.indptr), shape=E.shape)
     for T, s in ((A, 0.0), (A, 0.125), (A, 0.25 * lam),
                  (A, np.sqrt(system.material.rho / system.material.mu)),
                  (mass, np.sqrt(system.material.rho / 0.5))):
-        statics.SchurLU(system, E if T is A else E_mass, s, "test")
+        statics.SchurLU(system, *((E, system.Eop) if T is A else l2_pairing(system)), s, "test")
         got = factored.pop()
         ref = _bmat_schur_complement(system, T, s)
         assert got.format == "csc" and got.dtype == ref.dtype
@@ -476,7 +479,7 @@ def test_schur_solve_fills_one_array_bitwise(spaces_cache, s):
     # complex scalar product is not commutative bitwise, so the order counts)
     case = builtin_case("eg2", alpha=2.2)
     system = assemble(spaces_cache(4, 2), case.material)
-    lu = statics.SchurLU(system, system.Emat, s, "test")
+    lu = statics.SchurLU(system, system.Emat, system.Eop, s, "test")
     n, B, minv = lu.n, system.Bmat, 1.0 / system.Mdiag
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(n + len(minv))
