@@ -1,7 +1,7 @@
 """2D mixed finite elements for elastodynamics with weakly imposed stress symmetry."""
 
 from .assembly import (BlockSystem, MaterialModel, assemble, assemble_body_load,
-                       assemble_dirichlet_load, assemble_stress_mass)
+                       assemble_dirichlet_load)
 from .dynamics import CN, RADAU2_NAME, SemidiscreteState, TrajectorySummary, integrate
 from .errors import ConfigError, GeometryError, MixedElastError, SingularSystemError
 from .mesh import Mesh, build_uniform_square_mesh, mesh_diameter

@@ -13,20 +13,15 @@ rotation rows and stress columns only.  `assemble` builds the system once,
 with M as its diagonal (the velocity basis is orthonormal, so M^-1 is 1/m
 entrywise) and K_r = B^T M^-1 B, which every solve that eliminates v needs.
 
-Every matrix and the boundary operator are summed from local matrices by one
-`_scatter` through the global numbering that `DiscreteSpaces` states and
-carries as ``stress_map``, ``velocity_map`` and ``rotation_map``; the loads
-are moments in the same numbering.  Every matrix on the range of x has
-E_r's one pattern, fixed by the maps: K_r is held as values at positions of
-E_r's stored entries, and C as E_r's rotation rows.  Every local matrix is
-formed once per congruence class of triangles (see `DiscreteSpaces`) from one
-set of class tables and gathered by ``tri_class``; the compliance has one
-formula, and the L2 stress mass is its value at mu = 1/2, lambda = 0.
-
-E_r's CSR serves only to build the Schur complements that SuperLU factors.
-Every product with E_r, or with another matrix E_r(T) = T + C + C^T on the
-range of x, is made element by element from its local blocks, one per class
-(`RangeOperator`; Hughes, Levit & Winget, CMAME 36, 1983).
+Every local matrix is formed once per congruence class of triangles (see
+`DiscreteSpaces`) from one set of class tables; the compliance has one
+formula, and the L2 stress mass is its value at mu = 1/2, lambda = 0.  A
+matrix on the range of x (E_r, K_r, the L2 pairing) is held as those blocks
+only, with the CSR pattern all of them share and its source maps
+(`RangeOperator`): products use the blocks, and a CSR or a Schur complement
+is gathered through the maps when needed.  B and the boundary operator are
+summed by one `_scatter` through the spaces' global numbering, in which the
+loads are moments too.
 """
 
 from __future__ import annotations
@@ -79,17 +74,26 @@ class SeparatedField:
 
 @dataclass(frozen=True)
 class RangeOperator:
-    """A matrix on the range of x applied from its local blocks, one per
-    congruence class: L x = sum_T P_T^T L_c(T) P_T x, where P_T gathers the
-    stress and rotation unknowns of triangle T (Hughes, Levit & Winget, CMAME
-    36, 1983).  ``table`` (T, 2 nd + m) lists each triangle's unknowns, its
-    rows grouped by class: those of class c are ``table[bounds[c]:bounds[c +
-    1]]``, and ``blocks`` (class, 2 nd + m, 2 nd + m) holds their local
-    matrix."""
+    """A matrix on the range of x held as its local blocks, one per congruence
+    class: L x = sum_T P_T^T L_c(T) P_T x, where P_T gathers the stress and
+    rotation unknowns of triangle T (Hughes, Levit & Winget, CMAME 36, 1983).
+    ``table`` (T, 2 nd + m) lists each triangle's unknowns, its rows grouped by
+    class: those of class c are ``table[bounds[c]:bounds[c + 1]]``, and
+    ``blocks`` (class, 2 nd + m, 2 nd + m) holds their local matrix.
+    ``indptr`` and ``indices`` are the int32 CSR pattern, E_r's, and ``src``,
+    ``dup`` and ``src2`` its source maps into the flat blocks: entry p is
+    blocks.flat[src[p]], plus blocks.flat[src2[q]] where two triangles share
+    it, p = dup[q]; int16 when every block entry fits, else int32.  A
+    system's operators share all but their blocks."""
 
     blocks: np.ndarray
     table: np.ndarray
     bounds: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    src: np.ndarray
+    dup: np.ndarray
+    src2: np.ndarray
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if np.iscomplexobj(x):  # bincount sums real weights only
@@ -102,23 +106,28 @@ class RangeOperator:
             np.matmul(local[lo:hi], block.T, out=out[lo:hi])
         return np.bincount(self.table.ravel(), out.ravel(), minlength=len(x))
 
+    def tocsr(self) -> sps.csr_matrix:
+        """The CSR on the pattern's index arrays, formed on each call, each
+        entry its local value or the sum of its two, as a scatter sums them."""
+        flat = self.blocks.reshape(-1)
+        data = flat[self.src]
+        data[self.dup] = flat[self.src[self.dup]] + flat[self.src2]
+        return sps.csr_matrix((data, self.indices, self.indptr), shape=(len(self.indptr) - 1,) * 2)
+
 
 @dataclass
 class BlockSystem:
-    """The assembled matrix ODE: ``Emat`` = E_r = A + C + C^T on the range of
-    x, ``Eop``, the same E_r applied from its local blocks, B, the diagonal
-    ``Mdiag`` of the velocity mass M and K_r = B^T M^-1 B as its values
-    ``Kdata`` at the positions ``Kpos`` of Emat's stored entries, with the
-    time-dependent loads.  Every solve reads these matrices and none changes
-    them.  Unlike the spaces it is not frozen, so that a profiler can rebind
-    the two load closures to time them."""
+    """The assembled matrix ODE: ``Eop``, E_r = A + C + C^T on the range of x,
+    B, the diagonal ``Mdiag`` of the velocity mass M and the local blocks
+    ``Kblocks`` of K_r = B^T M^-1 B on Eop's table, with the time-dependent
+    loads.  Every solve reads these matrices and none changes them.  Unlike
+    the spaces it is not frozen, so that a profiler can rebind the two load
+    closures to time them."""
 
-    Emat: sps.csr_matrix
     Eop: RangeOperator
     Bmat: sps.csr_matrix
     Mdiag: np.ndarray
-    Kdata: np.ndarray
-    Kpos: np.ndarray
+    Kblocks: np.ndarray
     load: Callable[[float], np.ndarray]
     dirichlet_load: Callable[[float], np.ndarray]
     spaces: DiscreteSpaces
@@ -126,17 +135,19 @@ class BlockSystem:
 
     @property
     def Amat(self) -> sps.csr_matrix:
-        """The compliance A on E_r's pattern, with C's and C^T's entries zero."""
-        (rows, cols), E = _entry_rows(self.spaces, self.Emat), self.Emat
-        return sps.csr_matrix((np.where((rows < 2) & (cols < 2), E.data, 0.0), E.indices,
-                               E.indptr), shape=E.shape)
+        """The compliance A on E_r's pattern, with C's and C^T's entries zero,
+        formed on each read; no solve reads it."""
+        ns, blocks = self.spaces.stress_map[0].size, self.Eop.blocks.copy()
+        blocks[:, ns:] = blocks[:, :, ns:] = 0.0
+        return replace(self.Eop, blocks=blocks).tocsr()
 
     @property
     def Cmat(self) -> sps.csr_matrix:
         """The rotation coupling C: E_r's rotation rows, whose entries are C's
-        alone, with every other row empty; no solve reads it."""
-        E = self.Emat
-        keep = _entry_rows(self.spaces, E)[0] == 2
+        alone, with every other row empty, formed on each read."""
+        E = self.Eop.tocsr()
+        rotation = np.isin(np.arange(E.shape[0]), self.spaces.rotation_map)
+        keep = np.repeat(rotation, np.diff(E.indptr))
         indptr = np.concatenate([[0], np.cumsum(keep)])[E.indptr]
         return sps.csr_matrix((E.data[keep], E.indices[keep], indptr), shape=E.shape)
 
@@ -150,22 +161,12 @@ def _scatter(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sp
     """Sum of the local entries local[...] at the global entries (rows[...],
     cols[...]), the three broadcast together, as canonical CSR.  Every entry
     is kept, an exact zero too, so the pattern follows from rows and cols
-    alone.  An entry is met from at most two triangles, and a sum of two
-    values is symmetric, so symmetric local matrices give a symmetric sum."""
+    alone."""
     local, rows, cols = np.broadcast_arrays(local, rows, cols)
     idx = np.int32 if max(shape) < 2**31 else np.int64  # the index copies at half the size
     return sps.coo_matrix((local.ravel(), (rows.astype(idx, order="C").ravel(),
                                            cols.astype(idx, order="C").ravel())),
                           shape=shape).tocsr()
-
-
-def _entry_rows(spaces: DiscreteSpaces, op: sps.csr_matrix):
-    """The tensor row of the row and of the column unknown of each stored
-    entry of a CSR matrix on the range of x: 0 or 1 for a stress, 2 for a
-    rotation."""
-    row = np.full(spaces.dim_x, 2, dtype=np.int8)
-    row[spaces.stress_map] = np.arange(2, dtype=np.int8)[:, None]
-    return np.repeat(row, np.diff(op.indptr)), row[op.indices]
 
 
 def _class_tables(spaces: DiscreteSpaces):
@@ -203,60 +204,48 @@ def _local_blocks(T: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 def _range_operator(spaces: DiscreteSpaces, blocks: np.ndarray) -> RangeOperator:
-    """The RangeOperator of local blocks (class, 2 nd + m, 2 nd + m), with the
-    triangles' (stress, rotation) unknowns as its table, grouped by class."""
+    """The RangeOperator of local blocks (class, W, W), W = 2 nd + m, with the
+    triangles' (stress, rotation) unknowns as its table, grouped by class.
+
+    Each pair of a triangle's unknowns but two rotations is a local entry, its
+    id its (class, local row, local column).  One counting sort of the ids
+    gives the pattern and the maps with no value scatter (Davis, Direct
+    Methods for Sparse Linear Systems, SIAM 2006, cs_compress): the (triangle,
+    local row) slots are grouped by global row, scipy's per-row sort of the
+    columns carries the ids along, and equal neighbours are one entry."""
     order = np.argsort(spaces.tri_class, kind="stable")
     table = np.concatenate([spaces.stress_map.reshape(len(order), -1), spaces.rotation_map],
                            axis=1)[order]
-    bounds = np.searchsorted(spaces.tri_class[order], np.arange(len(blocks) + 1))
-    return RangeOperator(blocks, table, tuple(bounds.tolist()))
+    nc, W, ns, n = len(blocks), table.shape[1], spaces.stress_map[0].size, spaces.dim_x
+    bounds = np.searchsorted(spaces.tri_class[order], np.arange(nc + 1))
+    t, i = np.divmod(np.argsort(table.ravel(), kind="stable"), W)
+    keep = (i < ns)[:, None] | (np.arange(W) < ns)  # no rotation pairs with a rotation
+    dtype = np.int16 if nc * W * W < 2**15 else np.int32
+    ids = (((np.repeat(np.arange(nc), np.diff(bounds))[t] * W + i) * W).astype(dtype)[:, None]
+           + np.arange(W, dtype=dtype))[keep]
+    size = np.bincount(table.ravel(), np.tile(np.where(np.arange(W) < ns, W, ns), len(table)), n)
+    indptr = np.concatenate([[0], np.cumsum(size)]).astype(np.int32)
+    local = sps.csr_matrix((ids, table.astype(np.int32)[t][keep], indptr), shape=(n, n))
+    local.sort_indices()
+    cols, ids, indptr = local.indices, local.data, local.indptr
+    new = np.concatenate([[True], cols[1:] != cols[:-1]])
+    new[indptr[:-1]] = True
+    second = np.flatnonzero(~new)  # each follows its first source
+    return RangeOperator(blocks, table, tuple(bounds.tolist()),
+                         indptr - np.searchsorted(second, indptr).astype(np.int32), cols[new],
+                         ids[new], (second - np.arange(1, len(second) + 1)).astype(np.int32),
+                         ids[second])
 
 
-def _range_matrix(spaces: DiscreteSpaces, op: RangeOperator) -> sps.csr_matrix:
-    """The CSR of a RangeOperator of E_r(T), by one `_scatter` over the union
-    of the local T, C and C^T blocks, the same for every T and C.  E_r(T) is
-    bitwise symmetric, as its T blocks are, so its CSR arrays are also its
-    CSC arrays."""
-    stress = np.arange(op.blocks.shape[1]) < spaces.stress_map[0].size
-    i, j = np.nonzero(stress[:, None] | stress)  # every pair but one of two rotations
-    # np.take, not table[:, i], whose result is in F order, which the scatter
-    # would copy to C order at several times the cost
-    return _scatter(np.repeat(op.blocks[:, i, j], np.diff(op.bounds), axis=0),
-                    np.take(op.table, i, axis=1), np.take(op.table, j, axis=1),
-                    (spaces.dim_x, spaces.dim_x))
-
-
-def _stress_mass_blocks(spaces: DiscreteSpaces) -> np.ndarray:
-    """The local L2 stress masses (phi_j, phi_i), (class, 2 nd, 2 nd).
-
-    They are the compliance of mu = 1/2, lambda = 0, exactly: the blocks that
-    couple different tensor rows are 0.5 G^T - 0 G - 0.5 G^T = 0, and the
-    factor of the row-by-row pairing is 1."""
-    W, V, _, _ = _class_tables(spaces)
-    return _compliance(W, V, 0.5, 0.0)
-
-
-def assemble_stress_mass(spaces: DiscreteSpaces) -> sps.csr_matrix:
-    """Plain L2 mass matrix (phi_j, phi_i) of the stresses, on E_r's pattern.
-    Its blocks that couple different tensor rows, and the entries of C and
-    C^T, are stored exact zeros."""
-    T = _stress_mass_blocks(spaces)
-    C = np.zeros((len(T), spaces.n_scalar, T.shape[1]))
-    return _range_matrix(spaces, _range_operator(spaces, _local_blocks(T, C)))
-
-
-def l2_pairing(system: BlockSystem):
-    """E_r(mass) = mass + C + C^T, the weakly symmetric L2 stress pairing, as
-    (its CSR on the index arrays of the system's E_r, its RangeOperator).
-
-    Its local blocks are E_r's with the compliance's replaced by the L2
-    mass's, so its entries are exact: each is a sum of the same local values
-    that the mass and C hold.  The operator shares E_r's table."""
-    E, op, ns = system.Emat, system.Eop, system.spaces.stress_map[0].size
-    op = replace(op, blocks=_local_blocks(_stress_mass_blocks(system.spaces),
-                                          op.blocks[:, ns:, :ns]))  # C from E_r
-    data = _range_matrix(system.spaces, op).data
-    return sps.csr_matrix((data, E.indices, E.indptr), shape=E.shape), op
+def l2_pairing(system: BlockSystem) -> RangeOperator:
+    """E_r(mass) = mass + C + C^T, the weakly symmetric L2 stress pairing: E_r's
+    blocks with the compliance's replaced by the L2 stress mass's, which is
+    the compliance of mu = 1/2, lambda = 0 exactly (its blocks that couple
+    tensor rows are 0.5 G^T - 0 G - 0.5 G^T = 0)."""
+    op, ns = system.Eop, system.spaces.stress_map[0].size
+    W, V, _, _ = _class_tables(system.spaces)
+    return replace(op, blocks=_local_blocks(_compliance(W, V, 0.5, 0.0),
+                                            op.blocks[:, ns:, :ns]))  # C from E_r
 
 
 def assemble(spaces: DiscreteSpaces, material: MaterialModel,
@@ -281,7 +270,6 @@ def assemble(spaces: DiscreteSpaces, material: MaterialModel,
                           -np.einsum("tq,iq,tbq->tib", W, psi, V[:, :, 0, :])], axis=2)
     Eop = _range_operator(spaces, _local_blocks(_compliance(W, V, material.mu,
                                                             material.lambda_), C_T))
-    E = _range_matrix(spaces, Eop)
     B_T = np.einsum("tq,iq,tbq->tib", W, psi, DV)  # (class, m, nd), one per component
     B = _scatter(B_T[tc, None], velocity[..., None], stress[:, :, None],
                  (spaces.dim_velocity, spaces.dim_x))
@@ -290,19 +278,11 @@ def assemble(spaces: DiscreteSpaces, material: MaterialModel,
     Mdiag = np.empty(spaces.dim_velocity)
     Mdiag[velocity] = m_T[tc, None]
     # K_r from the local B_T^T M_T^-1 B_T, which pair the stresses of one
-    # tensor row; its pattern is those entries of E_r's, in E_r's order
+    # tensor row: the same symmetric block in each row's diagonal block
     K_T = (B_T * (1.0 / m_T)[:, :, None]).swapaxes(1, 2) @ B_T
-    K = _scatter(0.5 * (K_T + K_T.swapaxes(1, 2))[tc, None], stress[..., None],
-                 stress[:, :, None], (spaces.dim_x, spaces.dim_x))
-    rows, cols = _entry_rows(spaces, E)
-    Kpos = np.flatnonzero((rows == cols) & (cols < 2)).astype(E.indices.dtype)
-    del rows, cols
-    # scipy's sum_duplicates prunes E_r and K_r by slicing, so they hold the
-    # arrays of every scattered entry; copied to their length once every
-    # scatter temporary is gone, which keeps the copies off the peak
-    E.data, E.indices, Kdata = E.data.copy(), E.indices.copy(), K.data.copy()
+    Kblocks = _local_blocks(np.kron(np.eye(2), K_T), np.zeros_like(C_T))
     return BlockSystem(
-        Emat=E, Eop=Eop, Bmat=B, Mdiag=Mdiag, Kdata=Kdata, Kpos=Kpos,
+        Eop=Eop, Bmat=B, Mdiag=Mdiag, Kblocks=Kblocks,
         load=_load_closure(body_force, spaces.dim_velocity,
                            lambda: _body_load_map(spaces)),
         dirichlet_load=_load_closure(dirichlet_velocity, spaces.dim_x,

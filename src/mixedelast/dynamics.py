@@ -95,9 +95,13 @@ class TrajectorySummary:
     alpha_norms: np.ndarray
 
     @property
+    def constraint_rel(self) -> np.ndarray:
+        """The weak-symmetry drift of each record relative to its stress norm."""
+        return self.constraint_norms / np.maximum(self.alpha_norms, 1e-300)
+
+    @property
     def max_constraint_rel(self) -> float:
-        scale = np.maximum(self.alpha_norms, 1e-300)
-        return float((self.constraint_norms / scale).max())
+        return float(self.constraint_rel.max())
 
 
 def _cn_update(y, ey, dt: float, f_mid, solve):
@@ -140,7 +144,7 @@ class _Stepper:
 
     def __init__(self, system: BlockSystem, scheme: str, dt: float):
         self.system, self.scheme, self.dt = system, scheme, dt
-        self.lu = statics.SchurLU(system, system.Emat, system.Eop, dt * _SHIFT[scheme], "step")
+        self.lu = statics.SchurLU(system, system.Eop, dt * _SHIFT[scheme], "step")
         self.n = system.spaces.dim_x
 
     def eprod(self, y: np.ndarray) -> np.ndarray:

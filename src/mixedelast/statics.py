@@ -5,13 +5,11 @@ Every LU, static or time step, is of one family per system and stress
 block T: the Schur complements S_r(s) = [[T + s^2 K, C^T], [C, 0]], with
 K = B^T M^-1 B, on the stress and rotation unknowns x, which the spaces
 number in a symmetric mesh-entity order.  S_r(s) is E_r(T) + s^2 K_r on the
-range of x, E_r(T) = T + C + C^T, built as one gather onto E_r(T)'s
-pattern, which every matrix on that range shares (see `assembly`).  The
-system holds K_r's values on that pattern, the diagonal of M and E_r of the
-compliance A, as CSR for the LUs and as its local blocks, from which every
-product with E_r(T), the residual checks' and the steps' E-products, is
-made.  No LU is kept with it: a saddle LU is dropped after its solve, and a
-step LU when `dynamics.integrate` returns.
+range of x, E_r(T) = T + C + C^T, passed as its RangeOperator: every product
+with it is made from its local blocks, and S_r(s) is gathered from those and
+K_r's through the source maps of the pattern every matrix on that range
+shares (see `assembly`).  No LU is kept with the system: a saddle LU is
+dropped after its solve, and a step LU when `dynamics.integrate` returns.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .assembly import (BlockSystem, RangeOperator, assemble_body_load,
-                       assemble_dirichlet_load, assemble_stress_mass, l2_pairing)
+                       assemble_dirichlet_load, l2_pairing)
 from .errors import SingularSystemError
 from .quadrature import triangle_rule
 from .spaces import l2_project_velocity
@@ -85,36 +83,47 @@ def _product(A: sps.spmatrix, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _shifted(system: BlockSystem, E: sps.csr_matrix, s2) -> sps.csc_matrix:
-    """E + s2 K_r for an E on the system's E_r pattern: one value array, real
-    or complex as s2 is, on E's own index arrays, which are also the CSC
-    arrays of the sum, as E and K_r are bitwise symmetric."""
-    data = E.data.astype(np.result_type(E.data, s2))
-    np.add.at(data, system.Kpos, s2 * system.Kdata)
-    return sps.csc_matrix((data, E.indices, E.indptr), shape=E.shape)
+def _shifted(system: BlockSystem, blocks: np.ndarray, s2) -> sps.csc_matrix:
+    """S_r = E_r(T) + s2 K_r of E_r(T)'s local blocks: one value array, real or
+    complex as s2 is, gathered onto the pattern's index arrays, which are also
+    its CSC arrays, as E_r(T) and K_r are bitwise symmetric.  Each entry is
+    (E[a] + E[b]) + s2 (K[a] + K[b]), K only where K_r has entries, as a
+    scatter of the local entries sums it.  Besides the values, only chunks
+    and the shared entries allocate temporaries."""
+    p, K, nd = system.Eop, system.Kblocks, system.spaces.stress_map.shape[2]
+    row = np.arange(blocks.shape[1]) // nd  # tensor row 0 or 1 of a stress, 2 of a rotation
+    on_k = (row[:, None] == row) & (row < 2)
+    table = blocks.astype(np.result_type(blocks, s2))
+    table[:, on_k] += s2 * K[:, on_k]
+    data, chunk = np.empty(len(p.src), table.dtype), 1 << 16
+    for lo in range(0, len(data), chunk):  # np.take casts the maps to intp a chunk at a time
+        np.take(table.reshape(-1), p.src[lo:lo + chunk], out=data[lo:lo + chunk], mode="clip")
+    a, b, E, K = p.src[p.dup].astype(np.intp), p.src2.astype(np.intp), blocks.ravel(), K.ravel()
+    data[p.dup] = E[a] + E[b]
+    k = on_k.reshape(-1)[a % on_k.size]
+    data[p.dup[k]] += s2 * (K[a[k]] + K[b[k]])
+    return sps.csc_matrix((data, p.indices, p.indptr), shape=(len(p.indptr) - 1,) * 2)
 
 
 class SchurLU:
     """Solver of S(s) = [[T, s B^T, C^T], [-s B, M, 0], [C, 0, 0]] on the
     (stress, velocity, rotation) unknowns of a system, for a stress block T,
-    given by its E_r(T) as CSR on the system's index arrays and as the
-    RangeOperator E_op that applies it, and a real or complex shift s.  The
-    velocity is eliminated with the reciprocals of M's diagonal, so the LU is
-    of the Schur complement S_r(s) = E_r(T) + s^2 K_r, which shares E_r(T)'s
-    index arrays.
+    given by the RangeOperator E_op of its E_r(T) on the system's table and
+    pattern, and a real or complex shift s.  The velocity is eliminated with
+    the reciprocals of M's diagonal, so the LU is of the Schur complement
+    S_r(s) = E_r(T) + s^2 K_r on E_r's pattern.
 
     Vectors are (x, velocity).  Solves 1, 2, 4, 8, ... are
     residual-checked against S(s) applied block by block.  The LU lives as
     long as this object: its owner drops it after its last solve.
     """
 
-    def __init__(self, system: BlockSystem, E: sps.csr_matrix, E_op: RangeOperator, s,
-                 what: str):
-        if not np.may_share_memory(E.indices, system.Emat.indices):
-            raise ValueError("E must be on the system's E_r pattern and index arrays")
-        self.system, self.E, self.E_op, self.n = system, E, E_op, system.spaces.dim_x
+    def __init__(self, system: BlockSystem, E_op: RangeOperator, s, what: str):
+        if E_op.src is not system.Eop.src:
+            raise ValueError("E_op must be on the system's E_r table and pattern")
+        self.system, self.E_op, self.n = system, E_op, system.spaces.dim_x
         self._minv, self._BT = 1.0 / system.Mdiag, system.Bmat.T
-        self._lu = factorize(_shifted(system, E, s * s), what)
+        self._lu = factorize(_shifted(system, E_op.blocks, s * s), what)
         self._s, self._what, self._solves = s, what, 0
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
@@ -144,9 +153,9 @@ class SchurLU:
 _MAX_SWEEPS = 50  # augmented-Lagrangian sweeps per saddle solve, at most
 
 
-def _solve_saddle(system: BlockSystem, E, E_op: RangeOperator, mu: float, rhs_x, rhs_v):
+def _solve_saddle(system: BlockSystem, E_op: RangeOperator, mu: float, rhs_x, rhs_v):
     """Checked solve of the saddle system S = [[E, B^T], [B, 0]] in (x,
-    velocity), for E = E_r(T) given as SchurLU takes it (E, E_op), by
+    velocity), for E = E_r(T) given as SchurLU takes it, by
     augmented-Lagrangian sweeps (Fortin-Glowinski, 1983); returns (x,
     velocity).
 
@@ -160,7 +169,7 @@ def _solve_saddle(system: BlockSystem, E, E_op: RangeOperator, mu: float, rhs_x,
     """
     n, B = system.spaces.dim_x, system.Bmat
     tau = np.sqrt(system.material.rho / mu)
-    lu = SchurLU(system, E, E_op, tau, "saddle")
+    lu = SchurLU(system, E_op, tau, "saddle")
 
     def apply(x):
         return np.concatenate([E_op @ x[:n] + B.T @ x[n:], B @ x[:n]])
@@ -207,7 +216,7 @@ def elliptic_projection(system: BlockSystem, sigma: Callable,
                                                       dtype=float))
 
     # the L2 pairing is the compliance of mu = 1/2 (and lambda = 0)
-    x, _ = _solve_saddle(system, *l2_pairing(system), 0.5, rhs_x, rhs_v)
+    x, _ = _solve_saddle(system, l2_pairing(system), 0.5, rhs_x, rhs_v)
     x[spaces.rotation_map] = 0.0  # the multiplier
     return x
 
@@ -232,8 +241,7 @@ def build_initial_data(case, system: BlockSystem) -> InitialData:
     rhs_x = x0 if case.homogeneous else assemble_dirichlet_load(spaces, case.u, 0.0)
     rhs_v = assemble_body_load(spaces, case.div_sigma, 0.0)
     if rhs_x.any() or rhs_v.any():  # the rotation's right-hand side is zero
-        x0, _ = _solve_saddle(system, system.Emat, system.Eop, system.material.mu, rhs_x,
-                              rhs_v)
+        x0, _ = _solve_saddle(system, system.Eop, system.material.mu, rhs_x, rhs_v)
     return InitialData(x0=x0, v0=v0, u0=u0)
 
 
@@ -247,9 +255,10 @@ def infsup_constant(system: BlockSystem) -> float:
     """
     spaces, rho = system.spaces, system.material.rho
     B, C = system.Bmat, system.Cmat
-    # the masses with rho = 1: M / rho for the velocity, area * I per rotation
+    # the masses with rho = 1: M / rho for the velocity, area * I per rotation,
+    # and the stress mass, the stress block of the L2 pairing
     stress = np.unique(spaces.stress_map)
-    D = _shifted(system, assemble_stress_mass(spaces), rho)[stress][:, stress].toarray()
+    D = _shifted(system, l2_pairing(system).blocks, rho)[stress][:, stress].toarray()
     Bb = sps.vstack([B, C[spaces.rotation_map.ravel()]])[:, stress].toarray()
     N = np.diag(np.concatenate([system.Mdiag / rho, np.repeat(spaces.areas, spaces.n_scalar)]))
     S = Bb @ np.linalg.solve(D, Bb.T)

@@ -10,21 +10,27 @@ state are reference formulas that only the tests use.  So are the canonical
 stress interpolant, the rotation projection, the row-wise stress divergence,
 the compliance saddle solve and the RadauIIA displacement update, and the
 error decomposition that the criterion-4 diagnosis runs: no command of the
-package needs them.  The manufactured cases have a symbolic
-reference here too: sympy differentiates a displacement, splits the loads
-into time-space terms and lambdifies every field, so that the closed forms
-of the built-in cases are checked against an independent derivation.
+package needs them.  The scatter-sum references of the matrices on the range
+of x (E_r's CSR, the stress mass and S_r(s)) sum every local entry with
+scipy's COO-to-CSR conversion and add K_r with np.add.at, so that the
+package's gathers through its source maps are checked bit for bit.  The
+manufactured cases have a symbolic reference here too: sympy differentiates
+a displacement, splits the loads into time-space terms and lambdifies every
+field, so that the closed forms of the built-in cases are checked against an
+independent derivation.
 """
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 import sympy as sp
 
-from mixedelast import dynamics, statics
-from mixedelast.assembly import MaterialModel, SeparatedField, assemble_stress_mass
+from mixedelast import assembly, dynamics, statics
+from mixedelast.assembly import (MaterialModel, SeparatedField, _local_blocks, _range_operator,
+                                 _scatter)
 from mixedelast.dynamics import CN, integrate
 from mixedelast.mesh import Mesh, _connect
 from mixedelast.quadrature import edge_rule, triangle_rule
@@ -107,6 +113,48 @@ def rotation_mask(spaces):
 def stress_part(spaces, x):
     """x with its rotation entries set to zero."""
     return np.where(rotation_mask(spaces), 0.0, x)
+
+
+def scatter_range_matrix(spaces, op):
+    """The CSR of a RangeOperator by one `_scatter` of its local entries: every
+    pair of a triangle's unknowns but one of two rotations, summed where
+    triangles share it."""
+    stress = np.arange(op.blocks.shape[1]) < spaces.stress_map[0].size
+    i, j = np.nonzero(stress[:, None] | stress)
+    return _scatter(np.repeat(op.blocks[:, i, j], np.diff(op.bounds), axis=0),
+                    np.take(op.table, i, axis=1), np.take(op.table, j, axis=1),
+                    (spaces.dim_x, spaces.dim_x))
+
+
+def stress_mass(spaces):
+    """The L2 stress mass (phi_j, phi_i) on E_r's pattern by scatter-sum; its
+    blocks that couple different tensor rows, and the entries of C and C^T,
+    are stored exact zeros."""
+    W, V, _, _ = assembly._class_tables(spaces)
+    T = assembly._compliance(W, V, 0.5, 0.0)
+    blocks = _local_blocks(T, np.zeros((len(T), spaces.n_scalar, T.shape[1])))
+    return scatter_range_matrix(spaces, _range_operator(spaces, blocks))
+
+
+def scatter_schur_complement(system, blocks, s2):
+    """S_r = E_r(T) + s2 K_r of E_r(T)'s local blocks by scatter-sum: E_r(T)
+    scattered on its own, K_r scattered from its row blocks over the stress
+    pairs of one tensor row, and K_r's values added with np.add.at at their
+    positions in E_r(T)'s pattern, which hold them in the same order."""
+    spaces = system.spaces
+    E = scatter_range_matrix(spaces, replace(system.Eop, blocks=blocks))
+    stress = spaces.stress_map
+    nd = stress.shape[2]
+    K = _scatter(system.Kblocks[:, :nd, :nd][spaces.tri_class, None], stress[..., None],
+                 stress[:, :, None], E.shape)
+    row = np.full(spaces.dim_x, 2)
+    row[stress] = np.arange(2)[:, None]
+    rows, cols = np.repeat(row, np.diff(E.indptr)), row[E.indices]
+    Kpos = np.flatnonzero((rows == cols) & (cols < 2))
+    assert len(Kpos) == K.nnz
+    data = E.data.astype(np.result_type(E.data, s2))
+    np.add.at(data, Kpos, s2 * K.data)
+    return sps.csc_matrix((data, E.indices, E.indptr), shape=E.shape)
 
 
 def energy(system, state):
@@ -389,8 +437,7 @@ def l2_project_rotation(spaces, q, degree=None):
 
 def solve_elastostatics(system, rhs_x, rhs_v):
     """The compliance saddle solve of the initial data; returns (x, u)."""
-    return statics._solve_saddle(system, system.Emat, system.Eop, system.material.mu, rhs_x,
-                                 rhs_v)
+    return statics._solve_saddle(system, system.Eop, system.material.mu, rhs_x, rhs_v)
 
 
 def reconstruct_displacement_third_order(u, v, vdot, dt):
@@ -431,7 +478,7 @@ def error_decomposition_diagnostic(case, k, n, t):
     e_r_p = l2_error(spaces, ph_r, case.rotation, t, "rotation")
 
     d = proj_sigma - st.x
-    e_sigma_h = float(np.sqrt(d @ (assemble_stress_mass(spaces) @ d)))
+    e_sigma_h = float(np.sqrt(d @ (stress_mass(spaces) @ d)))
     e_v_h = coefficient_l2(spaces, ph_v - st.beta, "velocity")
     e_r_h = coefficient_l2(spaces, ph_r - st.x, "rotation")
 

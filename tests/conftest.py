@@ -57,6 +57,11 @@ def _reachable(root):
     return list(seen.values())
 
 
+def pattern_arrays(op):
+    """The pattern and source-map arrays of a RangeOperator."""
+    return [getattr(op, name) for name in ("indptr", "indices", "src", "dup", "src2")]
+
+
 def make_matrix_field(rng):
     """A random smooth polynomial-plus-trig matrix field with analytic divergence.
 

@@ -7,17 +7,16 @@ import sympy as sp
 
 from mixedelast import (MaterialModel, MixedElastError, assemble,
                         assemble_body_load, assemble_dirichlet_load,
-                        assemble_stress_mass, build_spaces, build_uniform_square_mesh,
-                        builtin_case)
+                        build_spaces, build_uniform_square_mesh, builtin_case)
 from mixedelast.assembly import (SeparatedField, _class_tables, _compliance, _dirichlet_operator,
                                  _scatter, l2_pairing)
 from mixedelast.mesh import _connect
 
-from conftest import _reachable
+from conftest import _reachable, pattern_arrays
 from test_mesh import _jittered
 from _oracles import (_load_field, _separate, canonical_interpolation, dense_assemble,
                       dense_body_load, dense_dirichlet_load, dense_system_blocks,
-                      isotropic_stiffness_apply, rotation_mask, triangle_areas)
+                      isotropic_stiffness_apply, rotation_mask, stress_mass, triangle_areas)
 
 
 def _stress_block(spaces, op):
@@ -35,7 +34,7 @@ def _compliance_residual(spaces, material, tau, image):
             spaces, lambda x, y: np.multiply.outer(c, np.ones(np.shape(x))))
 
     A = assemble(spaces, material).Amat
-    rhs = assemble_stress_mass(spaces) @ interpolant(image)
+    rhs = stress_mass(spaces) @ interpolant(image)
     return np.abs(A @ interpolant(tau) - rhs).max() / np.abs(rhs).max()
 
 
@@ -144,7 +143,7 @@ def test_amat_is_the_compliance_scatter(mesh_cache, k):
     spaces = build_spaces(mesh_cache(4), k)
     system = assemble(spaces, case.material)
     got = system.Amat
-    assert np.shares_memory(got.indices, system.Emat.indices)
+    assert np.shares_memory(got.indices, system.Eop.indices)
     W, V, _, _ = _class_tables(spaces)
     T = _compliance(W, V, case.material.mu, case.material.lambda_)
     stress = spaces.stress_map.reshape(len(spaces.tri_class), -1)
@@ -314,31 +313,32 @@ def test_no_stress_basis_table_outlives_assemble(mesh_cache, k):
 @pytest.mark.parametrize("rho", [1.0, 2.5], ids=["constant-rho", "scaled-rho"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_operators_are_canonical_without_stored_zeros(spaces_cache, k, rho):
-    # sorted column indices and no duplicates; every scattered entry is kept,
+    # sorted column indices and no duplicates; every local entry is kept,
     # so the stored zeros are the structural ones of E_r's one pattern
     spaces = spaces_cache(2, k)
     system = assemble(spaces, MaterialModel(mu=1.0, lambda_=1.0, rho=rho))
     _, dirichlet = _dirichlet_operator(spaces)
-    mass = assemble_stress_mass(spaces)
-    for op in (system.Emat, system.Amat, system.Bmat, system.Cmat, system.Mmat, mass, dirichlet):
+    E, pairing = system.Eop.tocsr(), l2_pairing(system).tocsr()
+    for op in (E, system.Amat, system.Bmat, system.Cmat, system.Mmat, pairing, dirichlet):
         assert op.format == "csr"
         assert sps.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape).has_canonical_format
-    assert np.array_equal(mass.indptr, system.Emat.indptr)
-    assert np.array_equal(mass.indices, system.Emat.indices)
-    # the L2 mass pairs each tensor row with itself only: its entries that
-    # couple a row-0 stress with a row-1 stress, and those of C and C^T, are
-    # stored exact zeros, not roundoff and not absent
+    assert np.array_equal(pairing.indptr, E.indptr)
+    assert np.array_equal(pairing.indices, E.indices)
+    # the L2 mass pairs each tensor row with itself only: the entries of the
+    # L2 pairing that couple a row-0 stress with a row-1 stress are stored
+    # exact zeros, not roundoff and not absent
     row = np.full(spaces.dim_x, -1)
     row[spaces.stress_map] = np.arange(2)[:, None]
-    mass = mass.tocoo()
-    cross = (row[mass.row] + row[mass.col] == 1) | (row[mass.row] < 0) | (row[mass.col] < 0)
+    mass = pairing.tocoo()
+    cross = (row[mass.row] + row[mass.col] == 1) & (row[mass.row] >= 0) & (row[mass.col] >= 0)
     assert cross.sum() > 0
     assert np.array_equal(mass.data[cross].view(np.uint8), np.zeros(cross.sum()).view(np.uint8))
 
 
-def test_stress_mass_spd(mesh_cache, spaces_cache):
+def test_stress_mass_spd(spaces_cache, unit_material):
+    # the stress block of the L2 pairing is the stress mass
     spaces = spaces_cache(1, 1)
-    dense = _stress_block(spaces, assemble_stress_mass(spaces))
+    dense = _stress_block(spaces, l2_pairing(assemble(spaces, unit_material)).tocsr())
     assert np.abs(dense - dense.T).max() <= 1e-13
     assert np.linalg.eigvalsh(dense).min() > 0.0
 
@@ -441,22 +441,22 @@ def test_unseparated_loads_are_rejected(mesh_cache):
 @pytest.mark.parametrize("which", ["uniform", "no-congruent"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_range_pattern_does_not_depend_on_values(mesh_cache, k, which):
-    # every scattered entry is kept, so E_r's pattern, and K_r's positions in
-    # it, follow from the DOF maps alone; E_r is bitwise symmetric, so its
-    # CSR arrays are its CSC arrays; K_r on E_r's pattern is B^T M^-1 B
+    # every local entry is kept, so E_r's pattern, and its source maps,
+    # follow from the DOF maps alone; E_r is bitwise symmetric, so its CSR
+    # arrays are its CSC arrays; K_r on E_r's pattern is B^T M^-1 B
     mesh = mesh_cache(2) if which == "uniform" else _mesh_without_congruent_triangles(k)
     spaces = build_spaces(mesh, k)
     systems = [assemble(spaces, MaterialModel(mu=mu, lambda_=lam, rho=rho))
                for mu, lam, rho in ((1.0, 1.0, 1.0), (0.3, 1e4, 2.5))]
-    first = systems[0].Emat
+    first = systems[0].Eop
     for system in systems:
-        E = system.Emat
-        K = sps.csr_matrix((np.zeros(E.nnz), E.indices, E.indptr), shape=E.shape)
-        K.data[system.Kpos] = system.Kdata
+        E = system.Eop.tocsr()
+        K = dataclasses.replace(system.Eop, blocks=system.Kblocks).tocsr()
         for op in (E, K):
             assert np.array_equal(op.indptr, first.indptr)
             assert np.array_equal(op.indices, first.indices)
-        assert np.array_equal(system.Kpos, systems[0].Kpos)
+        for a, b in zip(pattern_arrays(system.Eop), pattern_arrays(first)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
         Et = E.T.tocsr()
         Et.sort_indices()
         assert np.array_equal(Et.indptr, E.indptr) and np.array_equal(Et.indices, E.indices)
@@ -480,8 +480,8 @@ def test_range_operator_matches_its_csr(mesh, k):
         assert len(spaces.class_tris) == len(mesh.triangles)
     system = assemble(spaces, MaterialModel(mu=0.7, lambda_=3.0, rho=1.3))
     rng = np.random.default_rng(k)
-    for E, op in ((system.Emat, system.Eop), l2_pairing(system)):
-        x = rng.standard_normal(spaces.dim_x)
+    for op in (system.Eop, l2_pairing(system)):
+        E, x = op.tocsr(), rng.standard_normal(spaces.dim_x)
         for x in (x, x + 1j * rng.standard_normal(spaces.dim_x)):
             got, ref = op @ x, E @ x
             assert got.dtype == ref.dtype
@@ -490,15 +490,17 @@ def test_range_operator_matches_its_csr(mesh, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_l2_pairing_is_exact_entry_by_entry(spaces_cache, k):
-    # E_r of the L2 mass, scattered from E_r's blocks with the compliance's
-    # replaced by the mass's, is E_r - A + mass exactly, on E_r's index
-    # arrays; its operator shares E_r's table
+    # E_r of the L2 mass, E_r's blocks with the compliance's replaced by the
+    # mass's, is E_r - A + mass exactly, on E_r's index arrays; its operator
+    # shares E_r's table and pattern
     system = assemble(spaces_cache(4, k), MaterialModel(mu=0.7, lambda_=3.0))
-    E, A, mass = system.Emat, system.Amat, assemble_stress_mass(system.spaces)
-    got, op = l2_pairing(system)
+    E, A, mass = system.Eop.tocsr(), system.Amat, stress_mass(system.spaces)
+    op = l2_pairing(system)
+    got = op.tocsr()
     assert np.shares_memory(got.indices, E.indices) and np.shares_memory(got.indptr, E.indptr)
     assert np.array_equal(got.data, E.data - A.data + mass.data)
     assert op.table is system.Eop.table and op.bounds == system.Eop.bounds
+    assert all(a is b for a, b in zip(pattern_arrays(op), pattern_arrays(system.Eop)))
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (8, 3), (16, 2)])
@@ -518,8 +520,8 @@ def test_c_is_held_as_the_rotation_rows_of_e_r(spaces_cache, n, k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_range_operator_holds_class_blocks_and_one_table(mesh_cache, k):
     # the system holds E_r's local blocks once per class, no (T, 2 nd + m,
-    # 2 nd + m) array of them, and its DOF table once; E_r's and K_r's arrays
-    # are held at the length of their sums, not of every scattered entry
+    # 2 nd + m) array of them, and its DOF table once; the pattern's arrays
+    # are held at their own length, not as views of the sorted local entries
     spaces = build_spaces(mesh_cache(4), k)
     system = assemble(spaces, MaterialModel(mu=0.7, lambda_=3.0))
     nt, width = len(spaces.tri_class), spaces.stress_map[0].size + spaces.n_scalar
@@ -527,4 +529,4 @@ def test_range_operator_holds_class_blocks_and_one_table(mesh_cache, k):
     held = [a for a in _reachable(system) if isinstance(a, np.ndarray)]
     assert not [a for a in held if a.shape == (nt, width, width)]
     assert sum(a.shape == (nt, width) for a in held) == 1
-    assert all(a.base is None for a in (system.Emat.data, system.Emat.indices, system.Kdata))
+    assert all(a.base is None for a in pattern_arrays(system.Eop))

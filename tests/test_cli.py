@@ -147,6 +147,46 @@ def test_run_single_mesh(tmp_path, capsys):
     assert out.read_bytes() == (_HEADER + "2,1.48e+00,,1.61e-01,,2.26e-01,,5.23e-01,\n").encode()
 
 
+_TABLE = "      1/herr_sigma    order    err_v    order    err_u    order    err_r    order\n"
+_ROUNDOFF = "max constraint drift (relative): < 1e-12\n"
+GOLDEN_OUTPUT = {  # stdout and --out bytes of run and energy-audit, each with CN and RadauIIA
+    ("run", "--case", "eg2", "--alpha", "2.7", "--n", "4", "--scheme", "radau2"): (
+        _TABLE + "        4 1.65e-02       -- 1.42e-02       -- 1.65e-02       -- "
+        "1.24e-02       --\n" + _ROUNDOFF,
+        _HEADER + "4,1.65e-02,,1.42e-02,,1.65e-02,,1.24e-02,\n"),
+    ("run", "--k", "1", "--n", "2"): (
+        _TABLE + "        2 1.48e+00       -- 1.61e-01       -- 2.26e-01       -- "
+        "5.23e-01       --\n" + _ROUNDOFF,
+        _HEADER + "2,1.48e+00,,1.61e-01,,2.26e-01,,5.23e-01,\n"),
+    ("energy-audit", "--n", "4", "--steps", "5"): (
+        "initial energy: 1.253648e-01\nmax relative energy drift over 5 steps: < 1e-10\n"
+        "max relative per-step energy growth: < 1e-12\n" + _ROUNDOFF,
+        "step,t,energy,constraint_rel\n"
+        + "".join(f"{i},{t},1.253648e-01,< 1e-12\n"
+                  for i, t in enumerate(("0", "0.25", "0.5", "0.75", "1", "1.25")))),
+    ("energy-audit", "--n", "4", "--steps", "5", "--scheme", "radau2"): (
+        "initial energy: 1.253648e-01\nmax relative energy drift over 5 steps: 4.437e-01\n"
+        "max relative per-step energy growth: < 1e-12\n" + _ROUNDOFF,
+        "step,t,energy,constraint_rel\n0,0,1.253648e-01,< 1e-12\n"
+        "1,0.25,1.109163e-01,< 1e-12\n2,0.5,9.854637e-02,< 1e-12\n"
+        "3,0.75,8.773676e-02,< 1e-12\n4,1,7.819858e-02,< 1e-12\n"
+        "5,1.25,6.974018e-02,< 1e-12\n"),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_OUTPUT),
+                         ids=["run-radau2", "run-cn", "audit-cn", "audit-radau2"])
+def test_run_and_energy_audit_bytes_are_pinned(tmp_path, capsys, argv):
+    # roundoff-level drifts print as the tolerance of the check that reads
+    # them and energies to 7 digits, so a change of the arithmetic that keeps
+    # the scheme moves neither stdout nor the CSV
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    stdout, csv = GOLDEN_OUTPUT[argv]
+    assert capsys.readouterr().out == stdout
+    assert out.read_bytes() == csv.encode()
+
+
 _NON_FINITE = [
     (["run", "--n", "2", "--k", "1", "--mu", "1e300"], "non-finite energy at step 1"),
     (["run", "--n", "2", "--k", "1", "--lambda", "1e300"], "non-finite energy at step 1"),

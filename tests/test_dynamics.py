@@ -252,10 +252,10 @@ def test_singular_step_detected(small_system):
     # zeroed stress and symmetry blocks make E - dt/2 G exactly singular
     from mixedelast import SingularSystemError
     system, spaces, _ = small_system
-    n, nV, E = spaces.dim_x, spaces.dim_velocity, system.Emat
-    zero = sps.csr_matrix((np.zeros(E.nnz), E.indices, E.indptr), shape=E.shape)
-    broken = dataclasses.replace(system, Emat=zero, Bmat=sps.csr_matrix((nV, n)),
-                                 Kdata=np.zeros_like(system.Kdata))
+    n, nV, E = spaces.dim_x, spaces.dim_velocity, system.Eop
+    zero = dataclasses.replace(E, blocks=np.zeros_like(E.blocks))
+    broken = dataclasses.replace(system, Eop=zero, Bmat=sps.csr_matrix((nV, n)),
+                                 Kblocks=np.zeros_like(system.Kblocks))
     assert broken.Cmat.nnz == system.Cmat.nnz and not broken.Cmat.data.any()
     with pytest.raises(SingularSystemError):
         integrate(broken, _zero_initial_data(spaces), "cn", 0.1, 0.1)
@@ -347,15 +347,17 @@ def test_step_lu_detects_rotation_constraint_not_onto(small_system, scheme):
     # with the row of one rotation of C zeroed, C is not onto, so the (sigma,
     # gamma) Schur complement [[A + (dt c)^2 B^T M^-1 B, C^T], [C, 0]] is
     # singular; zero initial data skip the saddle LU, so this is the run's
-    # check of C.  C is E_r's rotation rows, so breaking E_r breaks C
+    # check of C.  C is E_r's rotation rows, so breaking E_r breaks C: the
+    # local row and column of the rotation in its triangle's class block are
+    # C's and C^T's (each of the mesh's two triangles is a class of its own)
     from mixedelast import SingularSystemError
     system, spaces, _ = small_system
     rot = spaces.rotation_map[0, 0]
-    E = system.Emat
-    data = E.data.copy()  # the row and the column of rot in E_r are C's and C^T's
-    data[E.indptr[rot]:E.indptr[rot + 1]] = data[E.indices == rot] = 0.0
-    broken = dataclasses.replace(
-        system, Emat=sps.csr_matrix((data, E.indices, E.indptr), shape=E.shape))
+    E, ns = system.Eop, spaces.stress_map[0].size
+    assert len(E.blocks) == len(spaces.tri_class)
+    blocks = E.blocks.copy()
+    blocks[spaces.tri_class[0], ns] = blocks[spaces.tri_class[0], :, ns] = 0.0
+    broken = dataclasses.replace(system, Eop=dataclasses.replace(E, blocks=blocks))
     C = broken.Cmat
     assert C.indptr[rot + 1] > C.indptr[rot] and not C.data[C.indptr[rot]:C.indptr[rot + 1]].any()
     with pytest.raises(SingularSystemError, match="step factorization"):
@@ -398,7 +400,7 @@ def test_step_order_built_once_per_system(monkeypatch):
         integrate(system, init, scheme, dt, 0.5)
     assert len(orderings) == 1
     assert [lu._what for lu in lus] == ["saddle", "step", "step", "step"]
-    assert all(lu.E is system.Emat for lu in lus)
+    assert all(lu.E_op is system.Eop for lu in lus)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -532,9 +534,10 @@ def test_eprod_rotation_entries_are_c_sigma(k):
 
 @pytest.mark.parametrize("name,n,k", [("eg2", 8, 2), ("eg3", 4, 3)])
 def test_each_operator_held_once(name, n, k):
-    # the system holds E_r, which stands for A and C, B, K_r as values on
-    # E_r's pattern, the velocity mass as its diagonal, and one load matrix
-    # in each load closure; no operator and no load matrix is held twice
+    # the system holds E_r, which stands for A and C, and K_r as their class
+    # blocks on E_r's pattern and int16 source maps, B, the velocity mass as
+    # its diagonal, and one load matrix in each load closure; no operator and
+    # no load matrix is held twice, and no value array on E_r's pattern
     import mixedelast as me
     case = builtin_case(name, alpha=2.2 if name == "eg2" else None)
     mesh = me.build_uniform_square_mesh(n)
@@ -544,17 +547,20 @@ def test_each_operator_held_once(name, n, k):
     n, nV = system.spaces.dim_x, system.spaces.dim_velocity
     held = [value for value in _reachable(system) if sps.issparse(value)]
     shapes = [op.shape for op in held]
-    assert shapes.count((n, n)) == 1  # E_r; C is formed from its rotation rows on each read
+    assert shapes.count((n, n)) == 0  # E_r and K_r are class blocks; A and C are formed on read
     assert shapes.count((nV, n)) == 1  # B
     assert shapes.count((nV, nV)) == 0  # M is the 1-D Mdiag, and M^-1 is not held
     for i, a in enumerate(held):
         for b in held[i + 1:]:
             assert not (a.data.shape == b.data.shape and np.array_equal(a.data, b.data))
     arrays = [value for value in _reachable(system) if isinstance(value, np.ndarray)]
-    # K_r is its values and int32 positions, not a matrix on E_r's whole
-    # pattern: only E_r's own data and indices are that long
-    assert system.Kpos.dtype == np.int32 and system.Kdata.shape == system.Kpos.shape
-    assert sum(a.shape == (system.Emat.nnz,) for a in arrays) == 2
+    # only the pattern's column indices and the source map of each entry are
+    # as long as E_r's stored entries, int32 and int16, and no float array is
+    p = system.Eop
+    nnz = len(p.indices)
+    assert sorted(a.dtype.name for a in arrays if a.size >= nnz) == ["int16", "int32"]
+    assert p.src.dtype == p.src2.dtype == np.int16 and p.indices.dtype == np.int32
+    assert system.Kblocks.shape == system.Eop.blocks.shape
     loads = [cell.cell_contents for load in (system.load, system.dirichlet_load)
              for cell in load.__closure__ if isinstance(cell.cell_contents, np.ndarray)]
     assert sorted(L.shape[0] for L in loads) == sorted([nV, n])

@@ -1,0 +1,56 @@
+import ast
+from pathlib import Path
+
+import mixedelast
+
+PACKAGE = Path(mixedelast.__file__).resolve().parent
+
+
+def _private(name: str) -> bool:
+    """Whether a dotted name reaches into a private part of scipy."""
+    head, *rest = name.split(".")
+    return head == "scipy" and any(part.startswith("_") for part in rest)
+
+
+def _scipy_names(tree: ast.AST):
+    """Every dotted scipy name a module reaches: its imports, the attributes
+    read through the names it binds to scipy modules, and string constants
+    such as an importlib.import_module argument."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                aliases[alias.asname or alias.name.split(".")[0]] = (
+                    alias.name if alias.asname else alias.name.split(".")[0])
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                yield f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            head, _, rest = ast.unparse(node).partition(".")
+            if head in aliases:
+                yield f"{aliases[head]}.{rest}"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_package_uses_no_private_scipy_module():
+    # only scipy's public API: a private module such as
+    # scipy.sparse._sparsetools would tie the package to scipy's internals
+    found = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+             for name in _scipy_names(ast.parse(path.read_text())) if _private(name)]
+    assert [path.name for path in PACKAGE.glob("*.py")]
+    assert not found
+
+
+def test_private_scipy_guard_catches_each_form():
+    for code in ("import scipy.sparse._sparsetools",
+                 "from scipy.sparse import _sparsetools",
+                 "from scipy.sparse._sparsetools import csr_sort_indices",
+                 "import scipy.sparse as sps\nsps._sparsetools.csr_sort_indices",
+                 "import importlib\nimportlib.import_module('scipy.sparse._sparsetools')"):
+        assert any(_private(name) for name in _scipy_names(ast.parse(code))), code
+    assert not any(_private(name) for name in _scipy_names(ast.parse(
+        "import scipy.sparse as sps\nfrom scipy.sparse.linalg import splu\nsps.csr_matrix")))

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 import sympy
 
 from mixedelast import (MaterialModel, SingularSystemError, assemble,
-                        assemble_body_load, assemble_dirichlet_load, assemble_stress_mass,
+                        assemble_body_load, assemble_dirichlet_load,
                         build_initial_data, build_spaces,
                         build_uniform_square_mesh, builtin_case, elliptic_projection,
                         infsup_constant, integrate, l2_error, l2_project_velocity)
@@ -15,9 +15,11 @@ from mixedelast import statics
 from mixedelast.assembly import RangeOperator, l2_pairing
 from mixedelast.quadrature import triangle_rule
 
-from conftest import _reachable, make_matrix_field
-from _oracles import (canonical_interpolation, case_from_displacement, solve_elastostatics,
-                      stress_div_values, stress_part)
+from conftest import _reachable, make_matrix_field, pattern_arrays
+from test_mesh import _jittered
+from _oracles import (canonical_interpolation, case_from_displacement, scatter_range_matrix,
+                      scatter_schur_complement, solve_elastostatics, stress_div_values,
+                      stress_mass, stress_part)
 
 
 def _static_case(mu=1.0, lam=1.0):
@@ -93,7 +95,7 @@ def test_singular_pairing_detected(spaces_cache, unit_material):
     system = assemble(spaces_cache(1, 1), unit_material)
     n = system.spaces.dim_x
     broken = dataclasses.replace(system, Bmat=sps.csr_matrix(system.Bmat.shape),
-                                 Kdata=np.zeros_like(system.Kdata))
+                                 Kblocks=np.zeros_like(system.Kblocks))
     with pytest.raises(SingularSystemError):
         solve_elastostatics(broken, np.zeros(system.spaces.dim_x),
                             np.ones(system.spaces.dim_velocity))
@@ -207,7 +209,8 @@ def test_initial_data_eg2_weak_symmetry(spaces_cache):
 def test_saddle_factorizations_not_kept(spaces_cache, unit_material):
     # the system is assembled once: its saddle solves, both schemes' steps
     # and the elliptic projection read its operators and change none, and
-    # each LU is dropped after its solves
+    # each LU is dropped after its solves; no value array on E_r's pattern,
+    # S_r's or a CSR's, is left reachable from the system
     case = builtin_case("eg2", alpha=2.7)
     spaces = spaces_cache(2, 2)
     system = assemble(spaces, case.material,
@@ -215,12 +218,11 @@ def test_saddle_factorizations_not_kept(spaces_cache, unit_material):
 
     def arrays(op):  # the arrays that hold an operator's values
         if isinstance(op, RangeOperator):
-            return op.blocks, op.table
+            return op.blocks, op.table, *pattern_arrays(op)
         return (op,) if isinstance(op, np.ndarray) else (op.indptr, op.indices, op.data)
 
-    # C is formed from E_r's rotation rows on each read, so E_r's arrays hold it
-    before = {name: getattr(system, name)
-              for name in ("Emat", "Eop", "Bmat", "Kdata", "Kpos", "Mdiag")}
+    # A and C are formed from E_r's blocks on each read, so those hold them
+    before = {name: getattr(system, name) for name in ("Eop", "Bmat", "Kblocks", "Mdiag")}
     saved = {name: [a.copy() for a in arrays(op)] for name, op in before.items()}
     init = build_initial_data(case, system)
     for scheme in ("cn", "radau2"):
@@ -231,8 +233,11 @@ def test_saddle_factorizations_not_kept(spaces_cache, unit_material):
         assert getattr(system, name) is op
         for got, ref in zip(arrays(op), saved[name]):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-    assert not any(isinstance(value, (statics.SchurLU, spla.SuperLU))
-                   for value in _reachable(system))
+    held = _reachable(system)
+    assert not any(isinstance(value, (statics.SchurLU, spla.SuperLU)) for value in held)
+    nnz = len(system.Eop.indices)
+    assert not [a.shape for a in held if isinstance(a, np.ndarray) and a.dtype.kind in "fc"
+                and a.size >= nnz]
 
 
 @pytest.mark.parametrize("name,n,k", [("eg3", 4, 3), ("locking", 4, 2)])
@@ -314,7 +319,7 @@ def test_complex_products_match_the_cast_product(mesh_cache, name, k):
     case = builtin_case(name, alpha=2.2 if name == "eg2" else None)
     system = assemble(build_spaces(mesh_cache(4), k), case.material)
     rng = np.random.default_rng(k)
-    for op in (system.Emat, system.Bmat, system.Bmat.T):
+    for op in (system.Eop.tocsr(), system.Bmat, system.Bmat.T):
         x = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
         got, ref = statics._product(op, x), op @ x
         assert got.dtype == ref.dtype
@@ -351,7 +356,7 @@ def test_saddle_sweeps_match_dense_solve(mesh_cache, monkeypatch, k):
     proj = elliptic_projection(system, sigma, div_sigma)
     *_, rhs_x, rhs_v = seen[0]
     assert np.abs(rhs_x[spaces.rotation_map]).max() > 1e-3
-    ref = stress_part(spaces, _dense_saddle_solve(system, assemble_stress_mass(spaces),
+    ref = stress_part(spaces, _dense_saddle_solve(system, stress_mass(spaces),
                                                   np.concatenate([rhs_x, rhs_v]))[:n])
     assert np.linalg.norm(proj - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -422,11 +427,11 @@ def test_schur_pattern_fill_matches_bmat_build(mesh_cache, monkeypatch, k):
     monkeypatch.setattr(statics, "factorize", lambda S, what:
                         factored.append(S) or factorize(S, what))
     lam = complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)
-    E, A, mass = system.Emat, system.Amat, assemble_stress_mass(system.spaces)
+    E, A, mass = system.Eop.tocsr(), system.Amat, stress_mass(system.spaces)
     for T, s in ((A, 0.0), (A, 0.125), (A, 0.25 * lam),
                  (A, np.sqrt(system.material.rho / system.material.mu)),
                  (mass, np.sqrt(system.material.rho / 0.5))):
-        statics.SchurLU(system, *((E, system.Eop) if T is A else l2_pairing(system)), s, "test")
+        statics.SchurLU(system, system.Eop if T is A else l2_pairing(system), s, "test")
         got = factored.pop()
         ref = _bmat_schur_complement(system, T, s)
         assert got.format == "csc" and got.dtype == ref.dtype
@@ -444,10 +449,10 @@ def test_gathered_schur_complement_is_e_plus_shifted_k(mesh_cache, k):
     # is, and equals E_r + s^2 K_r, with K_r = B^T M^-1 B as a sparse product
     case = builtin_case("eg2", alpha=2.2)
     system = assemble(build_spaces(mesh_cache(4), k), case.material)
-    E, B = system.Emat, system.Bmat
+    E, B = system.Eop.tocsr(), system.Bmat
     K = (B.T @ (sps.diags(1.0 / system.Mdiag) @ B)).toarray()
     for s in (0.0, 0.3, 0.25 * complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)):
-        S = statics._shifted(system, E, s * s)
+        S = statics._shifted(system, system.Eop.blocks, s * s)
         assert S.format == "csc" and S.dtype == np.result_type(E.dtype, s)
         assert np.shares_memory(S.indices, E.indices) and np.shares_memory(S.indptr, E.indptr)
         ref = E.toarray() + (s * s) * K
@@ -456,20 +461,23 @@ def test_gathered_schur_complement_is_e_plus_shifted_k(mesh_cache, k):
 
 def test_complex_schur_build_allocates_one_value_array(mesh_cache):
     # a complex S_r(s) allocates its complex values, 16 bytes per entry of
-    # E_r, and one complex temporary of K_r's length, besides np.add.at's
-    # fixed iteration buffer (128 KiB): no sparse sum and no CSC copy
+    # E_r, one intp chunk of the gather and temporaries of the shared entries
+    # only, a few percent of them: no full-length temporary, no sparse sum,
+    # no CSC copy
     import tracemalloc
     case = builtin_case("eg3")
     system = assemble(build_spaces(mesh_cache(8), 3), case.material)
+    p = system.Eop
     s = 0.125 * complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)
     tracemalloc.start()
     try:
-        S = statics._shifted(system, system.Emat, s * s)
+        S = statics._shifted(system, system.Eop.blocks, s * s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert S.dtype == np.complex128
-    assert peak <= 16 * system.Emat.nnz + 16 * len(system.Kdata) + 2**18
+    assert len(p.dup) <= 0.1 * len(p.indices)
+    assert peak <= 16 * len(p.indices) + 8 * 2**16 + 64 * len(p.dup) + 2**16
 
 
 @pytest.mark.parametrize("s", [0.25, 0.25 * complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)])
@@ -479,7 +487,7 @@ def test_schur_solve_fills_one_array_bitwise(spaces_cache, s):
     # complex scalar product is not commutative bitwise, so the order counts)
     case = builtin_case("eg2", alpha=2.2)
     system = assemble(spaces_cache(4, 2), case.material)
-    lu = statics.SchurLU(system, system.Emat, system.Eop, s, "test")
+    lu = statics.SchurLU(system, system.Eop, s, "test")
     n, B, minv = lu.n, system.Bmat, 1.0 / system.Mdiag
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(n + len(minv))
@@ -490,3 +498,43 @@ def test_schur_solve_fills_one_array_bitwise(spaces_cache, s):
     ref = np.concatenate([x_r, w + s * (minv * statics._product(B, x_r))])
     got = lu.solve(rhs)
     assert got.dtype == ref.dtype and np.array_equal(got.view(np.uint8), ref.view(np.uint8))
+
+
+@pytest.mark.parametrize("mesh", ["uniform-4", "jittered-4"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gathered_matrices_are_the_scatter_sums(mesh, k):
+    # every matrix on the range of x is gathered from local blocks through
+    # the source maps, and each equals, bit for bit and in all three CSR
+    # arrays, the scatter-sum of its local entries: S_r(s) of the CN shift,
+    # the complex RadauIIA shift and the augmented-Lagrangian shift tau, for
+    # E_r and for the L2 pairing; E_r itself, A, C and the L2 pairing.  The
+    # uniform mesh's maps are int16; the jittered mesh has one class per
+    # triangle, and at k = 3 its ids need int32
+    jittered = mesh == "jittered-4"
+    mesh = _jittered(4) if jittered else build_uniform_square_mesh(4)
+    spaces = build_spaces(mesh, k)
+    system = assemble(spaces, MaterialModel(mu=0.7, lambda_=3.0, rho=1.3))
+    (nc, W, _), p = system.Eop.blocks.shape, system.Eop
+    assert p.src.dtype == p.src2.dtype == (np.int16 if nc * W * W < 2**15 else np.int32)
+    assert p.src.dtype == (np.int32 if jittered and k == 3 else np.int16)
+
+    def same(got, ref):
+        for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices), (got.data, ref.data)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    dt, lam, rho = 0.125, complex(1.0 / 3.0, np.sqrt(2.0) / 6.0), system.material.rho
+    pairing = l2_pairing(system)
+    for op, mu in ((system.Eop, system.material.mu), (pairing, 0.5)):
+        for s in (0.5 * dt, lam * dt, np.sqrt(rho / mu)):
+            same(statics._shifted(system, op.blocks, s * s),
+                 scatter_schur_complement(system, op.blocks, s * s))
+        same(op.tocsr(), scatter_range_matrix(spaces, op))
+    E = scatter_range_matrix(spaces, system.Eop)
+    row = np.full(spaces.dim_x, 2)
+    row[spaces.stress_map] = np.arange(2)[:, None]
+    rows, cols = np.repeat(row, np.diff(E.indptr)), row[E.indices]
+    same(system.Amat, sps.csr_matrix((np.where((rows < 2) & (cols < 2), E.data, 0.0), E.indices,
+                                      E.indptr), shape=E.shape))
+    keep = rows == 2
+    indptr = np.concatenate([[0], np.cumsum(keep)])[E.indptr]
+    same(system.Cmat, sps.csr_matrix((E.data[keep], E.indices[keep], indptr), shape=E.shape))
