@@ -17,9 +17,9 @@ Every local matrix is formed once per congruence class of triangles (see
 `DiscreteSpaces`) from one set of class tables; the compliance has one
 formula, and the L2 stress mass is its value at mu = 1/2, lambda = 0.  A
 matrix on the range of x (E_r, K_r, the L2 pairing) is held as those blocks
-only, with the CSR pattern all of them share and its source maps
-(`RangeOperator`): products use the blocks, and a CSR or a Schur complement
-is gathered through the maps when needed.  B and the boundary operator are
+only (`RangeOperator`): products use the blocks, a Schur complement LU's
+condensed matrix is gathered through the source maps of its pattern, and a
+CSR is formed from the table when asked for.  B and the boundary operator are
 summed by one `_scatter` through the spaces' global numbering, in which the
 loads are moments too.
 """
@@ -77,18 +77,22 @@ class RangeOperator:
     """A matrix on the range of x held as its local blocks, one per congruence
     class: L x = sum_T P_T^T L_c(T) P_T x, where P_T gathers the stress and
     rotation unknowns of triangle T (Hughes, Levit & Winget, CMAME 36, 1983).
-    ``table`` (T, 2 nd + m) lists each triangle's unknowns, its rows grouped by
-    class: those of class c are ``table[bounds[c]:bounds[c + 1]]``, and
-    ``blocks`` (class, 2 nd + m, 2 nd + m) holds their local matrix.
-    ``indptr`` and ``indices`` are the int32 CSR pattern, E_r's, and ``src``,
-    ``dup`` and ``src2`` its source maps into the flat blocks: entry p is
-    blocks.flat[src[p]], plus blocks.flat[src2[q]] where two triangles share
-    it, p = dup[q]; int16 when every block entry fits, else int32.  A
-    system's operators share all but their blocks."""
+    ``table`` (T, W) lists each triangle's unknowns, ``rotation`` (W,) marks
+    its rotations, and its rows are grouped by class: those of class c are
+    ``table[bounds[c]:bounds[c + 1]]``, and ``blocks`` (class, W, W) holds
+    their local matrix.  A Schur complement LU keeps the unknowns ``glob``
+    (W,) of each triangle, its edge stresses and, where no interior stress
+    pairs with them (k = 1), its rotations, numbered 0..N_e-1 in x's order at
+    ``edge``; ``indptr``, ``indices``, ``src``, ``dup`` and ``src2`` are the
+    `_pattern` of their condensed (class, nG, nG) blocks in that numbering.
+    A system's operators share all but their blocks."""
 
     blocks: np.ndarray
     table: np.ndarray
     bounds: tuple
+    rotation: np.ndarray
+    glob: np.ndarray
+    edge: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     src: np.ndarray
@@ -100,19 +104,65 @@ class RangeOperator:
             y = np.empty(len(x), dtype=x.dtype)
             y.real, y.imag = self @ x.real, self @ x.imag
             return y
-        local = x[self.table]
-        out = np.empty_like(local)
-        for block, lo, hi in zip(self.blocks, self.bounds, self.bounds[1:]):
-            np.matmul(local[lo:hi], block.T, out=out[lo:hi])
+        out = _by_class(x[self.table], self.blocks.swapaxes(1, 2), self.bounds)
         return np.bincount(self.table.ravel(), out.ravel(), minlength=len(x))
 
     def tocsr(self) -> sps.csr_matrix:
-        """The CSR on the pattern's index arrays, formed on each call, each
-        entry its local value or the sum of its two, as a scatter sums them."""
-        flat = self.blocks.reshape(-1)
-        data = flat[self.src]
-        data[self.dup] = flat[self.src[self.dup]] + flat[self.src2]
-        return sps.csr_matrix((data, self.indices, self.indptr), shape=(len(self.indptr) - 1,) * 2)
+        """The CSR of every pair of a triangle's unknowns but two rotations,
+        formed on each call by `_pattern` on the table, each entry its local
+        value or the sum of its two, as a scatter sums them."""
+        indptr, indices, *maps = _pattern(self.table, self.bounds, self.rotation)
+        return sps.csr_matrix((_gather(self.blocks, *maps), indices, indptr),
+                              shape=(len(indptr) - 1,) * 2)
+
+
+def _by_class(rows: np.ndarray, blocks: np.ndarray, bounds) -> np.ndarray:
+    """rows @ blocks[c] for the rows of each class c, one matmul per class."""
+    out = np.empty((len(rows), blocks.shape[2]), np.result_type(rows, blocks))
+    for block, lo, hi in zip(blocks, bounds, bounds[1:]):
+        np.matmul(rows[lo:hi], block, out=out[lo:hi])
+    return out
+
+
+def _gather(blocks: np.ndarray, src: np.ndarray, dup: np.ndarray, src2: np.ndarray):
+    """The values of a pattern's entries from local blocks through its maps."""
+    flat = blocks.reshape(-1)
+    data = flat[src]
+    data[dup] += flat[src2]
+    return data
+
+
+def _pattern(table: np.ndarray, bounds, rotation: np.ndarray):
+    """The int32 CSR pattern of the local entries (i, j) of blocks (class, w,
+    w) on ``table`` (T, w), whose rows are grouped by class at ``bounds``,
+    all but those of two rotations (``rotation`` (w,) marks them), and its
+    source maps into the flat blocks: entry p is
+    blocks.flat[src[p]], plus blocks.flat[src2[q]] where two triangles share
+    it, p = dup[q]; int16 when every block entry fits, else int32.  Returns
+    (indptr, indices, src, dup, src2).
+
+    A local entry's id is its (class, local row, local column).  One
+    counting sort of the ids gives the pattern and the maps with no value
+    scatter (Davis, Direct Methods for Sparse Linear Systems, SIAM 2006,
+    cs_compress): the (triangle, local row) slots are grouped by global row,
+    scipy's per-row sort of the columns carries the ids along, and equal
+    neighbours are one entry."""
+    nc, (nt, w), n = len(bounds) - 1, table.shape, int(table.max()) + 1
+    pairs = ~(rotation[:, None] & rotation)
+    t, i = np.divmod(np.argsort(table.ravel(), kind="stable"), w)
+    dtype = np.int16 if nc * w * w < 2**15 else np.int32
+    ids = (((np.repeat(np.arange(nc), np.diff(bounds))[t] * w + i) * w).astype(dtype)[:, None]
+           + np.arange(w, dtype=dtype))[pairs[i]]
+    size = np.bincount(table.ravel(), np.tile(pairs.sum(axis=1), nt), n)
+    indptr = np.concatenate([[0], np.cumsum(size)]).astype(np.int32)
+    local = sps.csr_matrix((ids, table.astype(np.int32)[t][pairs[i]], indptr), shape=(n, n))
+    local.sort_indices()
+    cols, ids, indptr = local.indices, local.data, local.indptr
+    new = np.concatenate([[True], cols[1:] != cols[:-1]])
+    new[indptr[:-1]] = True
+    second = np.flatnonzero(~new)  # each follows its first source
+    return (indptr - np.searchsorted(second, indptr).astype(np.int32), cols[new], ids[new],
+            (second - np.arange(1, len(second) + 1)).astype(np.int32), ids[second])
 
 
 @dataclass
@@ -205,36 +255,18 @@ def _local_blocks(T: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 def _range_operator(spaces: DiscreteSpaces, blocks: np.ndarray) -> RangeOperator:
     """The RangeOperator of local blocks (class, W, W), W = 2 nd + m, with the
-    triangles' (stress, rotation) unknowns as its table, grouped by class.
-
-    Each pair of a triangle's unknowns but two rotations is a local entry, its
-    id its (class, local row, local column).  One counting sort of the ids
-    gives the pattern and the maps with no value scatter (Davis, Direct
-    Methods for Sparse Linear Systems, SIAM 2006, cs_compress): the (triangle,
-    local row) slots are grouped by global row, scipy's per-row sort of the
-    columns carries the ids along, and equal neighbours are one entry."""
+    triangles' (stress, rotation) unknowns as its table, grouped by class,
+    and the pattern of the unknowns a Schur complement LU keeps."""
     order = np.argsort(spaces.tri_class, kind="stable")
     table = np.concatenate([spaces.stress_map.reshape(len(order), -1), spaces.rotation_map],
                            axis=1)[order]
-    nc, W, ns, n = len(blocks), table.shape[1], spaces.stress_map[0].size, spaces.dim_x
-    bounds = np.searchsorted(spaces.tri_class[order], np.arange(nc + 1))
-    t, i = np.divmod(np.argsort(table.ravel(), kind="stable"), W)
-    keep = (i < ns)[:, None] | (np.arange(W) < ns)  # no rotation pairs with a rotation
-    dtype = np.int16 if nc * W * W < 2**15 else np.int32
-    ids = (((np.repeat(np.arange(nc), np.diff(bounds))[t] * W + i) * W).astype(dtype)[:, None]
-           + np.arange(W, dtype=dtype))[keep]
-    size = np.bincount(table.ravel(), np.tile(np.where(np.arange(W) < ns, W, ns), len(table)), n)
-    indptr = np.concatenate([[0], np.cumsum(size)]).astype(np.int32)
-    local = sps.csr_matrix((ids, table.astype(np.int32)[t][keep], indptr), shape=(n, n))
-    local.sort_indices()
-    cols, ids, indptr = local.indices, local.data, local.indptr
-    new = np.concatenate([[True], cols[1:] != cols[:-1]])
-    new[indptr[:-1]] = True
-    second = np.flatnonzero(~new)  # each follows its first source
-    return RangeOperator(blocks, table, tuple(bounds.tolist()),
-                         indptr - np.searchsorted(second, indptr).astype(np.int32), cols[new],
-                         ids[new], (second - np.arange(1, len(second) + 1)).astype(np.int32),
-                         ids[second])
+    ns, nd, m = spaces.stress_map[0].size, spaces.stress_map.shape[2], spaces.n_scalar
+    bounds = tuple(np.searchsorted(spaces.tri_class[order], np.arange(len(blocks) + 1)).tolist())
+    edge = np.arange(ns) % nd < 3 * (spaces.k + 1)  # a row's edge DOFs come first
+    rotation, glob = np.arange(ns + m) >= ns, np.concatenate([edge, np.full(m, edge.all())])
+    kept = np.unique(table[:, glob])
+    return RangeOperator(blocks, table, bounds, rotation, glob, kept, *_pattern(
+        np.searchsorted(kept, table[:, glob]), bounds, rotation[glob]))
 
 
 def l2_pairing(system: BlockSystem) -> RangeOperator:

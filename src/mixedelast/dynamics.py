@@ -12,13 +12,15 @@ complex eigenvalue of the tableau matrix A: diagonalising A over C decouples
 the real 2N x 2N stage system into one complex N x N system and its complex
 conjugate (Hairer-Wanner, Solving ODEs II, IV.8).  The velocity block of S is
 the velocity mass M, which is diagonal because the velocity space is
-discontinuous and its basis orthonormal; M^-1 is 1/m entrywise, so only the
-Schur complement of S on the stress and rotation unknowns is factored by a
-sparse LU: statics.SchurLU, shared with the static saddle solve, in a
-symmetric fill-reducing order of the mesh entities (George, SIAM J. Numer.
-Anal. 10, 1973).  The parts of that LU that every scheme and dt share, E_r,
-K_r = B^T M^-1 B and the diagonal of M, are assembled with the system; each
-`integrate` call factors its own step LU and frees it when it returns.
+discontinuous and its basis orthonormal; M^-1 is 1/m entrywise.  Of the
+Schur complement of S on the stress and rotation unknowns, statics.SchurLU,
+shared with the static saddle solve, eliminates each triangle's interior
+stresses and rotations by its class block and factors the rest, the edge
+unknowns, by a sparse LU in a symmetric fill-reducing order of the mesh
+entities (George, SIAM J. Numer. Anal. 10, 1973).  The parts of that LU
+that every scheme and dt share, E_r, K_r = B^T M^-1 B and the diagonal of
+M, are assembled with the system; each `integrate` call factors its own
+step LU and frees it when it returns.
 
 Both updates are written with E-products and solves only, so a system's
 steps keep the state y = (x, v) in the spaces' numbering, apply the (stress,

@@ -308,7 +308,8 @@ def _entity_positions(mesh: Mesh, entity: np.ndarray, stress: np.ndarray, m: int
     entities' ranks, row 0 before row 1.  A triangle's rotation unknowns,
     whose diagonal block in a Schur complement [[T + s^2 K, C^T], [C, 0]] is
     zero and which couple only to that triangle's stresses, come right after
-    the first half of them (George, SIAM J. Numer. Anal. 10, 1973).
+    the first half of them (George, SIAM J. Numer. Anal. 10, 1973); the LU
+    keeps them, and so their place matters, only at k = 1.
     """
     ne, nt = mesh.num_edges, mesh.num_triangles
     cliques = np.column_stack([mesh.triangle_edges, ne + np.arange(nt)])

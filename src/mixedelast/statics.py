@@ -5,16 +5,18 @@ Every LU, static or time step, is of one family per system and stress
 block T: the Schur complements S_r(s) = [[T + s^2 K, C^T], [C, 0]], with
 K = B^T M^-1 B, on the stress and rotation unknowns x, which the spaces
 number in a symmetric mesh-entity order.  S_r(s) is E_r(T) + s^2 K_r on the
-range of x, E_r(T) = T + C + C^T, passed as its RangeOperator: every product
-with it is made from its local blocks, and S_r(s) is gathered from those and
-K_r's through the source maps of the pattern every matrix on that range
-shares (see `assembly`).  No LU is kept with the system: a saddle LU is
-dropped after its solve, and a step LU when `dynamics.integrate` returns.
+range of x, E_r(T) = T + C + C^T, passed as its RangeOperator, and every
+product with it is made from its local blocks.  Each triangle's interior
+stresses and rotations are eliminated by dense class-block solves, so the
+sparse LU is of the complement on the edge unknowns only, gathered through
+the source maps of their pattern (see `assembly`).  No LU is kept with the
+system: a saddle LU is dropped after its solve, and a step LU when
+`dynamics.integrate` returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -22,7 +24,7 @@ import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .assembly import (BlockSystem, RangeOperator, assemble_body_load,
+from .assembly import (BlockSystem, RangeOperator, _by_class, _gather, assemble_body_load,
                        assemble_dirichlet_load, l2_pairing)
 from .errors import SingularSystemError
 from .quadrature import triangle_rule
@@ -41,11 +43,12 @@ class InitialData:
 
 
 def factorize(S: sps.spmatrix, what: str):
-    """Sparse LU of a Schur complement S built in the entity order, which
-    keeps that order and pivots on the diagonal; a singular S raises
+    """Sparse LU of a condensed Schur complement S built in the entity order,
+    which keeps that order and pivots on the diagonal; a singular S raises
     SingularSystemError.  In exact arithmetic every diagonal pivot is
-    nonzero: the stress block is SPD (positive pivots), and each rotation
-    follows half of its own triangle's stresses (a negative pivot)."""
+    nonzero: for k >= 2 and a real shift S is SPD (the eliminated rotations
+    took all negative inertia); at k = 1 each rotation follows half of its
+    own triangle's stresses (a negative pivot)."""
     try:
         return spla.splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
@@ -83,26 +86,25 @@ def _product(A: sps.spmatrix, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _shifted(system: BlockSystem, blocks: np.ndarray, s2) -> sps.csc_matrix:
-    """S_r = E_r(T) + s2 K_r of E_r(T)'s local blocks: one value array, real or
-    complex as s2 is, gathered onto the pattern's index arrays, which are also
-    its CSC arrays, as E_r(T) and K_r are bitwise symmetric.  Each entry is
-    (E[a] + E[b]) + s2 (K[a] + K[b]), K only where K_r has entries, as a
-    scatter of the local entries sums it.  Besides the values, only chunks
-    and the shared entries allocate temporaries."""
-    p, K, nd = system.Eop, system.Kblocks, system.spaces.stress_map.shape[2]
-    row = np.arange(blocks.shape[1]) // nd  # tensor row 0 or 1 of a stress, 2 of a rotation
-    on_k = (row[:, None] == row) & (row < 2)
-    table = blocks.astype(np.result_type(blocks, s2))
-    table[:, on_k] += s2 * K[:, on_k]
-    data, chunk = np.empty(len(p.src), table.dtype), 1 << 16
-    for lo in range(0, len(data), chunk):  # np.take casts the maps to intp a chunk at a time
-        np.take(table.reshape(-1), p.src[lo:lo + chunk], out=data[lo:lo + chunk], mode="clip")
-    a, b, E, K = p.src[p.dup].astype(np.intp), p.src2.astype(np.intp), blocks.ravel(), K.ravel()
-    data[p.dup] = E[a] + E[b]
-    k = on_k.reshape(-1)[a % on_k.size]
-    data[p.dup[k]] += s2 * (K[a[k]] + K[b[k]])
-    return sps.csc_matrix((data, p.indices, p.indptr), shape=(len(p.indptr) - 1,) * 2)
+def _condense(op: RangeOperator, K: np.ndarray, s2, what: str):
+    """Eliminate each triangle's local unknowns L, those outside ``op.glob``,
+    from S_r = E_r(T) + s2 K_r of E_r(T)'s RangeOperator and K_r's blocks by
+    class blocks (Arnold & Brezzi, M2AN 19, 1985; Cockburn, Gopalakrishnan &
+    Guzman, Math. Comp. 79, 2010): S_LL [Z | X] = [I | S_LG], solved densely,
+    gives the CSC matrix of each class's S_GG - S_GL X, made symmetric, on
+    op's pattern, and [Z^T | X] (class, nL, nL + nG).  A singular S_LL
+    raises SingularSystemError."""
+    S, loc = op.blocks + s2 * K, ~op.glob
+    S_L, nL = S[:, loc], np.count_nonzero(loc)
+    try:
+        ZX = np.linalg.solve(S_L[:, :, loc], np.concatenate(
+            [np.broadcast_to(np.eye(nL), (len(S), nL, nL)), S_L[:, :, op.glob]], axis=2))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"{what} factorization failed: local block: {exc}") from exc
+    ZX[:, :, :nL] = ZX[:, :, :nL].swapaxes(1, 2).copy()
+    G = S[:, op.glob][:, :, op.glob] - S_L[:, :, op.glob].swapaxes(1, 2) @ ZX[:, :, nL:]
+    data = _gather(0.5 * (G + G.swapaxes(1, 2)), op.src, op.dup, op.src2)
+    return sps.csc_matrix((data, op.indices, op.indptr), shape=(len(op.indptr) - 1,) * 2), ZX
 
 
 class SchurLU:
@@ -110,8 +112,10 @@ class SchurLU:
     (stress, velocity, rotation) unknowns of a system, for a stress block T,
     given by the RangeOperator E_op of its E_r(T) on the system's table and
     pattern, and a real or complex shift s.  The velocity is eliminated with
-    the reciprocals of M's diagonal, so the LU is of the Schur complement
-    S_r(s) = E_r(T) + s^2 K_r on E_r's pattern.
+    the reciprocals of M's diagonal, leaving S_r(s) = E_r(T) + s^2 K_r on
+    the range of x, and each triangle's interior stresses and rotations by
+    its class block (`_condense`), so the one sparse LU is of the
+    complement on the edge unknowns, in x's order.
 
     Vectors are (x, velocity).  Solves 1, 2, 4, 8, ... are
     residual-checked against S(s) applied block by block.  The LU lives as
@@ -123,7 +127,10 @@ class SchurLU:
             raise ValueError("E_op must be on the system's E_r table and pattern")
         self.system, self.E_op, self.n = system, E_op, system.spaces.dim_x
         self._minv, self._BT = 1.0 / system.Mdiag, system.Bmat.T
-        self._lu = factorize(_shifted(system, E_op.blocks, s * s), what)
+        S, self._ZX = _condense(E_op, system.Kblocks, s * s, what)
+        self._lu = factorize(S, what)
+        self._local = E_op.table[:, ~E_op.glob]
+        self._gtable = np.searchsorted(E_op.edge, E_op.table[:, E_op.glob])
         self._s, self._what, self._solves = s, what, 0
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
@@ -132,12 +139,22 @@ class SchurLU:
         return np.concatenate([self.E_op @ x_r + s * _product(self._BT, v),
                                system.Mdiag * v - s * _product(system.Bmat, x_r)])
 
+    def _solve_range(self, b: np.ndarray) -> np.ndarray:
+        """S_r(s)^-1 b: X^T b_L taken from the edge unknowns' right-hand
+        side, one LU solve for x_e, then x_L = Z b_L - X x_e."""
+        op, ZX, g, nL = self.E_op, self._ZX, self._gtable, self._ZX.shape[1]
+        y = _by_class(b[self._local], ZX, op.bounds)
+        x = np.empty(len(b), y.dtype)
+        x_e = x[op.edge] = self._lu.solve(b[op.edge] - _sum_at(g, y[:, nL:], len(op.edge)))
+        x[self._local] = y[:, :nL] - _by_class(x_e[g], ZX[:, :, nL:].swapaxes(1, 2), op.bounds)
+        return x
+
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         # x_r = S_r^-1 (b_r - s B^T M^-1 b_v), x_v = M^-1 (b_v + s B x_sigma)
         n, s, minv = self.n, self._s, self._minv
         w = minv * rhs[n:]
         x = np.empty(len(rhs), dtype=np.result_type(rhs, s))
-        x[:n] = self._lu.solve(rhs[:n] - s * _product(self._BT, w))
+        x[:n] = self._solve_range(rhs[:n] - s * _product(self._BT, w))
         x_v = np.multiply(minv, _product(self.system.Bmat, x[:n]), out=x[n:])
         np.multiply(s, x_v, out=x_v)  # s first: a complex product is not commutative bitwise
         x_v += w
@@ -148,6 +165,13 @@ class SchurLU:
         if self._solves & (self._solves - 1):
             return self._solve(rhs)
         return checked_solve(self._solve, self._apply, rhs, self._what)
+
+
+def _sum_at(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """np.bincount of real or complex values, the latter part by part."""
+    if np.iscomplexobj(values):
+        return _sum_at(index, values.real, n) + 1j * _sum_at(index, values.imag, n)
+    return np.bincount(index.ravel(), values.ravel(), n)
 
 
 _MAX_SWEEPS = 50  # augmented-Lagrangian sweeps per saddle solve, at most
@@ -256,9 +280,9 @@ def infsup_constant(system: BlockSystem) -> float:
     spaces, rho = system.spaces, system.material.rho
     B, C = system.Bmat, system.Cmat
     # the masses with rho = 1: M / rho for the velocity, area * I per rotation,
-    # and the stress mass, the stress block of the L2 pairing
-    stress = np.unique(spaces.stress_map)
-    D = _shifted(system, l2_pairing(system).blocks, rho)[stress][:, stress].toarray()
+    # and D, the stress block of the L2 pairing plus rho K_r (K_r holds 1 / rho)
+    stress, K_r = np.unique(spaces.stress_map), replace(system.Eop, blocks=system.Kblocks)
+    D = (l2_pairing(system).tocsr() + rho * K_r.tocsr())[stress][:, stress].toarray()
     Bb = sps.vstack([B, C[spaces.rotation_map.ravel()]])[:, stress].toarray()
     N = np.diag(np.concatenate([system.Mdiag / rho, np.repeat(spaces.areas, spaces.n_scalar)]))
     S = Bb @ np.linalg.solve(D, Bb.T)

@@ -13,7 +13,9 @@ error decomposition that the criterion-4 diagnosis runs: no command of the
 package needs them.  The scatter-sum references of the matrices on the range
 of x (E_r's CSR, the stress mass and S_r(s)) sum every local entry with
 scipy's COO-to-CSR conversion and add K_r with np.add.at, so that the
-package's gathers through its source maps are checked bit for bit.  The
+package's gathers through its source maps are checked bit for bit; so is
+the condensed matrix the Schur complement LU factors, against a scatter of
+its class blocks, and its values against a dense condensation.  The
 manufactured cases have a symbolic reference here too: sympy differentiates
 a displacement, splits the loads into time-space terms and lambdifies every
 field, so that the closed forms of the built-in cases are checked against an
@@ -155,6 +157,45 @@ def scatter_schur_complement(system, blocks, s2):
     data = E.data.astype(np.result_type(E.data, s2))
     np.add.at(data, Kpos, s2 * K.data)
     return sps.csc_matrix((data, E.indices, E.indptr), shape=E.shape)
+
+
+def dense_condensation(S, edge):
+    """The Schur complement S_EE - S_EL S_LL^-1 S_LE of a matrix S on the
+    range of x onto the unknowns ``edge``, by one dense solve of the whole
+    S_LL, every triangle's local unknowns at once."""
+    S = S.toarray() if sps.issparse(S) else S
+    loc = np.setdiff1d(np.arange(len(S)), edge)
+    return (S[np.ix_(edge, edge)]
+            - S[np.ix_(edge, loc)] @ np.linalg.solve(S[np.ix_(loc, loc)], S[np.ix_(loc, edge)]))
+
+
+def scatter_condensed(system, op, s2, ZX):
+    """The condensed matrix of `statics._condense` by one `_scatter` of its
+    class blocks, S_GG - S_GL X of S = op.blocks + s2 K_r made symmetric, X
+    from the returned [Z^T | X], over each triangle's kept unknowns in
+    their 0..N_e-1 numbering, every pair but two rotations; so that its
+    gather through the source maps is checked bit for bit."""
+    S, glob, nL = op.blocks + s2 * system.Kblocks, op.glob, ZX.shape[1]
+    G = S[:, glob][:, :, glob] - S[:, ~glob][:, :, glob].swapaxes(1, 2) @ ZX[:, :, nL:]
+    G = 0.5 * (G + G.swapaxes(1, 2))
+    rotation = op.rotation[glob]
+    i, j = np.nonzero(~(rotation[:, None] & rotation))
+    table = np.searchsorted(op.edge, op.table[:, glob])
+    return _scatter(np.repeat(G[:, i, j], np.diff(op.bounds), axis=0), table[:, i], table[:, j],
+                    (len(op.edge),) * 2)
+
+
+def full_schur_solve(system, blocks, s, rhs):
+    """A solve with S(s) on (x, velocity) through one sparse LU of the whole
+    S_r(s) = E_r(T) + s^2 K_r by scatter-sum, in the entity order with
+    diagonal pivots, its velocity eliminated with the reciprocals of M's
+    diagonal."""
+    n, B, minv = system.spaces.dim_x, system.Bmat, 1.0 / system.Mdiag
+    w = minv * rhs[n:]
+    lu = spla.splu(scatter_schur_complement(system, blocks, s * s), permc_spec="NATURAL",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    x_r = lu.solve(rhs[:n] - s * (B.T @ w))
+    return np.concatenate([x_r, w + s * (minv * (B @ x_r))])
 
 
 def energy(system, state):

@@ -431,23 +431,27 @@ def test_ordered_step_solve_matches_colamd(k, scheme):
 
 
 def test_ordered_step_lu_fill():
-    # eg2, k=2, n=16, dt=1/16: 2,957,511 L+U nonzeros in SuperLU's default
-    # COLAMD order, 735,598 in the mesh-entity order
+    # eg2, k=2, n=16, dt=1/16: the whole 9,408 x 9,408 S_r held 2,957,511 L+U
+    # nonzeros in SuperLU's default COLAMD order and 735,618 (lu.nnz) in the
+    # mesh-entity order; its complement on the 4,800 edge unknowns, in the
+    # same order, holds 490,152
     lu = dynamics._Stepper(_eg2_system(16, 2), "cn", 1.0 / 16).lu._lu
-    assert lu.L.nnz + lu.U.nnz <= 1_000_000
+    assert lu.shape == (4800, 4800) and lu.nnz == 490_152
 
 
 @pytest.mark.parametrize("name,n,k,scheme", [("eg2", 8, 2, "cn"), ("eg3", 4, 3, "radau2")])
 def test_step_lu_pivots_on_its_diagonal(name, n, k, scheme):
-    # the entity order's symmetric pivot sequence is kept: SuperLU makes no
-    # row interchange
+    # the entity order's symmetric pivot sequence is kept on the edge
+    # unknowns' complement: SuperLU permutes neither rows nor columns
     import mixedelast as me
     case = builtin_case(name, alpha=2.2 if name == "eg2" else None)
     mesh = me.build_uniform_square_mesh(n)
     system = assemble(me.build_spaces(mesh, k), case.material, body_force=case.f,
                       dirichlet_velocity=case.g)
     lu = dynamics._Stepper(system, scheme, 1.0 / n).lu._lu
-    assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))
+    assert lu.shape == (len(system.Eop.edge),) * 2 == (2 * (k + 1) * mesh.num_edges,) * 2
+    identity = np.arange(lu.shape[0])
+    assert np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)
 
 
 def test_step_residual_checked_on_a_doubling_cadence(monkeypatch):
@@ -535,9 +539,10 @@ def test_eprod_rotation_entries_are_c_sigma(k):
 @pytest.mark.parametrize("name,n,k", [("eg2", 8, 2), ("eg3", 4, 3)])
 def test_each_operator_held_once(name, n, k):
     # the system holds E_r, which stands for A and C, and K_r as their class
-    # blocks on E_r's pattern and int16 source maps, B, the velocity mass as
-    # its diagonal, and one load matrix in each load closure; no operator and
-    # no load matrix is held twice, and no value array on E_r's pattern
+    # blocks, with the condensed pattern of the Schur complement LU and its
+    # int16 source maps, B, the velocity mass as its diagonal, and one load
+    # matrix in each load closure; no operator and no load matrix is held
+    # twice, and no array is as long as E_r's stored entries
     import mixedelast as me
     case = builtin_case(name, alpha=2.2 if name == "eg2" else None)
     mesh = me.build_uniform_square_mesh(n)
@@ -554,11 +559,10 @@ def test_each_operator_held_once(name, n, k):
         for b in held[i + 1:]:
             assert not (a.data.shape == b.data.shape and np.array_equal(a.data, b.data))
     arrays = [value for value in _reachable(system) if isinstance(value, np.ndarray)]
-    # only the pattern's column indices and the source map of each entry are
-    # as long as E_r's stored entries, int32 and int16, and no float array is
-    p = system.Eop
-    nnz = len(p.indices)
-    assert sorted(a.dtype.name for a in arrays if a.size >= nnz) == ["int16", "int32"]
+    # E_r's pattern is formed on read only: the condensed pattern is shorter
+    p, nnz = system.Eop, system.Eop.tocsr().nnz
+    assert not [a.shape for a in arrays if a.size >= nnz]
+    assert len(p.indices) < nnz / 2
     assert p.src.dtype == p.src2.dtype == np.int16 and p.indices.dtype == np.int32
     assert system.Kblocks.shape == system.Eop.blocks.shape
     loads = [cell.cell_contents for load in (system.load, system.dirichlet_load)

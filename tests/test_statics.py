@@ -11,13 +11,14 @@ from mixedelast import (MaterialModel, SingularSystemError, assemble,
                         build_initial_data, build_spaces,
                         build_uniform_square_mesh, builtin_case, elliptic_projection,
                         infsup_constant, integrate, l2_error, l2_project_velocity)
-from mixedelast import statics
+from mixedelast import assembly, statics
 from mixedelast.assembly import RangeOperator, l2_pairing
 from mixedelast.quadrature import triangle_rule
 
 from conftest import _reachable, make_matrix_field, pattern_arrays
 from test_mesh import _jittered
-from _oracles import (canonical_interpolation, case_from_displacement, scatter_range_matrix,
+from _oracles import (canonical_interpolation, case_from_displacement, dense_condensation,
+                      full_schur_solve, scatter_condensed, scatter_range_matrix,
                       scatter_schur_complement, solve_elastostatics, stress_div_values,
                       stress_mass, stress_part)
 
@@ -209,8 +210,9 @@ def test_initial_data_eg2_weak_symmetry(spaces_cache):
 def test_saddle_factorizations_not_kept(spaces_cache, unit_material):
     # the system is assembled once: its saddle solves, both schemes' steps
     # and the elliptic projection read its operators and change none, and
-    # each LU is dropped after its solves; no value array on E_r's pattern,
-    # S_r's or a CSR's, is left reachable from the system
+    # each LU is dropped after its solves; no array as long as E_r's stored
+    # entries, a value or an index array of E_r, S_r or their LU, is left
+    # reachable from the system
     case = builtin_case("eg2", alpha=2.7)
     spaces = spaces_cache(2, 2)
     system = assemble(spaces, case.material,
@@ -235,9 +237,8 @@ def test_saddle_factorizations_not_kept(spaces_cache, unit_material):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
     held = _reachable(system)
     assert not any(isinstance(value, (statics.SchurLU, spla.SuperLU)) for value in held)
-    nnz = len(system.Eop.indices)
-    assert not [a.shape for a in held if isinstance(a, np.ndarray) and a.dtype.kind in "fc"
-                and a.size >= nnz]
+    nnz = system.Eop.tocsr().nnz  # E_r's stored entries
+    assert not [a.shape for a in held if isinstance(a, np.ndarray) and a.size >= nnz]
 
 
 @pytest.mark.parametrize("name,n,k", [("eg3", 4, 3), ("locking", 4, 2)])
@@ -269,7 +270,9 @@ def test_nonzero_initial_data_factor_the_saddle(spaces_cache, monkeypatch):
     monkeypatch.setattr(statics, "factorize", lambda S, what:
                         calls.append((what, S.shape)) or factorize(S, what))
     init = build_initial_data(case, system)
-    assert calls == [("saddle", (spaces.dim_x, spaces.dim_x))]
+    # the LU keeps the edge stresses only: k + 1 moments per edge and tensor row
+    n_e = 2 * 3 * spaces.mesh.num_edges
+    assert calls == [("saddle", (n_e, n_e))] and n_e == len(system.Eop.edge) < spaces.dim_x
     assert np.array_equal(init.x0, x)
 
 
@@ -411,15 +414,15 @@ def _bmat_schur_complement(system, T, s):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_schur_pattern_fill_matches_bmat_build(mesh_cache, monkeypatch, k):
-    # the matrix each SchurLU factors, S_r(s) = E_r(T) + s^2 K_r: s = 0 (the
-    # E-product matrix), real CN and complex RadauIIA step shifts with T = A,
-    # and the static shifts of both saddle stress blocks (A and the stress
-    # mass).  S_r is gathered onto E_r(T)'s index arrays, so its pattern is
-    # E_r's whatever the values: an entry that cancels exactly (one of
-    # A + (1/8)^2 K did at k = 2 when K_r was a sparse product) is kept.
-    # K_r is summed from local blocks and the local compliance is made
-    # symmetric, so S_r meets the sparse-product reference at roundoff, not
-    # bit for bit
+    # the matrix each SchurLU factors is the complement of S_r(s) = E_r(T) +
+    # s^2 K_r on the edge unknowns: s = 0 (the E-product matrix), real CN
+    # and complex RadauIIA step shifts with T = A, and the static shifts of
+    # both saddle stress blocks (A and the stress mass).  It is gathered
+    # onto the system's condensed pattern, so its pattern is that whatever
+    # the values, and it covers every nonzero of the dense condensation of
+    # the sparse-product S_r.  The class-block solves and the reference's
+    # one dense solve round differently, so they agree at roundoff, not bit
+    # for bit; at k = 1 nothing is eliminated
     case = builtin_case("eg2", alpha=2.2)
     system = assemble(build_spaces(mesh_cache(4), k), case.material,
                       body_force=case.f, dirichlet_velocity=case.g)
@@ -427,43 +430,46 @@ def test_schur_pattern_fill_matches_bmat_build(mesh_cache, monkeypatch, k):
     monkeypatch.setattr(statics, "factorize", lambda S, what:
                         factored.append(S) or factorize(S, what))
     lam = complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)
-    E, A, mass = system.Eop.tocsr(), system.Amat, stress_mass(system.spaces)
+    E, A, mass, p = system.Eop.tocsr(), system.Amat, stress_mass(system.spaces), system.Eop
     for T, s in ((A, 0.0), (A, 0.125), (A, 0.25 * lam),
                  (A, np.sqrt(system.material.rho / system.material.mu)),
                  (mass, np.sqrt(system.material.rho / 0.5))):
-        statics.SchurLU(system, system.Eop if T is A else l2_pairing(system), s, "test")
+        statics.SchurLU(system, p if T is A else l2_pairing(system), s, "test")
         got = factored.pop()
-        ref = _bmat_schur_complement(system, T, s)
+        ref = dense_condensation(_bmat_schur_complement(system, T, s), p.edge)
         assert got.format == "csc" and got.dtype == ref.dtype
-        assert np.shares_memory(got.indices, E.indices) and got.has_canonical_format
-        assert got.nnz == E.nnz and np.all(got[ref.nonzero()] != 0.0)
-        dense, ref = got.toarray(), ref.toarray()
-        assert np.abs(dense - ref).max() <= 1e-15 * np.abs(ref).max()
+        assert np.shares_memory(got.indices, p.indices) and got.has_canonical_format
+        assert got.shape == ref.shape == (len(p.edge),) * 2 and got.nnz == len(p.indices)
+        pattern = sps.csc_matrix((np.ones(got.nnz), got.indices, got.indptr), shape=got.shape)
+        assert not ref[pattern.toarray() == 0.0].any()
+        assert np.abs(got.toarray() - ref).max() <= 2e-14 * np.abs(ref).max()
     ref = _bmat_schur_complement(system, A, 0.0).toarray()
     assert np.abs(E.toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gathered_schur_complement_is_e_plus_shifted_k(mesh_cache, k):
-    # S_r(s) is one value array on E_r's index arrays, real or complex as s
-    # is, and equals E_r + s^2 K_r, with K_r = B^T M^-1 B as a sparse product
+    # the condensed matrix is one value array on the system's condensed
+    # pattern, real or complex as s is, and equals the complement on the
+    # edge unknowns of E_r + s^2 K_r, K_r = B^T M^-1 B as a sparse product
     case = builtin_case("eg2", alpha=2.2)
     system = assemble(build_spaces(mesh_cache(4), k), case.material)
-    E, B = system.Eop.tocsr(), system.Bmat
+    p, E, B = system.Eop, system.Eop.tocsr(), system.Bmat
     K = (B.T @ (sps.diags(1.0 / system.Mdiag) @ B)).toarray()
     for s in (0.0, 0.3, 0.25 * complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)):
-        S = statics._shifted(system, system.Eop.blocks, s * s)
-        assert S.format == "csc" and S.dtype == np.result_type(E.dtype, s)
-        assert np.shares_memory(S.indices, E.indices) and np.shares_memory(S.indptr, E.indptr)
-        ref = E.toarray() + (s * s) * K
-        assert np.abs(S.toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
+        S, ZX = statics._condense(p, system.Kblocks, s * s, "test")
+        assert S.format == "csc" and S.dtype == ZX.dtype == np.result_type(E.dtype, s)
+        assert np.shares_memory(S.indices, p.indices) and np.shares_memory(S.indptr, p.indptr)
+        ref = dense_condensation(E.toarray() + (s * s) * K, p.edge)
+        assert np.abs(S.toarray() - ref).max() <= 2e-14 * np.abs(ref).max()
 
 
 def test_complex_schur_build_allocates_one_value_array(mesh_cache):
-    # a complex S_r(s) allocates its complex values, 16 bytes per entry of
-    # E_r, one intp chunk of the gather and temporaries of the shared entries
-    # only, a few percent of them: no full-length temporary, no sparse sum,
-    # no CSC copy
+    # a complex condensed matrix allocates its complex values, 16 bytes per
+    # entry of the condensed pattern, the maps cast to intp by the gather,
+    # temporaries of the shared entries, a fifth of them (two triangles share
+    # the entries of an edge's own unknowns), and class-sized blocks only:
+    # no sparse sum, no CSC copy
     import tracemalloc
     case = builtin_case("eg3")
     system = assemble(build_spaces(mesh_cache(8), 3), case.material)
@@ -471,13 +477,13 @@ def test_complex_schur_build_allocates_one_value_array(mesh_cache):
     s = 0.125 * complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)
     tracemalloc.start()
     try:
-        S = statics._shifted(system, system.Eop.blocks, s * s)
+        S, _ = statics._condense(p, system.Kblocks, s * s, "test")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert S.dtype == np.complex128
-    assert len(p.dup) <= 0.1 * len(p.indices)
-    assert peak <= 16 * len(p.indices) + 8 * 2**16 + 64 * len(p.dup) + 2**16
+    assert len(p.dup) <= 0.2 * len(p.indices)
+    assert peak <= 24 * len(p.indices) + 32 * len(p.dup) + 16 * 8 * p.blocks.size + 2**16
 
 
 @pytest.mark.parametrize("s", [0.25, 0.25 * complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)])
@@ -494,7 +500,7 @@ def test_schur_solve_fills_one_array_bitwise(spaces_cache, s):
     if not np.isrealobj(s):
         rhs = rhs + 1j * rng.standard_normal(n + len(minv))
     w = minv * rhs[n:]
-    x_r = lu._lu.solve(rhs[:n] - s * statics._product(B.T, w))
+    x_r = lu._solve_range(rhs[:n] - s * statics._product(B.T, w))
     ref = np.concatenate([x_r, w + s * (minv * statics._product(B, x_r))])
     got = lu.solve(rhs)
     assert got.dtype == ref.dtype and np.array_equal(got.view(np.uint8), ref.view(np.uint8))
@@ -503,20 +509,24 @@ def test_schur_solve_fills_one_array_bitwise(spaces_cache, s):
 @pytest.mark.parametrize("mesh", ["uniform-4", "jittered-4"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gathered_matrices_are_the_scatter_sums(mesh, k):
-    # every matrix on the range of x is gathered from local blocks through
-    # the source maps, and each equals, bit for bit and in all three CSR
-    # arrays, the scatter-sum of its local entries: S_r(s) of the CN shift,
-    # the complex RadauIIA shift and the augmented-Lagrangian shift tau, for
-    # E_r and for the L2 pairing; E_r itself, A, C and the L2 pairing.  The
+    # every matrix on the range of x, and the condensed matrix each LU
+    # factors, is gathered from local blocks through source maps, and each
+    # equals, bit for bit and in all three CSR arrays, the scatter-sum of its
+    # local entries: the condensed matrix of the CN shift, the complex
+    # RadauIIA shift and the augmented-Lagrangian shift tau, for E_r and for
+    # the L2 pairing, whose values are also the dense condensation of the
+    # scatter-summed S_r(s); E_r itself, A, C and the L2 pairing.  The
     # uniform mesh's maps are int16; the jittered mesh has one class per
-    # triangle, and at k = 3 its ids need int32
+    # triangle, and at k = 3 the ids of E_r's full pattern need int32
     jittered = mesh == "jittered-4"
     mesh = _jittered(4) if jittered else build_uniform_square_mesh(4)
     spaces = build_spaces(mesh, k)
     system = assemble(spaces, MaterialModel(mu=0.7, lambda_=3.0, rho=1.3))
-    (nc, W, _), p = system.Eop.blocks.shape, system.Eop
-    assert p.src.dtype == p.src2.dtype == (np.int16 if nc * W * W < 2**15 else np.int32)
-    assert p.src.dtype == (np.int32 if jittered and k == 3 else np.int16)
+    p = system.Eop
+    (nc, W, _), nG = p.blocks.shape, np.count_nonzero(p.glob)
+    assert p.src.dtype == p.src2.dtype == (np.int16 if nc * nG * nG < 2**15 else np.int32)
+    full = assembly._pattern(p.table, p.bounds, p.rotation)
+    assert full[2].dtype == full[4].dtype == (np.int32 if jittered and k == 3 else np.int16)
 
     def same(got, ref):
         for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices), (got.data, ref.data)):
@@ -524,10 +534,12 @@ def test_gathered_matrices_are_the_scatter_sums(mesh, k):
 
     dt, lam, rho = 0.125, complex(1.0 / 3.0, np.sqrt(2.0) / 6.0), system.material.rho
     pairing = l2_pairing(system)
-    for op, mu in ((system.Eop, system.material.mu), (pairing, 0.5)):
+    for op, mu in ((p, system.material.mu), (pairing, 0.5)):
         for s in (0.5 * dt, lam * dt, np.sqrt(rho / mu)):
-            same(statics._shifted(system, op.blocks, s * s),
-                 scatter_schur_complement(system, op.blocks, s * s))
+            got, ZX = statics._condense(op, system.Kblocks, s * s, "test")
+            same(got, scatter_condensed(system, op, s * s, ZX))
+            ref = dense_condensation(scatter_schur_complement(system, op.blocks, s * s), p.edge)
+            assert np.abs(got.toarray() - ref).max() <= 2e-14 * np.abs(ref).max()
         same(op.tocsr(), scatter_range_matrix(spaces, op))
     E = scatter_range_matrix(spaces, system.Eop)
     row = np.full(spaces.dim_x, 2)
@@ -538,3 +550,70 @@ def test_gathered_matrices_are_the_scatter_sums(mesh, k):
     keep = rows == 2
     indptr = np.concatenate([[0], np.cumsum(keep)])[E.indptr]
     same(system.Cmat, sps.csr_matrix((E.data[keep], E.indices[keep], indptr), shape=E.shape))
+
+
+@pytest.mark.parametrize("mesh", ["uniform-4", "jittered-4"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_condensed_solve_matches_the_full_schur_lu(mesh, k):
+    # SchurLU eliminates each triangle's interior stresses and rotations by
+    # its class block and factors the edge unknowns' complement only; its
+    # solve equals one through a sparse LU of the whole scatter-summed S_r(s)
+    # for the CN, complex RadauIIA and augmented-Lagrangian shifts, for E_r
+    # and for the L2 pairing (one class per triangle on the jittered mesh).
+    # At k = 3 and the augmented-Lagrangian shift S_r's condition number is
+    # about 2e6, and the two solves differ by 9e-13 (a COLAMD-ordered LU of
+    # the same S_r differs from the reference by 1.1e-12 there)
+    spaces = build_spaces(_jittered(4) if mesh == "jittered-4" else
+                          build_uniform_square_mesh(4), k)
+    system = assemble(spaces, MaterialModel(mu=0.7, lambda_=3.0, rho=1.3))
+    rng = np.random.default_rng(k)
+    rhs = rng.standard_normal(spaces.dim_x + spaces.dim_velocity)
+    lam, rho = complex(1.0 / 3.0, np.sqrt(2.0) / 6.0), system.material.rho
+    for op, mu in ((system.Eop, system.material.mu), (l2_pairing(system), 0.5)):
+        for s in (0.0625, 0.125 * lam, np.sqrt(rho / mu)):
+            b = rhs if np.isrealobj(s) else rhs + 1j * rng.standard_normal(rhs.size)
+            got = statics.SchurLU(system, op, s, "test").solve(b)
+            ref = full_schur_solve(system, op.blocks, s, b)
+            assert got.dtype == ref.dtype
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.25 * complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)])
+def test_singular_local_block_raises_when_the_lu_is_built(spaces_cache, monkeypatch, s):
+    # with one rotation's row and column of a class block zeroed, C is not
+    # onto and that class's local block [[T_II + s^2 K_II, C_I^T], [C_I, 0]]
+    # is singular: the LU's construction raises before any sparse
+    # factorization
+    spaces = spaces_cache(2, 2)
+    system = assemble(spaces, MaterialModel(mu=1.0, lambda_=1.0))
+    op, ns = system.Eop, spaces.stress_map[0].size
+    blocks = op.blocks.copy()
+    blocks[1, ns] = blocks[1, :, ns] = 0.0
+    monkeypatch.setattr(statics, "factorize", lambda S, what: pytest.fail("factorized"))
+    with pytest.raises(SingularSystemError, match="^step factorization failed: local block"):
+        statics.SchurLU(system, dataclasses.replace(op, blocks=blocks), s, "step")
+
+
+def test_one_sparse_factorization_per_schur_lu(mesh_cache, monkeypatch):
+    # the local eliminations are dense class-block solves, so each SchurLU
+    # makes exactly one call of scipy.sparse.linalg.splu, the call that a
+    # tracer of splu counts as one factorization: the saddle LU of the
+    # initial data and one step LU per integrate call
+    case = builtin_case("eg2", alpha=2.2)
+    factored, splu = [], spla.splu
+    monkeypatch.setattr(spla, "splu", lambda A, *args, **kwargs:
+                        factored.append(A.shape) or splu(A, *args, **kwargs))
+    lus, schur_lu = [], statics.SchurLU.__init__
+    monkeypatch.setattr(statics.SchurLU, "__init__",
+                        lambda lu, *args: lus.append(lu) or schur_lu(lu, *args))
+    for k in (1, 2, 3):
+        spaces = build_spaces(mesh_cache(2), k)
+        system = assemble(spaces, case.material, body_force=case.f, dirichlet_velocity=case.g)
+        init = build_initial_data(case, system)
+        for scheme in ("cn", "radau2"):
+            integrate(system, init, scheme, 0.5, 0.5)
+        sigma, div_sigma = make_matrix_field(np.random.default_rng(k))
+        elliptic_projection(system, sigma, div_sigma)
+        n_e = len(system.Eop.edge)
+        assert factored == [(n_e, n_e)] * 4 and len(lus) == 4
+        factored.clear(), lus.clear()
