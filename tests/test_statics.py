@@ -451,7 +451,9 @@ def test_schur_pattern_fill_matches_bmat_build(mesh_cache, monkeypatch, k):
 def test_gathered_schur_complement_is_e_plus_shifted_k(mesh_cache, k):
     # the condensed matrix is one value array on the system's condensed
     # pattern, real or complex as s is, and equals the complement on the
-    # edge unknowns of E_r + s^2 K_r, K_r = B^T M^-1 B as a sparse product
+    # edge unknowns of E_r + s^2 K_r, K_r = B^T M^-1 B as a sparse product;
+    # for k >= 2 the rotations are eliminated with the interior stresses,
+    # so for a real s it is SPD
     case = builtin_case("eg2", alpha=2.2)
     system = assemble(build_spaces(mesh_cache(4), k), case.material)
     p, E, B = system.Eop, system.Eop.tocsr(), system.Bmat
@@ -462,6 +464,8 @@ def test_gathered_schur_complement_is_e_plus_shifted_k(mesh_cache, k):
         assert np.shares_memory(S.indices, p.indices) and np.shares_memory(S.indptr, p.indptr)
         ref = dense_condensation(E.toarray() + (s * s) * K, p.edge)
         assert np.abs(S.toarray() - ref).max() <= 2e-14 * np.abs(ref).max()
+        if k > 1 and np.isrealobj(s):
+            assert np.linalg.eigvalsh(S.toarray()).min() > 0.0
 
 
 def test_complex_schur_build_allocates_one_value_array(mesh_cache):
