@@ -100,12 +100,10 @@ class RangeOperator:
     src2: np.ndarray
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if np.iscomplexobj(x):  # bincount sums real weights only
-            y = np.empty(len(x), dtype=x.dtype)
-            y.real, y.imag = self @ x.real, self @ x.imag
-            return y
-        out = _by_class(x[self.table], self.blocks.swapaxes(1, 2), self.bounds)
-        return np.bincount(self.table.ravel(), out.ravel(), minlength=len(x))
+        def product(part):
+            out = _by_class(part[self.table], self.blocks.swapaxes(1, 2), self.bounds)
+            return np.bincount(self.table.ravel(), out.ravel(), minlength=len(part))
+        return _by_parts(product, x)
 
     def tocsr(self) -> sps.csr_matrix:
         """The CSR of every pair of a triangle's unknowns but two rotations,
@@ -114,6 +112,18 @@ class RangeOperator:
         indptr, indices, *maps = _pattern(self.table, self.bounds, self.rotation)
         return sps.csr_matrix((_gather(self.blocks, *maps), indices, indptr),
                               shape=(len(indptr) - 1,) * 2)
+
+
+def _by_parts(apply: Callable, x: np.ndarray) -> np.ndarray:
+    """apply(x) for a real linear map ``apply``; a complex x is mapped part by
+    part into one complex array, so that no real operator is cast to complex
+    (and np.bincount, which sums real weights only, serves a complex x)."""
+    if np.isrealobj(x):
+        return apply(x)
+    real = apply(x.real)
+    y = np.empty(real.shape, np.result_type(real, 1j))
+    y.real, y.imag = real, apply(x.imag)
+    return y
 
 
 def _by_class(rows: np.ndarray, blocks: np.ndarray, bounds) -> np.ndarray:
@@ -194,12 +204,13 @@ class BlockSystem:
     @property
     def Cmat(self) -> sps.csr_matrix:
         """The rotation coupling C: E_r's rotation rows, whose entries are C's
-        alone, with every other row empty, formed on each read."""
-        E = self.Eop.tocsr()
-        rotation = np.isin(np.arange(E.shape[0]), self.spaces.rotation_map)
-        keep = np.repeat(rotation, np.diff(E.indptr))
-        indptr = np.concatenate([[0], np.cumsum(keep)])[E.indptr]
-        return sps.csr_matrix((E.data[keep], E.indices[keep], indptr), shape=E.shape)
+        alone, with every other row empty, scattered from the rotation rows
+        of E_r's local blocks on each read."""
+        spaces, ns = self.spaces, self.spaces.stress_map[0].size
+        return _scatter(self.Eop.blocks[spaces.tri_class][:, ns:, :ns],
+                        spaces.rotation_map[:, :, None],
+                        spaces.stress_map.reshape(len(spaces.tri_class), 1, -1),
+                        (spaces.dim_x,) * 2)
 
     @property
     def Mmat(self) -> sps.csr_matrix:

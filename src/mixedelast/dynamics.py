@@ -47,23 +47,15 @@ RADAU2_A = np.array([[5.0 / 12.0, -1.0 / 12.0], [3.0 / 4.0, 1.0 / 4.0]])
 RADAU2_B = np.array([3.0 / 4.0, 1.0 / 4.0])
 
 
-def _complex_eigenpair(A: np.ndarray):
-    """For a real 2 x 2 matrix with a complex eigenvalue pair: the eigenvalue
-    lam with positive imaginary part, V = [v, conj(v)] and V^-1, so that
-    A = V diag(lam, conj(lam)) V^-1.
-
-    Closed form on purpose: an np.linalg call here would initialise LAPACK at
-    import, which adds 1-2 MB of resident memory to runs that never use it.
-    """
-    half_trace = 0.5 * (A[0, 0] + A[1, 1])
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    lam = complex(half_trace, np.sqrt(det - half_trace ** 2))
-    p, q = A[0, 1], lam - A[0, 0]  # v = (p, q) solves (A - lam I) v = 0
-    V = np.array([[p, p], [q, q.conjugate()]])
-    return lam, V, np.array([[q.conjugate(), -p], [-q, p]]) / (p * (q.conjugate() - q))
-
-
-_RADAU_LAMBDA, _RADAU_V, _RADAU_VINV = _complex_eigenpair(RADAU2_A)
+# The eigenpair of RADAU2_A, A = V diag(lam, conj(lam)) V^-1, that the
+# update reads: lam = 1/3 + i sqrt(2)/6, V's first column v = (-1/12, lam -
+# 5/12) and V^-1's first row w = (-6 + 3i/sqrt(2), -3i/sqrt(2)), w.v = 1, each
+# correctly rounded (sqrt(2)/6 = sqrt(1/18), 3/sqrt(2) = sqrt(4.5)).  Closed
+# form on purpose: np.linalg.eig here would initialise LAPACK at import, about
+# 1.4 MB more resident memory for runs that never use it.
+_RADAU_LAMBDA = complex(1.0 / 3.0, np.sqrt(1.0 / 18.0))
+_RADAU_V0 = (-1.0 / 12.0, complex(-1.0 / 12.0, np.sqrt(1.0 / 18.0)))
+_RADAU_W0 = (complex(-6.0, np.sqrt(4.5)), complex(0.0, -np.sqrt(4.5)))
 
 CN = "cn"
 RADAU2_NAME = "radau2"
@@ -125,10 +117,10 @@ def _radau2_update(y, ey, dt: float, f1, f2, solve):
     z = S^-1 (q E y + (V^-1)_00 f_1 + (V^-1)_01 f_2) - q y with
     q = ((V^-1)_00 + (V^-1)_01) / (dt lam), which needs no G product.
     """
-    w0, w1 = _RADAU_VINV[0]
+    w0, w1 = _RADAU_W0
     q = (w0 + w1) / (dt * _RADAU_LAMBDA)
     z = solve(q * ey + w0 * f1 + w1 * f2) - q * y
-    k1, k2 = (2.0 * (_RADAU_V[i, 0] * z).real for i in (0, 1))
+    k1, k2 = (2.0 * (v * z).real for v in _RADAU_V0)
     return y + dt * (RADAU2_B[0] * k1 + RADAU2_B[1] * k2), k1
 
 

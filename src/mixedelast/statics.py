@@ -17,6 +17,7 @@ system: a saddle LU is dropped after its solve, and a step LU when
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -24,8 +25,8 @@ import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .assembly import (BlockSystem, RangeOperator, _by_class, _gather, assemble_body_load,
-                       assemble_dirichlet_load, l2_pairing)
+from .assembly import (BlockSystem, RangeOperator, _by_class, _by_parts, _gather,
+                       assemble_body_load, assemble_dirichlet_load, l2_pairing)
 from .errors import SingularSystemError
 from .quadrature import triangle_rule
 from .spaces import l2_project_velocity
@@ -75,15 +76,6 @@ def checked_solve(solve, apply, rhs: np.ndarray, what: str) -> np.ndarray:
     if res > 1e-10 * scale:
         raise SingularSystemError(f"{what} solve residual {res:.3e} exceeds tolerance")
     return x
-
-
-def _product(A: sps.spmatrix, x: np.ndarray) -> np.ndarray:
-    """A @ x for a real sparse A, without casting A to complex for a complex x."""
-    if np.isrealobj(x):
-        return A @ x
-    y = np.empty(A.shape[0], dtype=x.dtype)
-    y.real, y.imag = A @ x.real, A @ x.imag
-    return y
 
 
 def _condense(op: RangeOperator, K: np.ndarray, s2, what: str):
@@ -136,8 +128,8 @@ class SchurLU:
     def _apply(self, x: np.ndarray) -> np.ndarray:
         system, n, s = self.system, self.n, self._s
         x_r, v = x[:n], x[n:]
-        return np.concatenate([self.E_op @ x_r + s * _product(self._BT, v),
-                               system.Mdiag * v - s * _product(system.Bmat, x_r)])
+        return np.concatenate([self.E_op @ x_r + s * _by_parts(self._BT.dot, v),
+                               system.Mdiag * v - s * _by_parts(system.Bmat.dot, x_r)])
 
     def _solve_range(self, b: np.ndarray) -> np.ndarray:
         """S_r(s)^-1 b: X^T b_L taken from the edge unknowns' right-hand
@@ -145,7 +137,8 @@ class SchurLU:
         op, ZX, g, nL = self.E_op, self._ZX, self._gtable, self._ZX.shape[1]
         y = _by_class(b[self._local], ZX, op.bounds)
         x = np.empty(len(b), y.dtype)
-        x_e = x[op.edge] = self._lu.solve(b[op.edge] - _sum_at(g, y[:, nL:], len(op.edge)))
+        to_edge = partial(np.bincount, g.ravel(), minlength=len(op.edge))
+        x_e = x[op.edge] = self._lu.solve(b[op.edge] - _by_parts(to_edge, y[:, nL:].ravel()))
         x[self._local] = y[:, :nL] - _by_class(x_e[g], ZX[:, :, nL:].swapaxes(1, 2), op.bounds)
         return x
 
@@ -154,8 +147,8 @@ class SchurLU:
         n, s, minv = self.n, self._s, self._minv
         w = minv * rhs[n:]
         x = np.empty(len(rhs), dtype=np.result_type(rhs, s))
-        x[:n] = self._solve_range(rhs[:n] - s * _product(self._BT, w))
-        x_v = np.multiply(minv, _product(self.system.Bmat, x[:n]), out=x[n:])
+        x[:n] = self._solve_range(rhs[:n] - s * _by_parts(self._BT.dot, w))
+        x_v = np.multiply(minv, _by_parts(self.system.Bmat.dot, x[:n]), out=x[n:])
         np.multiply(s, x_v, out=x_v)  # s first: a complex product is not commutative bitwise
         x_v += w
         return x
@@ -165,13 +158,6 @@ class SchurLU:
         if self._solves & (self._solves - 1):
             return self._solve(rhs)
         return checked_solve(self._solve, self._apply, rhs, self._what)
-
-
-def _sum_at(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """np.bincount of real or complex values, the latter part by part."""
-    if np.iscomplexobj(values):
-        return _sum_at(index, values.real, n) + 1j * _sum_at(index, values.imag, n)
-    return np.bincount(index.ravel(), values.ravel(), n)
 
 
 _MAX_SWEEPS = 50  # augmented-Lagrangian sweeps per saddle solve, at most

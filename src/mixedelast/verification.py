@@ -188,15 +188,14 @@ def builtin_case(name: str, alpha: float | None = None, mu: float = 1.0,
 
 
 def l2_error(spaces: DiscreteSpaces, coefficients: np.ndarray, exact: Callable,
-             t: float, fieldkind: str, degree: int | None = None) -> float:
-    """L2 norm of (exact - discrete) at time t by elementwise quadrature.
+             t: float, fieldkind: str) -> float:
+    """L2 norm of (exact - discrete) at time t by elementwise quadrature of
+    degree 2k + 4.
 
     fieldkind is one of "stress", "velocity", "displacement", "rotation";
     the rotation error is measured in the skew-matrix Frobenius norm.
     """
-    if degree is None:
-        degree = 2 * spaces.k + 4
-    rule = triangle_rule(degree)
+    rule = triangle_rule(2 * spaces.k + 4)
     X = spaces.physical_points(rule)
     W = spaces.quad_weights(rule)
     if fieldkind == "stress":

@@ -28,6 +28,14 @@ def test_tableau_invariants():
     assert np.allclose(RADAU2_B, [3 / 4, 1 / 4])
 
 
+def test_radau_eigenpair_diagonalises_the_tableau():
+    # the constants the RadauIIA update reads: A v = lam v for the first
+    # column v of V, and the first row w of V^-1 gives w.v = 1
+    v, w = np.array(dynamics._RADAU_V0), np.array(dynamics._RADAU_W0)
+    assert np.abs(RADAU2_A @ v - dynamics._RADAU_LAMBDA * v).max() <= 1e-15
+    assert abs(w @ v - 1.0) <= 1e-15
+
+
 def test_cn_scalar_decay():
     E, G = _scalar_system()
     y1 = cn_kernel(E, G, np.array([1.0]), 1.0, np.zeros(1))

@@ -54,3 +54,31 @@ def test_private_scipy_guard_catches_each_form():
         assert any(_private(name) for name in _scipy_names(ast.parse(code))), code
     assert not any(_private(name) for name in _scipy_names(ast.parse(
         "import scipy.sparse as sps\nfrom scipy.sparse.linalg import splu\nsps.csr_matrix")))
+
+
+_DTYPE_TESTS = {"iscomplexobj", "isrealobj"}
+
+
+def _dtype_tests(tree: ast.AST, scope: str = ""):
+    """The scope (dotted function and class names) of every reference to
+    np.iscomplexobj or np.isrealobj in a module, by any alias."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _dtype_tests(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if (isinstance(node, ast.Attribute) and node.attr in _DTYPE_TESTS
+                or isinstance(node, ast.Name) and node.id in _DTYPE_TESTS
+                or isinstance(node, ast.alias) and node.name in _DTYPE_TESTS):
+            yield scope
+        yield from _dtype_tests(node, scope)
+
+
+def test_one_function_branches_on_a_complex_vector():
+    # a real operator meets a complex vector through assembly._by_parts only,
+    # so that no second copy of the part-by-part product comes back
+    found = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+             for scope in _dtype_tests(ast.parse(path.read_text()))}
+    assert found == {"assembly._by_parts"}
+    assert list(_dtype_tests(ast.parse(
+        "from numpy import isrealobj\nclass A:\n    def f(self, x):\n"
+        "        return np.iscomplexobj(x)"))) == ["", "A.f"]
