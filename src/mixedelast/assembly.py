@@ -41,7 +41,8 @@ from .spaces import DiscreteSpaces, _unit_normals
 @dataclass(frozen=True)
 class MaterialModel:
     """Isotropic material data: the Lame coefficients and the density, each a
-    positive finite constant; frozen, so a model stays valid."""
+    positive finite constant, with a compliance that does not overflow;
+    frozen, so a model stays valid."""
 
     mu: float
     lambda_: float
@@ -52,6 +53,13 @@ class MaterialModel:
             value = getattr(self, name)  # a bool is an int, but no material constant
             if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < np.inf:
                 raise ConfigError(f"{name} must be a positive finite constant, got {value!r}")
+        # the compliance's coefficients a and c must be finite and a > 0; c
+        # is 0 where its denominator overflows, the lambda = 0 material, which
+        # is right to roundoff only where lambda is below mu's last bit
+        with np.errstate(all="ignore"):
+            a, c = _lame_coefficients(np.float64(self.mu), np.float64(self.lambda_))
+        if not (0 < a < np.inf and c < np.inf and (c > 0 or self.mu + self.lambda_ == self.mu)):
+            raise ConfigError(f"the compliance of {self} overflows")
 
 
 @dataclass(frozen=True)
@@ -240,18 +248,23 @@ def _class_tables(spaces: DiscreteSpaces):
             spaces.stress_row_div_values(rule), spaces.scalar_values(rule))
 
 
+def _lame_coefficients(mu, lam):
+    """The compliance's coefficients a = 1/(4 mu) and c = lam / (2 mu (2 mu + 2 lam))."""
+    return 1.0 / (4.0 * mu), lam / (2.0 * mu * (2.0 * mu + 2.0 * lam))
+
+
 def _compliance(W: np.ndarray, V: np.ndarray, mu: float, lam: float) -> np.ndarray:
     """Local stress-stress compliance matrices (A phi_j, phi_i) of the Lame
     coefficients (mu, lam), from the class weights W and row values V: shape
     (class, 2 nd, 2 nd), the unknowns by tensor row, then by row DOF."""
     G = np.einsum("tapq,tbrq->prtab", V * W[:, None, None, :], V)  # test comp p, trial comp r
-    c = lam / (2.0 * mu * (2.0 * mu + 2.0 * lam))
+    a, c = _lame_coefficients(mu, lam)
     Gt = G.swapaxes(0, 1)
-    blocks = Gt * (1.0 / (4.0 * mu))
+    blocks = Gt * a
     blocks -= c * G  # (test row s, trial row r, class, a, b)
     blocks -= 0.5 * Gt
     for s in range(2):
-        blocks[s, s] += (1.0 / (4.0 * mu) + 0.5) * (G[0, 0] + G[1, 1])
+        blocks[s, s] += (a + 0.5) * (G[0, 0] + G[1, 1])
     _, _, nc, nd, _ = blocks.shape
     return blocks.transpose(2, 0, 3, 1, 4).reshape(nc, 2 * nd, 2 * nd)
 

@@ -81,6 +81,23 @@ def test_material_validation():
             MaterialModel(**{"mu": 1.0, "lambda_": 1.0, **kwargs})
 
 
+@pytest.mark.parametrize("mu,lam", [(1.0, 1e308), (1.0, 4.6e307), (1e160, 1e159),
+                                    (1e-200, 1e-200), (1e308, 1.0)])
+def test_material_whose_compliance_overflows_is_rejected(mu, lam):
+    # c = lambda / (2 mu (2 mu + 2 lambda)) is 0 where its denominator
+    # overflows, the compliance of lambda = 0, and inf where it underflows;
+    # 1/(4 mu) is 0 for mu = 1e308
+    with pytest.raises(MixedElastError, match="compliance"):
+        MaterialModel(mu=mu, lambda_=lam)
+
+
+@pytest.mark.parametrize("mu,lam", [(1.0, 1e300), (1e300, 1.0), (1.0, 5e-324)])
+def test_material_with_a_finite_compliance_is_accepted(mu, lam):
+    # c is 0 for mu = 1e300 or lambda = 5e-324 too, but there lambda is below
+    # mu's last bit, so it is the lambda = 0 material to roundoff
+    MaterialModel(mu=mu, lambda_=lam)
+
+
 @pytest.mark.parametrize("name", ["mu", "lambda_", "rho"])
 def test_material_is_frozen(name):
     # a validated material cannot be made invalid after the fact

@@ -190,8 +190,10 @@ def test_run_and_energy_audit_bytes_are_pinned(tmp_path, capsys, argv):
 _NON_FINITE = [
     (["run", "--n", "2", "--k", "1", "--mu", "1e300"], "non-finite energy at step 1"),
     (["run", "--n", "2", "--k", "1", "--lambda", "1e300"], "non-finite energy at step 1"),
-    # the step solves are finite but wrong, and their residual norms do not overflow
-    (["run", "--n", "2", "--k", "1", "--rho", "1e-300"], "step solve residual"),
+    # the step solves are finite but wrong, and their residual norms (about
+    # 1e251) do not overflow; at rho = 1e-300 roundoff decides whether the
+    # solve overflows first
+    (["run", "--n", "2", "--k", "1", "--rho", "1e-150"], "step solve residual"),
 ]
 
 
@@ -314,6 +316,7 @@ def test_solver_error_exit_code(capsys, monkeypatch):
     ["run", "--rho", "0"],
     ["run", "--lambda", "0"],
     ["locking", "--lambda-list", "0"],
+    ["locking", "--lambda-list", "1e308"],  # the compliance overflows to lambda = 0
     ["run", "--rho", "inf"],
     ["run", "--mu", "nan"],
     ["run", "--t0", "nan"],

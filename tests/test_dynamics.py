@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sps
 
-from mixedelast import (InitialData, MixedElastError, assemble, build_initial_data,
-                        builtin_case, dynamics, integrate, l2_project_velocity, statics)
+from mixedelast import (InitialData, MixedElastError, SingularSystemError, assemble,
+                        build_initial_data, builtin_case, dynamics, integrate,
+                        l2_project_velocity, statics)
 from mixedelast.dynamics import RADAU2_A, RADAU2_B, RADAU2_C, step_count
 from conftest import _reachable
 from _oracles import (canonical_interpolation, cn_kernel, dense_cn_trajectory,
@@ -282,6 +283,27 @@ def test_non_finite_record_stops_at_its_step(monkeypatch):
     with pytest.raises(MixedElastError, match="^non-finite energy at step 1$"):
         integrate(system, build_initial_data(case, system), "cn", 0.1, 1.0)
     assert len(steps) == 1
+
+
+def test_non_finite_step_stops_at_its_step(small_system, monkeypatch):
+    # SchurLU residual-checks solves 1, 2, 4, 8, ... only: an inf from the
+    # step LU's third solve is caught by the step's own check, and integrate
+    # raises at step 3, after observing steps 0 to 2
+    system, spaces, case = small_system
+    init = build_initial_data(case, system)
+    solve = statics.SchurLU._solve
+
+    def solve_inf_at_3(lu, rhs):
+        x = solve(lu, rhs)
+        if lu._solves == 3:
+            x[0] = np.inf
+        return x
+
+    monkeypatch.setattr(statics.SchurLU, "_solve", solve_inf_at_3)
+    steps = []
+    with pytest.raises(SingularSystemError, match="^Crank-Nicolson step produced non-finite"):
+        integrate(system, init, "cn", 0.1, 1.0, [lambda i, *args: steps.append(i)])
+    assert steps == [0, 1, 2]
 
 
 @pytest.mark.parametrize("scheme", ["cn", "radau2"])
