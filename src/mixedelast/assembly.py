@@ -18,10 +18,11 @@ Every local matrix is formed once per congruence class of triangles (see
 formula, and the L2 stress mass is its value at mu = 1/2, lambda = 0.  A
 matrix on the range of x (E_r, K_r, the L2 pairing) is held as those blocks
 only (`RangeOperator`): products use the blocks, a Schur complement LU's
-condensed matrix is gathered through the source maps of its pattern, and a
-CSR is formed from the table when asked for.  B and the boundary operator are
-summed by one `_scatter` through the spaces' global numbering, in which the
-loads are moments too.
+condensed matrix, left by the levels of elimination of triangles and of
+macro cells (`Level`), is gathered through the source maps of its pattern,
+and a CSR is formed from the table when asked for.  B and the boundary
+operator are summed by one `_scatter` through the spaces' global numbering,
+in which the loads are moments too.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class MaterialModel:
     def __post_init__(self):
         for name in ("mu", "lambda_", "rho"):
             value = getattr(self, name)  # a bool is an int, but no material constant
-            if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < np.inf:
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or not 0 < value <= float(np.finfo(float).max)):  # exact for any int
                 raise ConfigError(f"{name} must be a positive finite constant, got {value!r}")
         # the compliance's coefficients a and c must be finite and a > 0; c
         # is 0 where its denominator overflows, the lambda = 0 material, which
@@ -81,6 +83,108 @@ class SeparatedField:
 
 
 @dataclass(frozen=True)
+class Level:
+    """One level of elimination by class blocks.  Its patches, the triangles
+    at the first level and the macro cells of `spaces.MACRO` x MACRO grid
+    cells above it, each hold W unknowns of the level below (x's at the
+    first), listed by ``table`` (P, W) in patch rows grouped by class at
+    ``bounds``.  ``keep`` (W,) marks the unknowns a patch keeps; it
+    eliminates the others, and the kept ones are numbered 0..N-1 in the
+    order of their positions ``kept`` (N,) below.
+
+    A macro level's class blocks are summed from the complements (class,
+    nG, nG) of the level below: blocks.flat[dest] += below.flat[source].
+    Its patches have slots for the most unknowns any class holds, interior
+    ones first; a smaller macro cell's spare slots point at index N of the
+    level below, one past its unknowns, where a solve holds 0, and ``unit``
+    puts ones on the diagonal of the spare interior slots."""
+
+    bounds: tuple
+    table: np.ndarray
+    keep: np.ndarray
+    kept: np.ndarray
+    dest: np.ndarray | None = None
+    source: np.ndarray | None = None
+    unit: np.ndarray | None = None
+
+    def blocks(self, below: np.ndarray) -> np.ndarray:
+        """The class blocks (class, W, W) of a macro level from the
+        complements ``below`` of the level below."""
+        W = len(self.keep)
+        size = (len(self.bounds) - 1) * W * W
+        flat = _by_parts(lambda part: np.bincount(self.dest, part, size),
+                         below.reshape(-1)[self.source])
+        flat[self.unit] = 1.0
+        return flat.reshape(-1, W, W)
+
+    def front(self) -> np.ndarray:
+        """The kept unknowns of each patch (P, nG) in their numbering 0..N-1,
+        a spare slot as N."""
+        return np.searchsorted(self.kept, self.table[:, self.keep])
+
+
+def _macro_level(below: Level, rotation: np.ndarray, macro: np.ndarray, tri: np.ndarray):
+    """The Level of the macro cells ``macro`` (P,) of the rows of ``below``,
+    those of the triangles ``tri`` (P,), whose kept slots are rotations where
+    ``rotation`` (nG,) is set.
+
+    A macro cell eliminates the unknowns that no other patch holds: those of
+    the edges between two of its triangles, and the rotations.  It keeps
+    those of its boundary edges, the domain's boundary included, so that a
+    uniform mesh has one macro class, and one more per smaller size where
+    MACRO does not divide n.  A cell's slots are numbered interior first,
+    then boundary, each in the order that its triangles, by index, meet
+    them; cells with the same counts and, row by row, the same class below
+    and the same slots are one class."""
+    front = below.front()
+    N, (P, nG), nc = len(below.kept), front.shape, len(below.bounds) - 1
+    rows = np.lexsort((tri, macro))  # by macro cell, then by triangle
+    front, row_cell = front[rows], macro[rows]
+    row_class = np.repeat(np.arange(nc), np.diff(below.bounds))[rows]
+    unknowns = front.ravel()
+    # one slot per (cell, unknown): interior first, each part in meeting order
+    pair, meet, slot = np.unique(np.repeat(row_cell, nG) * N + unknowns, return_index=True,
+                                 return_inverse=True)
+    cell, unknown = np.divmod(pair, N)
+    own = np.bincount(unknowns, minlength=N) == 2  # of two triangles, or a rotation,
+    own[front[:, rotation]] = True
+    own &= np.bincount(unknown, minlength=N) == 1  # and of one cell
+    order = np.lexsort((meet, ~own[unknown], cell))
+    size = np.bincount(cell)
+    n_int = np.bincount(cell, own[unknown]).astype(int)
+    nI, nB = n_int.max(), (size - n_int).max()
+    rank = np.empty(len(pair), int)
+    rank[order] = np.arange(len(pair)) - np.repeat(np.cumsum(size) - size, size)
+    rank += np.where(own[unknown], 0, nI - n_int[cell])
+    pos = rank[slot].reshape(P, nG)
+    # a class: row by row, the same class below and the same slots
+    per_cell = np.bincount(row_cell)
+    R, col = per_cell.max(), np.arange(P) - np.repeat(np.cumsum(per_cell) - per_cell, per_cell)
+    key = np.full((len(size), R * (1 + nG)), -1)
+    key[row_cell, col] = row_class
+    key[row_cell[:, None], R + nG * col[:, None] + np.arange(nG)] = pos
+    rows_as_bytes = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+    _, reps, mclass = np.unique(rows_as_bytes, return_index=True, return_inverse=True)
+    W = nI + nB
+    table = np.full((len(size), W), N)
+    table[cell, rank] = unknown
+    table = table[np.argsort(mclass, kind="stable")]
+    kept = np.unique(table[:, nI:])
+    kept = kept[:-1] if kept[-1] == N else kept
+    # each class's sum maps from the rows of its first cell, and spare slots
+    rep = np.full(len(size), -1)
+    rep[reps] = np.arange(len(reps))
+    c, at = rep[row_cell], np.arange(nG)
+    p, c, below_class = pos[c >= 0], c[c >= 0], row_class[c >= 0]
+    c_spare, i_spare = np.nonzero(np.arange(nI) >= n_int[reps][:, None])
+    return Level(tuple(np.searchsorted(np.sort(mclass), np.arange(len(reps) + 1)).tolist()),
+                 table, np.arange(W) >= nI, kept,
+                 dest=((c[:, None, None] * W + p[:, :, None]) * W + p[:, None, :]).ravel(),
+                 source=((below_class[:, None, None] * nG + at[:, None]) * nG + at).ravel(),
+                 unit=(c_spare * W + i_spare) * W + i_spare)
+
+
+@dataclass(frozen=True)
 class RangeOperator:
     """A matrix on the range of x held as its local blocks, one per congruence
     class: L x = sum_T P_T^T L_c(T) P_T x, where P_T gathers the stress and
@@ -88,24 +192,33 @@ class RangeOperator:
     ``table`` (T, W) lists each triangle's unknowns, ``rotation`` (W,) marks
     its rotations, and its rows are grouped by class: those of class c are
     ``table[bounds[c]:bounds[c + 1]]``, and ``blocks`` (class, W, W) holds
-    their local matrix.  A Schur complement LU keeps the unknowns ``glob``
-    (W,) of each triangle, its edge stresses and, where no interior stress
-    pairs with them (k = 1), its rotations, numbered 0..N_e-1 in x's order at
-    ``edge``; ``indptr``, ``indices``, ``src``, ``dup`` and ``src2`` are the
-    `_pattern` of their condensed (class, nG, nG) blocks in that numbering.
-    A system's operators share all but their blocks."""
+    their local matrix.  A Schur complement LU eliminates unknowns by the
+    ``levels`` of class blocks: each triangle's interior stresses and, where
+    they pair with them (k >= 2), its rotations, then the rest of each macro
+    cell's unknowns but those on its boundary (`Level`).  It keeps the edge
+    unknowns at positions `edge` of x; ``indptr``, ``indices``, ``src``,
+    ``dup`` and ``src2`` are the `_pattern` of the top level's complements
+    (class, nG, nG) in their numbering 0..N_e-1.  A system's operators share
+    all but their blocks."""
 
     blocks: np.ndarray
     table: np.ndarray
     bounds: tuple
     rotation: np.ndarray
-    glob: np.ndarray
-    edge: np.ndarray
+    levels: tuple
     indptr: np.ndarray
     indices: np.ndarray
     src: np.ndarray
     dup: np.ndarray
     src2: np.ndarray
+
+    @property
+    def edge(self) -> np.ndarray:
+        """The positions in x of the unknowns that the top level keeps."""
+        positions = self.levels[0].kept
+        for level in self.levels[1:]:
+            positions = positions[level.kept]
+        return positions
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         def product(part):
@@ -117,7 +230,8 @@ class RangeOperator:
         """The CSR of every pair of a triangle's unknowns but two rotations,
         formed on each call by `_pattern` on the table, each entry its local
         value or the sum of its two, as a scatter sums them."""
-        indptr, indices, *maps = _pattern(self.table, self.bounds, self.rotation)
+        pairs = ~(self.rotation[:, None] & self.rotation)
+        indptr, indices, *maps = _pattern(self.table, self.bounds, pairs, int(self.table.max()) + 1)
         return sps.csr_matrix((_gather(self.blocks, *maps), indices, indptr),
                               shape=(len(indptr) - 1,) * 2)
 
@@ -150,30 +264,31 @@ def _gather(blocks: np.ndarray, src: np.ndarray, dup: np.ndarray, src2: np.ndarr
     return data
 
 
-def _pattern(table: np.ndarray, bounds, rotation: np.ndarray):
-    """The int32 CSR pattern of the local entries (i, j) of blocks (class, w,
-    w) on ``table`` (T, w), whose rows are grouped by class at ``bounds``,
-    all but those of two rotations (``rotation`` (w,) marks them), and its
-    source maps into the flat blocks: entry p is
-    blocks.flat[src[p]], plus blocks.flat[src2[q]] where two triangles share
+def _pattern(table: np.ndarray, bounds, pairs: np.ndarray, n: int):
+    """The int32 CSR pattern (n, n) of the local entries (i, j) of blocks
+    (class, w, w) on ``table`` (P, w), whose rows are grouped by class at
+    ``bounds``, those where ``pairs`` (class, w, w), or (w, w) for every
+    class, is set, and its source maps into the flat blocks: entry p is
+    blocks.flat[src[p]], plus blocks.flat[src2[q]] where two patches share
     it, p = dup[q]; int16 when every block entry fits, else int32.  Returns
     (indptr, indices, src, dup, src2).
 
     A local entry's id is its (class, local row, local column).  One
     counting sort of the ids gives the pattern and the maps with no value
     scatter (Davis, Direct Methods for Sparse Linear Systems, SIAM 2006,
-    cs_compress): the (triangle, local row) slots are grouped by global row,
+    cs_compress): the (patch, local row) slots are grouped by global row,
     scipy's per-row sort of the columns carries the ids along, and equal
     neighbours are one entry."""
-    nc, (nt, w), n = len(bounds) - 1, table.shape, int(table.max()) + 1
-    pairs = ~(rotation[:, None] & rotation)
+    nc, w = len(bounds) - 1, table.shape[1]
+    pairs = np.broadcast_to(pairs, (nc, w, w))
+    row_class = np.repeat(np.arange(nc), np.diff(bounds))
     t, i = np.divmod(np.argsort(table.ravel(), kind="stable"), w)
+    mask = pairs[row_class[t], i]
     dtype = np.int16 if nc * w * w < 2**15 else np.int32
-    ids = (((np.repeat(np.arange(nc), np.diff(bounds))[t] * w + i) * w).astype(dtype)[:, None]
-           + np.arange(w, dtype=dtype))[pairs[i]]
-    size = np.bincount(table.ravel(), np.tile(pairs.sum(axis=1), nt), n)
+    ids = (((row_class[t] * w + i) * w).astype(dtype)[:, None] + np.arange(w, dtype=dtype))[mask]
+    size = np.bincount(table.ravel(), pairs.sum(axis=2)[row_class].ravel(), n + 1)[:n]
     indptr = np.concatenate([[0], np.cumsum(size)]).astype(np.int32)
-    local = sps.csr_matrix((ids, table.astype(np.int32)[t][pairs[i]], indptr), shape=(n, n))
+    local = sps.csr_matrix((ids, table.astype(np.int32)[t][mask], indptr), shape=(n, n))
     local.sort_indices()
     cols, ids, indptr = local.indices, local.data, local.indptr
     new = np.concatenate([[True], cols[1:] != cols[:-1]])
@@ -280,17 +395,20 @@ def _local_blocks(T: np.ndarray, C: np.ndarray) -> np.ndarray:
 def _range_operator(spaces: DiscreteSpaces, blocks: np.ndarray) -> RangeOperator:
     """The RangeOperator of local blocks (class, W, W), W = 2 nd + m, with the
     triangles' (stress, rotation) unknowns as its table, grouped by class,
-    and the pattern of the unknowns a Schur complement LU keeps."""
+    the levels of a Schur complement LU and the pattern of what it keeps."""
     order = np.argsort(spaces.tri_class, kind="stable")
     table = np.concatenate([spaces.stress_map.reshape(len(order), -1), spaces.rotation_map],
                            axis=1)[order]
     ns, nd, m = spaces.stress_map[0].size, spaces.stress_map.shape[2], spaces.n_scalar
     bounds = tuple(np.searchsorted(spaces.tri_class[order], np.arange(len(blocks) + 1)).tolist())
     edge = np.arange(ns) % nd < 3 * (spaces.k + 1)  # a row's edge DOFs come first
-    rotation, glob = np.arange(ns + m) >= ns, np.concatenate([edge, np.full(m, edge.all())])
-    kept = np.unique(table[:, glob])
-    return RangeOperator(blocks, table, bounds, rotation, glob, kept, *_pattern(
-        np.searchsorted(kept, table[:, glob]), bounds, rotation[glob]))
+    rotation, keep = np.arange(ns + m) >= ns, np.concatenate([edge, np.full(m, edge.all())])
+    triangles = Level(bounds, table, keep, np.unique(table[:, keep]))
+    macros = _macro_level(triangles, rotation[keep], spaces.tri_macro[order], order)
+    front, n = macros.front(), len(macros.kept)
+    filled = front[list(macros.bounds[:-1])] < n  # the boundary slots of each class
+    return RangeOperator(blocks, table, bounds, rotation, (triangles, macros),
+                         *_pattern(front, macros.bounds, filled[:, :, None] & filled[:, None], n))
 
 
 def l2_pairing(system: BlockSystem) -> RangeOperator:

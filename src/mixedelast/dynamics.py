@@ -15,12 +15,13 @@ the velocity mass M, which is diagonal because the velocity space is
 discontinuous and its basis orthonormal; M^-1 is 1/m entrywise.  Of the
 Schur complement of S on the stress and rotation unknowns, statics.SchurLU,
 shared with the static saddle solve, eliminates each triangle's interior
-stresses and rotations by its class block and factors the rest, the edge
-unknowns, by a sparse LU in a symmetric fill-reducing order of the mesh
-entities (George, SIAM J. Numer. Anal. 10, 1973).  The parts of that LU
-that every scheme and dt share, E_r, K_r = B^T M^-1 B and the diagonal of
-M, are assembled with the system; each `integrate` call factors its own
-step LU and frees it when it returns.
+stresses and rotations, then each 4 x 4 macro cell's interior, by their
+class blocks, and factors the rest, the edge unknowns of the macro-cell
+boundaries, by a sparse LU in a minimum-degree order of those edges
+(George, SIAM J. Numer. Anal. 10, 1973).  The parts of that LU that every
+scheme and dt share, E_r, K_r = B^T M^-1 B, the diagonal of M and the
+levels of the elimination, are assembled with the system; each
+`integrate` call factors its own step LU and frees it when it returns.
 
 Both updates are written with E-products and solves only, so a system's
 steps keep the state y = (x, v) in the spaces' numbering, apply the (stress,
@@ -120,8 +121,9 @@ def _radau2_update(y, ey, dt: float, f1, f2, solve):
     w0, w1 = _RADAU_W0
     q = (w0 + w1) / (dt * _RADAU_LAMBDA)
     z = solve(q * ey + w0 * f1 + w1 * f2) - q * y
-    k1, k2 = (2.0 * (v * z).real for v in _RADAU_V0)
-    return y + dt * (RADAU2_B[0] * k1 + RADAU2_B[1] * k2), k1
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite z: the step checks y1
+        k1, k2 = [2.0 * (v * z).real for v in _RADAU_V0]
+        return y + dt * (RADAU2_B[0] * k1 + RADAU2_B[1] * k2), k1
 
 
 class _Stepper:

@@ -3,15 +3,19 @@ discrete initial data, and the Schur-complement LU the time steps share.
 
 Every LU, static or time step, is of one family per system and stress
 block T: the Schur complements S_r(s) = [[T + s^2 K, C^T], [C, 0]], with
-K = B^T M^-1 B, on the stress and rotation unknowns x, which the spaces
-number in a symmetric mesh-entity order.  S_r(s) is E_r(T) + s^2 K_r on the
-range of x, E_r(T) = T + C + C^T, passed as its RangeOperator, and every
-product with it is made from its local blocks.  Each triangle's interior
-stresses and rotations are eliminated by dense class-block solves, so the
-sparse LU is of the complement on the edge unknowns only, gathered through
-the source maps of their pattern (see `assembly`).  No LU is kept with the
-system: a saddle LU is dropped after its solve, and a step LU when
-`dynamics.integrate` returns.
+K = B^T M^-1 B, on the stress and rotation unknowns x.  S_r(s) is E_r(T) +
+s^2 K_r on the range of x, E_r(T) = T + C + C^T, passed as its
+RangeOperator, and every product with it is made from its local blocks.
+Its unknowns are eliminated level by level by dense class-block solves
+(`assembly.Level`): each triangle's interior stresses and (k >= 2)
+rotations, then each macro cell's interior, the edges between two of its
+triangles and (k = 1) its rotations.  So the sparse LU is of the
+complement on the edge unknowns of the macro-cell boundaries only (George,
+SIAM J. Numer. Anal. 10, 1973, the bottom levels of nested dissection),
+gathered through the source maps of their pattern and factored in x's
+order, which the spaces make a minimum-degree order of those edges.  No
+LU is kept with the system: a saddle LU is dropped after its solve, and a
+step LU when `dynamics.integrate` returns.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .assembly import (BlockSystem, RangeOperator, _by_class, _by_parts, _gather,
+from .assembly import (BlockSystem, Level, RangeOperator, _by_class, _by_parts, _gather,
                        assemble_body_load, assemble_dirichlet_load, l2_pairing)
 from .errors import SingularSystemError
 from .quadrature import triangle_rule
@@ -44,12 +48,11 @@ class InitialData:
 
 
 def factorize(S: sps.spmatrix, what: str):
-    """Sparse LU of a condensed Schur complement S built in the entity order,
-    which keeps that order and pivots on the diagonal; a singular S raises
-    SingularSystemError.  In exact arithmetic every diagonal pivot is
-    nonzero: for k >= 2 and a real shift S is SPD (the eliminated rotations
-    took all negative inertia); at k = 1 each rotation follows half of its
-    own triangle's stresses (a negative pivot)."""
+    """Sparse LU of a condensed Schur complement S built in x's order, which
+    keeps that order and pivots on the diagonal; a singular S raises
+    SingularSystemError.  S holds edge unknowns only: for a real shift it is
+    SPD at every k (the eliminated rotations took all negative inertia), so
+    in exact arithmetic every diagonal pivot is positive."""
     try:
         return spla.splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
@@ -78,25 +81,63 @@ def checked_solve(solve, apply, rhs: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _condense(op: RangeOperator, K: np.ndarray, s2, what: str):
-    """Eliminate each triangle's local unknowns L, those outside ``op.glob``,
-    from S_r = E_r(T) + s2 K_r of E_r(T)'s RangeOperator and K_r's blocks by
-    class blocks (Arnold & Brezzi, M2AN 19, 1985; Cockburn, Gopalakrishnan &
-    Guzman, Math. Comp. 79, 2010): S_LL [Z | X] = [I | S_LG], solved densely,
-    gives the CSC matrix of each class's S_GG - S_GL X, made symmetric, on
-    op's pattern, and [Z^T | X] (class, nL, nL + nG).  A singular S_LL
-    raises SingularSystemError."""
-    S, loc = op.blocks + s2 * K, ~op.glob
-    S_L, nL = S[:, loc], np.count_nonzero(loc)
-    try:
-        ZX = np.linalg.solve(S_L[:, :, loc], np.concatenate(
-            [np.broadcast_to(np.eye(nL), (len(S), nL, nL)), S_L[:, :, op.glob]], axis=2))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"{what} factorization failed: local block: {exc}") from exc
-    ZX[:, :, :nL] = ZX[:, :, :nL].swapaxes(1, 2).copy()
-    G = S[:, op.glob][:, :, op.glob] - S_L[:, :, op.glob].swapaxes(1, 2) @ ZX[:, :, nL:]
-    data = _gather(0.5 * (G + G.swapaxes(1, 2)), op.src, op.dup, op.src2)
-    return sps.csc_matrix((data, op.indices, op.indptr), shape=(len(op.indptr) - 1,) * 2), ZX
+def _condense(level: Level, S: np.ndarray, what: str):
+    """Eliminate the unknowns a level's patches do not keep from their class
+    blocks S (class, W, W) (Arnold & Brezzi, M2AN 19, 1985; Cockburn,
+    Gopalakrishnan & Guzman, Math. Comp. 79, 2010): one dense LU of each
+    class's S_LL by LAPACK's getrf, and X = S_LL^-1 S_LG by its getrs, give
+    the complement S_GG - S_GL X, made symmetric.  Returns it and the
+    level's elimination: for each class its LU and the slots of S_LL's rows
+    in the order of its row interchanges; S_LG and X (class, nL, nG).  A
+    singular S_LL raises SingularSystemError."""
+    loc, glob = np.flatnonzero(~level.keep), np.flatnonzero(level.keep)
+    S_LG = S[:, loc[:, None], glob]
+    X, factors = np.empty_like(S_LG), []
+    getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (S,))
+    for c in range(len(S) if len(loc) else 0):
+        lu, piv, info = getrf(S[c].T[loc[:, None], loc].T, overwrite_a=True)  # Fortran order
+        if info:
+            raise SingularSystemError(f"{what} factorization failed: local block: "
+                                      f"class {c} is singular")
+        X[c] = getrs(lu, piv, S_LG[c])[0]
+        order = loc.tolist()
+        for i, j in enumerate(piv.tolist()):  # row i swapped with row j, in turn
+            order[i], order[j] = order[j], order[i]
+        factors.append((lu, order))
+    G = S[:, glob[:, None], glob] - S_LG.swapaxes(1, 2) @ X
+    return 0.5 * (G + G.swapaxes(1, 2)), (factors, S_LG, X)
+
+
+def _solve_by_class(factors, gathers, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The rows ``out`` (P, nL), grouped by class, of S_LL^-1 b_L for each
+    patch: a class's right-hand sides b[gather].T, gathered in the order of
+    its row interchanges and in Fortran order, are solved in place by two
+    trsm with its LU from `_condense`, b_L^T L^-T U^-T."""
+    if factors:
+        trsm, = sla.get_blas_funcs(("trsm",), (factors[0][0], b))
+    lo = 0
+    for (lu, _), gather in zip(factors, gathers):
+        hi = lo + gather.shape[1]
+        y = trsm(1.0, lu, b[gather].T, side=1, lower=1, trans_a=1, diag=1, overwrite_b=True)
+        out[lo:hi] = trsm(1.0, lu, y, side=1, trans_a=1, overwrite_b=True)
+        lo = hi
+    return out
+
+
+def _condensed(op: RangeOperator, K: np.ndarray, s2, what: str):
+    """The complement of S_r = E_r(T) + s2 K_r, of E_r(T)'s RangeOperator and
+    K_r's blocks, on the unknowns ``op.edge`` that the last of ``op.levels``
+    keeps, by `_condense` at each level, a macro level's blocks summed from
+    the complements below: its CSC matrix on op's pattern, and each level's
+    elimination."""
+    G, elimination = _condense(op.levels[0], op.blocks + s2 * K, what)
+    eliminations = [elimination]
+    for level in op.levels[1:]:
+        G, elimination = _condense(level, level.blocks(G), what)
+        eliminations.append(elimination)
+    data = _gather(G, op.src, op.dup, op.src2)
+    return (sps.csc_matrix((data, op.indices, op.indptr), shape=(len(op.indptr) - 1,) * 2),
+            eliminations)
 
 
 class SchurLU:
@@ -105,9 +146,11 @@ class SchurLU:
     given by the RangeOperator E_op of its E_r(T) on the system's table and
     pattern, and a real or complex shift s.  The velocity is eliminated with
     the reciprocals of M's diagonal, leaving S_r(s) = E_r(T) + s^2 K_r on
-    the range of x, and each triangle's interior stresses and rotations by
-    its class block (`_condense`), so the one sparse LU is of the
-    complement on the edge unknowns, in x's order.
+    the range of x; each level of E_op eliminates its patches' unknowns by
+    their class blocks (`_condensed`): each triangle's interior stresses and
+    (k >= 2) rotations, then each macro cell's unknowns but those on its
+    boundary.  So the one sparse LU is of the complement on the edge
+    unknowns of the macro-cell boundaries, in x's order.
 
     Vectors are (x, velocity).  Solves 1, 2, 4, 8, ... are
     residual-checked against S(s) applied block by block.  The LU lives as
@@ -119,10 +162,12 @@ class SchurLU:
             raise ValueError("E_op must be on the system's E_r table and pattern")
         self.system, self.E_op, self.n = system, E_op, system.spaces.dim_x
         self._minv, self._BT = 1.0 / system.Mdiag, system.Bmat.T
-        S, self._ZX = _condense(E_op, system.Kblocks, s * s, what)
+        S, self._eliminations = _condensed(E_op, system.Kblocks, s * s, what)
         self._lu = factorize(S, what)
-        self._local = E_op.table[:, ~E_op.glob]
-        self._gtable = np.searchsorted(E_op.edge, E_op.table[:, E_op.glob])
+        self._maps = [(level.table[:, ~level.keep], level.front(),
+                       [level.table[lo:hi, rows].T.copy() for (_, rows), lo, hi
+                        in zip(factors, level.bounds, level.bounds[1:])])
+                      for level, (factors, *_) in zip(E_op.levels, self._eliminations)]
         self._s, self._what, self._solves = s, what, 0
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
@@ -132,14 +177,28 @@ class SchurLU:
                                system.Mdiag * v - s * _by_parts(system.Bmat.dot, x_r)])
 
     def _solve_range(self, b: np.ndarray) -> np.ndarray:
-        """S_r(s)^-1 b: X^T b_L taken from the edge unknowns' right-hand
-        side, one LU solve for x_e, then x_L = Z b_L - X x_e."""
-        op, ZX, g, nL = self.E_op, self._ZX, self._gtable, self._ZX.shape[1]
-        y = _by_class(b[self._local], ZX, op.bounds)
-        x = np.empty(len(b), y.dtype)
-        to_edge = partial(np.bincount, g.ravel(), minlength=len(op.edge))
-        x_e = x[op.edge] = self._lu.solve(b[op.edge] - _by_parts(to_edge, y[:, nL:].ravel()))
-        x[self._local] = y[:, :nL] - _by_class(x_e[g], ZX[:, :, nL:].swapaxes(1, 2), op.bounds)
+        """S_r(s)^-1 b: level by level, up from the triangles, z = S_LL^-1 b_L
+        by the class LUs, and S_GL z taken from the kept unknowns'
+        right-hand side; one LU solve; then level by level, down, x_L = z -
+        X x_G.  Each kept right-hand side and solution ends in a 0, the
+        value a macro cell's spare slots read."""
+        levels = list(zip(self.E_op.levels, self._maps, self._eliminations))
+        rhs, zs = [b], []
+        for level, (local, front, gathers), (factors, S_LG, _) in levels:
+            z = _solve_by_class(factors, gathers, b,
+                                np.empty(local.shape, np.result_type(b, S_LG)))
+            to_kept = partial(np.bincount, front.ravel(), minlength=len(level.kept) + 1)
+            y = _by_class(z, S_LG, level.bounds)
+            b = np.append(b[level.kept], 0.0) - _by_parts(to_kept, y.ravel())
+            rhs.append(b)
+            zs.append(z)
+        x = np.append(self._lu.solve(b[:-1]), 0.0)
+        for (level, (local, front, _), (*_, X)), z, below in zip(levels[::-1], zs[::-1],
+                                                              rhs[-2::-1]):
+            x_G = x
+            x = np.empty(len(below), np.result_type(z, x_G))
+            x[level.kept] = x_G[:-1]
+            x[local] = z - _by_class(x_G[front], X.swapaxes(1, 2), level.bounds)
         return x
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:

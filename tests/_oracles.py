@@ -15,7 +15,7 @@ of x (E_r's CSR, the stress mass and S_r(s)) sum every local entry with
 scipy's COO-to-CSR conversion and add K_r with np.add.at, so that the
 package's gathers through its source maps are checked bit for bit; so is
 the condensed matrix the Schur complement LU factors, against a scatter of
-its class blocks, and its values against a dense condensation.  The
+its top level's class blocks, and its values against a dense condensation.  The
 manufactured cases have a symbolic reference here too: sympy differentiates
 a displacement, splits the loads into time-space terms and lambdifies every
 field, so that the closed forms of the built-in cases are checked against an
@@ -26,6 +26,7 @@ import functools
 from dataclasses import replace
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 import sympy as sp
@@ -159,30 +160,50 @@ def scatter_schur_complement(system, blocks, s2):
     return sps.csc_matrix((data, E.indices, E.indptr), shape=E.shape)
 
 
-def dense_condensation(S, edge):
-    """The Schur complement S_EE - S_EL S_LL^-1 S_LE of a matrix S on the
-    range of x onto the unknowns ``edge``, by one dense solve of the whole
-    S_LL, every triangle's local unknowns at once."""
+def dense_condensation(S, edge, extended=False):
+    """The Schur complement S_EE - S_EL S_LL^-1 S_LE of a matrix S onto the
+    unknowns ``edge``, every patch's local unknowns at once, X = S_LL^-1
+    S_LE by one dense LU.  ``extended`` refines X by two steps whose
+    residuals, and the complement, are formed in long double, so that it is
+    exact to a few ulps even where S_LL is ill-conditioned (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, ch. 12); those
+    products run without BLAS, seconds for a few thousand unknowns."""
     S = S.toarray() if sps.issparse(S) else S
     loc = np.setdiff1d(np.arange(len(S)), edge)
-    return (S[np.ix_(edge, edge)]
-            - S[np.ix_(edge, loc)] @ np.linalg.solve(S[np.ix_(loc, loc)], S[np.ix_(loc, edge)]))
+    if not len(loc):
+        return S[np.ix_(edge, edge)]
+    S_LL, S_LE = S[np.ix_(loc, loc)], S[np.ix_(loc, edge)]
+    lu = sla.lu_factor(S_LL)
+    X = sla.lu_solve(lu, S_LE)
+    if extended:
+        wide = np.longdouble if np.isrealobj(S) else np.clongdouble
+        X = X.astype(wide)
+        for _ in range(2):
+            X += sla.lu_solve(lu, (S_LE - S_LL.astype(wide) @ X).astype(S.dtype))
+    return (S[np.ix_(edge, edge)] - S[np.ix_(edge, loc)] @ X).astype(S.dtype)
 
 
-def scatter_condensed(system, op, s2, ZX):
-    """The condensed matrix of `statics._condense` by one `_scatter` of its
-    class blocks, S_GG - S_GL X of S = op.blocks + s2 K_r made symmetric, X
-    from the returned [Z^T | X], over each triangle's kept unknowns in
-    their 0..N_e-1 numbering, every pair but two rotations; so that its
-    gather through the source maps is checked bit for bit."""
-    S, glob, nL = op.blocks + s2 * system.Kblocks, op.glob, ZX.shape[1]
-    G = S[:, glob][:, :, glob] - S[:, ~glob][:, :, glob].swapaxes(1, 2) @ ZX[:, :, nL:]
-    G = 0.5 * (G + G.swapaxes(1, 2))
-    rotation = op.rotation[glob]
-    i, j = np.nonzero(~(rotation[:, None] & rotation))
-    table = np.searchsorted(op.edge, op.table[:, glob])
-    return _scatter(np.repeat(G[:, i, j], np.diff(op.bounds), axis=0), table[:, i], table[:, j],
-                    (len(op.edge),) * 2)
+def scatter_complement(level, G):
+    """The matrix of a level's complements G (class, nG, nG) by one `_scatter`
+    over each patch's kept unknowns in their numbering 0..N-1, every pair of
+    filled slots, so that the gather through the source maps of the top
+    level's pattern is checked bit for bit."""
+    front, n = level.front(), len(level.kept)
+    values = np.repeat(G, np.diff(level.bounds), axis=0)
+    rows, cols = np.broadcast_arrays(front[:, :, None], front[:, None, :])
+    filled = (rows < n) & (cols < n)
+    return _scatter(values[filled], rows[filled], cols[filled], (n, n))
+
+
+def condensed_levels(op, K, s2):
+    """Each level's complements (class, nG, nG) of S_r = op + s2 K_r, from
+    `statics._condense` level by level."""
+    G, _ = statics._condense(op.levels[0], op.blocks + s2 * K, "test")
+    out = [G]
+    for level in op.levels[1:]:
+        G, _ = statics._condense(level, level.blocks(G), "test")
+        out.append(G)
+    return out
 
 
 def full_schur_solve(system, blocks, s, rhs):

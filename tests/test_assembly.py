@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sps
 import sympy as sp
 
-from mixedelast import (MaterialModel, MixedElastError, assemble,
+from mixedelast import (ConfigError, MaterialModel, MixedElastError, assemble,
                         assemble_body_load, assemble_dirichlet_load,
                         build_spaces, build_uniform_square_mesh, builtin_case)
 from mixedelast.assembly import (SeparatedField, _class_tables, _compliance, _dirichlet_operator,
@@ -79,6 +79,14 @@ def test_material_validation():
                    {"mu": "2"}, {"mu": None}, {"lambda_": 2j}, {"lambda_": True}):
         with pytest.raises(MixedElastError):
             MaterialModel(**{"mu": 1.0, "lambda_": 1.0, **kwargs})
+
+
+@pytest.mark.parametrize("name", ["mu", "lambda_", "rho"])
+def test_material_constant_above_the_float_range_is_rejected(name):
+    # a Python int converts to a float only up to the largest float: 10**400
+    # is a ConfigError (exit 2), not an OverflowError from the conversion
+    with pytest.raises(ConfigError, match=f"^{name} must be a positive finite constant"):
+        MaterialModel(**{"mu": 1.0, "lambda_": 1.0, name: 10**400})
 
 
 @pytest.mark.parametrize("mu,lam", [(1.0, 1e308), (1.0, 4.6e307), (1e160, 1e159),

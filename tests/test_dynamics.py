@@ -306,11 +306,34 @@ def test_non_finite_step_stops_at_its_step(small_system, monkeypatch):
     assert steps == [0, 1, 2]
 
 
+def test_non_finite_radau_step_stops_at_its_step(small_system, monkeypatch):
+    # the RadauIIA twin: an inf in the third complex stage solve makes the
+    # real stages inf and nan with no numpy warning, and the step's own check
+    # raises at step 3, after observing steps 0 to 2
+    system, spaces, case = small_system
+    init = build_initial_data(case, system)
+    solve = statics.SchurLU._solve
+
+    def solve_inf_at_3(lu, rhs):
+        x = solve(lu, rhs)
+        if lu._solves == 3:
+            x[0] = np.inf
+        return x
+
+    monkeypatch.setattr(statics.SchurLU, "_solve", solve_inf_at_3)
+    steps = []
+    with pytest.raises(SingularSystemError, match="^RadauIIA step produced non-finite"):
+        integrate(system, init, "radau2", 0.1, 1.0, [lambda i, *args: steps.append(i)])
+    assert steps == [0, 1, 2]
+
+
 @pytest.mark.parametrize("scheme", ["cn", "radau2"])
 def test_step_lu_factors_the_schur_complement(small_system, monkeypatch, scheme):
-    # the LU holds the (sigma, gamma) Schur complement only: the velocity block
-    # is eliminated, and RadauIIA needs no real 2N x 2N stage matrix; each
-    # integrate call factors its own
+    # the LU holds the complement of the (sigma, gamma) Schur complement on
+    # the edge unknowns of the macro-cell boundaries only, here the 4 edges
+    # of the n = 1 domain's boundary: the velocity block is eliminated, the
+    # diagonal edge and the rotations by class blocks, and RadauIIA needs no
+    # real 2N x 2N stage matrix; each integrate call factors its own
     system, spaces, case = small_system
     init = build_initial_data(case, system)
     calls, factorize = [], statics.factorize
@@ -318,7 +341,8 @@ def test_step_lu_factors_the_schur_complement(small_system, monkeypatch, scheme)
                         calls.append((what, S.shape)) or factorize(S, what))
     integrate(system, init, scheme, 0.1, 0.1)
     integrate(system, init, scheme, 0.1, 0.1)
-    assert calls == [("step", (spaces.dim_x, spaces.dim_x))] * 2
+    n_e = len(system.Eop.edge)
+    assert calls == [("step", (n_e, n_e))] * 2 and n_e == 4 * 2 * 2 < spaces.dim_x
 
 
 def test_step_lu_freed_when_integrate_returns():
@@ -463,23 +487,25 @@ def test_ordered_step_solve_matches_colamd(k, scheme):
 def test_ordered_step_lu_fill():
     # eg2, k=2, n=16, dt=1/16: the whole 9,408 x 9,408 S_r held 2,957,511 L+U
     # nonzeros in SuperLU's default COLAMD order and 735,618 (lu.nnz) in the
-    # mesh-entity order; its complement on the 4,800 edge unknowns, in the
-    # same order, holds 490,152
+    # mesh-entity order, and its complement on all 4,800 edge unknowns
+    # 490,152; its complement on the 960 unknowns of the 160 edges of the
+    # 4 x 4 macro-cell boundaries, in their structural order, holds 176,064
     lu = dynamics._Stepper(_eg2_system(16, 2), "cn", 1.0 / 16).lu._lu
-    assert lu.shape == (4800, 4800) and lu.nnz == 490_152
+    assert lu.shape == (960, 960) and lu.nnz == 176_064
 
 
 @pytest.mark.parametrize("name,n,k,scheme", [("eg2", 8, 2, "cn"), ("eg3", 4, 3, "radau2")])
 def test_step_lu_pivots_on_its_diagonal(name, n, k, scheme):
-    # the entity order's symmetric pivot sequence is kept on the edge
-    # unknowns' complement: SuperLU permutes neither rows nor columns
+    # the entity order's symmetric pivot sequence is kept on the complement
+    # on the edge unknowns of the 4 x 4 macro-cell boundaries, 2 n (n / 4 +
+    # 1) edges: SuperLU permutes neither rows nor columns
     import mixedelast as me
     case = builtin_case(name, alpha=2.2 if name == "eg2" else None)
     mesh = me.build_uniform_square_mesh(n)
     system = assemble(me.build_spaces(mesh, k), case.material, body_force=case.f,
                       dirichlet_velocity=case.g)
     lu = dynamics._Stepper(system, scheme, 1.0 / n).lu._lu
-    assert lu.shape == (len(system.Eop.edge),) * 2 == (2 * (k + 1) * mesh.num_edges,) * 2
+    assert lu.shape == (len(system.Eop.edge),) * 2 == (2 * (k + 1) * 2 * n * (n // 4 + 1),) * 2
     identity = np.arange(lu.shape[0])
     assert np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)
 

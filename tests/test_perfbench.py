@@ -40,18 +40,19 @@ def test_benchmark_smoke_pass_ok(name):
 
 
 # The traced counts of each workload's n=4 pass.  eg2 (k=2, CN) factors the
-# static saddle LU and the step LU, the same 336 x 336 complement on the edge
-# unknowns (of the 624 stress and rotation unknowns) at two shifts; eg3 (k=3,
-# RadauIIA) has zero initial data and one complex step LU, 448 x 448 (of
-# 1,152).  A CN step calls the body load and the boundary load once, a
-# RadauIIA step each of them at both stages.
-_EG2_N4 = {"assembly.matrix_nnz": 26_400, "statics.lu_nnz": 14_016, "statics.dim": 336,
-           "dynamics.lu_nnz": 14_016, "dynamics.dim": 336}
+# static saddle LU and the step LU, the same 96 x 96 complement on the
+# unknowns of the 16 boundary edges of the one 4 x 4 macro cell (of the 624
+# stress and rotation unknowns) at two shifts, dense; eg3 (k=3, RadauIIA) has
+# zero initial data and one complex step LU, 128 x 128 (of 1,152).  A CN step
+# calls the body load and the boundary load once, a RadauIIA step each of
+# them at both stages.
+_EG2_N4 = {"assembly.matrix_nnz": 26_400, "statics.lu_nnz": 9_312, "statics.dim": 96,
+           "dynamics.lu_nnz": 9_312, "dynamics.dim": 96}
 N4_COUNTS = {
     "eg2-cn-converge": {**_EG2_N4, "dynamics.steps": 4, "assembly.load_calls": 8},
     "eg2-cn-fine-dt": {**_EG2_N4, "dynamics.steps": 1024, "assembly.load_calls": 2048},
-    "eg3-radau-converge": {"assembly.matrix_nnz": 79_744, "dynamics.lu_nnz": 24_768,
-                           "dynamics.dim": 448, "dynamics.steps": 4,
+    "eg3-radau-converge": {"assembly.matrix_nnz": 79_744, "dynamics.lu_nnz": 16_512,
+                           "dynamics.dim": 128, "dynamics.steps": 4,
                            "assembly.load_calls": 16},
 }
 

@@ -17,10 +17,10 @@ from mixedelast.quadrature import triangle_rule
 
 from conftest import _reachable, make_matrix_field, pattern_arrays
 from test_mesh import _jittered
-from _oracles import (canonical_interpolation, case_from_displacement, dense_condensation,
-                      full_schur_solve, scatter_condensed, scatter_range_matrix,
-                      scatter_schur_complement, solve_elastostatics, stress_div_values,
-                      stress_mass, stress_part)
+from _oracles import (canonical_interpolation, case_from_displacement, condensed_levels,
+                      dense_condensation, full_schur_solve,
+                      scatter_complement, scatter_range_matrix, scatter_schur_complement,
+                      solve_elastostatics, stress_div_values, stress_mass, stress_part)
 
 
 def _static_case(mu=1.0, lam=1.0):
@@ -270,8 +270,9 @@ def test_nonzero_initial_data_factor_the_saddle(spaces_cache, monkeypatch):
     monkeypatch.setattr(statics, "factorize", lambda S, what:
                         calls.append((what, S.shape)) or factorize(S, what))
     init = build_initial_data(case, system)
-    # the LU keeps the edge stresses only: k + 1 moments per edge and tensor row
-    n_e = 2 * 3 * spaces.mesh.num_edges
+    # the LU keeps the stresses of the macro cells' boundary edges only, here
+    # those of the domain's boundary: k + 1 moments per edge and tensor row
+    n_e = 2 * 3 * len(spaces.mesh.boundary_edges)
     assert calls == [("saddle", (n_e, n_e))] and n_e == len(system.Eop.edge) < spaces.dim_x
     assert np.array_equal(init.x0, x)
 
@@ -420,6 +421,38 @@ def test_saddle_lu_pivots_on_its_diagonal(spaces_cache, monkeypatch):
     assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))
 
 
+MESHES = ["uniform-1", "uniform-3", "uniform-4", "uniform-6", "uniform-8", "jittered-4"]
+
+
+def _mesh(name):
+    return _jittered(4) if name == "jittered-4" else build_uniform_square_mesh(int(name[8:]))
+
+
+def _check_condensation(got, full, op, G):
+    """The matrix ``got`` that an LU of op's S_r = ``full`` factors against
+    dense condensations, level by level, each at roundoff, 2e-14 relative:
+    the triangles' complements G (class, nG, nG), from one dense solve per
+    triangle class, against one dense solve of all triangles' interiors;
+    the top level's, which eliminates each macro cell's interior from the
+    sums of G, against one elimination of all macro interiors from G's
+    scatter-sum, exact to a few ulps (`dense_condensation`, extended).
+
+    That reference starts from G, not from the exact complement of
+    ``full``: each macro cell's interior block S_II has kappa_1 up to 4e5
+    (augmented-Lagrangian shift), and the top complement moves with G's
+    roundoff by up to 30 times as much, as it would in any elimination in
+    double precision; the solve test bounds that end to end.  The worst
+    error is 0.85 of the bound (n = 4, k = 2, the L2 pairing's
+    augmented-Lagrangian shift).  Returns the top level's reference."""
+    first, top = op.levels
+    ref = dense_condensation(full, first.kept)
+    below = scatter_complement(first, G).toarray()
+    assert np.abs(below - ref).max() <= 2e-14 * np.abs(ref).max()
+    ref = dense_condensation(below, top.kept, extended=True)
+    assert np.abs(got.toarray() - ref).max() <= 2e-14 * np.abs(ref).max()
+    return ref
+
+
 def _bmat_schur_complement(system, T, s):
     """S_r = [[T + s^2 K, C^T], [C, 0]], K = B^T M^-1 B with M^-1 the
     reciprocals of the system's diagonal M, on the range of x:
@@ -438,14 +471,15 @@ def _bmat_schur_complement(system, T, s):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_schur_pattern_fill_matches_bmat_build(mesh_cache, monkeypatch, k):
     # the matrix each SchurLU factors is the complement of S_r(s) = E_r(T) +
-    # s^2 K_r on the edge unknowns: s = 0 (the E-product matrix), real CN
-    # and complex RadauIIA step shifts with T = A, and the static shifts of
-    # both saddle stress blocks (A and the stress mass).  It is gathered
-    # onto the system's condensed pattern, so its pattern is that whatever
-    # the values, and it covers every nonzero of the dense condensation of
-    # the sparse-product S_r.  The class-block solves and the reference's
-    # one dense solve round differently, so they agree at roundoff, not bit
-    # for bit; at k = 1 nothing is eliminated
+    # s^2 K_r on the edge unknowns of the macro-cell boundaries: s = 0 (the
+    # E-product matrix), real CN and complex RadauIIA step shifts with T =
+    # A, and the static shifts of both saddle stress blocks (A and the
+    # stress mass).  It is gathered onto the system's condensed pattern, so
+    # its pattern is that whatever the values, and it covers every nonzero
+    # of the dense condensation of the sparse-product S_r.  The class-block
+    # solves and the reference's one dense solve round differently, so they
+    # agree to roundoff (`_check_condensation`), not bit for bit; at k = 1
+    # the triangles eliminate nothing and the macro cell every rotation
     case = builtin_case("eg2", alpha=2.2)
     system = assemble(build_spaces(mesh_cache(4), k), case.material,
                       body_force=case.f, dirichlet_velocity=case.g)
@@ -457,15 +491,16 @@ def test_schur_pattern_fill_matches_bmat_build(mesh_cache, monkeypatch, k):
     for T, s in ((A, 0.0), (A, 0.125), (A, 0.25 * lam),
                  (A, np.sqrt(system.material.rho / system.material.mu)),
                  (mass, np.sqrt(system.material.rho / 0.5))):
-        statics.SchurLU(system, p if T is A else l2_pairing(system), s, "test")
+        op = p if T is A else l2_pairing(system)
+        statics.SchurLU(system, op, s, "test")
         got = factored.pop()
-        ref = dense_condensation(_bmat_schur_complement(system, T, s), p.edge)
+        ref = _check_condensation(got, _bmat_schur_complement(system, T, s), op,
+                                  condensed_levels(op, system.Kblocks, s * s)[0])
         assert got.format == "csc" and got.dtype == ref.dtype
         assert np.shares_memory(got.indices, p.indices) and got.has_canonical_format
         assert got.shape == ref.shape == (len(p.edge),) * 2 and got.nnz == len(p.indices)
         pattern = sps.csc_matrix((np.ones(got.nnz), got.indices, got.indptr), shape=got.shape)
         assert not ref[pattern.toarray() == 0.0].any()
-        assert np.abs(got.toarray() - ref).max() <= 2e-14 * np.abs(ref).max()
     ref = _bmat_schur_complement(system, A, 0.0).toarray()
     assert np.abs(E.toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
 
@@ -474,43 +509,58 @@ def test_schur_pattern_fill_matches_bmat_build(mesh_cache, monkeypatch, k):
 def test_gathered_schur_complement_is_e_plus_shifted_k(mesh_cache, k):
     # the condensed matrix is one value array on the system's condensed
     # pattern, real or complex as s is, and equals the complement on the
-    # edge unknowns of E_r + s^2 K_r, K_r = B^T M^-1 B as a sparse product;
-    # for k >= 2 the rotations are eliminated with the interior stresses,
-    # so for a real s it is SPD
+    # kept edge unknowns of E_r + s^2 K_r, K_r = B^T M^-1 B as a sparse
+    # product.  Every rotation is eliminated, with its triangle's interior
+    # stresses for k >= 2 and with its macro cell's interior at k = 1, and
+    # took all of S_r's negative inertia: for a real s it is SPD at every k
     case = builtin_case("eg2", alpha=2.2)
     system = assemble(build_spaces(mesh_cache(4), k), case.material)
     p, E, B = system.Eop, system.Eop.tocsr(), system.Bmat
     K = (B.T @ (sps.diags(1.0 / system.Mdiag) @ B)).toarray()
     for s in (0.0, 0.3, 0.25 * complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)):
-        S, ZX = statics._condense(p, system.Kblocks, s * s, "test")
-        assert S.format == "csc" and S.dtype == ZX.dtype == np.result_type(E.dtype, s)
+        S, eliminations = statics._condensed(p, system.Kblocks, s * s, "test")
+        assert S.format == "csc" and S.dtype == np.result_type(E.dtype, s)
+        assert [X.dtype for *_, X in eliminations] == [S.dtype] * len(p.levels)
         assert np.shares_memory(S.indices, p.indices) and np.shares_memory(S.indptr, p.indptr)
-        ref = dense_condensation(E.toarray() + (s * s) * K, p.edge)
-        assert np.abs(S.toarray() - ref).max() <= 2e-14 * np.abs(ref).max()
-        if k > 1 and np.isrealobj(s):
+        _check_condensation(S, E.toarray() + (s * s) * K, p,
+                            condensed_levels(p, system.Kblocks, s * s)[0])
+        if np.isrealobj(s):
             assert np.linalg.eigvalsh(S.toarray()).min() > 0.0
 
 
-def test_complex_schur_build_allocates_one_value_array(mesh_cache):
-    # a complex condensed matrix allocates its complex values, 16 bytes per
-    # entry of the condensed pattern, the maps cast to intp by the gather,
-    # temporaries of the shared entries, a fifth of them (two triangles share
-    # the entries of an edge's own unknowns), and class-sized blocks only:
-    # no sparse sum, no CSC copy
+def test_complex_schur_build_allocates_one_value_array(mesh_cache, monkeypatch):
+    # a complex condensed matrix allocates class-sized blocks while it
+    # eliminates, at most eight of the size of each level's class blocks at
+    # once, and no array that grows with the mesh; then its gather allocates
+    # its complex values, 16 bytes per entry of the condensed pattern, the
+    # maps cast to intp, and temporaries of the shared entries, under a
+    # fifth of them (two macro cells share the entries of an edge's own
+    # unknowns): no sparse sum, no CSC copy
     import tracemalloc
     case = builtin_case("eg3")
     system = assemble(build_spaces(mesh_cache(8), 3), case.material)
     p = system.Eop
     s = 0.125 * complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)
+    marks, gather = [], statics._gather
+
+    def marked(*args):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return gather(*args)
+
+    monkeypatch.setattr(statics, "_gather", marked)
     tracemalloc.start()
     try:
-        S, _ = statics._condense(p, system.Kblocks, s * s, "test")
+        S, _ = statics._condensed(p, system.Kblocks, s * s, "test")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    (held, eliminating), = marks
     assert S.dtype == np.complex128
     assert len(p.dup) <= 0.2 * len(p.indices)
-    assert peak <= 24 * len(p.indices) + 32 * len(p.dup) + 16 * 8 * p.blocks.size + 2**16
+    blocks = sum((len(lv.bounds) - 1) * len(lv.keep) ** 2 for lv in p.levels)
+    assert eliminating <= 16 * 8 * blocks + 2**16
+    assert peak - held <= 24 * len(p.indices) + 32 * len(p.dup) + 2**16
 
 
 @pytest.mark.parametrize("s", [0.25, 0.25 * complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)])
@@ -533,27 +583,29 @@ def test_schur_solve_fills_one_array_bitwise(spaces_cache, s):
     assert got.dtype == ref.dtype and np.array_equal(got.view(np.uint8), ref.view(np.uint8))
 
 
-@pytest.mark.parametrize("mesh", ["uniform-4", "jittered-4"])
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_gathered_matrices_are_the_scatter_sums(mesh, k):
+@pytest.mark.parametrize("k,mesh", [(k, mesh) for k in (1, 2, 3)
+                                    for mesh in ("uniform-4", "jittered-4")] + [(1, "uniform-6")])
+def test_gathered_matrices_are_the_scatter_sums(k, mesh):
     # every matrix on the range of x, and the condensed matrix each LU
     # factors, is gathered from local blocks through source maps, and each
     # equals, bit for bit and in all three CSR arrays, the scatter-sum of its
     # local entries: the condensed matrix of the CN shift, the complex
     # RadauIIA shift and the augmented-Lagrangian shift tau, for E_r and for
     # the L2 pairing, whose values are also the dense condensation of the
-    # scatter-summed S_r(s); E_r itself, A, C and the L2 pairing.  The
-    # uniform mesh's maps are int16; the jittered mesh has one class per
-    # triangle, and at k = 3 the ids of E_r's full pattern need int32
-    jittered = mesh == "jittered-4"
-    mesh = _jittered(4) if jittered else build_uniform_square_mesh(4)
-    spaces = build_spaces(mesh, k)
+    # scatter-summed S_r(s) (`_check_condensation`); E_r itself, A, C and the
+    # L2 pairing.  The maps are int16 where every id of their blocks fits;
+    # the jittered mesh has one class per triangle, and on the n = 6 mesh the
+    # macro cells of 4 x 4, 4 x 2, 2 x 4 and 2 x 2 grid cells are four
+    # classes, with spare slots, that share the entries of their common edges
+    # (at k = 1 only: its dense references take seconds at k >= 2)
+    spaces = build_spaces(_mesh(mesh), k)
     system = assemble(spaces, MaterialModel(mu=0.7, lambda_=3.0, rho=1.3))
-    p = system.Eop
-    nc, nG = len(p.blocks), np.count_nonzero(p.glob)
+    p, top = system.Eop, system.Eop.levels[-1]
+    nc, nG = len(top.bounds) - 1, np.count_nonzero(top.keep)
     assert p.src.dtype == p.src2.dtype == (np.int16 if nc * nG * nG < 2**15 else np.int32)
-    full = assembly._pattern(p.table, p.bounds, p.rotation)
-    assert full[2].dtype == full[4].dtype == (np.int32 if jittered and k == 3 else np.int16)
+    full = assembly._pattern(p.table, p.bounds, ~(p.rotation[:, None] & p.rotation), spaces.dim_x)
+    nc, W = len(p.blocks), len(p.rotation)
+    assert full[2].dtype == full[4].dtype == (np.int16 if nc * W * W < 2**15 else np.int32)
 
     def same(got, ref):
         for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices), (got.data, ref.data)):
@@ -563,10 +615,11 @@ def test_gathered_matrices_are_the_scatter_sums(mesh, k):
     pairing = l2_pairing(system)
     for op, mu in ((p, system.material.mu), (pairing, 0.5)):
         for s in (0.5 * dt, lam * dt, np.sqrt(rho / mu)):
-            got, ZX = statics._condense(op, system.Kblocks, s * s, "test")
-            same(got, scatter_condensed(system, op, s * s, ZX))
-            ref = dense_condensation(scatter_schur_complement(system, op.blocks, s * s), p.edge)
-            assert np.abs(got.toarray() - ref).max() <= 2e-14 * np.abs(ref).max()
+            got, _ = statics._condensed(op, system.Kblocks, s * s, "test")
+            levels = condensed_levels(op, system.Kblocks, s * s)
+            same(got, scatter_complement(top, levels[-1]))
+            _check_condensation(got, scatter_schur_complement(system, op.blocks, s * s), op,
+                                levels[0])
         same(op.tocsr(), scatter_range_matrix(spaces, op))
     E = scatter_range_matrix(spaces, system.Eop)
     row = np.full(spaces.dim_x, 2)
@@ -579,22 +632,27 @@ def test_gathered_matrices_are_the_scatter_sums(mesh, k):
     same(system.Cmat, sps.csr_matrix((E.data[keep], E.indices[keep], indptr), shape=E.shape))
 
 
-@pytest.mark.parametrize("mesh", ["uniform-4", "jittered-4"])
+@pytest.mark.parametrize("mesh", MESHES)
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_condensed_solve_matches_the_full_schur_lu(mesh, k):
-    # SchurLU eliminates each triangle's interior stresses and rotations by
-    # its class block and factors the edge unknowns' complement only; its
-    # solve equals one through a sparse LU of the whole scatter-summed S_r(s)
-    # for the CN, complex RadauIIA and augmented-Lagrangian shifts, for E_r
-    # and for the L2 pairing (one class per triangle on the jittered mesh),
-    # to the forward error a backward-stable solve may have: kappa_1(S_r)
-    # eps in the 1-norm (Higham, Accuracy and Stability of Numerical
-    # Algorithms, 2002, ch. 7).  kappa_1 takes ||S_r^-1||_1 from Hager's
-    # estimator, onenormest with t = 1, which draws no random vectors; it
-    # runs from 59 (k = 1) to 4e7 (k = 3, jittered, augmented Lagrangian),
-    # and the worst error is 0.02 of the bound
-    spaces = build_spaces(_jittered(4) if mesh == "jittered-4" else
-                          build_uniform_square_mesh(4), k)
+    # SchurLU eliminates each triangle's interior stresses and rotations,
+    # then each macro cell's interior, by their class blocks and factors the
+    # complement on the macro-cell boundaries only; its solve equals one
+    # through a sparse LU of the whole scatter-summed S_r(s) for the CN,
+    # complex RadauIIA and augmented-Lagrangian shifts, for E_r and for the
+    # L2 pairing, on meshes of one macro cell (n = 1, 3, 4), of smaller
+    # macro cells at the right and top (n = 6) and of four (n = 8), and with
+    # one class per triangle and per macro cell (jittered), to the forward
+    # error a backward-stable solve may have: kappa_1(S_r) eps in the 1-norm
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 7).
+    # kappa_1 takes ||S_r^-1||_1 from Hager's estimator, onenormest with t =
+    # 1, which draws no random vectors; it runs from 54 (k = 1) to 4e7 (k =
+    # 3, jittered, augmented Lagrangian), and the worst error is 0.22 of the
+    # bound (n = 8, k = 2, augmented Lagrangian).  Its x_r is backward stable
+    # too: ||S_r x_r - b_r||_1 <= eps (||S_r||_1 ||x_r||_1 + ||b_r||_1), at
+    # most 0.37 of that; a solve through explicit inverses of the macro
+    # interiors reached 25 times it (n = 8, k = 2)
+    spaces = build_spaces(_mesh(mesh), k)
     system = assemble(spaces, MaterialModel(mu=0.7, lambda_=3.0, rho=1.3))
     rng = np.random.default_rng(k)
     rhs = rng.standard_normal(spaces.dim_x + spaces.dim_velocity)
@@ -612,23 +670,42 @@ def test_condensed_solve_matches_the_full_schur_lu(mesh, k):
                                       rmatvec=lambda y: lu.solve(y, "H"))
             kappa = spla.norm(S, 1) * spla.onenormest(inv, t=1)
             assert np.abs(got - ref).sum() <= kappa * eps * np.abs(ref).sum()
+            n = spaces.dim_x
+            b_r, x_r = b[:n] - s * (system.Bmat.T @ (b[n:] / system.Mdiag)), got[:n]
+            assert (np.abs(S @ x_r - b_r).sum()
+                    <= eps * (spla.norm(S, 1) * np.abs(x_r).sum() + np.abs(b_r).sum()))
 
 
-@pytest.mark.parametrize("k,nnz", [(1, 7818), (2, 14448), (3, 25536)])
-def test_lu_fill_is_structural(k, nnz):
+# lu.nnz and the factored dimension of each mesh and k: 2 (k + 1) unknowns
+# per edge of the 4 x 4 macro cells' boundaries, the domain's boundary
+# included; one macro cell (n <= 4) leaves a dense complement
+FILLS = {
+    "uniform-1": {1: (272, 16), 2: (600, 24), 3: (1056, 32)},
+    "uniform-3": {1: (2352, 48), 2: (5256, 72), 3: (9312, 96)},
+    "uniform-4": {1: (4160, 64), 2: (9312, 96), 3: (16512, 128)},
+    "uniform-6": {1: (9488, 144), 2: (21240, 216), 3: (37664, 288)},
+    "uniform-8": {1: (16064, 192), 2: (36000, 288), 3: (63872, 384)},
+    "jittered-4": {1: (4160, 64), 2: (9312, 96), 3: (16512, 128)},
+}
+
+
+@pytest.mark.parametrize("mesh", MESHES)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_lu_fill_is_structural(k, mesh):
     # the fill of the step and saddle LUs depends on the pattern only, not on
-    # the values: one lu.nnz per k on the n = 4 mesh for two materials, E_r
-    # and the L2 pairing, and the CN, complex RadauIIA and augmented-
-    # Lagrangian shifts.  The L+U count that perfbench traces (14,016 at
-    # k = 2) drops exact zeros, so it moves with roundoff
-    spaces = build_spaces(build_uniform_square_mesh(4), k)
+    # the values: one lu.nnz per mesh and k for two materials, E_r and the L2
+    # pairing, and the CN, complex RadauIIA and augmented-Lagrangian shifts.
+    # The L+U count that perfbench traces drops exact zeros, so it moves
+    # with roundoff
+    spaces = build_spaces(_mesh(mesh), k)
     lam, fills = complex(1.0 / 3.0, np.sqrt(2.0) / 6.0), set()
     for material in (MaterialModel(mu=1.0, lambda_=1.0), MaterialModel(0.7, 3.0, 1.3)):
         system = assemble(spaces, material)
         for op, mu in ((system.Eop, material.mu), (l2_pairing(system), 0.5)):
             for s in (0.0625, 0.125 * lam, np.sqrt(material.rho / mu)):
-                fills.add(statics.SchurLU(system, op, s, "test")._lu.nnz)
-    assert fills == {nnz}
+                lu = statics.SchurLU(system, op, s, "test")._lu
+                fills.add((lu.nnz, lu.shape[0]))
+    assert fills == {FILLS[mesh][k]}
 
 
 @pytest.mark.parametrize("s", [0.25, 0.25 * complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)])
@@ -645,6 +722,34 @@ def test_singular_local_block_raises_when_the_lu_is_built(spaces_cache, monkeypa
     monkeypatch.setattr(statics, "factorize", lambda S, what: pytest.fail("factorized"))
     with pytest.raises(SingularSystemError, match="^step factorization failed: local block"):
         statics.SchurLU(system, dataclasses.replace(op, blocks=blocks), s, "step")
+
+
+@pytest.mark.parametrize("mesh", ["uniform-6", "jittered-4"])
+def test_splu_calls_per_schur_lu_and_per_integrate(monkeypatch, mesh):
+    # a tracer of scipy.sparse.linalg.splu counts each call as one
+    # factorization: building the spaces calls it never (their entity
+    # order's splu is an ordering aid, bound at import), each SchurLU once,
+    # on its condensed matrix, the initial data once, for the saddle LU, and
+    # each integrate call once, for its step LU, on meshes with smaller
+    # macro cells and with one class per macro cell
+    calls, splu = [], spla.splu
+    monkeypatch.setattr(spla, "splu", lambda A, *args, **kwargs:
+                        calls.append(A.shape) or splu(A, *args, **kwargs))
+    case = builtin_case("eg2", alpha=2.2)
+    system = assemble(build_spaces(_mesh(mesh), 2), case.material, body_force=case.f,
+                      dirichlet_velocity=case.g)
+    n_e = len(system.Eop.edge)
+    assert calls == [] and n_e >= 1
+    for s in (0.25, 0.25 * complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)):
+        statics.SchurLU(system, system.Eop, s, "test")
+        assert calls == [(n_e, n_e)]
+        calls.clear()
+    init = build_initial_data(case, system)
+    assert calls == [(n_e, n_e)]
+    for scheme in ("cn", "radau2"):
+        calls.clear()
+        integrate(system, init, scheme, 0.25, 0.5)
+        assert calls == [(n_e, n_e)]
 
 
 def test_one_sparse_factorization_per_schur_lu(mesh_cache, monkeypatch):
