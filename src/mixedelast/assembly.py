@@ -19,8 +19,8 @@ formula, and the L2 stress mass is its value at mu = 1/2, lambda = 0.  A
 matrix on the range of x (E_r, K_r, the L2 pairing) is held as those blocks
 only (`RangeOperator`): products use the blocks, a Schur complement LU's
 condensed matrix, left by the levels of elimination of triangles and of
-macro cells (`Level`), is gathered through the source maps of its pattern,
-and a CSR is formed from the table when asked for.  B and the boundary
+cells of 2 x 2, 4 x 4, ... grid cells (`Level`), is gathered through the
+source maps of its pattern, and a CSR is formed from the table when asked for.  B and the boundary
 operator are summed by one `_scatter` through the spaces' global numbering,
 in which the loads are moments too.
 """
@@ -85,30 +85,33 @@ class SeparatedField:
 @dataclass(frozen=True)
 class Level:
     """One level of elimination by class blocks.  Its patches, the triangles
-    at the first level and the macro cells of `spaces.MACRO` x MACRO grid
-    cells above it, each hold W unknowns of the level below (x's at the
-    first), listed by ``table`` (P, W) in patch rows grouped by class at
-    ``bounds``.  ``keep`` (W,) marks the unknowns a patch keeps; it
-    eliminates the others, and the kept ones are numbered 0..N-1 in the
-    order of their positions ``kept`` (N,) below.
+    at the first level and the cells of 2 x 2, 4 x 4, ... grid cells above
+    it (`spaces._cells`), each hold W unknowns of the level below (x's at
+    the first), listed by ``table`` (P, W) in patch rows grouped by class at
+    ``bounds``; ``tri`` (P,) is a triangle of each row's patch, which names
+    its cell on every level.  ``keep`` (W,) marks the unknowns a patch
+    keeps; it eliminates the others, and the kept ones are numbered 0..N-1
+    in the order of their positions ``kept`` (N,) below.
 
-    A macro level's class blocks are summed from the complements (class,
+    A cell level's class blocks are summed from the complements (class,
     nG, nG) of the level below: blocks.flat[dest] += below.flat[source].
     Its patches have slots for the most unknowns any class holds, interior
-    ones first; a smaller macro cell's spare slots point at index N of the
-    level below, one past its unknowns, where a solve holds 0, and ``unit``
-    puts ones on the diagonal of the spare interior slots."""
+    ones first; a smaller cell's spare slots point at index N of the level
+    below, one past its unknowns, where a solve holds 0, and ``unit`` puts
+    ones on the diagonal of the spare interior slots, while a spare kept
+    slot's row and column of the complement stay 0."""
 
     bounds: tuple
     table: np.ndarray
     keep: np.ndarray
     kept: np.ndarray
+    tri: np.ndarray
     dest: np.ndarray | None = None
     source: np.ndarray | None = None
     unit: np.ndarray | None = None
 
     def blocks(self, below: np.ndarray) -> np.ndarray:
-        """The class blocks (class, W, W) of a macro level from the
+        """The class blocks (class, W, W) of a cell level from the
         complements ``below`` of the level below."""
         W = len(self.keep)
         size = (len(self.bounds) - 1) * W * W
@@ -123,30 +126,30 @@ class Level:
         return np.searchsorted(self.kept, self.table[:, self.keep])
 
 
-def _macro_level(below: Level, rotation: np.ndarray, macro: np.ndarray, tri: np.ndarray):
-    """The Level of the macro cells ``macro`` (P,) of the rows of ``below``,
-    those of the triangles ``tri`` (P,), whose kept slots are rotations where
-    ``rotation`` (nG,) is set.
+def _macro_level(below: Level, rotation: np.ndarray, cell: np.ndarray) -> Level:
+    """The Level of the cells ``cell`` (P,) of the rows of ``below``, whose
+    kept slots are rotations where ``rotation`` (nG,) is set.
 
-    A macro cell eliminates the unknowns that no other patch holds: those of
-    the edges between two of its triangles, and the rotations.  It keeps
-    those of its boundary edges, the domain's boundary included, so that a
-    uniform mesh has one macro class, and one more per smaller size where
-    MACRO does not divide n.  A cell's slots are numbered interior first,
-    then boundary, each in the order that its triangles, by index, meet
-    them; cells with the same counts and, row by row, the same class below
-    and the same slots are one class."""
+    A cell eliminates the unknowns that no other patch holds: those that
+    two of its rows share (of the edges between two of its triangles) and
+    the rotations.  It keeps those of its boundary edges, the domain's
+    boundary included, so that a uniform mesh has one class per level, and
+    one more per smaller size where the side does not divide n.  A cell's
+    slots are numbered interior first, then boundary, each in the order
+    that its rows, by triangle, meet them; cells with the same counts and,
+    row by row, the same class below and the same slots are one class."""
     front = below.front()
     N, (P, nG), nc = len(below.kept), front.shape, len(below.bounds) - 1
-    rows = np.lexsort((tri, macro))  # by macro cell, then by triangle
-    front, row_cell = front[rows], macro[rows]
+    rows = np.lexsort((below.tri, cell))  # by cell, then by triangle
+    front, row_cell, tri = front[rows], cell[rows], below.tri[rows]
     row_class = np.repeat(np.arange(nc), np.diff(below.bounds))[rows]
-    unknowns = front.ravel()
+    filled = front < N  # not a spare slot below
+    unknowns = front[filled]
     # one slot per (cell, unknown): interior first, each part in meeting order
-    pair, meet, slot = np.unique(np.repeat(row_cell, nG) * N + unknowns, return_index=True,
-                                 return_inverse=True)
+    pair, meet, slot = np.unique(np.repeat(row_cell, nG)[filled.ravel()] * N + unknowns,
+                                 return_index=True, return_inverse=True)
     cell, unknown = np.divmod(pair, N)
-    own = np.bincount(unknowns, minlength=N) == 2  # of two triangles, or a rotation,
+    own = np.bincount(unknowns, minlength=N) == 2  # of two rows, or a rotation,
     own[front[:, rotation]] = True
     own &= np.bincount(unknown, minlength=N) == 1  # and of one cell
     order = np.lexsort((meet, ~own[unknown], cell))
@@ -156,7 +159,8 @@ def _macro_level(below: Level, rotation: np.ndarray, macro: np.ndarray, tri: np.
     rank = np.empty(len(pair), int)
     rank[order] = np.arange(len(pair)) - np.repeat(np.cumsum(size) - size, size)
     rank += np.where(own[unknown], 0, nI - n_int[cell])
-    pos = rank[slot].reshape(P, nG)
+    pos = np.full((P, nG), -1)
+    pos[filled] = rank[slot]
     # a class: row by row, the same class below and the same slots
     per_cell = np.bincount(row_cell)
     R, col = per_cell.max(), np.arange(P) - np.repeat(np.cumsum(per_cell) - per_cell, per_cell)
@@ -165,22 +169,24 @@ def _macro_level(below: Level, rotation: np.ndarray, macro: np.ndarray, tri: np.
     key[row_cell[:, None], R + nG * col[:, None] + np.arange(nG)] = pos
     rows_as_bytes = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
     _, reps, mclass = np.unique(rows_as_bytes, return_index=True, return_inverse=True)
-    W = nI + nB
+    W, by_class = nI + nB, np.argsort(mclass, kind="stable")
     table = np.full((len(size), W), N)
     table[cell, rank] = unknown
-    table = table[np.argsort(mclass, kind="stable")]
+    cell_tri = np.empty(len(size), int)
+    cell_tri[row_cell] = tri
     kept = np.unique(table[:, nI:])
     kept = kept[:-1] if kept[-1] == N else kept
-    # each class's sum maps from the rows of its first cell, and spare slots
+    # each class's sum maps from the filled slots of its first cell's rows
     rep = np.full(len(size), -1)
     rep[reps] = np.arange(len(reps))
     c, at = rep[row_cell], np.arange(nG)
-    p, c, below_class = pos[c >= 0], c[c >= 0], row_class[c >= 0]
+    p, c, below_class, f = pos[c >= 0], c[c >= 0], row_class[c >= 0], filled[c >= 0]
+    pairs = f[:, :, None] & f[:, None, :]
     c_spare, i_spare = np.nonzero(np.arange(nI) >= n_int[reps][:, None])
-    return Level(tuple(np.searchsorted(np.sort(mclass), np.arange(len(reps) + 1)).tolist()),
-                 table, np.arange(W) >= nI, kept,
-                 dest=((c[:, None, None] * W + p[:, :, None]) * W + p[:, None, :]).ravel(),
-                 source=((below_class[:, None, None] * nG + at[:, None]) * nG + at).ravel(),
+    return Level(tuple(np.searchsorted(mclass[by_class], np.arange(len(reps) + 1)).tolist()),
+                 table[by_class], np.arange(W) >= nI, kept, cell_tri[by_class],
+                 dest=((c[:, None, None] * W + p[:, :, None]) * W + p[:, None, :])[pairs],
+                 source=((below_class[:, None, None] * nG + at[:, None]) * nG + at)[pairs],
                  unit=(c_spare * W + i_spare) * W + i_spare)
 
 
@@ -194,9 +200,10 @@ class RangeOperator:
     ``table[bounds[c]:bounds[c + 1]]``, and ``blocks`` (class, W, W) holds
     their local matrix.  A Schur complement LU eliminates unknowns by the
     ``levels`` of class blocks: each triangle's interior stresses and, where
-    they pair with them (k >= 2), its rotations, then the rest of each macro
-    cell's unknowns but those on its boundary (`Level`).  It keeps the edge
-    unknowns at positions `edge` of x; ``indptr``, ``indices``, ``src``,
+    they pair with them (k >= 2), its rotations, then, level by level, the
+    unknowns that each cell's children share, and the rotations left
+    (`Level`).  It keeps the unknowns of the largest cells' boundary edges
+    at positions `edge` of x; ``indptr``, ``indices``, ``src``,
     ``dup`` and ``src2`` are the `_pattern` of the top level's complements
     (class, nG, nG) in their numbering 0..N_e-1.  A system's operators share
     all but their blocks."""
@@ -403,12 +410,16 @@ def _range_operator(spaces: DiscreteSpaces, blocks: np.ndarray) -> RangeOperator
     bounds = tuple(np.searchsorted(spaces.tri_class[order], np.arange(len(blocks) + 1)).tolist())
     edge = np.arange(ns) % nd < 3 * (spaces.k + 1)  # a row's edge DOFs come first
     rotation, keep = np.arange(ns + m) >= ns, np.concatenate([edge, np.full(m, edge.all())])
-    triangles = Level(bounds, table, keep, np.unique(table[:, keep]))
-    macros = _macro_level(triangles, rotation[keep], spaces.tri_macro[order], order)
-    front, n = macros.front(), len(macros.kept)
-    filled = front[list(macros.bounds[:-1])] < n  # the boundary slots of each class
-    return RangeOperator(blocks, table, bounds, rotation, (triangles, macros),
-                         *_pattern(front, macros.bounds, filled[:, :, None] & filled[:, None], n))
+    levels = [Level(bounds, table, keep, np.unique(table[:, keep]), order)]
+    rotations = rotation[keep]
+    for cells in spaces.tri_cells:  # the first cells eliminate every rotation left
+        levels.append(_macro_level(levels[-1], rotations, cells[levels[-1].tri]))
+        rotations = np.zeros(np.count_nonzero(levels[-1].keep), bool)
+    top = levels[-1]
+    front, n = top.front(), len(top.kept)
+    filled = front[list(top.bounds[:-1])] < n  # the kept slots of each class
+    return RangeOperator(blocks, table, bounds, rotation, tuple(levels),
+                         *_pattern(front, top.bounds, filled[:, :, None] & filled[:, None], n))
 
 
 def l2_pairing(system: BlockSystem) -> RangeOperator:

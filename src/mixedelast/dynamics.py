@@ -15,10 +15,11 @@ the velocity mass M, which is diagonal because the velocity space is
 discontinuous and its basis orthonormal; M^-1 is 1/m entrywise.  Of the
 Schur complement of S on the stress and rotation unknowns, statics.SchurLU,
 shared with the static saddle solve, eliminates each triangle's interior
-stresses and rotations, then each 4 x 4 macro cell's interior, by their
-class blocks, and factors the rest, the edge unknowns of the macro-cell
-boundaries, by a sparse LU in a minimum-degree order of those edges
-(George, SIAM J. Numer. Anal. 10, 1973).  The parts of that LU that every
+stresses and rotations, then the interiors of cells of 2 x 2, 4 x 4, ...
+grid cells, level on level, by their class blocks, and factors the rest,
+the edge unknowns of the largest cells' boundaries, by a sparse LU in a
+minimum-degree order of those edges (nested dissection, George, SIAM J.
+Numer. Anal. 10, 1973).  The parts of that LU that every
 scheme and dt share, E_r, K_r = B^T M^-1 B, the diagonal of M and the
 levels of the elimination, are assembled with the system; each
 `integrate` call factors its own step LU and frees it when it returns.

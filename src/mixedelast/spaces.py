@@ -11,6 +11,8 @@ uniform mesh has two) by inverting the matrix of the DOF functionals.  The edge
 functionals use the global low-to-high edge parameterization and a fixed normal
 per edge, so a shared edge carries the same functionals from both sides and the
 assembled space is H(div)-conforming with no orientation bookkeeping.
+The triangles are grouped into the cells of each level of the solver's
+elimination, 2 x 2, 4 x 4, ... grid cells (`_cells`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .mesh import Mesh
 from .quadrature import QuadratureRule, edge_rule, triangle_rule
 
 SUPPORTED_DEGREES = (1, 2, 3)
-MACRO = 4  # grid cells per side of a macro cell
 
 
 def _rotate_minus90(v: np.ndarray) -> np.ndarray:
@@ -174,11 +175,12 @@ class DiscreteSpaces:
     measure, so its Gram matrix on a physical triangle is area * identity.
 
     Global numbering, with m = n_scalar: the stress and rotation unknowns
-    share one range of length ``dim_x`` = dim_stress + dim_rotation, in a
-    symmetric mesh-entity order that ends with the edges of the boundaries
-    of the macro cells ``tri_macro``, in the order in which the solver's
-    sparse LU factors them (see `_entity_positions`); a coefficient vector x
-    of that range holds a stress and a rotation at once.
+    share one range of length ``dim_x`` = dim_stress + dim_rotation, the
+    stresses first, in a symmetric mesh-entity order that ends with the
+    edges of the boundaries of the largest cells ``tri_cells[-1]``, in the
+    order in which the solver's sparse LU factors them (see
+    `_entity_positions`), then the rotations; a coefficient vector x of that
+    range holds a stress and a rotation at once.
 
     - stress: ``stress_map`` (T, 2, n_row_dofs) gives the position of each
       local DOF of tensor row r; a shared edge DOF has one position, met
@@ -201,7 +203,7 @@ class DiscreteSpaces:
     stress_coef: np.ndarray      # (n_classes, n_row_dofs, 2 * n_mono)
     tri_class: np.ndarray        # (T,) class of each triangle
     class_tris: np.ndarray       # (n_classes,) one triangle of each class
-    tri_macro: np.ndarray        # (T,) macro cell of each triangle
+    tri_cells: np.ndarray        # (levels, T) cell of each triangle per level
     stress_map: np.ndarray       # (T, 2, n_row_dofs)
     velocity_map: np.ndarray     # (T, 2, n_scalar)
     rotation_map: np.ndarray     # (T, n_scalar)
@@ -299,58 +301,57 @@ class DiscreteSpaces:
         return np.einsum("tj,jq->tq", x[self.rotation_map], self.scalar_values(rule))
 
 
-def _macro_cells(mesh: Mesh) -> np.ndarray:
-    """The macro cell of each triangle, numbered 0, 1, ...: the block of
-    MACRO x MACRO grid cells that holds its centroid, on the n x n grid of
-    the mesh's bounding box with 2 n^2 triangles, the grid of
-    `build_uniform_square_mesh`, which moving its interior vertices a little
-    or refining a coarser one keeps.  Where MACRO does not divide n, the
-    last blocks of each row and column are smaller."""
+def _cells(mesh: Mesh) -> np.ndarray:
+    """The cells of each triangle, (levels, T), each level numbered 0, 1,
+    ...: the blocks of side x side grid cells that hold the centroids, on
+    the n x n grid of the mesh's bounding box with 2 n^2 triangles, the grid
+    of `build_uniform_square_mesh`, which moving its interior vertices a
+    little or refining a coarser one keeps.  Where side does not divide n,
+    the last blocks of each row and column are smaller.  The sides are 2,
+    4, 8, ... up to the largest with side <= max(4, n / 4), so a cell above
+    the first level is at most four cells of the level below, and a level
+    whose every cell holds a single one is skipped (nested dissection,
+    George, SIAM J. Numer. Anal. 10, 1973)."""
     n = max(1, round(np.sqrt(mesh.num_triangles / 2)))
     lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
     centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    block = np.clip(((centroids - lo) / (hi - lo) * n).astype(int), 0, n - 1) // MACRO
-    return np.unique(block[:, 0] * n + block[:, 1], return_inverse=True)[1]
+    grid = np.clip(((centroids - lo) / (hi - lo) * n).astype(int), 0, n - 1)
+    levels, side = [np.arange(mesh.num_triangles)], 2
+    while side <= max(4, n / 4):
+        block = grid // side
+        cells = np.unique(block[:, 0] * n + block[:, 1], return_inverse=True)[1]
+        if cells.max() < levels[-1].max():
+            levels.append(cells)
+        side *= 2
+    return np.array(levels[1:])
 
 
-def _entity_positions(mesh: Mesh, macro: np.ndarray, entity: np.ndarray, stress: np.ndarray,
-                      m: int) -> np.ndarray:
+def _entity_positions(mesh: Mesh, cells: np.ndarray, entity: np.ndarray) -> np.ndarray:
     """Positions in a symmetric fill-reducing order of the stress unknowns,
-    numbered by row, then by the mesh entity ``entity`` of each row DOF, and
-    met in ``stress`` (T, 2, n_row_dofs); then the rotations, numbered t m + j.
+    numbered by row, then by the mesh entity ``entity`` of each row DOF.
 
     A Schur complement LU keeps the unknowns of the edges on the boundaries
-    of the macro cells ``macro`` (T,), the domain's boundary included, and
+    of the largest cells ``cells`` (T,), the domain's boundary included, and
     eliminates the rest (`assembly.Level`).  The mesh entities (edges and
     triangles) are ranked by a minimum-degree ordering of the graph with one
-    clique per macro cell of its boundary edges, the column order SuperLU
-    picks for an SPD matrix of that graph (an ordering aid, not a solve LU):
-    the other entities are isolated in it and come first, so the kept edges
-    come last, in the order that the LU keeps.  The stress unknowns follow
-    their entities' ranks, row 0 before row 1.  A triangle's rotation
-    unknowns, whose diagonal block in a Schur complement [[T + s^2 K, C^T],
-    [C, 0]] is zero and which couple only to that triangle's stresses, come
-    right after the first half of them (George, SIAM J. Numer. Anal. 10,
-    1973), so that an LU of the whole complement in this order, which the
-    solver never factors but a reference may, can pivot on its diagonal.
+    clique per cell of its boundary edges, the column order SuperLU picks
+    for an SPD matrix of that graph (an ordering aid, not a solve LU): the
+    other entities are isolated in it and come first, so the kept edges
+    come last among the stresses, in the order that the LU keeps.  The
+    stress unknowns follow their entities' ranks, row 0 before row 1.
     """
     ne, nt = mesh.num_edges, mesh.num_triangles
     inc = mesh.edge_triangles()
-    kept = (inc[:, 1] < 0) | (macro[inc[:, 0]] != macro[inc[:, 1]])
-    tri, local = np.nonzero(kept[mesh.triangle_edges])  # each kept edge once per macro cell
-    cliques = sps.csc_matrix((np.ones(len(tri)), (macro[tri], mesh.triangle_edges[tri, local])),
-                             shape=(macro.max() + 1, ne + nt))
+    kept = (inc[:, 1] < 0) | (cells[inc[:, 0]] != cells[inc[:, 1]])
+    tri, local = np.nonzero(kept[mesh.triangle_edges])  # each kept edge once per cell
+    cliques = sps.csc_matrix((np.ones(len(tri)), (cells[tri], mesh.triangle_edges[tri, local])),
+                             shape=(cells.max() + 1, ne + nt))
     graph = (cliques.T @ cliques + sps.identity(ne + nt)).tocsc()
     rank = splu(graph, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True}).perm_c
-    pos = np.empty(2 * len(entity))
+    pos = np.empty(2 * len(entity), int)
     pos[np.argsort(np.tile(rank[entity], 2), kind="stable")] = np.arange(len(pos))
-    tri = np.sort(pos[stress].reshape(nt, -1), axis=1)
-    median = tri[:, tri.shape[1] // 2 - 1] + 0.5
-    order = np.argsort(np.concatenate([pos, np.repeat(median, m)]), kind="stable")
-    positions = np.empty_like(order)
-    positions[order] = np.arange(len(order))
-    return positions
+    return pos
 
 
 def build_spaces(mesh: Mesh, k: int) -> DiscreteSpaces:
@@ -374,16 +375,15 @@ def build_spaces(mesh: Mesh, k: int) -> DiscreteSpaces:
     row_map = np.concatenate([edge_dofs.reshape(nt, -1),
                               base + np.arange(nt)[:, None] * n_int + np.arange(n_int)], axis=1)
     stress = row_map[:, None, :] + n_row * np.arange(2)[:, None]
-    macro = _macro_cells(mesh)
-    positions = _entity_positions(mesh, macro, entity, stress, m)
+    cells = _cells(mesh)
+    positions = _entity_positions(mesh, cells[-1], entity)
     return DiscreteSpaces(
         mesh=mesh, k=k, stress_exps=poly.monomial_exponents(k), scalar_exps=scalar_exps,
         scalar_coef=scalar_coef, stress_coef=coef, tri_class=tri_class, class_tris=reps,
-        tri_macro=macro,
-        stress_map=positions[stress],
+        tri_cells=cells, stress_map=positions[stress],
         velocity_map=np.arange(2 * nt * m).reshape(nt, 2, m),
-        rotation_map=positions[2 * n_row + np.arange(nt * m).reshape(nt, m)],
-        tri_verts=verts, centers=centers, scales=scales, dets=dets, dim_x=len(positions),
+        rotation_map=2 * n_row + np.arange(nt * m).reshape(nt, m),  # after the stresses
+        tri_verts=verts, centers=centers, scales=scales, dets=dets, dim_x=2 * n_row + nt * m,
     )
 
 

@@ -8,14 +8,16 @@ s^2 K_r on the range of x, E_r(T) = T + C + C^T, passed as its
 RangeOperator, and every product with it is made from its local blocks.
 Its unknowns are eliminated level by level by dense class-block solves
 (`assembly.Level`): each triangle's interior stresses and (k >= 2)
-rotations, then each macro cell's interior, the edges between two of its
-triangles and (k = 1) its rotations.  So the sparse LU is of the
-complement on the edge unknowns of the macro-cell boundaries only (George,
-SIAM J. Numer. Anal. 10, 1973, the bottom levels of nested dissection),
+rotations, then, on cells of 2 x 2, 4 x 4, ... grid cells, each of at most
+four cells below, the edges that its children share and (k = 1) the
+rotations, up to the largest side <= max(4, n / 4) (nested dissection,
+George, SIAM J. Numer. Anal. 10, 1973, with dense fronts, Duff & Reid, ACM
+TOMS 9, 1983).  So the sparse LU is of the complement on the edge unknowns
+of the largest cells' boundaries only, the domain's boundary included,
 gathered through the source maps of their pattern and factored in x's
-order, which the spaces make a minimum-degree order of those edges.  No
-LU is kept with the system: a saddle LU is dropped after its solve, and a
-step LU when `dynamics.integrate` returns.
+order, which the spaces make a minimum-degree order of those edges.  No LU
+is kept with the system: a saddle LU is dropped after its solve, and a step
+LU when `dynamics.integrate` returns.
 """
 
 from __future__ import annotations
@@ -85,8 +87,10 @@ def _condense(level: Level, S: np.ndarray, what: str):
     """Eliminate the unknowns a level's patches do not keep from their class
     blocks S (class, W, W) (Arnold & Brezzi, M2AN 19, 1985; Cockburn,
     Gopalakrishnan & Guzman, Math. Comp. 79, 2010): one dense LU of each
-    class's S_LL by LAPACK's getrf, and X = S_LL^-1 S_LG by its getrs, give
-    the complement S_GG - S_GL X, made symmetric.  Returns it and the
+    class's S_LL by LAPACK's getrf, and X = S_LL^-1 S_LG by its getrs,
+    refined once in working precision (componentwise backward stable where
+    a block is badly scaled, Skeel, Math. Comp. 35, 1980), give the
+    complement S_GG - S_GL X, made symmetric.  Returns it and the
     level's elimination: for each class its LU and the slots of S_LL's rows
     in the order of its row interchanges; S_LG and X (class, nL, nG).  A
     singular S_LL raises SingularSystemError."""
@@ -95,11 +99,13 @@ def _condense(level: Level, S: np.ndarray, what: str):
     X, factors = np.empty_like(S_LG), []
     getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (S,))
     for c in range(len(S) if len(loc) else 0):
-        lu, piv, info = getrf(S[c].T[loc[:, None], loc].T, overwrite_a=True)  # Fortran order
+        S_LL = S[c].T[loc[:, None], loc].T  # Fortran order
+        lu, piv, info = getrf(S_LL)
         if info:
             raise SingularSystemError(f"{what} factorization failed: local block: "
                                       f"class {c} is singular")
         X[c] = getrs(lu, piv, S_LG[c])[0]
+        X[c] += getrs(lu, piv, S_LG[c] - S_LL @ X[c])[0]
         order = loc.tolist()
         for i, j in enumerate(piv.tolist()):  # row i swapped with row j, in turn
             order[i], order[j] = order[j], order[i]
@@ -127,7 +133,7 @@ def _solve_by_class(factors, gathers, b: np.ndarray, out: np.ndarray) -> np.ndar
 def _condensed(op: RangeOperator, K: np.ndarray, s2, what: str):
     """The complement of S_r = E_r(T) + s2 K_r, of E_r(T)'s RangeOperator and
     K_r's blocks, on the unknowns ``op.edge`` that the last of ``op.levels``
-    keeps, by `_condense` at each level, a macro level's blocks summed from
+    keeps, by `_condense` at each level, a cell level's blocks summed from
     the complements below: its CSC matrix on op's pattern, and each level's
     elimination."""
     G, elimination = _condense(op.levels[0], op.blocks + s2 * K, what)
@@ -148,9 +154,9 @@ class SchurLU:
     the reciprocals of M's diagonal, leaving S_r(s) = E_r(T) + s^2 K_r on
     the range of x; each level of E_op eliminates its patches' unknowns by
     their class blocks (`_condensed`): each triangle's interior stresses and
-    (k >= 2) rotations, then each macro cell's unknowns but those on its
-    boundary.  So the one sparse LU is of the complement on the edge
-    unknowns of the macro-cell boundaries, in x's order.
+    (k >= 2) rotations, then, level by level, each cell's unknowns but those
+    on its boundary.  So the one sparse LU is of the complement on the edge
+    unknowns of the largest cells' boundaries, in x's order.
 
     Vectors are (x, velocity).  Solves 1, 2, 4, 8, ... are
     residual-checked against S(s) applied block by block.  The LU lives as
@@ -181,7 +187,7 @@ class SchurLU:
         by the class LUs, and S_GL z taken from the kept unknowns'
         right-hand side; one LU solve; then level by level, down, x_L = z -
         X x_G.  Each kept right-hand side and solution ends in a 0, the
-        value a macro cell's spare slots read."""
+        value a cell's spare slots read."""
         levels = list(zip(self.E_op.levels, self._maps, self._eliminations))
         rhs, zs = [b], []
         for level, (local, front, gathers), (factors, S_LG, _) in levels:
@@ -196,7 +202,7 @@ class SchurLU:
         for (level, (local, front, _), (*_, X)), z, below in zip(levels[::-1], zs[::-1],
                                                               rhs[-2::-1]):
             x_G = x
-            x = np.empty(len(below), np.result_type(z, x_G))
+            x = np.zeros(len(below), np.result_type(z, x_G))
             x[level.kept] = x_G[:-1]
             x[local] = z - _by_class(x_G[front], X.swapaxes(1, 2), level.bounds)
         return x

@@ -206,15 +206,12 @@ def condensed_levels(op, K, s2):
     return out
 
 
-def full_schur_solve(system, blocks, s, rhs):
-    """A solve with S(s) on (x, velocity) through one sparse LU of the whole
-    S_r(s) = E_r(T) + s^2 K_r by scatter-sum, in the entity order with
-    diagonal pivots, its velocity eliminated with the reciprocals of M's
-    diagonal."""
+def full_schur_solve(system, lu, s, rhs):
+    """A solve with S(s) on (x, velocity) through ``lu``, a sparse LU of the
+    whole scatter-summed S_r(s) = E_r(T) + s^2 K_r, its velocity eliminated
+    with the reciprocals of M's diagonal."""
     n, B, minv = system.spaces.dim_x, system.Bmat, 1.0 / system.Mdiag
     w = minv * rhs[n:]
-    lu = spla.splu(scatter_schur_complement(system, blocks, s * s), permc_spec="NATURAL",
-                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     x_r = lu.solve(rhs[:n] - s * (B.T @ w))
     return np.concatenate([x_r, w + s * (minv * (B @ x_r))])
 

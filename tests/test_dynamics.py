@@ -330,7 +330,7 @@ def test_non_finite_radau_step_stops_at_its_step(small_system, monkeypatch):
 @pytest.mark.parametrize("scheme", ["cn", "radau2"])
 def test_step_lu_factors_the_schur_complement(small_system, monkeypatch, scheme):
     # the LU holds the complement of the (sigma, gamma) Schur complement on
-    # the edge unknowns of the macro-cell boundaries only, here the 4 edges
+    # the edge unknowns of the largest cells' boundaries only, here the 4 edges
     # of the n = 1 domain's boundary: the velocity block is eliminated, the
     # diagonal edge and the rotations by class blocks, and RadauIIA needs no
     # real 2N x 2N stage matrix; each integrate call factors its own
@@ -457,17 +457,6 @@ def test_step_order_built_once_per_system(monkeypatch):
     assert all(lu.E_op is system.Eop for lu in lus)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_rotations_follow_half_their_stresses(k):
-    spaces = _eg2_system(4, k).spaces
-    stress = spaces.stress_map.reshape(len(spaces.stress_map), -1)
-    rotation = spaces.rotation_map
-    before = (stress[:, None, :] < rotation[:, :, None]).sum(axis=2)
-    # at least half, and not all: a rotation after all its stresses fills more
-    assert before.min() >= stress.shape[1] // 2
-    assert before.max() < stress.shape[1]
-
-
 @pytest.mark.parametrize("scheme", ["cn", "radau2"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_ordered_step_solve_matches_colamd(k, scheme):
@@ -489,16 +478,22 @@ def test_ordered_step_lu_fill():
     # nonzeros in SuperLU's default COLAMD order and 735,618 (lu.nnz) in the
     # mesh-entity order, and its complement on all 4,800 edge unknowns
     # 490,152; its complement on the 960 unknowns of the 160 edges of the
-    # 4 x 4 macro-cell boundaries, in their structural order, holds 176,064
+    # 4 x 4 cells' boundaries, the largest cells at n = 16, in their
+    # structural order, holds 176,064 (with the 2 x 2 cells eliminated below
+    # them as before)
     lu = dynamics._Stepper(_eg2_system(16, 2), "cn", 1.0 / 16).lu._lu
     assert lu.shape == (960, 960) and lu.nnz == 176_064
+    # at n = 32 the 8 x 8 cells keep the 320 edges of their boundaries:
+    # 1,920 unknowns, where the 4 x 4 cells kept 3,456 with 1,157,760
+    lu = dynamics._Stepper(_eg2_system(32, 2), "cn", 1.0 / 32).lu._lu
+    assert lu.shape == (1920, 1920) and lu.nnz == 702_336
 
 
 @pytest.mark.parametrize("name,n,k,scheme", [("eg2", 8, 2, "cn"), ("eg3", 4, 3, "radau2")])
 def test_step_lu_pivots_on_its_diagonal(name, n, k, scheme):
     # the entity order's symmetric pivot sequence is kept on the complement
-    # on the edge unknowns of the 4 x 4 macro-cell boundaries, 2 n (n / 4 +
-    # 1) edges: SuperLU permutes neither rows nor columns
+    # on the edge unknowns of the 4 x 4 cells' boundaries, 2 n (n / 4 + 1)
+    # edges: SuperLU permutes neither rows nor columns
     import mixedelast as me
     case = builtin_case(name, alpha=2.2 if name == "eg2" else None)
     mesh = me.build_uniform_square_mesh(n)

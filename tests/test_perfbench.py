@@ -41,7 +41,7 @@ def test_benchmark_smoke_pass_ok(name):
 
 # The traced counts of each workload's n=4 pass.  eg2 (k=2, CN) factors the
 # static saddle LU and the step LU, the same 96 x 96 complement on the
-# unknowns of the 16 boundary edges of the one 4 x 4 macro cell (of the 624
+# unknowns of the 16 boundary edges of the one 4 x 4 cell (of the 624
 # stress and rotation unknowns) at two shifts, dense; eg3 (k=3, RadauIIA) has
 # zero initial data and one complex step LU, 128 x 128 (of 1,152).  A CN step
 # calls the body load and the boundary load once, a RadauIIA step each of

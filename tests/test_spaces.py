@@ -3,13 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mixedelast import MixedElastError, build_spaces, l2_project_velocity
+from mixedelast import MixedElastError, build_spaces, build_uniform_square_mesh, l2_project_velocity
 from mixedelast.quadrature import MAX_DEGREE, triangle_rule
 from mixedelast.spaces import _rule_points, _stress_dof_matrices
 
 from _oracles import (canonical_interpolation, l2_project_rotation, refine,
                       stress_div_values, stress_values_at)
 from conftest import make_matrix_field
+from test_mesh import _jittered
 
 
 def test_dimension_examples(spaces_cache):
@@ -28,6 +29,36 @@ def test_dimension_formulas(spaces_cache, mesh_cache, n, k):
     assert sp.dim_stress == 2 * ((k + 1) * m.num_edges + (k**2 - 1) * m.num_triangles)
     assert sp.dim_velocity == m.num_triangles * k * (k + 1)
     assert sp.dim_rotation == sp.dim_velocity // 2
+
+
+# the sides of the cells of each level above the triangles, in grid cells
+CELL_SIDES = {"uniform-1": [2], "uniform-3": [2, 4], "uniform-4": [2, 4], "uniform-6": [2, 4],
+              "uniform-8": [2, 4], "uniform-16": [2, 4], "uniform-32": [2, 4, 8],
+              "uniform-64": [2, 4, 8, 16], "jittered-4": [2, 4]}
+
+
+@pytest.mark.parametrize("mesh", CELL_SIDES)
+def test_cell_levels_follow_the_depth_rule(mesh):
+    # the levels of elimination above the triangles, read from the spaces
+    # alone: cells of side x side grid cells, sides 2, 4, 8, ... up to the
+    # largest with side <= max(4, n / 4), so a 4 x 4 level always and above
+    # it only levels of at least 16 cells; at n = 1 the 4 x 4 level would
+    # repeat the 2 x 2 one and is skipped.  Each level is the partition of
+    # the grid into side x side blocks (smaller at the right and top), and
+    # each cell of the level below lies in one of its cells
+    m = _jittered(4) if mesh == "jittered-4" else build_uniform_square_mesh(int(mesh[8:]))
+    spaces = build_spaces(m, 1)
+    n = round(np.sqrt(m.num_triangles / 2))
+    grid = np.minimum((spaces.centers * n).astype(int), n - 1)
+    assert len(spaces.tri_cells) == len(CELL_SIDES[mesh])
+    below = np.arange(m.num_triangles)
+    for cells, side in zip(spaces.tri_cells, CELL_SIDES[mesh]):
+        key = (grid // side) @ [n, 1]
+        count = cells.max() + 1
+        assert count == int(np.ceil(n / side)) ** 2 == len(np.unique(key))
+        assert len(np.unique(np.column_stack([key, cells]), axis=0)) == count
+        assert len(np.unique(np.column_stack([below, cells]), axis=0)) == below.max() + 1 > count
+        below = cells
 
 
 def test_unsupported_degree(mesh_cache):

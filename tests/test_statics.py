@@ -270,7 +270,7 @@ def test_nonzero_initial_data_factor_the_saddle(spaces_cache, monkeypatch):
     monkeypatch.setattr(statics, "factorize", lambda S, what:
                         calls.append((what, S.shape)) or factorize(S, what))
     init = build_initial_data(case, system)
-    # the LU keeps the stresses of the macro cells' boundary edges only, here
+    # the LU keeps the stresses of the largest cells' boundary edges only, here
     # those of the domain's boundary: k + 1 moments per edge and tensor row
     n_e = 2 * 3 * len(spaces.mesh.boundary_edges)
     assert calls == [("saddle", (n_e, n_e))] and n_e == len(system.Eop.edge) < spaces.dim_x
@@ -428,28 +428,32 @@ def _mesh(name):
     return _jittered(4) if name == "jittered-4" else build_uniform_square_mesh(int(name[8:]))
 
 
-def _check_condensation(got, full, op, G):
+def _check_condensation(got, full, op, levels):
     """The matrix ``got`` that an LU of op's S_r = ``full`` factors against
-    dense condensations, level by level, each at roundoff, 2e-14 relative:
-    the triangles' complements G (class, nG, nG), from one dense solve per
-    triangle class, against one dense solve of all triangles' interiors;
-    the top level's, which eliminates each macro cell's interior from the
-    sums of G, against one elimination of all macro interiors from G's
-    scatter-sum, exact to a few ulps (`dense_condensation`, extended).
+    dense condensations, level by level, each at roundoff, 2e-14 relative.
+    ``levels`` holds each level's complements (class, nG, nG).  The
+    triangles', from one dense solve per triangle class, are checked against
+    one dense solve of all triangles' interiors; each cell level's, which
+    eliminates each cell's interior from the sums of the complements below,
+    against one elimination of all those interiors from the scatter-sum of
+    the level below, exact to a few ulps (`dense_condensation`, extended);
+    the top level's is ``got``.
 
-    That reference starts from G, not from the exact complement of
-    ``full``: each macro cell's interior block S_II has kappa_1 up to 4e5
-    (augmented-Lagrangian shift), and the top complement moves with G's
-    roundoff by up to 30 times as much, as it would in any elimination in
-    double precision; the solve test bounds that end to end.  The worst
-    error is 0.85 of the bound (n = 4, k = 2, the L2 pairing's
+    Each reference starts from the computed level below, not from the exact
+    complement of ``full``: a cell's interior block S_II has kappa_1 up to
+    4e5 (augmented-Lagrangian shift), and a complement moves with the
+    roundoff below it by up to 30 times as much, as it would in any
+    elimination in double precision; the solve test bounds that end to end.
+    The worst error is 0.21 of the bound (jittered-4, k = 3, the triangle
+    level) and 0.08 on a cell level; with X unrefined (`statics._condense`)
+    a 2 x 2 cell's reached 1.02 (n = 6, k = 1, the L2 pairing's
     augmented-Lagrangian shift).  Returns the top level's reference."""
-    first, top = op.levels
-    ref = dense_condensation(full, first.kept)
-    below = scatter_complement(first, G).toarray()
-    assert np.abs(below - ref).max() <= 2e-14 * np.abs(ref).max()
-    ref = dense_condensation(below, top.kept, extended=True)
-    assert np.abs(got.toarray() - ref).max() <= 2e-14 * np.abs(ref).max()
+    ref = dense_condensation(full, op.levels[0].kept)
+    for level, G in zip(op.levels, levels):
+        if level is not op.levels[0]:
+            ref = dense_condensation(below, level.kept, extended=True)
+        below = (got if level is op.levels[-1] else scatter_complement(level, G)).toarray()
+        assert np.abs(below - ref).max() <= 2e-14 * np.abs(ref).max()
     return ref
 
 
@@ -471,7 +475,7 @@ def _bmat_schur_complement(system, T, s):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_schur_pattern_fill_matches_bmat_build(mesh_cache, monkeypatch, k):
     # the matrix each SchurLU factors is the complement of S_r(s) = E_r(T) +
-    # s^2 K_r on the edge unknowns of the macro-cell boundaries: s = 0 (the
+    # s^2 K_r on the edge unknowns of the largest cells' boundaries: s = 0 (the
     # E-product matrix), real CN and complex RadauIIA step shifts with T =
     # A, and the static shifts of both saddle stress blocks (A and the
     # stress mass).  It is gathered onto the system's condensed pattern, so
@@ -479,7 +483,7 @@ def test_schur_pattern_fill_matches_bmat_build(mesh_cache, monkeypatch, k):
     # of the dense condensation of the sparse-product S_r.  The class-block
     # solves and the reference's one dense solve round differently, so they
     # agree to roundoff (`_check_condensation`), not bit for bit; at k = 1
-    # the triangles eliminate nothing and the macro cell every rotation
+    # the triangles eliminate nothing and the 2 x 2 cells every rotation
     case = builtin_case("eg2", alpha=2.2)
     system = assemble(build_spaces(mesh_cache(4), k), case.material,
                       body_force=case.f, dirichlet_velocity=case.g)
@@ -495,7 +499,7 @@ def test_schur_pattern_fill_matches_bmat_build(mesh_cache, monkeypatch, k):
         statics.SchurLU(system, op, s, "test")
         got = factored.pop()
         ref = _check_condensation(got, _bmat_schur_complement(system, T, s), op,
-                                  condensed_levels(op, system.Kblocks, s * s)[0])
+                                  condensed_levels(op, system.Kblocks, s * s))
         assert got.format == "csc" and got.dtype == ref.dtype
         assert np.shares_memory(got.indices, p.indices) and got.has_canonical_format
         assert got.shape == ref.shape == (len(p.edge),) * 2 and got.nnz == len(p.indices)
@@ -511,7 +515,7 @@ def test_gathered_schur_complement_is_e_plus_shifted_k(mesh_cache, k):
     # pattern, real or complex as s is, and equals the complement on the
     # kept edge unknowns of E_r + s^2 K_r, K_r = B^T M^-1 B as a sparse
     # product.  Every rotation is eliminated, with its triangle's interior
-    # stresses for k >= 2 and with its macro cell's interior at k = 1, and
+    # stresses for k >= 2 and with its 2 x 2 cell's interior at k = 1, and
     # took all of S_r's negative inertia: for a real s it is SPD at every k
     case = builtin_case("eg2", alpha=2.2)
     system = assemble(build_spaces(mesh_cache(4), k), case.material)
@@ -523,7 +527,7 @@ def test_gathered_schur_complement_is_e_plus_shifted_k(mesh_cache, k):
         assert [X.dtype for *_, X in eliminations] == [S.dtype] * len(p.levels)
         assert np.shares_memory(S.indices, p.indices) and np.shares_memory(S.indptr, p.indptr)
         _check_condensation(S, E.toarray() + (s * s) * K, p,
-                            condensed_levels(p, system.Kblocks, s * s)[0])
+                            condensed_levels(p, system.Kblocks, s * s))
         if np.isrealobj(s):
             assert np.linalg.eigvalsh(S.toarray()).min() > 0.0
 
@@ -534,7 +538,7 @@ def test_complex_schur_build_allocates_one_value_array(mesh_cache, monkeypatch):
     # once, and no array that grows with the mesh; then its gather allocates
     # its complex values, 16 bytes per entry of the condensed pattern, the
     # maps cast to intp, and temporaries of the shared entries, under a
-    # fifth of them (two macro cells share the entries of an edge's own
+    # fifth of them (two cells share the entries of an edge's own
     # unknowns): no sparse sum, no CSC copy
     import tracemalloc
     case = builtin_case("eg3")
@@ -595,8 +599,9 @@ def test_gathered_matrices_are_the_scatter_sums(k, mesh):
     # scatter-summed S_r(s) (`_check_condensation`); E_r itself, A, C and the
     # L2 pairing.  The maps are int16 where every id of their blocks fits;
     # the jittered mesh has one class per triangle, and on the n = 6 mesh the
-    # macro cells of 4 x 4, 4 x 2, 2 x 4 and 2 x 2 grid cells are four
+    # top cells of 4 x 4, 4 x 2, 2 x 4 and 2 x 2 grid cells are four
     # classes, with spare slots, that share the entries of their common edges
+    # and hold one to four 2 x 2 cells
     # (at k = 1 only: its dense references take seconds at k >= 2)
     spaces = build_spaces(_mesh(mesh), k)
     system = assemble(spaces, MaterialModel(mu=0.7, lambda_=3.0, rho=1.3))
@@ -619,7 +624,7 @@ def test_gathered_matrices_are_the_scatter_sums(k, mesh):
             levels = condensed_levels(op, system.Kblocks, s * s)
             same(got, scatter_complement(top, levels[-1]))
             _check_condensation(got, scatter_schur_complement(system, op.blocks, s * s), op,
-                                levels[0])
+                                levels)
         same(op.tocsr(), scatter_range_matrix(spaces, op))
     E = scatter_range_matrix(spaces, system.Eop)
     row = np.full(spaces.dim_x, 2)
@@ -632,26 +637,28 @@ def test_gathered_matrices_are_the_scatter_sums(k, mesh):
     same(system.Cmat, sps.csr_matrix((E.data[keep], E.indices[keep], indptr), shape=E.shape))
 
 
-@pytest.mark.parametrize("mesh", MESHES)
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k,mesh", [(k, mesh) for mesh in MESHES for k in (1, 2, 3)]
+                         + [(1, "uniform-32")])
 def test_condensed_solve_matches_the_full_schur_lu(mesh, k):
     # SchurLU eliminates each triangle's interior stresses and rotations,
-    # then each macro cell's interior, by their class blocks and factors the
-    # complement on the macro-cell boundaries only; its solve equals one
-    # through a sparse LU of the whole scatter-summed S_r(s) for the CN,
+    # then each cell's interior, level by level, by their class blocks and
+    # factors the complement on the largest cells' boundaries only; its
+    # solve equals one through a sparse LU of the whole scatter-summed
+    # S_r(s), in SuperLU's default order with partial pivoting, for the CN,
     # complex RadauIIA and augmented-Lagrangian shifts, for E_r and for the
-    # L2 pairing, on meshes of one macro cell (n = 1, 3, 4), of smaller
-    # macro cells at the right and top (n = 6) and of four (n = 8), and with
-    # one class per triangle and per macro cell (jittered), to the forward
-    # error a backward-stable solve may have: kappa_1(S_r) eps in the 1-norm
+    # L2 pairing, on meshes of one 4 x 4 cell (n = 1, 3, 4), of smaller
+    # cells at the right and top (n = 6), of four (n = 8) and of 16 8 x 8
+    # cells, three cell levels (n = 32, k = 1), and with one class per
+    # triangle and per cell (jittered), to the forward error a
+    # backward-stable solve may have: kappa_1(S_r) eps in the 1-norm
     # (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 7).
     # kappa_1 takes ||S_r^-1||_1 from Hager's estimator, onenormest with t =
     # 1, which draws no random vectors; it runs from 54 (k = 1) to 4e7 (k =
-    # 3, jittered, augmented Lagrangian), and the worst error is 0.22 of the
-    # bound (n = 8, k = 2, augmented Lagrangian).  Its x_r is backward stable
-    # too: ||S_r x_r - b_r||_1 <= eps (||S_r||_1 ||x_r||_1 + ||b_r||_1), at
-    # most 0.37 of that; a solve through explicit inverses of the macro
-    # interiors reached 25 times it (n = 8, k = 2)
+    # 3, jittered, augmented Lagrangian), and the worst error is 0.06 of the
+    # bound (n = 8, k = 1).  Its x_r is backward stable too: ||S_r x_r -
+    # b_r||_1 <= eps (||S_r||_1 ||x_r||_1 + ||b_r||_1), at most 0.25 of that;
+    # a solve through explicit inverses of the 4 x 4 interiors reached 25
+    # times it (n = 8, k = 2)
     spaces = build_spaces(_mesh(mesh), k)
     system = assemble(spaces, MaterialModel(mu=0.7, lambda_=3.0, rho=1.3))
     rng = np.random.default_rng(k)
@@ -662,10 +669,10 @@ def test_condensed_solve_matches_the_full_schur_lu(mesh, k):
         for s in (0.0625, 0.125 * lam, np.sqrt(rho / mu)):
             b = rhs if np.isrealobj(s) else rhs + 1j * rng.standard_normal(rhs.size)
             got = statics.SchurLU(system, op, s, "test").solve(b)
-            ref = full_schur_solve(system, op.blocks, s, b)
-            assert got.dtype == ref.dtype
             S = scatter_schur_complement(system, op.blocks, s * s)
-            lu = spla.splu(S)
+            lu = spla.splu(S)  # SuperLU's default order, partial pivoting
+            ref = full_schur_solve(system, lu, s, b)
+            assert got.dtype == ref.dtype
             inv = spla.LinearOperator(S.shape, lu.solve, dtype=S.dtype,
                                       rmatvec=lambda y: lu.solve(y, "H"))
             kappa = spla.norm(S, 1) * spla.onenormest(inv, t=1)
@@ -677,8 +684,9 @@ def test_condensed_solve_matches_the_full_schur_lu(mesh, k):
 
 
 # lu.nnz and the factored dimension of each mesh and k: 2 (k + 1) unknowns
-# per edge of the 4 x 4 macro cells' boundaries, the domain's boundary
-# included; one macro cell (n <= 4) leaves a dense complement
+# per edge of the 4 x 4 cells' boundaries, the largest cells for n < 32,
+# the domain's boundary included; one cell (n <= 4) leaves a dense
+# complement
 FILLS = {
     "uniform-1": {1: (272, 16), 2: (600, 24), 3: (1056, 32)},
     "uniform-3": {1: (2352, 48), 2: (5256, 72), 3: (9312, 96)},
@@ -731,7 +739,7 @@ def test_splu_calls_per_schur_lu_and_per_integrate(monkeypatch, mesh):
     # order's splu is an ordering aid, bound at import), each SchurLU once,
     # on its condensed matrix, the initial data once, for the saddle LU, and
     # each integrate call once, for its step LU, on meshes with smaller
-    # macro cells and with one class per macro cell
+    # cells and with one class per cell
     calls, splu = [], spla.splu
     monkeypatch.setattr(spla, "splu", lambda A, *args, **kwargs:
                         calls.append(A.shape) or splu(A, *args, **kwargs))
