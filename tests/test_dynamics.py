@@ -479,8 +479,7 @@ def test_ordered_step_lu_fill():
     # mesh-entity order, and its complement on all 4,800 edge unknowns
     # 490,152; its complement on the 960 unknowns of the 160 edges of the
     # 4 x 4 cells' boundaries, the largest cells at n = 16, in their
-    # structural order, holds 176,064 (with the 2 x 2 cells eliminated below
-    # them as before)
+    # structural order, holds 176,064
     lu = dynamics._Stepper(_eg2_system(16, 2), "cn", 1.0 / 16).lu._lu
     assert lu.shape == (960, 960) and lu.nnz == 176_064
     # at n = 32 the 8 x 8 cells keep the 320 edges of their boundaries:

@@ -441,7 +441,7 @@ def _check_condensation(got, full, op, levels):
 
     Each reference starts from the computed level below, not from the exact
     complement of ``full``: a cell's interior block S_II has kappa_1 up to
-    4e5 (augmented-Lagrangian shift), and a complement moves with the
+    3e5 (augmented-Lagrangian shift), and a complement moves with the
     roundoff below it by up to 30 times as much, as it would in any
     elimination in double precision; the solve test bounds that end to end.
     The worst error is 0.21 of the bound (jittered-4, k = 3, the triangle
