@@ -35,6 +35,7 @@ import numpy as np
 import scipy.sparse as sps
 
 from .errors import ConfigError
+from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
 from .spaces import DiscreteSpaces, _unit_normals
 
@@ -86,7 +87,7 @@ class SeparatedField:
 class Level:
     """One level of elimination by class blocks.  Its patches, the triangles
     at the first level and the cells of 2 x 2, 4 x 4, ... grid cells above
-    it (`spaces._cells`), each hold W unknowns of the level below (x's at
+    it (`_cells`), each hold W unknowns of the level below (x's at
     the first), listed by ``table`` (P, W) in patch rows grouped by class at
     ``bounds``; ``tri`` (P,) is a triangle of each row's patch, which names
     its cell on every level.  ``keep`` (W,) marks the unknowns a patch
@@ -124,6 +125,31 @@ class Level:
         """The kept unknowns of each patch (P, nG) in their numbering 0..N-1,
         a spare slot as N."""
         return np.searchsorted(self.kept, self.table[:, self.keep])
+
+
+def _cells(mesh: Mesh) -> np.ndarray:
+    """The cells of each triangle, (levels, T), each level numbered 0, 1,
+    ...: the blocks of side x side grid cells that hold the centroids, on
+    the n x n grid of the mesh's bounding box with 2 n^2 triangles, the grid
+    of `build_uniform_square_mesh`, which moving its interior vertices a
+    little or refining a coarser one keeps.  Where side does not divide n,
+    the last blocks of each row and column are smaller.  The sides are 2,
+    4, 8, ... up to the largest with side <= max(4, n / 4), so a cell above
+    the first level is at most four cells of the level below, and a level
+    whose every cell holds a single one is skipped (nested dissection,
+    George, SIAM J. Numer. Anal. 10, 1973)."""
+    n = max(1, round(np.sqrt(mesh.num_triangles / 2)))
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+    grid = np.clip(((centroids - lo) / (hi - lo) * n).astype(int), 0, n - 1)
+    levels, side = [np.arange(mesh.num_triangles)], 2
+    while side <= max(4, n / 4):
+        block = grid // side
+        cells = np.unique(block[:, 0] * n + block[:, 1], return_inverse=True)[1]
+        if cells.max() < levels[-1].max():
+            levels.append(cells)
+        side *= 2
+    return np.array(levels[1:])
 
 
 def _macro_level(below: Level, rotation: np.ndarray, cell: np.ndarray) -> Level:
@@ -202,11 +228,11 @@ class RangeOperator:
     ``levels`` of class blocks: each triangle's interior stresses and, where
     they pair with them (k >= 2), its rotations, then, level by level, the
     unknowns that each cell's children share, and the rotations left
-    (`Level`).  It keeps the unknowns of the largest cells' boundary edges
-    at positions `edge` of x; ``indptr``, ``indices``, ``src``,
-    ``dup`` and ``src2`` are the `_pattern` of the top level's complements
-    (class, nG, nG) in their numbering 0..N_e-1.  A system's operators share
-    all but their blocks."""
+    (`Level`).  It keeps the unknowns of the largest cells' boundary edges,
+    ``levels[-1].kept`` of the level below; ``indptr``, ``indices``,
+    ``src``, ``dup`` and ``src2`` are the `_pattern` of the top level's
+    complements (class, nG, nG) in their numbering 0..N_e-1.  A system's
+    operators share all but their blocks."""
 
     blocks: np.ndarray
     table: np.ndarray
@@ -218,14 +244,6 @@ class RangeOperator:
     src: np.ndarray
     dup: np.ndarray
     src2: np.ndarray
-
-    @property
-    def edge(self) -> np.ndarray:
-        """The positions in x of the unknowns that the top level keeps."""
-        positions = self.levels[0].kept
-        for level in self.levels[1:]:
-            positions = positions[level.kept]
-        return positions
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         def product(part):
@@ -412,7 +430,7 @@ def _range_operator(spaces: DiscreteSpaces, blocks: np.ndarray) -> RangeOperator
     rotation, keep = np.arange(ns + m) >= ns, np.concatenate([edge, np.full(m, edge.all())])
     levels = [Level(bounds, table, keep, np.unique(table[:, keep]), order)]
     rotations = rotation[keep]
-    for cells in spaces.tri_cells:  # the first cells eliminate every rotation left
+    for cells in _cells(spaces.mesh):  # the first cells eliminate every rotation left
         levels.append(_macro_level(levels[-1], rotations, cells[levels[-1].tri]))
         rotations = np.zeros(np.count_nonzero(levels[-1].keep), bool)
     top = levels[-1]

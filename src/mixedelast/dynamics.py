@@ -17,11 +17,11 @@ Schur complement of S on the stress and rotation unknowns, statics.SchurLU,
 shared with the static saddle solve, eliminates each triangle's interior
 stresses and rotations, then the interiors of cells of 2 x 2, 4 x 4, ...
 grid cells, level on level, by their class blocks, and factors the rest,
-the edge unknowns of the largest cells' boundaries, by a sparse LU in a
-minimum-degree order of those edges (nested dissection, George, SIAM J.
-Numer. Anal. 10, 1973).  The parts of that LU that every
-scheme and dt share, E_r, K_r = B^T M^-1 B, the diagonal of M and the
-levels of the elimination, are assembled with the system; each
+the edge unknowns of the largest cells' boundaries, by a sparse LU in
+SuperLU's minimum-degree order (nested dissection, George, SIAM J. Numer.
+Anal. 10, 1973, then Liu, ACM TOMS 11, 1985).  The parts of that LU that
+every scheme and dt share, E_r, K_r = B^T M^-1 B, the diagonal of M and
+the levels of the elimination, are assembled with the system; each
 `integrate` call factors its own step LU and frees it when it returns.
 
 Both updates are written with E-products and solves only, so a system's

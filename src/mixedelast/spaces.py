@@ -11,8 +11,6 @@ uniform mesh has two) by inverting the matrix of the DOF functionals.  The edge
 functionals use the global low-to-high edge parameterization and a fixed normal
 per edge, so a shared edge carries the same functionals from both sides and the
 assembled space is H(div)-conforming with no orientation bookkeeping.
-The triangles are grouped into the cells of each level of the solver's
-elimination, 2 x 2, 4 x 4, ... grid cells (`_cells`).
 """
 
 from __future__ import annotations
@@ -21,11 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sps
-# bound by name at import: the entity order's splu is an ordering aid, not a
-# factorization, so a wrapper of scipy.sparse.linalg.splu installed later
-# (a tracer's, say) does not count it as one
-from scipy.sparse.linalg import splu
 
 from . import polynomials as poly
 from .errors import ConfigError, GeometryError
@@ -176,15 +169,14 @@ class DiscreteSpaces:
 
     Global numbering, with m = n_scalar: the stress and rotation unknowns
     share one range of length ``dim_x`` = dim_stress + dim_rotation, the
-    stresses first, in a symmetric mesh-entity order that ends with the
-    edges of the boundaries of the largest cells ``tri_cells[-1]``, in the
-    order in which the solver's sparse LU factors them (see
-    `_entity_positions`), then the rotations; a coefficient vector x of that
+    stresses first, then the rotations; a coefficient vector x of that
     range holds a stress and a rotation at once.
 
     - stress: ``stress_map`` (T, 2, n_row_dofs) gives the position of each
-      local DOF of tensor row r; a shared edge DOF has one position, met
-      from both of its triangles;
+      local DOF of tensor row r, r n_row + e (k + 1) + j for moment j of
+      edge e and r n_row + (k + 1) n_edges + t (k^2 - 1) + i for interior
+      moment i of triangle t, n_row the DOFs of one tensor row; a shared
+      edge DOF has one position, met from both of its triangles;
     - rotation: ``rotation_map`` (T, m), in the same range;
     - velocity: ``velocity_map`` (T, 2, m), t 2m + c m + j for component c,
       a range of its own.
@@ -203,7 +195,6 @@ class DiscreteSpaces:
     stress_coef: np.ndarray      # (n_classes, n_row_dofs, 2 * n_mono)
     tri_class: np.ndarray        # (T,) class of each triangle
     class_tris: np.ndarray       # (n_classes,) one triangle of each class
-    tri_cells: np.ndarray        # (levels, T) cell of each triangle per level
     stress_map: np.ndarray       # (T, 2, n_row_dofs)
     velocity_map: np.ndarray     # (T, 2, n_scalar)
     rotation_map: np.ndarray     # (T, n_scalar)
@@ -301,86 +292,33 @@ class DiscreteSpaces:
         return np.einsum("tj,jq->tq", x[self.rotation_map], self.scalar_values(rule))
 
 
-def _cells(mesh: Mesh) -> np.ndarray:
-    """The cells of each triangle, (levels, T), each level numbered 0, 1,
-    ...: the blocks of side x side grid cells that hold the centroids, on
-    the n x n grid of the mesh's bounding box with 2 n^2 triangles, the grid
-    of `build_uniform_square_mesh`, which moving its interior vertices a
-    little or refining a coarser one keeps.  Where side does not divide n,
-    the last blocks of each row and column are smaller.  The sides are 2,
-    4, 8, ... up to the largest with side <= max(4, n / 4), so a cell above
-    the first level is at most four cells of the level below, and a level
-    whose every cell holds a single one is skipped (nested dissection,
-    George, SIAM J. Numer. Anal. 10, 1973)."""
-    n = max(1, round(np.sqrt(mesh.num_triangles / 2)))
-    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
-    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    grid = np.clip(((centroids - lo) / (hi - lo) * n).astype(int), 0, n - 1)
-    levels, side = [np.arange(mesh.num_triangles)], 2
-    while side <= max(4, n / 4):
-        block = grid // side
-        cells = np.unique(block[:, 0] * n + block[:, 1], return_inverse=True)[1]
-        if cells.max() < levels[-1].max():
-            levels.append(cells)
-        side *= 2
-    return np.array(levels[1:])
-
-
-def _entity_positions(mesh: Mesh, cells: np.ndarray, entity: np.ndarray) -> np.ndarray:
-    """Positions in a symmetric fill-reducing order of the stress unknowns,
-    numbered by row, then by the mesh entity ``entity`` of each row DOF.
-
-    A Schur complement LU keeps the unknowns of the edges on the boundaries
-    of the largest cells ``cells`` (T,), the domain's boundary included, and
-    eliminates the rest (`assembly.Level`).  The mesh entities (edges and
-    triangles) are ranked by a minimum-degree ordering of the graph with one
-    clique per cell of its boundary edges, the column order SuperLU picks
-    for an SPD matrix of that graph (an ordering aid, not a solve LU): the
-    other entities are isolated in it and come first, so the kept edges
-    come last among the stresses, in the order that the LU keeps.  The
-    stress unknowns follow their entities' ranks, row 0 before row 1.
-    """
-    ne, nt = mesh.num_edges, mesh.num_triangles
-    inc = mesh.edge_triangles()
-    kept = (inc[:, 1] < 0) | (cells[inc[:, 0]] != cells[inc[:, 1]])
-    tri, local = np.nonzero(kept[mesh.triangle_edges])  # each kept edge once per cell
-    cliques = sps.csc_matrix((np.ones(len(tri)), (cells[tri], mesh.triangle_edges[tri, local])),
-                             shape=(cells.max() + 1, ne + nt))
-    graph = (cliques.T @ cliques + sps.identity(ne + nt)).tocsc()
-    rank = splu(graph, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True}).perm_c
-    pos = np.empty(2 * len(entity), int)
-    pos[np.argsort(np.tile(rank[entity], 2), kind="stable")] = np.arange(len(pos))
-    return pos
-
-
 def build_spaces(mesh: Mesh, k: int) -> DiscreteSpaces:
     """Build the degree-k triple on a mesh; k must be 1, 2, or 3."""
     if k not in SUPPORTED_DEGREES:
         raise ConfigError(f"unsupported degree k={k}; expected one of {SUPPORTED_DEGREES}")
     verts, nt = mesh.vertices[mesh.triangles], mesh.num_triangles
-    # a class: the same edge vectors, as stored, and the same edge signs
-    key = np.column_stack([(verts[:, 1:] - verts[:, :1]).reshape(nt, 4), mesh.edge_signs])
+    # a class: the same edge vectors and the same edge signs; the vectors are
+    # divided by the largest absolute component of them all and rounded, so
+    # that roundoff in the vertices does not split a class (+ 0.0 folds -0.0)
+    edges = (verts[:, 1:] - verts[:, :1]).reshape(nt, 4)
+    key = np.column_stack([np.round(edges / np.abs(edges).max(), 12) + 0.0, mesh.edge_signs])
     _, reps, tri_class = np.unique(key, axis=0, return_index=True, return_inverse=True)
     dof = _stress_dof_matrices(k, verts[reps], mesh.edge_signs[reps], 2 * k + 2)
     coef = np.transpose(np.linalg.inv(dof), (0, 2, 1))
     centers, scales, dets, _ = _triangle_geometry(verts)
     scalar_exps, scalar_coef = poly.orthonormal_scalar_basis(k - 1)
 
-    m, ne, n_int = len(scalar_exps), mesh.num_edges, k**2 - 1
-    # the entity of each DOF of one tensor row: k + 1 per edge, then n_int per triangle
-    entity = np.concatenate([np.repeat(np.arange(ne), k + 1), ne + np.repeat(np.arange(nt), n_int)])
-    base, n_row = (k + 1) * ne, len(entity)
+    m, n_int = len(scalar_exps), k**2 - 1
+    # one tensor row's DOFs: k + 1 per edge, then n_int per triangle
+    base = (k + 1) * mesh.num_edges
+    n_row = base + n_int * nt
     edge_dofs = mesh.triangle_edges[:, :, None] * (k + 1) + np.arange(k + 1)
     row_map = np.concatenate([edge_dofs.reshape(nt, -1),
                               base + np.arange(nt)[:, None] * n_int + np.arange(n_int)], axis=1)
-    stress = row_map[:, None, :] + n_row * np.arange(2)[:, None]
-    cells = _cells(mesh)
-    positions = _entity_positions(mesh, cells[-1], entity)
     return DiscreteSpaces(
         mesh=mesh, k=k, stress_exps=poly.monomial_exponents(k), scalar_exps=scalar_exps,
         scalar_coef=scalar_coef, stress_coef=coef, tri_class=tri_class, class_tris=reps,
-        tri_cells=cells, stress_map=positions[stress],
+        stress_map=row_map[:, None, :] + n_row * np.arange(2)[:, None],
         velocity_map=np.arange(2 * nt * m).reshape(nt, 2, m),
         rotation_map=2 * n_row + np.arange(nt * m).reshape(nt, m),  # after the stresses
         tri_verts=verts, centers=centers, scales=scales, dets=dets, dim_x=2 * n_row + nt * m,

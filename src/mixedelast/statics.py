@@ -14,10 +14,10 @@ rotations, up to the largest side <= max(4, n / 4) (nested dissection,
 George, SIAM J. Numer. Anal. 10, 1973, with dense fronts, Duff & Reid, ACM
 TOMS 9, 1983).  So the sparse LU is of the complement on the edge unknowns
 of the largest cells' boundaries only, the domain's boundary included,
-gathered through the source maps of their pattern and factored in x's
-order, which the spaces make a minimum-degree order of those edges.  No LU
-is kept with the system: a saddle LU is dropped after its solve, and a step
-LU when `dynamics.integrate` returns.
+gathered through the source maps of their pattern and factored by
+`factorize` in SuperLU's own minimum-degree order.  No LU is kept with the
+system: a saddle LU is dropped after its solve, and a step LU when
+`dynamics.integrate` returns.
 """
 
 from __future__ import annotations
@@ -50,13 +50,14 @@ class InitialData:
 
 
 def factorize(S: sps.spmatrix, what: str):
-    """Sparse LU of a condensed Schur complement S built in x's order, which
-    keeps that order and pivots on the diagonal; a singular S raises
-    SingularSystemError.  S holds edge unknowns only: for a real shift it is
-    SPD at every k (the eliminated rotations took all negative inertia), so
-    in exact arithmetic every diagonal pivot is positive."""
+    """Sparse LU of a condensed Schur complement S in SuperLU's minimum-degree
+    order of S + S^T (Liu, ACM TOMS 11, 1985), applied symmetrically, with
+    diagonal pivots; a singular S raises SingularSystemError.  S holds edge
+    unknowns only: for a real shift it is SPD at every k (the eliminated
+    rotations took all negative inertia), so in exact arithmetic every
+    diagonal pivot is positive and the order sets the fill alone."""
     try:
-        return spla.splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+        return spla.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularSystemError(f"{what} factorization failed: {exc}") from exc
@@ -132,9 +133,9 @@ def _solve_by_class(factors, gathers, b: np.ndarray, out: np.ndarray) -> np.ndar
 
 def _condensed(op: RangeOperator, K: np.ndarray, s2, what: str):
     """The complement of S_r = E_r(T) + s2 K_r, of E_r(T)'s RangeOperator and
-    K_r's blocks, on the unknowns ``op.edge`` that the last of ``op.levels``
-    keeps, by `_condense` at each level, a cell level's blocks summed from
-    the complements below: its CSC matrix on op's pattern, and each level's
+    K_r's blocks, on the unknowns that the last of ``op.levels`` keeps, by
+    `_condense` at each level, a cell level's blocks summed from the
+    complements below: its CSC matrix on op's pattern, and each level's
     elimination."""
     G, elimination = _condense(op.levels[0], op.blocks + s2 * K, what)
     eliminations = [elimination]
@@ -156,7 +157,7 @@ class SchurLU:
     their class blocks (`_condensed`): each triangle's interior stresses and
     (k >= 2) rotations, then, level by level, each cell's unknowns but those
     on its boundary.  So the one sparse LU is of the complement on the edge
-    unknowns of the largest cells' boundaries, in x's order.
+    unknowns of the largest cells' boundaries (`factorize`).
 
     Vectors are (x, velocity).  Solves 1, 2, 4, 8, ... are
     residual-checked against S(s) applied block by block.  The LU lives as

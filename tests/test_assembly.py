@@ -481,8 +481,8 @@ def test_range_pattern_does_not_depend_on_values(mesh_cache, k, which):
         for op in (E, K):
             assert np.array_equal(op.indptr, first_E.indptr)
             assert np.array_equal(op.indices, first_E.indices)
-        for a, b in zip(pattern_arrays(system.Eop) + [system.Eop.edge],
-                        pattern_arrays(first) + [first.edge]):
+        for a, b in zip(pattern_arrays(system.Eop) + [lv.kept for lv in system.Eop.levels],
+                        pattern_arrays(first) + [lv.kept for lv in first.levels]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         Et = E.T.tocsr()
         Et.sort_indices()

@@ -341,7 +341,7 @@ def test_step_lu_factors_the_schur_complement(small_system, monkeypatch, scheme)
                         calls.append((what, S.shape)) or factorize(S, what))
     integrate(system, init, scheme, 0.1, 0.1)
     integrate(system, init, scheme, 0.1, 0.1)
-    n_e = len(system.Eop.edge)
+    n_e = len(system.Eop.levels[-1].kept)
     assert calls == [("step", (n_e, n_e))] * 2 and n_e == 4 * 2 * 2 < spaces.dim_x
 
 
@@ -427,32 +427,17 @@ def _eg2_system(n, k):
 
 
 def test_step_order_built_once_per_system(monkeypatch):
-    # build_spaces orders the mesh entities once; the initial data, both
-    # schemes and every dt of a system factor in that numbering with no
-    # ordering of their own, and the saddle LU and the step LUs share its E_r
-    import scipy.sparse.linalg as spla
-    import mixedelast.spaces
+    # the initial data, both schemes and every dt of a system factor with
+    # the levels built once with it, and the saddle LU and the step LUs
+    # share its E_r
     case = builtin_case("eg2", alpha=2.2)
-    orderings = []
-
-    def counting(splu):
-        def splu_counted(A, *args, **kwargs):
-            if kwargs.get("permc_spec") == "MMD_AT_PLUS_A":
-                orderings.append(A.shape)
-            return splu(A, *args, **kwargs)
-        return splu_counted
-
-    monkeypatch.setattr(mixedelast.spaces, "splu", counting(mixedelast.spaces.splu))
-    monkeypatch.setattr(spla, "splu", counting(spla.splu))
     system = _eg2_system(2, 2)
-    assert len(orderings) == 1
     lus, schur_lu = [], statics.SchurLU.__init__
     monkeypatch.setattr(statics.SchurLU, "__init__",
                         lambda lu, *args: lus.append(lu) or schur_lu(lu, *args))
     init = build_initial_data(case, system)
     for scheme, dt in (("cn", 0.5), ("radau2", 0.5), ("cn", 0.25)):
         integrate(system, init, scheme, dt, 0.5)
-    assert len(orderings) == 1
     assert [lu._what for lu in lus] == ["saddle", "step", "step", "step"]
     assert all(lu.E_op is system.Eop for lu in lus)
 
@@ -475,11 +460,11 @@ def test_ordered_step_solve_matches_colamd(k, scheme):
 
 def test_ordered_step_lu_fill():
     # eg2, k=2, n=16, dt=1/16: the whole 9,408 x 9,408 S_r held 2,957,511 L+U
-    # nonzeros in SuperLU's default COLAMD order and 735,618 (lu.nnz) in the
-    # mesh-entity order, and its complement on all 4,800 edge unknowns
-    # 490,152; its complement on the 960 unknowns of the 160 edges of the
-    # 4 x 4 cells' boundaries, the largest cells at n = 16, in their
-    # structural order, holds 176,064
+    # nonzeros in SuperLU's default COLAMD order and 735,618 (lu.nnz) in a
+    # minimum-degree order of the mesh entities, and its complement on all
+    # 4,800 edge unknowns 490,152; its complement on the 960 unknowns of the
+    # 160 edges of the 4 x 4 cells' boundaries, the largest cells at n = 16,
+    # in SuperLU's minimum-degree order, holds 176,064
     lu = dynamics._Stepper(_eg2_system(16, 2), "cn", 1.0 / 16).lu._lu
     assert lu.shape == (960, 960) and lu.nnz == 176_064
     # at n = 32 the 8 x 8 cells keep the 320 edges of their boundaries:
@@ -490,18 +475,18 @@ def test_ordered_step_lu_fill():
 
 @pytest.mark.parametrize("name,n,k,scheme", [("eg2", 8, 2, "cn"), ("eg3", 4, 3, "radau2")])
 def test_step_lu_pivots_on_its_diagonal(name, n, k, scheme):
-    # the entity order's symmetric pivot sequence is kept on the complement
-    # on the edge unknowns of the 4 x 4 cells' boundaries, 2 n (n / 4 + 1)
-    # edges: SuperLU permutes neither rows nor columns
+    # the complement on the edge unknowns of the 4 x 4 cells' boundaries,
+    # 2 n (n / 4 + 1) edges, is factored with diagonal pivots: SuperLU
+    # permutes the rows as it orders the columns
     import mixedelast as me
     case = builtin_case(name, alpha=2.2 if name == "eg2" else None)
     mesh = me.build_uniform_square_mesh(n)
     system = assemble(me.build_spaces(mesh, k), case.material, body_force=case.f,
                       dirichlet_velocity=case.g)
     lu = dynamics._Stepper(system, scheme, 1.0 / n).lu._lu
-    assert lu.shape == (len(system.Eop.edge),) * 2 == (2 * (k + 1) * 2 * n * (n // 4 + 1),) * 2
-    identity = np.arange(lu.shape[0])
-    assert np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)
+    assert lu.shape == (len(system.Eop.levels[-1].kept),) * 2
+    assert lu.shape == (2 * (k + 1) * 2 * n * (n // 4 + 1),) * 2
+    assert np.array_equal(lu.perm_r, lu.perm_c)
 
 
 def test_step_residual_checked_on_a_doubling_cadence(monkeypatch):

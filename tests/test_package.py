@@ -59,26 +59,40 @@ def test_private_scipy_guard_catches_each_form():
 _DTYPE_TESTS = {"iscomplexobj", "isrealobj"}
 
 
-def _dtype_tests(tree: ast.AST, scope: str = ""):
-    """The scope (dotted function and class names) of every reference to
-    np.iscomplexobj or np.isrealobj in a module, by any alias."""
+def _scopes(tree: ast.AST, names: set, scope: str = ""):
+    """The scope (dotted function and class names) of every reference to one
+    of ``names`` in a module, by any alias: an attribute, a name or an
+    imported name."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _dtype_tests(node, f"{scope}.{node.name}".lstrip("."))
+            yield from _scopes(node, names, f"{scope}.{node.name}".lstrip("."))
             continue
-        if (isinstance(node, ast.Attribute) and node.attr in _DTYPE_TESTS
-                or isinstance(node, ast.Name) and node.id in _DTYPE_TESTS
-                or isinstance(node, ast.alias) and node.name in _DTYPE_TESTS):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                or isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.alias) and node.name in names):
             yield scope
-        yield from _dtype_tests(node, scope)
+        yield from _scopes(node, names, scope)
+
+
+def _package_scopes(names: set) -> set:
+    """The scopes, by module, of every reference to ``names`` in the package."""
+    return {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+            for scope in _scopes(ast.parse(path.read_text()), names)}
 
 
 def test_one_function_branches_on_a_complex_vector():
     # a real operator meets a complex vector through assembly._by_parts only,
     # so that no second copy of the part-by-part product comes back
-    found = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
-             for scope in _dtype_tests(ast.parse(path.read_text()))}
-    assert found == {"assembly._by_parts"}
-    assert list(_dtype_tests(ast.parse(
+    assert _package_scopes(_DTYPE_TESTS) == {"assembly._by_parts"}
+    assert list(_scopes(ast.parse(
         "from numpy import isrealobj\nclass A:\n    def f(self, x):\n"
-        "        return np.iscomplexobj(x)"))) == ["", "A.f"]
+        "        return np.iscomplexobj(x)"), _DTYPE_TESTS)) == ["", "A.f"]
+
+
+def test_one_function_orders_and_factors():
+    # statics.factorize is the package's one sparse LU and picks its order:
+    # no other module orders the unknowns for it, with an LU of its own
+    assert _package_scopes({"splu"}) == {"statics.factorize"}
+    assert list(_scopes(ast.parse(
+        "from scipy.sparse.linalg import splu\nimport scipy.sparse.linalg as spla\n"
+        "def f(A):\n    return spla.splu(A)"), {"splu"})) == ["", "f"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mixedelast import MixedElastError, build_spaces, build_uniform_square_mesh, l2_project_velocity
+from mixedelast.assembly import _cells
 from mixedelast.quadrature import MAX_DEGREE, triangle_rule
 from mixedelast.spaces import _rule_points, _stress_dof_matrices
 
@@ -39,7 +40,7 @@ CELL_SIDES = {"uniform-1": [2], "uniform-3": [2, 4], "uniform-4": [2, 4], "unifo
 
 @pytest.mark.parametrize("mesh", CELL_SIDES)
 def test_cell_levels_follow_the_depth_rule(mesh):
-    # the levels of elimination above the triangles, read from the spaces
+    # the levels of elimination above the triangles, read from the mesh
     # alone: cells of side x side grid cells, sides 2, 4, 8, ... up to the
     # largest with side <= max(4, n / 4), so a 4 x 4 level always and above
     # it only levels of at least 16 cells; at n = 1 the 4 x 4 level would
@@ -50,9 +51,10 @@ def test_cell_levels_follow_the_depth_rule(mesh):
     spaces = build_spaces(m, 1)
     n = round(np.sqrt(m.num_triangles / 2))
     grid = np.minimum((spaces.centers * n).astype(int), n - 1)
-    assert len(spaces.tri_cells) == len(CELL_SIDES[mesh])
+    levels = _cells(m)
+    assert len(levels) == len(CELL_SIDES[mesh])
     below = np.arange(m.num_triangles)
-    for cells, side in zip(spaces.tri_cells, CELL_SIDES[mesh]):
+    for cells, side in zip(levels, CELL_SIDES[mesh]):
         key = (grid // side) @ [n, 1]
         count = cells.max() + 1
         assert count == int(np.ceil(n / side)) ** 2 == len(np.unique(key))
@@ -78,12 +80,22 @@ def test_reference_element_counts(spaces_cache, k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_stress_and_rotation_maps_number_one_range(spaces_cache, mesh_cache, k):
     # every index of range(dim_stress + dim_rotation) belongs to exactly one
-    # field, and a shared edge DOF has one index, met from both triangles
+    # field, and a shared edge DOF has one index, met from both triangles;
+    # the numbering is plain: tensor row r, then moment j of edge e at
+    # r n_row + e (k + 1) + j, the interiors after the edges, triangle by
+    # triangle, and the rotations after the stresses
     sp, mesh = spaces_cache(4, k), mesh_cache(4)
     stress, rotation = np.unique(sp.stress_map), sp.rotation_map.ravel()
     assert len(stress) == sp.dim_stress and len(rotation) == sp.dim_rotation
     assert np.array_equal(np.sort(np.concatenate([stress, rotation])),
                           np.arange(sp.dim_stress + sp.dim_rotation))
+    n_row, n_int, ne = sp.dim_stress // 2, k**2 - 1, mesh.num_edges
+    edges = mesh.triangle_edges[:, :, None] * (k + 1) + np.arange(k + 1)
+    interiors = (k + 1) * ne + np.arange(mesh.num_triangles)[:, None] * n_int + np.arange(n_int)
+    row = np.concatenate([edges.reshape(len(edges), -1), interiors], axis=1)
+    for r in range(2):
+        assert np.array_equal(sp.stress_map[:, r], r * n_row + row)
+    assert np.array_equal(rotation, sp.dim_stress + np.arange(sp.dim_rotation))
 
     def edge_dofs(t, e):
         first = list(mesh.triangle_edges[t]).index(e) * (k + 1)
@@ -100,9 +112,10 @@ def test_stress_and_rotation_maps_number_one_range(spaces_cache, mesh_cache, k):
     assert np.count_nonzero(seen == 1) == sp.dim_stress - shared
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 32])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12, 32])
 def test_uniform_mesh_has_two_triangle_classes(mesh_cache, n):
-    # the two halves of a grid cell: every triangle is a translate of one
+    # the two halves of a grid cell: every triangle is a translate of one,
+    # also where n is not a power of two and the vertices carry roundoff
     sp = build_spaces(mesh_cache(n), 1)
     assert sp.stress_coef.shape[0] == len(sp.class_tris) == 2
     assert np.array_equal(np.unique(sp.tri_class), [0, 1])

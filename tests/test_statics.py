@@ -273,7 +273,8 @@ def test_nonzero_initial_data_factor_the_saddle(spaces_cache, monkeypatch):
     # the LU keeps the stresses of the largest cells' boundary edges only, here
     # those of the domain's boundary: k + 1 moments per edge and tensor row
     n_e = 2 * 3 * len(spaces.mesh.boundary_edges)
-    assert calls == [("saddle", (n_e, n_e))] and n_e == len(system.Eop.edge) < spaces.dim_x
+    assert calls == [("saddle", (n_e, n_e))] and n_e == len(system.Eop.levels[-1].kept)
+    assert n_e < spaces.dim_x
     assert np.array_equal(init.x0, x)
 
 
@@ -417,8 +418,8 @@ def test_saddle_lu_pivots_on_its_diagonal(spaces_cache, monkeypatch):
     monkeypatch.setattr(statics, "factorize", lambda S, what:
                         lus.append(factorize(S, what)) or lus[-1])
     build_initial_data(case, system)
-    (lu,) = lus
-    assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))
+    (lu,) = lus  # the row order is the column order: diagonal pivots
+    assert np.array_equal(lu.perm_r, lu.perm_c)
 
 
 MESHES = ["uniform-1", "uniform-3", "uniform-4", "uniform-6", "uniform-8", "jittered-4"]
@@ -502,7 +503,8 @@ def test_schur_pattern_fill_matches_bmat_build(mesh_cache, monkeypatch, k):
                                   condensed_levels(op, system.Kblocks, s * s))
         assert got.format == "csc" and got.dtype == ref.dtype
         assert np.shares_memory(got.indices, p.indices) and got.has_canonical_format
-        assert got.shape == ref.shape == (len(p.edge),) * 2 and got.nnz == len(p.indices)
+        assert got.shape == ref.shape == (len(p.levels[-1].kept),) * 2
+        assert got.nnz == len(p.indices)
         pattern = sps.csc_matrix((np.ones(got.nnz), got.indices, got.indptr), shape=got.shape)
         assert not ref[pattern.toarray() == 0.0].any()
     ref = _bmat_schur_complement(system, A, 0.0).toarray()
@@ -735,8 +737,7 @@ def test_singular_local_block_raises_when_the_lu_is_built(spaces_cache, monkeypa
 @pytest.mark.parametrize("mesh", ["uniform-6", "jittered-4"])
 def test_splu_calls_per_schur_lu_and_per_integrate(monkeypatch, mesh):
     # a tracer of scipy.sparse.linalg.splu counts each call as one
-    # factorization: building the spaces calls it never (their entity
-    # order's splu is an ordering aid, bound at import), each SchurLU once,
+    # factorization: building the spaces calls it never, each SchurLU once,
     # on its condensed matrix, the initial data once, for the saddle LU, and
     # each integrate call once, for its step LU, on meshes with smaller
     # cells and with one class per cell
@@ -746,7 +747,7 @@ def test_splu_calls_per_schur_lu_and_per_integrate(monkeypatch, mesh):
     case = builtin_case("eg2", alpha=2.2)
     system = assemble(build_spaces(_mesh(mesh), 2), case.material, body_force=case.f,
                       dirichlet_velocity=case.g)
-    n_e = len(system.Eop.edge)
+    n_e = len(system.Eop.levels[-1].kept)
     assert calls == [] and n_e >= 1
     for s in (0.25, 0.25 * complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)):
         statics.SchurLU(system, system.Eop, s, "test")
@@ -780,6 +781,6 @@ def test_one_sparse_factorization_per_schur_lu(mesh_cache, monkeypatch):
             integrate(system, init, scheme, 0.5, 0.5)
         sigma, div_sigma = make_matrix_field(np.random.default_rng(k))
         elliptic_projection(system, sigma, div_sigma)
-        n_e = len(system.Eop.edge)
+        n_e = len(system.Eop.levels[-1].kept)
         assert factored == [(n_e, n_e)] * 4 and len(lus) == 4
         factored.clear(), lus.clear()
