@@ -7,7 +7,7 @@ from .errors import ConfigError, GeometryError, MixedElastError, SingularSystemE
 from .mesh import Mesh, build_uniform_square_mesh, mesh_diameter
 from .quadrature import QuadratureRule, edge_rule, triangle_rule
 from .spaces import DiscreteSpaces, build_spaces, l2_project_velocity
-from .statics import InitialData, build_initial_data, elliptic_projection, infsup_constant
+from .statics import InitialData, build_initial_data, infsup_constant
 from .verification import (ConvergenceTable, MmsCase, builtin_case, convergence_study,
                            l2_error, locking_study, run_case)
 

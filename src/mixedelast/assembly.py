@@ -193,8 +193,7 @@ def _macro_level(below: Level, rotation: np.ndarray, cell: np.ndarray) -> Level:
     key = np.full((len(size), R * (1 + nG)), -1)
     key[row_cell, col] = row_class
     key[row_cell[:, None], R + nG * col[:, None] + np.arange(nG)] = pos
-    rows_as_bytes = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
-    _, reps, mclass = np.unique(rows_as_bytes, return_index=True, return_inverse=True)
+    _, reps, mclass = np.unique(key, axis=0, return_index=True, return_inverse=True)
     W, by_class = nI + nB, np.argsort(mclass, kind="stable")
     table = np.full((len(size), W), N)
     table[cell, rank] = unknown

@@ -141,7 +141,7 @@ class _Stepper:
 
     def __init__(self, system: BlockSystem, scheme: str, dt: float):
         self.system, self.scheme, self.dt = system, scheme, dt
-        self.lu = statics.SchurLU(system, system.Eop, dt * _SHIFT[scheme], "step")
+        self.lu = statics.SchurLU(system, dt * _SHIFT[scheme], "step")
         self.n = system.spaces.dim_x
 
     def eprod(self, y: np.ndarray) -> np.ndarray:

@@ -274,8 +274,7 @@ class DiscreteSpaces:
         sampled at rule points against the P_{k-1} basis.  For vals (2, T,
         nq) they are a V_h vector in global order; for vals (T, nq) they
         come out in ``rotation_map.ravel()`` order, and a K_h vector is
-        x[rotation_map.ravel()] = moments (as `statics.elliptic_projection`
-        scatters them)."""
+        x[rotation_map.ravel()] = moments."""
         return np.einsum("tq,jq,...tq->t...j", W, self.scalar_values(rule), vals).ravel()
 
     def stress_values(self, x: np.ndarray, rule: QuadratureRule) -> np.ndarray:

@@ -1,11 +1,11 @@
-"""Elastostatic saddle solves, the weakly symmetric elliptic projection,
-discrete initial data, and the Schur-complement LU the time steps share.
+"""Elastostatic saddle solves, discrete initial data, and the
+Schur-complement LU the time steps share.
 
 Every LU, static or time step, is of one family per system and stress
 block T: the Schur complements S_r(s) = [[T + s^2 K, C^T], [C, 0]], with
 K = B^T M^-1 B, on the stress and rotation unknowns x.  S_r(s) is E_r(T) +
-s^2 K_r on the range of x, E_r(T) = T + C + C^T, passed as its
-RangeOperator, and every product with it is made from its local blocks.
+s^2 K_r on the range of x, E_r(T) = T + C + C^T, the RangeOperator a system
+holds as ``Eop``, and every product with it is made from its local blocks.
 Its unknowns are eliminated level by level by dense class-block solves
 (`assembly.Level`): each triangle's interior stresses and (k >= 2)
 rotations, then, on cells of 2 x 2, 4 x 4, ... grid cells, each of at most
@@ -24,17 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .assembly import (BlockSystem, Level, RangeOperator, _by_class, _by_parts, _gather,
-                       assemble_body_load, assemble_dirichlet_load, l2_pairing)
+from .assembly import (BlockSystem, Level, _by_class, _by_parts, _gather, assemble_body_load,
+                       assemble_dirichlet_load, l2_pairing)
 from .errors import SingularSystemError
-from .quadrature import triangle_rule
 from .spaces import l2_project_velocity
 
 
@@ -131,13 +129,14 @@ def _solve_by_class(factors, gathers, b: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
-def _condensed(op: RangeOperator, K: np.ndarray, s2, what: str):
-    """The complement of S_r = E_r(T) + s2 K_r, of E_r(T)'s RangeOperator and
-    K_r's blocks, on the unknowns that the last of ``op.levels`` keeps, by
-    `_condense` at each level, a cell level's blocks summed from the
-    complements below: its CSC matrix on op's pattern, and each level's
+def _condensed(system: BlockSystem, s2, what: str):
+    """The complement of S_r = E_r(T) + s2 K_r, of the system's E_r(T)
+    (``Eop``) and K_r blocks, on the unknowns that the last of its levels
+    keeps, by `_condense` at each level, a cell level's blocks summed from
+    the complements below: its CSC matrix on Eop's pattern, and each level's
     elimination."""
-    G, elimination = _condense(op.levels[0], op.blocks + s2 * K, what)
+    op = system.Eop
+    G, elimination = _condense(op.levels[0], op.blocks + s2 * system.Kblocks, what)
     eliminations = [elimination]
     for level in op.levels[1:]:
         G, elimination = _condense(level, level.blocks(G), what)
@@ -149,38 +148,36 @@ def _condensed(op: RangeOperator, K: np.ndarray, s2, what: str):
 
 class SchurLU:
     """Solver of S(s) = [[T, s B^T, C^T], [-s B, M, 0], [C, 0, 0]] on the
-    (stress, velocity, rotation) unknowns of a system, for a stress block T,
-    given by the RangeOperator E_op of its E_r(T) on the system's table and
-    pattern, and a real or complex shift s.  The velocity is eliminated with
-    the reciprocals of M's diagonal, leaving S_r(s) = E_r(T) + s^2 K_r on
-    the range of x; each level of E_op eliminates its patches' unknowns by
-    their class blocks (`_condensed`): each triangle's interior stresses and
-    (k >= 2) rotations, then, level by level, each cell's unknowns but those
-    on its boundary.  So the one sparse LU is of the complement on the edge
-    unknowns of the largest cells' boundaries (`factorize`).
+    (stress, velocity, rotation) unknowns of a system, for the stress block T
+    of the system's E_r(T) (``Eop``) and a real or complex shift s.  The
+    velocity is eliminated with the reciprocals of M's diagonal, leaving
+    S_r(s) = E_r(T) + s^2 K_r on the range of x; each level of Eop
+    eliminates its patches' unknowns by their class blocks (`_condensed`):
+    each triangle's interior stresses and (k >= 2) rotations, then, level by
+    level, each cell's unknowns but those on its boundary.  So the one sparse
+    LU is of the complement on the edge unknowns of the largest cells'
+    boundaries (`factorize`).
 
     Vectors are (x, velocity).  Solves 1, 2, 4, 8, ... are
     residual-checked against S(s) applied block by block.  The LU lives as
     long as this object: its owner drops it after its last solve.
     """
 
-    def __init__(self, system: BlockSystem, E_op: RangeOperator, s, what: str):
-        if E_op.src is not system.Eop.src:
-            raise ValueError("E_op must be on the system's E_r table and pattern")
-        self.system, self.E_op, self.n = system, E_op, system.spaces.dim_x
+    def __init__(self, system: BlockSystem, s, what: str):
+        self.system, self.n = system, system.spaces.dim_x
         self._minv, self._BT = 1.0 / system.Mdiag, system.Bmat.T
-        S, self._eliminations = _condensed(E_op, system.Kblocks, s * s, what)
+        S, self._eliminations = _condensed(system, s * s, what)
         self._lu = factorize(S, what)
         self._maps = [(level.table[:, ~level.keep], level.front(),
                        [level.table[lo:hi, rows].T.copy() for (_, rows), lo, hi
                         in zip(factors, level.bounds, level.bounds[1:])])
-                      for level, (factors, *_) in zip(E_op.levels, self._eliminations)]
+                      for level, (factors, *_) in zip(system.Eop.levels, self._eliminations)]
         self._s, self._what, self._solves = s, what, 0
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         system, n, s = self.system, self.n, self._s
         x_r, v = x[:n], x[n:]
-        return np.concatenate([self.E_op @ x_r + s * _by_parts(self._BT.dot, v),
+        return np.concatenate([system.Eop @ x_r + s * _by_parts(self._BT.dot, v),
                                system.Mdiag * v - s * _by_parts(system.Bmat.dot, x_r)])
 
     def _solve_range(self, b: np.ndarray) -> np.ndarray:
@@ -189,7 +186,7 @@ class SchurLU:
         right-hand side; one LU solve; then level by level, down, x_L = z -
         X x_G.  Each kept right-hand side and solution ends in a 0, the
         value a cell's spare slots read."""
-        levels = list(zip(self.E_op.levels, self._maps, self._eliminations))
+        levels = list(zip(self.system.Eop.levels, self._maps, self._eliminations))
         rhs, zs = [b], []
         for level, (local, front, gathers), (factors, S_LG, _) in levels:
             z = _solve_by_class(factors, gathers, b,
@@ -229,26 +226,26 @@ class SchurLU:
 _MAX_SWEEPS = 50  # augmented-Lagrangian sweeps per saddle solve, at most
 
 
-def _solve_saddle(system: BlockSystem, E_op: RangeOperator, mu: float, rhs_x, rhs_v):
+def _solve_saddle(system: BlockSystem, rhs_x, rhs_v):
     """Checked solve of the saddle system S = [[E, B^T], [B, 0]] in (x,
-    velocity), for E = E_r(T) given as SchurLU takes it, by
+    velocity), for the system's E = E_r(T) (``Eop``), by
     augmented-Lagrangian sweeps (Fortin-Glowinski, 1983); returns (x,
     velocity).
 
     A sweep adds P^-1 (b - S x) to x, with P = [[E, B^T], [B, -M / tau^2]]
     solved as SchurLU's S(tau) on (rho_x, -tau rho_v), whose velocity part is
-    then scaled by tau.  tau = sqrt(rho / mu), for the material's density rho
-    and the shear modulus mu whose compliance T is, keeps tau^2 K on the scale
-    of T.
+    then scaled by tau.  tau = sqrt(rho / mu), for the density rho and shear
+    modulus mu of the system's material, whose compliance T is, keeps tau^2 K
+    on the scale of T.
     The sweeps stop at a 1e-13 relative residual or once it stops halving, so
     a B that is not onto fails the final residual check.  The LU is dropped.
     """
-    n, B = system.spaces.dim_x, system.Bmat
-    tau = np.sqrt(system.material.rho / mu)
-    lu = SchurLU(system, E_op, tau, "saddle")
+    n, B, E = system.spaces.dim_x, system.Bmat, system.Eop
+    tau = np.sqrt(system.material.rho / system.material.mu)
+    lu = SchurLU(system, tau, "saddle")
 
     def apply(x):
-        return np.concatenate([E_op @ x[:n] + B.T @ x[n:], B @ x[:n]])
+        return np.concatenate([E @ x[:n] + B.T @ x[n:], B @ x[:n]])
 
     def sweeps(b):
         x, res, last = np.zeros_like(b), b.copy(), np.inf
@@ -267,34 +264,6 @@ def _solve_saddle(system: BlockSystem, E_op: RangeOperator, mu: float, rhs_x, rh
 
     x = checked_solve(sweeps, apply, np.concatenate([rhs_x, rhs_v]), "saddle")
     return x[:n], x[n:]
-
-
-def elliptic_projection(system: BlockSystem, sigma: Callable,
-                        div_sigma: Callable) -> np.ndarray:
-    """Weakly symmetric elliptic projection of an exact stress field.
-
-    Solves the saddle system with the plain L2 stress pairing and data
-    ((sigma, tau), (div sigma, w), (sigma, q)); div_sigma must be supplied
-    analytically; the data are integrated with the degree-12 rule.  The
-    result, an x with zero rotation entries, preserves the divergence
-    moments and the skew moments of sigma.
-    """
-    spaces = system.spaces
-    rule = triangle_rule(12)
-    X = spaces.physical_points(rule)
-    W = spaces.quad_weights(rule)
-    vals = np.asarray(sigma(X[..., 0], X[..., 1]), dtype=float)  # (2, 2, T, nq)
-    V = spaces.stress_row_values(rule)[spaces.tri_class]
-    loc = np.einsum("tq,tbdq,rdtq->trb", W, V, vals)
-    rhs_x = np.bincount(spaces.stress_map.ravel(), loc.ravel(), spaces.dim_x)
-    rhs_x[spaces.rotation_map.ravel()] = spaces.scalar_moments(W, rule, vals[0, 1] - vals[1, 0])
-    rhs_v = spaces.scalar_moments(W, rule, np.asarray(div_sigma(X[..., 0], X[..., 1]),
-                                                      dtype=float))
-
-    # the L2 pairing is the compliance of mu = 1/2 (and lambda = 0)
-    x, _ = _solve_saddle(system, l2_pairing(system), 0.5, rhs_x, rhs_v)
-    x[spaces.rotation_map] = 0.0  # the multiplier
-    return x
 
 
 def build_initial_data(case, system: BlockSystem) -> InitialData:
@@ -317,7 +286,7 @@ def build_initial_data(case, system: BlockSystem) -> InitialData:
     rhs_x = x0 if case.homogeneous else assemble_dirichlet_load(spaces, case.u, 0.0)
     rhs_v = assemble_body_load(spaces, case.div_sigma, 0.0)
     if rhs_x.any() or rhs_v.any():  # the rotation's right-hand side is zero
-        x0, _ = _solve_saddle(system, system.Eop, system.material.mu, rhs_x, rhs_v)
+        x0, _ = _solve_saddle(system, rhs_x, rhs_v)
     return InitialData(x0=x0, v0=v0, u0=u0)
 
 

@@ -251,8 +251,10 @@ class ConvergenceTable:
         return "\n".join(lines) + "\n"
 
     def format_table(self) -> str:
+        """The rows right-justified in columns of 10, so that the longest
+        cell, 9 characters, stays one space from the one before."""
         header = ["1/h"] + [h for f in self.FIELDS for h in (f"err_{f}", "order")]
-        return "\n".join("".join(c.rjust(9) for c in cells)
+        return "\n".join("".join(c.rjust(10) for c in cells)
                          for cells in [header, *self._rows("--")])
 
 

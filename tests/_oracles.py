@@ -8,7 +8,8 @@ LU of the full step matrix, so that the scalar checks test that code.
 The edge numbering, mesh refinement, triangle areas and the energy of a
 state are reference formulas that only the tests use.  So are the canonical
 stress interpolant, the rotation projection, the row-wise stress divergence,
-the compliance saddle solve and the RadauIIA displacement update, and the
+the compliance saddle solve, the weakly symmetric elliptic projection of
+the paper's error analysis, the RadauIIA displacement update, and the
 error decomposition that the criterion-4 diagnosis runs: no command of the
 package needs them.  The scatter-sum references of the matrices on the range
 of x (E_r's CSR, the stress mass and S_r(s)) sum every local entry with
@@ -33,14 +34,14 @@ import sympy as sp
 
 from mixedelast import assembly, dynamics, statics
 from mixedelast.assembly import (MaterialModel, SeparatedField, _local_blocks, _range_operator,
-                                 _scatter)
+                                 _scatter, l2_pairing)
 from mixedelast.dynamics import CN, integrate
 from mixedelast.mesh import Mesh, _connect
 from mixedelast.quadrature import edge_rule, triangle_rule
 from mixedelast.polynomials import (edge_legendre_basis, eval_edge_polynomials,
                                     eval_monomials)
 from mixedelast.spaces import _stress_functionals, _unit_normals, l2_project_velocity
-from mixedelast.statics import build_initial_data, checked_solve, elliptic_projection
+from mixedelast.statics import build_initial_data, checked_solve
 from mixedelast.verification import MmsCase, _build_system, l2_error
 
 
@@ -496,7 +497,36 @@ def l2_project_rotation(spaces, q, degree=None):
 
 def solve_elastostatics(system, rhs_x, rhs_v):
     """The compliance saddle solve of the initial data; returns (x, u)."""
-    return statics._solve_saddle(system, system.Eop, system.material.mu, rhs_x, rhs_v)
+    return statics._solve_saddle(system, rhs_x, rhs_v)
+
+
+def elliptic_projection(system, sigma, div_sigma):
+    """Weakly symmetric elliptic projection of an exact stress field, the
+    projection of the paper's error analysis.
+
+    Solves the saddle system with the plain L2 stress pairing and data
+    ((sigma, tau), (div sigma, w), (sigma, q)); div_sigma must be supplied
+    analytically; the data are integrated with the degree-12 rule.  The
+    result, an x with zero rotation entries, preserves the divergence
+    moments and the skew moments of sigma.  The solve runs on the system of
+    the pairing, which is the compliance of mu = 1/2 (lambda enters only
+    E_r, which the pairing replaces), so its saddle shift is mu = 1/2's.
+    """
+    spaces = system.spaces
+    rule = triangle_rule(12)
+    X = spaces.physical_points(rule)
+    W = spaces.quad_weights(rule)
+    vals = np.asarray(sigma(X[..., 0], X[..., 1]), dtype=float)  # (2, 2, T, nq)
+    V = spaces.stress_row_values(rule)[spaces.tri_class]
+    loc = np.einsum("tq,tbdq,rdtq->trb", W, V, vals)
+    rhs_x = np.bincount(spaces.stress_map.ravel(), loc.ravel(), spaces.dim_x)
+    rhs_x[spaces.rotation_map.ravel()] = spaces.scalar_moments(W, rule, vals[0, 1] - vals[1, 0])
+    rhs_v = spaces.scalar_moments(W, rule, np.asarray(div_sigma(X[..., 0], X[..., 1]),
+                                                      dtype=float))
+    pairing = replace(system, Eop=l2_pairing(system), material=replace(system.material, mu=0.5))
+    x, _ = statics._solve_saddle(pairing, rhs_x, rhs_v)
+    x[spaces.rotation_map] = 0.0  # the multiplier
+    return x
 
 
 def reconstruct_displacement_third_order(u, v, vdot, dt):

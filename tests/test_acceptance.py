@@ -11,14 +11,13 @@ import pytest
 import scipy.sparse as sps
 
 from mixedelast import (InitialData, assemble, build_initial_data, build_spaces,
-                        build_uniform_square_mesh, builtin_case, convergence_study,
-                        elliptic_projection, integrate, l2_project_velocity, locking_study,
-                        run_case)
+                        build_uniform_square_mesh, builtin_case, convergence_study, integrate,
+                        l2_project_velocity, locking_study, run_case)
 from mixedelast.quadrature import triangle_rule
 
 from conftest import make_matrix_field
 from _oracles import (canonical_interpolation, dense_assemble, dense_cn_trajectory,
-                      radau2_kernel, stress_div_values)
+                      elliptic_projection, radau2_kernel, stress_div_values)
 
 
 def _report(num, ok, detail):

@@ -144,19 +144,22 @@ def test_run_single_mesh(tmp_path, capsys):
     assert main(["run", "--k", "1", "--n", "2", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "err_sigma" in printed
+    assert printed.split("\n")[0].split() == ["1/h", "err_sigma", "order", "err_v", "order",
+                                              "err_u", "order", "err_r", "order"]
     assert out.read_bytes() == (_HEADER + "2,1.48e+00,,1.61e-01,,2.26e-01,,5.23e-01,\n").encode()
 
 
-_TABLE = "      1/herr_sigma    order    err_v    order    err_u    order    err_r    order\n"
+_TABLE = ("       1/h err_sigma     order     err_v     order     err_u     order     err_r"
+          "     order\n")
 _ROUNDOFF = "max constraint drift (relative): < 1e-12\n"
 GOLDEN_OUTPUT = {  # stdout and --out bytes of run and energy-audit, each with CN and RadauIIA
     ("run", "--case", "eg2", "--alpha", "2.7", "--n", "4", "--scheme", "radau2"): (
-        _TABLE + "        4 1.65e-02       -- 1.42e-02       -- 1.65e-02       -- "
-        "1.24e-02       --\n" + _ROUNDOFF,
+        _TABLE + "         4  1.65e-02        --  1.42e-02        --  1.65e-02        --  "
+        "1.24e-02        --\n" + _ROUNDOFF,
         _HEADER + "4,1.65e-02,,1.42e-02,,1.65e-02,,1.24e-02,\n"),
     ("run", "--k", "1", "--n", "2"): (
-        _TABLE + "        2 1.48e+00       -- 1.61e-01       -- 2.26e-01       -- "
-        "5.23e-01       --\n" + _ROUNDOFF,
+        _TABLE + "         2  1.48e+00        --  1.61e-01        --  2.26e-01        --  "
+        "5.23e-01        --\n" + _ROUNDOFF,
         _HEADER + "2,1.48e+00,,1.61e-01,,2.26e-01,,5.23e-01,\n"),
     ("energy-audit", "--n", "4", "--steps", "5"): (
         "initial energy: 1.253648e-01\nmax relative energy drift over 5 steps: < 1e-10\n"

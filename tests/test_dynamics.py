@@ -439,7 +439,7 @@ def test_step_order_built_once_per_system(monkeypatch):
     for scheme, dt in (("cn", 0.5), ("radau2", 0.5), ("cn", 0.25)):
         integrate(system, init, scheme, dt, 0.5)
     assert [lu._what for lu in lus] == ["saddle", "step", "step", "step"]
-    assert all(lu.E_op is system.Eop for lu in lus)
+    assert all(lu.system.Eop is system.Eop for lu in lus)
 
 
 @pytest.mark.parametrize("scheme", ["cn", "radau2"])

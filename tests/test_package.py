@@ -59,6 +59,18 @@ def test_private_scipy_guard_catches_each_form():
 _DTYPE_TESTS = {"iscomplexobj", "isrealobj"}
 
 
+def _referenced(node: ast.AST):
+    """The name a node refers to, if it is an attribute, a name or an
+    imported name, else None."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
 def _scopes(tree: ast.AST, names: set, scope: str = ""):
     """The scope (dotted function and class names) of every reference to one
     of ``names`` in a module, by any alias: an attribute, a name or an
@@ -67,9 +79,7 @@ def _scopes(tree: ast.AST, names: set, scope: str = ""):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield from _scopes(node, names, f"{scope}.{node.name}".lstrip("."))
             continue
-        if (isinstance(node, ast.Attribute) and node.attr in names
-                or isinstance(node, ast.Name) and node.id in names
-                or isinstance(node, ast.alias) and node.name in names):
+        if _referenced(node) in names:
             yield scope
         yield from _scopes(node, names, scope)
 
@@ -96,3 +106,26 @@ def test_one_function_orders_and_factors():
     assert list(_scopes(ast.parse(
         "from scipy.sparse.linalg import splu\nimport scipy.sparse.linalg as spla\n"
         "def f(A):\n    return spla.splu(A)"), {"splu"})) == ["", "f"]
+
+
+def _unreferenced(modules: dict) -> set:
+    """The public top-level functions and classes, as module.name, of the
+    parsed ``modules`` (stem -> tree) that no module but __init__ references
+    by a name, an attribute or an imported name."""
+    used = {_referenced(node) for stem, tree in modules.items() if stem != "__init__"
+            for node in ast.walk(tree)}
+    return {f"{stem}.{node.name}" for stem, tree in modules.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in used}
+
+
+def test_package_calls_its_public_api():
+    # no public API that the package never uses: a public function or class
+    # that only __init__ exports belongs in the tests' oracles
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(modules) > 1 and not _unreferenced(modules)
+    snippet = {"__init__": "from .a import C, f, g, h", "a": "def f():\n    return g\n"
+               "def g(): pass\ndef h(): pass\ndef _i(): pass\nclass C: pass\nclass D: pass",
+               "b": "from . import a\nfrom .a import D as E\na.C"}
+    trees = {stem: ast.parse(code) for stem, code in snippet.items()}
+    assert _unreferenced(trees) == {"a.f", "a.h"}

@@ -9,8 +9,8 @@ import sympy
 from mixedelast import (MaterialModel, SingularSystemError, assemble,
                         assemble_body_load, assemble_dirichlet_load,
                         build_initial_data, build_spaces,
-                        build_uniform_square_mesh, builtin_case, elliptic_projection,
-                        infsup_constant, integrate, l2_error, l2_project_velocity)
+                        build_uniform_square_mesh, builtin_case, infsup_constant,
+                        integrate, l2_error, l2_project_velocity)
 from mixedelast import assembly, statics
 from mixedelast.assembly import RangeOperator, l2_pairing
 from mixedelast.quadrature import triangle_rule
@@ -18,7 +18,7 @@ from mixedelast.quadrature import triangle_rule
 from conftest import _reachable, make_matrix_field, pattern_arrays
 from test_mesh import _jittered
 from _oracles import (canonical_interpolation, case_from_displacement, condensed_levels,
-                      dense_condensation, full_schur_solve,
+                      dense_condensation, elliptic_projection, full_schur_solve,
                       scatter_complement, scatter_range_matrix, scatter_schur_complement,
                       solve_elastostatics, stress_div_values, stress_mass, stress_part)
 
@@ -497,7 +497,7 @@ def test_schur_pattern_fill_matches_bmat_build(mesh_cache, monkeypatch, k):
                  (A, np.sqrt(system.material.rho / system.material.mu)),
                  (mass, np.sqrt(system.material.rho / 0.5))):
         op = p if T is A else l2_pairing(system)
-        statics.SchurLU(system, op, s, "test")
+        statics.SchurLU(dataclasses.replace(system, Eop=op), s, "test")
         got = factored.pop()
         ref = _check_condensation(got, _bmat_schur_complement(system, T, s), op,
                                   condensed_levels(op, system.Kblocks, s * s))
@@ -524,7 +524,7 @@ def test_gathered_schur_complement_is_e_plus_shifted_k(mesh_cache, k):
     p, E, B = system.Eop, system.Eop.tocsr(), system.Bmat
     K = (B.T @ (sps.diags(1.0 / system.Mdiag) @ B)).toarray()
     for s in (0.0, 0.3, 0.25 * complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)):
-        S, eliminations = statics._condensed(p, system.Kblocks, s * s, "test")
+        S, eliminations = statics._condensed(system, s * s, "test")
         assert S.format == "csc" and S.dtype == np.result_type(E.dtype, s)
         assert [X.dtype for *_, X in eliminations] == [S.dtype] * len(p.levels)
         assert np.shares_memory(S.indices, p.indices) and np.shares_memory(S.indptr, p.indptr)
@@ -557,7 +557,7 @@ def test_complex_schur_build_allocates_one_value_array(mesh_cache, monkeypatch):
     monkeypatch.setattr(statics, "_gather", marked)
     tracemalloc.start()
     try:
-        S, _ = statics._condensed(p, system.Kblocks, s * s, "test")
+        S, _ = statics._condensed(system, s * s, "test")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -576,7 +576,7 @@ def test_schur_solve_fills_one_array_bitwise(spaces_cache, s):
     # complex scalar product is not commutative bitwise, so the order counts)
     case = builtin_case("eg2", alpha=2.2)
     system = assemble(spaces_cache(4, 2), case.material)
-    lu = statics.SchurLU(system, system.Eop, s, "test")
+    lu = statics.SchurLU(system, s, "test")
     n, B, minv = lu.n, system.Bmat, 1.0 / system.Mdiag
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(n + len(minv))
@@ -622,7 +622,7 @@ def test_gathered_matrices_are_the_scatter_sums(k, mesh):
     pairing = l2_pairing(system)
     for op, mu in ((p, system.material.mu), (pairing, 0.5)):
         for s in (0.5 * dt, lam * dt, np.sqrt(rho / mu)):
-            got, _ = statics._condensed(op, system.Kblocks, s * s, "test")
+            got, _ = statics._condensed(dataclasses.replace(system, Eop=op), s * s, "test")
             levels = condensed_levels(op, system.Kblocks, s * s)
             same(got, scatter_complement(top, levels[-1]))
             _check_condensation(got, scatter_schur_complement(system, op.blocks, s * s), op,
@@ -670,7 +670,7 @@ def test_condensed_solve_matches_the_full_schur_lu(mesh, k):
     for op, mu in ((system.Eop, system.material.mu), (l2_pairing(system), 0.5)):
         for s in (0.0625, 0.125 * lam, np.sqrt(rho / mu)):
             b = rhs if np.isrealobj(s) else rhs + 1j * rng.standard_normal(rhs.size)
-            got = statics.SchurLU(system, op, s, "test").solve(b)
+            got = statics.SchurLU(dataclasses.replace(system, Eop=op), s, "test").solve(b)
             S = scatter_schur_complement(system, op.blocks, s * s)
             lu = spla.splu(S)  # SuperLU's default order, partial pivoting
             ref = full_schur_solve(system, lu, s, b)
@@ -713,7 +713,7 @@ def test_lu_fill_is_structural(k, mesh):
         system = assemble(spaces, material)
         for op, mu in ((system.Eop, material.mu), (l2_pairing(system), 0.5)):
             for s in (0.0625, 0.125 * lam, np.sqrt(material.rho / mu)):
-                lu = statics.SchurLU(system, op, s, "test")._lu
+                lu = statics.SchurLU(dataclasses.replace(system, Eop=op), s, "test")._lu
                 fills.add((lu.nnz, lu.shape[0]))
     assert fills == {FILLS[mesh][k]}
 
@@ -731,7 +731,8 @@ def test_singular_local_block_raises_when_the_lu_is_built(spaces_cache, monkeypa
     blocks[1, ns] = blocks[1, :, ns] = 0.0
     monkeypatch.setattr(statics, "factorize", lambda S, what: pytest.fail("factorized"))
     with pytest.raises(SingularSystemError, match="^step factorization failed: local block"):
-        statics.SchurLU(system, dataclasses.replace(op, blocks=blocks), s, "step")
+        statics.SchurLU(dataclasses.replace(system, Eop=dataclasses.replace(op, blocks=blocks)),
+                        s, "step")
 
 
 @pytest.mark.parametrize("mesh", ["uniform-6", "jittered-4"])
@@ -750,7 +751,7 @@ def test_splu_calls_per_schur_lu_and_per_integrate(monkeypatch, mesh):
     n_e = len(system.Eop.levels[-1].kept)
     assert calls == [] and n_e >= 1
     for s in (0.25, 0.25 * complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)):
-        statics.SchurLU(system, system.Eop, s, "test")
+        statics.SchurLU(system, s, "test")
         assert calls == [(n_e, n_e)]
         calls.clear()
     init = build_initial_data(case, system)

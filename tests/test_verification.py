@@ -161,6 +161,11 @@ def test_convergence_table_layout_and_csv():
     second = lines[2].split(",")
     assert second[2] == "2.00" and second[1] == "2.50e-01"
     assert "--" in tab.format_table()
+    table = tab.format_table().split("\n")
+    assert table[0].split() == ["1/h", "err_sigma", "order", "err_v", "order", "err_u", "order",
+                                "err_r", "order"]
+    assert table[1].split() == ["4", "1.00e+00", "--", "5.00e-01", "--", "4.00e-01", "--",
+                                "2.00e-01", "--"]
 
 
 def test_convergence_study_validates_n_list():
