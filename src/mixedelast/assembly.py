@@ -87,25 +87,24 @@ class SeparatedField:
 class Level:
     """One level of elimination by class blocks.  Its patches, the triangles
     at the first level and the cells of 2 x 2, 4 x 4, ... grid cells above
-    it (`_cells`), each hold W unknowns of the level below (x's at
-    the first), listed by ``table`` (P, W) in patch rows grouped by class at
-    ``bounds``; ``tri`` (P,) is a triangle of each row's patch, which names
-    its cell on every level.  ``keep`` (W,) marks the unknowns a patch
-    keeps; it eliminates the others, and the kept ones are numbered 0..N-1
-    in the order of their positions ``kept`` (N,) below.
+    it (`_cells`), each hold W unknowns of x, listed by ``table`` (P, W) in
+    patch rows grouped by class at ``bounds``; ``tri`` (P,) is a triangle of
+    each row's patch, which names its cell on every level.  ``keep`` (W,)
+    marks the unknowns a patch keeps, ``table[:, keep]``; it eliminates the
+    others.  A cell level's patches hold the unknowns that the level below
+    keeps.
 
     A cell level's class blocks are summed from the complements (class,
     nG, nG) of the level below: blocks.flat[dest] += below.flat[source].
     Its patches have slots for the most unknowns any class holds, interior
-    ones first; a smaller cell's spare slots point at index N of the level
-    below, one past its unknowns, where a solve holds 0, and ``unit`` puts
-    ones on the diagonal of the spare interior slots, while a spare kept
-    slot's row and column of the complement stay 0."""
+    ones first; a smaller cell's spare slots hold dim_x, one past x, where a
+    solve holds 0, and ``unit`` puts ones on the diagonal of the spare
+    interior slots, while a spare kept slot's row and column of the
+    complement stay 0."""
 
     bounds: tuple
     table: np.ndarray
     keep: np.ndarray
-    kept: np.ndarray
     tri: np.ndarray
     dest: np.ndarray | None = None
     source: np.ndarray | None = None
@@ -120,11 +119,6 @@ class Level:
                          below.reshape(-1)[self.source])
         flat[self.unit] = 1.0
         return flat.reshape(-1, W, W)
-
-    def front(self) -> np.ndarray:
-        """The kept unknowns of each patch (P, nG) in their numbering 0..N-1,
-        a spare slot as N."""
-        return np.searchsorted(self.kept, self.table[:, self.keep])
 
 
 def _cells(mesh: Mesh) -> np.ndarray:
@@ -152,9 +146,9 @@ def _cells(mesh: Mesh) -> np.ndarray:
     return np.array(levels[1:])
 
 
-def _macro_level(below: Level, rotation: np.ndarray, cell: np.ndarray) -> Level:
-    """The Level of the cells ``cell`` (P,) of the rows of ``below``, whose
-    kept slots are rotations where ``rotation`` (nG,) is set.
+def _macro_level(below: Level, cell: np.ndarray, dim_stress: int, dim_x: int) -> Level:
+    """The Level of the cells ``cell`` (P,) of the rows of ``below``, on x of
+    length ``dim_x`` whose rotations follow its ``dim_stress`` stresses.
 
     A cell eliminates the unknowns that no other patch holds: those that
     two of its rows share (of the edges between two of its triangles) and
@@ -164,20 +158,20 @@ def _macro_level(below: Level, rotation: np.ndarray, cell: np.ndarray) -> Level:
     slots are numbered interior first, then boundary, each in the order
     that its rows, by triangle, meet them; cells with the same counts and,
     row by row, the same class below and the same slots are one class."""
-    front = below.front()
-    N, (P, nG), nc = len(below.kept), front.shape, len(below.bounds) - 1
+    front = below.table[:, below.keep]
+    (P, nG), nc = front.shape, len(below.bounds) - 1
     rows = np.lexsort((below.tri, cell))  # by cell, then by triangle
     front, row_cell, tri = front[rows], cell[rows], below.tri[rows]
     row_class = np.repeat(np.arange(nc), np.diff(below.bounds))[rows]
-    filled = front < N  # not a spare slot below
+    filled = front < dim_x  # not a spare slot below
     unknowns = front[filled]
     # one slot per (cell, unknown): interior first, each part in meeting order
-    pair, meet, slot = np.unique(np.repeat(row_cell, nG)[filled.ravel()] * N + unknowns,
+    pair, meet, slot = np.unique(np.repeat(row_cell, nG)[filled.ravel()] * dim_x + unknowns,
                                  return_index=True, return_inverse=True)
-    cell, unknown = np.divmod(pair, N)
-    own = np.bincount(unknowns, minlength=N) == 2  # of two rows, or a rotation,
-    own[front[:, rotation]] = True
-    own &= np.bincount(unknown, minlength=N) == 1  # and of one cell
+    cell, unknown = np.divmod(pair, dim_x)
+    own = np.bincount(unknowns, minlength=dim_x) == 2  # of two rows, or a rotation,
+    own[dim_stress:] = True
+    own &= np.bincount(unknown, minlength=dim_x) == 1  # and of one cell
     order = np.lexsort((meet, ~own[unknown], cell))
     size = np.bincount(cell)
     n_int = np.bincount(cell, own[unknown]).astype(int)
@@ -195,12 +189,10 @@ def _macro_level(below: Level, rotation: np.ndarray, cell: np.ndarray) -> Level:
     key[row_cell[:, None], R + nG * col[:, None] + np.arange(nG)] = pos
     _, reps, mclass = np.unique(key, axis=0, return_index=True, return_inverse=True)
     W, by_class = nI + nB, np.argsort(mclass, kind="stable")
-    table = np.full((len(size), W), N)
+    table = np.full((len(size), W), dim_x)
     table[cell, rank] = unknown
     cell_tri = np.empty(len(size), int)
     cell_tri[row_cell] = tri
-    kept = np.unique(table[:, nI:])
-    kept = kept[:-1] if kept[-1] == N else kept
     # each class's sum maps from the filled slots of its first cell's rows
     rep = np.full(len(size), -1)
     rep[reps] = np.arange(len(reps))
@@ -209,7 +201,7 @@ def _macro_level(below: Level, rotation: np.ndarray, cell: np.ndarray) -> Level:
     pairs = f[:, :, None] & f[:, None, :]
     c_spare, i_spare = np.nonzero(np.arange(nI) >= n_int[reps][:, None])
     return Level(tuple(np.searchsorted(mclass[by_class], np.arange(len(reps) + 1)).tolist()),
-                 table[by_class], np.arange(W) >= nI, kept, cell_tri[by_class],
+                 table[by_class], np.arange(W) >= nI, cell_tri[by_class],
                  dest=((c[:, None, None] * W + p[:, :, None]) * W + p[:, None, :])[pairs],
                  source=((below_class[:, None, None] * nG + at[:, None]) * nG + at)[pairs],
                  unit=(c_spare * W + i_spare) * W + i_spare)
@@ -227,10 +219,10 @@ class RangeOperator:
     ``levels`` of class blocks: each triangle's interior stresses and, where
     they pair with them (k >= 2), its rotations, then, level by level, the
     unknowns that each cell's children share, and the rotations left
-    (`Level`).  It keeps the unknowns of the largest cells' boundary edges,
-    ``levels[-1].kept`` of the level below; ``indptr``, ``indices``,
-    ``src``, ``dup`` and ``src2`` are the `_pattern` of the top level's
-    complements (class, nG, nG) in their numbering 0..N_e-1.  A system's
+    (`Level`).  It keeps ``kept`` (N_e,), the unknowns of the largest cells'
+    boundary edges, sorted; ``indptr``, ``indices``, ``src``, ``dup`` and
+    ``src2`` are the `_pattern` of the top level's complements (class, nG,
+    nG), numbered 0..N_e-1 by their positions in ``kept``.  A system's
     operators share all but their blocks."""
 
     blocks: np.ndarray
@@ -238,6 +230,7 @@ class RangeOperator:
     bounds: tuple
     rotation: np.ndarray
     levels: tuple
+    kept: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     src: np.ndarray
@@ -419,7 +412,8 @@ def _local_blocks(T: np.ndarray, C: np.ndarray) -> np.ndarray:
 def _range_operator(spaces: DiscreteSpaces, blocks: np.ndarray) -> RangeOperator:
     """The RangeOperator of local blocks (class, W, W), W = 2 nd + m, with the
     triangles' (stress, rotation) unknowns as its table, grouped by class,
-    the levels of a Schur complement LU and the pattern of what it keeps."""
+    the levels of a Schur complement LU and the pattern of what it keeps,
+    the one numbering of x's unknowns besides x's own."""
     order = np.argsort(spaces.tri_class, kind="stable")
     table = np.concatenate([spaces.stress_map.reshape(len(order), -1), spaces.rotation_map],
                            axis=1)[order]
@@ -427,16 +421,18 @@ def _range_operator(spaces: DiscreteSpaces, blocks: np.ndarray) -> RangeOperator
     bounds = tuple(np.searchsorted(spaces.tri_class[order], np.arange(len(blocks) + 1)).tolist())
     edge = np.arange(ns) % nd < 3 * (spaces.k + 1)  # a row's edge DOFs come first
     rotation, keep = np.arange(ns + m) >= ns, np.concatenate([edge, np.full(m, edge.all())])
-    levels = [Level(bounds, table, keep, np.unique(table[:, keep]), order)]
-    rotations = rotation[keep]
+    levels = [Level(bounds, table, keep, order)]
     for cells in _cells(spaces.mesh):  # the first cells eliminate every rotation left
-        levels.append(_macro_level(levels[-1], rotations, cells[levels[-1].tri]))
-        rotations = np.zeros(np.count_nonzero(levels[-1].keep), bool)
+        levels.append(_macro_level(levels[-1], cells[levels[-1].tri], spaces.dim_stress,
+                                   spaces.dim_x))
     top = levels[-1]
-    front, n = top.front(), len(top.kept)
-    filled = front[list(top.bounds[:-1])] < n  # the kept slots of each class
-    return RangeOperator(blocks, table, bounds, rotation, tuple(levels),
-                         *_pattern(front, top.bounds, filled[:, :, None] & filled[:, None], n))
+    front = top.table[:, top.keep]
+    kept = np.unique(front[front < spaces.dim_x])
+    front = np.searchsorted(kept, front)  # a spare slot as N_e
+    filled = front[list(top.bounds[:-1])] < len(kept)  # the kept slots of each class
+    return RangeOperator(blocks, table, bounds, rotation, tuple(levels), kept,
+                         *_pattern(front, top.bounds, filled[:, :, None] & filled[:, None],
+                                   len(kept)))
 
 
 def l2_pairing(system: BlockSystem) -> RangeOperator:

@@ -88,12 +88,12 @@ class TrajectorySummary:
     times: np.ndarray
     energies: np.ndarray
     constraint_norms: np.ndarray
-    alpha_norms: np.ndarray
+    stress_norms: np.ndarray
 
     @property
     def constraint_rel(self) -> np.ndarray:
         """The weak-symmetry drift of each record relative to its stress norm."""
-        return self.constraint_norms / np.maximum(self.alpha_norms, 1e-300)
+        return self.constraint_norms / np.maximum(self.stress_norms, 1e-300)
 
     @property
     def max_constraint_rel(self) -> float:
@@ -200,25 +200,24 @@ def integrate(system: BlockSystem, initial: InitialData, scheme: str, dt: float,
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     n_steps = step_count(dt, T0)
     stepper = _Stepper(system, scheme, dt)
-    n, rot = stepper.n, system.spaces.rotation_map.ravel()
-    stress = np.delete(np.arange(n), rot)
+    n, ns = stepper.n, system.spaces.dim_stress  # x: the stresses, then the rotations
     y = np.concatenate([initial.x0, initial.v0])
     ey, u = stepper.eprod(y), initial.u0.copy()
-    c_ref = ey[rot]
+    c_ref = ey[ns:n]
 
     times = np.empty(n_steps + 1)
     energies = np.empty(n_steps + 1)
     cnorms = np.empty(n_steps + 1)
-    anorms = np.empty(n_steps + 1)
+    snorms = np.empty(n_steps + 1)
 
     def record(i, t, y, ey, u):
-        c_sigma = ey[rot]
+        c_sigma = ey[ns:n]
         times[i] = t
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            energies[i] = 0.5 * float(y @ ey) - float(y[rot] @ c_sigma)
+            energies[i] = 0.5 * float(y @ ey) - float(y[ns:n] @ c_sigma)
             cnorms[i] = np.linalg.norm(c_sigma - c_ref)
-            anorms[i] = np.linalg.norm(y[stress])
-        for name, a in (("energy", energies), ("constraint norm", cnorms), ("stress norm", anorms)):
+            snorms[i] = np.linalg.norm(y[:ns])
+        for name, a in (("energy", energies), ("constraint norm", cnorms), ("stress norm", snorms)):
             if not np.isfinite(a[i]):
                 raise MixedElastError(f"non-finite {name} at step {i}")
         for obs in observers:
@@ -232,4 +231,4 @@ def integrate(system: BlockSystem, initial: InitialData, scheme: str, dt: float,
         record(i, t, y, ey, u)
     return TrajectorySummary(final_state=SemidiscreteState(t=t, x=y[:n], beta=y[n:], u=u),
                              times=times, energies=energies, constraint_norms=cnorms,
-                             alpha_norms=anorms)
+                             stress_norms=snorms)

@@ -23,7 +23,6 @@ system: a saddle LU is dropped after its solve, and a step LU when
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -90,9 +89,10 @@ def _condense(level: Level, S: np.ndarray, what: str):
     refined once in working precision (componentwise backward stable where
     a block is badly scaled, Skeel, Math. Comp. 35, 1980), give the
     complement S_GG - S_GL X, made symmetric.  Returns it and the
-    level's elimination: for each class its LU and the slots of S_LL's rows
-    in the order of its row interchanges; S_LG and X (class, nL, nG).  A
-    singular S_LL raises SingularSystemError."""
+    level's elimination: for each class its LU and its patches' unknowns
+    (nL, patches) at S_LL's rows in the order of its row interchanges, the
+    gather of its right-hand sides; S_LG and X (class, nL, nG).  A singular
+    S_LL raises SingularSystemError."""
     loc, glob = np.flatnonzero(~level.keep), np.flatnonzero(level.keep)
     S_LG = S[:, loc[:, None], glob]
     X, factors = np.empty_like(S_LG), []
@@ -108,12 +108,12 @@ def _condense(level: Level, S: np.ndarray, what: str):
         order = loc.tolist()
         for i, j in enumerate(piv.tolist()):  # row i swapped with row j, in turn
             order[i], order[j] = order[j], order[i]
-        factors.append((lu, order))
+        factors.append((lu, level.table[level.bounds[c]:level.bounds[c + 1], order].T.copy()))
     G = S[:, glob[:, None], glob] - S_LG.swapaxes(1, 2) @ X
     return 0.5 * (G + G.swapaxes(1, 2)), (factors, S_LG, X)
 
 
-def _solve_by_class(factors, gathers, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _solve_by_class(factors, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The rows ``out`` (P, nL), grouped by class, of S_LL^-1 b_L for each
     patch: a class's right-hand sides b[gather].T, gathered in the order of
     its row interchanges and in Fortran order, are solved in place by two
@@ -121,7 +121,7 @@ def _solve_by_class(factors, gathers, b: np.ndarray, out: np.ndarray) -> np.ndar
     if factors:
         trsm, = sla.get_blas_funcs(("trsm",), (factors[0][0], b))
     lo = 0
-    for (lu, _), gather in zip(factors, gathers):
+    for lu, gather in factors:
         hi = lo + gather.shape[1]
         y = trsm(1.0, lu, b[gather].T, side=1, lower=1, trans_a=1, diag=1, overwrite_b=True)
         out[lo:hi] = trsm(1.0, lu, y, side=1, trans_a=1, overwrite_b=True)
@@ -168,10 +168,8 @@ class SchurLU:
         self._minv, self._BT = 1.0 / system.Mdiag, system.Bmat.T
         S, self._eliminations = _condensed(system, s * s, what)
         self._lu = factorize(S, what)
-        self._maps = [(level.table[:, ~level.keep], level.front(),
-                       [level.table[lo:hi, rows].T.copy() for (_, rows), lo, hi
-                        in zip(factors, level.bounds, level.bounds[1:])])
-                      for level, (factors, *_) in zip(system.Eop.levels, self._eliminations)]
+        self._slots = [(level.table[:, ~level.keep], level.table[:, level.keep])
+                       for level in system.Eop.levels]
         self._s, self._what, self._solves = s, what, 0
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
@@ -182,28 +180,24 @@ class SchurLU:
 
     def _solve_range(self, b: np.ndarray) -> np.ndarray:
         """S_r(s)^-1 b: level by level, up from the triangles, z = S_LL^-1 b_L
-        by the class LUs, and S_GL z taken from the kept unknowns'
-        right-hand side; one LU solve; then level by level, down, x_L = z -
-        X x_G.  Each kept right-hand side and solution ends in a 0, the
-        value a cell's spare slots read."""
-        levels = list(zip(self.system.Eop.levels, self._maps, self._eliminations))
-        rhs, zs = [b], []
-        for level, (local, front, gathers), (factors, S_LG, _) in levels:
-            z = _solve_by_class(factors, gathers, b,
-                                np.empty(local.shape, np.result_type(b, S_LG)))
-            to_kept = partial(np.bincount, front.ravel(), minlength=len(level.kept) + 1)
-            y = _by_class(z, S_LG, level.bounds)
-            b = np.append(b[level.kept], 0.0) - _by_parts(to_kept, y.ravel())
-            rhs.append(b)
-            zs.append(z)
-        x = np.append(self._lu.solve(b[:-1]), 0.0)
-        for (level, (local, front, _), (*_, X)), z, below in zip(levels[::-1], zs[::-1],
-                                                              rhs[-2::-1]):
-            x_G = x
-            x = np.zeros(len(below), np.result_type(z, x_G))
-            x[level.kept] = x_G[:-1]
-            x[local] = z - _by_class(x_G[front], X.swapaxes(1, 2), level.bounds)
-        return x
+        by the class LUs, and S_GL z subtracted at the kept unknowns of one
+        work vector; one LU solve on the top's kept unknowns; then level by
+        level, down, x_L = z - X x_G in one solution vector.  Both are of
+        length dim_x + 1 and end in a 0, the value a cell's spare slots
+        read."""
+        n, op = self.n, self.system.Eop
+        levels = list(zip(op.levels, self._slots, self._eliminations))
+        work = np.empty(n + 1, np.result_type(b, self._eliminations[0][1]))
+        work[:n], work[n] = b, 0.0
+        zs = []
+        for level, (local, front), (factors, S_LG, _) in levels:
+            zs.append(_solve_by_class(factors, work, np.empty(local.shape, work.dtype)))
+            np.subtract.at(work, front.ravel(), _by_class(zs[-1], S_LG, level.bounds).ravel())
+        x = np.empty_like(work)
+        x[n], x[op.kept] = 0.0, self._lu.solve(work[op.kept])
+        for (level, (local, front), (*_, X)), z in zip(levels[::-1], zs[::-1]):
+            x[local] = z - _by_class(x[front], X.swapaxes(1, 2), level.bounds)
+        return x[:n]
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         # x_r = S_r^-1 (b_r - s B^T M^-1 b_v), x_v = M^-1 (b_v + s B x_sigma)
@@ -302,9 +296,9 @@ def infsup_constant(system: BlockSystem) -> float:
     B, C = system.Bmat, system.Cmat
     # the masses with rho = 1: M / rho for the velocity, area * I per rotation,
     # and D, the stress block of the L2 pairing plus rho K_r (K_r holds 1 / rho)
-    stress, K_r = np.unique(spaces.stress_map), replace(system.Eop, blocks=system.Kblocks)
-    D = (l2_pairing(system).tocsr() + rho * K_r.tocsr())[stress][:, stress].toarray()
-    Bb = sps.vstack([B, C[spaces.rotation_map.ravel()]])[:, stress].toarray()
+    ns, K_r = spaces.dim_stress, replace(system.Eop, blocks=system.Kblocks)
+    D = (l2_pairing(system).tocsr() + rho * K_r.tocsr())[:ns, :ns].toarray()
+    Bb = sps.vstack([B, C[ns:]])[:, :ns].toarray()  # x: the stresses, then the rotations
     N = np.diag(np.concatenate([system.Mdiag / rho, np.repeat(spaces.areas, spaces.n_scalar)]))
     S = Bb @ np.linalg.solve(D, Bb.T)
     eigs = sla.eigh(S, N, eigvals_only=True)

@@ -184,16 +184,25 @@ def dense_condensation(S, edge, extended=False):
     return (S[np.ix_(edge, edge)] - S[np.ix_(edge, loc)] @ X).astype(S.dtype)
 
 
-def scatter_complement(level, G):
+def kept(level, n):
+    """The unknowns of x that a level keeps, sorted: ``table[:, keep]`` but
+    the spare slots' n, one past x."""
+    front = level.table[:, level.keep]
+    return np.unique(front[front < n])
+
+
+def scatter_complement(level, G, n):
     """The matrix of a level's complements G (class, nG, nG) by one `_scatter`
-    over each patch's kept unknowns in their numbering 0..N-1, every pair of
-    filled slots, so that the gather through the source maps of the top
-    level's pattern is checked bit for bit."""
-    front, n = level.front(), len(level.kept)
+    over each patch's kept unknowns, numbered 0..N-1 by their positions in
+    the level's `kept` set (of x of length n), every pair of filled slots,
+    so that the gather through the source maps of the top level's pattern
+    is checked bit for bit."""
+    unknowns = kept(level, n)
+    front, m = np.searchsorted(unknowns, level.table[:, level.keep]), len(unknowns)
     values = np.repeat(G, np.diff(level.bounds), axis=0)
     rows, cols = np.broadcast_arrays(front[:, :, None], front[:, None, :])
-    filled = (rows < n) & (cols < n)
-    return _scatter(values[filled], rows[filled], cols[filled], (n, n))
+    filled = (rows < m) & (cols < m)
+    return _scatter(values[filled], rows[filled], cols[filled], (m, m))
 
 
 def condensed_levels(op, K, s2):

@@ -16,7 +16,8 @@ from conftest import _reachable, pattern_arrays
 from test_mesh import _jittered
 from _oracles import (_load_field, _separate, canonical_interpolation, dense_assemble,
                       dense_body_load, dense_dirichlet_load, dense_system_blocks,
-                      isotropic_stiffness_apply, rotation_mask, stress_mass, triangle_areas)
+                      isotropic_stiffness_apply, kept, rotation_mask, scatter_complement,
+                      stress_mass, triangle_areas)
 
 
 def _stress_block(spaces, op):
@@ -481,8 +482,9 @@ def test_range_pattern_does_not_depend_on_values(mesh_cache, k, which):
         for op in (E, K):
             assert np.array_equal(op.indptr, first_E.indptr)
             assert np.array_equal(op.indices, first_E.indices)
-        for a, b in zip(pattern_arrays(system.Eop) + [lv.kept for lv in system.Eop.levels],
-                        pattern_arrays(first) + [lv.kept for lv in first.levels]):
+        for a, b in zip(pattern_arrays(system.Eop) + [system.Eop.kept]
+                        + [lv.table for lv in system.Eop.levels],
+                        pattern_arrays(first) + [first.kept] + [lv.table for lv in first.levels]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         Et = E.T.tocsr()
         Et.sort_indices()
@@ -557,3 +559,25 @@ def test_range_operator_holds_class_blocks_and_one_table(mesh_cache, k):
     assert not [a for a in held if a.shape == (nt, width, width)]
     assert sum(a.shape == (nt, width) for a in held) == 1
     assert all(a.base is None for a in pattern_arrays(system.Eop))
+
+
+@pytest.mark.parametrize("name", ["uniform-1", "uniform-6", "jittered-4", "uniform-32"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_levels_hold_x_unknowns(name, k):
+    # every level numbers its unknowns as x does: the triangles' table holds
+    # all of x, and a cell level's only the unknowns that the level below
+    # keeps, each of them, or dim_x, one past x, at a spare slot (n = 6 has
+    # smaller cells at the right and top); the top pattern's indices are
+    # positions in the top's kept set, the one other numbering
+    mesh = _jittered(4) if name == "jittered-4" else build_uniform_square_mesh(int(name[8:]))
+    spaces = build_spaces(mesh, k)
+    op, n = assemble(spaces, MaterialModel(mu=1.0, lambda_=1.0)).Eop, spaces.dim_x
+    assert np.array_equal(np.unique(op.levels[0].table), np.arange(n))
+    for below, level in zip(op.levels, op.levels[1:]):
+        held = np.unique(level.table)
+        assert np.array_equal(held[held < n], kept(below, n)) and held.max() <= n
+    assert any(level.table.max() == n for level in op.levels) == (name == "uniform-6")
+    assert np.array_equal(op.kept, kept(op.levels[-1], n))
+    ones = np.ones((len(op.levels[-1].bounds) - 1,) + (np.count_nonzero(op.levels[-1].keep),) * 2)
+    ref = scatter_complement(op.levels[-1], ones, n)
+    assert np.array_equal(ref.indptr, op.indptr) and np.array_equal(ref.indices, op.indices)

@@ -129,3 +129,28 @@ def test_package_calls_its_public_api():
                "b": "from . import a\nfrom .a import D as E\na.C"}
     trees = {stem: ast.parse(code) for stem, code in snippet.items()}
     assert _unreferenced(trees) == {"a.f", "a.h"}
+
+
+def _unused_imports(tree: ast.AST) -> set:
+    """The names a module's imports bind that it never reads, as a name or
+    as the head of an attribute; a __future__ import binds none."""
+    bound = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names}
+    bound |= {alias.asname or alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+              for alias in node.names}
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_module_uses_what_it_imports():
+    # an import that no line reads is left over from a change; __init__
+    # imports to export, so it is not checked
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(modules) > 1
+    assert not {f"{stem}.{name}" for stem, tree in modules.items() if stem != "__init__"
+                for name in _unused_imports(tree)}
+    snippet = ("from __future__ import annotations\nfrom functools import partial\n"
+               "import numpy as np\nimport scipy.sparse\nimport scipy.linalg as sla\n"
+               "from .a import b as c, d\n"
+               "def f(x: d) -> None:\n    return np.zeros(1), scipy.sparse.eye(2)")
+    assert _unused_imports(ast.parse(snippet)) == {"partial", "sla", "c"}

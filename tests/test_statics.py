@@ -19,7 +19,7 @@ from conftest import _reachable, make_matrix_field, pattern_arrays
 from test_mesh import _jittered
 from _oracles import (canonical_interpolation, case_from_displacement, condensed_levels,
                       dense_condensation, elliptic_projection, full_schur_solve,
-                      scatter_complement, scatter_range_matrix, scatter_schur_complement,
+                      kept, scatter_complement, scatter_range_matrix, scatter_schur_complement,
                       solve_elastostatics, stress_div_values, stress_mass, stress_part)
 
 
@@ -273,7 +273,7 @@ def test_nonzero_initial_data_factor_the_saddle(spaces_cache, monkeypatch):
     # the LU keeps the stresses of the largest cells' boundary edges only, here
     # those of the domain's boundary: k + 1 moments per edge and tensor row
     n_e = 2 * 3 * len(spaces.mesh.boundary_edges)
-    assert calls == [("saddle", (n_e, n_e))] and n_e == len(system.Eop.levels[-1].kept)
+    assert calls == [("saddle", (n_e, n_e))] and n_e == len(system.Eop.kept)
     assert n_e < spaces.dim_x
     assert np.array_equal(init.x0, x)
 
@@ -448,12 +448,16 @@ def _check_condensation(got, full, op, levels):
     The worst error is 0.21 of the bound (jittered-4, k = 3, the triangle
     level) and 0.08 on a cell level; with X unrefined (`statics._condense`)
     a 2 x 2 cell's reached 1.02 (n = 6, k = 1, the L2 pairing's
-    augmented-Lagrangian shift).  Returns the top level's reference."""
-    ref = dense_condensation(full, op.levels[0].kept)
-    for level, G in zip(op.levels, levels):
-        if level is not op.levels[0]:
-            ref = dense_condensation(below, level.kept, extended=True)
-        below = (got if level is op.levels[-1] else scatter_complement(level, G)).toarray()
+    augmented-Lagrangian shift).  Each level's kept set, of x's unknowns,
+    is mapped to its positions in the level below's.  Returns the top
+    level's reference."""
+    n = full.shape[0]
+    ref = dense_condensation(full, kept(op.levels[0], n))
+    for i, (level, G) in enumerate(zip(op.levels, levels)):
+        if i:
+            edge = np.searchsorted(kept(op.levels[i - 1], n), kept(level, n))
+            ref = dense_condensation(below, edge, extended=True)
+        below = (got if level is op.levels[-1] else scatter_complement(level, G, n)).toarray()
         assert np.abs(below - ref).max() <= 2e-14 * np.abs(ref).max()
     return ref
 
@@ -503,7 +507,7 @@ def test_schur_pattern_fill_matches_bmat_build(mesh_cache, monkeypatch, k):
                                   condensed_levels(op, system.Kblocks, s * s))
         assert got.format == "csc" and got.dtype == ref.dtype
         assert np.shares_memory(got.indices, p.indices) and got.has_canonical_format
-        assert got.shape == ref.shape == (len(p.levels[-1].kept),) * 2
+        assert got.shape == ref.shape == (len(p.kept),) * 2
         assert got.nnz == len(p.indices)
         pattern = sps.csc_matrix((np.ones(got.nnz), got.indices, got.indptr), shape=got.shape)
         assert not ref[pattern.toarray() == 0.0].any()
@@ -624,7 +628,7 @@ def test_gathered_matrices_are_the_scatter_sums(k, mesh):
         for s in (0.5 * dt, lam * dt, np.sqrt(rho / mu)):
             got, _ = statics._condensed(dataclasses.replace(system, Eop=op), s * s, "test")
             levels = condensed_levels(op, system.Kblocks, s * s)
-            same(got, scatter_complement(top, levels[-1]))
+            same(got, scatter_complement(top, levels[-1], spaces.dim_x))
             _check_condensation(got, scatter_schur_complement(system, op.blocks, s * s), op,
                                 levels)
         same(op.tocsr(), scatter_range_matrix(spaces, op))
@@ -748,7 +752,7 @@ def test_splu_calls_per_schur_lu_and_per_integrate(monkeypatch, mesh):
     case = builtin_case("eg2", alpha=2.2)
     system = assemble(build_spaces(_mesh(mesh), 2), case.material, body_force=case.f,
                       dirichlet_velocity=case.g)
-    n_e = len(system.Eop.levels[-1].kept)
+    n_e = len(system.Eop.kept)
     assert calls == [] and n_e >= 1
     for s in (0.25, 0.25 * complex(1.0 / 3.0, np.sqrt(2.0) / 6.0)):
         statics.SchurLU(system, s, "test")
@@ -782,6 +786,6 @@ def test_one_sparse_factorization_per_schur_lu(mesh_cache, monkeypatch):
             integrate(system, init, scheme, 0.5, 0.5)
         sigma, div_sigma = make_matrix_field(np.random.default_rng(k))
         elliptic_projection(system, sigma, div_sigma)
-        n_e = len(system.Eop.levels[-1].kept)
+        n_e = len(system.Eop.kept)
         assert factored == [(n_e, n_e)] * 4 and len(lus) == 4
         factored.clear(), lus.clear()
