@@ -412,8 +412,9 @@ def _local_blocks(T: np.ndarray, C: np.ndarray) -> np.ndarray:
 def _range_operator(spaces: DiscreteSpaces, blocks: np.ndarray) -> RangeOperator:
     """The RangeOperator of local blocks (class, W, W), W = 2 nd + m, with the
     triangles' (stress, rotation) unknowns as its table, grouped by class,
-    the levels of a Schur complement LU and the pattern of what it keeps,
-    the one numbering of x's unknowns besides x's own."""
+    the levels of a Schur complement LU, whose tables hold x's unknowns, and
+    the pattern of what the top level keeps, numbered by position in its
+    kept set: the one numbering besides x's own."""
     order = np.argsort(spaces.tri_class, kind="stable")
     table = np.concatenate([spaces.stress_map.reshape(len(order), -1), spaces.rotation_map],
                            axis=1)[order]
